@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the convolution hot loop, including the Eq. (21)
 //! kernel pre-combination speedup (B0 in DESIGN.md).
 //!
-//! Std-only harness (`cargo bench --bench convolution`).
+//! Std-only harness (`cargo bench --bench convolution`). Every row runs
+//! on split re/im planes with scratch from one warm [`Workspace`].
 
-use mosaic_numerics::{Convolver, Grid, KernelSpectrum};
+use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SplitSpectrum, Workspace};
 use mosaic_optics::{KernelSet, OpticsConfig, ProcessCondition};
 use std::hint::black_box;
 use std::time::Instant;
@@ -36,41 +37,51 @@ fn setup() -> (Convolver, KernelSet, Grid<f64>) {
 
 fn main() {
     let (conv, bank, mask) = setup();
+    let mut ws = Workspace::new();
+    let mut spectrum = SplitSpectrum::zeros(N, N);
+    let mut field = SplitSpectrum::zeros(N, N);
+    let mut intensity = Grid::<f64>::zeros(N, N);
 
     // The full SOCS aerial image: 24 convolutions reusing one mask
     // spectrum.
     report("socs_intensity_24k_256", 10, || {
-        let spectrum = conv.forward_real(&mask);
-        bank.aerial_image_from_spectrum(&conv, &spectrum)
+        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+        bank.aerial_image_accumulate_split(&conv, &spectrum, &mut intensity, &mut ws);
+        intensity[(0, 0)]
     });
 
     // Eq. (21): one convolution against the pre-combined kernel vs the
     // per-kernel sum of 24 convolutions of the same linear field.
     let combined = bank.combined();
     report("eq21/combined_1_convolution", 20, || {
-        let spectrum = conv.forward_real(&mask);
-        conv.convolve_spectrum(&spectrum, &combined)
+        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+        conv.convolve_spectrum_split_into(&spectrum, &combined, &mut field, &mut ws);
+        field.at(0)
     });
     report("eq21/per_kernel_24_convolutions", 10, || {
-        let spectrum = conv.forward_real(&mask);
-        let mut acc = Grid::<f64>::zeros(N, N);
+        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+        intensity.fill(0.0);
         for k in bank.kernels() {
-            let field = conv.convolve_spectrum(&spectrum, &k.spectrum);
-            for (a, f) in acc.iter_mut().zip(field.iter()) {
-                *a += k.weight * f.re;
+            conv.convolve_spectrum_split_into(&spectrum, &k.spectrum, &mut field, &mut ws);
+            for (a, f) in intensity.iter_mut().zip(field.re()) {
+                *a += k.weight * f;
             }
         }
-        acc
+        intensity[(0, 0)]
     });
 
     // Kernel spectrum precomputation amortization: building a spectrum vs
     // reusing it.
     let spec: KernelSpectrum = bank.combined();
     report("spectrum_reuse/reused", 20, || {
-        conv.convolve_real(&mask, &spec)
+        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+        conv.convolve_spectrum_split_into(&spectrum, &spec, &mut field, &mut ws);
+        field.at(0)
     });
     report("spectrum_reuse/rebuild_each_time", 10, || {
         let fresh = bank.combined();
-        conv.convolve_real(&mask, &fresh)
+        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+        conv.convolve_spectrum_split_into(&spectrum, &fresh, &mut field, &mut ws);
+        field.at(0)
     });
 }

@@ -4,22 +4,18 @@
 //! once and then timed over a fixed iteration count with
 //! `std::time::Instant` — no external benchmarking dependency.
 //!
-//! Rows come in explicit families so a cold number is never mistaken
-//! for a hot-loop number:
+//! Row families:
 //!
-//! * `fft_2d_cold/*` — clone + transform per iteration: measures the
-//!   transform *plus* a full-grid allocation and copy. Kept as the
-//!   worst-case row; never representative of the optimizer loop.
-//! * `fft_2d_warm/*` — in-place forward+inverse pair drawing scratch
-//!   from a warm [`Workspace`] pool: the interleaved (AoS) hot-loop
-//!   number.
-//! * `fft_2d_split_warm/*` — the same pooled pair on split re/im
-//!   planes ([`SplitSpectrum`], DESIGN.md §16): the layout the core
-//!   objective actually runs.
-//! * `fft_2d_real_fwd/*` / `fft_2d_real_fwd_split/*` — the Hermitian
-//!   real-input half-spectrum forward, interleaved vs split.
-//! * `fft_2d_concurrent/*` / `fft_2d_split_concurrent/*` — the banded
-//!   team transforms, bit-identical to their serial twins.
+//! * `fft_1d/*` — one forward transform of a fresh copy of the input
+//!   planes (radix-2 lengths and one Bluestein length).
+//! * `fft_2d_split_warm/*` — in-place forward+inverse pair on split re/im
+//!   planes ([`SplitSpectrum`], DESIGN.md §16) drawing scratch from a
+//!   warm [`Workspace`] pool: the hot-loop number the core objective
+//!   runs.
+//! * `fft_2d_real_fwd_split/*` — the Hermitian real-input half-spectrum
+//!   forward.
+//! * `fft_2d_split_concurrent/*` — the banded team transforms,
+//!   bit-identical to the serial rows.
 
 use mosaic_numerics::{
     Complex, Fft, Fft2d, FftDirection, Grid, SpectralTeam, SplitSpectrum, Workspace,
@@ -37,77 +33,57 @@ fn report<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     println!("{name:<32} {:>12.3} us/iter ({iters} iters)", per * 1e6);
 }
 
+/// Times one forward transform of `(re, im)` per iteration, restoring
+/// the input planes first.
+fn report_1d(name: &str, iters: u32, fft: &Fft, re: &[f64], im: &[f64]) {
+    let mut ws = Workspace::new();
+    let (mut br, mut bi) = (re.to_vec(), im.to_vec());
+    report(name, iters, || {
+        br.copy_from_slice(re);
+        bi.copy_from_slice(im);
+        fft.process_split(&mut br, &mut bi, FftDirection::Forward, &mut ws);
+        br[0]
+    });
+}
+
 fn main() {
     for n in [256usize, 1024, 4096] {
-        let fft = Fft::new(n);
-        let data: Vec<Complex> = (0..n)
-            .map(|i| Complex::new((i as f64).sin(), (i as f64).cos()))
-            .collect();
-        report(&format!("fft_1d/{n}"), 200, || {
-            let mut buf = data.clone();
-            fft.process(&mut buf, FftDirection::Forward);
-            buf
-        });
+        let re: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let im: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+        report_1d(&format!("fft_1d/{n}"), 200, &Fft::new(n), &re, &im);
     }
 
     // Bluestein path (non-power-of-two length).
     let n = 1000usize;
-    let fft = Fft::new(n);
-    let data: Vec<Complex> = (0..n).map(|i| Complex::new(i as f64, 0.0)).collect();
-    report("fft_1d/bluestein_1000", 100, || {
-        let mut buf = data.clone();
-        fft.process(&mut buf, FftDirection::Forward);
-        buf
-    });
+    let re: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    report_1d(
+        "fft_1d/bluestein_1000",
+        100,
+        &Fft::new(n),
+        &re,
+        &vec![0.0; n],
+    );
 
-    // Cold rows: clone-per-iteration, so each number includes a
-    // full-grid allocation and copy on top of the transform.
+    // Warm rows (DESIGN.md §9): in-place transforms drawing scratch from
+    // a warm workspace (no clone, no allocation).
     for n in [128usize, 256, 512] {
         let plan = Fft2d::new(n, n);
-        let grid = Grid::from_fn(n, n, |x, y| {
+        let mut spec = SplitSpectrum::from_grid(&Grid::from_fn(n, n, |x, y| {
             Complex::new((x as f64 * 0.1).sin(), (y as f64 * 0.1).cos())
-        });
-        report(&format!("fft_2d_cold/{n}"), 20, || {
-            let mut g = grid.clone();
-            plan.process(&mut g, FftDirection::Forward);
-            g
-        });
-    }
-
-    // Warm rows (DESIGN.md §9): in-place transform drawing scratch from
-    // a warm workspace (no clone, no allocation), the Hermitian
-    // real-input half-spectrum forward, and their split-plane twins.
-    for n in [128usize, 256, 512] {
-        let plan = Fft2d::new(n, n);
-        let mut g = Grid::from_fn(n, n, |x, y| {
-            Complex::new((x as f64 * 0.1).sin(), (y as f64 * 0.1).cos())
-        });
+        }));
         let mut ws = Workspace::new();
-        report(&format!("fft_2d_warm/{n}"), 40, || {
-            // Forward+inverse pair, so the buffer magnitudes stay put.
-            plan.process_with(&mut g, FftDirection::Forward, &mut ws);
-            plan.process_with(&mut g, FftDirection::Inverse, &mut ws);
-            g[(0, 0)]
-        });
-
-        let mut spec = SplitSpectrum::from_grid(&g);
         report(&format!("fft_2d_split_warm/{n}"), 40, || {
+            // Forward+inverse pair, so the buffer magnitudes stay put.
             plan.process_split(&mut spec, FftDirection::Forward, &mut ws);
             plan.process_split(&mut spec, FftDirection::Inverse, &mut ws);
             spec.at(0)
         });
 
         let real = Grid::from_fn(n, n, |x, y| ((x * 3 + y) % 7) as f64 * 0.1);
-        let mut half = Grid::zeros(plan.half_width(), n);
-        report(&format!("fft_2d_real_fwd/{n}"), 40, || {
-            plan.forward_real_into(&real, &mut half, &mut ws);
-            half[(0, 0)]
-        });
-
-        let mut half_split = SplitSpectrum::zeros(plan.half_width(), n);
+        let mut half = SplitSpectrum::zeros(plan.half_width(), n);
         report(&format!("fft_2d_real_fwd_split/{n}"), 40, || {
-            plan.forward_real_split_into(&real, &mut half_split, &mut ws);
-            half_split.at(0)
+            plan.forward_real_split_into(&real, &mut half, &mut ws);
+            half.at(0)
         });
     }
 
@@ -122,21 +98,10 @@ fn main() {
         let mut team = SpectralTeam::new(workers);
         for n in [128usize, 256, 512] {
             let plan = Fft2d::new(n, n);
-            let mut g = Grid::from_fn(n, n, |x, y| {
+            let mut spec = SplitSpectrum::from_grid(&Grid::from_fn(n, n, |x, y| {
                 Complex::new((x as f64 * 0.1).sin(), (y as f64 * 0.1).cos())
-            });
+            }));
             let mut ws = Workspace::new();
-            report(
-                &format!("fft_2d_concurrent/{n}/threads_{}", workers + 1),
-                40,
-                || {
-                    plan.process_par(&mut g, FftDirection::Forward, &mut ws, &mut team);
-                    plan.process_par(&mut g, FftDirection::Inverse, &mut ws, &mut team);
-                    g[(0, 0)]
-                },
-            );
-
-            let mut spec = SplitSpectrum::from_grid(&g);
             report(
                 &format!("fft_2d_split_concurrent/{n}/threads_{}", workers + 1),
                 40,

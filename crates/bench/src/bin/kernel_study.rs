@@ -13,7 +13,7 @@
 
 use mosaic_bench::format_table;
 use mosaic_geometry::benchmarks::BenchmarkId;
-use mosaic_numerics::Convolver;
+use mosaic_numerics::{Convolver, Grid, SplitSpectrum, Workspace};
 use mosaic_optics::kernels::KernelSet;
 use mosaic_optics::{tcc, OpticsConfig, ProcessCondition};
 
@@ -42,11 +42,15 @@ fn main() {
         .expect("benchmark clip builds")
         .rasterize(pixel as i64)
         .embed_centered(grid, grid);
-    let spectrum = conv.forward_real(&mask);
-    let i_ref = reference.aerial_image_from_spectrum(&conv, &spectrum);
+    let mut ws = Workspace::new();
+    let mut spectrum = SplitSpectrum::zeros(grid, grid);
+    conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+    let mut i_ref = Grid::zeros(grid, grid);
+    reference.aerial_image_accumulate_split(&conv, &spectrum, &mut i_ref, &mut ws);
 
-    let image_error = |bank: &KernelSet| -> f64 {
-        let i = bank.aerial_image_from_spectrum(&conv, &spectrum);
+    let mut i = Grid::zeros(grid, grid);
+    let mut image_error = |bank: &KernelSet| -> f64 {
+        bank.aerial_image_accumulate_split(&conv, &spectrum, &mut i, &mut ws);
         let mut num = 0.0;
         let mut den = 0.0;
         for (a, b) in i.iter().zip(i_ref.iter()) {

@@ -31,8 +31,6 @@
 //!   behind the session's `threads` policy (DESIGN.md §14).
 //! * [`session`] — the [`ExecutionSession`] pipeline every entry point
 //!   resolves to, with the composable [`Instrument`] hook trait.
-//! * [`compat`] — deprecated pre-session entry points, kept one release
-//!   as thin shims.
 //! * [`psm`] — the phase-shifting-mask extension (three-level
 //!   transmission, per the paper's ref. 10).
 //! * [`sraf`] — rule-based sub-resolution assist feature insertion for
@@ -62,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compat;
 pub mod error;
 pub mod mask;
 pub mod mosaic;
@@ -74,8 +71,6 @@ pub mod psm;
 pub mod session;
 pub mod sraf;
 
-#[allow(deprecated)]
-pub use compat::{optimize_in, optimize_supervised, optimize_with};
 pub use error::{CoreError, OptimizerError};
 pub use mask::MaskState;
 pub use mosaic::{Mosaic, MosaicConfig, MosaicMode, MosaicPreset};
@@ -84,8 +79,6 @@ pub use optimizer::{
     optimize, IterationControl, IterationRecord, IterationView, OptimizationConfig,
     OptimizationResult, OptimizerCheckpoint, OptimizerStart,
 };
-#[allow(deprecated)]
-pub use optimizer::{Heartbeat, NoHeartbeat};
 pub use parallel::ParallelExec;
 pub use problem::{OpcProblem, PixelSample};
 pub use psm::{optimize_psm, PsmResult, PsmState};
@@ -94,8 +87,6 @@ pub use sraf::SrafRules;
 
 /// The types almost every user of this crate needs.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::compat::{optimize_in, optimize_supervised, optimize_with};
     pub use crate::error::{CoreError, OptimizerError};
     pub use crate::mask::MaskState;
     pub use crate::mosaic::{Mosaic, MosaicConfig, MosaicMode, MosaicPreset};
@@ -104,8 +95,6 @@ pub mod prelude {
         optimize, IterationControl, IterationRecord, IterationView, OptimizationConfig,
         OptimizationResult, OptimizerCheckpoint, OptimizerStart,
     };
-    #[allow(deprecated)]
-    pub use crate::optimizer::{Heartbeat, NoHeartbeat};
     pub use crate::parallel::ParallelExec;
     pub use crate::problem::{OpcProblem, PixelSample};
     pub use crate::psm::{optimize_psm, PsmResult, PsmState};

@@ -267,27 +267,9 @@ impl<'a> Objective<'a> {
     ///
     /// Panics if the grids' shape differs from the problem grid.
     pub fn evaluate_parameterized(&self, mask: &Grid<f64>, dmask_dp: &Grid<f64>) -> Evaluation {
-        let mut ws = Workspace::new();
         let mut eval = Evaluation::empty();
-        self.evaluate_parameterized_into(mask, dmask_dp, &mut ws, &mut eval);
+        self.evaluate_parameterized_core(mask, dmask_dp, &mut Workspace::new(), &mut eval, None);
         eval
-    }
-
-    /// Workspace-pooled core of
-    /// [`evaluate_parameterized`](Self::evaluate_parameterized); see
-    /// [`evaluate_into`](Self::evaluate_into) for the pooling contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grids' shape differs from the problem grid.
-    pub fn evaluate_parameterized_into(
-        &self,
-        mask: &Grid<f64>,
-        dmask_dp: &Grid<f64>,
-        ws: &mut Workspace,
-        eval: &mut Evaluation,
-    ) {
-        self.evaluate_parameterized_core(mask, dmask_dp, ws, eval, None);
     }
 
     /// The single numeric path behind every evaluation entry point.
@@ -316,8 +298,7 @@ impl<'a> Objective<'a> {
         assert_eq!(dmask_dp.dims(), mask.dims(), "derivative shape mismatch");
         let (gw, gh) = self.problem.grid_dims();
         // The spectral pipeline runs in split-plane (SoA) layout from the
-        // mask spectrum onward (DESIGN.md §16); bits match the former
-        // interleaved path exactly.
+        // mask spectrum onward (DESIGN.md §16).
         let mut mask_spectrum = ws.take_split(gw, gh);
         match par.as_deref_mut().and_then(ParallelExec::team_mut) {
             Some(team) => sim.mask_spectrum_split_par(mask, &mut mask_spectrum, ws, team),
@@ -641,9 +622,7 @@ impl<'a> Objective<'a> {
     }
 }
 
-/// Scales both planes of `field` pixel-wise by the real grid `g` —
-/// the split-plane twin of `e.scale(gv)` on an interleaved field
-/// (bit-identical: each component multiplies by the same scalar).
+/// Scales both planes of `field` pixel-wise by the real grid `g`.
 fn scale_split_by_real(field: &mut SplitSpectrum, g: &Grid<f64>) {
     let (fr, fi) = field.planes_mut();
     for ((r, i), &gv) in fr.iter_mut().zip(fi.iter_mut()).zip(g.iter()) {

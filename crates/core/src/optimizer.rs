@@ -321,33 +321,6 @@ impl OptimizerCheckpoint {
     }
 }
 
-/// Per-iteration liveness signal consumed by an external watchdog.
-///
-/// The optimizer beats at the top of every iteration, right after each
-/// objective evaluation (the loop's longest uninterruptible stretch)
-/// and after every line-search trial, so a supervisor can tell "slow
-/// but alive" apart from "wedged" without instrumenting the spectral
-/// kernels. Implementations must be cheap — a beat fires several times
-/// per iteration — and must not panic.
-#[deprecated(
-    note = "implement `Instrument::on_objective_eval` and run through `ExecutionSession` instead"
-)]
-pub trait Heartbeat {
-    /// Records one liveness beat.
-    fn beat(&self);
-}
-
-/// The no-op heartbeat used by unsupervised runs; optimizes away
-/// entirely.
-#[deprecated(note = "use `NoInstrument` with `ExecutionSession` instead")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoHeartbeat;
-
-#[allow(deprecated)]
-impl Heartbeat for NoHeartbeat {
-    fn beat(&self) {}
-}
-
 /// Where an optimization starts from.
 #[derive(Debug)]
 pub enum OptimizerStart<'a> {
@@ -405,9 +378,7 @@ pub fn optimize(
     ExecutionSession::from_mask(problem, config.clone(), initial_mask).run()
 }
 
-// The loop itself lives in [`crate::session`]; the deprecated
-// `optimize_with`/`optimize_in`/`optimize_supervised` shims live in
-// [`crate::compat`].
+// The loop itself lives in [`crate::session`].
 
 #[cfg(test)]
 mod tests {

@@ -54,8 +54,8 @@ use mosaic_numerics::{stats, Grid, Workspace};
 ///
 /// Hooks must be cheap and must not panic:
 /// [`on_objective_eval`](Instrument::on_objective_eval) fires after *every*
-/// objective evaluation, including each line-search trial — it subsumes
-/// the deprecated `Heartbeat` liveness signal.
+/// objective evaluation, including each line-search trial, which makes it
+/// the liveness signal a watchdog listens to.
 pub trait Instrument {
     /// Fires at the top of every iteration, before the objective
     /// evaluation. `iteration` is the absolute 0-based index (resumed
@@ -221,10 +221,9 @@ impl<'a> ExecutionSession<'a> {
     /// Draws every per-iteration intermediate from `ws` instead of a
     /// private pool, so a warmed workspace makes the main loop
     /// allocation-free (and worker threads can share one pool across
-    /// jobs). Since the split-plane rethread (DESIGN.md §16) the hot
-    /// loop's spectral intermediates are re/im plane pairs drawn via
-    /// `take_split`; [`Workspace::warm_spectral`] pre-sizes those
-    /// free-lists alongside the interleaved and real pools.
+    /// jobs). The hot loop's spectral intermediates are re/im plane
+    /// pairs drawn via `take_split` (DESIGN.md §16);
+    /// [`Workspace::warm_spectral`] pre-sizes the pool for them.
     #[must_use]
     pub fn workspace(mut self, ws: &'a mut Workspace) -> Self {
         self.workspace = Some(ws);

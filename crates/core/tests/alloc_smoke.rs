@@ -11,8 +11,7 @@
 //! rethread onto the split-plane engine (DESIGN.md §16) the measured
 //! path is the SoA one end to end — `take_split` plane pairs, split
 //! real-FFT halves, split convolve/correlate — so this gate also pins
-//! the split free-lists. Under `--cfg mosaic_simd` the same test
-//! covers the explicit-lane butterflies (tier-1 runs that leg too).
+//! the split free-lists.
 //!
 //! The single test function keeps the process free of concurrent test
 //! threads that would pollute the counter.

@@ -14,7 +14,7 @@
 use mosaic_core::objective::{Evaluation, Objective};
 use mosaic_core::prelude::*;
 use mosaic_geometry::{Layout, Polygon, Rect};
-use mosaic_numerics::{Complex, Workspace};
+use mosaic_numerics::Workspace;
 use mosaic_optics::{OpticsConfig, ProcessCondition, ResistModel};
 
 fn small_problem() -> OpcProblem {
@@ -48,12 +48,17 @@ fn config() -> OptimizationConfig {
 /// a consumer that trusts pooled contents inherits poison.
 fn poison(ws: &mut Workspace, w: usize, h: usize) {
     let full = w * h;
-    for len in [full, full, full, full, w / 2 * h + h, w.max(h)] {
-        let mut c = ws.take_complex(len);
-        c.fill(Complex::new(f64::NAN, f64::NAN));
-        ws.give_complex(c);
-        let mut r = ws.take_real(len);
-        r.fill(f64::NAN);
+    // Take every buffer before giving any back, so the pool ends up
+    // holding one poisoned buffer per size instead of one reused buffer.
+    let taken: Vec<Vec<f64>> = [full, full, full, full, w / 2 * h + h, w.max(h)]
+        .iter()
+        .map(|&len| {
+            let mut r = ws.take_real(len);
+            r.fill(f64::NAN);
+            r
+        })
+        .collect();
+    for r in taken {
         ws.give_real(r);
     }
 }

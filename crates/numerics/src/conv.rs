@@ -11,6 +11,9 @@
 //! A [`Convolver`] owns the 2-D FFT plan; kernels are transformed **once**
 //! into [`KernelSpectrum`] values and reused every iteration, which is where
 //! virtually all of the optimizer's per-iteration cost savings come from.
+//! Field spectra, kernel spectra and products all live in split re/im
+//! planes ([`SplitSpectrum`], DESIGN.md §16), so every Hadamard product and
+//! Hermitian fold walks unit-stride `f64` slices.
 //!
 //! Convolution here is *circular*. Callers embed their pattern with a guard
 //! band at least as wide as the kernel support (see
@@ -26,11 +29,10 @@ use crate::workspace::Workspace;
 
 /// A kernel held in the frequency domain, ready for repeated use.
 ///
-/// Stored as split re/im planes ([`SplitSpectrum`], DESIGN.md §16) so
-/// the per-iteration Hadamard products and Hermitian folds walk
-/// unit-stride `f64` slices. Produced by [`Convolver::kernel_spectrum`]
-/// or [`Convolver::kernel_spectrum_centered`]; consumed by the
-/// convolution and correlation calls.
+/// Stored as split re/im planes ([`SplitSpectrum`], DESIGN.md §16).
+/// Produced by [`Convolver::kernel_spectrum`] or
+/// [`Convolver::kernel_spectrum_centered`]; consumed by the convolution
+/// and correlation calls.
 #[derive(Debug, Clone)]
 pub struct KernelSpectrum {
     spectrum: SplitSpectrum,
@@ -76,10 +78,7 @@ impl KernelSpectrum {
     ///
     /// Linearity of the Fourier transform makes this equivalent to
     /// combining the kernels in the spatial domain — this is exactly the
-    /// pre-combination trick of Eq. (21) (`H = Σ_k w_k h_k`). The
-    /// plane-wise walk performs the same per-component arithmetic as the
-    /// interleaved `*a += b.scale(weight)`, so results are bit-identical
-    /// to the former layout.
+    /// pre-combination trick of Eq. (21) (`H = Σ_k w_k h_k`).
     ///
     /// # Panics
     ///
@@ -100,7 +99,7 @@ impl KernelSpectrum {
 /// A reusable frequency-domain convolution engine for one grid shape.
 ///
 /// ```
-/// use mosaic_numerics::{Complex, Convolver, Grid};
+/// use mosaic_numerics::{Complex, Convolver, Grid, SplitSpectrum, Workspace};
 ///
 /// // Identity kernel (impulse at the center) returns the input unchanged.
 /// let n = 8;
@@ -109,10 +108,15 @@ impl KernelSpectrum {
 /// kernel[(n / 2, n / 2)] = Complex::ONE;
 /// let spec = conv.kernel_spectrum_centered(&kernel);
 /// let image = Grid::from_fn(n, n, |x, y| (x + 2 * y) as f64);
-/// let out = conv.convolve_real(&image, &spec);
-/// for (o, i) in out.iter().zip(image.iter()) {
-///     assert!((o.re - i).abs() < 1e-9 && o.im.abs() < 1e-12);
+/// let mut ws = Workspace::new();
+/// let mut image_spectrum = SplitSpectrum::zeros(n, n);
+/// conv.forward_real_split_into(&image, &mut image_spectrum, &mut ws);
+/// let mut out = SplitSpectrum::zeros(n, n);
+/// conv.convolve_spectrum_split_into(&image_spectrum, &spec, &mut out, &mut ws);
+/// for (o, i) in out.re().iter().zip(image.iter()) {
+///     assert!((o - i).abs() < 1e-9);
 /// }
+/// assert!(out.im().iter().all(|v| v.abs() < 1e-12));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Convolver {
@@ -149,9 +153,10 @@ impl Convolver {
 
     /// Transforms a kernel whose origin is already at index `(0, 0)`.
     pub fn kernel_spectrum(&self, kernel: &Grid<Complex>) -> KernelSpectrum {
-        let mut g = kernel.clone();
-        self.plan.process(&mut g, FftDirection::Forward);
-        KernelSpectrum::from_grid(g)
+        let mut spectrum = SplitSpectrum::from_grid(kernel);
+        self.plan
+            .process_split(&mut spectrum, FftDirection::Forward, &mut Workspace::new());
+        KernelSpectrum::from_split(spectrum)
     }
 
     /// Transforms a kernel whose origin sits at the grid center
@@ -164,314 +169,12 @@ impl Convolver {
         self.kernel_spectrum(&shifted)
     }
 
-    /// Forward-transforms a real field (e.g. the mask `M`).
+    /// Forward-transforms a real field (e.g. the mask `M`) into a
+    /// caller-owned full spectrum: the Hermitian half spectrum is computed
+    /// first and mirrored out.
     ///
     /// Computing this once per iteration and reusing it against every
     /// kernel spectrum is the standard SOCS evaluation pattern.
-    pub fn forward_real(&self, field: &Grid<f64>) -> Grid<Complex> {
-        self.plan.forward_real(field)
-    }
-
-    /// Forward-transforms a complex field.
-    pub fn forward(&self, field: &Grid<Complex>) -> Grid<Complex> {
-        let mut g = field.clone();
-        self.plan.process(&mut g, FftDirection::Forward);
-        g
-    }
-
-    /// Completes a convolution given a precomputed field spectrum:
-    /// `F⁻¹( field_spectrum · kernel )`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn convolve_spectrum(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-    ) -> Grid<Complex> {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        let (kr, ki) = kernel.spectrum.planes();
-        let mut prod = field_spectrum.clone();
-        for ((o, &br), &bi) in prod.iter_mut().zip(kr.iter()).zip(ki.iter()) {
-            *o *= Complex::new(br, bi);
-        }
-        self.plan.process(&mut prod, FftDirection::Inverse);
-        prod
-    }
-
-    /// Completes a correlation with the conjugate-flipped kernel:
-    /// `F⁻¹( field_spectrum · conj(kernel) )`.
-    ///
-    /// This is the `H*(−x) ⊗ G` operation appearing in the closed-form
-    /// gradients (Eq. (14) and (17)).
-    pub fn correlate_spectrum(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-    ) -> Grid<Complex> {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        let (kr, ki) = kernel.spectrum.planes();
-        let mut prod = field_spectrum.clone();
-        for ((o, &br), &bi) in prod.iter_mut().zip(kr.iter()).zip(ki.iter()) {
-            *o *= Complex::new(br, bi).conj();
-        }
-        self.plan.process(&mut prod, FftDirection::Inverse);
-        prod
-    }
-
-    /// One-shot convolution of a real field with a kernel spectrum.
-    pub fn convolve_real(&self, field: &Grid<f64>, kernel: &KernelSpectrum) -> Grid<Complex> {
-        let spectrum = self.forward_real(field);
-        self.convolve_spectrum(&spectrum, kernel)
-    }
-
-    /// One-shot convolution of a complex field with a kernel spectrum.
-    pub fn convolve(&self, field: &Grid<Complex>, kernel: &KernelSpectrum) -> Grid<Complex> {
-        let spectrum = self.forward(field);
-        self.convolve_spectrum(&spectrum, kernel)
-    }
-
-    /// One-shot correlation of a complex field with the conjugate-flipped
-    /// kernel.
-    pub fn correlate(&self, field: &Grid<Complex>, kernel: &KernelSpectrum) -> Grid<Complex> {
-        let spectrum = self.forward(field);
-        self.correlate_spectrum(&spectrum, kernel)
-    }
-
-    /// Forward-transforms a real field into a caller-owned full spectrum
-    /// without allocating: the Hermitian half spectrum is computed first
-    /// and mirrored out (same numerics as [`Convolver::forward_real`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn forward_real_into(
-        &self,
-        field: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-    ) {
-        let mut half = ws.take_complex_grid(self.plan.half_width(), self.height());
-        self.plan.forward_real_into(field, &mut half, ws);
-        self.plan.expand_half_spectrum_into(&half, out);
-        ws.give_complex_grid(half);
-    }
-
-    /// Writes `field_spectrum · kernel` into `out` and inverse-transforms
-    /// it in place: the allocation-free twin of
-    /// [`Convolver::convolve_spectrum`], bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn convolve_spectrum_into(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(field_spectrum.dims(), out.dims(), "output shape mismatch");
-        let (kr, ki) = kernel.spectrum.planes();
-        for (((o, &a), &br), &bi) in out
-            .iter_mut()
-            .zip(field_spectrum.iter())
-            .zip(kr.iter())
-            .zip(ki.iter())
-        {
-            *o = a * Complex::new(br, bi);
-        }
-        self.plan.process_with(out, FftDirection::Inverse, ws);
-    }
-
-    /// Accumulates `scale · Re[F⁻¹(field_spectrum · conj(kernel))]` into
-    /// `acc` — the gradient correlation of Eq. (14)/(17), which only ever
-    /// consumes the real part.
-    ///
-    /// Implemented through the Hermitian half spectrum: the product's
-    /// Hermitian part `(P(f) + conj(P(−f)))/2` inverse-transforms to
-    /// exactly `Re(F⁻¹ P)` (exact arithmetic), so only `w/2 + 1` columns
-    /// go through the inverse transform. ULP-compatible with
-    /// `correlate_spectrum(...).re()`, not bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_accumulate(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        scale: f64,
-        acc: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        let mut re = ws.take_real_grid(field_spectrum.width(), field_spectrum.height());
-        self.correlate_spectrum_re_into(field_spectrum, kernel, &mut re, ws);
-        for (a, &r) in acc.iter_mut().zip(re.iter()) {
-            *a += scale * r;
-        }
-        ws.give_real_grid(re);
-    }
-
-    /// Writes `Re[F⁻¹(field_spectrum · conj(kernel))]` into `re_out`,
-    /// overwriting it — the transform half of
-    /// [`Convolver::correlate_spectrum_re_accumulate`], split out so the
-    /// parallel corner path (DESIGN.md §14) can run the transform on a
-    /// worker thread while the calling thread performs the fixed-order
-    /// serial accumulate that keeps reductions deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_into(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        re_out: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(
-            field_spectrum.dims(),
-            re_out.dims(),
-            "output shape mismatch"
-        );
-        let (w, h) = field_spectrum.dims();
-        let hw = self.plan.half_width();
-        let mut half = ws.take_complex_grid(hw, h);
-        for j in 0..h {
-            let jm = (h - j) % h;
-            for i in 0..hw {
-                let im = (w - i) % w;
-                let p = field_spectrum[(i, j)] * kernel.spectrum.at(j * w + i).conj();
-                let q = field_spectrum[(im, jm)] * kernel.spectrum.at(jm * w + im).conj();
-                half[(i, j)] = (p + q.conj()).scale(0.5);
-            }
-        }
-        self.plan.inverse_real_into(&mut half, re_out, ws);
-        ws.give_complex_grid(half);
-    }
-
-    /// Concurrent twin of [`Convolver::forward_real_into`]: the column
-    /// pass of the real forward transform is banded across `team`'s
-    /// workers. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn forward_real_par(
-        &self,
-        field: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        let mut half = ws.take_complex_grid(self.plan.half_width(), self.height());
-        self.plan.forward_real_par(field, &mut half, ws, team);
-        self.plan.expand_half_spectrum_into(&half, out);
-        ws.give_complex_grid(half);
-    }
-
-    /// Concurrent twin of [`Convolver::convolve_spectrum_into`]: the
-    /// inverse transform runs through [`Fft2d::process_par`].
-    /// Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn convolve_spectrum_par(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(field_spectrum.dims(), out.dims(), "output shape mismatch");
-        let (kr, ki) = kernel.spectrum.planes();
-        for (((o, &a), &br), &bi) in out
-            .iter_mut()
-            .zip(field_spectrum.iter())
-            .zip(kr.iter())
-            .zip(ki.iter())
-        {
-            *o = a * Complex::new(br, bi);
-        }
-        self.plan.process_par(out, FftDirection::Inverse, ws, team);
-    }
-
-    /// Concurrent twin of
-    /// [`Convolver::correlate_spectrum_re_accumulate`]: the Hermitian
-    /// product and the accumulate stay serial on the calling thread
-    /// (fixed-order reduction), only the inverse transform's column pass
-    /// is banded. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_accumulate_par(
-        &self,
-        field_spectrum: &Grid<Complex>,
-        kernel: &KernelSpectrum,
-        scale: f64,
-        acc: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(field_spectrum.dims(), acc.dims(), "output shape mismatch");
-        let (w, h) = field_spectrum.dims();
-        let hw = self.plan.half_width();
-        let mut half = ws.take_complex_grid(hw, h);
-        for j in 0..h {
-            let jm = (h - j) % h;
-            for i in 0..hw {
-                let im = (w - i) % w;
-                let p = field_spectrum[(i, j)] * kernel.spectrum.at(j * w + i).conj();
-                let q = field_spectrum[(im, jm)] * kernel.spectrum.at(jm * w + im).conj();
-                half[(i, j)] = (p + q.conj()).scale(0.5);
-            }
-        }
-        let mut re = ws.take_real_grid(w, h);
-        self.plan.inverse_real_par(&mut half, &mut re, ws, team);
-        for (a, &r) in acc.iter_mut().zip(re.iter()) {
-            *a += scale * r;
-        }
-        ws.give_real_grid(re);
-        ws.give_complex_grid(half);
-    }
-
-    /// Split-plane twin of [`Convolver::forward_real_into`]: the mask
-    /// spectrum lands directly in structure-of-arrays layout, ready for
-    /// the per-kernel Hadamard products. Bit-identical to the
-    /// interleaved path (DESIGN.md §16).
     ///
     /// # Panics
     ///
@@ -482,10 +185,7 @@ impl Convolver {
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
-        let mut half = ws.take_split(self.plan.half_width(), self.height());
-        self.plan.forward_real_split_into(field, &mut half, ws);
-        self.plan.expand_half_split_into(&half, out);
-        ws.give_split(half);
+        self.real_spectrum_split(field, out, ws, None);
     }
 
     /// Concurrent twin of [`Convolver::forward_real_split_into`]: the
@@ -502,16 +202,24 @@ impl Convolver {
         ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
+        self.real_spectrum_split(field, out, ws, Some(team));
+    }
+
+    fn real_spectrum_split(
+        &self,
+        field: &Grid<f64>,
+        out: &mut SplitSpectrum,
+        ws: &mut Workspace,
+        team: Option<&mut SpectralTeam>,
+    ) {
         let mut half = ws.take_split(self.plan.half_width(), self.height());
-        self.plan.forward_real_split_par(field, &mut half, ws, team);
+        self.plan.r2c_split(field, &mut half, ws, team);
         self.plan.expand_half_split_into(&half, out);
         ws.give_split(half);
     }
 
-    /// Split-plane twin of [`Convolver::convolve_spectrum_into`]: the
-    /// Hadamard product walks four unit-stride `f64` planes and the
-    /// inverse transform runs in split layout. Bit-identical to the
-    /// interleaved path.
+    /// Writes `field_spectrum · kernel` into `out` and inverse-transforms
+    /// it in place: `out = F⁻¹(field_spectrum · kernel)`.
     ///
     /// # Panics
     ///
@@ -523,8 +231,7 @@ impl Convolver {
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
-        self.hadamard_split(field_spectrum, kernel, out);
-        self.plan.process_split(out, FftDirection::Inverse, ws);
+        self.convolve_split(field_spectrum, kernel, out, ws, None);
     }
 
     /// Concurrent twin of [`Convolver::convolve_spectrum_split_into`]:
@@ -542,16 +249,33 @@ impl Convolver {
         ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
-        self.hadamard_split(field_spectrum, kernel, out);
-        self.plan
-            .process_split_par(out, FftDirection::Inverse, ws, team);
+        self.convolve_split(field_spectrum, kernel, out, ws, Some(team));
     }
 
-    /// Split-plane twin of [`Convolver::correlate_spectrum_re_into`].
-    /// The expanded `f·conj(k)` and Hermitian-fold formulas perform the
-    /// same float operations as the interleaved path (negation commutes
-    /// with multiplication bitwise, and `a − (−b) = a + b` bitwise), so
-    /// output bits are identical.
+    fn convolve_split(
+        &self,
+        field_spectrum: &SplitSpectrum,
+        kernel: &KernelSpectrum,
+        out: &mut SplitSpectrum,
+        ws: &mut Workspace,
+        team: Option<&mut SpectralTeam>,
+    ) {
+        self.hadamard_split(field_spectrum, kernel, out);
+        self.plan
+            .transform_split(out, FftDirection::Inverse, ws, team);
+    }
+
+    /// Writes `Re[F⁻¹(field_spectrum · conj(kernel))]` into `re_out`,
+    /// overwriting it — the correlation with the conjugate-flipped kernel
+    /// (`H*(−x) ⊗ G`) of Eq. (14)/(17), whose real part is all the
+    /// gradient consumes. The parallel corner path (DESIGN.md §14) runs
+    /// this on a worker thread while the calling thread performs the
+    /// fixed-order serial accumulate that keeps reductions deterministic.
+    ///
+    /// Implemented through the Hermitian half spectrum: the product's
+    /// Hermitian part `(P(f) + conj(P(−f)))/2` inverse-transforms to
+    /// exactly `Re(F⁻¹ P)` (exact arithmetic), so only `w/2 + 1` columns
+    /// go through the inverse transform.
     ///
     /// # Panics
     ///
@@ -563,21 +287,11 @@ impl Convolver {
         re_out: &mut Grid<f64>,
         ws: &mut Workspace,
     ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            re_out.dims(),
-            "output shape mismatch"
-        );
-        let (_, h) = field_spectrum.dims();
-        let mut half = ws.take_split(self.plan.half_width(), h);
-        self.fold_hermitian_split(field_spectrum, kernel, &mut half);
-        self.plan.inverse_real_split_into(&mut half, re_out, ws);
-        ws.give_split(half);
+        self.correlate_re_split(field_spectrum, kernel, re_out, ws, None);
     }
 
-    /// Split-plane twin of
-    /// [`Convolver::correlate_spectrum_re_accumulate`]. Bit-identical
-    /// to it (see [`Convolver::correlate_spectrum_re_split_into`]).
+    /// Accumulates `scale · Re[F⁻¹(field_spectrum · conj(kernel))]` into
+    /// `acc` (see [`Convolver::correlate_spectrum_re_split_into`]).
     ///
     /// # Panics
     ///
@@ -590,13 +304,7 @@ impl Convolver {
         acc: &mut Grid<f64>,
         ws: &mut Workspace,
     ) {
-        let (w, h) = field_spectrum.dims();
-        let mut re = ws.take_real_grid(w, h);
-        self.correlate_spectrum_re_split_into(field_spectrum, kernel, &mut re, ws);
-        for (a, &r) in acc.iter_mut().zip(re.iter()) {
-            *a += scale * r;
-        }
-        ws.give_real_grid(re);
+        self.correlate_accumulate_split(field_spectrum, kernel, scale, acc, ws, None);
     }
 
     /// Concurrent twin of
@@ -617,23 +325,49 @@ impl Convolver {
         ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
-        assert_eq!(field_spectrum.dims(), acc.dims(), "output shape mismatch");
+        self.correlate_accumulate_split(field_spectrum, kernel, scale, acc, ws, Some(team));
+    }
+
+    fn correlate_accumulate_split(
+        &self,
+        field_spectrum: &SplitSpectrum,
+        kernel: &KernelSpectrum,
+        scale: f64,
+        acc: &mut Grid<f64>,
+        ws: &mut Workspace,
+        team: Option<&mut SpectralTeam>,
+    ) {
         let (w, h) = field_spectrum.dims();
-        let mut half = ws.take_split(self.plan.half_width(), h);
-        self.fold_hermitian_split(field_spectrum, kernel, &mut half);
         let mut re = ws.take_real_grid(w, h);
-        self.plan
-            .inverse_real_split_par(&mut half, &mut re, ws, team);
+        self.correlate_re_split(field_spectrum, kernel, &mut re, ws, team);
         for (a, &r) in acc.iter_mut().zip(re.iter()) {
             *a += scale * r;
         }
         ws.give_real_grid(re);
+    }
+
+    fn correlate_re_split(
+        &self,
+        field_spectrum: &SplitSpectrum,
+        kernel: &KernelSpectrum,
+        re_out: &mut Grid<f64>,
+        ws: &mut Workspace,
+        team: Option<&mut SpectralTeam>,
+    ) {
+        assert_eq!(
+            field_spectrum.dims(),
+            re_out.dims(),
+            "output shape mismatch"
+        );
+        let (_, h) = field_spectrum.dims();
+        let mut half = ws.take_split(self.plan.half_width(), h);
+        self.fold_hermitian_split(field_spectrum, kernel, &mut half);
+        self.plan.c2r_split(&mut half, re_out, ws, team);
         ws.give_split(half);
     }
 
-    /// `out = field_spectrum · kernel`, plane-wise. The expanded complex
-    /// product (`re = ar·br − ai·bi`, `im = ar·bi + ai·br`) is exactly
-    /// the interleaved `Complex::mul`, so bits match the AoS Hadamard.
+    /// `out = field_spectrum · kernel`, plane-wise, with the complex
+    /// product expanded as `re = ar·br − ai·bi`, `im = ar·bi + ai·br`.
     fn hadamard_split(
         &self,
         field_spectrum: &SplitSpectrum,
@@ -656,8 +390,8 @@ impl Convolver {
     }
 
     /// Writes the Hermitian part of `field_spectrum · conj(kernel)` into
-    /// the `w/2 + 1`-column `half` spectrum — the split-plane fold
-    /// behind both correlation entry points.
+    /// the `w/2 + 1`-column `half` spectrum — the fold behind the
+    /// correlation entry points.
     fn fold_hermitian_split(
         &self,
         field_spectrum: &SplitSpectrum,
@@ -739,6 +473,27 @@ mod tests {
         })
     }
 
+    /// Full complex spectrum of `field`.
+    fn spectrum_of(conv: &Convolver, field: &Grid<Complex>, ws: &mut Workspace) -> SplitSpectrum {
+        let mut spectrum = SplitSpectrum::from_grid(field);
+        conv.plan()
+            .process_split(&mut spectrum, FftDirection::Forward, ws);
+        spectrum
+    }
+
+    /// Full complex circular convolution `field ⊗ kernel`.
+    fn circular_conv(
+        conv: &Convolver,
+        field: &Grid<Complex>,
+        kernel: &KernelSpectrum,
+    ) -> Grid<Complex> {
+        let mut ws = Workspace::new();
+        let spectrum = spectrum_of(conv, field, &mut ws);
+        let mut out = SplitSpectrum::zeros(conv.width(), conv.height());
+        conv.convolve_spectrum_split_into(&spectrum, kernel, &mut out, &mut ws);
+        out.to_grid()
+    }
+
     #[test]
     fn matches_direct_convolution() {
         let w = 8;
@@ -746,8 +501,7 @@ mod tests {
         let field = random_ish_grid(w, h, 7);
         let kernel = random_ish_grid(w, h, 99);
         let conv = Convolver::new(w, h);
-        let spec = conv.kernel_spectrum(&kernel);
-        let fast = conv.convolve(&field, &spec);
+        let fast = circular_conv(&conv, &field, &conv.kernel_spectrum(&kernel));
         let slow = convolve_reference(&field, &kernel);
         assert_grid_close(&fast, &slow, 1e-9);
     }
@@ -765,14 +519,18 @@ mod tests {
         let spec = conv.kernel_spectrum_centered(&kernel);
         let mut impulse = Grid::<f64>::zeros(n, n);
         impulse[(5, 9)] = 1.0;
-        let out = conv.convolve_real(&impulse, &spec);
+        let mut ws = Workspace::new();
+        let mut impulse_spectrum = SplitSpectrum::zeros(n, n);
+        conv.forward_real_split_into(&impulse, &mut impulse_spectrum, &mut ws);
+        let mut out = SplitSpectrum::zeros(n, n);
+        conv.convolve_spectrum_split_into(&impulse_spectrum, &spec, &mut out, &mut ws);
         // Peak of output must be at the impulse location.
         let mut best = (0, 0);
         let mut best_v = f64::MIN;
-        for ((x, y), v) in out.indexed_iter() {
-            if v.re > best_v {
-                best_v = v.re;
-                best = (x, y);
+        for (idx, &v) in out.re().iter().enumerate() {
+            if v > best_v {
+                best_v = v;
+                best = (idx % n, idx / n);
             }
         }
         assert_eq!(best, (5, 9));
@@ -780,19 +538,24 @@ mod tests {
 
     #[test]
     fn correlation_flips_the_kernel() {
-        // correlate(field, h) must equal convolve(field, conj(h(-x))).
+        // correlate(field, h) must equal convolve(field, conj(h(-x))); the
+        // correlation path yields the real part the gradient consumes.
         let w = 8;
         let h = 8;
         let field = random_ish_grid(w, h, 3);
         let kernel = random_ish_grid(w, h, 4);
         let conv = Convolver::new(w, h);
         let spec = conv.kernel_spectrum(&kernel);
-        let corr = conv.correlate(&field, &spec);
+        let mut ws = Workspace::new();
+        let field_spectrum = spectrum_of(&conv, &field, &mut ws);
+        let mut corr = Grid::zeros(w, h);
+        conv.correlate_spectrum_re_split_into(&field_spectrum, &spec, &mut corr, &mut ws);
         // Build conj(h(-x)) explicitly: index n -> (N - n) mod N, conjugated.
         let flipped = Grid::from_fn(w, h, |x, y| kernel[((w - x) % w, (h - y) % h)].conj());
-        let spec_f = conv.kernel_spectrum(&flipped);
-        let conv_f = conv.convolve(&field, &spec_f);
-        assert_grid_close(&corr, &conv_f, 1e-9);
+        let conv_f = circular_conv(&conv, &field, &conv.kernel_spectrum(&flipped));
+        for (i, (a, b)) in corr.iter().zip(conv_f.iter()).enumerate() {
+            assert!((a - b.re).abs() < 1e-9, "pixel {i}: {a} vs {}", b.re);
+        }
     }
 
     #[test]
@@ -818,25 +581,11 @@ mod tests {
         let f1 = random_ish_grid(n, n, 6);
         let f2 = random_ish_grid(n, n, 7);
         let sum = f1.zip_map(&f2, |&a, &b| a + b);
-        let c1 = conv.convolve(&f1, &kernel);
-        let c2 = conv.convolve(&f2, &kernel);
-        let cs = conv.convolve(&sum, &kernel);
+        let c1 = circular_conv(&conv, &f1, &kernel);
+        let c2 = circular_conv(&conv, &f2, &kernel);
+        let cs = circular_conv(&conv, &sum, &kernel);
         let expect = c1.zip_map(&c2, |&a, &b| a + b);
         assert_grid_close(&cs, &expect, 1e-9);
-    }
-
-    #[test]
-    fn reusing_field_spectrum_matches_one_shot() {
-        let n = 8;
-        let conv = Convolver::new(n, n);
-        let field = random_ish_grid(n, n, 42);
-        let k1 = conv.kernel_spectrum(&random_ish_grid(n, n, 1));
-        let k2 = conv.kernel_spectrum(&random_ish_grid(n, n, 2));
-        let spectrum = conv.forward(&field);
-        let a1 = conv.convolve_spectrum(&spectrum, &k1);
-        let a2 = conv.convolve_spectrum(&spectrum, &k2);
-        assert_grid_close(&a1, &conv.convolve(&field, &k1), 1e-10);
-        assert_grid_close(&a2, &conv.convolve(&field, &k2), 1e-10);
     }
 
     #[test]
@@ -846,7 +595,7 @@ mod tests {
         let field = random_ish_grid(w, h, 9);
         let kernel = random_ish_grid(w, h, 10);
         let conv = Convolver::new(w, h);
-        let fast = conv.convolve(&field, &conv.kernel_spectrum(&kernel));
+        let fast = circular_conv(&conv, &field, &conv.kernel_spectrum(&kernel));
         let slow = convolve_reference(&field, &kernel);
         assert_grid_close(&fast, &slow, 1e-8);
     }

@@ -1,10 +1,10 @@
-//! Fast Fourier transforms.
+//! Fast Fourier transforms over split re/im planes.
 //!
 //! Two algorithms cover every size:
 //!
 //! * **Radix-2 Cooley–Tukey** (iterative, in-place, with precomputed
-//!   bit-reversal and twiddle tables) for power-of-two lengths — the fast
-//!   path the simulation grids are chosen to hit.
+//!   bit-reversal and stage-packed twiddle tables) for power-of-two
+//!   lengths — the fast path the simulation grids are chosen to hit.
 //! * **Bluestein's chirp-z algorithm** for arbitrary lengths, expressed as a
 //!   circular convolution of power-of-two length, so odd-sized kernels and
 //!   diagnostic transforms still work.
@@ -13,37 +13,39 @@
 //! (`X[k] = Σ_n x[n]·e^{-2πi kn/N}`); the inverse divides by `N`, so
 //! `inverse(forward(x)) == x`.
 //!
-//! Two hot-path refinements (see DESIGN.md §9):
+//! Every transform runs in place over the two `f64` planes of a
+//! [`SplitSpectrum`] (or a pair of row slices), so each butterfly walks
+//! unit-stride memory (DESIGN.md §16). Scratch comes from a caller-owned
+//! [`Workspace`], so warm calls never allocate (DESIGN.md §9). Real-valued
+//! grids round-trip through a **Hermitian half spectrum** of `w/2 + 1`
+//! columns ([`Fft2d::forward_real_split_into`] /
+//! [`Fft2d::inverse_real_split_into`]), which roughly halves the
+//! row-transform work by packing even/odd samples into one half-length
+//! complex FFT.
 //!
-//! * every `process` entry point has a `process_with` twin that draws
-//!   scratch from a caller-owned [`Workspace`] instead of allocating —
-//!   bit-identical results, zero allocations after warm-up;
-//! * real-valued grids can round-trip through a **Hermitian half
-//!   spectrum** of `w/2 + 1` columns ([`Fft2d::forward_real_into`] /
-//!   [`Fft2d::inverse_real_into`]), cutting the row-transform work
-//!   roughly in half by packing even/odd samples into one half-length
-//!   complex FFT.
-//!
-//! Every 2-D entry point additionally has a `*_par` twin
-//! ([`Fft2d::process_par`], [`Fft2d::forward_real_par`],
-//! [`Fft2d::inverse_real_par`]) that fans the independent 1-D row and
-//! column transforms out over a [`SpectralTeam`] worker pool
-//! (DESIGN.md §14). Each 1-D transform is the unchanged serial code, the
-//! bands are fixed by the worker count alone, and all merging is done by
-//! the calling thread — so the parallel twins are **bit-identical** to
-//! their serial counterparts at every worker count.
+//! Every 2-D entry point has a `*_par` twin ([`Fft2d::process_split_par`],
+//! [`Fft2d::forward_real_split_par`], [`Fft2d::inverse_real_split_par`])
+//! that fans the independent 1-D row and column transforms out over a
+//! [`SpectralTeam`] worker pool (DESIGN.md §14). Each 1-D transform is the
+//! unchanged serial code, the bands are fixed by the worker count alone,
+//! and all merging is done by the calling thread — so the parallel twins
+//! are **bit-identical** to their serial counterparts at every worker
+//! count.
 //!
 //! ```
-//! use mosaic_numerics::{Complex, Fft, FftDirection};
+//! use mosaic_numerics::{Fft, FftDirection, Workspace};
 //!
 //! let fft = Fft::new(8);
-//! let mut data: Vec<Complex> = (0..8).map(|n| Complex::new(n as f64, 0.0)).collect();
-//! let original = data.clone();
-//! fft.process(&mut data, FftDirection::Forward);
-//! fft.process(&mut data, FftDirection::Inverse);
-//! for (a, b) in data.iter().zip(&original) {
-//!     assert!((*a - *b).norm() < 1e-9);
+//! let mut re: Vec<f64> = (0..8).map(|n| n as f64).collect();
+//! let mut im = vec![0.0; 8];
+//! let original = re.clone();
+//! let mut ws = Workspace::new();
+//! fft.process_split(&mut re, &mut im, FftDirection::Forward, &mut ws);
+//! fft.process_split(&mut re, &mut im, FftDirection::Inverse, &mut ws);
+//! for (a, b) in re.iter().zip(&original) {
+//!     assert!((a - b).abs() < 1e-9);
 //! }
+//! assert!(im.iter().all(|v| v.abs() < 1e-9));
 //! ```
 
 use crate::complex::Complex;
@@ -66,7 +68,7 @@ pub enum FftDirection {
 /// A planned 1-D FFT of a fixed length.
 ///
 /// Plans are cheap to clone (`Arc`-backed tables) and reusable across any
-/// number of `process` calls, which is what the per-iteration convolution
+/// number of transforms, which is what the per-iteration convolution
 /// loop of the ILT optimizer relies on.
 #[derive(Debug, Clone)]
 pub struct Fft {
@@ -79,42 +81,31 @@ enum Algo {
     /// len == 1; transform is the identity.
     Identity,
     Radix2 {
-        /// Twiddle factors e^{-iπ k / half} for k in 0..len/2 (forward).
-        twiddles: Arc<[Complex]>,
-        /// Conjugate table for the inverse direction, precomputed so the
-        /// butterfly loop is branch-free. `conj` is an exact sign flip,
-        /// so results are bit-identical to conjugating on the fly.
-        twiddles_inv: Arc<[Complex]>,
         /// Bit-reversal permutation.
         rev: Arc<[u32]>,
-        /// Stage-packed real parts of the twiddles used by the split
-        /// (structure-of-arrays) butterfly path: for each stage of size
-        /// `s` (4, 8, …, n) the `s/2` factors `twiddles[k·(n/s)]` are
-        /// laid out contiguously, `n − 2` entries total, so the split
-        /// butterfly walks unit-stride instead of `step_by(step)`.
-        /// Values are copied from `twiddles`, so results stay
-        /// bit-identical to the interleaved path.
+        /// Stage-packed real parts of the twiddles `e^{-2πi k/len}`:
+        /// for each stage of size `s` (4, 8, …, n) the `s/2` factors
+        /// `twiddle[k·(n/s)]` are laid out contiguously, `n − 2` entries
+        /// total, so the butterflies walk unit-stride.
         stage_re: Arc<[f64]>,
         /// Stage-packed imaginary parts (forward direction).
         stage_im: Arc<[f64]>,
         /// Stage-packed imaginary parts for the inverse direction — the
-        /// exact sign flip of `stage_im` (real parts are shared).
+        /// exact sign flip of `stage_im` (real parts are shared), so the
+        /// butterfly loop is branch-free.
         stage_im_inv: Arc<[f64]>,
     },
     Bluestein {
-        /// chirp[n] = e^{-iπ n² / len} (forward direction).
-        chirp: Arc<[Complex]>,
-        /// Forward FFT (padded length) of the chirp filter b.
-        filter_spectrum: Arc<[Complex]>,
         /// Power-of-two inner FFT of the padded length.
         inner: Arc<Fft>,
-        /// Plane copies of `chirp` for the split path (same bits).
+        /// Real plane of the chirp `e^{-iπ n² / len}` (forward direction).
         chirp_re: Arc<[f64]>,
-        /// Imaginary plane of `chirp`.
+        /// Imaginary plane of the chirp.
         chirp_im: Arc<[f64]>,
-        /// Plane copies of `filter_spectrum` for the split path.
+        /// Real plane of the forward FFT (padded length) of the chirp
+        /// filter b.
         filt_re: Arc<[f64]>,
-        /// Imaginary plane of `filter_spectrum`.
+        /// Imaginary plane of the filter spectrum.
         filt_im: Arc<[f64]>,
     },
 }
@@ -164,14 +155,13 @@ impl Fft {
         let twiddles: Vec<Complex> = (0..half)
             .map(|k| Complex::cis(-PI * k as f64 / half as f64))
             .collect();
-        let twiddles_inv: Vec<Complex> = twiddles.iter().map(|w| w.conj()).collect();
         let bits = len.trailing_zeros();
         let rev: Vec<u32> = (0..len as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();
-        // Stage-packed split tables: copy (never recompute) the factors
-        // each stage's butterflies read, in read order, so the split
-        // path stays bit-identical while dropping the strided access.
+        // Stage-packed tables: copy (never recompute) the factors each
+        // stage's butterflies read, in read order, so no stage needs a
+        // strided walk.
         let mut stage_re = Vec::with_capacity(len.saturating_sub(2));
         let mut stage_im = Vec::with_capacity(len.saturating_sub(2));
         let mut size = 4;
@@ -186,8 +176,6 @@ impl Fft {
         }
         let stage_im_inv: Vec<f64> = stage_im.iter().map(|&v| -v).collect();
         Algo::Radix2 {
-            twiddles: twiddles.into(),
-            twiddles_inv: twiddles_inv.into(),
             rev: rev.into(),
             stage_re: stage_re.into(),
             stage_im: stage_im.into(),
@@ -209,96 +197,37 @@ impl Fft {
             .collect();
         // Filter b[n] = conj(chirp[|n|]) arranged circularly on the padded
         // length, then transformed once up front.
-        let mut filter = vec![Complex::ZERO; pad];
-        filter[0] = chirp[0].conj();
-        for n in 1..len {
+        let mut filt_re = vec![0.0; pad];
+        let mut filt_im = vec![0.0; pad];
+        for n in 0..len {
             let c = chirp[n].conj();
-            filter[n] = c;
-            filter[pad - n] = c;
+            filt_re[n] = c.re;
+            filt_im[n] = c.im;
+            if n > 0 {
+                filt_re[pad - n] = c.re;
+                filt_im[pad - n] = c.im;
+            }
         }
-        inner.process(&mut filter, FftDirection::Forward);
-        let chirp_re: Vec<f64> = chirp.iter().map(|c| c.re).collect();
-        let chirp_im: Vec<f64> = chirp.iter().map(|c| c.im).collect();
-        let filt_re: Vec<f64> = filter.iter().map(|c| c.re).collect();
-        let filt_im: Vec<f64> = filter.iter().map(|c| c.im).collect();
+        inner.process_split(
+            &mut filt_re,
+            &mut filt_im,
+            FftDirection::Forward,
+            &mut Workspace::new(),
+        );
         Algo::Bluestein {
-            chirp: chirp.into(),
-            filter_spectrum: filter.into(),
             inner: Arc::new(inner),
-            chirp_re: chirp_re.into(),
-            chirp_im: chirp_im.into(),
+            chirp_re: chirp.iter().map(|c| c.re).collect(),
+            chirp_im: chirp.iter().map(|c| c.im).collect(),
             filt_re: filt_re.into(),
             filt_im: filt_im.into(),
         }
     }
 
-    /// Runs the transform in place, allocating any scratch it needs.
-    ///
-    /// Prefer [`Fft::process_with`] in hot loops: it is bit-identical
-    /// but draws scratch from a reusable [`Workspace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the planned length.
-    pub fn process(&self, data: &mut [Complex], direction: FftDirection) {
-        let mut ws = Workspace::new();
-        self.process_with(data, direction, &mut ws);
-    }
-
-    /// Runs the transform in place, drawing scratch from `ws`.
+    /// Runs the transform in place over separate re/im planes, drawing
+    /// scratch from `ws`.
     ///
     /// Power-of-two lengths need no scratch at all; Bluestein lengths
-    /// borrow one padded buffer and return it before this call ends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the planned length.
-    pub fn process_with(&self, data: &mut [Complex], direction: FftDirection, ws: &mut Workspace) {
-        assert_eq!(
-            data.len(),
-            self.len,
-            "FFT plan length {} does not match buffer length {}",
-            self.len,
-            data.len()
-        );
-        match &self.algo {
-            Algo::Identity => {}
-            Algo::Radix2 {
-                twiddles,
-                twiddles_inv,
-                rev,
-                ..
-            } => {
-                let table = match direction {
-                    FftDirection::Forward => twiddles,
-                    FftDirection::Inverse => twiddles_inv,
-                };
-                Self::radix2_in_place(data, table, rev);
-                if direction == FftDirection::Inverse {
-                    let scale = 1.0 / self.len as f64;
-                    for v in data.iter_mut() {
-                        *v = v.scale(scale);
-                    }
-                }
-            }
-            Algo::Bluestein {
-                chirp,
-                filter_spectrum,
-                inner,
-                ..
-            } => {
-                self.bluestein(data, chirp, filter_spectrum, inner, direction, ws);
-            }
-        }
-    }
-
-    /// Split-plane twin of [`Fft::process_with`]: runs the transform in
-    /// place over separate re/im planes, drawing scratch from `ws`.
-    ///
-    /// **Bit-identical** to the interleaved path: every butterfly,
-    /// chirp multiply and scaling performs the same scalar operations
-    /// in the same order on the same values; only the memory layout
-    /// differs (see DESIGN.md §16 for the derivation).
+    /// borrow two padded planes and return them before this call ends.
     ///
     /// # Panics
     ///
@@ -331,7 +260,6 @@ impl Fft {
                 stage_re,
                 stage_im,
                 stage_im_inv,
-                ..
             } => {
                 let tw_im = match direction {
                     FftDirection::Forward => stage_im,
@@ -354,7 +282,6 @@ impl Fft {
                 chirp_im,
                 filt_re,
                 filt_im,
-                ..
             } => {
                 self.bluestein_split(
                     re, im, chirp_re, chirp_im, filt_re, filt_im, inner, direction, ws,
@@ -363,53 +290,9 @@ impl Fft {
         }
     }
 
-    fn radix2_in_place(data: &mut [Complex], twiddles: &[Complex], rev: &[u32]) {
-        let n = data.len();
-        // Bit-reversal permutation: the index itself is compared against
-        // its reversal to swap each pair exactly once.
-        for (i, &r) in rev.iter().enumerate() {
-            let j = r as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-        // First stage (size 2): the only twiddle is cis(0) = exactly
-        // (1, 0), so the butterfly is a bare add/sub — numerically
-        // identical to multiplying by the table entry.
-        for pair in data.chunks_exact_mut(2) {
-            let even = pair[0];
-            let odd = pair[1];
-            pair[0] = even + odd;
-            pair[1] = even - odd;
-        }
-        // Remaining stages, written over exact-size chunks and split
-        // halves so the butterfly loop carries no bounds checks; the
-        // operations and their order match the textbook indexed form
-        // exactly.
-        let mut size = 4;
-        while size <= n {
-            let half = size / 2;
-            let step = n / size;
-            for block in data.chunks_exact_mut(size) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((e, o), w) in lo
-                    .iter_mut()
-                    .zip(hi.iter_mut())
-                    .zip(twiddles.iter().step_by(step))
-                {
-                    let even = *e;
-                    let odd = *o * *w;
-                    *e = even + odd;
-                    *o = even - odd;
-                }
-            }
-            size <<= 1;
-        }
-    }
-
-    /// Split-plane radix-2 kernel: same permutation, same stage order,
-    /// same butterfly arithmetic as [`Fft::radix2_in_place`], reading
-    /// the stage-packed twiddle planes with unit stride.
+    /// Radix-2 kernel: bit-reversal permutation, then one pass of
+    /// butterflies per stage, reading each stage's packed twiddle
+    /// planes with unit stride.
     fn radix2_split_in_place(
         re: &mut [f64],
         im: &mut [f64],
@@ -418,6 +301,8 @@ impl Fft {
         rev: &[u32],
     ) {
         let n = re.len();
+        // The index itself is compared against its reversal to swap each
+        // pair exactly once.
         for (i, &r) in rev.iter().enumerate() {
             let j = r as usize;
             if i < j {
@@ -425,8 +310,9 @@ impl Fft {
                 im.swap(i, j);
             }
         }
-        // First stage (size 2): twiddle is exactly (1, 0) — bare
-        // add/sub per plane, identical to the interleaved butterfly.
+        // First stage (size 2): the only twiddle is cis(0) = exactly
+        // (1, 0), so the butterfly is a bare add/sub per plane —
+        // numerically identical to multiplying by the table entry.
         for pair in re.chunks_exact_mut(2) {
             let even = pair[0];
             let odd = pair[1];
@@ -457,10 +343,11 @@ impl Fft {
         }
     }
 
-    /// Split-plane Bluestein: the same chirp/filter/chirp sandwich as
-    /// [`Fft::bluestein`] with every complex multiply expanded to the
-    /// component form the interleaved operators compute, so each output
-    /// bit matches the AoS path.
+    /// Bluestein's chirp/filter/chirp sandwich with every complex
+    /// multiply expanded component-wise. For the inverse direction the
+    /// chirp is conjugated throughout, which conjugates the filter
+    /// spectrum as well (the filter is the forward FFT of a
+    /// conjugate-symmetric arrangement).
     #[allow(clippy::too_many_arguments)]
     fn bluestein_split(
         &self,
@@ -478,11 +365,8 @@ impl Fft {
         let pad = inner.len();
         let mut ar = ws.take_real_zeroed(pad);
         let mut ai = ws.take_real_zeroed(pad);
-        // a[i] = data[i] * chirp_of(i). For the inverse direction the
-        // chirp is conjugated: d·conj(c) expands to
-        // (dr·cr + di·ci, di·cr − dr·ci), the exact bit pattern the
-        // interleaved `d * c.conj()` produces (negation then
-        // multiply/subtract commute bitwise under IEEE-754).
+        // a[i] = data[i] · chirp_of(i); d·conj(c) expands to
+        // (dr·cr + di·ci, di·cr − dr·ci).
         match direction {
             FftDirection::Forward => {
                 for i in 0..n {
@@ -546,66 +430,11 @@ impl Fft {
         ws.give_real(ar);
         ws.give_real(ai);
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn bluestein(
-        &self,
-        data: &mut [Complex],
-        chirp: &[Complex],
-        filter_spectrum: &[Complex],
-        inner: &Fft,
-        direction: FftDirection,
-        ws: &mut Workspace,
-    ) {
-        let n = self.len;
-        let pad = inner.len();
-        // For the inverse direction the chirp is conjugated throughout,
-        // which conjugates the filter spectrum as well (the filter is the
-        // forward FFT of a conjugate-symmetric arrangement, so conjugating
-        // it equals building the filter from the conjugated chirp).
-        let chirp_of = |i: usize| match direction {
-            FftDirection::Forward => chirp[i],
-            FftDirection::Inverse => chirp[i].conj(),
-        };
-        let mut a = ws.take_complex_zeroed(pad);
-        for i in 0..n {
-            a[i] = data[i] * chirp_of(i);
-        }
-        inner.process_with(&mut a, FftDirection::Forward, ws);
-        match direction {
-            FftDirection::Forward => {
-                for (av, f) in a.iter_mut().zip(filter_spectrum.iter()) {
-                    *av *= *f;
-                }
-            }
-            FftDirection::Inverse => {
-                for (av, f) in a.iter_mut().zip(filter_spectrum.iter()) {
-                    *av *= f.conj();
-                }
-            }
-        }
-        inner.process_with(&mut a, FftDirection::Inverse, ws);
-        let scale = match direction {
-            FftDirection::Forward => 1.0,
-            FftDirection::Inverse => 1.0 / n as f64,
-        };
-        for i in 0..n {
-            data[i] = (a[i] * chirp_of(i)).scale(scale);
-        }
-        ws.give_complex(a);
-    }
 }
 
-/// One stage's worth of split-plane butterflies:
+/// One stage's worth of butterflies:
 /// `lo ← lo + hi·w`, `hi ← lo − hi·w` with the complex multiply
-/// expanded component-wise — the same scalar operations, in the same
-/// order, as the interleaved `Complex` butterfly, so the result is
-/// bit-identical.
-///
-/// This scalar form is the default; with `--cfg mosaic_simd` the
-/// 4-wide explicit-lane variant below replaces it (same arithmetic per
-/// element, no cross-lane reassociation, so still bit-identical).
-#[cfg(not(mosaic_simd))]
+/// expanded component-wise.
 #[inline]
 fn split_butterflies(
     lo_re: &mut [f64],
@@ -640,78 +469,15 @@ fn split_butterflies(
     }
 }
 
-/// Explicit 4-wide-lane butterfly (`--cfg mosaic_simd`): the body of
-/// the scalar loop unrolled over `[f64; 4]` lane arrays, which the
-/// backend lowers to vector instructions. Every lane performs exactly
-/// the scalar path's per-element operations (multiplies, one
-/// subtraction, one addition — no horizontal reductions, no FMA
-/// contraction), so the output is bit-identical to the scalar form;
-/// the differential and determinism suites run against both builds.
-#[cfg(mosaic_simd)]
-#[inline]
-fn split_butterflies(
-    lo_re: &mut [f64],
-    lo_im: &mut [f64],
-    hi_re: &mut [f64],
-    hi_im: &mut [f64],
-    tw_re: &[f64],
-    tw_im: &[f64],
-) {
-    const LANES: usize = 4;
-    let half = lo_re.len();
-    let head = half / LANES * LANES;
-    let mut lr_it = lo_re[..head].chunks_exact_mut(LANES);
-    let mut li_it = lo_im[..head].chunks_exact_mut(LANES);
-    let mut hr_it = hi_re[..head].chunks_exact_mut(LANES);
-    let mut hi_it = hi_im[..head].chunks_exact_mut(LANES);
-    let mut wr_it = tw_re[..head].chunks_exact(LANES);
-    let mut wi_it = tw_im[..head].chunks_exact(LANES);
-    // Fixed-size lane windows: the backend sees every chunk as exactly
-    // LANES wide, so the lane loops below lower to vector ops with no
-    // bounds checks.
-    for ((((lr, li), hr), hi), (wr, wi)) in (&mut lr_it)
-        .zip(&mut li_it)
-        .zip(&mut hr_it)
-        .zip(&mut hi_it)
-        .zip((&mut wr_it).zip(&mut wi_it))
-    {
-        let mut pr = [0.0f64; LANES];
-        let mut pi = [0.0f64; LANES];
-        for l in 0..LANES {
-            pr[l] = hr[l] * wr[l] - hi[l] * wi[l];
-            pi[l] = hr[l] * wi[l] + hi[l] * wr[l];
-        }
-        for l in 0..LANES {
-            let er = lr[l];
-            let ei = li[l];
-            lr[l] = er + pr[l];
-            li[l] = ei + pi[l];
-            hr[l] = er - pr[l];
-            hi[l] = ei - pi[l];
-        }
-    }
-    for k in head..half {
-        let er = lo_re[k];
-        let ei = lo_im[k];
-        let pr = hi_re[k] * tw_re[k] - hi_im[k] * tw_im[k];
-        let pi = hi_re[k] * tw_im[k] + hi_im[k] * tw_re[k];
-        lo_re[k] = er + pr;
-        lo_im[k] = ei + pi;
-        hi_re[k] = er - pr;
-        hi_im[k] = ei - pi;
-    }
-}
-
-/// Tile edge for the blocked transposes below: 32×32 complex values are
-/// 16 KiB, comfortably inside L1 for both the source rows and the
-/// destination columns (f64 planes use half that).
+/// Tile edge for the blocked transposes below: 32×32 `f64` values are
+/// 8 KiB, comfortably inside L1 for both the source rows and the
+/// destination columns.
 const TRANSPOSE_TILE: usize = 32;
 
 /// Blocked out-of-place transpose: `dst[x*h + y] = src[y*w + x]` for a
 /// row-major `w × h` source. Calling it again with `w`/`h` swapped
-/// inverts it. Generic over the element so the interleaved path
-/// (`Complex`) and the split planes (`f64`) share one kernel.
-fn transpose_into<T: Copy>(src: &[T], dst: &mut [T], w: usize, h: usize) {
+/// inverts it.
+fn transpose_into(src: &[f64], dst: &mut [f64], w: usize, h: usize) {
     debug_assert_eq!(src.len(), w * h);
     debug_assert_eq!(dst.len(), w * h);
     let mut y0 = 0;
@@ -744,77 +510,40 @@ fn band(len: usize, nb: usize, b: usize) -> (usize, usize) {
 }
 
 /// Applies `plan` to each of the `rows` consecutive `plan.len()`-sized
-/// rows of `data`, fanning contiguous bands out to `team`'s workers
-/// while the calling thread transforms band 0 itself.
+/// row pairs of the re/im planes.
 ///
-/// Each 1-D transform is the unchanged serial [`Fft::process_with`] on
-/// an exact copy of its row, and the caller copies finished bands back
-/// in lane order, so the result is bit-identical to the serial loop at
-/// every worker count. Falls back to that serial loop outright when the
-/// team has no workers or there is at most one row.
-fn rows_par(
-    plan: &Fft,
-    data: &mut [Complex],
-    rows: usize,
-    direction: FftDirection,
-    ws: &mut Workspace,
-    team: &mut SpectralTeam,
-) {
-    let len = plan.len();
-    let workers = team.workers();
-    if workers == 0 || rows <= 1 {
-        for r in 0..rows {
-            plan.process_with(&mut data[r * len..(r + 1) * len], direction, ws);
-        }
-        return;
-    }
-    let bands = workers + 1;
-    for lane in 0..workers {
-        let (start, end) = band(rows, bands, lane + 1);
-        let mut buf = team.lane_rows_buf(lane);
-        buf.extend_from_slice(&data[start * len..end * len]);
-        team.submit_rows(lane, plan, direction, buf);
-    }
-    team.dispatch();
-    let (start, end) = band(rows, bands, 0);
-    for r in start..end {
-        plan.process_with(&mut data[r * len..(r + 1) * len], direction, ws);
-    }
-    team.collect();
-    for lane in 0..workers {
-        let (start, end) = band(rows, bands, lane + 1);
-        if let Some(buf) = team.rows_result(lane) {
-            data[start * len..end * len].copy_from_slice(buf);
-        }
-    }
-}
-
-/// Split-plane twin of [`rows_par`]: bands the `rows` row-pairs of the
-/// re/im planes across the team. Same banding function, same serial
-/// per-row transform ([`Fft::process_split`]), caller-only merging —
-/// bit-identical to the serial split loop at every worker count.
-fn rows_split_par(
+/// With a team that has workers, contiguous bands fan out to the
+/// workers while the calling thread transforms band 0 itself. Each 1-D
+/// transform is the unchanged serial [`Fft::process_split`] on an exact
+/// copy of its row, and the caller copies finished bands back in lane
+/// order, so the result is bit-identical to the serial loop at every
+/// worker count. Without a team, with an empty team or with at most one
+/// row, this is that serial loop.
+fn rows_split(
     plan: &Fft,
     re: &mut [f64],
     im: &mut [f64],
     rows: usize,
     direction: FftDirection,
     ws: &mut Workspace,
-    team: &mut SpectralTeam,
+    team: Option<&mut SpectralTeam>,
 ) {
     let len = plan.len();
-    let workers = team.workers();
-    if workers == 0 || rows <= 1 {
-        for r in 0..rows {
-            plan.process_split(
-                &mut re[r * len..(r + 1) * len],
-                &mut im[r * len..(r + 1) * len],
-                direction,
-                ws,
-            );
+    let team = match team {
+        Some(team) if team.workers() > 0 && rows > 1 => team,
+        _ => {
+            for r in 0..rows {
+                plan.process_split(
+                    &mut re[r * len..(r + 1) * len],
+                    &mut im[r * len..(r + 1) * len],
+                    direction,
+                    ws,
+                );
+            }
+            return;
         }
-        return;
-    }
+    };
+    let workers = team.workers();
     let bands = workers + 1;
     for lane in 0..workers {
         let (start, end) = band(rows, bands, lane + 1);
@@ -862,13 +591,14 @@ enum RealRowPlan {
     Odd,
 }
 
-/// A planned 2-D FFT over [`Grid<Complex>`] values.
+/// A planned 2-D FFT over [`SplitSpectrum`] planes.
 ///
 /// Rows are transformed first, then columns; the column pass runs on a
-/// blocked transpose of the grid so every 1-D transform touches
+/// blocked transpose of both planes so every 1-D transform touches
 /// contiguous memory. The plan owns one [`Fft`] per axis, so rectangular
 /// grids work, plus a real-row plan for the Hermitian half-spectrum
-/// paths ([`Fft2d::forward_real_into`] / [`Fft2d::inverse_real_into`]).
+/// paths ([`Fft2d::forward_real_split_into`] /
+/// [`Fft2d::inverse_real_split_into`]).
 #[derive(Debug, Clone)]
 pub struct Fft2d {
     row: Fft,
@@ -920,407 +650,8 @@ impl Fft2d {
         self.width() / 2 + 1
     }
 
-    /// Transforms `grid` in place, allocating its own scratch.
-    ///
-    /// Prefer [`Fft2d::process_with`] in hot loops; the two are
-    /// bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid shape differs from the planned shape.
-    pub fn process(&self, grid: &mut Grid<Complex>, direction: FftDirection) {
-        let mut ws = Workspace::new();
-        self.process_with(grid, direction, &mut ws);
-    }
-
-    /// Transforms `grid` in place, drawing scratch from `ws`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid shape differs from the planned shape.
-    pub fn process_with(
-        &self,
-        grid: &mut Grid<Complex>,
-        direction: FftDirection,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            grid.dims(),
-            (self.width(), self.height()),
-            "FFT2D plan {}x{} does not match grid {}x{}",
-            self.width(),
-            self.height(),
-            grid.width(),
-            grid.height()
-        );
-        let (w, h) = grid.dims();
-        for y in 0..h {
-            self.row.process_with(grid.row_mut(y), direction, ws);
-        }
-        self.column_pass(grid.as_mut_slice(), w, h, direction, ws);
-    }
-
-    /// Runs the column FFTs of a row-major `w × h` buffer via a blocked
-    /// transpose, so each 1-D transform is contiguous.
-    fn column_pass(
-        &self,
-        data: &mut [Complex],
-        w: usize,
-        h: usize,
-        direction: FftDirection,
-        ws: &mut Workspace,
-    ) {
-        if h == 1 {
-            return; // length-1 column transform is the identity
-        }
-        let mut t = ws.take_complex(w * h);
-        transpose_into(data, &mut t, w, h);
-        for x in 0..w {
-            self.col
-                .process_with(&mut t[x * h..(x + 1) * h], direction, ws);
-        }
-        transpose_into(&t, data, h, w);
-        ws.give_complex(t);
-    }
-
-    /// Transforms one real row into its `w/2 + 1` half spectrum.
-    fn row_r2c(&self, input: &[f64], out: &mut [Complex], ws: &mut Workspace) {
-        let w = self.width();
-        let hw = self.half_width();
-        debug_assert_eq!(input.len(), w);
-        debug_assert_eq!(out.len(), hw);
-        match &self.half {
-            RealRowPlan::Trivial => out[0] = Complex::new(input[0], 0.0),
-            RealRowPlan::Even { half_fft, tw } => {
-                let m = w / 2;
-                let mut z = ws.take_complex(m);
-                for (zv, pair) in z.iter_mut().zip(input.chunks_exact(2)) {
-                    *zv = Complex::new(pair[0], pair[1]);
-                }
-                half_fft.process_with(&mut z, FftDirection::Forward, ws);
-                // Untangle: with Z the packed spectrum, the even/odd
-                // sample sub-spectra are Ze = (Z[k] + conj(Z[-k]))/2 and
-                // Zo = -i·(Z[k] - conj(Z[-k]))/2, and the full-row bin is
-                // X[k] = Ze[k] + e^{-2πik/w}·Zo[k] for k in 0..=w/2.
-                for (k, out_k) in out.iter_mut().enumerate() {
-                    let zk = z[k % m];
-                    let zmk = z[(m - k) % m].conj();
-                    let ze = (zk + zmk).scale(0.5);
-                    let d = zk - zmk;
-                    let zo = Complex::new(d.im * 0.5, -d.re * 0.5);
-                    *out_k = ze + tw[k] * zo;
-                }
-                ws.give_complex(z);
-            }
-            RealRowPlan::Odd => {
-                let mut full = ws.take_complex(w);
-                for (c, &v) in full.iter_mut().zip(input.iter()) {
-                    *c = Complex::new(v, 0.0);
-                }
-                self.row.process_with(&mut full, FftDirection::Forward, ws);
-                out.copy_from_slice(&full[..hw]);
-                ws.give_complex(full);
-            }
-        }
-    }
-
-    /// Inverse of [`Fft2d::row_r2c`]: reconstructs the real row from its
-    /// half spectrum (the unstored bins are Hermitian mirrors).
-    fn row_c2r(&self, spec: &[Complex], out: &mut [f64], ws: &mut Workspace) {
-        let w = self.width();
-        let hw = self.half_width();
-        debug_assert_eq!(spec.len(), hw);
-        debug_assert_eq!(out.len(), w);
-        match &self.half {
-            RealRowPlan::Trivial => out[0] = spec[0].re,
-            RealRowPlan::Even { half_fft, tw } => {
-                let m = w / 2;
-                let mut z = ws.take_complex(m);
-                // Re-tangle: Ze = (X[k] + conj(X[m-k]))/2,
-                // t_k·Zo = (X[k] - conj(X[m-k]))/2, Z = Ze + i·Zo; the
-                // half-length inverse's 1/m scaling reproduces the exact
-                // 1/w-scaled row inverse (even bins sum in pairs).
-                for (k, zv) in z.iter_mut().enumerate() {
-                    let xk = spec[k];
-                    let xmk = spec[m - k].conj();
-                    let ze = (xk + xmk).scale(0.5);
-                    let tzo = (xk - xmk).scale(0.5);
-                    let zo = tw[k].conj() * tzo;
-                    *zv = Complex::new(ze.re - zo.im, ze.im + zo.re);
-                }
-                half_fft.process_with(&mut z, FftDirection::Inverse, ws);
-                for (pair, zv) in out.chunks_exact_mut(2).zip(z.iter()) {
-                    pair[0] = zv.re;
-                    pair[1] = zv.im;
-                }
-                ws.give_complex(z);
-            }
-            RealRowPlan::Odd => {
-                let mut full = ws.take_complex(w);
-                full[..hw].copy_from_slice(spec);
-                for i in hw..w {
-                    full[i] = spec[w - i].conj();
-                }
-                self.row.process_with(&mut full, FftDirection::Inverse, ws);
-                for (o, c) in out.iter_mut().zip(full.iter()) {
-                    *o = c.re;
-                }
-                ws.give_complex(full);
-            }
-        }
-    }
-
-    /// Forward-transforms a real grid into its Hermitian half spectrum:
-    /// `out` holds bins `(i, j)` for `i` in `0..w/2+1`; the missing
-    /// columns are recoverable as `conj(out(w-i, (h-j) mod h))` (see
-    /// [`Fft2d::expand_half_spectrum_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not `w × h` or `out` is not `(w/2+1) × h`.
-    pub fn forward_real_into(
-        &self,
-        input: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-    ) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        assert_eq!(
-            input.dims(),
-            (w, h),
-            "real input {}x{} does not match plan {w}x{h}",
-            input.width(),
-            input.height()
-        );
-        assert_eq!(
-            out.dims(),
-            (hw, h),
-            "half spectrum {}x{} does not match plan {hw}x{h}",
-            out.width(),
-            out.height()
-        );
-        for y in 0..h {
-            self.row_r2c(input.row(y), out.row_mut(y), ws);
-        }
-        self.column_pass(out.as_mut_slice(), hw, h, FftDirection::Forward, ws);
-    }
-
-    /// Inverse of [`Fft2d::forward_real_into`]: reconstructs the real
-    /// grid from a Hermitian half spectrum, consuming `half`'s contents
-    /// (it is used as scratch for the column pass).
-    ///
-    /// For a half spectrum that is the Hermitian part of some full
-    /// product spectrum `P` — `half(i,j) = (P(i,j) + conj(P(-i,-j)))/2`
-    /// — this equals `Re(inverse(P))` exactly in exact arithmetic, which
-    /// is what the gradient correlation consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half` is not `(w/2+1) × h` or `out` is not `w × h`.
-    pub fn inverse_real_into(
-        &self,
-        half: &mut Grid<Complex>,
-        out: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        assert_eq!(
-            half.dims(),
-            (hw, h),
-            "half spectrum {}x{} does not match plan {hw}x{h}",
-            half.width(),
-            half.height()
-        );
-        assert_eq!(
-            out.dims(),
-            (w, h),
-            "real output {}x{} does not match plan {w}x{h}",
-            out.width(),
-            out.height()
-        );
-        self.column_pass(half.as_mut_slice(), hw, h, FftDirection::Inverse, ws);
-        for y in 0..h {
-            self.row_c2r(half.row(y), out.row_mut(y), ws);
-        }
-    }
-
-    /// Expands a Hermitian half spectrum to the full `w × h` spectrum
-    /// using `S(i,j) = conj(S(w-i, (h-j) mod h))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half` is not `(w/2+1) × h` or `out` is not `w × h`.
-    pub fn expand_half_spectrum_into(&self, half: &Grid<Complex>, out: &mut Grid<Complex>) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        assert_eq!(
-            half.dims(),
-            (hw, h),
-            "half spectrum {}x{} does not match plan {hw}x{h}",
-            half.width(),
-            half.height()
-        );
-        assert_eq!(
-            out.dims(),
-            (w, h),
-            "full spectrum {}x{} does not match plan {w}x{h}",
-            out.width(),
-            out.height()
-        );
-        for j in 0..h {
-            out.row_mut(j)[..hw].copy_from_slice(half.row(j));
-        }
-        for j in 0..h {
-            let jm = (h - j) % h;
-            for i in hw..w {
-                out[(i, j)] = half[(w - i, jm)].conj();
-            }
-        }
-    }
-
-    /// Convenience: forward-transforms a real grid into a fresh full
-    /// spectrum via the Hermitian half-spectrum path.
-    pub fn forward_real(&self, grid: &Grid<f64>) -> Grid<Complex> {
-        let mut ws = Workspace::new();
-        let mut half = ws.take_complex_grid(self.half_width(), self.height());
-        self.forward_real_into(grid, &mut half, &mut ws);
-        let mut out = Grid::zeros(self.width(), self.height());
-        self.expand_half_spectrum_into(&half, &mut out);
-        out
-    }
-
-    /// Concurrent twin of [`Fft2d::process_with`]: row pass, blocked
-    /// transpose, column pass, transpose back — with both 1-D passes
-    /// banded across `team`'s workers (DESIGN.md §14).
-    ///
-    /// Bit-identical to the serial path at every worker count: each 1-D
-    /// transform is the unchanged serial code, bands are a pure function
-    /// of the worker count, and the caller alone reassembles the grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid shape differs from the planned shape.
-    pub fn process_par(
-        &self,
-        grid: &mut Grid<Complex>,
-        direction: FftDirection,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        assert_eq!(
-            grid.dims(),
-            (self.width(), self.height()),
-            "FFT2D plan {}x{} does not match grid {}x{}",
-            self.width(),
-            self.height(),
-            grid.width(),
-            grid.height()
-        );
-        let (w, h) = grid.dims();
-        rows_par(&self.row, grid.as_mut_slice(), h, direction, ws, team);
-        self.column_pass_par(grid.as_mut_slice(), w, h, direction, ws, team);
-    }
-
-    /// Concurrent twin of [`Fft2d::column_pass`]: the transposed buffer's
-    /// `w` contiguous columns are banded across the team exactly like a
-    /// row pass.
-    fn column_pass_par(
-        &self,
-        data: &mut [Complex],
-        w: usize,
-        h: usize,
-        direction: FftDirection,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        if h == 1 {
-            return; // length-1 column transform is the identity
-        }
-        let mut t = ws.take_complex(w * h);
-        transpose_into(data, &mut t, w, h);
-        rows_par(&self.col, &mut t, w, direction, ws, team);
-        transpose_into(&t, data, h, w);
-        ws.give_complex(t);
-    }
-
-    /// Concurrent twin of [`Fft2d::forward_real_into`]: serial real-row
-    /// untangling, then a banded parallel column pass. Bit-identical to
-    /// the serial path at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not `w × h` or `out` is not `(w/2+1) × h`.
-    pub fn forward_real_par(
-        &self,
-        input: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        assert_eq!(
-            input.dims(),
-            (w, h),
-            "real input {}x{} does not match plan {w}x{h}",
-            input.width(),
-            input.height()
-        );
-        assert_eq!(
-            out.dims(),
-            (hw, h),
-            "half spectrum {}x{} does not match plan {hw}x{h}",
-            out.width(),
-            out.height()
-        );
-        for y in 0..h {
-            self.row_r2c(input.row(y), out.row_mut(y), ws);
-        }
-        self.column_pass_par(out.as_mut_slice(), hw, h, FftDirection::Forward, ws, team);
-    }
-
-    /// Concurrent twin of [`Fft2d::inverse_real_into`]: a banded parallel
-    /// column pass, then serial real-row reconstruction. Bit-identical to
-    /// the serial path at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half` is not `(w/2+1) × h` or `out` is not `w × h`.
-    pub fn inverse_real_par(
-        &self,
-        half: &mut Grid<Complex>,
-        out: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        assert_eq!(
-            half.dims(),
-            (hw, h),
-            "half spectrum {}x{} does not match plan {hw}x{h}",
-            half.width(),
-            half.height()
-        );
-        assert_eq!(
-            out.dims(),
-            (w, h),
-            "real output {}x{} does not match plan {w}x{h}",
-            out.width(),
-            out.height()
-        );
-        self.column_pass_par(half.as_mut_slice(), hw, h, FftDirection::Inverse, ws, team);
-        for y in 0..h {
-            self.row_c2r(half.row(y), out.row_mut(y), ws);
-        }
-    }
-
-    /// Split-plane twin of [`Fft2d::process_with`]: transforms a
-    /// [`SplitSpectrum`] in place — rows first, then the blocked
-    /// transpose column pass, all over separate f64 planes.
-    /// Bit-identical to the interleaved path.
+    /// Transforms a [`SplitSpectrum`] in place — rows first, then the
+    /// blocked-transpose column pass.
     ///
     /// # Panics
     ///
@@ -1331,31 +662,12 @@ impl Fft2d {
         direction: FftDirection,
         ws: &mut Workspace,
     ) {
-        assert_eq!(
-            spec.dims(),
-            (self.width(), self.height()),
-            "FFT2D plan {}x{} does not match split spectrum {}x{}",
-            self.width(),
-            self.height(),
-            spec.width(),
-            spec.height()
-        );
-        let (w, h) = spec.dims();
-        let (re, im) = spec.planes_mut();
-        for y in 0..h {
-            self.row.process_split(
-                &mut re[y * w..(y + 1) * w],
-                &mut im[y * w..(y + 1) * w],
-                direction,
-                ws,
-            );
-        }
-        self.column_pass_split(re, im, w, h, direction, ws);
+        self.transform_split(spec, direction, ws, None);
     }
 
     /// Concurrent twin of [`Fft2d::process_split`]: both 1-D passes are
-    /// banded across `team` exactly like [`Fft2d::process_par`].
-    /// Bit-identical to the serial split path at every worker count.
+    /// banded across `team`'s workers. Bit-identical to the serial path
+    /// at every worker count.
     ///
     /// # Panics
     ///
@@ -1367,6 +679,16 @@ impl Fft2d {
         ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
+        self.transform_split(spec, direction, ws, Some(team));
+    }
+
+    pub(crate) fn transform_split(
+        &self,
+        spec: &mut SplitSpectrum,
+        direction: FftDirection,
+        ws: &mut Workspace,
+        mut team: Option<&mut SpectralTeam>,
+    ) {
         assert_eq!(
             spec.dims(),
             (self.width(), self.height()),
@@ -1378,12 +700,14 @@ impl Fft2d {
         );
         let (w, h) = spec.dims();
         let (re, im) = spec.planes_mut();
-        rows_split_par(&self.row, re, im, h, direction, ws, team);
-        self.column_pass_split_par(re, im, w, h, direction, ws, team);
+        rows_split(&self.row, re, im, h, direction, ws, team.as_deref_mut());
+        self.column_pass_split(re, im, w, h, direction, ws, team);
     }
 
-    /// Split-plane column pass: transposes both planes with the blocked
-    /// kernel, runs contiguous column transforms, transposes back.
+    /// Column pass of a row-major `w × h` plane pair: transposes both
+    /// planes with the blocked kernel, runs the `w` contiguous column
+    /// transforms (banded across `team` when given), transposes back.
+    #[allow(clippy::too_many_arguments)]
     fn column_pass_split(
         &self,
         re: &mut [f64],
@@ -1392,6 +716,7 @@ impl Fft2d {
         h: usize,
         direction: FftDirection,
         ws: &mut Workspace,
+        team: Option<&mut SpectralTeam>,
     ) {
         if h == 1 {
             return; // length-1 column transform is the identity
@@ -1400,51 +725,15 @@ impl Fft2d {
         let mut ti = ws.take_real(w * h);
         transpose_into(re, &mut tr, w, h);
         transpose_into(im, &mut ti, w, h);
-        for x in 0..w {
-            self.col.process_split(
-                &mut tr[x * h..(x + 1) * h],
-                &mut ti[x * h..(x + 1) * h],
-                direction,
-                ws,
-            );
-        }
+        rows_split(&self.col, &mut tr, &mut ti, w, direction, ws, team);
         transpose_into(&tr, re, h, w);
         transpose_into(&ti, im, h, w);
         ws.give_real(tr);
         ws.give_real(ti);
     }
 
-    /// Concurrent split-plane column pass: the transposed planes'
-    /// `w` contiguous columns are banded across the team.
-    #[allow(clippy::too_many_arguments)]
-    fn column_pass_split_par(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        w: usize,
-        h: usize,
-        direction: FftDirection,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        if h == 1 {
-            return; // length-1 column transform is the identity
-        }
-        let mut tr = ws.take_real(w * h);
-        let mut ti = ws.take_real(w * h);
-        transpose_into(re, &mut tr, w, h);
-        transpose_into(im, &mut ti, w, h);
-        rows_split_par(&self.col, &mut tr, &mut ti, w, direction, ws, team);
-        transpose_into(&tr, re, h, w);
-        transpose_into(&ti, im, h, w);
-        ws.give_real(tr);
-        ws.give_real(ti);
-    }
-
-    /// Split-plane twin of [`Fft2d::row_r2c`]: one real row into the
-    /// re/im planes of its `w/2 + 1` half spectrum. Same packing,
-    /// untangling and twiddle arithmetic, expanded component-wise
-    /// (DESIGN.md §16 derives the bit-identity).
+    /// Transforms one real row into the re/im planes of its `w/2 + 1`
+    /// half spectrum.
     fn row_r2c_split(
         &self,
         input: &[f64],
@@ -1471,11 +760,10 @@ impl Fft2d {
                     *i = pair[1];
                 }
                 half_fft.process_split(&mut zr, &mut zi, FftDirection::Forward, ws);
-                // Untangle, component-wise. With zmk = conj(z[m-k]) the
-                // interleaved path computes ze = (zk + zmk)/2,
-                // d = zk − zmk, zo = (d.im/2, −d.re/2),
-                // X[k] = ze + tw[k]·zo; expanding conj through the
-                // add/sub gives the exact same bit patterns below.
+                // Untangle: with Z the packed spectrum and
+                // zmk = conj(Z[m−k]), the even/odd sample sub-spectra are
+                // ze = (Z[k] + zmk)/2 and zo = −i·(Z[k] − zmk)/2, and the
+                // full-row bin is X[k] = ze + tw[k]·zo for k in 0..=w/2.
                 for k in 0..hw {
                     let (zr1, zi1) = (zr[k % m], zi[k % m]);
                     let (zr2, zi2) = (zr[(m - k) % m], zi[(m - k) % m]);
@@ -1506,8 +794,9 @@ impl Fft2d {
         }
     }
 
-    /// Split-plane twin of [`Fft2d::row_c2r`]: reconstructs one real
-    /// row from the re/im planes of its half spectrum.
+    /// Inverse of [`Fft2d::row_r2c_split`]: reconstructs one real row
+    /// from the re/im planes of its half spectrum (the unstored bins are
+    /// Hermitian mirrors).
     fn row_c2r_split(&self, spec_re: &[f64], spec_im: &[f64], out: &mut [f64], ws: &mut Workspace) {
         let w = self.width();
         let hw = self.half_width();
@@ -1520,10 +809,11 @@ impl Fft2d {
                 let m = w / 2;
                 let mut zr = ws.take_real(m);
                 let mut zi = ws.take_real(m);
-                // Re-tangle, component-wise: ze = (X[k] + conj(X[m−k]))/2,
+                // Re-tangle: ze = (X[k] + conj(X[m−k]))/2,
                 // t·Zo = (X[k] − conj(X[m−k]))/2, Zo = conj(tw[k])·tZo,
-                // Z = (ze.re − zo.im, ze.im + zo.re) — expanded exactly
-                // as the interleaved operators compute it.
+                // Z = (ze.re − zo.im, ze.im + zo.re); the half-length
+                // inverse's 1/m scaling reproduces the exact 1/w-scaled
+                // row inverse (even bins sum in pairs).
                 for k in 0..m {
                     let (xr1, xi1) = (spec_re[k], spec_im[k]);
                     let (xr2, xi2) = (spec_re[m - k], spec_im[m - k]);
@@ -1563,9 +853,10 @@ impl Fft2d {
         }
     }
 
-    /// Split-plane twin of [`Fft2d::forward_real_into`]: real grid in,
-    /// `(w/2+1) × h` Hermitian half spectrum out as re/im planes.
-    /// Bit-identical to the interleaved path.
+    /// Forward-transforms a real grid into its Hermitian half spectrum:
+    /// `out` holds bins `(i, j)` for `i` in `0..w/2+1`; the missing
+    /// columns are recoverable as `conj(out(w-i, (h-j) mod h))` (see
+    /// [`Fft2d::expand_half_split_into`]).
     ///
     /// # Panics
     ///
@@ -1575,6 +866,33 @@ impl Fft2d {
         input: &Grid<f64>,
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
+    ) {
+        self.r2c_split(input, out, ws, None);
+    }
+
+    /// Concurrent twin of [`Fft2d::forward_real_split_into`]: serial
+    /// real-row untangling, banded parallel column pass. Bit-identical
+    /// to the serial path at every worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is not `w × h` or `out` is not `(w/2+1) × h`.
+    pub fn forward_real_split_par(
+        &self,
+        input: &Grid<f64>,
+        out: &mut SplitSpectrum,
+        ws: &mut Workspace,
+        team: &mut SpectralTeam,
+    ) {
+        self.r2c_split(input, out, ws, Some(team));
+    }
+
+    pub(crate) fn r2c_split(
+        &self,
+        input: &Grid<f64>,
+        out: &mut SplitSpectrum,
+        ws: &mut Workspace,
+        team: Option<&mut SpectralTeam>,
     ) {
         let (w, h) = (self.width(), self.height());
         let hw = self.half_width();
@@ -1601,13 +919,17 @@ impl Fft2d {
                 ws,
             );
         }
-        self.column_pass_split(ore, oim, hw, h, FftDirection::Forward, ws);
+        self.column_pass_split(ore, oim, hw, h, FftDirection::Forward, ws, team);
     }
 
-    /// Split-plane twin of [`Fft2d::inverse_real_into`]: consumes the
-    /// half spectrum's planes as column-pass scratch and reconstructs
-    /// the real grid. Bit-identical to the interleaved path, including
-    /// the Hermitian-part identity the gradient correlation relies on.
+    /// Inverse of [`Fft2d::forward_real_split_into`]: reconstructs the
+    /// real grid from a Hermitian half spectrum, consuming `half`'s
+    /// planes (they are used as scratch for the column pass).
+    ///
+    /// For a half spectrum that is the Hermitian part of some full
+    /// product spectrum `P` — `half(i,j) = (P(i,j) + conj(P(-i,-j)))/2`
+    /// — this equals `Re(inverse(P))` exactly in exact arithmetic, which
+    /// is what the gradient correlation consumes.
     ///
     /// # Panics
     ///
@@ -1617,6 +939,33 @@ impl Fft2d {
         half: &mut SplitSpectrum,
         out: &mut Grid<f64>,
         ws: &mut Workspace,
+    ) {
+        self.c2r_split(half, out, ws, None);
+    }
+
+    /// Concurrent twin of [`Fft2d::inverse_real_split_into`]: banded
+    /// parallel column pass, serial real-row reconstruction.
+    /// Bit-identical to the serial path at every worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `half` is not `(w/2+1) × h` or `out` is not `w × h`.
+    pub fn inverse_real_split_par(
+        &self,
+        half: &mut SplitSpectrum,
+        out: &mut Grid<f64>,
+        ws: &mut Workspace,
+        team: &mut SpectralTeam,
+    ) {
+        self.c2r_split(half, out, ws, Some(team));
+    }
+
+    pub(crate) fn c2r_split(
+        &self,
+        half: &mut SplitSpectrum,
+        out: &mut Grid<f64>,
+        ws: &mut Workspace,
+        team: Option<&mut SpectralTeam>,
     ) {
         let (w, h) = (self.width(), self.height());
         let hw = self.half_width();
@@ -1635,7 +984,7 @@ impl Fft2d {
             out.height()
         );
         let (hre, him) = half.planes_mut();
-        self.column_pass_split(hre, him, hw, h, FftDirection::Inverse, ws);
+        self.column_pass_split(hre, him, hw, h, FftDirection::Inverse, ws, team);
         for y in 0..h {
             self.row_c2r_split(
                 &hre[y * hw..(y + 1) * hw],
@@ -1646,10 +995,10 @@ impl Fft2d {
         }
     }
 
-    /// Split-plane twin of [`Fft2d::expand_half_spectrum_into`]:
-    /// `S(i,j) = conj(S(w−i, (h−j) mod h))` over planes (conjugation is
-    /// a sign flip of the imaginary plane, so this is a pure copy on
-    /// the real plane).
+    /// Expands a Hermitian half spectrum to the full `w × h` spectrum
+    /// using `S(i,j) = conj(S(w−i, (h−j) mod h))` (conjugation is a sign
+    /// flip of the imaginary plane, so this is a pure copy on the real
+    /// plane).
     ///
     /// # Panics
     ///
@@ -1684,90 +1033,6 @@ impl Fft2d {
                 ore[j * w + i] = hre[src];
                 oim[j * w + i] = -him[src];
             }
-        }
-    }
-
-    /// Concurrent twin of [`Fft2d::forward_real_split_into`]: serial
-    /// real-row untangling, banded parallel column pass. Bit-identical
-    /// to the serial split path at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not `w × h` or `out` is not `(w/2+1) × h`.
-    pub fn forward_real_split_par(
-        &self,
-        input: &Grid<f64>,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        assert_eq!(
-            input.dims(),
-            (w, h),
-            "real input {}x{} does not match plan {w}x{h}",
-            input.width(),
-            input.height()
-        );
-        assert_eq!(
-            out.dims(),
-            (hw, h),
-            "half spectrum {}x{} does not match plan {hw}x{h}",
-            out.width(),
-            out.height()
-        );
-        let (ore, oim) = out.planes_mut();
-        for y in 0..h {
-            self.row_r2c_split(
-                input.row(y),
-                &mut ore[y * hw..(y + 1) * hw],
-                &mut oim[y * hw..(y + 1) * hw],
-                ws,
-            );
-        }
-        self.column_pass_split_par(ore, oim, hw, h, FftDirection::Forward, ws, team);
-    }
-
-    /// Concurrent twin of [`Fft2d::inverse_real_split_into`]: banded
-    /// parallel column pass, serial real-row reconstruction.
-    /// Bit-identical to the serial split path at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half` is not `(w/2+1) × h` or `out` is not `w × h`.
-    pub fn inverse_real_split_par(
-        &self,
-        half: &mut SplitSpectrum,
-        out: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        assert_eq!(
-            half.dims(),
-            (hw, h),
-            "half spectrum {}x{} does not match plan {hw}x{h}",
-            half.width(),
-            half.height()
-        );
-        assert_eq!(
-            out.dims(),
-            (w, h),
-            "real output {}x{} does not match plan {w}x{h}",
-            out.width(),
-            out.height()
-        );
-        let (hre, him) = half.planes_mut();
-        self.column_pass_split_par(hre, him, hw, h, FftDirection::Inverse, ws, team);
-        for y in 0..h {
-            self.row_c2r_split(
-                &hre[y * hw..(y + 1) * hw],
-                &him[y * hw..(y + 1) * hw],
-                out.row_mut(y),
-                ws,
-            );
         }
     }
 }
@@ -1818,12 +1083,42 @@ mod tests {
             .collect()
     }
 
+    /// Runs `fft` over a copy of `data` split into planes.
+    fn transformed(fft: &Fft, data: &[Complex], direction: FftDirection) -> Vec<Complex> {
+        let mut re: Vec<f64> = data.iter().map(|c| c.re).collect();
+        let mut im: Vec<f64> = data.iter().map(|c| c.im).collect();
+        fft.process_split(&mut re, &mut im, direction, &mut Workspace::new());
+        re.iter()
+            .zip(&im)
+            .map(|(&r, &i)| Complex::new(r, i))
+            .collect()
+    }
+
+    /// Full complex 2-D transform of a copy of `grid`.
+    fn transformed_2d(
+        plan: &Fft2d,
+        grid: &Grid<Complex>,
+        direction: FftDirection,
+    ) -> Grid<Complex> {
+        let mut spec = SplitSpectrum::from_grid(grid);
+        plan.process_split(&mut spec, direction, &mut Workspace::new());
+        spec.to_grid()
+    }
+
+    /// Full spectrum of a real grid through the half-spectrum path.
+    fn real_spectrum(plan: &Fft2d, real: &Grid<f64>, ws: &mut Workspace) -> SplitSpectrum {
+        let mut half = SplitSpectrum::zeros(plan.half_width(), plan.height());
+        plan.forward_real_split_into(real, &mut half, ws);
+        let mut full = SplitSpectrum::zeros(plan.width(), plan.height());
+        plan.expand_half_split_into(&half, &mut full);
+        full
+    }
+
     #[test]
     fn matches_reference_dft_pow2() {
         for n in [1usize, 2, 4, 8, 16, 64, 128] {
             let input = ramp(n);
-            let mut data = input.clone();
-            Fft::new(n).process(&mut data, FftDirection::Forward);
+            let data = transformed(&Fft::new(n), &input, FftDirection::Forward);
             let expect = dft_reference(&input, FftDirection::Forward);
             assert_close(&data, &expect, 1e-8 * n as f64);
         }
@@ -1833,8 +1128,7 @@ mod tests {
     fn matches_reference_dft_arbitrary() {
         for n in [3usize, 5, 6, 7, 12, 15, 31, 100] {
             let input = ramp(n);
-            let mut data = input.clone();
-            Fft::new(n).process(&mut data, FftDirection::Forward);
+            let data = transformed(&Fft::new(n), &input, FftDirection::Forward);
             let expect = dft_reference(&input, FftDirection::Forward);
             assert_close(&data, &expect, 1e-7 * n as f64);
         }
@@ -1844,11 +1138,10 @@ mod tests {
     fn inverse_round_trip() {
         for n in [2usize, 8, 13, 27, 256] {
             let input = ramp(n);
-            let mut data = input.clone();
             let fft = Fft::new(n);
-            fft.process(&mut data, FftDirection::Forward);
-            fft.process(&mut data, FftDirection::Inverse);
-            assert_close(&data, &input, 1e-9 * n as f64);
+            let there = transformed(&fft, &input, FftDirection::Forward);
+            let back = transformed(&fft, &there, FftDirection::Inverse);
+            assert_close(&back, &input, 1e-9 * n as f64);
         }
     }
 
@@ -1857,8 +1150,7 @@ mod tests {
         let n = 16;
         let mut data = vec![Complex::ZERO; n];
         data[0] = Complex::ONE;
-        Fft::new(n).process(&mut data, FftDirection::Forward);
-        for v in &data {
+        for v in &transformed(&Fft::new(n), &data, FftDirection::Forward) {
             assert!((*v - Complex::ONE).norm() < 1e-12);
         }
     }
@@ -1866,8 +1158,7 @@ mod tests {
     #[test]
     fn constant_transforms_to_dc_spike() {
         let n = 32;
-        let mut data = vec![Complex::ONE; n];
-        Fft::new(n).process(&mut data, FftDirection::Forward);
+        let data = transformed(&Fft::new(n), &vec![Complex::ONE; n], FftDirection::Forward);
         assert!((data[0] - Complex::new(n as f64, 0.0)).norm() < 1e-9);
         for v in &data[1..] {
             assert!(v.norm() < 1e-9);
@@ -1879,8 +1170,7 @@ mod tests {
         let n = 64;
         let input = ramp(n);
         let time_energy: f64 = input.iter().map(|z| z.norm_sqr()).sum();
-        let mut data = input;
-        Fft::new(n).process(&mut data, FftDirection::Forward);
+        let data = transformed(&Fft::new(n), &input, FftDirection::Forward);
         let freq_energy: f64 = data.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert!((time_energy - freq_energy).abs() < 1e-8 * time_energy.max(1.0));
     }
@@ -1893,32 +1183,34 @@ mod tests {
             .map(|i| Complex::new((i as f64).cos(), 0.3))
             .collect();
         let fft = Fft::new(n);
-        let mut fa = a.clone();
-        let mut fb = b.clone();
-        fft.process(&mut fa, FftDirection::Forward);
-        fft.process(&mut fb, FftDirection::Forward);
-        let mut sum: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x + y.scale(2.0)).collect();
-        fft.process(&mut sum, FftDirection::Forward);
+        let fa = transformed(&fft, &a, FftDirection::Forward);
+        let fb = transformed(&fft, &b, FftDirection::Forward);
+        let sum: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x + y.scale(2.0)).collect();
+        let fsum = transformed(&fft, &sum, FftDirection::Forward);
         let expect: Vec<Complex> = fa.iter().zip(&fb).map(|(x, y)| *x + y.scale(2.0)).collect();
-        assert_close(&sum, &expect, 1e-8);
+        assert_close(&fsum, &expect, 1e-8);
     }
 
     #[test]
-    #[should_panic(expected = "does not match buffer length")]
+    #[should_panic(expected = "does not match re plane length")]
     fn wrong_length_panics() {
         let fft = Fft::new(8);
-        let mut data = vec![Complex::ZERO; 4];
-        fft.process(&mut data, FftDirection::Forward);
+        let (mut re, mut im) = (vec![0.0; 4], vec![0.0; 4]);
+        fft.process_split(
+            &mut re,
+            &mut im,
+            FftDirection::Forward,
+            &mut Workspace::new(),
+        );
     }
 
     #[test]
     fn fft2d_round_trip() {
         let plan = Fft2d::new(8, 4);
         let input = Grid::from_fn(8, 4, |x, y| Complex::new(x as f64, y as f64 * 0.5));
-        let mut g = input.clone();
-        plan.process(&mut g, FftDirection::Forward);
-        plan.process(&mut g, FftDirection::Inverse);
-        for (a, b) in g.iter().zip(input.iter()) {
+        let there = transformed_2d(&plan, &input, FftDirection::Forward);
+        let back = transformed_2d(&plan, &there, FftDirection::Inverse);
+        for (a, b) in back.iter().zip(input.iter()) {
             assert!((*a - *b).norm() < 1e-9);
         }
     }
@@ -1936,13 +1228,9 @@ mod tests {
             .map(|i| Complex::new(1.0 / (1.0 + i as f64), 0.0))
             .collect();
         let grid = Grid::from_fn(w, h, |x, y| gx[x] * hy[y]);
-        let plan = Fft2d::new(w, h);
-        let mut out = grid;
-        plan.process(&mut out, FftDirection::Forward);
-        let mut fgx = gx;
-        let mut fhy = hy;
-        Fft::new(w).process(&mut fgx, FftDirection::Forward);
-        Fft::new(h).process(&mut fhy, FftDirection::Forward);
+        let out = transformed_2d(&Fft2d::new(w, h), &grid, FftDirection::Forward);
+        let fgx = transformed(&Fft::new(w), &gx, FftDirection::Forward);
+        let fhy = transformed(&Fft::new(h), &hy, FftDirection::Forward);
         for y in 0..h {
             for x in 0..w {
                 let expect = fgx[x] * fhy[y];
@@ -1955,10 +1243,8 @@ mod tests {
     fn fft2d_rectangular_dimensions_kept_straight() {
         // A grid constant along x and varying along y must transform to a
         // spectrum confined to the x=0 column.
-        let plan = Fft2d::new(4, 8);
         let grid = Grid::from_fn(4, 8, |_x, y| Complex::new((y as f64 * 0.3).cos(), 0.0));
-        let mut out = grid;
-        plan.process(&mut out, FftDirection::Forward);
+        let out = transformed_2d(&Fft2d::new(4, 8), &grid, FftDirection::Forward);
         for y in 0..8 {
             for x in 1..4 {
                 assert!(out[(x, y)].norm() < 1e-9, "energy leaked to x={x}, y={y}");
@@ -1970,30 +1256,10 @@ mod tests {
     fn forward_real_matches_complex_path() {
         let real = Grid::from_fn(8, 8, |x, y| (x * y) as f64 * 0.1);
         let plan = Fft2d::new(8, 8);
-        let a = plan.forward_real(&real);
-        let mut b = real.to_complex();
-        plan.process(&mut b, FftDirection::Forward);
+        let a = real_spectrum(&plan, &real, &mut Workspace::new()).to_grid();
+        let b = transformed_2d(&plan, &real.to_complex(), FftDirection::Forward);
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((*x - *y).norm() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn process_with_is_bit_identical_to_process() {
-        for (w, h) in [(8, 8), (16, 12), (7, 5), (12, 24)] {
-            let plan = Fft2d::new(w, h);
-            let input = Grid::from_fn(w, h, |x, y| {
-                Complex::new((x as f64 * 1.3).sin(), (y as f64 * 0.7).cos())
-            });
-            let mut a = input.clone();
-            let mut b = input;
-            plan.process(&mut a, FftDirection::Forward);
-            let mut ws = Workspace::new();
-            plan.process_with(&mut b, FftDirection::Forward, &mut ws);
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{w}x{h}");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{w}x{h}");
-            }
         }
     }
 
@@ -2005,10 +1271,10 @@ mod tests {
                 ((x as f64 * 0.9).sin() + (y as f64 * 1.7).cos()) * 0.5
             });
             let mut ws = Workspace::new();
-            let mut half = ws.take_complex_grid(plan.half_width(), h);
-            plan.forward_real_into(&input, &mut half, &mut ws);
+            let mut half = ws.take_split(plan.half_width(), h);
+            plan.forward_real_split_into(&input, &mut half, &mut ws);
             let mut back = Grid::zeros(w, h);
-            plan.inverse_real_into(&mut half, &mut back, &mut ws);
+            plan.inverse_real_split_into(&mut half, &mut back, &mut ws);
             for (a, b) in back.iter().zip(input.iter()) {
                 assert!((a - b).abs() < 1e-12, "{w}x{h}: {a} vs {b}");
             }
@@ -2020,13 +1286,8 @@ mod tests {
         for (w, h) in [(8, 8), (16, 12), (7, 5), (6, 9)] {
             let plan = Fft2d::new(w, h);
             let input = Grid::from_fn(w, h, |x, y| (x as f64 - 0.3 * y as f64).sin());
-            let mut ws = Workspace::new();
-            let mut half = ws.take_complex_grid(plan.half_width(), h);
-            plan.forward_real_into(&input, &mut half, &mut ws);
-            let mut full = Grid::zeros(w, h);
-            plan.expand_half_spectrum_into(&half, &mut full);
-            let mut expect = input.to_complex();
-            plan.process(&mut expect, FftDirection::Forward);
+            let full = real_spectrum(&plan, &input, &mut Workspace::new()).to_grid();
+            let expect = transformed_2d(&plan, &input.to_complex(), FftDirection::Forward);
             for (a, b) in full.iter().zip(expect.iter()) {
                 assert!((*a - *b).norm() < 1e-9 * (w * h) as f64, "{w}x{h}");
             }
@@ -2045,108 +1306,18 @@ mod tests {
         });
         let mut ws = Workspace::new();
         let hw = plan.half_width();
-        let mut half = ws.take_complex_grid(hw, h);
+        let mut half = ws.take_split(hw, h);
         for j in 0..h {
             for i in 0..hw {
                 let mirror = p[((w - i) % w, (h - j) % h)].conj();
-                half[(i, j)] = (p[(i, j)] + mirror).scale(0.5);
+                half.set(j * hw + i, (p[(i, j)] + mirror).scale(0.5));
             }
         }
         let mut re = Grid::zeros(w, h);
-        plan.inverse_real_into(&mut half, &mut re, &mut ws);
-        let mut full = p;
-        plan.process(&mut full, FftDirection::Inverse);
+        plan.inverse_real_split_into(&mut half, &mut re, &mut ws);
+        let full = transformed_2d(&plan, &p, FftDirection::Inverse);
         for (a, b) in re.iter().zip(full.iter()) {
             assert!((a - b.re).abs() < 1e-12, "{a} vs {}", b.re);
-        }
-    }
-
-    fn assert_bits_eq(a: &Grid<Complex>, b: &SplitSpectrum, ctx: &str) {
-        assert_eq!(a.dims(), b.dims(), "{ctx}");
-        for (idx, v) in a.iter().enumerate() {
-            assert_eq!(v.re.to_bits(), b.re()[idx].to_bits(), "{ctx} re at {idx}");
-            assert_eq!(v.im.to_bits(), b.im()[idx].to_bits(), "{ctx} im at {idx}");
-        }
-    }
-
-    #[test]
-    fn split_1d_is_bit_identical_to_interleaved() {
-        // Radix-2 and Bluestein lengths, both directions: the split
-        // path must reproduce every output bit of the AoS path.
-        for n in [1usize, 2, 4, 8, 16, 64, 256, 5, 7, 12, 100] {
-            let input = ramp(n);
-            let fft = Fft::new(n);
-            let mut ws = Workspace::new();
-            for direction in [FftDirection::Forward, FftDirection::Inverse] {
-                let mut aos = input.clone();
-                fft.process_with(&mut aos, direction, &mut ws);
-                let mut re: Vec<f64> = input.iter().map(|c| c.re).collect();
-                let mut im: Vec<f64> = input.iter().map(|c| c.im).collect();
-                fft.process_split(&mut re, &mut im, direction, &mut ws);
-                for (k, v) in aos.iter().enumerate() {
-                    assert_eq!(
-                        v.re.to_bits(),
-                        re[k].to_bits(),
-                        "n={n} {direction:?} re {k}"
-                    );
-                    assert_eq!(
-                        v.im.to_bits(),
-                        im[k].to_bits(),
-                        "n={n} {direction:?} im {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_2d_is_bit_identical_to_interleaved() {
-        for (w, h) in [(8, 8), (16, 12), (7, 5), (12, 24), (1, 4), (9, 1)] {
-            let plan = Fft2d::new(w, h);
-            let input = Grid::from_fn(w, h, |x, y| {
-                Complex::new((x as f64 * 1.3).sin(), (y as f64 * 0.7).cos())
-            });
-            let mut ws = Workspace::new();
-            for direction in [FftDirection::Forward, FftDirection::Inverse] {
-                let mut aos = input.clone();
-                plan.process_with(&mut aos, direction, &mut ws);
-                let mut soa = SplitSpectrum::from_grid(&input);
-                plan.process_split(&mut soa, direction, &mut ws);
-                assert_bits_eq(&aos, &soa, &format!("{w}x{h} {direction:?}"));
-            }
-        }
-    }
-
-    #[test]
-    fn split_real_fft_is_bit_identical_to_interleaved() {
-        for (w, h) in [(8, 8), (16, 12), (7, 5), (1, 4), (2, 2), (9, 3)] {
-            let plan = Fft2d::new(w, h);
-            let input = Grid::from_fn(w, h, |x, y| {
-                ((x as f64 * 0.9).sin() + (y as f64 * 1.7).cos()) * 0.5
-            });
-            let mut ws = Workspace::new();
-            let hw = plan.half_width();
-            let mut half_aos = ws.take_complex_grid(hw, h);
-            plan.forward_real_into(&input, &mut half_aos, &mut ws);
-            let mut half_soa = SplitSpectrum::zeros(hw, h);
-            plan.forward_real_split_into(&input, &mut half_soa, &mut ws);
-            assert_bits_eq(&half_aos, &half_soa, &format!("r2c {w}x{h}"));
-
-            // Expansion to the full spectrum must also agree bit-for-bit.
-            let mut full_aos = Grid::zeros(w, h);
-            plan.expand_half_spectrum_into(&half_aos, &mut full_aos);
-            let mut full_soa = SplitSpectrum::zeros(w, h);
-            plan.expand_half_split_into(&half_soa, &mut full_soa);
-            assert_bits_eq(&full_aos, &full_soa, &format!("expand {w}x{h}"));
-
-            // And the c2r inverse must reproduce the AoS inverse bits.
-            let mut back_aos = Grid::zeros(w, h);
-            plan.inverse_real_into(&mut half_aos, &mut back_aos, &mut ws);
-            let mut back_soa = Grid::zeros(w, h);
-            plan.inverse_real_split_into(&mut half_soa, &mut back_soa, &mut ws);
-            for (a, b) in back_aos.iter().zip(back_soa.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "c2r {w}x{h}");
-            }
         }
     }
 

@@ -12,8 +12,9 @@
 //!   fallback for arbitrary lengths ([`fft`]).
 //! * [`Convolver`] — frequency-domain circular convolution/correlation with
 //!   cached kernel spectra ([`conv`]).
-//! * [`SplitSpectrum`] — split re/im planes (structure of arrays) used by
-//!   every spectral hot loop so inner walks autovectorize ([`split`]).
+//! * [`SplitSpectrum`] — split re/im planes (structure of arrays), the one
+//!   layout every transform, product and fold runs on, so inner walks
+//!   autovectorize ([`split`]).
 //! * [`Workspace`] — pooled scratch buffers that make the whole spectral
 //!   pipeline allocation-free after warm-up ([`workspace`]).
 //! * [`WorkerPool`] / [`SpectralTeam`] — a reusable std-only worker team
@@ -39,7 +40,12 @@
 //! }
 //! let conv = Convolver::new(16, 16);
 //! let spectrum = conv.kernel_spectrum_centered(&kernel);
-//! let out = conv.convolve_real(&image, &spectrum);
+//! let mut ws = Workspace::new();
+//! let mut image_spectrum = SplitSpectrum::zeros(16, 16);
+//! conv.forward_real_split_into(&image, &mut image_spectrum, &mut ws);
+//! let mut out = SplitSpectrum::zeros(16, 16);
+//! conv.convolve_spectrum_split_into(&image_spectrum, &spectrum, &mut out, &mut ws);
+//! let out = out.to_grid();
 //! assert!((out[(8, 8)].norm() - 1.0).abs() < 1e-9);
 //! assert!((out[(9, 9)].norm() - 1.0).abs() < 1e-9);
 //! assert!(out[(11, 8)].norm() < 1e-9);

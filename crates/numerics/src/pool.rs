@@ -23,9 +23,7 @@
 //! scheduler's existing per-job `catch_unwind` / degradation-ladder
 //! retry machinery handles the failure exactly like a serial panic.
 
-use crate::complex::Complex;
 use crate::fft::{Fft, Fft2d, FftDirection};
-use crate::grid::Grid;
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -290,33 +288,19 @@ fn worker_loop<T: PoolTask>(slot: &Slot<T>, trigger: Option<&AtomicBool>) {
 }
 
 /// A spectral work item for the concurrent 2-D FFT (see
-/// [`Fft2d::process_par`](crate::fft::Fft2d::process_par)): either a
-/// contiguous band of 1-D transforms or a whole serial 2-D transform.
+/// [`Fft2d::process_split_par`](crate::fft::Fft2d::process_split_par)):
+/// either a contiguous band of 1-D transforms or a whole serial 2-D
+/// transform, over split re/im planes (DESIGN.md §16).
+// The 2-D plan makes `SplitGrid2d` several times larger than
+// `SplitRows`. Tasks only move between a lane slot and its worker, and
+// boxing the plan would allocate on every wave.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum SpectralTask {
-    /// Apply `plan` to each consecutive `plan.len()`-sized row of `buf`.
-    Rows {
-        /// The 1-D plan shared with the caller (`Arc`-backed, clone-cheap).
-        plan: Fft,
-        /// Transform direction.
-        direction: FftDirection,
-        /// The band's rows, packed back to back; transformed in place.
-        buf: Vec<Complex>,
-    },
-    /// Run a full serial 2-D transform of `grid` on the worker.
-    Grid2d {
-        /// The 2-D plan shared with the caller.
-        plan: Fft2d,
-        /// Transform direction.
-        direction: FftDirection,
-        /// The grid to transform in place.
-        grid: Grid<Complex>,
-    },
     /// Apply `plan` to each consecutive `plan.len()`-sized row of the
-    /// split re/im planes (the structure-of-arrays hot path,
-    /// DESIGN.md §16).
+    /// split re/im planes.
     SplitRows {
-        /// The 1-D plan shared with the caller.
+        /// The 1-D plan shared with the caller (`Arc`-backed, clone-cheap).
         plan: Fft,
         /// Transform direction.
         direction: FftDirection,
@@ -339,21 +323,6 @@ pub enum SpectralTask {
 impl PoolTask for SpectralTask {
     fn run(&mut self, ws: &mut Workspace) {
         match self {
-            SpectralTask::Rows {
-                plan,
-                direction,
-                buf,
-            } => {
-                let len = plan.len();
-                for row in buf.chunks_exact_mut(len) {
-                    plan.process_with(row, *direction, ws);
-                }
-            }
-            SpectralTask::Grid2d {
-                plan,
-                direction,
-                grid,
-            } => plan.process_with(grid, *direction, ws),
             SpectralTask::SplitRows {
                 plan,
                 direction,
@@ -379,8 +348,8 @@ impl PoolTask for SpectralTask {
 /// in [`crate::fft`], [`crate::conv`] and the optics/core crates.
 ///
 /// Lane buffers are recycled across waves
-/// ([`lane_grid`](Self::lane_grid) / the rows twin), so a warmed team
-/// performs no steady-state allocations.
+/// ([`lane_split_grid`](Self::lane_split_grid) / the rows twin), so a
+/// warmed team performs no steady-state allocations.
 #[derive(Debug)]
 pub struct SpectralTeam {
     pool: WorkerPool<SpectralTask>,
@@ -405,70 +374,6 @@ impl SpectralTeam {
     /// [`WorkerPool::arm_panic`]).
     pub fn arm_panic(&self) {
         self.pool.arm_panic();
-    }
-
-    /// Recycles lane `lane`'s previous task storage into a
-    /// `width × height` grid with unspecified contents, allocating only
-    /// if the lane never held a task of sufficient capacity.
-    pub fn lane_grid(&mut self, lane: usize, width: usize, height: usize) -> Grid<Complex> {
-        Grid::from_vec_resized(width, height, self.recycle(lane))
-    }
-
-    /// Posts a serial 2-D transform of `grid` as lane `lane`'s task for
-    /// the next [`dispatch`](Self::dispatch).
-    pub fn submit_grid(
-        &mut self,
-        lane: usize,
-        plan: &Fft2d,
-        direction: FftDirection,
-        grid: Grid<Complex>,
-    ) {
-        self.lanes[lane] = Some(SpectralTask::Grid2d {
-            plan: plan.clone(),
-            direction,
-            grid,
-        });
-    }
-
-    /// The grid computed by lane `lane`'s last collected
-    /// [`SpectralTask::Grid2d`] task, if that is what the lane holds.
-    pub fn grid_result(&self, lane: usize) -> Option<&Grid<Complex>> {
-        match self.lanes.get(lane)? {
-            Some(SpectralTask::Grid2d { grid, .. }) => Some(grid),
-            _ => None,
-        }
-    }
-
-    /// Recycles lane `lane`'s previous task storage as a bare buffer
-    /// (emptied, capacity preserved).
-    pub(crate) fn lane_rows_buf(&mut self, lane: usize) -> Vec<Complex> {
-        let mut buf = self.recycle(lane);
-        buf.clear();
-        buf
-    }
-
-    /// Posts a banded 1-D row pass as lane `lane`'s task.
-    pub(crate) fn submit_rows(
-        &mut self,
-        lane: usize,
-        plan: &Fft,
-        direction: FftDirection,
-        buf: Vec<Complex>,
-    ) {
-        self.lanes[lane] = Some(SpectralTask::Rows {
-            plan: plan.clone(),
-            direction,
-            buf,
-        });
-    }
-
-    /// The row band transformed by lane `lane`'s last collected
-    /// [`SpectralTask::Rows`] task, if that is what the lane holds.
-    pub(crate) fn rows_result(&self, lane: usize) -> Option<&[Complex]> {
-        match self.lanes.get(lane)? {
-            Some(SpectralTask::Rows { buf, .. }) => Some(buf),
-            _ => None,
-        }
     }
 
     /// Recycles lane `lane`'s previous task storage into a
@@ -554,19 +459,11 @@ impl SpectralTeam {
         self.pool.collect(&mut self.lanes);
     }
 
-    fn recycle(&mut self, lane: usize) -> Vec<Complex> {
-        match self.lanes[lane].take() {
-            Some(SpectralTask::Rows { buf, .. }) => buf,
-            Some(SpectralTask::Grid2d { grid, .. }) => grid.into_vec(),
-            Some(_) | None => Vec::new(),
-        }
-    }
-
     fn recycle_split(&mut self, lane: usize) -> (Vec<f64>, Vec<f64>) {
         match self.lanes[lane].take() {
             Some(SpectralTask::SplitRows { re, im, .. }) => (re, im),
             Some(SpectralTask::SplitGrid2d { spec, .. }) => spec.into_parts(),
-            Some(_) | None => (Vec::new(), Vec::new()),
+            None => (Vec::new(), Vec::new()),
         }
     }
 }
@@ -680,23 +577,6 @@ mod tests {
         pool.dispatch(&mut tasks);
         pool.collect(&mut tasks);
         assert_eq!(tasks[0].as_ref().unwrap().output, 6);
-    }
-
-    #[test]
-    fn spectral_team_lane_buffers_are_recycled() {
-        let mut team = SpectralTeam::new(1);
-        if team.workers() == 0 {
-            return; // spawn-restricted environment
-        }
-        let plan = Fft2d::new(8, 8);
-        let grid = team.lane_grid(0, 8, 8);
-        team.submit_grid(0, &plan, FftDirection::Forward, grid);
-        team.dispatch();
-        team.collect();
-        let ptr = team.grid_result(0).unwrap().as_slice().as_ptr();
-        // The next wave's lane grid reuses the same allocation.
-        let grid = team.lane_grid(0, 8, 8);
-        assert_eq!(grid.as_slice().as_ptr(), ptr);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! `f64` slices with unit stride, which the compiler autovectorizes;
 //! the interleaved layout forces a 2-wide stride that defeats it.
 //!
-//! The split layout is **bit-compatible** with the interleaved one:
-//! the conversions here copy values without any arithmetic, so a
-//! round trip through [`SplitSpectrum::from_grid`] /
-//! [`SplitSpectrum::to_grid`] reproduces every input bit exactly.
-//! Interleaved [`Grid<Complex>`] remains the boundary format at cold
-//! edges (kernel construction, reference paths, checkpoints, I/O);
-//! see DESIGN.md §16 for the layout contract.
+//! It is the only layout the spectral code runs on. Interleaved
+//! [`Grid<Complex>`] remains the boundary format at cold edges (kernel
+//! construction, test oracles); the conversions here copy values
+//! without any arithmetic, so a round trip through
+//! [`SplitSpectrum::from_grid`] / [`SplitSpectrum::to_grid`]
+//! reproduces every input bit exactly. See DESIGN.md §16 for the layout
+//! contract.
 //!
 //! Row-major addressing matches [`Grid`]: element `(i, j)` lives at
 //! linear index `j * width + i` in both planes.
@@ -74,23 +74,11 @@ impl SplitSpectrum {
     #[must_use]
     pub fn from_grid(grid: &Grid<Complex>) -> Self {
         let (width, height) = grid.dims();
-        let mut out = SplitSpectrum::zeros(width, height);
-        out.copy_from_grid(grid);
-        out
-    }
-
-    /// Overwrites both planes from an interleaved grid of the same
-    /// shape. Pure copy; panics on a shape mismatch.
-    pub fn copy_from_grid(&mut self, grid: &Grid<Complex>) {
-        assert_eq!(grid.dims(), (self.width, self.height), "shape mismatch");
-        for ((r, i), v) in self
-            .re
-            .iter_mut()
-            .zip(self.im.iter_mut())
-            .zip(grid.as_slice())
-        {
-            *r = v.re;
-            *i = v.im;
+        SplitSpectrum {
+            width,
+            height,
+            re: grid.iter().map(|v| v.re).collect(),
+            im: grid.iter().map(|v| v.im).collect(),
         }
     }
 
@@ -99,22 +87,10 @@ impl SplitSpectrum {
     #[must_use]
     pub fn to_grid(&self) -> Grid<Complex> {
         let mut out = Grid::zeros(self.width, self.height);
-        self.write_grid(&mut out);
-        out
-    }
-
-    /// Re-interleaves the planes into an existing grid of the same
-    /// shape. Pure copy; panics on a shape mismatch.
-    pub fn write_grid(&self, out: &mut Grid<Complex>) {
-        assert_eq!(out.dims(), (self.width, self.height), "shape mismatch");
-        for ((v, &r), &i) in out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.re.iter())
-            .zip(self.im.iter())
-        {
+        for ((v, &r), &i) in out.iter_mut().zip(self.re.iter()).zip(self.im.iter()) {
             *v = Complex::new(r, i);
         }
+        out
     }
 
     /// `(width, height)`.
@@ -159,16 +135,6 @@ impl SplitSpectrum {
         &self.im
     }
 
-    /// Mutable real plane.
-    pub fn re_mut(&mut self) -> &mut [f64] {
-        &mut self.re
-    }
-
-    /// Mutable imaginary plane.
-    pub fn im_mut(&mut self) -> &mut [f64] {
-        &mut self.im
-    }
-
     /// Both planes, immutably.
     #[must_use]
     pub fn planes(&self) -> (&[f64], &[f64]) {
@@ -196,12 +162,6 @@ impl SplitSpectrum {
         self.im[idx] = v.im;
     }
 
-    /// Zeroes both planes.
-    pub fn fill_zero(&mut self) {
-        self.re.fill(0.0);
-        self.im.fill(0.0);
-    }
-
     /// Copies another spectrum of the same shape into this one.
     /// Panics on a shape mismatch.
     pub fn copy_from(&mut self, other: &SplitSpectrum) {
@@ -210,10 +170,7 @@ impl SplitSpectrum {
         self.im.copy_from_slice(&other.im);
     }
 
-    /// `self += other * weight`, plane-wise — the same per-component
-    /// arithmetic as the interleaved
-    /// `*a += b.scale(weight)` accumulation, so results are
-    /// bit-identical to the AoS path.
+    /// `self += other * weight`, plane-wise.
     pub fn accumulate(&mut self, other: &SplitSpectrum, weight: f64) {
         assert_eq!(other.dims(), self.dims(), "shape mismatch");
         for (a, &b) in self.re.iter_mut().zip(other.re.iter()) {

@@ -26,26 +26,25 @@
 //!
 //! Buffers are matched best-fit by capacity, so a pool shared between a
 //! full-resolution grid and its `w/2 + 1` half-spectrum (see
-//! [`Fft2d::forward_real_into`](crate::fft::Fft2d::forward_real_into))
+//! [`Fft2d::forward_real_split_into`](crate::fft::Fft2d::forward_real_split_into))
 //! converges to a stable set of allocations instead of thrashing.
 
-use crate::complex::Complex;
 use crate::grid::Grid;
 use crate::split::SplitSpectrum;
 
-/// A free-list of reusable `Complex` and `f64` buffers.
+/// A free-list of reusable `f64` buffers: real grids and the two planes
+/// of every [`SplitSpectrum`].
 ///
 /// See the [module docs](self) for the take/give contract.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    complex_pool: Vec<Vec<Complex>>,
     real_pool: Vec<Vec<f64>>,
 }
 
 /// Removes the best-fit buffer from a pool: the smallest capacity that
 /// already holds `len` elements, else the largest available (which then
 /// grows once and stays grown), else `None` (pool empty).
-fn take_best_fit<T>(pool: &mut Vec<Vec<T>>, len: usize) -> Option<Vec<T>> {
+fn take_best_fit(pool: &mut Vec<Vec<f64>>, len: usize) -> Option<Vec<f64>> {
     let mut best: Option<usize> = None;
     let mut largest: Option<usize> = None;
     for (i, buf) in pool.iter().enumerate() {
@@ -67,22 +66,6 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Takes a `Complex` buffer of exactly `len` elements with
-    /// unspecified contents.
-    pub fn take_complex(&mut self, len: usize) -> Vec<Complex> {
-        let mut buf = take_best_fit(&mut self.complex_pool, len).unwrap_or_default();
-        buf.resize(len, Complex::ZERO);
-        buf.truncate(len);
-        buf
-    }
-
-    /// Takes a `Complex` buffer of exactly `len` zeros.
-    pub fn take_complex_zeroed(&mut self, len: usize) -> Vec<Complex> {
-        let mut buf = self.take_complex(len);
-        buf.fill(Complex::ZERO);
-        buf
-    }
-
     /// Takes an `f64` buffer of exactly `len` elements with unspecified
     /// contents.
     pub fn take_real(&mut self, len: usize) -> Vec<f64> {
@@ -99,23 +82,11 @@ impl Workspace {
         buf
     }
 
-    /// Returns a `Complex` buffer to the pool for reuse.
-    pub fn give_complex(&mut self, buf: Vec<Complex>) {
-        if buf.capacity() > 0 {
-            self.complex_pool.push(buf);
-        }
-    }
-
     /// Returns an `f64` buffer to the pool for reuse.
     pub fn give_real(&mut self, buf: Vec<f64>) {
         if buf.capacity() > 0 {
             self.real_pool.push(buf);
         }
-    }
-
-    /// Takes a `width × height` complex grid with unspecified contents.
-    pub fn take_complex_grid(&mut self, width: usize, height: usize) -> Grid<Complex> {
-        Grid::from_vec_resized(width, height, self.take_complex(width * height))
     }
 
     /// Takes a `width × height` real grid with unspecified contents.
@@ -130,11 +101,6 @@ impl Workspace {
         g
     }
 
-    /// Returns a complex grid's buffer to the pool.
-    pub fn give_complex_grid(&mut self, grid: Grid<Complex>) {
-        self.give_complex(grid.into_vec());
-    }
-
     /// Returns a real grid's buffer to the pool.
     pub fn give_real_grid(&mut self, grid: Grid<f64>) {
         self.give_real(grid.into_vec());
@@ -146,14 +112,6 @@ impl Workspace {
         let re = self.take_real(width * height);
         let im = self.take_real(width * height);
         SplitSpectrum::from_parts(width, height, re, im)
-    }
-
-    /// Takes a `width × height` split-plane spectrum with both planes
-    /// zeroed.
-    pub fn take_split_zeroed(&mut self, width: usize, height: usize) -> SplitSpectrum {
-        let mut s = self.take_split(width, height);
-        s.fill_zero();
-        s
     }
 
     /// Returns a split spectrum's plane buffers to the real pool.
@@ -171,21 +129,13 @@ impl Workspace {
     pub fn warm_spectral(&mut self, width: usize, height: usize) {
         let full = width * height;
         let half = (width / 2 + 1) * height;
-        let complex_sizes = [full, full, full, half, half, width.max(height)];
-        let taken: Vec<_> = complex_sizes
-            .iter()
-            .map(|&len| self.take_complex(len))
-            .collect();
-        for buf in taken {
-            self.give_complex(buf);
-        }
-        // The split-plane hot path (DESIGN.md §16) draws *pairs* of f64
+        // The spectral pipeline (DESIGN.md §16) draws *pairs* of f64
         // planes for every spectrum it touches: the mask spectrum, the
         // per-kernel field, the transpose scratch of the column pass,
         // the half-spectrum of the Hermitian gradient fold, and the
         // Bluestein pad / real-row pack scratch for non-power-of-two
-        // shapes. Warm enough real buffers for all of them plus the
-        // pre-existing real-grid intermediates.
+        // shapes. Warm enough buffers for all of them plus the real-grid
+        // intermediates.
         let mut real_sizes = vec![full; 16];
         real_sizes.extend([half; 4]);
         real_sizes.extend([width.max(height); 4]);
@@ -197,22 +147,7 @@ impl Workspace {
 
     /// Number of buffers currently parked in the pool (diagnostics).
     pub fn pooled_buffers(&self) -> usize {
-        self.complex_pool.len() + self.real_pool.len()
-    }
-
-    /// Bytes currently parked in the pool (diagnostics).
-    pub fn pooled_bytes(&self) -> usize {
-        let c: usize = self
-            .complex_pool
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<Complex>())
-            .sum();
-        let r: usize = self
-            .real_pool
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<f64>())
-            .sum();
-        c + r
+        self.real_pool.len()
     }
 }
 
@@ -223,18 +158,18 @@ mod tests {
     #[test]
     fn take_returns_requested_length() {
         let mut ws = Workspace::new();
-        assert_eq!(ws.take_complex(17).len(), 17);
+        assert_eq!(ws.take_real(17).len(), 17);
         assert_eq!(ws.take_real(9).len(), 9);
-        assert_eq!(ws.take_complex(0).len(), 0);
+        assert_eq!(ws.take_real(0).len(), 0);
     }
 
     #[test]
     fn given_buffers_are_reused() {
         let mut ws = Workspace::new();
-        let buf = ws.take_complex(64);
+        let buf = ws.take_real(64);
         let ptr = buf.as_ptr();
-        ws.give_complex(buf);
-        let again = ws.take_complex(64);
+        ws.give_real(buf);
+        let again = ws.take_real(64);
         assert_eq!(
             again.as_ptr(),
             ptr,
@@ -286,11 +221,11 @@ mod tests {
     #[test]
     fn grid_round_trip_preserves_capacity() {
         let mut ws = Workspace::new();
-        let g = ws.take_complex_grid(12, 7);
+        let g = ws.take_real_grid(12, 7);
         assert_eq!(g.dims(), (12, 7));
-        ws.give_complex_grid(g);
+        ws.give_real_grid(g);
         assert_eq!(ws.pooled_buffers(), 1);
-        let g2 = ws.take_complex_grid(12, 7);
+        let g2 = ws.take_real_grid(12, 7);
         assert_eq!(g2.dims(), (12, 7));
         assert_eq!(ws.pooled_buffers(), 0);
     }
@@ -330,11 +265,11 @@ mod tests {
         let mut ws = Workspace::new();
         ws.warm_spectral(32, 24);
         let before = ws.pooled_buffers();
-        let a = ws.take_complex(32 * 24);
-        let b = ws.take_complex((32 / 2 + 1) * 24);
-        let c = ws.take_real(32 * 24);
-        ws.give_complex(a);
-        ws.give_complex(b);
+        let a = ws.take_real_grid(32, 24);
+        let b = ws.take_real((32 / 2 + 1) * 24);
+        let c = ws.take_real(32);
+        ws.give_real_grid(a);
+        ws.give_real(b);
         ws.give_real(c);
         assert_eq!(ws.pooled_buffers(), before);
     }

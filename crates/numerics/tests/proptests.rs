@@ -14,6 +14,33 @@ fn complex_vec(rng: &mut Rng64, len: usize) -> Vec<Complex> {
         .collect()
 }
 
+/// Runs `fft` over a copy of `data` split into re/im planes.
+fn transformed(fft: &Fft, data: &[Complex], direction: FftDirection) -> Vec<Complex> {
+    let mut re: Vec<f64> = data.iter().map(|c| c.re).collect();
+    let mut im: Vec<f64> = data.iter().map(|c| c.im).collect();
+    fft.process_split(&mut re, &mut im, direction, &mut Workspace::new());
+    re.iter()
+        .zip(&im)
+        .map(|(&r, &i)| Complex::new(r, i))
+        .collect()
+}
+
+/// Full complex circular convolution `field ⊗ kernel` on the split
+/// engine.
+fn circular_conv(
+    conv: &Convolver,
+    field: &Grid<Complex>,
+    kernel: &KernelSpectrum,
+) -> Grid<Complex> {
+    let mut ws = Workspace::new();
+    let mut spectrum = SplitSpectrum::from_grid(field);
+    conv.plan()
+        .process_split(&mut spectrum, FftDirection::Forward, &mut ws);
+    let mut out = SplitSpectrum::zeros(conv.width(), conv.height());
+    conv.convolve_spectrum_split_into(&spectrum, kernel, &mut out, &mut ws);
+    out.to_grid()
+}
+
 /// inverse(forward(x)) == x for arbitrary data and lengths (both the
 /// radix-2 and Bluestein code paths).
 #[test]
@@ -23,9 +50,8 @@ fn fft_round_trip() {
         let len = rng.range_usize(1, 80);
         let data = complex_vec(&mut rng, len);
         let fft = Fft::new(len);
-        let mut out = data.clone();
-        fft.process(&mut out, FftDirection::Forward);
-        fft.process(&mut out, FftDirection::Inverse);
+        let there = transformed(&fft, &data, FftDirection::Forward);
+        let out = transformed(&fft, &there, FftDirection::Inverse);
         for (a, b) in out.iter().zip(&data) {
             assert!((*a - *b).norm() < 1e-7, "case {case} len {len}");
         }
@@ -38,9 +64,7 @@ fn fft_matches_reference() {
     let mut rng = Rng64::new(0xF7_0002);
     for case in 0..64 {
         let data = complex_vec(&mut rng, 33);
-        let fft = Fft::new(33);
-        let mut out = data.clone();
-        fft.process(&mut out, FftDirection::Forward);
+        let out = transformed(&Fft::new(33), &data, FftDirection::Forward);
         let expect = dft_reference(&data, FftDirection::Forward);
         for (a, b) in out.iter().zip(&expect) {
             assert!((*a - *b).norm() < 1e-6, "case {case}: {a} vs {b}");
@@ -55,8 +79,7 @@ fn fft_parseval() {
     for _ in 0..64 {
         let data = complex_vec(&mut rng, 32);
         let time: f64 = data.iter().map(|z| z.norm_sqr()).sum();
-        let mut out = data;
-        Fft::new(32).process(&mut out, FftDirection::Forward);
+        let out = transformed(&Fft::new(32), &data, FftDirection::Forward);
         let freq: f64 = out.iter().map(|z| z.norm_sqr()).sum::<f64>() / 32.0;
         assert!((time - freq).abs() <= 1e-9 * time.max(1.0));
     }
@@ -73,12 +96,10 @@ fn fft_linearity() {
         let b = complex_vec(&mut rng, len);
         let c = rng.range_f64(-3.0, 3.0);
         let fft = Fft::new(len);
-        let mut fa = a.clone();
-        let mut fb = b.clone();
-        fft.process(&mut fa, FftDirection::Forward);
-        fft.process(&mut fb, FftDirection::Forward);
-        let mut combined: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x + y.scale(c)).collect();
-        fft.process(&mut combined, FftDirection::Forward);
+        let fa = transformed(&fft, &a, FftDirection::Forward);
+        let fb = transformed(&fft, &b, FftDirection::Forward);
+        let mixed: Vec<Complex> = a.iter().zip(&b).map(|(x, y)| *x + y.scale(c)).collect();
+        let combined = transformed(&fft, &mixed, FftDirection::Forward);
         for (i, (got, (x, y))) in combined.iter().zip(fa.iter().zip(&fb)).enumerate() {
             let expect = *x + y.scale(c);
             assert!(
@@ -90,17 +111,19 @@ fn fft_linearity() {
 }
 
 /// The spectrum of a real-valued grid is Hermitian:
-/// `S(i, j) == conj(S((w-i) mod w, (h-j) mod h))`, on both the complex
-/// path and (by expansion) the half-spectrum path.
+/// `S(i, j) == conj(S((w-i) mod w, (h-j) mod h))`, checked on the full
+/// spectrum expanded from the half-spectrum path.
 #[test]
 fn real_input_spectrum_is_hermitian() {
     let mut rng = Rng64::new(0xF7_0009);
+    let mut ws = Workspace::new();
     for _ in 0..32 {
         let w = rng.range_usize(1, 14);
         let h = rng.range_usize(1, 14);
         let real = Grid::from_fn(w, h, |_, _| rng.range_f64(-5.0, 5.0));
-        let plan = Fft2d::new(w, h);
-        let spec = plan.forward_real(&real);
+        let mut full = SplitSpectrum::zeros(w, h);
+        Convolver::new(w, h).forward_real_split_into(&real, &mut full, &mut ws);
+        let spec = full.to_grid();
         for j in 0..h {
             for i in 0..w {
                 let mirror = spec[((w - i) % w, (h - j) % h)].conj();
@@ -125,10 +148,10 @@ fn real_fft_round_trip() {
         let h = rng.range_usize(1, 20);
         let real = Grid::from_fn(w, h, |_, _| rng.range_f64(-5.0, 5.0));
         let plan = Fft2d::new(w, h);
-        let mut half = Grid::zeros(plan.half_width(), h);
-        plan.forward_real_into(&real, &mut half, &mut ws);
+        let mut half = SplitSpectrum::zeros(plan.half_width(), h);
+        plan.forward_real_split_into(&real, &mut half, &mut ws);
         let mut back = Grid::zeros(w, h);
-        plan.inverse_real_into(&mut half, &mut back, &mut ws);
+        plan.inverse_real_split_into(&mut half, &mut back, &mut ws);
         for (i, (a, b)) in back.iter().zip(real.iter()).enumerate() {
             assert!((a - b).abs() < 1e-10 * (w * h) as f64, "{w}x{h} pixel {i}");
         }
@@ -143,8 +166,8 @@ fn convolution_commutes() {
         let ga = Grid::from_vec(8, 8, complex_vec(&mut rng, 64)).unwrap();
         let gb = Grid::from_vec(8, 8, complex_vec(&mut rng, 64)).unwrap();
         let conv = Convolver::new(8, 8);
-        let ab = conv.convolve(&ga, &conv.kernel_spectrum(&gb));
-        let ba = conv.convolve(&gb, &conv.kernel_spectrum(&ga));
+        let ab = circular_conv(&conv, &ga, &conv.kernel_spectrum(&gb));
+        let ba = circular_conv(&conv, &gb, &conv.kernel_spectrum(&ga));
         for (x, y) in ab.iter().zip(ba.iter()) {
             assert!((*x - *y).norm() < 1e-7);
         }
@@ -161,7 +184,7 @@ fn impulse_is_identity() {
         let mut impulse = Grid::<Complex>::zeros(8, 8);
         impulse[(4, 4)] = Complex::ONE;
         let spec = conv.kernel_spectrum_centered(&impulse);
-        let out = conv.convolve(&ga, &spec);
+        let out = circular_conv(&conv, &ga, &spec);
         for (x, y) in out.iter().zip(ga.iter()) {
             assert!((*x - *y).norm() < 1e-8);
         }
@@ -176,7 +199,7 @@ fn convolution_sum_rule() {
         let ga = Grid::from_vec(4, 4, complex_vec(&mut rng, 16)).unwrap();
         let gb = Grid::from_vec(4, 4, complex_vec(&mut rng, 16)).unwrap();
         let conv = Convolver::new(4, 4);
-        let out = conv.convolve(&ga, &conv.kernel_spectrum(&gb));
+        let out = circular_conv(&conv, &ga, &conv.kernel_spectrum(&gb));
         let sum_out: Complex = out.iter().sum();
         let expect = ga.iter().sum::<Complex>() * gb.iter().sum::<Complex>();
         assert!((sum_out - expect).norm() < 1e-6 * (1.0 + expect.norm()));

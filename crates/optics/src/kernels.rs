@@ -18,7 +18,8 @@
 
 use crate::config::{OpticsConfig, ProcessCondition};
 use mosaic_numerics::{
-    Complex, Convolver, FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum, Workspace,
+    Complex, Convolver, Fft2d, FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum,
+    Workspace,
 };
 use std::f64::consts::PI;
 
@@ -141,150 +142,11 @@ impl KernelSet {
         acc
     }
 
-    /// Computes the aerial image `dose · Σ_k w_k |M ⊗ h_k|²` from a
-    /// precomputed mask spectrum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spectrum shape differs from the bank's grid.
-    pub fn aerial_image_from_spectrum(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-    ) -> Grid<f64> {
-        let mut intensity = Grid::<f64>::zeros(self.width, self.height);
-        let mut ws = Workspace::new();
-        self.aerial_image_accumulate_into(convolver, mask_spectrum, &mut intensity, &mut ws);
-        intensity
-    }
-
-    /// Allocation-free twin of
-    /// [`aerial_image_from_spectrum`](Self::aerial_image_from_spectrum):
-    /// overwrites `intensity` with `dose · Σ_k w_k |M ⊗ h_k|²`, fusing
-    /// the per-kernel convolve / magnitude / weight-accumulate passes
-    /// through one reused scratch field. Bit-identical to the allocating
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the bank's grid.
-    pub fn aerial_image_accumulate_into(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            mask_spectrum.dims(),
-            (self.width, self.height),
-            "mask spectrum shape mismatch"
-        );
-        assert_eq!(
-            intensity.dims(),
-            (self.width, self.height),
-            "intensity shape mismatch"
-        );
-        intensity.fill(0.0);
-        let mut field = ws.take_complex_grid(self.width, self.height);
-        for k in &self.kernels {
-            convolver.convolve_spectrum_into(mask_spectrum, &k.spectrum, &mut field, ws);
-            let scale = k.weight * self.condition.dose;
-            for (acc, e) in intensity.iter_mut().zip(field.iter()) {
-                *acc += scale * e.norm_sqr();
-            }
-        }
-        ws.give_complex_grid(field);
-    }
-
-    /// Concurrent twin of
-    /// [`aerial_image_accumulate_into`](Self::aerial_image_accumulate_into):
-    /// the independent per-kernel inverse transforms `E_k = M ⊗ h_k` are
-    /// fanned out over `team`'s workers in waves of `workers + 1` (the
-    /// calling thread takes one kernel per wave), while the intensity
-    /// accumulate stays on the calling thread in serial kernel order —
-    /// the fixed-order reduction that keeps results **bit-identical** to
-    /// the serial path at every worker count (DESIGN.md §14).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the bank's grid.
-    pub fn aerial_image_accumulate_par(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        let workers = team.workers();
-        if workers == 0 {
-            self.aerial_image_accumulate_into(convolver, mask_spectrum, intensity, ws);
-            return;
-        }
-        assert_eq!(
-            mask_spectrum.dims(),
-            (self.width, self.height),
-            "mask spectrum shape mismatch"
-        );
-        assert_eq!(
-            intensity.dims(),
-            (self.width, self.height),
-            "intensity shape mismatch"
-        );
-        intensity.fill(0.0);
-        let mut field = ws.take_complex_grid(self.width, self.height);
-        let dose = self.condition.dose;
-        let mut start = 0;
-        while start < self.kernels.len() {
-            let end = (start + workers + 1).min(self.kernels.len());
-            for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
-                let mut grid = team.lane_grid(lane, self.width, self.height);
-                let (br, bi) = k.spectrum.split().planes();
-                for (((o, &a), &kr), &ki) in grid
-                    .iter_mut()
-                    .zip(mask_spectrum.iter())
-                    .zip(br.iter())
-                    .zip(bi.iter())
-                {
-                    *o = a * Complex::new(kr, ki);
-                }
-                team.submit_grid(lane, convolver.plan(), FftDirection::Inverse, grid);
-            }
-            team.dispatch();
-            // The calling thread transforms its own kernel while the
-            // workers run theirs; the 1-D transforms are the unchanged
-            // serial code on both sides.
-            convolver.convolve_spectrum_into(
-                mask_spectrum,
-                &self.kernels[start].spectrum,
-                &mut field,
-                ws,
-            );
-            team.collect();
-            let scale = self.kernels[start].weight * dose;
-            for (acc, e) in intensity.iter_mut().zip(field.iter()) {
-                *acc += scale * e.norm_sqr();
-            }
-            for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
-                if let Some(g) = team.grid_result(lane) {
-                    let scale = k.weight * dose;
-                    for (acc, e) in intensity.iter_mut().zip(g.iter()) {
-                        *acc += scale * e.norm_sqr();
-                    }
-                }
-            }
-            start = end;
-        }
-        ws.give_complex_grid(field);
-    }
-
-    /// Split-plane twin of
-    /// [`aerial_image_accumulate_into`](Self::aerial_image_accumulate_into):
-    /// consumes a mask spectrum in structure-of-arrays layout and walks
-    /// unit-stride `f64` planes through the Hadamard, inverse-FFT and
-    /// |E|² accumulate passes. Bit-identical to the interleaved path
-    /// (DESIGN.md §16).
+    /// Overwrites `intensity` with the aerial image
+    /// `dose · Σ_k w_k |M ⊗ h_k|²` from a precomputed mask spectrum,
+    /// fusing the per-kernel convolve / magnitude / weight-accumulate
+    /// passes through one reused scratch field drawn from `ws`. Every
+    /// pass walks unit-stride `f64` planes (DESIGN.md §16).
     ///
     /// # Panics
     ///
@@ -317,12 +179,12 @@ impl KernelSet {
 
     /// Concurrent twin of
     /// [`aerial_image_accumulate_split`](Self::aerial_image_accumulate_split):
-    /// same wave structure as
-    /// [`aerial_image_accumulate_par`](Self::aerial_image_accumulate_par)
-    /// — per-kernel inverse transforms fan out over `team`'s workers,
-    /// the |E|² accumulate stays on the calling thread in serial kernel
-    /// order. Bit-identical to the serial split path at every worker
-    /// count.
+    /// the independent per-kernel inverse transforms `E_k = M ⊗ h_k` are
+    /// fanned out over `team`'s workers in waves of `workers + 1` (the
+    /// calling thread takes one kernel per wave), while the intensity
+    /// accumulate stays on the calling thread in serial kernel order —
+    /// the fixed-order reduction that keeps results **bit-identical** to
+    /// the serial path at every worker count (DESIGN.md §14).
     ///
     /// # Panics
     ///
@@ -389,13 +251,15 @@ impl KernelSet {
         ws.give_split(field);
     }
 
-    /// Split-plane twin of
-    /// [`aerial_image_with_fields_into`](Self::aerial_image_with_fields_into):
-    /// overwrites `intensity` and refills `fields` with every coherent
-    /// field `E_k = M ⊗ h_k` in structure-of-arrays layout, reusing
-    /// spectra already in `fields` when their shape matches (and drawing
-    /// any missing ones from `ws`). Bit-identical to the interleaved
-    /// path.
+    /// Like [`aerial_image_accumulate_split`](Self::aerial_image_accumulate_split)
+    /// but also refills `fields` with every coherent field
+    /// `E_k = M ⊗ h_k`, reusing spectra already in `fields` when their
+    /// shape matches (and drawing any missing ones from `ws`).
+    ///
+    /// The per-kernel gradient (Eq. (14)) needs these fields, so the
+    /// optimizer asks for them once and reuses them; callers give the
+    /// spectra back to `ws` when done — or simply keep the `Vec` alive
+    /// across iterations.
     ///
     /// # Panics
     ///
@@ -434,78 +298,6 @@ impl KernelSet {
         }
     }
 
-    /// Workspace-pooled variant of
-    /// [`aerial_image_with_fields`](Self::aerial_image_with_fields):
-    /// overwrites `intensity` and refills `fields` with every coherent
-    /// field `E_k = M ⊗ h_k`, reusing the grids already in `fields` when
-    /// their shape matches (and drawing any missing ones from `ws`).
-    /// Callers give the field grids back to `ws` when done — or simply
-    /// keep the `Vec` alive across iterations, which is what the
-    /// per-kernel gradient loop does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the bank's grid.
-    pub fn aerial_image_with_fields_into(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-        intensity: &mut Grid<f64>,
-        fields: &mut Vec<Grid<Complex>>,
-        ws: &mut Workspace,
-    ) {
-        assert_eq!(
-            mask_spectrum.dims(),
-            (self.width, self.height),
-            "mask spectrum shape mismatch"
-        );
-        assert_eq!(
-            intensity.dims(),
-            (self.width, self.height),
-            "intensity shape mismatch"
-        );
-        fields.retain(|f| f.dims() == (self.width, self.height));
-        while fields.len() < self.kernels.len() {
-            fields.push(ws.take_complex_grid(self.width, self.height));
-        }
-        while fields.len() > self.kernels.len() {
-            if let Some(extra) = fields.pop() {
-                ws.give_complex_grid(extra);
-            }
-        }
-        intensity.fill(0.0);
-        for (k, field) in self.kernels.iter().zip(fields.iter_mut()) {
-            convolver.convolve_spectrum_into(mask_spectrum, &k.spectrum, field, ws);
-            let scale = k.weight * self.condition.dose;
-            for (acc, e) in intensity.iter_mut().zip(field.iter()) {
-                *acc += scale * e.norm_sqr();
-            }
-        }
-    }
-
-    /// Like [`aerial_image_from_spectrum`](Self::aerial_image_from_spectrum)
-    /// but also returns every coherent field `E_k = M ⊗ h_k`.
-    ///
-    /// The per-kernel gradient (Eq. (14)) needs these fields, so the
-    /// optimizer asks for them once and reuses them.
-    pub fn aerial_image_with_fields(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &Grid<Complex>,
-    ) -> (Grid<f64>, Vec<Grid<Complex>>) {
-        let mut intensity = Grid::<f64>::zeros(self.width, self.height);
-        let mut fields = Vec::with_capacity(self.kernels.len());
-        let mut ws = Workspace::new();
-        self.aerial_image_with_fields_into(
-            convolver,
-            mask_spectrum,
-            &mut intensity,
-            &mut fields,
-            &mut ws,
-        );
-        (intensity, fields)
-    }
-
     /// The spatial-domain kernel `h_k`, centered on the grid — for
     /// inspection and plotting only (the pipeline never needs it).
     ///
@@ -513,18 +305,20 @@ impl KernelSet {
     ///
     /// Panics if `index` is out of range.
     pub fn spatial_kernel(&self, index: usize) -> Grid<Complex> {
-        let k = &self.kernels[index];
-        let mut g = k.spectrum.to_grid();
-        let plan = mosaic_numerics::Fft2d::new(self.width, self.height);
-        plan.process(&mut g, FftDirection::Inverse);
+        let mut field = self.kernels[index].spectrum.split().clone();
+        Fft2d::new(self.width, self.height).process_split(
+            &mut field,
+            FftDirection::Inverse,
+            &mut Workspace::new(),
+        );
         // Move the origin to the grid center for viewing.
-        g.shift_origin(self.width / 2, self.height / 2)
+        field
+            .to_grid()
+            .shift_origin(self.width / 2, self.height / 2)
     }
 }
 
-/// `intensity += scale · (re² + im²)`, plane-wise — the same
-/// per-component arithmetic as the interleaved `scale * e.norm_sqr()`
-/// accumulate, so bits match the AoS path.
+/// `intensity += scale · |E|²`, plane-wise: `scale · (re² + im²)`.
 fn accumulate_intensity_split(intensity: &mut Grid<f64>, field: &SplitSpectrum, scale: f64) {
     let (fr, fi) = field.planes();
     for ((acc, &r), &i) in intensity.iter_mut().zip(fr.iter()).zip(fi.iter()) {
@@ -554,6 +348,18 @@ mod tests {
             .unwrap()
     }
 
+    /// The aerial image of `mask` under `set`.
+    fn socs_image(set: &KernelSet, mask: &Grid<f64>) -> Grid<f64> {
+        let (w, h) = set.dims();
+        let conv = Convolver::new(w, h);
+        let mut ws = Workspace::new();
+        let mut spectrum = SplitSpectrum::zeros(w, h);
+        conv.forward_real_split_into(mask, &mut spectrum, &mut ws);
+        let mut intensity = Grid::zeros(w, h);
+        set.aerial_image_accumulate_split(&conv, &spectrum, &mut intensity, &mut ws);
+        intensity
+    }
+
     #[test]
     fn freq_ordering_matches_fft_convention() {
         assert_eq!(freq(0, 8, 1.0), 0.0);
@@ -575,12 +381,8 @@ mod tests {
 
     #[test]
     fn clear_field_intensity_is_unity() {
-        let config = small_config();
-        let set = KernelSet::build(&config, ProcessCondition::NOMINAL).unwrap();
-        let conv = Convolver::new(64, 64);
-        let clear = Grid::filled(64, 64, 1.0);
-        let spectrum = conv.forward_real(&clear);
-        let intensity = set.aerial_image_from_spectrum(&conv, &spectrum);
+        let set = KernelSet::build(&small_config(), ProcessCondition::NOMINAL).unwrap();
+        let intensity = socs_image(&set, &Grid::filled(64, 64, 1.0));
         for ((x, y), v) in intensity.indexed_iter() {
             assert!((v - 1.0).abs() < 1e-9, "I({x},{y}) = {v}");
         }
@@ -588,40 +390,35 @@ mod tests {
 
     #[test]
     fn clear_field_unity_even_defocused() {
-        let config = small_config();
-        let set = KernelSet::build(&config, ProcessCondition::new(25.0, 1.0)).unwrap();
-        let conv = Convolver::new(64, 64);
-        let spectrum = conv.forward_real(&Grid::filled(64, 64, 1.0));
-        let intensity = set.aerial_image_from_spectrum(&conv, &spectrum);
+        let set = KernelSet::build(&small_config(), ProcessCondition::new(25.0, 1.0)).unwrap();
+        let intensity = socs_image(&set, &Grid::filled(64, 64, 1.0));
         assert!((intensity[(32, 32)] - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn dark_mask_gives_zero_intensity() {
         let set = KernelSet::build(&small_config(), ProcessCondition::NOMINAL).unwrap();
-        let conv = Convolver::new(64, 64);
-        let spectrum = conv.forward_real(&Grid::zeros(64, 64));
-        let intensity = set.aerial_image_from_spectrum(&conv, &spectrum);
+        let intensity = socs_image(&set, &Grid::zeros(64, 64));
         assert!(intensity.max() < 1e-15);
     }
 
     #[test]
     fn dose_scales_intensity_linearly() {
         let config = small_config();
-        let conv = Convolver::new(64, 64);
         let mut mask = Grid::<f64>::zeros(64, 64);
         for y in 24..40 {
             for x in 28..36 {
                 mask[(x, y)] = 1.0;
             }
         }
-        let spectrum = conv.forward_real(&mask);
-        let nominal = KernelSet::build(&config, ProcessCondition::NOMINAL)
-            .unwrap()
-            .aerial_image_from_spectrum(&conv, &spectrum);
-        let overdosed = KernelSet::build(&config, ProcessCondition::new(0.0, 1.02))
-            .unwrap()
-            .aerial_image_from_spectrum(&conv, &spectrum);
+        let nominal = socs_image(
+            &KernelSet::build(&config, ProcessCondition::NOMINAL).unwrap(),
+            &mask,
+        );
+        let overdosed = socs_image(
+            &KernelSet::build(&config, ProcessCondition::new(0.0, 1.02)).unwrap(),
+            &mask,
+        );
         for (a, b) in nominal.iter().zip(overdosed.iter()) {
             assert!((b - a * 1.02).abs() < 1e-12);
         }
@@ -630,20 +427,17 @@ mod tests {
     #[test]
     fn intensity_is_nonnegative() {
         let set = KernelSet::build(&small_config(), ProcessCondition::new(-25.0, 0.98)).unwrap();
-        let conv = Convolver::new(64, 64);
         let mask = Grid::from_fn(
             64,
             64,
             |x, y| if (x / 8 + y / 8) % 2 == 0 { 1.0 } else { 0.0 },
         );
-        let intensity = set.aerial_image_from_spectrum(&conv, &conv.forward_real(&mask));
-        assert!(intensity.min() >= 0.0);
+        assert!(socs_image(&set, &mask).min() >= 0.0);
     }
 
     #[test]
     fn defocus_blurs_a_small_feature() {
         let config = small_config();
-        let conv = Convolver::new(64, 64);
         let mut mask = Grid::<f64>::zeros(64, 64);
         // 5-pixel (40 nm) square — near the resolution limit.
         for y in 30..35 {
@@ -651,13 +445,14 @@ mod tests {
                 mask[(x, y)] = 1.0;
             }
         }
-        let spectrum = conv.forward_real(&mask);
-        let focused = KernelSet::build(&config, ProcessCondition::NOMINAL)
-            .unwrap()
-            .aerial_image_from_spectrum(&conv, &spectrum);
-        let defocused = KernelSet::build(&config, ProcessCondition::new(60.0, 1.0))
-            .unwrap()
-            .aerial_image_from_spectrum(&conv, &spectrum);
+        let focused = socs_image(
+            &KernelSet::build(&config, ProcessCondition::NOMINAL).unwrap(),
+            &mask,
+        );
+        let defocused = socs_image(
+            &KernelSet::build(&config, ProcessCondition::new(60.0, 1.0)).unwrap(),
+            &mask,
+        );
         assert!(
             defocused[(32, 32)] < focused[(32, 32)],
             "defocus should reduce peak intensity: {} vs {}",
@@ -699,24 +494,27 @@ mod tests {
 
     #[test]
     fn fields_returned_match_intensity() {
-        let config = small_config();
-        let set = KernelSet::build(&config, ProcessCondition::new(10.0, 1.02)).unwrap();
+        let set = KernelSet::build(&small_config(), ProcessCondition::new(10.0, 1.02)).unwrap();
         let conv = Convolver::new(64, 64);
         let mask = Grid::from_fn(64, 64, |x, _| if x > 20 && x < 44 { 1.0 } else { 0.0 });
-        let spectrum = conv.forward_real(&mask);
-        let (intensity, fields) = set.aerial_image_with_fields(&conv, &spectrum);
+        let mut ws = Workspace::new();
+        let mut spectrum = SplitSpectrum::zeros(64, 64);
+        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+        let mut intensity = Grid::zeros(64, 64);
+        let mut fields = Vec::new();
+        set.aerial_image_with_fields_split(&conv, &spectrum, &mut intensity, &mut fields, &mut ws);
         assert_eq!(fields.len(), set.kernels().len());
         let manual: f64 = set
             .kernels()
             .iter()
             .zip(&fields)
-            .map(|(k, f)| k.weight * 1.02 * f[(32, 32)].norm_sqr())
+            .map(|(k, f)| k.weight * 1.02 * f.at(32 * 64 + 32).norm_sqr())
             .sum();
         assert!((intensity[(32, 32)] - manual).abs() < 1e-12);
     }
 
     #[test]
-    fn split_aerial_image_is_bit_identical_to_interleaved() {
+    fn split_aerial_image_is_bit_identical_across_teams() {
         let config = small_config();
         let set = KernelSet::build(&config, ProcessCondition::new(10.0, 1.02)).unwrap();
         let conv = Convolver::new(64, 64);
@@ -726,24 +524,16 @@ mod tests {
             |x, y| if (x / 8 + y / 8) % 2 == 0 { 1.0 } else { 0.0 },
         );
         let mut ws = Workspace::new();
-        let mut aos_spec = Grid::zeros(64, 64);
-        conv.forward_real_into(&mask, &mut aos_spec, &mut ws);
-        let mut aos = Grid::zeros(64, 64);
-        set.aerial_image_accumulate_into(&conv, &aos_spec, &mut aos, &mut ws);
-
         let mut split_spec = SplitSpectrum::zeros(64, 64);
         conv.forward_real_split_into(&mask, &mut split_spec, &mut ws);
         let mut serial = Grid::zeros(64, 64);
         set.aerial_image_accumulate_split(&conv, &split_spec, &mut serial, &mut ws);
-        for (i, (a, b)) in serial.iter().zip(aos.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "serial split pixel {i}");
-        }
 
         for workers in [1usize, 2] {
             let mut team = SpectralTeam::new(workers);
             let mut par = Grid::zeros(64, 64);
             set.aerial_image_accumulate_split_par(&conv, &split_spec, &mut par, &mut ws, &mut team);
-            for (i, (a, b)) in par.iter().zip(aos.iter()).enumerate() {
+            for (i, (a, b)) in par.iter().zip(serial.iter()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "workers={workers} pixel {i}");
             }
         }
@@ -758,7 +548,7 @@ mod tests {
             &mut ws,
         );
         assert_eq!(fields.len(), set.kernels().len());
-        for (i, (a, b)) in with_fields.iter().zip(aos.iter()).enumerate() {
+        for (i, (a, b)) in with_fields.iter().zip(serial.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "with-fields pixel {i}");
         }
     }

@@ -109,62 +109,16 @@ impl ResistModel {
     ) {
         assert_eq!(intensity.dims(), z.dims(), "develop shape mismatch");
         assert_eq!(intensity.dims(), dz.dims(), "develop shape mismatch");
-        develop_lanes(
-            self,
-            intensity.as_slice(),
-            z.as_mut_slice(),
-            dz.as_mut_slice(),
-        );
+        for ((o, d), &i) in z.iter_mut().zip(dz.iter_mut()).zip(intensity.iter()) {
+            let s = self.sigmoid(i);
+            *o = s;
+            *d = self.steepness * s * (1.0 - s);
+        }
     }
 
     /// Applies the hard step of Eq. (3): the binary printed image.
     pub fn print(&self, intensity: &Grid<f64>) -> Grid<f64> {
         intensity.threshold(self.threshold)
-    }
-}
-
-/// Scalar inner loop of
-/// [`develop_with_derivative_into`](ResistModel::develop_with_derivative_into).
-#[cfg(not(mosaic_simd))]
-fn develop_lanes(model: &ResistModel, intensity: &[f64], z: &mut [f64], dz: &mut [f64]) {
-    for ((o, d), &i) in z.iter_mut().zip(dz.iter_mut()).zip(intensity.iter()) {
-        let s = model.sigmoid(i);
-        *o = s;
-        *d = model.steepness * s * (1.0 - s);
-    }
-}
-
-/// Explicit 4-wide-lane inner loop of
-/// [`develop_with_derivative_into`](ResistModel::develop_with_derivative_into)
-/// (`--cfg mosaic_simd`). Purely elementwise — each lane performs the
-/// same float operations as the scalar loop, so results stay
-/// bit-identical; the lane grouping only exposes the independent
-/// multiplies to the vectorizer around the scalar `exp` calls.
-#[cfg(mosaic_simd)]
-fn develop_lanes(model: &ResistModel, intensity: &[f64], z: &mut [f64], dz: &mut [f64]) {
-    const LANES: usize = 4;
-    let head = intensity.len() / LANES * LANES;
-    let (ihead, itail) = intensity.split_at(head);
-    let (zhead, ztail) = z.split_at_mut(head);
-    let (dhead, dtail) = dz.split_at_mut(head);
-    for ((ic, zc), dc) in ihead
-        .chunks_exact(LANES)
-        .zip(zhead.chunks_exact_mut(LANES))
-        .zip(dhead.chunks_exact_mut(LANES))
-    {
-        let mut s = [0.0f64; LANES];
-        for l in 0..LANES {
-            s[l] = model.sigmoid(ic[l]);
-        }
-        for l in 0..LANES {
-            zc[l] = s[l];
-            dc[l] = model.steepness * s[l] * (1.0 - s[l]);
-        }
-    }
-    for ((o, d), &i) in ztail.iter_mut().zip(dtail.iter_mut()).zip(itail.iter()) {
-        let s = model.sigmoid(i);
-        *o = s;
-        *d = model.steepness * s * (1.0 - s);
     }
 }
 

@@ -6,7 +6,7 @@ use crate::error::OpticsError;
 use crate::kernels::KernelSet;
 use crate::resist::ResistModel;
 use crate::source::SourceShape;
-use mosaic_numerics::{Complex, Convolver, Grid, SpectralTeam, SplitSpectrum, Workspace};
+use mosaic_numerics::{Convolver, Grid, SpectralTeam, SplitSpectrum, Workspace};
 use std::sync::Arc;
 
 /// A hashable identity for a simulator configuration: everything that
@@ -198,49 +198,10 @@ impl LithoSimulator {
         self.banks[index].as_ref()
     }
 
-    /// Forward-transforms a mask once for reuse across conditions/kernels.
-    pub fn mask_spectrum(&self, mask: &Grid<f64>) -> Grid<Complex> {
-        self.convolver.forward_real(mask)
-    }
-
-    /// Allocation-free twin of [`mask_spectrum`](Self::mask_spectrum):
-    /// overwrites `out` with the mask's full spectrum through the
-    /// Hermitian half-spectrum fast path. Same numerics as the
-    /// allocating call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid.
-    pub fn mask_spectrum_into(
-        &self,
-        mask: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-    ) {
-        self.convolver.forward_real_into(mask, out, ws);
-    }
-
-    /// Concurrent twin of [`mask_spectrum_into`](Self::mask_spectrum_into):
-    /// the forward transform's column pass is banded across `team`'s
-    /// workers (DESIGN.md §14). Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid.
-    pub fn mask_spectrum_par(
-        &self,
-        mask: &Grid<f64>,
-        out: &mut Grid<Complex>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.convolver.forward_real_par(mask, out, ws, team);
-    }
-
-    /// Split-plane twin of [`mask_spectrum_into`](Self::mask_spectrum_into):
-    /// the mask spectrum lands directly in structure-of-arrays layout —
-    /// the optimizer hot loop's entry into the split spectral engine
-    /// (DESIGN.md §16). Bit-identical to the interleaved path.
+    /// Forward-transforms a mask once for reuse across conditions and
+    /// kernels, overwriting `out` with its full spectrum through the
+    /// Hermitian half-spectrum fast path — the entry into the split
+    /// spectral engine (DESIGN.md §16).
     ///
     /// # Panics
     ///
@@ -271,8 +232,8 @@ impl LithoSimulator {
         self.convolver.forward_real_split_par(mask, out, ws, team);
     }
 
-    /// Split-plane twin of [`aerial_image_into`](Self::aerial_image_into).
-    /// Bit-identical to the interleaved path.
+    /// Overwrites `intensity` with the aerial image under condition
+    /// `index` from a precomputed mask spectrum, using pooled scratch.
     ///
     /// # Panics
     ///
@@ -318,56 +279,6 @@ impl LithoSimulator {
         );
     }
 
-    /// Concurrent twin of [`aerial_image_into`](Self::aerial_image_into):
-    /// fans the per-kernel transforms out over `team` with a fixed-order
-    /// serial accumulate (DESIGN.md §14). Bit-identical at every worker
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid or the index is
-    /// out of range.
-    pub fn aerial_image_par(
-        &self,
-        mask_spectrum: &Grid<Complex>,
-        index: usize,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.banks[index].aerial_image_accumulate_par(
-            &self.convolver,
-            mask_spectrum,
-            intensity,
-            ws,
-            team,
-        );
-    }
-
-    /// Allocation-free twin of
-    /// [`aerial_image_from_spectrum`](Self::aerial_image_from_spectrum):
-    /// overwrites `intensity` under condition `index` using pooled
-    /// scratch. Bit-identical to the allocating call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid or the index is
-    /// out of range.
-    pub fn aerial_image_into(
-        &self,
-        mask_spectrum: &Grid<Complex>,
-        index: usize,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        self.banks[index].aerial_image_accumulate_into(
-            &self.convolver,
-            mask_spectrum,
-            intensity,
-            ws,
-        );
-    }
-
     /// Aerial image of `mask` under condition `index`.
     ///
     /// # Panics
@@ -375,17 +286,11 @@ impl LithoSimulator {
     /// Panics if the mask shape differs from the simulation grid or the
     /// index is out of range.
     pub fn aerial_image(&self, mask: &Grid<f64>, index: usize) -> Grid<f64> {
-        let spectrum = self.mask_spectrum(mask);
-        self.aerial_image_from_spectrum(&spectrum, index)
-    }
-
-    /// Aerial image from a precomputed mask spectrum.
-    pub fn aerial_image_from_spectrum(
-        &self,
-        mask_spectrum: &Grid<Complex>,
-        index: usize,
-    ) -> Grid<f64> {
-        self.banks[index].aerial_image_from_spectrum(&self.convolver, mask_spectrum)
+        let mut ws = Workspace::new();
+        let spectrum = self.fresh_mask_spectrum(mask, &mut ws);
+        let mut intensity = Grid::zeros(self.convolver.width(), self.convolver.height());
+        self.aerial_image_split(&spectrum, index, &mut intensity, &mut ws);
+        intensity
     }
 
     /// Continuous printed image `Z = sig(I)` (Eq. (4)) under condition
@@ -402,10 +307,22 @@ impl LithoSimulator {
     /// Binary printed images of `mask` under **all** conditions — the
     /// inputs to PV-band measurement (Fig. 4).
     pub fn printed_all_conditions(&self, mask: &Grid<f64>) -> Vec<Grid<f64>> {
-        let spectrum = self.mask_spectrum(mask);
+        let mut ws = Workspace::new();
+        let spectrum = self.fresh_mask_spectrum(mask, &mut ws);
+        let mut intensity = Grid::zeros(self.convolver.width(), self.convolver.height());
         (0..self.banks.len())
-            .map(|i| self.printed(&self.aerial_image_from_spectrum(&spectrum, i)))
+            .map(|i| {
+                self.aerial_image_split(&spectrum, i, &mut intensity, &mut ws);
+                self.printed(&intensity)
+            })
             .collect()
+    }
+
+    /// The mask spectrum in a newly allocated split spectrum (cold paths).
+    fn fresh_mask_spectrum(&self, mask: &Grid<f64>, ws: &mut Workspace) -> SplitSpectrum {
+        let mut spectrum = SplitSpectrum::zeros(self.convolver.width(), self.convolver.height());
+        self.mask_spectrum_split(mask, &mut spectrum, ws);
+        spectrum
     }
 }
 
@@ -500,13 +417,15 @@ mod tests {
     fn mask_spectrum_reuse_matches_direct() {
         let sim = simulator(ProcessCondition::contest_window());
         let mask = bar_mask();
-        let spectrum = sim.mask_spectrum(&mask);
+        let mut ws = Workspace::new();
+        let mut spectrum = SplitSpectrum::zeros(64, 64);
+        sim.mask_spectrum_split(&mask, &mut spectrum, &mut ws);
+        // One intensity buffer reused across conditions: each call must
+        // overwrite it completely.
+        let mut reused = Grid::zeros(64, 64);
         for i in 0..sim.condition_count() {
-            let a = sim.aerial_image(&mask, i);
-            let b = sim.aerial_image_from_spectrum(&spectrum, i);
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-12);
-            }
+            sim.aerial_image_split(&spectrum, i, &mut reused, &mut ws);
+            assert_eq!(sim.aerial_image(&mask, i), reused, "condition {i}");
         }
     }
 

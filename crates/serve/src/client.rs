@@ -7,7 +7,8 @@
 //! tests assert on them), which keeps it as dependency-free as the
 //! server.
 
-use std::io::{BufRead, BufReader, Write};
+use crate::protocol::write_line;
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A connected protocol client.
@@ -38,8 +39,7 @@ impl Client {
     ///
     /// Propagates socket write failures.
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        write_line(&mut self.writer, line)
     }
 
     /// Reads one response line; `None` on a cleanly closed connection.

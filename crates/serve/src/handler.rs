@@ -6,11 +6,11 @@
 //! feed — every other job's watchers read from their own record
 //! buffer, never through this connection).
 
-use crate::protocol::{error_line, parse_request, Request};
+use crate::protocol::{error_line, parse_request, write_line, Request};
 use crate::server::{ServerShared, Submission};
 use crate::store::{JobOutcome, JobRecord};
 use mosaic_runtime::jsonl::{push_json_f64, push_json_string};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,11 +104,6 @@ impl LineReader {
             }
         }
     }
-}
-
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
 }
 
 /// Serves one client until it disconnects, abuses the protocol

@@ -30,6 +30,7 @@ use mosaic_core::{MosaicConfig, MosaicMode, MosaicPreset};
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::jsonl::push_json_string;
 use mosaic_runtime::JobSpec;
+use std::io::Write;
 
 /// Hard ceiling on the requested grid edge: a 4096² f64 grid is the
 /// largest working set one job may pin in a shared service.
@@ -317,6 +318,18 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             "unknown command '{other}' (submit, watch, fetch, cancel, stats, ping, shutdown)"
         )),
     }
+}
+
+/// Writes `line` and its terminating newline with one `write_all`.
+///
+/// Sending the newline as a second write makes Nagle's algorithm hold
+/// it until the peer's delayed ACK arrives, which stalls every exchange
+/// after a connection's first by tens of milliseconds.
+pub(crate) fn write_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)
 }
 
 /// `{"ok":false,"error":<msg>}`.

@@ -505,3 +505,23 @@ fn abrupt_reset_mid_line_frees_the_permit() {
     assert!(pong.contains("pong"), "reply: {pong}");
     server.stop(true);
 }
+
+/// Each line leaves in one write. Written as the payload and then its
+/// newline, every response after a connection's first waited behind the
+/// peer's delayed ACK (Nagle), about 40 ms per exchange.
+#[test]
+fn sequential_pings_on_one_connection_do_not_stall() {
+    let server = tiny_server(1, 4);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let started = std::time::Instant::now();
+    for _ in 0..10 {
+        let pong = client.request("ping").expect("ping answered");
+        assert!(pong.contains("pong"), "reply: {pong}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "10 sequential pings took {elapsed:?}"
+    );
+    server.stop(true);
+}

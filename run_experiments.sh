@@ -49,20 +49,6 @@ tier1() {
   # gate failure names the culprit.
   cargo test -q -p mosaic-runtime --test batch one_and_four_workers_agree_bit_for_bit
   cargo test -q -p mosaic-runtime --test golden
-  echo "=== tier1: split-plane SIMD leg (--cfg mosaic_simd)"
-  # DESIGN.md §16: the explicit 4-wide-lane butterfly/threshold build
-  # must pass the differential, bit-identity, zero-allocation and
-  # golden-snapshot gates and stay lint-clean (the same -D warnings and
-  # no-panic walls as the default build). Scalar-SoA is the production
-  # default; this leg keeps the opt-in lane path bit-identical.
-  RUSTFLAGS="--cfg mosaic_simd" cargo test -q \
-    -p mosaic-numerics -p mosaic-optics -p mosaic-core
-  RUSTFLAGS="--cfg mosaic_simd" cargo test -q -p mosaic-runtime --test golden
-  RUSTFLAGS="--cfg mosaic_simd" cargo clippy --all-targets \
-    -p mosaic-numerics -p mosaic-optics -p mosaic-core -- -D warnings
-  RUSTFLAGS="--cfg mosaic_simd" cargo clippy --lib --no-deps \
-    -p mosaic-numerics -p mosaic-optics \
-    -- -D warnings -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
   echo "=== tier1: clippy"
   cargo clippy --all-targets --workspace -- -D warnings
   echo "=== tier1: no-panic lint (library code)"
@@ -93,19 +79,13 @@ tier1() {
   # the dead-report-stream degradation test. Also covered by the
   # workspace test run above; repeated so a gate failure names it.
   cargo test -q -p mosaic-runtime --test crashmat
+  echo "=== tier1: benchmark probe builds"
+  # The per-layer benchmark (perfbench/) drives the crates' public API
+  # from its own binary; an API change that breaks it fails here rather
+  # than in the next traced run.
+  cargo build --release --offline --manifest-path perfbench/probe/Cargo.toml --bin perfbench-trace
   echo "=== tier1: rustdoc (warnings denied)"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
-  echo "=== tier1: single-pipeline API gate"
-  # The run/resume/supervised entry-point matrix was collapsed into
-  # ExecutionSession (DESIGN.md §11); the deprecated shims live in
-  # mosaic-core's compat module and nowhere else. Fail if a
-  # non-deprecated *_with/*_in/*_supervised public entry point
-  # reappears in mosaic-core outside that module.
-  if grep -rEn 'pub fn [a-zA-Z0-9_]+_(with|in|supervised)\s*(<|\()' \
-      crates/core/src crates/serve/src --include='*.rs' | grep -v 'compat\.rs'; then
-    echo "FAILED: duplicate public entry point outside compat.rs (use ExecutionSession)"
-    exit 1
-  fi
   echo "=== tier1: fmt"
   cargo fmt --all --check
   echo "tier1 OK"
