@@ -6,7 +6,7 @@
 //! cargo run --release -p mosaic-bench --bin fig6 [quick|table|full]
 //! ```
 
-use mosaic_bench::{contest_config, contest_evaluator, contest_problem, format_table, Scale};
+use mosaic_bench::{contest_config, contest_evaluator, format_table, Scale};
 use mosaic_core::{Mosaic, MosaicMode};
 use mosaic_geometry::benchmarks::BenchmarkId;
 
@@ -19,7 +19,9 @@ fn main() {
         config.opt.record_iterates = true;
         let mosaic = Mosaic::new(&layout, config).expect("contest setup");
         let result = mosaic.run(MosaicMode::Exact).expect("optimization");
-        let problem = contest_problem(bench, scale);
+        // Iterates are scored with the run's own simulator: the contest
+        // evaluator needs nothing else from a second problem.
+        let simulator = mosaic.problem().simulator();
         let evaluator = contest_evaluator(bench, scale);
 
         let header = vec![
@@ -31,7 +33,7 @@ fn main() {
         ];
         let mut rows = Vec::new();
         for (i, mask) in result.iterates.iter().enumerate() {
-            let report = evaluator.evaluate_mask(problem.simulator(), mask, 0.0);
+            let report = evaluator.evaluate_mask(simulator, mask, 0.0);
             rows.push(vec![
                 i.to_string(),
                 report.epe_violations.to_string(),

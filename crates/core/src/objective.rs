@@ -38,9 +38,7 @@ use crate::optimizer::OptimizationConfig;
 use crate::parallel::{CornerTask, ParallelExec};
 use crate::problem::OpcProblem;
 use mosaic_geometry::Orientation;
-use mosaic_numerics::{
-    Convolver, FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum, Workspace,
-};
+use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum, Workspace};
 use mosaic_optics::KernelSet;
 use std::sync::Arc;
 
@@ -396,7 +394,7 @@ impl<'a> Objective<'a> {
             let dose = bank.condition().dose;
             match cfg.gradient_mode {
                 GradientMode::Combined => {
-                    self.backpropagate_combined(
+                    backpropagate_combined(
                         conv,
                         &mask_spectrum,
                         &self.combined[c],
@@ -424,14 +422,15 @@ impl<'a> Objective<'a> {
             // Drain the corner workers, then replay the two cross-corner
             // accumulates exactly as the serial loop interleaves them —
             // pvb sum then gradient accumulate, condition by condition —
-            // on this thread. The tasks hand back *raw* planes, so every
-            // floating-point add below is the serial path's own.
+            // on this thread. Each task's plane holds `0 + 2·dose·r`, so
+            // adding it reproduces the serial `grad += 2·dose·r` bits:
+            // the two differ only when `2·dose·r` is −0, and `grad`,
+            // a sum begun at +0, is never −0.
             p.corners_finish(ws);
             for task in p.corner_tasks() {
                 report.pvb += cfg.beta * task.pvb_value * pixel_area;
-                let scale = 2.0 * task.dose;
                 for (a, &r) in grad_mask.iter_mut().zip(task.r_plane.iter()) {
-                    *a += scale * r;
+                    *a += r;
                 }
             }
         }
@@ -541,49 +540,6 @@ impl<'a> Objective<'a> {
         value
     }
 
-    /// `∂F/∂M += scale · Re[(G ⊙ (M ⊗ H)) ★ H]` with the combined kernel.
-    ///
-    /// The trailing correlation goes through the Hermitian half-spectrum
-    /// inverse (only the real part is consumed), which is ULP-compatible
-    /// with — not bit-identical to — a full complex correlation.
-    ///
-    /// With a spectral `team`, the three transforms run their banded
-    /// concurrent twins — bit-identical to the serial calls.
-    #[allow(clippy::too_many_arguments)]
-    fn backpropagate_combined(
-        &self,
-        conv: &Convolver,
-        mask_spectrum: &SplitSpectrum,
-        combined: &KernelSpectrum,
-        g: &Grid<f64>,
-        scale: f64,
-        grad_mask: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
-    ) {
-        let (gw, gh) = grad_mask.dims();
-        let mut field = ws.take_split(gw, gh);
-        match team {
-            Some(team) => {
-                conv.convolve_spectrum_split_par(mask_spectrum, combined, &mut field, ws, team);
-                scale_split_by_real(&mut field, g);
-                conv.plan()
-                    .process_split_par(&mut field, FftDirection::Forward, ws, team);
-                conv.correlate_spectrum_re_accumulate_split_par(
-                    &field, combined, scale, grad_mask, ws, team,
-                );
-            }
-            None => {
-                conv.convolve_spectrum_split_into(mask_spectrum, combined, &mut field, ws);
-                scale_split_by_real(&mut field, g);
-                conv.plan()
-                    .process_split(&mut field, FftDirection::Forward, ws);
-                conv.correlate_spectrum_re_accumulate_split(&field, combined, scale, grad_mask, ws);
-            }
-        }
-        ws.give_split(field);
-    }
-
     /// `∂F/∂M += scale · Σ_k w_k Re[(G ⊙ E_k) ★ h_k]` with the exact
     /// per-kernel adjoint.
     #[allow(clippy::too_many_arguments)]
@@ -608,10 +564,8 @@ impl<'a> Objective<'a> {
             for ((o, &e), &gv) in wi.iter_mut().zip(ei.iter()).zip(g.iter()) {
                 *o = e * gv;
             }
-            conv.plan()
-                .process_split(&mut weighted, FftDirection::Forward, ws);
-            conv.correlate_spectrum_re_accumulate_split(
-                &weighted,
+            conv.correlate_re_accumulate_split(
+                &mut weighted,
                 &kernel.spectrum,
                 scale * kernel.weight,
                 grad_mask,
@@ -620,6 +574,46 @@ impl<'a> Objective<'a> {
         }
         ws.give_split(weighted);
     }
+}
+
+/// `∂F/∂M += scale · Re[(G ⊙ (M ⊗ H)) ★ H]` with the combined kernel —
+/// the one backprop body of the serial condition loop and of every
+/// [`CornerTask`].
+///
+/// The convolution and the correlation both run their box forms
+/// (DESIGN.md §16); the trailing correlation inverts through the
+/// Hermitian half spectrum (only the real part is consumed), which is
+/// ULP-compatible with — not bit-identical to — a full complex
+/// correlation. With a spectral `team`, the transform passes are banded
+/// — bit-identical to the serial calls.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn backpropagate_combined(
+    conv: &Convolver,
+    mask_spectrum: &SplitSpectrum,
+    combined: &KernelSpectrum,
+    g: &Grid<f64>,
+    scale: f64,
+    grad_mask: &mut Grid<f64>,
+    ws: &mut Workspace,
+    team: Option<&mut SpectralTeam>,
+) {
+    let (gw, gh) = grad_mask.dims();
+    let mut field = ws.take_split(gw, gh);
+    match team {
+        Some(team) => {
+            conv.convolve_spectrum_split_par(mask_spectrum, combined, &mut field, ws, team);
+            scale_split_by_real(&mut field, g);
+            conv.correlate_re_accumulate_split_par(
+                &mut field, combined, scale, grad_mask, ws, team,
+            );
+        }
+        None => {
+            conv.convolve_spectrum_split_into(mask_spectrum, combined, &mut field, ws);
+            scale_split_by_real(&mut field, g);
+            conv.correlate_re_accumulate_split(&mut field, combined, scale, grad_mask, ws);
+        }
+    }
+    ws.give_split(field);
 }
 
 /// Scales both planes of `field` pixel-wise by the real grid `g`.
@@ -665,13 +659,25 @@ mod tests {
         let cfg = config(term, mode);
         let obj = Objective::new(&p, &cfg).unwrap();
         let state = MaskState::from_mask(p.target(), cfg.mask_steepness);
-        let eval = obj.evaluate(&state);
         // Probe pixels near the pattern edge where gradients are live.
         let probes = [(40usize, 48usize), (48, 30), (56, 48), (30, 40), (48, 64)];
-        for &(x, y) in &probes {
+        check_gradient_at(&obj, &state, &probes, &format!("{term:?}/{mode:?}"));
+    }
+
+    /// Central differences of `F` in `P` against the analytic gradient at
+    /// `probes`.
+    fn check_gradient_at(
+        obj: &Objective<'_>,
+        state: &MaskState,
+        probes: &[(usize, usize)],
+        label: &str,
+    ) {
+        let eval = obj.evaluate(state);
+        let (w, h) = state.dims();
+        for &(x, y) in probes {
             let eps = 1e-4;
             let mut plus = state.clone();
-            let mut delta = Grid::<f64>::zeros(96, 96);
+            let mut delta = Grid::<f64>::zeros(w, h);
             delta[(x, y)] = -1.0; // step() subtracts
             plus.step(&delta, eps);
             let f_plus = obj.evaluate(&plus).report.total;
@@ -684,9 +690,64 @@ mod tests {
             let tol = 1e-4 * (1.0 + analytic.abs().max(fd.abs()));
             assert!(
                 (fd - analytic).abs() < tol,
-                "{term:?}/{mode:?} at ({x},{y}): fd {fd} vs analytic {analytic}"
+                "{label} at ({x},{y}): fd {fd} vs analytic {analytic}"
             );
         }
+    }
+
+    /// The exact per-kernel gradient of each term on a real clip — B1 in
+    /// the fast preset at 128 px @ 8 nm (8 kernels, 3 conditions), from
+    /// its SRAF-seeded initial mask — against central differences at the
+    /// pixels where the gradient is largest. This is the safety net of
+    /// the band-limited kernel engine (DESIGN.md §16): a box that dropped
+    /// a live bin or a fold that lost a mirror would show up here.
+    fn check_clip_gradient(term: TargetTerm, alpha: f64, beta: f64) {
+        let layout = mosaic_geometry::benchmarks::BenchmarkId::B1
+            .layout()
+            .unwrap();
+        let mosaic =
+            crate::mosaic::Mosaic::new(&layout, crate::mosaic::MosaicConfig::fast_preset(128, 8.0))
+                .unwrap();
+        let p = mosaic.problem();
+        assert_eq!(p.simulator().condition_count(), 3);
+        assert_eq!(p.simulator().bank(0).kernels().len(), 8);
+        let cfg = OptimizationConfig {
+            alpha,
+            beta,
+            ..config(term, GradientMode::PerKernel)
+        };
+        let obj = Objective::new(p, &cfg).unwrap();
+        let state = MaskState::from_mask(mosaic.initial_mask(), cfg.mask_steepness);
+        let eval = obj.evaluate(&state);
+        let mut ranked: Vec<((usize, usize), f64)> = eval
+            .gradient
+            .indexed_iter()
+            .map(|(xy, &g)| (xy, g.abs()))
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        assert!(ranked[0].1 > 0.0, "{term:?}: gradient identically zero");
+        let probes: Vec<(usize, usize)> = ranked.iter().take(5).map(|&(xy, _)| xy).collect();
+        check_gradient_at(
+            &obj,
+            &state,
+            &probes,
+            &format!("B1 clip {term:?} α={alpha} β={beta}"),
+        );
+    }
+
+    #[test]
+    fn clip_image_difference_gradient_matches_finite_difference() {
+        check_clip_gradient(TargetTerm::ImageDifference, 5000.0, 0.0);
+    }
+
+    #[test]
+    fn clip_epe_gradient_matches_finite_difference() {
+        check_clip_gradient(TargetTerm::EdgePlacement, 5000.0, 0.0);
+    }
+
+    #[test]
+    fn clip_pvb_gradient_matches_finite_difference() {
+        check_clip_gradient(TargetTerm::ImageDifference, 0.0, 4.0);
     }
 
     #[test]

@@ -13,20 +13,20 @@
 //! * **Corner fan-out** — a [`WorkerPool`] of [`CornerTask`]s, one per
 //!   process corner of `F_pvb` (Eq. (18)). Each worker runs a whole
 //!   corner — aerial image, resist, corner gradient plane — against its
-//!   own persistent mask-spectrum copy and scratch, and hands back a
-//!   *raw* unscaled gradient plane. The calling thread performs the
-//!   original `grad += scale · r` accumulate and the `report.pvb` sum
-//!   itself, in condition order, so every floating-point operation
-//!   happens in exactly the serial order and results are bit-identical
-//!   at any thread count (including signed zeros).
+//!   own persistent mask-spectrum copy and scratch, and hands back its
+//!   gradient contribution accumulated onto a zeroed plane. The calling
+//!   thread adds those planes and performs the `report.pvb` sum itself,
+//!   in condition order. Since `0 + s·r = s·r` exactly (up to the sign
+//!   of a zero, which the never-negative-zero gradient sum absorbs),
+//!   every gradient bit equals the serial path's at any thread count.
 //!
 //! Either way at most `threads` OS threads are ever runnable: the pool
 //! owns `threads − 1` workers and the calling thread takes a share of
 //! each wave.
 
+use crate::objective::backpropagate_combined;
 use mosaic_numerics::{
-    Convolver, FftDirection, Grid, KernelSpectrum, PoolTask, SpectralTeam, SplitSpectrum,
-    WorkerPool, Workspace,
+    Convolver, Grid, KernelSpectrum, PoolTask, SpectralTeam, SplitSpectrum, WorkerPool, Workspace,
 };
 use mosaic_optics::{KernelSet, ResistModel};
 use std::sync::Arc;
@@ -45,13 +45,14 @@ pub(crate) struct CornerTask {
     pub(crate) target: Arc<Grid<f64>>,
     pub(crate) beta: f64,
     pub(crate) pixel_area: f64,
-    /// The corner's dose; the caller scales the raw gradient plane by
-    /// `2·dose` during the serial merge, matching the serial path.
+    /// The corner's dose; the backprop scale is `2·dose`, as on the
+    /// serial path.
     pub(crate) dose: f64,
     /// Caller-refreshed copy of the iteration's mask spectrum, in
     /// split-plane layout (DESIGN.md §16).
     pub(crate) mask_spectrum: SplitSpectrum,
-    /// Output: the raw `Re[(G ⊙ (M ⊗ H)) ★ H]` plane, **unscaled**.
+    /// Output: the corner's gradient contribution
+    /// `2·dose · Re[(G ⊙ (M ⊗ H)) ★ H]`, accumulated onto zeros.
     pub(crate) r_plane: Grid<f64>,
     /// Output: the corner's unweighted `Σ (Z_c − Z_t)²`.
     pub(crate) pvb_value: f64,
@@ -59,9 +60,9 @@ pub(crate) struct CornerTask {
 
 impl PoolTask for CornerTask {
     /// The exact per-corner body of the serial condition loop (aerial
-    /// image → resist → `∂F/∂I` → combined-kernel backprop), stopping
-    /// short of the two cross-corner accumulates, which the caller
-    /// replays serially.
+    /// image → resist → `∂F/∂I` → combined-kernel backprop, through the
+    /// same [`backpropagate_combined`]), stopping short of the two
+    /// cross-corner accumulates, which the caller replays serially.
     fn run(&mut self, ws: &mut Workspace) {
         let (gw, gh) = self.mask_spectrum.dims();
         let mut intensity = ws.take_real_grid(gw, gh);
@@ -88,22 +89,17 @@ impl PoolTask for CornerTask {
             *gv += self.beta * self.pixel_area * 2.0 * diff * dv;
         }
         self.pvb_value = value;
-        let mut field = ws.take_split(gw, gh);
-        self.conv
-            .convolve_spectrum_split_into(&self.mask_spectrum, &self.combined, &mut field, ws);
-        {
-            let (fr, fi) = field.planes_mut();
-            for ((r, i), &gv) in fr.iter_mut().zip(fi.iter_mut()).zip(g.iter()) {
-                *r *= gv;
-                *i *= gv;
-            }
-        }
-        self.conv
-            .plan()
-            .process_split(&mut field, FftDirection::Forward, ws);
-        self.conv
-            .correlate_spectrum_re_split_into(&field, &self.combined, &mut self.r_plane, ws);
-        ws.give_split(field);
+        self.r_plane.fill(0.0);
+        backpropagate_combined(
+            &self.conv,
+            &self.mask_spectrum,
+            &self.combined,
+            &g,
+            2.0 * self.dose,
+            &mut self.r_plane,
+            ws,
+            None,
+        );
         ws.give_real_grid(g);
         ws.give_real_grid(dz);
         ws.give_real_grid(z);

@@ -11,9 +11,20 @@
 //! A [`Convolver`] owns the 2-D FFT plan; kernels are transformed **once**
 //! into [`KernelSpectrum`] values and reused every iteration, which is where
 //! virtually all of the optimizer's per-iteration cost savings come from.
-//! Field spectra, kernel spectra and products all live in split re/im
-//! planes ([`SplitSpectrum`], DESIGN.md §16), so every Hadamard product and
-//! Hermitian fold walks unit-stride `f64` slices.
+//! Field spectra and products live in split re/im planes
+//! ([`SplitSpectrum`], DESIGN.md §16), so every product and Hermitian fold
+//! walks unit-stride `f64` slices.
+//!
+//! Optical kernels are band-limited: each is nonzero only on a small
+//! pupil disk of the frequency grid. A [`KernelSpectrum`] therefore stores
+//! just the smallest cyclic row × column box holding its nonzero bins
+//! (DESIGN.md §16), and both operations skip the 1-D transforms the box
+//! rules out — the convolution row-transforms only the box rows, the
+//! correlation column-transforms only the box columns and inverts only
+//! the half-spectrum columns the box or its mirror reaches. Every skipped
+//! transform has an all-zero input or outputs that only zero kernel bins
+//! multiply, so every nonzero output value is bit-identical to the dense
+//! path (DESIGN.md §9).
 //!
 //! Convolution here is *circular*. Callers embed their pattern with a guard
 //! band at least as wide as the kernel support (see
@@ -26,55 +37,280 @@ use crate::grid::Grid;
 use crate::pool::SpectralTeam;
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
+use std::ops::Range;
 
-/// A kernel held in the frequency domain, ready for repeated use.
+/// A cyclic index range on one axis of an `n`-point grid: the `len`
+/// indices `start, start + 1, …` taken modulo `n`.
 ///
-/// Stored as split re/im planes ([`SplitSpectrum`], DESIGN.md §16).
-/// Produced by [`Convolver::kernel_spectrum`] or
-/// [`Convolver::kernel_spectrum_centered`]; consumed by the convolution
-/// and correlation calls.
-#[derive(Debug, Clone)]
-pub struct KernelSpectrum {
-    spectrum: SplitSpectrum,
+/// A [`KernelSpectrum`]'s support box is one of these per axis; a range
+/// may wrap past index `n − 1` (kernels centred on zero frequency do).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CyclicRange {
+    start: usize,
+    len: usize,
+    n: usize,
 }
 
-impl KernelSpectrum {
-    /// Wraps frequency-domain samples built directly by the caller.
+impl CyclicRange {
+    /// The `len` indices from `start` on an `n`-point axis. A length of
+    /// `n` or more is the whole axis.
     ///
-    /// Index `(i, j)` must follow FFT ordering: frequency `i/W` cycles per
-    /// pixel for `i < W/2`, `i/W − 1` for `i ≥ W/2` (same for `j`/`H`).
-    /// Optical pupils are naturally defined in the frequency domain, so
-    /// lithography models construct their kernel spectra this way without
-    /// ever materializing a spatial kernel.
-    pub fn from_grid(spectrum: Grid<Complex>) -> Self {
-        KernelSpectrum {
-            spectrum: SplitSpectrum::from_grid(&spectrum),
+    /// # Panics
+    ///
+    /// Panics if the range is non-empty and `start >= n`.
+    pub fn new(start: usize, len: usize, n: usize) -> Self {
+        if len >= n {
+            return CyclicRange::full(n);
+        }
+        if len == 0 {
+            return CyclicRange::empty(n);
+        }
+        assert!(start < n, "range start {start} outside axis of {n}");
+        CyclicRange { start, len, n }
+    }
+
+    /// Every index of an `n`-point axis.
+    pub(crate) fn full(n: usize) -> Self {
+        CyclicRange {
+            start: 0,
+            len: n,
+            n,
         }
     }
 
-    /// Wraps frequency-domain samples already in split-plane layout.
+    /// No index of an `n`-point axis.
+    pub fn empty(n: usize) -> Self {
+        CyclicRange {
+            start: 0,
+            len: 0,
+            n,
+        }
+    }
+
+    /// Number of indices in the range.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the range holds no index.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Length `n` of the axis the range lives on.
+    pub(crate) fn axis_len(&self) -> usize {
+        self.n
+    }
+
+    /// Position of axis index `i` within the range, if it lies there.
+    #[inline]
+    fn offset(&self, i: usize) -> Option<usize> {
+        let d = if i >= self.start {
+            i - self.start
+        } else {
+            i + self.n - self.start
+        };
+        (d < self.len).then_some(d)
+    }
+
+    /// Whether axis index `i` lies in the range.
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.offset(i).is_some()
+    }
+
+    /// The range as at most two ascending runs of axis indices, in range
+    /// order; the second run is empty unless the range wraps.
+    pub(crate) fn runs(&self) -> [Range<usize>; 2] {
+        let end = self.start + self.len;
+        if end <= self.n {
+            [self.start..end, 0..0]
+        } else {
+            [self.start..self.n, 0..end - self.n]
+        }
+    }
+
+    /// The indices of the range, in range order.
+    pub fn indices(&self) -> impl Iterator<Item = usize> {
+        self.runs().into_iter().flatten()
+    }
+
+    /// The mirrored range `{(n − i) mod n : i ∈ self}` — where a
+    /// Hermitian fold reads a range's conjugate partners.
+    fn mirrored(&self) -> Self {
+        if self.len == 0 || self.len == self.n {
+            return *self;
+        }
+        let last = (self.start + self.len - 1) % self.n;
+        CyclicRange {
+            start: (self.n - last) % self.n,
+            len: self.len,
+            n: self.n,
+        }
+    }
+
+    /// The smallest range holding both ranges (same axis).
+    fn union(self, other: CyclicRange) -> Self {
+        if other.is_empty() {
+            return self;
+        }
+        if self.is_empty() {
+            return other;
+        }
+        let n = self.n;
+        // The smallest cover starts where one of the two ranges starts;
+        // from there it must reach past the end of the other.
+        let reach = |a: CyclicRange, b: CyclicRange| a.len.max((b.start + n - a.start) % n + b.len);
+        let (from_self, from_other) = (reach(self, other), reach(other, self));
+        if from_self <= from_other {
+            CyclicRange::new(self.start, from_self, n)
+        } else {
+            CyclicRange::new(other.start, from_other, n)
+        }
+    }
+
+    /// The smallest range holding every index of an `n`-point axis for
+    /// which `occupied` holds: the complement of the longest cyclic run
+    /// of unoccupied indices (the first such run on a tie).
+    fn covering(n: usize, occupied: impl Fn(usize) -> bool) -> Self {
+        let Some(first) = (0..n).find(|&i| occupied(i)) else {
+            return CyclicRange::empty(n);
+        };
+        let (mut gap, mut gap_end, mut run) = (0, first, 0);
+        for step in 1..=n {
+            let i = (first + step) % n;
+            if occupied(i) {
+                if run > gap {
+                    gap = run;
+                    gap_end = i;
+                }
+                run = 0;
+            } else {
+                run += 1;
+            }
+        }
+        CyclicRange::new(gap_end, n - gap, n)
+    }
+}
+
+/// A kernel held in the frequency domain, ready for repeated use.
+///
+/// Only a cyclic box `cols × rows` holding every nonzero bin is stored
+/// — the smallest such box when built, the union of the boxes after
+/// [`accumulate`](KernelSpectrum::accumulate) — as split re/im planes
+/// ([`SplitSpectrum`], DESIGN.md §16) of `cols.len() × rows.len()`
+/// samples, row-major; every bin outside the box is zero. An optical
+/// kernel is a pupil disk a few bins across, so the box is a tiny
+/// fraction of the grid and the convolution and correlation skip every
+/// transform it rules out.
+/// Produced by [`Convolver::kernel_spectrum`],
+/// [`Convolver::kernel_spectrum_centered`] or the constructors below;
+/// consumed by the convolution and correlation calls.
+#[derive(Debug, Clone)]
+pub struct KernelSpectrum {
+    cols: CyclicRange,
+    rows: CyclicRange,
+    samples: SplitSpectrum,
+}
+
+impl KernelSpectrum {
+    /// Wraps frequency-domain samples built directly by the caller,
+    /// keeping the smallest box that holds their nonzero bins.
+    ///
+    /// Index `(i, j)` must follow FFT ordering: frequency `i/W` cycles per
+    /// pixel for `i < W/2`, `i/W − 1` for `i ≥ W/2` (same for `j`/`H`).
+    pub fn from_grid(spectrum: Grid<Complex>) -> Self {
+        let (w, h) = spectrum.dims();
+        Self::from_box(CyclicRange::full(w), CyclicRange::full(h), |i, j| {
+            spectrum[(i, j)]
+        })
+    }
+
+    /// Wraps frequency-domain samples already in split-plane layout,
+    /// keeping the smallest box that holds their nonzero bins.
     pub fn from_split(spectrum: SplitSpectrum) -> Self {
-        KernelSpectrum { spectrum }
+        let (w, h) = spectrum.dims();
+        Self::from_box(CyclicRange::full(w), CyclicRange::full(h), |i, j| {
+            spectrum.at(j * w + i)
+        })
     }
 
-    /// The frequency-domain samples as split re/im planes — the native
-    /// storage; borrowing it is free.
-    pub fn split(&self) -> &SplitSpectrum {
-        &self.spectrum
+    /// Samples `value(i, j)` over the box `cols × rows` of the grid both
+    /// ranges span and keeps the smallest box holding the nonzero
+    /// samples. Every bin outside `cols × rows` is taken to be zero and
+    /// is never evaluated — optical pupils are defined in the frequency
+    /// domain, so lithography models build their kernels this way
+    /// without ever materializing a dense grid.
+    pub fn from_box(
+        cols: CyclicRange,
+        rows: CyclicRange,
+        mut value: impl FnMut(usize, usize) -> Complex,
+    ) -> Self {
+        let bw = cols.len();
+        let mut sampled = SplitSpectrum::zeros(bw, rows.len());
+        let mut col_hit = vec![false; bw];
+        let mut row_hit = vec![false; rows.len()];
+        for (b, j) in rows.indices().enumerate() {
+            for (a, i) in cols.indices().enumerate() {
+                let v = value(i, j);
+                if v.re != 0.0 || v.im != 0.0 {
+                    col_hit[a] = true;
+                    row_hit[b] = true;
+                }
+                sampled.set(b * bw + a, v);
+            }
+        }
+        let hit =
+            |range: CyclicRange, hits: &[bool], i: usize| range.offset(i).is_some_and(|a| hits[a]);
+        let tight_cols = CyclicRange::covering(cols.axis_len(), |i| hit(cols, &col_hit, i));
+        let tight_rows = CyclicRange::covering(rows.axis_len(), |j| hit(rows, &row_hit, j));
+        let mut kernel = KernelSpectrum {
+            cols: tight_cols,
+            rows: tight_rows,
+            samples: SplitSpectrum::zeros(tight_cols.len(), tight_rows.len()),
+        };
+        kernel.merge_box(cols, rows, &sampled, |d, s| *d = s);
+        kernel
     }
 
-    /// The frequency-domain samples re-interleaved into a freshly
-    /// allocated grid (bit-exact copy; cold paths and tests only).
+    /// An all-zero spectrum of the given shape (an empty box), for use as
+    /// an [`accumulate`](KernelSpectrum::accumulate) seed.
+    pub fn zeros(width: usize, height: usize) -> Self {
+        KernelSpectrum {
+            cols: CyclicRange::empty(width),
+            rows: CyclicRange::empty(height),
+            samples: SplitSpectrum::zeros(0, 0),
+        }
+    }
+
+    /// The dense frequency-domain samples in a freshly allocated grid:
+    /// the box values bit-exact, zero elsewhere (cold paths and tests
+    /// only).
     pub fn to_grid(&self) -> Grid<Complex> {
-        self.spectrum.to_grid()
+        let (w, h) = self.dims();
+        let mut grid = Grid::zeros(w, h);
+        let bw = self.cols.len();
+        for (b, j) in self.rows.indices().enumerate() {
+            for (a, i) in self.cols.indices().enumerate() {
+                grid[(i, j)] = self.samples.at(b * bw + a);
+            }
+        }
+        grid
     }
 
-    /// Spectrum shape `(width, height)`.
+    /// Spectrum shape `(width, height)` — the full grid, not the box.
     pub fn dims(&self) -> (usize, usize) {
-        self.spectrum.dims()
+        (self.cols.axis_len(), self.rows.axis_len())
     }
 
-    /// Adds `other · weight` to this spectrum in place.
+    /// The support box `(columns, rows)`: every nonzero bin lies in it,
+    /// and only its `columns.len() × rows.len()` samples are stored.
+    pub fn support(&self) -> (CyclicRange, CyclicRange) {
+        (self.cols, self.rows)
+    }
+
+    /// Adds `other · weight` to this spectrum in place, growing the box
+    /// to the smallest one holding both boxes.
     ///
     /// Linearity of the Fourier transform makes this equivalent to
     /// combining the kernels in the spatial domain — this is exactly the
@@ -84,15 +320,92 @@ impl KernelSpectrum {
     ///
     /// Panics if the shapes differ.
     pub fn accumulate(&mut self, other: &KernelSpectrum, weight: f64) {
-        self.spectrum.accumulate(&other.spectrum, weight);
+        assert_eq!(self.dims(), other.dims(), "shape mismatch");
+        if other.cols.is_empty() || other.rows.is_empty() {
+            return;
+        }
+        let cols = self.cols.union(other.cols);
+        let rows = self.rows.union(other.rows);
+        if (cols, rows) != (self.cols, self.rows) {
+            let old = std::mem::replace(
+                self,
+                KernelSpectrum {
+                    cols,
+                    rows,
+                    samples: SplitSpectrum::zeros(cols.len(), rows.len()),
+                },
+            );
+            self.merge_box(old.cols, old.rows, &old.samples, |d, s| *d = s);
+        }
+        self.merge_box(other.cols, other.rows, &other.samples, |d, s| {
+            *d += s * weight
+        });
     }
 
-    /// An all-zero spectrum of the given shape, for use as an
-    /// [`accumulate`](KernelSpectrum::accumulate) seed.
-    pub fn zeros(width: usize, height: usize) -> Self {
-        KernelSpectrum {
-            spectrum: SplitSpectrum::zeros(width, height),
+    /// Merges the `cols × rows` box `samples` into this kernel's box,
+    /// `merge(destination, source)` per plane value, skipping bins this
+    /// box does not hold.
+    fn merge_box(
+        &mut self,
+        cols: CyclicRange,
+        rows: CyclicRange,
+        samples: &SplitSpectrum,
+        merge: impl Fn(&mut f64, f64),
+    ) {
+        let (sw, dw) = (cols.len(), self.cols.len());
+        let (sr, si) = samples.planes();
+        let (dr, di) = self.samples.planes_mut();
+        for (b, j) in rows.indices().enumerate() {
+            let Some(db) = self.rows.offset(j) else {
+                continue;
+            };
+            for (a, i) in cols.indices().enumerate() {
+                let Some(da) = self.cols.offset(i) else {
+                    continue;
+                };
+                let (s, d) = (b * sw + a, db * dw + da);
+                merge(&mut dr[d], sr[s]);
+                merge(&mut di[d], si[s]);
+            }
         }
+    }
+
+    /// Writes `field_spectrum · kernel` into the box rows of `out`: the
+    /// products inside the box, zeros in the rest of those rows. Rows
+    /// outside the box are left untouched — the box inverse never reads
+    /// them. The complex product is expanded as
+    /// `re = ar·br − ai·bi`, `im = ar·bi + ai·br`.
+    pub(crate) fn multiply_rows_into(
+        &self,
+        field_spectrum: &SplitSpectrum,
+        out: &mut SplitSpectrum,
+    ) {
+        assert_eq!(
+            field_spectrum.dims(),
+            self.dims(),
+            "field/kernel spectrum shape mismatch"
+        );
+        assert_eq!(field_spectrum.dims(), out.dims(), "output shape mismatch");
+        let w = field_spectrum.width();
+        let bw = self.cols.len();
+        let (ar, ai) = field_spectrum.planes();
+        let (br, bi) = self.samples.planes();
+        let (or_, oi) = out.planes_mut();
+        for (b, j) in self.rows.indices().enumerate() {
+            let row = j * w;
+            or_[row..row + w].fill(0.0);
+            oi[row..row + w].fill(0.0);
+            for (a, i) in self.cols.indices().enumerate() {
+                let (idx, k) = (row + i, b * bw + a);
+                or_[idx] = ar[idx] * br[k] - ai[idx] * bi[k];
+                oi[idx] = ar[idx] * bi[k] + ai[idx] * br[k];
+            }
+        }
+    }
+
+    /// The box rows, for the box inverse.
+    pub(crate) fn rows(&self) -> CyclicRange {
+        self.rows
     }
 }
 
@@ -218,8 +531,11 @@ impl Convolver {
         ws.give_split(half);
     }
 
-    /// Writes `field_spectrum · kernel` into `out` and inverse-transforms
-    /// it in place: `out = F⁻¹(field_spectrum · kernel)`.
+    /// Overwrites `out` with `F⁻¹(field_spectrum · kernel)`.
+    ///
+    /// Only the kernel's box rows are multiplied and row-transformed; the
+    /// transform of every other (all-zero) row is zero, so it is skipped,
+    /// and the full column pass follows.
     ///
     /// # Panics
     ///
@@ -235,8 +551,8 @@ impl Convolver {
     }
 
     /// Concurrent twin of [`Convolver::convolve_spectrum_split_into`]:
-    /// the inverse transform runs through [`Fft2d::process_split_par`].
-    /// Bit-identical at every worker count.
+    /// the row and column passes of the box inverse are banded across
+    /// `team`'s workers. Bit-identical at every worker count.
     ///
     /// # Panics
     ///
@@ -260,168 +576,178 @@ impl Convolver {
         ws: &mut Workspace,
         team: Option<&mut SpectralTeam>,
     ) {
-        self.hadamard_split(field_spectrum, kernel, out);
-        self.plan
-            .transform_split(out, FftDirection::Inverse, ws, team);
+        kernel.multiply_rows_into(field_spectrum, out);
+        self.plan.inverse_from_rows(out, kernel.rows, ws, team);
     }
 
-    /// Writes `Re[F⁻¹(field_spectrum · conj(kernel))]` into `re_out`,
-    /// overwriting it — the correlation with the conjugate-flipped kernel
-    /// (`H*(−x) ⊗ G`) of Eq. (14)/(17), whose real part is all the
-    /// gradient consumes. The parallel corner path (DESIGN.md §14) runs
-    /// this on a worker thread while the calling thread performs the
-    /// fixed-order serial accumulate that keeps reductions deterministic.
+    /// Accumulates `scale · Re[field ★ h]` into `acc`: the correlation
+    /// of the **spatial** complex field `field` with the
+    /// conjugate-flipped kernel (`H*(−x) ⊗ G`, Eq. (14)/(17)), whose real
+    /// part is all the gradient consumes. `field`'s planes are used as
+    /// scratch and hold no defined values afterwards.
     ///
-    /// Implemented through the Hermitian half spectrum: the product's
-    /// Hermitian part `(P(f) + conj(P(−f)))/2` inverse-transforms to
-    /// exactly `Re(F⁻¹ P)` (exact arithmetic), so only `w/2 + 1` columns
-    /// go through the inverse transform.
+    /// The forward transform runs here: every row, then only the box
+    /// columns (the product is zero wherever the kernel is). The product
+    /// is folded into its Hermitian part `(P(f) + conj(P(−f)))/2`, which
+    /// inverse-transforms to exactly `Re(F⁻¹ P)` (exact arithmetic), and
+    /// only the half-spectrum columns the box or its mirror reaches go
+    /// through the inverse column pass before the `w/2 + 1`-column real
+    /// row inverse.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_split_into(
+    pub fn correlate_re_accumulate_split(
         &self,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-        re_out: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        self.correlate_re_split(field_spectrum, kernel, re_out, ws, None);
-    }
-
-    /// Accumulates `scale · Re[F⁻¹(field_spectrum · conj(kernel))]` into
-    /// `acc` (see [`Convolver::correlate_spectrum_re_split_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_accumulate_split(
-        &self,
-        field_spectrum: &SplitSpectrum,
+        field: &mut SplitSpectrum,
         kernel: &KernelSpectrum,
         scale: f64,
         acc: &mut Grid<f64>,
         ws: &mut Workspace,
     ) {
-        self.correlate_accumulate_split(field_spectrum, kernel, scale, acc, ws, None);
+        self.correlate_split(field, kernel, scale, acc, ws, None);
     }
 
-    /// Concurrent twin of
-    /// [`Convolver::correlate_spectrum_re_accumulate_split`]: the fold
-    /// and the accumulate stay serial on the calling thread
-    /// (fixed-order reduction), only the inverse transform's column
-    /// pass is banded. Bit-identical at every worker count.
+    /// Concurrent twin of [`Convolver::correlate_re_accumulate_split`]:
+    /// the 1-D transform passes are banded across `team`'s workers while
+    /// the fold and the accumulate stay serial on the calling thread
+    /// (fixed-order reduction). Bit-identical at every worker count.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ from the plan.
-    pub fn correlate_spectrum_re_accumulate_split_par(
+    pub fn correlate_re_accumulate_split_par(
         &self,
-        field_spectrum: &SplitSpectrum,
+        field: &mut SplitSpectrum,
         kernel: &KernelSpectrum,
         scale: f64,
         acc: &mut Grid<f64>,
         ws: &mut Workspace,
         team: &mut SpectralTeam,
     ) {
-        self.correlate_accumulate_split(field_spectrum, kernel, scale, acc, ws, Some(team));
+        self.correlate_split(field, kernel, scale, acc, ws, Some(team));
     }
 
-    fn correlate_accumulate_split(
+    fn correlate_split(
         &self,
-        field_spectrum: &SplitSpectrum,
+        field: &mut SplitSpectrum,
         kernel: &KernelSpectrum,
         scale: f64,
         acc: &mut Grid<f64>,
         ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
-    ) {
-        let (w, h) = field_spectrum.dims();
-        let mut re = ws.take_real_grid(w, h);
-        self.correlate_re_split(field_spectrum, kernel, &mut re, ws, team);
-        for (a, &r) in acc.iter_mut().zip(re.iter()) {
-            *a += scale * r;
-        }
-        ws.give_real_grid(re);
-    }
-
-    fn correlate_re_split(
-        &self,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-        re_out: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
+        mut team: Option<&mut SpectralTeam>,
     ) {
         assert_eq!(
-            field_spectrum.dims(),
-            re_out.dims(),
-            "output shape mismatch"
+            field.dims(),
+            kernel.dims(),
+            "field/kernel spectrum shape mismatch"
         );
-        let (_, h) = field_spectrum.dims();
-        let mut half = ws.take_split(self.plan.half_width(), h);
-        self.fold_hermitian_split(field_spectrum, kernel, &mut half);
-        self.plan.c2r_split(&mut half, re_out, ws, team);
+        assert_eq!(field.dims(), acc.dims(), "output shape mismatch");
+        let (w, h) = field.dims();
+        if kernel.cols.is_empty() || kernel.rows.is_empty() {
+            return; // every product bin is zero
+        }
+        // Column-major scratch: box column `a` of the forward spectrum
+        // is row `a` of this `h`-wide spectrum.
+        let mut columns = ws.take_split(h, kernel.cols.len());
+        self.plan
+            .forward_to_columns(field, kernel.cols, &mut columns, ws, team.as_deref_mut());
+        let reached = FoldedColumns::new(kernel.cols, w, self.plan.half_width());
+        let mut half = ws.take_split(h, reached.count());
+        fold_hermitian(&columns, kernel, &reached, &mut half);
+        ws.give_split(columns);
+        self.plan
+            .c2r_columns_accumulate(&mut half, reached.runs(), scale, acc, ws, team);
         ws.give_split(half);
     }
+}
 
-    /// `out = field_spectrum · kernel`, plane-wise, with the complex
-    /// product expanded as `re = ar·br − ai·bi`, `im = ar·bi + ai·br`.
-    fn hadamard_split(
-        &self,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-        out: &mut SplitSpectrum,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        assert_eq!(field_spectrum.dims(), out.dims(), "output shape mismatch");
-        let (ar, ai) = field_spectrum.planes();
-        let (br, bi) = kernel.spectrum.planes();
-        let (or_, oi) = out.planes_mut();
-        for idx in 0..ar.len() {
-            or_[idx] = ar[idx] * br[idx] - ai[idx] * bi[idx];
-            oi[idx] = ar[idx] * bi[idx] + ai[idx] * br[idx];
+/// The half-spectrum columns `i ∈ 0..w/2+1` a kernel with support columns
+/// `cols` reaches through the Hermitian fold — `i ∈ cols` or
+/// `(w − i) mod w ∈ cols` — as at most four ascending disjoint runs (each
+/// of the two ranges meets `0..w/2+1` in at most two runs).
+struct FoldedColumns {
+    runs: [Range<usize>; 4],
+    used: usize,
+}
+
+impl FoldedColumns {
+    fn new(cols: CyclicRange, w: usize, hw: usize) -> Self {
+        let mirror = cols.mirrored();
+        let reached = |i: usize| cols.contains(i) || mirror.contains(i % w);
+        let mut runs = [0..0, 0..0, 0..0, 0..0];
+        let mut used = 0;
+        let mut i = 0;
+        while i < hw {
+            if !reached(i) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < hw && reached(i) {
+                i += 1;
+            }
+            if used < runs.len() {
+                runs[used] = start..i;
+                used += 1;
+            } else {
+                // Unreachable by the run count above; widening the last
+                // run only adds columns whose folded values are zero.
+                runs[used - 1].end = i;
+            }
         }
+        FoldedColumns { runs, used }
     }
 
-    /// Writes the Hermitian part of `field_spectrum · conj(kernel)` into
-    /// the `w/2 + 1`-column `half` spectrum — the fold behind the
-    /// correlation entry points.
-    fn fold_hermitian_split(
-        &self,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-        half: &mut SplitSpectrum,
-    ) {
-        assert_eq!(
-            field_spectrum.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
-        );
-        let (w, h) = field_spectrum.dims();
-        let hw = self.plan.half_width();
-        assert_eq!(half.dims(), (hw, h), "half spectrum shape mismatch");
-        let (fr, fi) = field_spectrum.planes();
-        let (kr, ki) = kernel.spectrum.planes();
-        let (hr, hi) = half.planes_mut();
-        for j in 0..h {
-            let jm = (h - j) % h;
-            for i in 0..hw {
-                let im = (w - i) % w;
-                let a = j * w + i;
-                let b = jm * w + im;
-                let p_re = fr[a] * kr[a] + fi[a] * ki[a];
-                let p_im = fi[a] * kr[a] - fr[a] * ki[a];
-                let q_re = fr[b] * kr[b] + fi[b] * ki[b];
-                let q_im = fi[b] * kr[b] - fr[b] * ki[b];
-                hr[j * hw + i] = (p_re + q_re) * 0.5;
-                hi[j * hw + i] = (p_im - q_im) * 0.5;
+    fn runs(&self) -> &[Range<usize>] {
+        &self.runs[..self.used]
+    }
+
+    fn count(&self) -> usize {
+        self.runs().iter().map(ExactSizeIterator::len).sum()
+    }
+}
+
+/// Writes the Hermitian part of `F · conj(kernel)` for every reached
+/// half-spectrum column into the column-major `half` (reached column `c`
+/// is row `c`), where `columns` holds the forward spectrum `F` on the
+/// kernel's box columns (column-major). Bins outside the box contribute
+/// exact zeros: `((p + q)·0.5, (p_im − q_im)·0.5)` with
+/// `p = F(i, j)·conj(K(i, j))` and `q` its mirror partner
+/// `F(−i, −j)·conj(K(−i, −j))`, the conjugate product expanded as
+/// `(fr·kr + fi·ki, fi·kr − fr·ki)`.
+fn fold_hermitian(
+    columns: &SplitSpectrum,
+    kernel: &KernelSpectrum,
+    reached: &FoldedColumns,
+    half: &mut SplitSpectrum,
+) {
+    let (w, h) = kernel.dims();
+    let bw = kernel.cols.len();
+    let (fr, fi) = columns.planes();
+    let (kr, ki) = kernel.samples.planes();
+    let (hr, hi) = half.planes_mut();
+    // The conjugate product at box column `a`, grid row `j`.
+    let product = |a: Option<usize>, j: usize| -> (f64, f64) {
+        match (a, kernel.rows.offset(j)) {
+            (Some(a), Some(b)) => {
+                let (f, k) = (a * h + j, b * bw + a);
+                (fr[f] * kr[k] + fi[f] * ki[k], fi[f] * kr[k] - fr[f] * ki[k])
             }
+            _ => (0.0, 0.0),
+        }
+    };
+    for (c, i) in reached.runs().iter().cloned().flatten().enumerate() {
+        let a = kernel.cols.offset(i);
+        let am = kernel.cols.offset((w - i) % w);
+        let out_re = &mut hr[c * h..(c + 1) * h];
+        let out_im = &mut hi[c * h..(c + 1) * h];
+        for j in 0..h {
+            let jm = if j == 0 { 0 } else { h - j };
+            let (p_re, p_im) = product(a, j);
+            let (q_re, q_im) = product(am, jm);
+            out_re[j] = (p_re + q_re) * 0.5;
+            out_im[j] = (p_im - q_im) * 0.5;
         }
     }
 }
@@ -445,7 +771,6 @@ pub fn convolve_reference(field: &Grid<Complex>, kernel: &Grid<Complex>) -> Grid
         acc
     })
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,9 +872,9 @@ mod tests {
         let conv = Convolver::new(w, h);
         let spec = conv.kernel_spectrum(&kernel);
         let mut ws = Workspace::new();
-        let field_spectrum = spectrum_of(&conv, &field, &mut ws);
+        let mut scratch = SplitSpectrum::from_grid(&field);
         let mut corr = Grid::zeros(w, h);
-        conv.correlate_spectrum_re_split_into(&field_spectrum, &spec, &mut corr, &mut ws);
+        conv.correlate_re_accumulate_split(&mut scratch, &spec, 1.0, &mut corr, &mut ws);
         // Build conj(h(-x)) explicitly: index n -> (N - n) mod N, conjugated.
         let flipped = Grid::from_fn(w, h, |x, y| kernel[((w - x) % w, (h - y) % h)].conj());
         let conv_f = circular_conv(&conv, &field, &conv.kernel_spectrum(&flipped));

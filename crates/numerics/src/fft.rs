@@ -49,11 +49,13 @@
 //! ```
 
 use crate::complex::Complex;
+use crate::conv::CyclicRange;
 use crate::grid::Grid;
 use crate::pool::SpectralTeam;
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
 use std::f64::consts::PI;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Transform direction.
@@ -993,6 +995,171 @@ impl Fft2d {
                 ws,
             );
         }
+    }
+
+    /// Inverse-transforms `spec` in place, given that every nonzero bin
+    /// lies in the rows `rows` — the box inverse of a convolution with a
+    /// band-limited kernel (DESIGN.md §16).
+    ///
+    /// Only those rows are row-transformed: the transform of an all-zero
+    /// row is zero. They are written straight into a zeroed transposed
+    /// scratch for the full column pass, so the other rows of `spec` are
+    /// never read (their contents may be stale); every row of `spec` is
+    /// overwritten with the result.
+    pub(crate) fn inverse_from_rows(
+        &self,
+        spec: &mut SplitSpectrum,
+        rows: CyclicRange,
+        ws: &mut Workspace,
+        mut team: Option<&mut SpectralTeam>,
+    ) {
+        let (w, h) = (self.width(), self.height());
+        assert_eq!(
+            spec.dims(),
+            (w, h),
+            "FFT2D plan {w}x{h} does not match split spectrum {}x{}",
+            spec.width(),
+            spec.height()
+        );
+        assert_eq!(rows.axis_len(), h, "row range does not match plan height");
+        let (re, im) = spec.planes_mut();
+        let mut tr = ws.take_real_zeroed(w * h);
+        let mut ti = ws.take_real_zeroed(w * h);
+        for run in rows.runs() {
+            let (r0, r1) = (run.start * w, run.end * w);
+            let (band_re, band_im) = (&mut re[r0..r1], &mut im[r0..r1]);
+            rows_split(
+                &self.row,
+                band_re,
+                band_im,
+                run.len(),
+                FftDirection::Inverse,
+                ws,
+                team.as_deref_mut(),
+            );
+            for (y, (row_re, row_im)) in
+                run.zip(band_re.chunks_exact(w).zip(band_im.chunks_exact(w)))
+            {
+                for (x, (&r, &i)) in row_re.iter().zip(row_im).enumerate() {
+                    tr[x * h + y] = r;
+                    ti[x * h + y] = i;
+                }
+            }
+        }
+        rows_split(
+            &self.col,
+            &mut tr,
+            &mut ti,
+            w,
+            FftDirection::Inverse,
+            ws,
+            team,
+        );
+        transpose_into(&tr, re, h, w);
+        transpose_into(&ti, im, h, w);
+        ws.give_real(tr);
+        ws.give_real(ti);
+    }
+
+    /// Forward-transforms `spec` restricted to the columns `cols`: every
+    /// row is transformed in place, then only the selected columns are
+    /// gathered into `out` — column-major, so box column `a` is row `a`
+    /// of the `h`-wide `out` — and column-transformed there. The other
+    /// columns of the forward spectrum are never computed.
+    pub(crate) fn forward_to_columns(
+        &self,
+        spec: &mut SplitSpectrum,
+        cols: CyclicRange,
+        out: &mut SplitSpectrum,
+        ws: &mut Workspace,
+        mut team: Option<&mut SpectralTeam>,
+    ) {
+        let (w, h) = (self.width(), self.height());
+        assert_eq!(
+            spec.dims(),
+            (w, h),
+            "FFT2D plan {w}x{h} does not match split spectrum {}x{}",
+            spec.width(),
+            spec.height()
+        );
+        assert_eq!(cols.axis_len(), w, "column range does not match plan width");
+        assert_eq!(out.dims(), (h, cols.len()), "column scratch shape mismatch");
+        let (re, im) = spec.planes_mut();
+        rows_split(
+            &self.row,
+            re,
+            im,
+            h,
+            FftDirection::Forward,
+            ws,
+            team.as_deref_mut(),
+        );
+        let (or_, oi) = out.planes_mut();
+        for (y, (row_re, row_im)) in re.chunks_exact(w).zip(im.chunks_exact(w)).enumerate() {
+            for (a, x) in cols.indices().enumerate() {
+                or_[a * h + y] = row_re[x];
+                oi[a * h + y] = row_im[x];
+            }
+        }
+        rows_split(
+            &self.col,
+            or_,
+            oi,
+            cols.len(),
+            FftDirection::Forward,
+            ws,
+            team,
+        );
+    }
+
+    /// Inverse of a Hermitian half spectrum whose nonzero columns are
+    /// the ascending `runs` of `0..w/2+1`, given column-major in `half`
+    /// (the `c`-th listed column is row `c` of the `h`-wide `half`,
+    /// whose planes are consumed as scratch): the listed columns are
+    /// inverse column-transformed, then every real row is rebuilt and
+    /// `scale ·` it accumulated into `acc`. Equals
+    /// [`inverse_real_split_into`](Self::inverse_real_split_into) of the
+    /// dense half spectrum followed by `acc += scale · out`.
+    pub(crate) fn c2r_columns_accumulate(
+        &self,
+        half: &mut SplitSpectrum,
+        runs: &[Range<usize>],
+        scale: f64,
+        acc: &mut Grid<f64>,
+        ws: &mut Workspace,
+        team: Option<&mut SpectralTeam>,
+    ) {
+        let (w, h) = (self.width(), self.height());
+        let hw = self.half_width();
+        let count: usize = runs.iter().map(ExactSizeIterator::len).sum();
+        assert_eq!(half.dims(), (h, count), "column scratch shape mismatch");
+        assert_eq!(
+            acc.dims(),
+            (w, h),
+            "real output {}x{} does not match plan {w}x{h}",
+            acc.width(),
+            acc.height()
+        );
+        let (cre, cim) = half.planes_mut();
+        rows_split(&self.col, cre, cim, count, FftDirection::Inverse, ws, team);
+        // Unlisted columns are zero in every row, so the row buffers are
+        // zeroed once and only the listed entries rewritten per row.
+        let mut row_re = ws.take_real_zeroed(hw);
+        let mut row_im = ws.take_real_zeroed(hw);
+        let mut out = ws.take_real(w);
+        for y in 0..h {
+            for (c, x) in runs.iter().cloned().flatten().enumerate() {
+                row_re[x] = cre[c * h + y];
+                row_im[x] = cim[c * h + y];
+            }
+            self.row_c2r_split(&row_re, &row_im, &mut out, ws);
+            for (a, &r) in acc.row_mut(y).iter_mut().zip(out.iter()) {
+                *a += scale * r;
+            }
+        }
+        ws.give_real(out);
+        ws.give_real(row_im);
+        ws.give_real(row_re);
     }
 
     /// Expands a Hermitian half spectrum to the full `w × h` spectrum

@@ -11,7 +11,8 @@
 //! * [`Fft`] / [`Fft2d`] — radix-2 Cooley–Tukey FFT with a Bluestein
 //!   fallback for arbitrary lengths ([`fft`]).
 //! * [`Convolver`] — frequency-domain circular convolution/correlation with
-//!   cached kernel spectra ([`conv`]).
+//!   cached kernel spectra, each stored as its support box so the
+//!   transforms the box rules out are skipped ([`conv`]).
 //! * [`SplitSpectrum`] — split re/im planes (structure of arrays), the one
 //!   layout every transform, product and fold runs on, so inner walks
 //!   autovectorize ([`split`]).
@@ -68,7 +69,7 @@ pub mod stats;
 pub mod workspace;
 
 pub use complex::Complex;
-pub use conv::{Convolver, KernelSpectrum};
+pub use conv::{Convolver, CyclicRange, KernelSpectrum};
 pub use error::NumericsError;
 pub use fft::{Fft, Fft2d, FftDirection};
 pub use grid::Grid;
@@ -81,7 +82,7 @@ pub use workspace::Workspace;
 /// The types almost every user of this crate needs.
 pub mod prelude {
     pub use crate::complex::Complex;
-    pub use crate::conv::{Convolver, KernelSpectrum};
+    pub use crate::conv::{Convolver, CyclicRange, KernelSpectrum};
     pub use crate::error::NumericsError;
     pub use crate::fft::{Fft, Fft2d, FftDirection};
     pub use crate::grid::Grid;

@@ -23,6 +23,7 @@
 //! scheduler's existing per-job `catch_unwind` / degradation-ladder
 //! retry machinery handles the failure exactly like a serial panic.
 
+use crate::conv::{Convolver, CyclicRange, KernelSpectrum};
 use crate::fft::{Fft, Fft2d, FftDirection};
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
@@ -287,11 +288,11 @@ fn worker_loop<T: PoolTask>(slot: &Slot<T>, trigger: Option<&AtomicBool>) {
     }
 }
 
-/// A spectral work item for the concurrent 2-D FFT (see
-/// [`Fft2d::process_split_par`](crate::fft::Fft2d::process_split_par)):
-/// either a contiguous band of 1-D transforms or a whole serial 2-D
-/// transform, over split re/im planes (DESIGN.md §16).
-// The 2-D plan makes `SplitGrid2d` several times larger than
+/// A spectral work item for a [`SpectralTeam`] lane, over split re/im
+/// planes (DESIGN.md §16): either a contiguous band of 1-D transforms
+/// (the banded passes behind every `*_par` transform) or the box inverse
+/// that finishes one kernel's convolution.
+// The 2-D plan makes `ConvolveRows` several times larger than
 // `SplitRows`. Tasks only move between a lane slot and its worker, and
 // boxing the plan would allocate on every wave.
 #[allow(clippy::large_enum_variant)]
@@ -309,13 +310,16 @@ pub enum SpectralTask {
         /// The band's imaginary plane, same packing.
         im: Vec<f64>,
     },
-    /// Run a full serial split-plane 2-D transform on the worker.
-    SplitGrid2d {
+    /// Finish a convolution on the worker: the same box inverse
+    /// [`Convolver::convolve_spectrum_split_into`] runs, over a product
+    /// spectrum whose nonzero bins lie in the kernel's box rows.
+    ConvolveRows {
         /// The 2-D plan shared with the caller.
         plan: Fft2d,
-        /// Transform direction.
-        direction: FftDirection,
-        /// The split spectrum to transform in place.
+        /// The kernel's box rows: the only rows of `spec` the inverse
+        /// reads.
+        rows: CyclicRange,
+        /// The product spectrum, inverse-transformed in place.
         spec: SplitSpectrum,
     },
 }
@@ -334,11 +338,9 @@ impl PoolTask for SpectralTask {
                     plan.process_split(r, i, *direction, ws);
                 }
             }
-            SpectralTask::SplitGrid2d {
-                plan,
-                direction,
-                spec,
-            } => plan.process_split(spec, *direction, ws),
+            SpectralTask::ConvolveRows { plan, rows, spec } => {
+                plan.inverse_from_rows(spec, *rows, ws, None);
+            }
         }
     }
 }
@@ -347,9 +349,9 @@ impl PoolTask for SpectralTask {
 /// buffers — the reusable worker team behind every `*_par` entry point
 /// in [`crate::fft`], [`crate::conv`] and the optics/core crates.
 ///
-/// Lane buffers are recycled across waves
-/// ([`lane_split_grid`](Self::lane_split_grid) / the rows twin), so a
-/// warmed team performs no steady-state allocations.
+/// Lane buffers are recycled across waves (a lane's next task reuses
+/// the planes of its last one), so a warmed team performs no
+/// steady-state allocations.
 #[derive(Debug)]
 pub struct SpectralTeam {
     pool: WorkerPool<SpectralTask>,
@@ -376,37 +378,39 @@ impl SpectralTeam {
         self.pool.arm_panic();
     }
 
-    /// Recycles lane `lane`'s previous task storage into a
-    /// `width × height` split spectrum with unspecified contents,
-    /// allocating only if the lane never held a split task of
-    /// sufficient capacity.
-    pub fn lane_split_grid(&mut self, lane: usize, width: usize, height: usize) -> SplitSpectrum {
-        let (re, im) = self.recycle_split(lane);
-        SplitSpectrum::from_parts(width, height, re, im)
-    }
-
-    /// Posts a serial split-plane 2-D transform of `spec` as lane
-    /// `lane`'s task for the next [`dispatch`](Self::dispatch).
-    pub fn submit_split_grid(
+    /// Posts lane `lane`'s task for the next [`dispatch`](Self::dispatch):
+    /// the convolution `F⁻¹(field_spectrum · kernel)`, computed exactly as
+    /// [`Convolver::convolve_spectrum_split_into`] does — the box-row
+    /// product here on the calling thread, the box inverse on the worker
+    /// — into the lane's recycled spectrum (allocating only if the lane
+    /// never held one of sufficient capacity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ from `conv`'s plan.
+    pub fn submit_convolution(
         &mut self,
         lane: usize,
-        plan: &Fft2d,
-        direction: FftDirection,
-        spec: SplitSpectrum,
+        conv: &Convolver,
+        field_spectrum: &SplitSpectrum,
+        kernel: &KernelSpectrum,
     ) {
-        self.lanes[lane] = Some(SpectralTask::SplitGrid2d {
-            plan: plan.clone(),
-            direction,
+        let (re, im) = self.recycle_split(lane);
+        let mut spec = SplitSpectrum::from_parts(conv.width(), conv.height(), re, im);
+        kernel.multiply_rows_into(field_spectrum, &mut spec);
+        self.lanes[lane] = Some(SpectralTask::ConvolveRows {
+            plan: conv.plan().clone(),
+            rows: kernel.rows(),
             spec,
         });
     }
 
-    /// The split spectrum computed by lane `lane`'s last collected
-    /// [`SpectralTask::SplitGrid2d`] task, if that is what the lane
-    /// holds.
-    pub fn split_grid_result(&self, lane: usize) -> Option<&SplitSpectrum> {
+    /// The field computed by lane `lane`'s last collected
+    /// [`submit_convolution`](Self::submit_convolution) task, if that is
+    /// what the lane holds.
+    pub fn convolution_result(&self, lane: usize) -> Option<&SplitSpectrum> {
         match self.lanes.get(lane)? {
-            Some(SpectralTask::SplitGrid2d { spec, .. }) => Some(spec),
+            Some(SpectralTask::ConvolveRows { spec, .. }) => Some(spec),
             _ => None,
         }
     }
@@ -462,7 +466,7 @@ impl SpectralTeam {
     fn recycle_split(&mut self, lane: usize) -> (Vec<f64>, Vec<f64>) {
         match self.lanes[lane].take() {
             Some(SpectralTask::SplitRows { re, im, .. }) => (re, im),
-            Some(SpectralTask::SplitGrid2d { spec, .. }) => spec.into_parts(),
+            Some(SpectralTask::ConvolveRows { spec, .. }) => spec.into_parts(),
             None => (Vec::new(), Vec::new()),
         }
     }
@@ -585,18 +589,20 @@ mod tests {
         if team.workers() == 0 {
             return; // spawn-restricted environment
         }
-        let plan = Fft2d::new(8, 8);
-        let spec = team.lane_split_grid(0, 8, 8);
-        team.submit_split_grid(0, &plan, FftDirection::Forward, spec);
-        team.dispatch();
-        team.collect();
-        let result = team.split_grid_result(0).unwrap();
-        let re_ptr = result.re().as_ptr();
-        let im_ptr = result.im().as_ptr();
-        // The next wave's split lane spectrum reuses both plane
-        // allocations.
-        let spec = team.lane_split_grid(0, 8, 8);
-        assert_eq!(spec.re().as_ptr(), re_ptr);
-        assert_eq!(spec.im().as_ptr(), im_ptr);
+        let conv = Convolver::new(8, 8);
+        let field = SplitSpectrum::zeros(8, 8);
+        let mut impulse = crate::Grid::zeros(8, 8);
+        impulse[(0, 0)] = crate::Complex::ONE;
+        let kernel = conv.kernel_spectrum(&impulse);
+        let convolve_once = |team: &mut SpectralTeam| {
+            team.submit_convolution(0, &conv, &field, &kernel);
+            team.dispatch();
+            team.collect();
+            let result = team.convolution_result(0).unwrap();
+            (result.re().as_ptr(), result.im().as_ptr())
+        };
+        // The next wave's lane spectrum reuses both plane allocations.
+        let first = convolve_once(&mut team);
+        assert_eq!(convolve_once(&mut team), first);
     }
 }

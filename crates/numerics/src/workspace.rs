@@ -132,13 +132,16 @@ impl Workspace {
         // The spectral pipeline (DESIGN.md §16) draws *pairs* of f64
         // planes for every spectrum it touches: the mask spectrum, the
         // per-kernel field, the transpose scratch of the column pass,
-        // the half-spectrum of the Hermitian gradient fold, and the
-        // Bluestein pad / real-row pack scratch for non-power-of-two
-        // shapes. Warm enough buffers for all of them plus the real-grid
-        // intermediates.
+        // the half-spectrum of the mask transform, the column-subset
+        // scratch of the box correlation (the kernel's box columns of
+        // the forward spectrum and the folded half-spectrum columns, at
+        // most a half spectrum each for a pupil kernel) with its two
+        // half-row and one row buffers, and the Bluestein pad /
+        // real-row pack scratch for non-power-of-two shapes. Warm enough
+        // buffers for all of them plus the real-grid intermediates.
         let mut real_sizes = vec![full; 16];
-        real_sizes.extend([half; 4]);
-        real_sizes.extend([width.max(height); 4]);
+        real_sizes.extend([half; 8]);
+        real_sizes.extend([width.max(height); 8]);
         let taken: Vec<_> = real_sizes.iter().map(|&len| self.take_real(len)).collect();
         for buf in taken {
             self.give_real(buf);

@@ -178,11 +178,12 @@ fn fft_correlation_matches_direct_sum() {
             let field = random_complex_grid(&mut rng, w, h);
             let kernel = random_complex_grid(&mut rng, w, h);
             let conv = Convolver::new(w, h);
-            let spectrum = spectrum_of(&conv, &field, &mut ws);
+            let mut scratch = SplitSpectrum::from_grid(&field);
             let mut fast = Grid::zeros(w, h);
-            conv.correlate_spectrum_re_split_into(
-                &spectrum,
+            conv.correlate_re_accumulate_split(
+                &mut scratch,
                 &conv.kernel_spectrum(&kernel),
+                1.0,
                 &mut fast,
                 &mut ws,
             );
@@ -250,8 +251,8 @@ fn half_spectrum_correlation_matches_full_complex_re() {
                 .zip(full.re())
                 .map(|(&a, &c)| scale_factor.mul_add(c, a))
                 .collect();
-            conv.correlate_spectrum_re_accumulate_split(
-                &field_spectrum,
+            conv.correlate_re_accumulate_split(
+                &mut SplitSpectrum::from_grid(&field),
                 &kspec,
                 scale_factor,
                 &mut acc,
@@ -413,12 +414,11 @@ fn split_correlation_accumulate_is_bit_identical_across_teams() {
         let kernel = random_complex_grid(&mut rng, w, h);
         let conv = Convolver::new(w, h);
         let kspec = conv.kernel_spectrum(&kernel);
-        let field_spectrum = spectrum_of(&conv, &field, &mut ws);
         let seed = Grid::from_fn(w, h, |x, y| (x + 2 * y) as f64 * 0.01);
         let scale_factor: f64 = 0.75;
         let mut acc_serial = seed.clone();
-        conv.correlate_spectrum_re_accumulate_split(
-            &field_spectrum,
+        conv.correlate_re_accumulate_split(
+            &mut SplitSpectrum::from_grid(&field),
             &kspec,
             scale_factor,
             &mut acc_serial,
@@ -427,8 +427,8 @@ fn split_correlation_accumulate_is_bit_identical_across_teams() {
         for workers in [1usize, 2, 4] {
             let mut team = SpectralTeam::new(workers);
             let mut acc_par = seed.clone();
-            conv.correlate_spectrum_re_accumulate_split_par(
-                &field_spectrum,
+            conv.correlate_re_accumulate_split_par(
+                &mut SplitSpectrum::from_grid(&field),
                 &kspec,
                 scale_factor,
                 &mut acc_par,
@@ -463,6 +463,288 @@ fn split_real_fft_is_bit_identical_across_teams() {
             let ctx = format!("{w}x{h} workers={workers}");
             assert_bits_eq(par.re(), serial.re(), &format!("{ctx} re"));
             assert_bits_eq(par.im(), serial.im(), &format!("{ctx} im"));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Band-limited kernel boxes: the dense path is the oracle (DESIGN.md §9,
+// §16). A `KernelSpectrum` stores only its support box and the
+// convolution/correlation skip the transforms the box rules out; each
+// skipped transform has an all-zero input or outputs that only zero
+// kernel bins multiply, so every nonzero value must equal the dense
+// computation bit for bit. Only an exact zero's sign may differ:
+// complex fields are compared under `==` (+0 == −0), intensities and
+// gradients with `to_bits` after mapping −0 to +0.
+// ---------------------------------------------------------------------
+
+/// Box-kernel shapes: power-of-two (radix-2 rows and columns), non-pow2
+/// even (Bluestein) and odd widths (full-width real rows).
+const BOX_SHAPES: [(usize, usize); 6] = [(16, 16), (8, 8), (12, 10), (7, 5), (9, 12), (15, 9)];
+
+/// `v` with a negative zero mapped to +0.
+fn unsigned_zero(v: f64) -> u64 {
+    if v == 0.0 {
+        0.0f64.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+fn assert_bits_eq_up_to_zero_sign(a: &[f64], b: &[f64], ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: length");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(
+            unsigned_zero(*x),
+            unsigned_zero(*y),
+            "{ctx}: element {i}: {x:e} vs {y:e}"
+        );
+    }
+}
+
+/// A dense kernel spectrum that is nonzero only on the cyclic box of
+/// `bw × bh` bins starting at `(x0, y0)`, with random values (and a few
+/// exact zeros) inside the box.
+fn box_kernel(
+    rng: &mut Rng64,
+    (w, h): (usize, usize),
+    (x0, y0): (usize, usize),
+    (bw, bh): (usize, usize),
+) -> Grid<Complex> {
+    let mut kernel = Grid::zeros(w, h);
+    for dy in 0..bh {
+        for dx in 0..bw {
+            let v = if rng.chance(0.1) {
+                Complex::ZERO
+            } else {
+                Complex::new(rng.range_f64(-2.0, 2.0), rng.range_f64(-2.0, 2.0))
+            };
+            kernel[((x0 + dx) % w, (y0 + dy) % h)] = v;
+        }
+    }
+    kernel
+}
+
+/// Named dense kernels for one shape: boxes that wrap index 0 on both
+/// axes (a pupil around zero frequency), that cover the Nyquist bin, a
+/// single bin, a random box, an empty kernel and a full-grid one.
+fn oracle_kernels(rng: &mut Rng64, w: usize, h: usize) -> Vec<(String, Grid<Complex>)> {
+    let mut kernels = vec![
+        (
+            "wraps zero".to_string(),
+            box_kernel(rng, (w, h), (w - 2, h - 1), (4.min(w), 3.min(h))),
+        ),
+        (
+            "covers Nyquist".to_string(),
+            box_kernel(rng, (w, h), (w / 2 - 1, h / 2 - 1), (3, 2)),
+        ),
+        (
+            "single bin".to_string(),
+            box_kernel(rng, (w, h), (1, 0), (1, 1)),
+        ),
+        ("empty".to_string(), Grid::zeros(w, h)),
+        ("full grid".to_string(), random_complex_grid(rng, w, h)),
+    ];
+    for case in 0..3 {
+        let origin = (rng.range_usize(0, w), rng.range_usize(0, h));
+        let size = (rng.range_usize(1, w + 1), rng.range_usize(1, h + 1));
+        kernels.push((
+            format!("random box {case}"),
+            box_kernel(rng, (w, h), origin, size),
+        ));
+    }
+    kernels
+}
+
+/// Test-only dense oracle of `convolve_spectrum_split_into`: the
+/// full-grid product with the dense kernel, then the full 2-D inverse.
+fn dense_convolve(
+    conv: &Convolver,
+    field_spectrum: &SplitSpectrum,
+    kernel: &Grid<Complex>,
+    ws: &mut Workspace,
+) -> SplitSpectrum {
+    let (w, h) = kernel.dims();
+    let mut out = SplitSpectrum::zeros(w, h);
+    for idx in 0..w * h {
+        let (a, b) = (field_spectrum.at(idx), kernel[(idx % w, idx / w)]);
+        out.set(
+            idx,
+            Complex::new(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re),
+        );
+    }
+    conv.plan()
+        .process_split(&mut out, FftDirection::Inverse, ws);
+    out
+}
+
+/// Test-only dense oracle of `correlate_re_accumulate_split`: the full
+/// 2-D forward transform of the spatial field, the Hermitian fold of
+/// `F · conj(K)` over every half-spectrum bin, the full real inverse and
+/// the accumulate `acc += scale · r`.
+fn dense_correlate_accumulate(
+    conv: &Convolver,
+    field: &Grid<Complex>,
+    kernel: &Grid<Complex>,
+    scale: f64,
+    acc: &mut Grid<f64>,
+    ws: &mut Workspace,
+) {
+    let (w, h) = kernel.dims();
+    let plan = conv.plan();
+    let hw = plan.half_width();
+    let mut spectrum = SplitSpectrum::from_grid(field);
+    plan.process_split(&mut spectrum, FftDirection::Forward, ws);
+    let conj_product = |i: usize, j: usize| {
+        let (f, k) = (spectrum.at(j * w + i), kernel[(i, j)]);
+        (f.re * k.re + f.im * k.im, f.im * k.re - f.re * k.im)
+    };
+    let mut half = SplitSpectrum::zeros(hw, h);
+    for j in 0..h {
+        for i in 0..hw {
+            let (p_re, p_im) = conj_product(i, j);
+            let (q_re, q_im) = conj_product((w - i) % w, (h - j) % h);
+            half.set(
+                j * hw + i,
+                Complex::new((p_re + q_re) * 0.5, (p_im - q_im) * 0.5),
+            );
+        }
+    }
+    let mut re = Grid::zeros(w, h);
+    plan.inverse_real_split_into(&mut half, &mut re, ws);
+    for (a, &r) in acc.iter_mut().zip(re.iter()) {
+        *a += scale * r;
+    }
+}
+
+/// The box convolution equals the dense Hadamard + full inverse on every
+/// nonzero value, and its intensity `|E|²` is bit-identical; rows outside
+/// the kernel box are never read (the output starts poisoned with NaN).
+#[test]
+fn box_convolution_matches_dense_oracle() {
+    let mut rng = Rng64::new(0xD1F_0010);
+    let mut ws = Workspace::new();
+    for (w, h) in BOX_SHAPES {
+        let conv = Convolver::new(w, h);
+        let field_spectrum = SplitSpectrum::from_grid(&random_complex_grid(&mut rng, w, h));
+        for (name, kernel) in oracle_kernels(&mut rng, w, h) {
+            let ctx = format!("{w}x{h} {name}");
+            let kspec = KernelSpectrum::from_grid(kernel.clone());
+            let mut out =
+                SplitSpectrum::from_grid(&Grid::filled(w, h, Complex::new(f64::NAN, 0.0)));
+            conv.convolve_spectrum_split_into(&field_spectrum, &kspec, &mut out, &mut ws);
+            let dense = dense_convolve(&conv, &field_spectrum, &kernel, &mut ws);
+            for idx in 0..w * h {
+                let (a, b) = (out.at(idx), dense.at(idx));
+                assert!(a.re == b.re && a.im == b.im, "{ctx}: bin {idx}: {a} vs {b}");
+            }
+            let intensity = |s: &SplitSpectrum| -> Vec<f64> {
+                s.re()
+                    .iter()
+                    .zip(s.im())
+                    .map(|(r, i)| r * r + i * i)
+                    .collect()
+            };
+            assert_bits_eq_up_to_zero_sign(
+                &intensity(&out),
+                &intensity(&dense),
+                &format!("{ctx} intensity"),
+            );
+        }
+    }
+}
+
+/// The box correlation accumulates exactly the dense oracle's gradient
+/// bits (up to the sign of a zero).
+#[test]
+fn box_correlation_matches_dense_oracle() {
+    let mut rng = Rng64::new(0xD1F_0011);
+    let mut ws = Workspace::new();
+    for (w, h) in BOX_SHAPES {
+        let conv = Convolver::new(w, h);
+        let field = random_complex_grid(&mut rng, w, h);
+        let seed = random_real_grid(&mut rng, w, h);
+        for (name, kernel) in oracle_kernels(&mut rng, w, h) {
+            let ctx = format!("{w}x{h} {name}");
+            let kspec = KernelSpectrum::from_grid(kernel.clone());
+            let scale: f64 = 0.75;
+            let mut boxed = seed.clone();
+            conv.correlate_re_accumulate_split(
+                &mut SplitSpectrum::from_grid(&field),
+                &kspec,
+                scale,
+                &mut boxed,
+                &mut ws,
+            );
+            let mut dense = seed.clone();
+            dense_correlate_accumulate(&conv, &field, &kernel, scale, &mut dense, &mut ws);
+            assert_bits_eq_up_to_zero_sign(boxed.as_slice(), dense.as_slice(), &ctx);
+        }
+    }
+}
+
+/// Serial and team runs of the box convolution (banded and as a lane
+/// task) and of the box correlation agree bit for bit, signed zeros
+/// included, at every worker count.
+#[test]
+fn box_kernels_are_bit_identical_across_teams() {
+    let mut rng = Rng64::new(0xD1F_0012);
+    let mut ws = Workspace::new();
+    for (w, h) in BOX_SHAPES {
+        let conv = Convolver::new(w, h);
+        let field = random_complex_grid(&mut rng, w, h);
+        let field_spectrum = SplitSpectrum::from_grid(&field);
+        let seed = random_real_grid(&mut rng, w, h);
+        for (name, kernel) in oracle_kernels(&mut rng, w, h) {
+            let kspec = KernelSpectrum::from_grid(kernel);
+            let mut conv_serial = SplitSpectrum::zeros(w, h);
+            conv.convolve_spectrum_split_into(&field_spectrum, &kspec, &mut conv_serial, &mut ws);
+            let mut corr_serial = seed.clone();
+            conv.correlate_re_accumulate_split(
+                &mut SplitSpectrum::from_grid(&field),
+                &kspec,
+                0.5,
+                &mut corr_serial,
+                &mut ws,
+            );
+            for workers in [0usize, 1, 2, 3] {
+                let ctx = format!("{w}x{h} {name} workers={workers}");
+                let mut team = SpectralTeam::new(workers);
+                let mut banded = SplitSpectrum::zeros(w, h);
+                conv.convolve_spectrum_split_par(
+                    &field_spectrum,
+                    &kspec,
+                    &mut banded,
+                    &mut ws,
+                    &mut team,
+                );
+                assert_bits_eq(banded.re(), conv_serial.re(), &format!("{ctx} banded re"));
+                assert_bits_eq(banded.im(), conv_serial.im(), &format!("{ctx} banded im"));
+                if team.workers() > 0 {
+                    team.submit_convolution(0, &conv, &field_spectrum, &kspec);
+                    team.dispatch();
+                    team.collect();
+                    let lane = team
+                        .convolution_result(0)
+                        .expect("lane holds a convolution");
+                    assert_bits_eq(lane.re(), conv_serial.re(), &format!("{ctx} lane re"));
+                    assert_bits_eq(lane.im(), conv_serial.im(), &format!("{ctx} lane im"));
+                }
+                let mut corr_par = seed.clone();
+                conv.correlate_re_accumulate_split_par(
+                    &mut SplitSpectrum::from_grid(&field),
+                    &kspec,
+                    0.5,
+                    &mut corr_par,
+                    &mut ws,
+                    &mut team,
+                );
+                assert_bits_eq(
+                    corr_par.as_slice(),
+                    corr_serial.as_slice(),
+                    &format!("{ctx} correlation"),
+                );
+            }
         }
     }
 }

@@ -235,3 +235,89 @@ fn rms_properties() {
         assert!((stats::rms(&v) - r).abs() < 1e-12);
     }
 }
+
+/// A `w × h` kernel spectrum that is zero outside a random cyclic box,
+/// with random values (and some exact zeros) inside it.
+fn sparse_kernel(rng: &mut Rng64, w: usize, h: usize) -> Grid<Complex> {
+    let (x0, y0) = (rng.range_usize(0, w), rng.range_usize(0, h));
+    let (bw, bh) = (rng.range_usize(0, w + 1), rng.range_usize(0, h + 1));
+    let mut grid = Grid::zeros(w, h);
+    for dy in 0..bh {
+        for dx in 0..bw {
+            if !rng.chance(0.2) {
+                grid[((x0 + dx) % w, (y0 + dy) % h)] =
+                    Complex::new(rng.range_f64(-3.0, 3.0), rng.range_f64(-3.0, 3.0));
+            }
+        }
+    }
+    grid
+}
+
+fn assert_grids_bit_equal(a: &Grid<Complex>, b: &Grid<Complex>, ctx: &str) {
+    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+        assert_eq!(
+            (x.re.to_bits(), x.im.to_bits()),
+            (y.re.to_bits(), y.im.to_bits()),
+            "{ctx}: bin {i}: {x} vs {y}"
+        );
+    }
+}
+
+/// A kernel box holds every nonzero bin: `from_grid(g).to_grid()` is `g`
+/// bit for bit, and the stored box is the smallest cyclic box holding
+/// the nonzero bins.
+#[test]
+fn kernel_box_round_trip() {
+    let mut rng = Rng64::new(0xF7_0010);
+    for case in 0..200 {
+        let (w, h) = (rng.range_usize(1, 20), rng.range_usize(1, 20));
+        let grid = sparse_kernel(&mut rng, w, h);
+        let kernel = KernelSpectrum::from_grid(grid.clone());
+        assert_grids_bit_equal(&kernel.to_grid(), &grid, &format!("case {case} {w}x{h}"));
+        let (cols, rows) = kernel.support();
+        let nonzero = |i: usize, j: usize| grid[(i, j)] != Complex::ZERO;
+        let occupied_cols: Vec<usize> = (0..w).filter(|&i| (0..h).any(|j| nonzero(i, j))).collect();
+        let occupied_rows: Vec<usize> = (0..h).filter(|&j| (0..w).any(|i| nonzero(i, j))).collect();
+        for (range, occupied, n) in [(cols, &occupied_cols, w), (rows, &occupied_rows, h)] {
+            assert!(
+                occupied.iter().all(|&i| range.contains(i)),
+                "case {case}: box misses a bin"
+            );
+            // No shorter cyclic range holds them all.
+            let shortest = (0..n)
+                .filter_map(|start| {
+                    (0..=n).find(|&len| {
+                        occupied
+                            .iter()
+                            .all(|&i| CyclicRange::new(start, len, n).contains(i))
+                    })
+                })
+                .min()
+                .unwrap_or(0);
+            assert_eq!(range.len(), shortest, "case {case} {w}x{h}: box not tight");
+        }
+    }
+}
+
+/// Box `accumulate` (growing the box to the union) reproduces the dense
+/// `Σ w_k K_k` of Eq. (21) bit for bit.
+#[test]
+fn kernel_box_accumulate_matches_dense() {
+    let mut rng = Rng64::new(0xF7_0011);
+    for case in 0..100 {
+        let (w, h) = (rng.range_usize(1, 16), rng.range_usize(1, 16));
+        let mut boxed = KernelSpectrum::zeros(w, h);
+        let mut dense = SplitSpectrum::zeros(w, h);
+        for _ in 0..rng.range_usize(1, 6) {
+            let grid = sparse_kernel(&mut rng, w, h);
+            let weight = rng.range_f64(-1.0, 1.0);
+            boxed.accumulate(&KernelSpectrum::from_grid(grid.clone()), weight);
+            dense.accumulate(&SplitSpectrum::from_grid(&grid), weight);
+        }
+        assert_grids_bit_equal(
+            &boxed.to_grid(),
+            &dense.to_grid(),
+            &format!("case {case} {w}x{h}"),
+        );
+    }
+}

@@ -14,12 +14,14 @@
 //!
 //! Spectra are built directly on the FFT frequency grid, so no transform
 //! is needed at construction time and convolution kernels are exact (no
-//! spatial truncation).
+//! spatial truncation). Only each pupil disk's bounding box is evaluated
+//! and stored ([`KernelSpectrum`], DESIGN.md §16): bank memory scales with
+//! the pupil support, not with the grid.
 
 use crate::config::{OpticsConfig, ProcessCondition};
 use mosaic_numerics::{
-    Complex, Convolver, Fft2d, FftDirection, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum,
-    Workspace,
+    Complex, Convolver, CyclicRange, Fft2d, FftDirection, Grid, KernelSpectrum, SpectralTeam,
+    SplitSpectrum, Workspace,
 };
 use std::f64::consts::PI;
 
@@ -81,16 +83,18 @@ impl KernelSet {
         let (w, h) = (config.grid_width, config.grid_height);
         let cutoff = config.cutoff_frequency();
         let points = config.source.sample(config.kernel_count);
-        let fx: Vec<f64> = (0..w).map(|i| freq(i, w, config.pixel_nm)).collect();
-        let fy: Vec<f64> = (0..h).map(|j| freq(j, h, config.pixel_nm)).collect();
         let kernels = points
             .iter()
             .map(|p| {
                 let shift_x = p.sx * cutoff;
                 let shift_y = p.sy * cutoff;
-                let spectrum = Grid::from_fn(w, h, |i, j| {
-                    let gx = fx[i] + shift_x;
-                    let gy = fy[j] + shift_y;
+                // Only the pupil disk's bounding box is ever evaluated;
+                // every bin outside it is zero.
+                let cols = pupil_range(w, config.pixel_nm, shift_x, cutoff);
+                let rows = pupil_range(h, config.pixel_nm, shift_y, cutoff);
+                let spectrum = KernelSpectrum::from_box(cols, rows, |i, j| {
+                    let gx = freq(i, w, config.pixel_nm) + shift_x;
+                    let gy = freq(j, h, config.pixel_nm) + shift_y;
                     let g2 = gx * gx + gy * gy;
                     if g2 <= cutoff * cutoff {
                         // Paraxial defocus aberration phase.
@@ -102,7 +106,7 @@ impl KernelSet {
                 });
                 CoherentKernel {
                     weight: p.weight,
-                    spectrum: KernelSpectrum::from_grid(spectrum),
+                    spectrum,
                 }
             })
             .collect();
@@ -215,24 +219,16 @@ impl KernelSet {
         intensity.fill(0.0);
         let mut field = ws.take_split(self.width, self.height);
         let dose = self.condition.dose;
-        let (ar, ai) = mask_spectrum.planes();
         let mut start = 0;
         while start < self.kernels.len() {
             let end = (start + workers + 1).min(self.kernels.len());
             for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
-                let mut spec = team.lane_split_grid(lane, self.width, self.height);
-                let (br, bi) = k.spectrum.split().planes();
-                let (or_, oi) = spec.planes_mut();
-                for idx in 0..or_.len() {
-                    or_[idx] = ar[idx] * br[idx] - ai[idx] * bi[idx];
-                    oi[idx] = ar[idx] * bi[idx] + ai[idx] * br[idx];
-                }
-                team.submit_split_grid(lane, convolver.plan(), FftDirection::Inverse, spec);
+                team.submit_convolution(lane, convolver, mask_spectrum, &k.spectrum);
             }
             team.dispatch();
-            // The calling thread transforms its own kernel while the
-            // workers run theirs; the split transforms are the unchanged
-            // serial code on both sides.
+            // The calling thread convolves its own kernel while the
+            // workers finish theirs; both sides run the same box
+            // inverse.
             convolver.convolve_spectrum_split_into(
                 mask_spectrum,
                 &self.kernels[start].spectrum,
@@ -242,7 +238,7 @@ impl KernelSet {
             team.collect();
             accumulate_intensity_split(intensity, &field, self.kernels[start].weight * dose);
             for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
-                if let Some(spec) = team.split_grid_result(lane) {
+                if let Some(spec) = team.convolution_result(lane) {
                     accumulate_intensity_split(intensity, spec, k.weight * dose);
                 }
             }
@@ -305,7 +301,7 @@ impl KernelSet {
     ///
     /// Panics if `index` is out of range.
     pub fn spatial_kernel(&self, index: usize) -> Grid<Complex> {
-        let mut field = self.kernels[index].spectrum.split().clone();
+        let mut field = SplitSpectrum::from_grid(&self.kernels[index].spectrum.to_grid());
         Fft2d::new(self.width, self.height).process_split(
             &mut field,
             FftDirection::Inverse,
@@ -324,6 +320,23 @@ fn accumulate_intensity_split(intensity: &mut Grid<f64>, field: &SplitSpectrum, 
     for ((acc, &r), &i) in intensity.iter_mut().zip(fr.iter()).zip(fi.iter()) {
         *acc += scale * (r * r + i * i);
     }
+}
+
+/// The cyclic range of FFT indices on an `n`-point axis of pitch
+/// `pixel_nm` that can fall inside a pupil of radius `cutoff` shifted by
+/// `shift` (both in cycles per nm): the signed frequency indices `k`
+/// with `|k/(n·pixel_nm) + shift| ≤ cutoff`, widened by one bin on each
+/// side against rounding and clipped to the axis.
+fn pupil_range(n: usize, pixel_nm: f64, shift: f64, cutoff: f64) -> CyclicRange {
+    let span = n as f64 * pixel_nm;
+    let lowest = -((n / 2) as i64);
+    let highest = (n - n / 2) as i64 - 1;
+    let lo = (((-cutoff - shift) * span).floor() as i64 - 1).max(lowest);
+    let hi = (((cutoff - shift) * span).ceil() as i64 + 1).min(highest);
+    if lo > hi {
+        return CyclicRange::empty(n);
+    }
+    CyclicRange::new(lo.rem_euclid(n as i64) as usize, (hi - lo + 1) as usize, n)
 }
 
 /// FFT-ordered spatial frequency of index `i` on an `n`-point axis with
@@ -550,6 +563,108 @@ mod tests {
         assert_eq!(fields.len(), set.kernels().len());
         for (i, (a, b)) in with_fields.iter().zip(serial.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "with-fields pixel {i}");
+        }
+    }
+
+    /// The dense bank build the box build replaced: every bin of the
+    /// grid evaluated against the pupil.
+    fn dense_bank(config: &OpticsConfig, condition: ProcessCondition) -> Vec<Grid<Complex>> {
+        let (w, h) = (config.grid_width, config.grid_height);
+        let cutoff = config.cutoff_frequency();
+        let fx: Vec<f64> = (0..w).map(|i| freq(i, w, config.pixel_nm)).collect();
+        let fy: Vec<f64> = (0..h).map(|j| freq(j, h, config.pixel_nm)).collect();
+        config
+            .source
+            .sample(config.kernel_count)
+            .iter()
+            .map(|p| {
+                Grid::from_fn(w, h, |i, j| {
+                    let gx = fx[i] + p.sx * cutoff;
+                    let gy = fy[j] + p.sy * cutoff;
+                    let g2 = gx * gx + gy * gy;
+                    if g2 <= cutoff * cutoff {
+                        let phase = -PI * config.wavelength_nm * condition.defocus_nm * g2;
+                        Complex::cis(phase)
+                    } else {
+                        Complex::ZERO
+                    }
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn box_build_matches_dense_build() {
+        // Power-of-two, odd (Bluestein) and coarse grids; at 80 nm the
+        // pupil spans more than the whole frequency axis.
+        let configs = [
+            small_config(),
+            OpticsConfig::builder()
+                .grid(45, 38)
+                .pixel_nm(12.0)
+                .kernel_count(12)
+                .build()
+                .unwrap(),
+            OpticsConfig::builder()
+                .grid(16, 15)
+                .pixel_nm(80.0)
+                .kernel_count(6)
+                .build()
+                .unwrap(),
+        ];
+        for config in &configs {
+            for condition in [
+                ProcessCondition::NOMINAL,
+                ProcessCondition::new(-25.0, 1.02),
+            ] {
+                let set = KernelSet::build(config, condition).unwrap();
+                let dense = dense_bank(config, condition);
+                assert_eq!(set.kernels().len(), dense.len());
+                for (k, (kernel, expect)) in set.kernels().iter().zip(&dense).enumerate() {
+                    let got = kernel.spectrum.to_grid();
+                    for ((x, y), e) in expect.indexed_iter() {
+                        let g = got[(x, y)];
+                        assert_eq!(
+                            (g.re.to_bits(), g.im.to_bits()),
+                            (e.re.to_bits(), e.im.to_bits()),
+                            "{}x{} kernel {k} bin ({x},{y})",
+                            config.grid_width,
+                            config.grid_height
+                        );
+                    }
+                    // The box is the pupil's own bounding box: every
+                    // stored row and column holds a nonzero bin.
+                    let (cols, rows) = kernel.spectrum.support();
+                    let hit = |i: usize, j: usize| expect[(i, j)] != Complex::ZERO;
+                    assert!(cols.indices().all(|i| rows.indices().any(|j| hit(i, j))));
+                    assert!(rows.indices().all(|j| cols.indices().any(|i| hit(i, j))));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn contest_bank_stores_under_one_percent_of_the_grid() {
+        // 512 px @ 2 nm, 24 kernels, the five-condition contest window:
+        // the bank of the contest_exact512 benchmark workload.
+        let config = OpticsConfig::contest_32nm(512, 2.0);
+        let bins = 512 * 512;
+        for condition in ProcessCondition::contest_window() {
+            let set = KernelSet::build(&config, condition).unwrap();
+            assert_eq!(set.kernels().len(), 24);
+            for (k, kernel) in set.kernels().iter().enumerate() {
+                let (cols, rows) = kernel.spectrum.support();
+                let stored = cols.len() * rows.len();
+                assert!(
+                    stored > 0 && stored * 100 < bins,
+                    "kernel {k} stores {stored} of {bins} bins"
+                );
+            }
+            let (cols, rows) = set.combined().support();
+            assert!(
+                cols.len() * rows.len() * 100 < bins,
+                "combined kernel box too large"
+            );
         }
     }
 }

@@ -6,11 +6,11 @@
 //! feed — every other job's watchers read from their own record
 //! buffer, never through this connection).
 
-use crate::protocol::{error_line, parse_request, write_line, Request};
+use crate::protocol::{error_line, parse_request, push_line, write_line, Request};
 use crate::server::{ServerShared, Submission};
 use crate::store::{JobOutcome, JobRecord};
 use mosaic_runtime::jsonl::{push_json_f64, push_json_string};
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -203,6 +203,12 @@ fn dispatch(line: &str, shared: &Arc<ServerShared>, writer: &mut TcpStream) -> s
 /// terminal state. Lossless by construction — lines come out of the
 /// record's append-only buffer, so two concurrent watchers (or a late
 /// one) see the identical sequence.
+///
+/// Each batch `wait_lines` hands back leaves in one write, the ack in
+/// front of the first and `watch_end` behind the last: with a write per
+/// line, every line after the first would wait out the peer's delayed
+/// ACK (Nagle), ~40 ms per watch of a finished job on a reused
+/// connection.
 fn watch(
     shared: &Arc<ServerShared>,
     writer: &mut TcpStream,
@@ -215,15 +221,20 @@ fn watch(
     let mut o = String::from("{\"ok\":true,\"job\":");
     push_json_string(&mut o, &record.id);
     o.push_str(&format!(",\"watching\":true,\"from\":{from}}}"));
-    write_line(writer, &o)?;
+    let mut batch = Vec::new();
+    push_line(&mut batch, &o);
     let mut next = from;
+    // The first fetch does not wait, so the ack never waits on the job.
+    let mut wait = Duration::ZERO;
     loop {
-        let (lines, state) = record.wait_lines(next, POLL);
+        let (lines, state) = record.wait_lines(next, wait);
+        wait = POLL;
         for line in &lines {
-            write_line(writer, line)?;
+            push_line(&mut batch, line);
         }
         next += lines.len();
-        if state.terminal() {
+        let done = state.terminal();
+        if done {
             // wait_lines returns lines and state from one lock
             // acquisition, and the worker pushes a job's last line
             // before terminalizing it, so a terminal state here means
@@ -234,7 +245,14 @@ fn watch(
             push_json_string(&mut end, state.name());
             end.push_str(&format!(",\"lines\":{next}"));
             end.push('}');
-            return write_line(writer, &end);
+            push_line(&mut batch, &end);
+        }
+        if !batch.is_empty() {
+            writer.write_all(&batch)?;
+            batch.clear();
+        }
+        if done {
+            return Ok(());
         }
     }
 }

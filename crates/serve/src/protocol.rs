@@ -327,9 +327,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// after a connection's first by tens of milliseconds.
 pub(crate) fn write_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(line.len() + 1);
+    push_line(&mut buf, line);
+    out.write_all(&buf)
+}
+
+/// Appends `line` and its newline to `buf`, for callers that send
+/// several lines in one write.
+pub(crate) fn push_line(buf: &mut Vec<u8>, line: &str) {
     buf.extend_from_slice(line.as_bytes());
     buf.push(b'\n');
-    out.write_all(&buf)
 }
 
 /// `{"ok":false,"error":<msg>}`.

@@ -525,3 +525,32 @@ fn sequential_pings_on_one_connection_do_not_stall() {
     );
     server.stop(true);
 }
+
+/// A watch reply leaves in one write per batch: ack, replayed feed and
+/// `watch_end` of a finished job arrive together. With a write per line,
+/// every line after the ack would wait out the peer's delayed ACK, about
+/// 40 ms per watch on a reused connection.
+#[test]
+fn watch_of_a_finished_job_on_a_reused_connection_does_not_stall() {
+    let server = tiny_server(1, 4);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let reply = client.request(TINY_SUBMIT).expect("submit");
+    let job = field(&reply, "job").to_string();
+    wait_done(&mut client, &job);
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        let started = std::time::Instant::now();
+        let mut lines = 0;
+        let end = client
+            .watch(&job, 0, &mut |_| lines += 1)
+            .expect("watch finished job");
+        best = best.min(started.elapsed());
+        assert_eq!(field(&end, "state"), "done", "end: {end}");
+        assert!(lines > 1, "replayed feed has several lines");
+    }
+    assert!(
+        best < Duration::from_millis(20),
+        "watch of a finished job took {best:?}"
+    );
+    server.stop(true);
+}

@@ -21,6 +21,9 @@
 # processes claim from results/ledger/, and the summary shows which
 # shard ran what. SHARDS overrides the fleet size.
 #
+# `./run_experiments.sh fig6` reruns only the Fig. 6 table
+# (results/fig6_table.txt and .log).
+#
 # `./run_experiments.sh crashmat` runs the exhaustive crash-point
 # matrix (DESIGN.md §15): a sharded checkpointing batch is killed at
 # every filesystem operation in turn via the seeded fault VFS, then
@@ -49,6 +52,19 @@ tier1() {
   # gate failure names the culprit.
   cargo test -q -p mosaic-runtime --test batch one_and_four_workers_agree_bit_for_bit
   cargo test -q -p mosaic-runtime --test golden
+  echo "=== tier1: band-limited engine"
+  # DESIGN.md §16: kernels are stored as their support boxes and the
+  # convolution/correlation skip the transforms a box rules out. The
+  # dense path is the oracle: every nonzero value must match it bit for
+  # bit on pow2, Bluestein and odd grids, serial and team alike; the
+  # box build must reproduce the dense pupil build; a 512 px @ 2 nm
+  # contest bank must store under 1% of the grid per kernel. Also
+  # covered by the workspace test run above; repeated so a gate failure
+  # names the culprit.
+  cargo test -q -p mosaic-numerics --test differential box_
+  cargo test -q -p mosaic-numerics --test proptests kernel_box_
+  cargo test -q -p mosaic-optics --lib -- box_build_matches_dense_build \
+    contest_bank_stores_under_one_percent_of_the_grid
   echo "=== tier1: clippy"
   cargo clippy --all-targets --workspace -- -D warnings
   echo "=== tier1: no-panic lint (library code)"
@@ -135,22 +151,32 @@ crashmat() {
   echo "crashmat OK (full matrix)"
 }
 
+BIN=./target/release
+
+run() { # name cmd...
+  local name=$1; shift
+  mkdir -p results
+  echo "=== $name: $*"
+  "$@" > "results/$name.txt" 2> "results/$name.log" || echo "FAILED: $name"
+}
+
+fig6() {
+  # Fig. 6 alone: the table-scale convergence trace of MOSAIC_exact on
+  # B4 and B6, the same line the full run below executes.
+  cargo build --release -p mosaic-bench --bin fig6
+  run fig6_table         $BIN/fig6 table
+}
+
 case "${1:-}" in
   tier1) tier1; exit 0 ;;
   batch) batch; exit 0 ;;
   soak) soak; exit 0 ;;
   shard) shard; exit 0 ;;
   crashmat) crashmat; exit 0 ;;
+  fig6) fig6; exit 0 ;;
 esac
 
 mkdir -p results
-BIN=./target/release
-
-run() { # name cmd...
-  local name=$1; shift
-  echo "=== $name: $*"
-  "$@" > "results/$name.txt" 2> "results/$name.log" || echo "FAILED: $name"
-}
 
 run table3_quick       $BIN/table3 quick
 run fig2               $BIN/fig2
