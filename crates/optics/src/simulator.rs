@@ -254,31 +254,6 @@ impl LithoSimulator {
         );
     }
 
-    /// Concurrent twin of [`aerial_image_split`](Self::aerial_image_split):
-    /// fans the per-kernel transforms out over `team` with a fixed-order
-    /// serial accumulate. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid or the index is
-    /// out of range.
-    pub fn aerial_image_split_par(
-        &self,
-        mask_spectrum: &SplitSpectrum,
-        index: usize,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.banks[index].aerial_image_accumulate_split_par(
-            &self.convolver,
-            mask_spectrum,
-            intensity,
-            ws,
-            team,
-        );
-    }
-
     /// Aerial image of `mask` under condition `index`.
     ///
     /// # Panics

@@ -1,8 +1,9 @@
 //! Batch orchestration: queue in, Table-2-style summary out.
 //!
 //! [`run_batch`] glues the subsystems together: it builds the shared
-//! [`SimCache`], opens the JSONL [`EventSink`], schedules every
-//! [`JobSpec`] on the worker pool and folds the per-job results into a
+//! [`SimCache`], opens the JSONL [`EventSink`], runs every [`JobSpec`]
+//! through [`run_job`] — on the worker pool, or claimed off a shared
+//! ledger ([`crate::shard`]) — and folds the per-job results into a
 //! [`BatchOutcome`]. [`render_summary`] formats the outcome the way the
 //! paper's Table 2 reports per-clip results.
 
@@ -10,11 +11,13 @@ use crate::cache::SimCache;
 use crate::degrade::DegradationLadder;
 use crate::events::{Event, EventObserver, EventSink};
 use crate::fault::FaultPlan;
-use crate::job::{execute_job, JobContext, JobMetrics, JobReport, JobSpec, JobStatus};
+use crate::job::{run_job, JobContext, JobMetrics, JobReport, JobSpec, JobStatus};
+use crate::ledger::Ledger;
 use crate::salvage;
 use crate::scheduler::{run_pool, CancelToken, JobExecution, RetryPolicy};
-use crate::shard::ShardConfig;
+use crate::shard::{self, HeldLeases, ShardConfig};
 use crate::supervise::{Supervisor, SupervisorConfig};
+use crate::vfs::{RealVfs, Vfs};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -148,115 +151,103 @@ pub struct BatchOutcome {
     pub wall_s: f64,
 }
 
-/// Runs `specs` on a worker pool and returns the folded outcome.
+/// Runs `specs` and returns the folded outcome: on a worker pool, or —
+/// with [`BatchConfig::shard`] set — by claiming them off the shared
+/// ledger, where jobs other processes handle fold as
+/// [`JobExecution::Remote`]. Every process sharing a ledger calls this
+/// with the *same* spec list.
 ///
 /// # Errors
 ///
-/// Fails only on report-file creation; job-level problems are reported
+/// Fails only on report-file creation and, when sharded, on opening the
+/// ledger root or posting the specs; job-level problems are reported
 /// per job inside the outcome, never as an `Err`.
 pub fn run_batch(specs: &[JobSpec], config: &BatchConfig) -> io::Result<BatchOutcome> {
-    if let Some(shard) = &config.shard {
-        return crate::shard::run_sharded_batch(specs, config, shard);
-    }
     let started = Instant::now();
-    let vfs: Arc<dyn crate::vfs::Vfs> = config
-        .vfs
-        .clone()
-        .unwrap_or_else(|| Arc::new(crate::vfs::RealVfs));
-    let mut sink = match &config.report {
+    let vfs: Arc<dyn Vfs> = config.vfs.clone().unwrap_or_else(|| Arc::new(RealVfs));
+    let mut events = match &config.report {
         Some(path) => EventSink::to_file_with(&*vfs, path)?,
         None => EventSink::null(),
     };
     if let Some(observer) = &config.observer {
-        sink = sink.with_observer(observer.clone());
+        events = events.with_observer(observer.clone());
     }
-    let events = Arc::new(sink);
     let cache = SimCache::new();
-    let deadline = config.deadline.map(|d| started + d);
+    let ledger = match &config.shard {
+        Some(shard) => Some(Ledger::open_with(
+            Arc::clone(&vfs),
+            &shard.ledger_dir,
+            &shard.owner,
+            shard.lease_ttl,
+        )?),
+        None => None,
+    };
     events.emit(&Event::BatchStart {
         jobs: specs.len(),
         workers: config.workers.max(1),
     });
+    if let Some(ledger) = &ledger {
+        shard::post_specs(ledger, specs)?;
+    }
 
     // Supervision: every attempt registers with the supervisor; the
     // watchdog thread scans for budget overruns and heartbeat stalls
-    // for as long as the pool runs. With both limits disabled there is
-    // nothing to enforce, so no watchdog thread is spawned at all.
-    let supervisor = Arc::new(Supervisor::new(config.supervise.clone()));
-    let watchdog_stop = Arc::new(AtomicBool::new(false));
-    let watchdog = config.supervise.enabled().then(|| {
-        let supervisor = Arc::clone(&supervisor);
-        let events = Arc::clone(&events);
-        let stop = Arc::clone(&watchdog_stop);
-        std::thread::spawn(move || supervisor.watch(&events, &stop))
-    });
-
+    // for as long as the batch runs, and heartbeats held leases. With
+    // no limit to enforce and no lease to renew, no watchdog thread is
+    // spawned at all.
+    let held = HeldLeases::default();
+    let supervisor = match &config.shard {
+        Some(shard) => held.supervisor(config.supervise.clone(), shard.lease_ttl),
+        None => Supervisor::new(config.supervise.clone()),
+    };
     let ctx = JobContext {
         cache: &cache,
         events: &events,
         cancel: &config.cancel,
-        deadline,
+        deadline: config.deadline.map(|d| started + d),
         checkpoint_dir: config.checkpoint_dir.as_deref(),
         checkpoint_every: config.checkpoint_every,
         faults: (!config.faults.is_empty()).then_some(&config.faults),
         supervisor: Some(&supervisor),
         ladder: Some(&config.ladder),
-        max_attempts: config.retries + 1,
+        retry: RetryPolicy {
+            retries: config.retries,
+            backoff: config.retry_backoff,
+        },
         lease: None,
         threads: config.threads.max(1),
         vfs: &*vfs,
     };
-    let runner = |spec: &JobSpec, attempt: u32| {
-        // Promote an elapsed deadline into a sticky cancel so queued
-        // jobs stop being scheduled, then run the job.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            config.cancel.cancel();
+    let watchdog_stop = AtomicBool::new(false);
+    let results = std::thread::scope(|s| {
+        let watchdog = (config.supervise.enabled() || ledger.is_some())
+            .then(|| s.spawn(|| supervisor.watch(&events, &watchdog_stop)));
+        let results = match &ledger {
+            Some(ledger) => shard::sweep_ledger(specs, config.workers, ledger, &held, &ctx),
+            None => run_pool(specs, config.workers, &config.cancel, &|spec| {
+                run_job(spec, &ctx)
+            }),
+        };
+        watchdog_stop.store(true, Ordering::SeqCst);
+        if let Some(watchdog) = watchdog {
+            let _ = watchdog.join();
         }
-        execute_job(spec, attempt, &ctx)
-    };
-    let results = run_pool(
-        specs,
-        config.workers,
-        RetryPolicy {
-            retries: config.retries,
-            backoff: config.retry_backoff,
-        },
-        &config.cancel,
-        &runner,
-    );
-    watchdog_stop.store(true, Ordering::SeqCst);
-    if let Some(watchdog) = watchdog {
-        let _ = watchdog.join();
-    }
-    Ok(fold_outcome(
-        specs,
-        results,
-        config,
-        &supervisor,
-        &cache,
-        &events,
-        started,
-        &*vfs,
-    ))
+        results
+    });
+    Ok(fold_outcome(specs, results, &ctx, started))
 }
 
 /// Folds per-job executions into the terminal [`BatchOutcome`]: counts
-/// statuses, salvages failed jobs from their checkpoints, emits the
-/// per-job `job_finish` events the runner could not (failures and
-/// never-started cancellations), then the `batch_finish` /
-/// `batch_summary` terminal pair. Shared by [`run_batch`] and the
-/// ledger-sharded driver ([`crate::shard::run_sharded_batch`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fold_outcome(
+/// statuses, ends failed jobs through [`salvage::failed_job`], emits the
+/// `job_finish` events of cancellations that produced no report, then
+/// the `batch_finish` / `batch_summary` terminal pair.
+fn fold_outcome(
     specs: &[JobSpec],
     results: Vec<JobExecution<JobReport>>,
-    config: &BatchConfig,
-    supervisor: &Supervisor,
-    cache: &SimCache,
-    events: &EventSink,
+    ctx: &JobContext<'_>,
     started: Instant,
-    vfs: &dyn crate::vfs::Vfs,
 ) -> BatchOutcome {
+    let events = ctx.events;
     let mut finished = 0usize;
     let mut failed = 0usize;
     let mut cancelled = 0usize;
@@ -286,46 +277,11 @@ pub(crate) fn fold_outcome(
                 failed += 1;
                 // Last-resort salvage: a failed job may still have a
                 // loadable checkpoint from its most productive attempt.
-                let salvaged = config.checkpoint_dir.as_deref().and_then(|dir| {
-                    salvage::from_checkpoint(
-                        vfs,
-                        dir,
-                        spec,
-                        Some(&config.ladder),
-                        supervisor.downshifts(&spec.id),
-                        cache,
-                        events,
-                        *attempts,
-                    )
-                });
+                let salvaged = salvage::failed_job(spec, ctx, error, *attempts);
                 if let Some(m) = &salvaged {
                     total_quality_score += m.quality_score;
                     salvaged_jobs += 1;
                 }
-                let (epe, pvb, shape, quality) = match &salvaged {
-                    Some(m) => (
-                        m.epe_violations,
-                        m.pvband_nm2,
-                        m.shape_violations,
-                        m.quality_score,
-                    ),
-                    None => (0, f64::NAN, 0, f64::NAN),
-                };
-                events.emit(&Event::JobFinish {
-                    job: spec.id.clone(),
-                    status: JobStatus::Failed.name().to_string(),
-                    error: Some(error.clone()),
-                    iterations: 0,
-                    epe_violations: epe,
-                    pvband_nm2: pvb,
-                    shape_violations: shape,
-                    quality_score: quality,
-                    wall_s: f64::NAN,
-                    attempts: *attempts,
-                    recoveries: 0,
-                    degraded: salvaged.is_some(),
-                    degrade_step: supervisor.downshifts(&spec.id),
-                });
                 failures.push(JobFailure {
                     job: spec.id.clone(),
                     error: error.clone(),
@@ -333,7 +289,9 @@ pub(crate) fn fold_outcome(
                     salvaged,
                 });
             }
-            JobExecution::Cancelled => {
+            // Cancellations that produced no report: the runner emitted
+            // no terminal event, so the feed records them here.
+            JobExecution::Cancelled { .. } => {
                 cancelled += 1;
                 events.emit(&Event::JobFinish {
                     job: spec.id.clone(),
@@ -369,7 +327,7 @@ pub(crate) fn fold_outcome(
     // line a dashboard (or `mosaic batch --watch`) consumes instead of
     // folding the whole feed. Emitted after BatchFinish so tools keyed
     // on the legacy terminal event keep working.
-    let (sim_configs, sim_cache_hits) = (cache.len(), cache.hits());
+    let (sim_configs, sim_cache_hits) = (ctx.cache.len(), ctx.cache.hits());
     let (faults, degrades) = (events.fault_count(), events.degrade_count());
     events.emit(&Event::BatchSummary {
         finished,
@@ -466,7 +424,7 @@ pub fn render_summary(specs: &[JobSpec], outcome: &BatchOutcome) -> String {
                     spec.id, mode, "-", epe, pvb, shape, quality, "-"
                 ));
             }
-            JobExecution::Cancelled => {
+            JobExecution::Cancelled { .. } => {
                 out.push_str(&format!(
                     "{:<10} {:<6} {:>6} {:>6} {:>12} {:>6} {:>12} {:>9}  cancelled\n",
                     spec.id, mode, "-", "-", "-", "-", "-", "-"

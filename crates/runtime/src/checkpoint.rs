@@ -15,16 +15,15 @@
 //! a kill or power loss mid-save leaves the previous checkpoint intact:
 //! after a crash `state.txt` is old-complete, new-complete, or absent,
 //! never torn. The manifest ends with an FNV-1a checksum over everything
-//! above it; [`load`] verifies it, and [`load_or_quarantine`] turns any
-//! corrupt manifest into a fresh start by renaming it to
+//! above it; [`load_with`] verifies it, and [`load_or_quarantine_with`]
+//! turns any corrupt manifest into a fresh start by renaming it to
 //! `state.txt.corrupt` for post-mortem inspection.
 //!
 //! Every filesystem touch goes through a [`Vfs`], so the crash matrix
 //! (`tests/crashmat.rs`) can interpose a seeded
-//! [`crate::vfs::FaultVfs`]; the plain entry points ([`save`], [`load`],
-//! [`load_or_quarantine`], [`clear`]) bind the real filesystem.
+//! [`crate::vfs::FaultVfs`]; production passes [`crate::vfs::RealVfs`].
 
-use crate::vfs::{commit_replace, RealVfs, Vfs};
+use crate::vfs::{commit_replace, Vfs};
 use mosaic_core::OptimizerCheckpoint;
 use mosaic_eval::pgm;
 use mosaic_numerics::Grid;
@@ -67,18 +66,8 @@ fn push_grid_hex(out: &mut String, label: &str, grid: &Grid<f64>) {
     }
 }
 
-/// Saves `checkpoint` under `root/<job_id>/`, replacing any previous
-/// checkpoint for the job.
-///
-/// # Errors
-///
-/// Propagates I/O errors (directory creation, writes, the atomic
-/// rename).
-pub fn save(root: &Path, job_id: &str, checkpoint: &OptimizerCheckpoint) -> io::Result<()> {
-    save_with(&RealVfs, root, job_id, checkpoint)
-}
-
-/// [`save`] through an explicit [`Vfs`] (fault injection, op counting).
+/// Saves `checkpoint` under `root/<job_id>/` through `vfs`, replacing
+/// any previous checkpoint for the job.
 ///
 /// # Errors
 ///
@@ -204,23 +193,14 @@ fn verify_checksum(text: &str) -> io::Result<&str> {
     Ok(body)
 }
 
-/// Loads the checkpoint for `job_id`, or `Ok(None)` if the job has no
-/// checkpoint under `root`.
+/// Loads the checkpoint for `job_id` through `vfs`, or `Ok(None)` if
+/// the job has no checkpoint under `root`.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` for corrupt manifests (bad magic, missing
 /// fields, truncated grids, checksum mismatch) and propagates other I/O
 /// errors.
-pub fn load(root: &Path, job_id: &str) -> io::Result<Option<OptimizerCheckpoint>> {
-    load_with(&RealVfs, root, job_id)
-}
-
-/// [`load`] through an explicit [`Vfs`].
-///
-/// # Errors
-///
-/// As [`load`].
 pub fn load_with(
     vfs: &dyn Vfs,
     root: &Path,
@@ -291,9 +271,10 @@ pub fn load_with(
     }))
 }
 
-/// Like [`load`], but a corrupt manifest is contained instead of fatal:
-/// the bad `state.txt` is renamed to `state.txt.corrupt` (replacing any
-/// earlier quarantined file) and the job restarts from scratch.
+/// Like [`load_with`], but a corrupt manifest is contained instead of
+/// fatal: the bad `state.txt` is renamed to `state.txt.corrupt`
+/// (replacing any earlier quarantined file) and the job restarts from
+/// scratch.
 ///
 /// Returns the checkpoint (or `None` when there is nothing usable) plus
 /// a description of the quarantine when one happened, for logging.
@@ -302,18 +283,6 @@ pub fn load_with(
 ///
 /// Propagates I/O errors other than corruption (unreadable directory,
 /// failed rename).
-pub fn load_or_quarantine(
-    root: &Path,
-    job_id: &str,
-) -> io::Result<(Option<OptimizerCheckpoint>, Option<String>)> {
-    load_or_quarantine_with(&RealVfs, root, job_id)
-}
-
-/// [`load_or_quarantine`] through an explicit [`Vfs`].
-///
-/// # Errors
-///
-/// As [`load_or_quarantine`].
 pub fn load_or_quarantine_with(
     vfs: &dyn Vfs,
     root: &Path,
@@ -337,23 +306,14 @@ pub fn load_or_quarantine_with(
     }
 }
 
-/// Removes the job's checkpoint artifacts (after a successful finish).
-/// Missing directories are fine. A quarantined `state.txt.corrupt` is
-/// deliberately left behind — it exists for post-mortem inspection and
-/// keeps the job directory alive.
+/// Removes the job's checkpoint artifacts through `vfs` (after a
+/// successful finish). Missing directories are fine. A quarantined
+/// `state.txt.corrupt` is deliberately left behind — it exists for
+/// post-mortem inspection and keeps the job directory alive.
 ///
 /// # Errors
 ///
 /// Propagates unexpected I/O errors from the removal.
-pub fn clear(root: &Path, job_id: &str) -> io::Result<()> {
-    clear_with(&RealVfs, root, job_id)
-}
-
-/// [`clear`] through an explicit [`Vfs`].
-///
-/// # Errors
-///
-/// As [`clear`].
 pub fn clear_with(vfs: &dyn Vfs, root: &Path, job_id: &str) -> io::Result<()> {
     let dir = job_dir(root, job_id);
     for name in ["state.txt", "state.txt.tmp", "p_field.pgm"] {
@@ -376,6 +336,7 @@ pub fn clear_with(vfs: &dyn Vfs, root: &Path, job_id: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealVfs;
 
     fn temp_root(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -403,8 +364,10 @@ mod tests {
     fn save_load_round_trip_is_bit_exact() {
         let root = temp_root("round_trip");
         let cp = sample_checkpoint();
-        save(&root, "B3-fast", &cp).unwrap();
-        let back = load(&root, "B3-fast").unwrap().expect("checkpoint exists");
+        save_with(&RealVfs, &root, "B3-fast", &cp).unwrap();
+        let back = load_with(&RealVfs, &root, "B3-fast")
+            .unwrap()
+            .expect("checkpoint exists");
         assert_eq!(back.variables, cp.variables);
         assert_eq!(back.best_variables, cp.best_variables);
         assert_eq!(back.best_value.to_bits(), cp.best_value.to_bits());
@@ -421,8 +384,8 @@ mod tests {
         let mut cp = sample_checkpoint();
         cp.prev_value = f64::INFINITY;
         cp.best_value = f64::INFINITY;
-        save(&root, "j", &cp).unwrap();
-        let back = load(&root, "j").unwrap().unwrap();
+        save_with(&RealVfs, &root, "j", &cp).unwrap();
+        let back = load_with(&RealVfs, &root, "j").unwrap().unwrap();
         assert!(back.prev_value.is_infinite());
         assert!(back.best_value.is_infinite());
     }
@@ -430,48 +393,48 @@ mod tests {
     #[test]
     fn missing_checkpoint_is_none() {
         let root = temp_root("missing");
-        assert!(load(&root, "nope").unwrap().is_none());
+        assert!(load_with(&RealVfs, &root, "nope").unwrap().is_none());
     }
 
     #[test]
     fn job_id_mismatch_is_rejected() {
         let root = temp_root("mismatch");
-        save(&root, "B1-fast", &sample_checkpoint()).unwrap();
+        save_with(&RealVfs, &root, "B1-fast", &sample_checkpoint()).unwrap();
         std::fs::rename(job_dir(&root, "B1-fast"), job_dir(&root, "B2-fast")).unwrap();
-        let err = load(&root, "B2-fast").unwrap_err();
+        let err = load_with(&RealVfs, &root, "B2-fast").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn corrupt_manifest_is_invalid_data() {
         let root = temp_root("corrupt");
-        save(&root, "j", &sample_checkpoint()).unwrap();
+        save_with(&RealVfs, &root, "j", &sample_checkpoint()).unwrap();
         let path = job_dir(&root, "j").join("state.txt");
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.truncate(text.len() / 2);
         std::fs::write(&path, text).unwrap();
         assert_eq!(
-            load(&root, "j").unwrap_err().kind(),
+            load_with(&RealVfs, &root, "j").unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
     }
 
     /// Applies `mutate` to a freshly saved manifest, then checks that
-    /// `load` rejects it and `load_or_quarantine` contains it: the bad
+    /// `load_with` rejects it and `load_or_quarantine_with` contains it: the bad
     /// file moves to `state.txt.corrupt` and the job restarts fresh.
     fn assert_quarantined(name: &str, mutate: impl FnOnce(&str) -> String) {
         let root = temp_root(name);
-        save(&root, "j", &sample_checkpoint()).unwrap();
+        save_with(&RealVfs, &root, "j", &sample_checkpoint()).unwrap();
         let path = job_dir(&root, "j").join("state.txt");
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, mutate(&text)).unwrap();
 
         assert_eq!(
-            load(&root, "j").unwrap_err().kind(),
+            load_with(&RealVfs, &root, "j").unwrap_err().kind(),
             io::ErrorKind::InvalidData,
             "{name}: corruption not detected"
         );
-        let (cp, note) = load_or_quarantine(&root, "j").unwrap();
+        let (cp, note) = load_or_quarantine_with(&RealVfs, &root, "j").unwrap();
         assert!(cp.is_none(), "{name}: corrupt state must not be resumed");
         assert!(note.unwrap().contains("quarantined"));
         assert!(
@@ -479,7 +442,7 @@ mod tests {
             "{name}: corrupt file not preserved"
         );
         // A second look sees no checkpoint at all: the job starts fresh.
-        let (cp, note) = load_or_quarantine(&root, "j").unwrap();
+        let (cp, note) = load_or_quarantine_with(&RealVfs, &root, "j").unwrap();
         assert!(cp.is_none());
         assert!(note.is_none());
     }
@@ -515,22 +478,22 @@ mod tests {
     #[test]
     fn clear_preserves_quarantined_state() {
         let root = temp_root("q_survives_clear");
-        save(&root, "j", &sample_checkpoint()).unwrap();
+        save_with(&RealVfs, &root, "j", &sample_checkpoint()).unwrap();
         let path = job_dir(&root, "j").join("state.txt");
         std::fs::write(&path, "garbage").unwrap();
-        let (cp, _) = load_or_quarantine(&root, "j").unwrap();
+        let (cp, _) = load_or_quarantine_with(&RealVfs, &root, "j").unwrap();
         assert!(cp.is_none());
         // The job then runs fresh, checkpoints, finishes and clears.
-        save(&root, "j", &sample_checkpoint()).unwrap();
-        clear(&root, "j").unwrap();
-        assert!(load(&root, "j").unwrap().is_none());
+        save_with(&RealVfs, &root, "j", &sample_checkpoint()).unwrap();
+        clear_with(&RealVfs, &root, "j").unwrap();
+        assert!(load_with(&RealVfs, &root, "j").unwrap().is_none());
         assert!(job_dir(&root, "j").join("state.txt.corrupt").is_file());
     }
 
     #[test]
     fn save_writes_inspectable_pgm() {
         let root = temp_root("pgm");
-        save(&root, "j", &sample_checkpoint()).unwrap();
+        save_with(&RealVfs, &root, "j", &sample_checkpoint()).unwrap();
         let bytes = std::fs::read(job_dir(&root, "j").join("p_field.pgm")).unwrap();
         let img = pgm::decode(&bytes).unwrap();
         assert_eq!(img.dims(), (5, 3));
@@ -539,10 +502,10 @@ mod tests {
     #[test]
     fn clear_removes_and_tolerates_missing() {
         let root = temp_root("clear");
-        save(&root, "j", &sample_checkpoint()).unwrap();
-        clear(&root, "j").unwrap();
-        assert!(load(&root, "j").unwrap().is_none());
-        clear(&root, "j").unwrap(); // second clear is a no-op
+        save_with(&RealVfs, &root, "j", &sample_checkpoint()).unwrap();
+        clear_with(&RealVfs, &root, "j").unwrap();
+        assert!(load_with(&RealVfs, &root, "j").unwrap().is_none());
+        clear_with(&RealVfs, &root, "j").unwrap(); // second clear is a no-op
     }
 
     /// Torn-write exhaustion: a `state.txt` truncated at *every* byte
@@ -557,12 +520,12 @@ mod tests {
     fn truncation_at_every_byte_boundary_is_detected_or_complete() {
         let root = temp_root("torn_matrix");
         let cp = sample_checkpoint();
-        save(&root, "j", &cp).unwrap();
+        save_with(&RealVfs, &root, "j", &cp).unwrap();
         let path = job_dir(&root, "j").join("state.txt");
         let full = std::fs::read(&path).unwrap();
         for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            match load(&root, "j") {
+            match load_with(&RealVfs, &root, "j") {
                 Ok(Some(back)) => {
                     // Accepting a prefix is only legal if every bit of
                     // state survived (e.g. the cut only removed the
@@ -586,31 +549,13 @@ mod tests {
                         "truncation at {cut}: wrong error kind ({e})"
                     );
                     // And the containment path quarantines it cleanly.
-                    let (got, note) = load_or_quarantine(&root, "j").unwrap();
+                    let (got, note) = load_or_quarantine_with(&RealVfs, &root, "j").unwrap();
                     assert!(got.is_none());
                     assert!(note.unwrap().contains("quarantined"));
                     // Restore for the next boundary.
                     std::fs::remove_file(job_dir(&root, "j").join("state.txt.corrupt")).unwrap();
                 }
             }
-        }
-    }
-
-    /// The Vfs-routed save is byte-identical to the legacy direct-fs
-    /// save: same manifest, same PGM rendering.
-    #[test]
-    fn save_with_real_vfs_matches_save_bytes() {
-        let a = temp_root("vfs_eq_a");
-        let b = temp_root("vfs_eq_b");
-        let cp = sample_checkpoint();
-        save(&a, "j", &cp).unwrap();
-        save_with(&crate::vfs::RealVfs, &b, "j", &cp).unwrap();
-        for name in ["state.txt", "p_field.pgm"] {
-            assert_eq!(
-                std::fs::read(job_dir(&a, "j").join(name)).unwrap(),
-                std::fs::read(job_dir(&b, "j").join(name)).unwrap(),
-                "{name} differs between save and save_with(RealVfs)"
-            );
         }
     }
 }

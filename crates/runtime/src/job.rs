@@ -2,21 +2,22 @@
 //!
 //! A [`JobSpec`] names one optimization: which benchmark clip, which
 //! MOSAIC mode (fast / exact) and at which resolution (carried by the
-//! [`MosaicConfig`]). [`execute_job`] drives the full lifecycle of one
-//! spec — resume any checkpoint (resampling it across a grid change),
-//! pull the shared simulator from the cache, run an
+//! [`MosaicConfig`]). [`execute_job`] drives one attempt at a spec —
+//! resume any checkpoint (resampling it across a grid change), pull the
+//! shared simulator from the cache, run an
 //! [`mosaic_core::ExecutionSession`] under a stack of instruments
 //! (supervision heartbeats, wall-clock sampling, iteration events,
 //! stop polling, checkpoint persistence), then score the final mask
-//! with the contest evaluator.
+//! with the contest evaluator. [`run_job`] runs a spec through all of
+//! its attempts and, under a ledger lease, commits the outcome.
 
 use crate::cache::SimCache;
 use crate::checkpoint;
 use crate::degrade::DegradationLadder;
 use crate::events::{Event, EventSink};
 use crate::fault::FaultPlan;
-use crate::ledger::LeaseHandle;
-use crate::scheduler::CancelToken;
+use crate::ledger::{CompletionRecord, LeaseHandle};
+use crate::scheduler::{run_attempts, CancelToken, JobExecution, RetryPolicy};
 use crate::supervise::{AttemptGuard, IterationStats, JobSlot, Supervisor};
 use mosaic_core::{
     Instrument, IterationControl, IterationRecord, IterationView, MaskState, Mosaic, MosaicConfig,
@@ -31,7 +32,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 thread_local! {
-    /// Per-worker spectral scratch pool. The scheduler's shared runner
+    /// Per-worker spectral scratch pool. The pool's shared runner
     /// closure (`&dyn Fn`) cannot carry `&mut` state across workers, so
     /// each worker thread keeps its own [`Workspace`]; buffers warmed by
     /// one job are reused by every later job on the same worker whose
@@ -190,7 +191,7 @@ pub struct JobReport {
 }
 
 /// Shared context a worker hands to every job it runs.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct JobContext<'a> {
     /// Simulator cache shared by the whole batch.
     pub cache: &'a SimCache,
@@ -214,12 +215,12 @@ pub struct JobContext<'a> {
     /// Degradation ladder applied on downshifted retries; `None`
     /// reruns the original configuration on every attempt.
     pub ladder: Option<&'a DegradationLadder>,
-    /// Total attempts the scheduler grants this job (`1 + retries`).
-    /// A supervision stop (budget overrun or stall) on a non-final
-    /// attempt returns an error so the scheduler retries (one ladder
-    /// rung down); on the final attempt it yields a salvaged
+    /// The job's retry budget: [`run_job`] grants `1 + retry.retries`
+    /// attempts. A supervision stop (budget overrun or stall) on a
+    /// non-final attempt returns an error so the loop retries (one
+    /// ladder rung down); on the final attempt it yields a salvaged
     /// [`JobStatus::TimedOut`] report.
-    pub max_attempts: u32,
+    pub retry: RetryPolicy,
     /// The shared-ledger lease this run holds, when the job came from a
     /// [`crate::ledger::Ledger`] claim; `None` for ordinary local runs.
     /// A lost lease (epoch fence) stops the run at the next iteration
@@ -414,9 +415,77 @@ impl Instrument for CheckpointWriter<'_, '_> {
     }
 }
 
-/// Runs one job end to end. `attempt` is the scheduler's 1-based attempt
-/// number (a retry after a mid-run crash resumes from the job's last
-/// saved checkpoint, when checkpointing is on).
+/// Runs `spec` to a terminal [`JobExecution`]: the one way a job runs,
+/// whether the plain batch pool, a ledger shard's claim sweep or a
+/// `mosaic serve` worker asked for it.
+///
+/// [`run_attempts`] drives [`execute_job`] through `ctx.retry`'s
+/// attempts, promoting an elapsed `ctx.deadline` into a sticky cancel
+/// before each one so queued jobs stop being scheduled. Under a
+/// [`JobContext::lease`] the terminal state maps onto the ledger:
+///
+/// * finished, timed-out and failed jobs commit a completion record —
+///   failures too, so peers do not ping-pong a deterministically
+///   failing job around the fleet;
+/// * a cancelled run releases its lease, so a longer-lived peer picks
+///   the job up where its checkpoint left off;
+/// * a fenced lease or a lost commit folds as [`JobExecution::Remote`]:
+///   the ledger's `done` record belongs to whoever won.
+pub fn run_job(spec: &JobSpec, ctx: &JobContext<'_>) -> JobExecution<JobReport> {
+    let execution = run_attempts(ctx.retry, ctx.cancel, ctx.lease, |attempt| {
+        if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
+            ctx.cancel.cancel();
+        }
+        execute_job(spec, attempt, ctx)
+    });
+    let Some(lease) = ctx.lease else {
+        return execution;
+    };
+    let (status, error, attempts, report) = match &execution {
+        JobExecution::Success { result, attempts } if result.status != JobStatus::Cancelled => {
+            (result.status, None, *attempts, Some(result))
+        }
+        JobExecution::Failure { error, attempts } => {
+            (JobStatus::Failed, Some(error.clone()), *attempts, None)
+        }
+        JobExecution::Remote { .. } => return execution,
+        // Local cancellation (deadline, signal, shutdown) is not a job
+        // outcome.
+        JobExecution::Success { .. } | JobExecution::Cancelled { .. } => {
+            lease.release();
+            return execution;
+        }
+    };
+    let record = CompletionRecord {
+        job: spec.id.clone(),
+        owner: lease.owner().to_string(),
+        epoch: lease.epoch(),
+        status,
+        error,
+        iterations: report.map_or(0, |r| r.iterations),
+        attempts,
+        wall_ms: report.map_or(0, |r| (r.wall_s * 1000.0).max(0.0) as u64),
+        degraded: report.is_some_and(|r| r.degraded),
+        degrade_step: match report {
+            Some(r) => r.degrade_step,
+            None => ctx.supervisor.map_or(0, |s| s.downshifts(&spec.id)),
+        },
+        metrics: report.and_then(|r| r.metrics),
+    };
+    if matches!(lease.complete(&record), Ok(true)) {
+        execution
+    } else {
+        JobExecution::Remote {
+            owner: lease.completed_by(),
+        }
+    }
+}
+
+/// Runs one attempt at a job end to end. `attempt` is the 1-based
+/// attempt number (a retry after a mid-run crash resumes from the job's
+/// last saved checkpoint, when checkpointing is on). The optimizer runs
+/// on the worker thread's long-lived spectral [`Workspace`], so repeated
+/// jobs on one worker reuse their FFT buffers.
 ///
 /// # Errors
 ///
@@ -429,20 +498,11 @@ pub fn execute_job(
     attempt: u32,
     ctx: &JobContext<'_>,
 ) -> Result<JobReport, String> {
-    WORKER_WS.with(|ws| execute_job_in(spec, attempt, ctx, &mut ws.borrow_mut()))
+    WORKER_WS.with(|ws| attempt_on(spec, attempt, ctx, &mut ws.borrow_mut()))
 }
 
-/// Workspace-threaded twin of [`execute_job`]: runs the optimizer as an
-/// [`mosaic_core::ExecutionSession`] with the session's workspace set to
-/// `ws`, so all spectral scratch buffers come from the pool.
-/// [`execute_job`] delegates here with the worker thread's long-lived
-/// pool, so repeated jobs on one worker reuse their FFT workspaces
-/// across jobs.
-///
-/// # Errors
-///
-/// Exactly as [`execute_job`].
-pub fn execute_job_in(
+/// [`execute_job`]'s body on an explicit workspace.
+fn attempt_on(
     spec: &JobSpec,
     attempt: u32,
     ctx: &JobContext<'_>,
@@ -681,8 +741,8 @@ pub fn execute_job_in(
             // A lost ledger lease outranks every other stop reason: the
             // job now belongs to its adopter, so this run must neither
             // salvage-score nor emit a terminal event for it. The error
-            // return ends the attempt loop; the shard driver folds the
-            // job as remotely owned.
+            // return ends the attempt loop, which folds the job as
+            // remotely owned.
             if let Some(lease) = ctx.lease.filter(|l| l.lost()) {
                 if lease.take_loss_report() {
                     ctx.events.emit(&Event::LeaseLost {
@@ -706,9 +766,9 @@ pub fn execute_job_in(
             // still carries stop without timed_out; both shapes must
             // take the degraded-retry path while retries remain.
             let supervised = slot.is_some_and(JobSlot::stop_requested) && !ctx.stop_requested();
-            if supervised && attempt < ctx.max_attempts {
+            if supervised && attempt <= ctx.retry.retries {
                 // The watchdog cut this attempt short but retries
-                // remain: fail the attempt so the scheduler reruns the
+                // remain: fail the attempt so the loop reruns the
                 // job one ladder rung down (the downshift was already
                 // recorded at detection; the checkpoint above keeps the
                 // progress when the grid rung allows a resume).
@@ -791,7 +851,7 @@ struct RunStats {
 /// for a degraded attempt, the ladder-applied one, not the spec's.
 pub(crate) fn score_mask(
     config: &MosaicConfig,
-    ctx: &JobContext<'_>,
+    cache: &SimCache,
     binary_mask: &Grid<f64>,
     layout: &mosaic_geometry::Layout,
     wall_s: f64,
@@ -804,8 +864,7 @@ pub(crate) fn score_mask(
         config.epe_spacing_nm,
         EPE_THRESHOLD_NM,
     );
-    let sim = ctx
-        .cache
+    let sim = cache
         .get_or_build(optics, config.resist, &config.conditions)
         .map_err(|e| format!("simulator build failed: {e}"))?;
     let contest = evaluator.evaluate_mask(&sim, binary_mask, wall_s);
@@ -832,7 +891,7 @@ fn salvage_metrics(
     binary_mask: &Grid<f64>,
     layout: &mosaic_geometry::Layout,
 ) -> Option<JobMetrics> {
-    match score_mask(config, ctx, binary_mask, layout, 0.0) {
+    match score_mask(config, ctx.cache, binary_mask, layout, 0.0) {
         Ok(metrics) => Some(metrics),
         Err(e) => {
             ctx.events.emit(&Event::Fault {
@@ -858,7 +917,7 @@ fn finish(
     started: Instant,
 ) -> Result<JobReport, String> {
     let wall_s = started.elapsed().as_secs_f64();
-    let metrics = score_mask(config, ctx, &binary_mask, layout, wall_s)?;
+    let metrics = score_mask(config, ctx.cache, &binary_mask, layout, wall_s)?;
     if let Some(dir) = ctx.checkpoint_dir {
         checkpoint::clear_with(ctx.vfs, dir, &spec.id)
             .map_err(|e| format!("checkpoint cleanup failed: {e}"))?;
@@ -914,6 +973,9 @@ pub(crate) fn emit_finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventObserver;
+    use crate::ledger::{Claim, Ledger};
+    use std::sync::Arc;
 
     fn tiny_spec(clip: BenchmarkId) -> JobSpec {
         let mut spec = JobSpec::preset(clip, MosaicMode::Fast, 128, 8.0);
@@ -936,7 +998,7 @@ mod tests {
             faults: None,
             supervisor: None,
             ladder: None,
-            max_attempts: 1,
+            retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
             vfs: &crate::vfs::RealVfs,
@@ -1001,5 +1063,100 @@ mod tests {
         assert!(metrics.quality_score.is_finite());
         assert!(report.degraded, "salvaged results are flagged degraded");
         assert_eq!(report.degrade_step, 0, "no downshift without a supervisor");
+    }
+
+    /// A ledger under a fresh temporary root holding a live claim on
+    /// `spec`'s job.
+    fn claimed(tag: &str, spec: &JobSpec) -> (Ledger, Arc<LeaseHandle>) {
+        let root = std::env::temp_dir().join(format!(
+            "mosaic-run-job-{tag}-{}-{}",
+            std::process::id(),
+            crate::ledger::unix_millis()
+        ));
+        let ledger = Ledger::open(&root, "owner", Duration::from_secs(60)).unwrap();
+        ledger.post(&spec.id, "tiny").unwrap();
+        let Claim::Claimed { lease } = ledger.claim(&spec.id).unwrap() else {
+            panic!("a fresh job is claimable");
+        };
+        (ledger, lease)
+    }
+
+    #[test]
+    fn fenced_lease_folds_remote_and_commits_nothing() {
+        let spec = tiny_spec(BenchmarkId::B1);
+        let (ledger, lease) = claimed("fenced", &spec);
+        // A rival takes the next epoch before the run can commit.
+        ledger
+            .plant(&spec.id, "rival", Duration::from_secs(60))
+            .unwrap();
+        let (cache, events, cancel) = (SimCache::new(), EventSink::null(), CancelToken::new());
+        let leased = JobContext {
+            lease: Some(&lease),
+            ..ctx(&cache, &events, &cancel)
+        };
+        let execution = run_job(&spec, &leased);
+        assert!(
+            matches!(execution, JobExecution::Remote { .. }),
+            "{execution:?}"
+        );
+        assert!(ledger.completion(&spec.id).unwrap().is_none());
+        std::fs::remove_dir_all(ledger.root()).unwrap();
+    }
+
+    #[test]
+    fn cancelled_run_releases_its_lease() {
+        let mut spec = tiny_spec(BenchmarkId::B1);
+        spec.config.opt.max_iterations = 50;
+        let (ledger, lease) = claimed("cancelled", &spec);
+        // Cancel mid-run, from the job's first iteration event.
+        let cancel = CancelToken::new();
+        let stop = cancel.clone();
+        let events = EventSink::null().with_observer(EventObserver::new(move |line| {
+            if line.contains("\"event\":\"iteration\"") {
+                stop.cancel();
+            }
+        }));
+        let cache = SimCache::new();
+        let leased = JobContext {
+            lease: Some(&lease),
+            ..ctx(&cache, &events, &cancel)
+        };
+        match run_job(&spec, &leased) {
+            JobExecution::Success { result, .. } => assert_eq!(result.status, JobStatus::Cancelled),
+            other => panic!("expected a cancelled report, got {other:?}"),
+        }
+        assert!(ledger.completion(&spec.id).unwrap().is_none());
+        // Released, not left to expire: the next claim is a clean one.
+        assert!(matches!(
+            ledger.claim(&spec.id).unwrap(),
+            Claim::Claimed { .. }
+        ));
+        std::fs::remove_dir_all(ledger.root()).unwrap();
+    }
+
+    #[test]
+    fn exhausted_attempts_commit_a_failed_record() {
+        // 64 px at 8 nm is 512 nm: the 1024 nm clip cannot fit, so
+        // every attempt fails at set-up.
+        let spec = JobSpec::preset(BenchmarkId::B1, MosaicMode::Fast, 64, 8.0);
+        let (ledger, lease) = claimed("failed", &spec);
+        let (cache, events, cancel) = (SimCache::new(), EventSink::null(), CancelToken::new());
+        let leased = JobContext {
+            lease: Some(&lease),
+            retry: RetryPolicy::retries(1),
+            ..ctx(&cache, &events, &cancel)
+        };
+        match run_job(&spec, &leased) {
+            JobExecution::Failure { attempts, .. } => assert_eq!(attempts, 2),
+            other => panic!("expected a failure, got {other:?}"),
+        }
+        let done = ledger
+            .completion(&spec.id)
+            .unwrap()
+            .expect("the failure is committed");
+        assert_eq!(done.status, JobStatus::Failed);
+        assert_eq!(done.attempts, 2);
+        assert!(done.error.is_some());
+        std::fs::remove_dir_all(ledger.root()).unwrap();
     }
 }

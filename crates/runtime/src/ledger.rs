@@ -206,6 +206,26 @@ pub enum Claim {
     Raced,
 }
 
+/// A won claim's lease plus, for an adoption, the lapsed holder and how
+/// stale its heartbeat was (ms).
+pub type Won = (Arc<LeaseHandle>, Option<(String, u64)>);
+
+impl Claim {
+    /// The lease of a [`Claimed`](Claim::Claimed) or
+    /// [`Adopted`](Claim::Adopted) job; `None` for every other outcome.
+    pub fn won(self) -> Option<Won> {
+        match self {
+            Claim::Claimed { lease } => Some((lease, None)),
+            Claim::Adopted {
+                lease,
+                prev_owner,
+                stale_ms,
+            } => Some((lease, Some((prev_owner, stale_ms)))),
+            Claim::Held { .. } | Claim::Completed | Claim::Raced => None,
+        }
+    }
+}
+
 /// The terminal record committed to a job's `done` file — enough for a
 /// non-running shard to fold the job into its batch summary.
 #[derive(Debug, Clone)]
@@ -619,6 +639,15 @@ impl Ledger {
         commit_new(&*self.vfs, &tmp, &dir.join("done"), &render_done(record))
     }
 
+    /// Best-effort name of the peer that completed `job`: its `done`
+    /// record's owner, or `"peer"` while none is readable.
+    pub fn completed_by(&self, job: &str) -> String {
+        self.completion(job)
+            .ok()
+            .flatten()
+            .map_or_else(|| "peer".to_string(), |record| record.owner)
+    }
+
     /// Reads a job's completion record. `None` means not completed (or
     /// a corrupt record, which still blocks re-claiming).
     ///
@@ -676,6 +705,12 @@ impl LeaseHandle {
     /// The owning shard's id.
     pub fn owner(&self) -> &str {
         self.ledger.owner()
+    }
+
+    /// Who holds this lease's job now that this holder cannot finish it
+    /// (fenced, or its commit lost): see [`Ledger::completed_by`].
+    pub fn completed_by(&self) -> String {
+        self.ledger.completed_by(&self.job)
     }
 
     /// Whether the lease has been fenced by a higher epoch — once true

@@ -11,11 +11,14 @@
 //!   configuration** and shared across every job via `Arc`, not once
 //!   per clip.
 //! * [`scheduler`] — a worker pool (`std::thread::scope` over a shared
-//!   work queue) with per-job panic isolation, one retry on failure,
-//!   and cooperative cancellation.
+//!   work queue) and the one attempt loop ([`run_attempts`]): per-attempt
+//!   panic isolation, retry with backoff, cooperative cancellation and
+//!   the ledger fence.
 //! * [`job`] — the job unit ([`JobSpec`]: clip × mode × resolution),
-//!   its lifecycle (queued → running → finished / failed / cancelled)
-//!   and the runner that drives one optimization end-to-end.
+//!   its lifecycle (queued → running → finished / failed / cancelled),
+//!   the attempt runner [`execute_job`] and [`run_job`], the way every
+//!   job runs — batch pool, ledger sweep and `mosaic serve` alike —
+//!   which also commits, releases or gives up a job's ledger lease.
 //! * [`events`] — structured JSONL progress events (job start, per-
 //!   iteration telemetry, job finish with EPE / PV-band / score, batch
 //!   summary) written through a thread-safe [`EventSink`].
@@ -56,10 +59,12 @@
 //!   N independent processes (or hosts on a shared mount) shard one
 //!   queue, survive each other's crashes via lease expiry + checkpoint
 //!   adoption, and fence stragglers through epoch bumps.
-//! * [`shard`] — the claim-loop batch driver over a [`Ledger`]:
-//!   [`run_sharded_batch`] replaces static job assignment with
-//!   claim/adopt scans, heartbeats leases from the watchdog thread and
-//!   folds remotely-completed jobs into the local summary.
+//! * [`shard`] — the claim loop over a [`Ledger`]: with
+//!   [`BatchConfig::shard`] set, [`run_batch`] replaces static job
+//!   assignment with claim/adopt scans and folds remotely-completed
+//!   jobs into the local summary. [`HeldLeases`] — the heartbeat pump
+//!   riding the watchdog thread plus the claim announcement — is shared
+//!   with `mosaic serve`'s ledger mode.
 //! * [`batch`] — the orchestrator gluing the above together:
 //!   [`run_batch`] plus the Table-2-style summary renderer. Batches
 //!   always drain; failed jobs come back as structured [`JobFailure`]s
@@ -120,12 +125,13 @@ pub use cache::SimCache;
 pub use degrade::{DegradationLadder, DegradeStep};
 pub use events::{Event, EventObserver, EventSink};
 pub use fault::{FaultKind, FaultPlan};
-pub use job::{execute_job, execute_job_in, JobContext, JobMetrics, JobReport, JobSpec, JobStatus};
-pub use ledger::{Claim, CompletionRecord, LeaseHandle, Ledger};
+pub use job::{execute_job, run_job, JobContext, JobMetrics, JobReport, JobSpec, JobStatus};
+pub use ledger::{Claim, CompletionRecord, LeaseHandle, Ledger, Won};
 pub use scheduler::{
-    clamp_threads, clamp_workers, default_workers, run_pool, CancelToken, JobExecution, RetryPolicy,
+    clamp_threads, clamp_workers, default_workers, run_attempts, run_pool, CancelToken,
+    JobExecution, RetryPolicy,
 };
-pub use shard::{run_sharded_batch, ShardConfig};
+pub use shard::{HeldLeases, ShardConfig};
 pub use supervise::{
     AttemptGuard, IterationStats, JobSlot, Supervisor, SupervisorConfig, WatchTicker,
 };
@@ -140,16 +146,16 @@ pub mod prelude {
     pub use crate::events::{Event, EventObserver, EventSink};
     pub use crate::fault::{FaultKind, FaultPlan};
     pub use crate::job::{
-        execute_job, execute_job_in, JobContext, JobMetrics, JobReport, JobSpec, JobStatus,
+        execute_job, run_job, JobContext, JobMetrics, JobReport, JobSpec, JobStatus,
     };
     pub use crate::jsonl;
-    pub use crate::ledger::{Claim, CompletionRecord, LeaseHandle, Ledger};
+    pub use crate::ledger::{Claim, CompletionRecord, LeaseHandle, Ledger, Won};
     pub use crate::salvage;
     pub use crate::scheduler::{
-        clamp_threads, clamp_workers, default_workers, run_pool, CancelToken, JobExecution,
-        RetryPolicy,
+        clamp_threads, clamp_workers, default_workers, run_attempts, run_pool, CancelToken,
+        JobExecution, RetryPolicy,
     };
-    pub use crate::shard::{run_sharded_batch, ShardConfig};
+    pub use crate::shard::{HeldLeases, ShardConfig};
     pub use crate::supervise::{
         AttemptGuard, IterationStats, JobSlot, Supervisor, SupervisorConfig, WatchTicker,
     };

@@ -8,19 +8,20 @@
 //! mask from that checkpoint and scores it through the contest
 //! evaluator, so even a job that never completed an attempt still
 //! contributes what it actually produced to the batch total.
+//! [`failed_job`] wraps it with the failed job's terminal event; the
+//! batch fold and `mosaic serve` both end failed jobs there.
 //!
 //! Salvage never escalates: a missing checkpoint yields `None`, a
 //! corrupt one is quarantined (via
-//! [`checkpoint::load_or_quarantine`]'s rename-to-`.corrupt` path) and
-//! yields `None`, and a scoring failure is reported as a
+//! [`checkpoint::load_or_quarantine_with`]'s rename-to-`.corrupt`
+//! path) and yields `None`, and a scoring failure is reported as a
 //! `salvage_error` fault — none of these fail the batch.
 
 use crate::cache::SimCache;
 use crate::checkpoint;
 use crate::degrade::DegradationLadder;
 use crate::events::{Event, EventSink};
-use crate::job::{score_mask, JobContext, JobMetrics, JobSpec};
-use crate::scheduler::CancelToken;
+use crate::job::{score_mask, JobContext, JobMetrics, JobSpec, JobStatus};
 use crate::vfs::Vfs;
 use mosaic_core::MaskState;
 use std::path::Path;
@@ -91,25 +92,8 @@ pub fn from_checkpoint(
             return None;
         }
     };
-    // Borrow the job runner's scorer through a minimal context: salvage
-    // charges zero runtime, exactly like an in-process salvage.
-    let cancel = CancelToken::new();
-    let ctx = JobContext {
-        cache,
-        events,
-        cancel: &cancel,
-        deadline: None,
-        checkpoint_dir: None,
-        checkpoint_every: 0,
-        faults: None,
-        supervisor: None,
-        ladder: None,
-        max_attempts: 1,
-        lease: None,
-        threads: 1,
-        vfs,
-    };
-    match score_mask(&config, &ctx, &mask, &layout, 0.0) {
+    // Salvage charges zero runtime, exactly like an in-process salvage.
+    match score_mask(&config, cache, &mask, &layout, 0.0) {
         Ok(metrics) => Some(metrics),
         Err(e) => {
             events.emit(&Event::Fault {
@@ -121,4 +105,47 @@ pub fn from_checkpoint(
             None
         }
     }
+}
+
+/// Ends a job that failed every attempt: salvages a score from its last
+/// checkpoint under `ctx.checkpoint_dir` and emits the `job_finish`
+/// event the runner could not, so a feed carries one `job_finish` per
+/// job however it ended. Returns the salvaged metrics, if any.
+pub fn failed_job(
+    spec: &JobSpec,
+    ctx: &JobContext<'_>,
+    error: &str,
+    attempts: u32,
+) -> Option<JobMetrics> {
+    let downshifts = ctx.supervisor.map_or(0, |s| s.downshifts(&spec.id));
+    let salvaged = ctx.checkpoint_dir.and_then(|dir| {
+        from_checkpoint(
+            ctx.vfs, dir, spec, ctx.ladder, downshifts, ctx.cache, ctx.events, attempts,
+        )
+    });
+    let (epe, pvb, shape, quality) = match &salvaged {
+        Some(m) => (
+            m.epe_violations,
+            m.pvband_nm2,
+            m.shape_violations,
+            m.quality_score,
+        ),
+        None => (0, f64::NAN, 0, f64::NAN),
+    };
+    ctx.events.emit(&Event::JobFinish {
+        job: spec.id.clone(),
+        status: JobStatus::Failed.name().to_string(),
+        error: Some(error.to_string()),
+        iterations: 0,
+        epe_violations: epe,
+        pvband_nm2: pvb,
+        shape_violations: shape,
+        quality_score: quality,
+        wall_s: f64::NAN,
+        attempts,
+        recoveries: 0,
+        degraded: salvaged.is_some(),
+        degrade_step: downshifts,
+    });
+    salvaged
 }

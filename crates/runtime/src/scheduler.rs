@@ -1,11 +1,16 @@
-//! Worker pool with panic isolation, retry and cooperative cancel.
+//! Worker pool and the attempt loop: panic isolation, retry and
+//! cooperative cancel.
 //!
-//! The pool is deliberately generic: it schedules any `Fn(&T) ->
-//! Result<R, String>` over a slice of items, which keeps the scheduling
-//! policy (work stealing off a shared counter, retry, panic capture)
-//! testable without running actual lithography jobs. The OPC-specific
-//! runner lives in [`crate::job`].
+//! Both are deliberately generic: [`run_pool`] schedules any `Fn(&T) ->
+//! JobExecution<R>` over a slice of items, and [`run_attempts`] drives
+//! any `FnMut(u32) -> Result<R, String>` through its attempts. That
+//! keeps the scheduling policy (work stealing off a shared counter,
+//! retry, panic capture) testable without running actual lithography
+//! jobs. The OPC-specific runner, [`crate::job::run_job`], is
+//! [`run_attempts`] over [`crate::job::execute_job`] plus the ledger
+//! commit.
 
+use crate::ledger::LeaseHandle;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -115,8 +120,15 @@ pub enum JobExecution<R> {
         /// Attempts consumed.
         attempts: u32,
     },
-    /// The item was never started: cancellation was requested first.
-    Cancelled,
+    /// Cancellation was requested before the item produced a result:
+    /// either it never started (`attempts == 0`) or an attempt failed
+    /// and cancellation stopped the retry.
+    Cancelled {
+        /// Attempts consumed.
+        attempts: u32,
+        /// The last attempt's error, when one ran.
+        error: Option<String>,
+    },
     /// The item was (or is being) handled by another process sharing
     /// the job ledger — this process holds no result for it.
     Remote {
@@ -135,7 +147,7 @@ impl<R> JobExecution<R> {
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -148,19 +160,14 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs `runner` over every item on a pool of `workers` OS threads and
 /// returns one [`JobExecution`] per item, in input order.
 ///
-/// The runner receives the item and the 1-based attempt number (2 on
-/// the retry after a failure).
-///
 /// * Items are claimed off a shared atomic counter, so workers stay busy
 ///   until the queue drains regardless of per-item cost.
-/// * A panicking runner is caught ([`catch_unwind`]) and counts as a
-///   failed attempt — one bad job cannot sink the batch or its worker.
-/// * Each item gets `1 + policy.retries` attempts before it is reported
-///   failed, with `policy.backoff` slept on the worker before each
-///   retry.
+/// * The runner takes an item to its terminal state — typically through
+///   [`run_attempts`], which catches panics, so one bad job cannot sink
+///   the batch or its worker.
 /// * If `cancel` fires, in-flight items finish (the runner is expected
 ///   to poll the token itself for a prompt stop) and unclaimed items
-///   come back [`JobExecution::Cancelled`]; failures are not retried.
+///   come back [`JobExecution::Cancelled`] without being started.
 ///
 /// `workers` is clamped to at least 1. With one worker the execution
 /// order is exactly the input order, which makes single-threaded runs
@@ -168,9 +175,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub fn run_pool<T, R>(
     items: &[T],
     workers: usize,
-    policy: RetryPolicy,
     cancel: &CancelToken,
-    runner: &(dyn Fn(&T, u32) -> Result<R, String> + Sync),
+    runner: &(dyn Fn(&T) -> JobExecution<R> + Sync),
 ) -> Vec<JobExecution<R>>
 where
     T: Sync,
@@ -187,7 +193,14 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let execution = run_one(&items[i], policy, cancel, runner);
+                let execution = if cancel.is_cancelled() {
+                    JobExecution::Cancelled {
+                        attempts: 0,
+                        error: None,
+                    }
+                } else {
+                    runner(&items[i])
+                };
                 if tx.send((i, execution)).is_err() {
                     break;
                 }
@@ -198,10 +211,9 @@ where
         for (i, execution) in rx {
             out[i] = Some(execution);
         }
-        // Every worker either reports an item or dies trying (the panic
-        // is caught per item), so a hole here should be impossible —
-        // but a lost slot must degrade into a reported failure, not a
-        // batch-killing panic.
+        // Every worker reports each item it claims, so a hole here should
+        // be impossible — but a lost slot must degrade into a reported
+        // failure, not a batch-killing panic.
         out.into_iter()
             .map(|e| {
                 e.unwrap_or_else(|| JobExecution::Failure {
@@ -213,28 +225,44 @@ where
     })
 }
 
-fn run_one<T, R>(
-    item: &T,
+/// Runs one item's attempts to a terminal [`JobExecution`]: the only
+/// attempt loop in the runtime. `attempt` receives the 1-based attempt
+/// number (2 on the retry after a failure).
+///
+/// * A panicking attempt is caught ([`catch_unwind`]) and counts as a
+///   failed attempt.
+/// * The item gets `1 + policy.retries` attempts before it is reported
+///   failed, with `policy.backoff` slept before each retry.
+/// * After a failed attempt, a fenced `lease` ends the loop as
+///   [`JobExecution::Remote`] (the adopter owns the job now) and a
+///   fired `cancel` as [`JobExecution::Cancelled`]; neither is retried.
+pub fn run_attempts<R>(
     policy: RetryPolicy,
     cancel: &CancelToken,
-    runner: &(dyn Fn(&T, u32) -> Result<R, String> + Sync),
+    lease: Option<&LeaseHandle>,
+    mut attempt: impl FnMut(u32) -> Result<R, String>,
 ) -> JobExecution<R> {
     let mut attempts = 0u32;
     loop {
-        if cancel.is_cancelled() && attempts == 0 {
-            return JobExecution::Cancelled;
-        }
         attempts += 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| runner(item, attempts)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| attempt(attempts)));
         let error = match outcome {
             Ok(Ok(result)) => return JobExecution::Success { result, attempts },
             Ok(Err(e)) => e,
             Err(payload) => format!("job panicked: {}", panic_message(payload)),
         };
+        if let Some(lease) = lease.filter(|lease| lease.lost()) {
+            return JobExecution::Remote {
+                owner: lease.completed_by(),
+            };
+        }
         // During shutdown an errored attempt is cancellation, not
         // failure — and never worth a retry.
         if cancel.is_cancelled() {
-            return JobExecution::Cancelled;
+            return JobExecution::Cancelled {
+                attempts,
+                error: Some(error),
+            };
         }
         if attempts > policy.retries {
             return JobExecution::Failure { error, attempts };
@@ -251,10 +279,24 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::Mutex;
 
+    /// Every item through [`run_attempts`] on [`run_pool`], with no
+    /// ledger lease: the plain batch's shape.
+    fn pool<T: Sync, R: Send>(
+        items: &[T],
+        workers: usize,
+        policy: RetryPolicy,
+        cancel: &CancelToken,
+        runner: &(dyn Fn(&T, u32) -> Result<R, String> + Sync),
+    ) -> Vec<JobExecution<R>> {
+        run_pool(items, workers, cancel, &|item| {
+            run_attempts(policy, cancel, None, |attempt| runner(item, attempt))
+        })
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         let items: Vec<usize> = (0..20).collect();
-        let out = run_pool(
+        let out = pool(
             &items,
             4,
             RetryPolicy::none(),
@@ -269,7 +311,7 @@ mod tests {
     #[test]
     fn panicking_item_fails_without_sinking_the_pool() {
         let items: Vec<usize> = (0..8).collect();
-        let out = run_pool(
+        let out = pool(
             &items,
             3,
             RetryPolicy::none(),
@@ -300,7 +342,7 @@ mod tests {
     fn one_retry_rescues_a_flaky_item() {
         let tries: Mutex<HashMap<usize, u32>> = Mutex::new(HashMap::new());
         let items: Vec<usize> = (0..4).collect();
-        let out = run_pool(
+        let out = pool(
             &items,
             2,
             RetryPolicy::retries(1),
@@ -326,7 +368,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_report_the_last_error() {
-        let out = run_pool(
+        let out = pool(
             &[7usize],
             1,
             RetryPolicy::retries(1),
@@ -349,7 +391,7 @@ mod tests {
             backoff: Duration::from_millis(30),
         };
         let start = std::time::Instant::now();
-        let out = run_pool(&[0usize], 1, policy, &CancelToken::new(), &|_, _| {
+        let out = pool(&[0usize], 1, policy, &CancelToken::new(), &|_, _| {
             Err::<usize, _>("always".to_string())
         });
         // 3 attempts → 2 backoff sleeps of 30 ms each.
@@ -369,15 +411,33 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let items: Vec<usize> = (0..5).collect();
-        let out = run_pool(&items, 2, RetryPolicy::none(), &cancel, &|&i, _| {
+        let out = pool(&items, 2, RetryPolicy::none(), &cancel, &|&i, _| {
             Ok::<_, String>(i)
         });
-        assert!(out.iter().all(|e| matches!(e, JobExecution::Cancelled)));
+        assert!(out
+            .iter()
+            .all(|e| matches!(e, JobExecution::Cancelled { .. })));
+    }
+
+    #[test]
+    fn cancel_between_attempts_keeps_the_attempt_count_and_last_error() {
+        let cancel = CancelToken::new();
+        let execution = run_attempts(RetryPolicy::retries(3), &cancel, None, |attempt| {
+            cancel.cancel();
+            Err::<(), _>(format!("attempt {attempt} failed"))
+        });
+        match execution {
+            JobExecution::Cancelled { attempts, error } => {
+                assert_eq!(attempts, 1, "no retry after the cancel");
+                assert_eq!(error.as_deref(), Some("attempt 1 failed"));
+            }
+            other => panic!("expected a cancellation, got {other:?}"),
+        }
     }
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        let out = run_pool(
+        let out = pool(
             &[1usize, 2],
             0,
             RetryPolicy::none(),

@@ -1,10 +1,12 @@
-//! Claim-loop batch driver over a shared job [`Ledger`].
+//! Claim-loop drivers over a shared job [`Ledger`].
 //!
-//! [`crate::batch::run_batch`] assigns every spec to its own worker
-//! pool; this driver replaces that static assignment with a *claim
+//! With [`BatchConfig::shard`](crate::batch::BatchConfig::shard) set,
+//! [`crate::batch::run_batch`] replaces static assignment with a *claim
 //! loop*: every shard process runs the same spec list against the same
 //! ledger directory, and each job goes to whichever shard commits its
-//! lease first. The pieces:
+//! lease first. `mosaic serve --ledger` drains the same kind of ledger
+//! from its idle workers; both drivers share [`HeldLeases`] and the
+//! attempt loop's ledger policy ([`crate::job::run_job`]). The pieces:
 //!
 //! * **Posting** — each shard posts every spec's payload on startup
 //!   (posts are idempotent), so the ledger describes the full queue no
@@ -29,19 +31,16 @@
 //! local quality totals. The ledger's `done` records hold the global
 //! picture.
 
-use crate::batch::{fold_outcome, BatchConfig, BatchOutcome};
-use crate::cache::SimCache;
 use crate::checkpoint;
-use crate::events::{Event, EventSink};
-use crate::job::{execute_job, mode_name, JobContext, JobReport, JobSpec, JobStatus};
-use crate::ledger::{Claim, CompletionRecord, LeaseHandle, Ledger};
-use crate::scheduler::{panic_message, JobExecution};
-use crate::supervise::{Supervisor, WatchTicker};
+use crate::events::Event;
+use crate::job::{mode_name, run_job, JobContext, JobReport, JobSpec};
+use crate::ledger::{Claim, LeaseHandle, Ledger};
+use crate::scheduler::JobExecution;
+use crate::supervise::{Supervisor, SupervisorConfig, WatchTicker};
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How one shard process attaches to the shared ledger.
@@ -71,7 +70,82 @@ impl ShardConfig {
     }
 }
 
+/// The ledger leases a process holds, renewed from its supervision
+/// watchdog. Cloning shares the set.
+#[derive(Debug, Clone, Default)]
+pub struct HeldLeases(Arc<Mutex<Vec<Arc<LeaseHandle>>>>);
+
+impl HeldLeases {
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<LeaseHandle>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A supervisor whose watchdog doubles as the heartbeat pump: it
+    /// renews every held lease after each scan pass, so lease liveness
+    /// and job liveness ride the same clock. Its watchdog must run even
+    /// with every supervision limit disabled. Without an explicit poll
+    /// it beats at a quarter of `lease_ttl`, so a healthy holder can
+    /// miss three beats before its lease lapses.
+    pub fn supervisor(&self, mut config: SupervisorConfig, lease_ttl: Duration) -> Supervisor {
+        if config.poll.is_none() {
+            config.poll =
+                Some((lease_ttl / 4).clamp(Duration::from_millis(5), Duration::from_millis(250)));
+        }
+        let held = self.clone();
+        Supervisor::new(config).with_ticker(WatchTicker::new(move || {
+            let mut leases = held.lock();
+            leases.retain(|lease| !lease.retired() && !lease.lost());
+            for lease in leases.iter() {
+                lease.heartbeat();
+            }
+        }))
+    }
+
+    /// Announces a won claim on `ctx.events` — `lease_claimed`, framed
+    /// by `lease_expired` and `job_adopted` for an adoption — and starts
+    /// heartbeating its lease. `job_adopted` records whether the lapsed
+    /// holder left a checkpoint under `ctx.checkpoint_dir` to resume.
+    pub fn announce(
+        &self,
+        ctx: &JobContext<'_>,
+        ledger: &Ledger,
+        lease: &Arc<LeaseHandle>,
+        adopted_from: Option<(String, u64)>,
+    ) {
+        let job = lease.job();
+        if let Some((prev_owner, stale_ms)) = &adopted_from {
+            ctx.events.emit(&Event::LeaseExpired {
+                job: job.to_string(),
+                owner: prev_owner.clone(),
+                epoch: lease.epoch().saturating_sub(1),
+                stale_ms: *stale_ms,
+            });
+        }
+        ctx.events.emit(&Event::LeaseClaimed {
+            job: job.to_string(),
+            owner: lease.owner().to_string(),
+            epoch: lease.epoch(),
+            ttl_ms: ledger.ttl().as_millis() as u64,
+        });
+        if let Some((prev_owner, _)) = adopted_from {
+            let checkpoint = ctx.checkpoint_dir.is_some_and(|dir| {
+                ctx.vfs
+                    .exists(&checkpoint::job_dir(dir, job).join("state.txt"))
+            });
+            ctx.events.emit(&Event::JobAdopted {
+                job: job.to_string(),
+                owner: lease.owner().to_string(),
+                prev_owner,
+                epoch: lease.epoch(),
+                checkpoint,
+            });
+        }
+        self.lock().push(Arc::clone(lease));
+    }
+}
+
 /// One spec's slot in the shard's sweep.
+#[derive(Default)]
 struct Slot {
     /// A worker is currently claiming / running this spec.
     busy: AtomicBool,
@@ -87,7 +161,7 @@ impl Slot {
         self.lock().is_some()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<JobExecution<JobReport>>> {
+    fn lock(&self) -> MutexGuard<'_, Option<JobExecution<JobReport>>> {
         self.result.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -113,76 +187,12 @@ fn spec_payload(spec: &JobSpec) -> String {
     )
 }
 
-/// Best-effort name of the peer that holds (or completed) a job this
-/// shard folded as remote.
-fn remote_owner(ledger: &Ledger, job: &str) -> String {
-    ledger
-        .completion(job)
-        .ok()
-        .flatten()
-        .map_or_else(|| "peer".to_string(), |record| record.owner)
-}
-
-fn completion_from_report(
-    lease: &LeaseHandle,
-    report: &JobReport,
-    attempts: u32,
-    error: Option<String>,
-) -> CompletionRecord {
-    CompletionRecord {
-        job: report.id.clone(),
-        owner: lease.owner().to_string(),
-        epoch: lease.epoch(),
-        status: report.status,
-        error,
-        iterations: report.iterations,
-        attempts,
-        wall_ms: (report.wall_s * 1000.0).max(0.0) as u64,
-        degraded: report.degraded,
-        degrade_step: report.degrade_step,
-        metrics: report.metrics,
-    }
-}
-
-/// Runs `specs` against the shared ledger at `shard.ledger_dir` and
-/// returns this shard's folded outcome. Every participating process
-/// calls this with the *same* spec list; jobs other shards handle come
-/// back as [`JobExecution::Remote`].
+/// Posts every spec to `ledger`.
 ///
 /// # Errors
 ///
-/// Fails only on report-file creation and on opening the ledger root;
-/// job-level problems are reported per job inside the outcome.
-pub fn run_sharded_batch(
-    specs: &[JobSpec],
-    config: &BatchConfig,
-    shard: &ShardConfig,
-) -> io::Result<BatchOutcome> {
-    let started = Instant::now();
-    let vfs: Arc<dyn crate::vfs::Vfs> = config
-        .vfs
-        .clone()
-        .unwrap_or_else(|| Arc::new(crate::vfs::RealVfs));
-    let mut sink = match &config.report {
-        Some(path) => EventSink::to_file_with(&*vfs, path)?,
-        None => EventSink::null(),
-    };
-    if let Some(observer) = &config.observer {
-        sink = sink.with_observer(observer.clone());
-    }
-    let events = Arc::new(sink);
-    let cache = SimCache::new();
-    let deadline = config.deadline.map(|d| started + d);
-    let ledger = Ledger::open_with(
-        Arc::clone(&vfs),
-        &shard.ledger_dir,
-        &shard.owner,
-        shard.lease_ttl,
-    )?;
-    events.emit(&Event::BatchStart {
-        jobs: specs.len(),
-        workers: config.workers.max(1),
-    });
+/// Fails when a spec cannot be posted after three tries.
+pub(crate) fn post_specs(ledger: &Ledger, specs: &[JobSpec]) -> io::Result<()> {
     for spec in specs {
         // Posting is create-new and therefore safely retryable: a few
         // transient storage errors (--fault-fs chaos, a flaky mount)
@@ -190,84 +200,35 @@ pub fn run_sharded_batch(
         // failure still surfaces — a job that cannot be posted cannot
         // be silently dropped.
         let mut attempts = 0;
-        loop {
-            match ledger.post(&spec.id, &spec_payload(spec)) {
-                Ok(_) => break,
-                Err(e) => {
-                    attempts += 1;
-                    if attempts >= 3 {
-                        return Err(e);
-                    }
-                }
+        while let Err(e) = ledger.post(&spec.id, &spec_payload(spec)) {
+            attempts += 1;
+            if attempts >= 3 {
+                return Err(e);
             }
         }
     }
+    Ok(())
+}
 
-    // Live leases, renewed from the watchdog thread: the ticker fires
-    // after every supervision scan, so lease liveness and job liveness
-    // ride the same clock.
-    let leases: Arc<Mutex<Vec<Arc<LeaseHandle>>>> = Arc::default();
-    let ticker = {
-        let leases = Arc::clone(&leases);
-        WatchTicker::new(move || {
-            let mut held = leases.lock().unwrap_or_else(PoisonError::into_inner);
-            held.retain(|lease| !lease.retired() && !lease.lost());
-            for lease in held.iter() {
-                lease.heartbeat();
-            }
-        })
-    };
-    // The watchdog must run regardless of supervision limits — it is
-    // the heartbeat pump. Without an explicit poll, beat at a quarter
-    // of the lease TTL so a healthy shard can miss three beats before
-    // its lease lapses.
-    let mut supervise = config.supervise.clone();
-    if supervise.poll.is_none() {
-        supervise.poll =
-            Some((shard.lease_ttl / 4).clamp(Duration::from_millis(5), Duration::from_millis(250)));
-    }
-    let supervisor = Arc::new(Supervisor::new(supervise).with_ticker(ticker));
-    let watchdog_stop = Arc::new(AtomicBool::new(false));
-    let watchdog = {
-        let supervisor = Arc::clone(&supervisor);
-        let events = Arc::clone(&events);
-        let stop = Arc::clone(&watchdog_stop);
-        std::thread::spawn(move || supervisor.watch(&events, &stop))
-    };
-
-    let slots: Vec<Slot> = specs
-        .iter()
-        .map(|_| Slot {
-            busy: AtomicBool::new(false),
-            result: Mutex::new(None),
-            claim_attempts: AtomicU32::new(0),
-        })
-        .collect();
+/// Sweeps `specs` over `ledger` on `workers` threads until every spec is
+/// terminal and returns one execution per spec, in input order. Jobs
+/// other shards handle come back as [`JobExecution::Remote`].
+pub(crate) fn sweep_ledger(
+    specs: &[JobSpec],
+    workers: usize,
+    ledger: &Ledger,
+    held: &HeldLeases,
+    ctx: &JobContext<'_>,
+) -> Vec<JobExecution<JobReport>> {
+    let slots: Vec<Slot> = specs.iter().map(|_| Slot::default()).collect();
     let sweep_pause =
-        (shard.lease_ttl / 8).clamp(Duration::from_millis(5), Duration::from_millis(100));
+        (ledger.ttl() / 8).clamp(Duration::from_millis(5), Duration::from_millis(100));
     std::thread::scope(|s| {
-        for _ in 0..config.workers.max(1) {
-            s.spawn(|| {
-                sweep(
-                    specs,
-                    &slots,
-                    config,
-                    &ledger,
-                    &leases,
-                    &supervisor,
-                    &cache,
-                    &events,
-                    deadline,
-                    sweep_pause,
-                    &*vfs,
-                );
-            });
+        for _ in 0..workers.max(1) {
+            s.spawn(|| sweep(specs, &slots, ledger, held, ctx, sweep_pause));
         }
     });
-    watchdog_stop.store(true, Ordering::SeqCst);
-    let _ = watchdog.join();
-
-    let results: Vec<JobExecution<JobReport>> = slots
+    slots
         .into_iter()
         .map(|slot| {
             let resolved = slot
@@ -279,38 +240,22 @@ pub fn run_sharded_batch(
                 attempts: 0,
             })
         })
-        .collect();
-    Ok(fold_outcome(
-        specs,
-        results,
-        config,
-        &supervisor,
-        &cache,
-        &events,
-        started,
-        &*vfs,
-    ))
+        .collect()
 }
 
 /// One worker's sweep: repeatedly walk the unresolved specs, claiming
 /// whatever the ledger offers, until every slot is terminal.
-#[allow(clippy::too_many_arguments)]
 fn sweep(
     specs: &[JobSpec],
     slots: &[Slot],
-    config: &BatchConfig,
     ledger: &Ledger,
-    leases: &Mutex<Vec<Arc<LeaseHandle>>>,
-    supervisor: &Supervisor,
-    cache: &SimCache,
-    events: &EventSink,
-    deadline: Option<Instant>,
+    held: &HeldLeases,
+    ctx: &JobContext<'_>,
     sweep_pause: Duration,
-    vfs: &dyn crate::vfs::Vfs,
 ) {
     loop {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            config.cancel.cancel();
+        if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
+            ctx.cancel.cancel();
         }
         let mut unresolved = 0usize;
         let mut progressed = false;
@@ -326,17 +271,18 @@ fn sweep(
                 slot.busy.store(false, Ordering::SeqCst);
                 continue;
             }
-            if config.cancel.is_cancelled() {
-                // fold_outcome emits the job_finish for never-started
+            if ctx.cancel.is_cancelled() {
+                // The batch fold emits the job_finish for never-started
                 // cancellations.
-                slot.resolve(JobExecution::Cancelled);
+                slot.resolve(JobExecution::Cancelled {
+                    attempts: 0,
+                    error: None,
+                });
                 slot.busy.store(false, Ordering::SeqCst);
                 progressed = true;
                 continue;
             }
-            if visit(
-                spec, slot, config, ledger, leases, supervisor, cache, events, deadline, vfs,
-            ) {
+            if visit(spec, slot, ledger, held, ctx) {
                 progressed = true;
             }
             slot.busy.store(false, Ordering::SeqCst);
@@ -354,221 +300,89 @@ fn sweep(
 
 /// One claim attempt on one spec. Returns whether the sweep made
 /// progress (resolved the slot or ran a job).
-#[allow(clippy::too_many_arguments)]
 fn visit(
     spec: &JobSpec,
     slot: &Slot,
-    config: &BatchConfig,
     ledger: &Ledger,
-    leases: &Mutex<Vec<Arc<LeaseHandle>>>,
-    supervisor: &Supervisor,
-    cache: &SimCache,
-    events: &EventSink,
-    deadline: Option<Instant>,
-    vfs: &dyn crate::vfs::Vfs,
+    held: &HeldLeases,
+    ctx: &JobContext<'_>,
 ) -> bool {
     let claim_no = slot.claim_attempts.fetch_add(1, Ordering::SeqCst) + 1;
-    // Ledger fault injection, keyed on this shard's claim attempt.
-    if config.faults.lease_write_fails(&spec.id, claim_no) {
-        events.emit(&Event::Fault {
+    let fault = |kind: &str, detail: String| {
+        ctx.events.emit(&Event::Fault {
             job: spec.id.clone(),
             attempt: claim_no,
-            kind: "lease_write_error".to_string(),
-            detail: "injected lease-write I/O error; claim skipped".to_string(),
+            kind: kind.to_string(),
+            detail,
         });
+    };
+    // Ledger fault injection, keyed on this shard's claim attempt.
+    if ctx
+        .faults
+        .is_some_and(|f| f.lease_write_fails(&spec.id, claim_no))
+    {
+        fault(
+            "lease_write_error",
+            "injected lease-write I/O error; claim skipped".to_string(),
+        );
         return false;
     }
-    if config.faults.claim_race(&spec.id, claim_no) {
+    if ctx.faults.is_some_and(|f| f.claim_race(&spec.id, claim_no)) {
         // Plant an already-expired rival at the epoch this claim
         // targets: the claim loses the create-new race it would have
         // won and must take the adoption path instead.
         let _ = ledger.plant(&spec.id, "injected-rival", Duration::ZERO);
-        events.emit(&Event::Fault {
-            job: spec.id.clone(),
-            attempt: claim_no,
-            kind: "claim_race".to_string(),
-            detail: "injected rival lease at the targeted epoch".to_string(),
-        });
+        fault(
+            "claim_race",
+            "injected rival lease at the targeted epoch".to_string(),
+        );
     }
-    let claim = match ledger.claim(&spec.id) {
-        Ok(claim) => claim,
-        Err(e) => {
-            events.emit(&Event::Fault {
-                job: spec.id.clone(),
-                attempt: claim_no,
-                kind: "lease_write_error".to_string(),
-                detail: format!("claim failed: {e}"),
-            });
-            return false;
-        }
-    };
-    let (lease, adopted_from) = match claim {
-        Claim::Completed => {
+    let (lease, adopted_from) = match ledger.claim(&spec.id) {
+        Ok(Claim::Completed) => {
             slot.resolve(JobExecution::Remote {
-                owner: remote_owner(ledger, &spec.id),
+                owner: ledger.completed_by(&spec.id),
             });
             return true;
         }
-        Claim::Held { .. } | Claim::Raced => return false,
-        Claim::Claimed { lease } => (lease, None),
-        Claim::Adopted {
-            lease,
-            prev_owner,
-            stale_ms,
-        } => {
-            events.emit(&Event::LeaseExpired {
-                job: spec.id.clone(),
-                owner: prev_owner.clone(),
-                epoch: lease.epoch().saturating_sub(1),
-                stale_ms,
-            });
-            (lease, Some(prev_owner))
+        Ok(claim) => match claim.won() {
+            Some(won) => won,
+            None => return false, // held by a live peer, or raced
+        },
+        Err(e) => {
+            fault("lease_write_error", format!("claim failed: {e}"));
+            return false;
         }
     };
-    events.emit(&Event::LeaseClaimed {
-        job: spec.id.clone(),
-        owner: lease.owner().to_string(),
-        epoch: lease.epoch(),
-        ttl_ms: ledger.ttl().as_millis() as u64,
-    });
-    if let Some(prev_owner) = adopted_from {
-        let has_checkpoint = config
-            .checkpoint_dir
-            .as_deref()
-            .is_some_and(|dir| vfs.exists(&checkpoint::job_dir(dir, &spec.id).join("state.txt")));
-        events.emit(&Event::JobAdopted {
-            job: spec.id.clone(),
-            owner: lease.owner().to_string(),
-            prev_owner,
-            epoch: lease.epoch(),
-            checkpoint: has_checkpoint,
-        });
-    }
-    if let Some(millis) = config.faults.shard_pause_millis(&spec.id, claim_no) {
+    // Pause before the lease joins the heartbeat pump, so no renewal
+    // slips in ahead of the injected stall.
+    let pause = ctx
+        .faults
+        .and_then(|f| f.shard_pause_millis(&spec.id, claim_no));
+    if let Some(millis) = pause {
         lease.pause(millis);
-        events.emit(&Event::Fault {
-            job: spec.id.clone(),
-            attempt: claim_no,
-            kind: "shard_pause".to_string(),
-            detail: format!("heartbeat renewals suppressed for {millis} ms"),
-        });
     }
-    {
-        let mut held = leases.lock().unwrap_or_else(PoisonError::into_inner);
-        held.push(Arc::clone(&lease));
+    held.announce(ctx, ledger, &lease, adopted_from);
+    if let Some(millis) = pause {
+        fault(
+            "shard_pause",
+            format!("heartbeat renewals suppressed for {millis} ms"),
+        );
     }
-    let execution = run_leased(
-        spec, &lease, config, ledger, supervisor, cache, events, deadline, vfs,
-    );
-    slot.resolve(execution);
+    slot.resolve(run_job(
+        spec,
+        &JobContext {
+            lease: Some(&lease),
+            ..*ctx
+        },
+    ));
     true
-}
-
-/// Runs the claimed job through the normal attempt loop and maps its
-/// terminal state onto the ledger: completion records for finished /
-/// failed / timed-out runs, a clean release for cancellations, and
-/// [`JobExecution::Remote`] when the lease was lost mid-run.
-#[allow(clippy::too_many_arguments)]
-fn run_leased(
-    spec: &JobSpec,
-    lease: &Arc<LeaseHandle>,
-    config: &BatchConfig,
-    ledger: &Ledger,
-    supervisor: &Supervisor,
-    cache: &SimCache,
-    events: &EventSink,
-    deadline: Option<Instant>,
-    vfs: &dyn crate::vfs::Vfs,
-) -> JobExecution<JobReport> {
-    let ctx = JobContext {
-        cache,
-        events,
-        cancel: &config.cancel,
-        deadline,
-        checkpoint_dir: config.checkpoint_dir.as_deref(),
-        checkpoint_every: config.checkpoint_every,
-        faults: (!config.faults.is_empty()).then_some(&config.faults),
-        supervisor: Some(supervisor),
-        ladder: Some(&config.ladder),
-        max_attempts: config.retries + 1,
-        lease: Some(lease),
-        threads: config.threads.max(1),
-        vfs,
-    };
-    let mut attempts = 0u32;
-    let terminal_error = loop {
-        attempts += 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute_job(spec, attempts, &ctx)));
-        let error = match outcome {
-            Ok(Ok(report)) => {
-                if report.status == JobStatus::Cancelled {
-                    // Local cancellation (deadline / signal) is not a
-                    // job outcome: release so a longer-lived peer can
-                    // pick the job up where the checkpoint left it.
-                    lease.release();
-                } else if !matches!(
-                    lease.complete(&completion_from_report(lease, &report, attempts, None)),
-                    Ok(true)
-                ) {
-                    return JobExecution::Remote {
-                        owner: remote_owner(ledger, &spec.id),
-                    };
-                }
-                return JobExecution::Success {
-                    result: report,
-                    attempts,
-                };
-            }
-            Ok(Err(e)) => e,
-            Err(payload) => format!("job panicked: {}", panic_message(payload)),
-        };
-        if lease.lost() {
-            // Fenced mid-run: the adopter owns the job now.
-            return JobExecution::Remote {
-                owner: remote_owner(ledger, &spec.id),
-            };
-        }
-        if config.cancel.is_cancelled() {
-            lease.release();
-            return JobExecution::Cancelled;
-        }
-        if attempts > config.retries {
-            break error;
-        }
-        if !config.retry_backoff.is_zero() {
-            std::thread::sleep(config.retry_backoff);
-        }
-    };
-    // Attempts exhausted: commit the failure so peers do not ping-pong
-    // a deterministically failing job around the fleet. The local fold
-    // still salvages from the newest checkpoint and emits job_finish.
-    let record = CompletionRecord {
-        job: spec.id.clone(),
-        owner: lease.owner().to_string(),
-        epoch: lease.epoch(),
-        status: JobStatus::Failed,
-        error: Some(terminal_error.clone()),
-        iterations: 0,
-        attempts,
-        wall_ms: 0,
-        degraded: false,
-        degrade_step: supervisor.downshifts(&spec.id),
-        metrics: None,
-    };
-    if !matches!(lease.complete(&record), Ok(true)) {
-        return JobExecution::Remote {
-            owner: remote_owner(ledger, &spec.id),
-        };
-    }
-    JobExecution::Failure {
-        error: terminal_error,
-        attempts,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{run_batch, BatchConfig};
+    use crate::job::JobStatus;
     use crate::ledger::unix_millis;
     use mosaic_core::MosaicMode;
     use mosaic_geometry::benchmarks::BenchmarkId;
@@ -594,8 +408,11 @@ mod tests {
         let root = temp_dir("single");
         let specs = vec![tiny_spec(BenchmarkId::B1)];
         let shard = ShardConfig::new(root.join("ledger"), "shard-a");
-        let config = BatchConfig::default();
-        let outcome = run_sharded_batch(&specs, &config, &shard).unwrap();
+        let config = BatchConfig {
+            shard: Some(shard.clone()),
+            ..BatchConfig::default()
+        };
+        let outcome = run_batch(&specs, &config).unwrap();
         assert_eq!(outcome.finished, 1);
         assert_eq!(outcome.remote, 0);
         let ledger = Ledger::open(root.join("ledger"), "reader", shard.lease_ttl).unwrap();
@@ -610,13 +427,20 @@ mod tests {
     fn completed_jobs_fold_as_remote_on_the_second_shard() {
         let root = temp_dir("remote");
         let specs = vec![tiny_spec(BenchmarkId::B1), tiny_spec(BenchmarkId::B2)];
-        let config = BatchConfig::default();
         let shard_a = ShardConfig::new(root.join("ledger"), "shard-a");
-        let first = run_sharded_batch(&specs, &config, &shard_a).unwrap();
+        let config = BatchConfig {
+            shard: Some(shard_a),
+            ..BatchConfig::default()
+        };
+        let first = run_batch(&specs, &config).unwrap();
         assert_eq!(first.finished, 2);
         // A late-arriving peer sees both jobs done and runs nothing.
         let shard_b = ShardConfig::new(root.join("ledger"), "shard-b");
-        let second = run_sharded_batch(&specs, &config, &shard_b).unwrap();
+        let config = BatchConfig {
+            shard: Some(shard_b),
+            ..BatchConfig::default()
+        };
+        let second = run_batch(&specs, &config).unwrap();
         assert_eq!(second.finished, 0);
         assert_eq!(second.remote, 2);
         assert!(matches!(

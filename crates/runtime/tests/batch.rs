@@ -6,7 +6,7 @@ use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
     execute_job, run_batch, BatchConfig, CancelToken, EventSink, JobContext, JobExecution, JobSpec,
-    JobStatus, SimCache,
+    JobStatus, RetryPolicy, SimCache,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -147,7 +147,7 @@ fn checkpoint_kill_resume_reaches_the_same_final_mask() {
             faults: None,
             supervisor: None,
             ladder: None,
-            max_attempts: 1,
+            retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
             vfs: &mosaic_runtime::vfs::RealVfs,
@@ -171,7 +171,7 @@ fn checkpoint_kill_resume_reaches_the_same_final_mask() {
             faults: None,
             supervisor: None,
             ladder: None,
-            max_attempts: 1,
+            retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
             vfs: &mosaic_runtime::vfs::RealVfs,
@@ -197,7 +197,7 @@ fn checkpoint_kill_resume_reaches_the_same_final_mask() {
             faults: None,
             supervisor: None,
             ladder: None,
-            max_attempts: 1,
+            retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
             vfs: &mosaic_runtime::vfs::RealVfs,

@@ -30,8 +30,8 @@ use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::checkpoint;
 use mosaic_runtime::{
-    run_batch, run_sharded_batch, BatchConfig, BatchOutcome, CancelToken, Event, EventSink,
-    FaultVfs, JobExecution, JobSpec, JobStatus, Ledger, ShardConfig,
+    run_batch, BatchConfig, BatchOutcome, CancelToken, Event, EventSink, FaultVfs, JobExecution,
+    JobSpec, JobStatus, Ledger, RealVfs, ShardConfig,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -104,8 +104,11 @@ fn completion_bits(ledger: &Ledger, specs: &[JobSpec]) -> Vec<(String, u64)> {
 /// Uncrashed reference run: per-job quality bits keyed by job id.
 fn baseline_quality(specs: &[JobSpec]) -> Vec<(String, u64)> {
     let dir = temp_dir("baseline");
-    let outcome = run_sharded_batch(specs, &batch_config(&dir), &shard_cfg(&dir, "base"))
-        .expect("baseline run");
+    let config = BatchConfig {
+        shard: Some(shard_cfg(&dir, "base")),
+        ..batch_config(&dir)
+    };
+    let outcome = run_batch(specs, &config).expect("baseline run");
     assert_eq!(outcome.finished, specs.len());
     let ledger = Ledger::open(dir.join("ledger"), "reader", Duration::from_secs(1)).unwrap();
     completion_bits(&ledger, specs)
@@ -138,9 +141,10 @@ fn count_ops(specs: &[JobSpec], seed: u64) -> u64 {
     let fault = FaultVfs::new(seed);
     let config = BatchConfig {
         vfs: Some(Arc::new(fault.clone())),
+        shard: Some(shard_cfg(&dir, "count")),
         ..batch_config(&dir)
     };
-    let outcome = run_sharded_batch(specs, &config, &shard_cfg(&dir, "count")).expect("count run");
+    let outcome = run_batch(specs, &config).expect("count run");
     assert_eq!(outcome.finished, specs.len());
     fault.op_count()
 }
@@ -162,14 +166,15 @@ fn crash_at_and_recover(specs: &[JobSpec], baseline: &[(String, u64)], seed: u64
     let config = BatchConfig {
         cancel: token,
         vfs: Some(Arc::new(fault.clone())),
+        shard: Some(shard_cfg(&dir, "victim")),
         ..batch_config(&dir)
     };
-    let _ = run_sharded_batch(specs, &config, &shard_cfg(&dir, "victim"));
+    let _ = run_batch(specs, &config);
 
     // Whatever survived the crash must already be readable as a
     // complete old-or-new checkpoint — never torn, never a panic.
     for spec in specs {
-        let loaded = checkpoint::load(&dir.join("ckpt"), &spec.id);
+        let loaded = checkpoint::load_with(&RealVfs, &dir.join("ckpt"), &spec.id);
         assert!(
             loaded.is_ok(),
             "torn checkpoint accepted at k={k} for {}: {:?}",
@@ -180,8 +185,12 @@ fn crash_at_and_recover(specs: &[JobSpec], baseline: &[(String, u64)], seed: u64
 
     // Recovery leg: a fresh owner on the real filesystem sweeps the
     // same ledger, adopting whatever leases the victim left behind.
-    let recovery = run_sharded_batch(specs, &batch_config(&dir), &shard_cfg(&dir, "recover"))
-        .unwrap_or_else(|e| panic!("recovery failed at k={k}: {e}"));
+    let config = BatchConfig {
+        shard: Some(shard_cfg(&dir, "recover")),
+        ..batch_config(&dir)
+    };
+    let recovery =
+        run_batch(specs, &config).unwrap_or_else(|e| panic!("recovery failed at k={k}: {e}"));
     assert_eq!(
         recovery.results.len(),
         specs.len(),

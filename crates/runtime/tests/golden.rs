@@ -13,7 +13,9 @@
 
 use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
-use mosaic_runtime::{execute_job, CancelToken, EventSink, JobContext, JobSpec, SimCache};
+use mosaic_runtime::{
+    execute_job, CancelToken, EventSink, JobContext, JobSpec, RetryPolicy, SimCache,
+};
 
 /// FNV-1a over the binarized mask pixels (0/1 as bytes). Stable across
 /// platforms because the binarization is exact (P > 0 threshold).
@@ -48,7 +50,7 @@ fn golden_snapshot_at(threads: usize) {
         faults: None,
         supervisor: None,
         ladder: None,
-        max_attempts: 1,
+        retry: RetryPolicy::none(),
         lease: None,
         threads,
         vfs: &mosaic_runtime::vfs::RealVfs,

@@ -10,7 +10,7 @@ use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
     execute_job, CancelToken, DegradationLadder, EventSink, JobContext, JobSpec, JobStatus,
-    SimCache, Supervisor, SupervisorConfig,
+    RetryPolicy, SimCache, Supervisor, SupervisorConfig,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -66,7 +66,7 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
                 faults: None,
                 supervisor: None,
                 ladder: Some(&ladder),
-                max_attempts: 2,
+                retry: RetryPolicy::retries(1),
                 lease: None,
                 threads: 1,
                 vfs: &mosaic_runtime::vfs::RealVfs,
@@ -95,7 +95,7 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
             faults: None,
             supervisor: Some(&sup),
             ladder: Some(&ladder),
-            max_attempts: 2,
+            retry: RetryPolicy::retries(1),
             lease: None,
             threads: 1,
             vfs: &mosaic_runtime::vfs::RealVfs,
@@ -148,7 +148,7 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
             faults: None,
             supervisor: Some(&fresh_sup),
             ladder: Some(&ladder),
-            max_attempts: 1,
+            retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
             vfs: &mosaic_runtime::vfs::RealVfs,

@@ -7,7 +7,7 @@ use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
     execute_job, run_batch, salvage, BatchConfig, CancelToken, EventSink, FaultKind, FaultPlan,
-    JobContext, JobExecution, JobSpec, JobStatus, SimCache, SupervisorConfig,
+    JobContext, JobExecution, JobSpec, JobStatus, RetryPolicy, SimCache, SupervisorConfig,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -51,7 +51,7 @@ fn cancelled_run_salvage_matches_checkpoint_salvage_bit_exactly() {
             faults: None,
             supervisor: None,
             ladder: None,
-            max_attempts: 1,
+            retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
             vfs: &mosaic_runtime::vfs::RealVfs,

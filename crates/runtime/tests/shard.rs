@@ -7,8 +7,8 @@
 use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
-    execute_job, run_sharded_batch, BatchConfig, CancelToken, Claim, EventSink, FaultKind,
-    FaultPlan, JobContext, JobExecution, JobSpec, JobStatus, Ledger, ShardConfig, SimCache,
+    execute_job, run_batch, BatchConfig, CancelToken, Claim, EventSink, FaultKind, FaultPlan,
+    JobContext, JobExecution, JobSpec, JobStatus, Ledger, RetryPolicy, ShardConfig, SimCache,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -57,7 +57,7 @@ fn dead_shard_is_adopted_with_bit_identical_results() {
             faults: None,
             supervisor: None,
             ladder: None,
-            max_attempts: 1,
+            retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
             vfs: &mosaic_runtime::vfs::RealVfs,
@@ -88,7 +88,7 @@ fn dead_shard_is_adopted_with_bit_identical_results() {
             faults: None,
             supervisor: None,
             ladder: None,
-            max_attempts: 1,
+            retry: RetryPolicy::none(),
             lease: Some(&lease_a),
             threads: 1,
             vfs: &mosaic_runtime::vfs::RealVfs,
@@ -110,7 +110,11 @@ fn dead_shard_is_adopted_with_bit_identical_results() {
     };
     let mut shard_b = ShardConfig::new(&ledger_dir, "shard-b");
     shard_b.lease_ttl = Duration::from_millis(500);
-    let outcome = run_sharded_batch(&specs, &config, &shard_b).unwrap();
+    let config = BatchConfig {
+        shard: Some(shard_b),
+        ..config
+    };
+    let outcome = run_batch(&specs, &config).unwrap();
     assert_eq!(outcome.finished, 1, "no job may be lost");
     assert_eq!(outcome.remote, 0);
     let JobExecution::Success { result, .. } = &outcome.results[0] else {
@@ -222,8 +226,11 @@ fn chaos_soak_loses_no_job_and_completes_none_twice() {
                 let mut shard = ShardConfig::new(&ledger_dir, owner);
                 shard.lease_ttl = Duration::from_millis(200);
                 let specs = &specs;
-                let config = &config;
-                s.spawn(move || run_sharded_batch(specs, config, &shard).unwrap())
+                let config = BatchConfig {
+                    shard: Some(shard),
+                    ..config.clone()
+                };
+                s.spawn(move || run_batch(specs, &config).unwrap())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -14,7 +14,7 @@ use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_numerics::rng::Rng64;
 use mosaic_runtime::{
     checkpoint, run_batch, BatchConfig, FaultKind, FaultPlan, FaultVfs, JobExecution, JobSpec,
-    SupervisorConfig, Vfs,
+    RealVfs, SupervisorConfig, Vfs,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -51,7 +51,7 @@ fn assert_checkpoints_loadable(root: &Path) {
             continue;
         }
         let job = entry.file_name().to_string_lossy().to_string();
-        match checkpoint::load(root, &job) {
+        match checkpoint::load_with(&RealVfs, root, &job) {
             Ok(Some(_)) => {}
             Ok(None) => panic!("{job}: state.txt present but load saw nothing"),
             Err(e) => panic!("{job}: unquarantined corrupt checkpoint: {e}"),

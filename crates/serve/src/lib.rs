@@ -19,10 +19,13 @@
 //!   FNV-1a fingerprint of the canonical submission parameters, so a
 //!   repeated clip+preset is answered without scheduling a worker.
 //! * [`server`] — the daemon: a thread-per-connection listener behind
-//!   a semaphore-bounded connection gate, a worker pool driving
-//!   [`mosaic_runtime::execute_job`] with the batch scheduler's retry /
-//!   salvage ladder, an optional supervision watchdog, and two-speed
-//!   (`drain` / `now`) cooperative shutdown.
+//!   a semaphore-bounded connection gate, a worker pool running every
+//!   job through [`mosaic_runtime::run_job`] (the batch runtime's own
+//!   attempt loop, retry / salvage ladder and ledger policy), an
+//!   optional supervision watchdog, and two-speed (`drain` / `now`)
+//!   cooperative shutdown. With a shared ledger, several daemons serve
+//!   one queue; a job whose lease a peer fenced, or whose completion a
+//!   peer committed first, finishes from the peer's `done` record.
 //! * [`client`] — a thin blocking client used by the `mosaic submit` /
 //!   `watch` / `stats` CLI modes and the loopback tests.
 //!

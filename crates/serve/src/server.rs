@@ -4,9 +4,9 @@
 //! of threads around one shared [`ServerShared`] state:
 //!
 //! * **workers** pull queued [`JobRecord`]s off a condvar-guarded queue
-//!   and drive [`mosaic_runtime::execute_job`] with the same retry /
-//!   panic-isolation / checkpoint-salvage ladder the batch scheduler
-//!   uses, terminalizing each record when done;
+//!   and run each through [`mosaic_runtime::run_job`] — the attempt loop
+//!   the batch runtime uses, with its retry, panic isolation and ledger
+//!   policy — terminalizing each record when done;
 //! * the **listener** accepts connections behind a semaphore
 //!   ([`Gate`]): the permit is acquired *before* `accept()`, so when
 //!   `max_conns` handlers are live the N+1th client waits in the OS
@@ -31,14 +31,13 @@ use crate::protocol::SubmitParams;
 use crate::result_cache::{CachedResult, ResultCache};
 use crate::store::{JobOutcome, JobRecord, JobState, JobStore};
 use mosaic_runtime::{
-    checkpoint, execute_job, salvage, Claim, CompletionRecord, DegradationLadder, Event,
-    EventObserver, EventSink, JobContext, JobReport, JobStatus, LeaseHandle, Ledger, SimCache,
-    Supervisor, SupervisorConfig, WatchTicker,
+    run_job, salvage, Claim, CompletionRecord, DegradationLadder, Event, EventObserver, EventSink,
+    HeldLeases, JobContext, JobExecution, JobReport, JobStatus, LeaseHandle, Ledger, RealVfs,
+    RetryPolicy, SimCache, Supervisor, SupervisorConfig, Won,
 };
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -198,7 +197,7 @@ pub(crate) struct ServerShared {
     /// Shared job ledger (ledger mode); `None` keeps the queue local.
     pub(crate) ledger: Option<Ledger>,
     /// Live ledger leases, renewed from the watchdog thread's ticker.
-    leases: Arc<Mutex<Vec<Arc<LeaseHandle>>>>,
+    leases: HeldLeases,
     queue: Mutex<VecDeque<Arc<JobRecord>>>,
     queue_cond: Condvar,
     /// New submissions are refused (shutdown has begun).
@@ -350,7 +349,7 @@ impl ServerShared {
                         continue;
                     }
                     self.executed.fetch_add(1, Ordering::SeqCst);
-                    self.run_record(&record);
+                    self.claim_and_run(&record);
                 }
                 NextJob::Idle => {
                     if !self.draining() {
@@ -382,18 +381,8 @@ impl ServerShared {
                 }
                 continue;
             }
-            let claim = match ledger.claim(&id) {
-                Ok(claim) => claim,
-                Err(_) => continue,
-            };
-            let (lease, adopted_from) = match claim {
-                Claim::Claimed { lease } => (lease, None),
-                Claim::Adopted {
-                    lease,
-                    prev_owner,
-                    stale_ms,
-                } => (lease, Some((prev_owner, stale_ms))),
-                Claim::Completed | Claim::Held { .. } | Claim::Raced => continue,
+            let Some((lease, adopted_from)) = ledger.claim(&id).ok().and_then(Claim::won) else {
+                continue;
             };
             let record = match record {
                 Some(record) => record,
@@ -414,9 +403,8 @@ impl ServerShared {
                 lease.release();
                 continue;
             }
-            self.announce_claim(ledger, &record.id, &lease, adopted_from);
             self.executed.fetch_add(1, Ordering::SeqCst);
-            self.run_attempts(&record, Some((ledger, &lease)));
+            self.run(&record, Some((lease, adopted_from)));
             return; // ran one; favour freshly queued local work next
         }
     }
@@ -424,46 +412,33 @@ impl ServerShared {
     /// Claims the record's ledger job, then runs it. Jobs a peer holds
     /// are waited out (the peer's completion terminalizes the record);
     /// jobs a peer completed terminalize immediately.
-    fn run_record(&self, record: &Arc<JobRecord>) {
+    fn claim_and_run(&self, record: &Arc<JobRecord>) {
         let Some(ledger) = &self.ledger else {
-            self.run_attempts(record, None);
+            self.run(record, None);
             return;
         };
         loop {
-            match ledger.claim(&record.id) {
-                Ok(Claim::Completed) => {
-                    if let Ok(Some(done)) = ledger.completion(&record.id) {
-                        self.finish_remote(record, &done);
-                    } else {
-                        self.finish_failed(
-                            record,
-                            "ledger completion record unreadable".to_string(),
-                            0,
-                        );
-                    }
-                    return;
+            let claim = ledger.claim(&record.id);
+            if let Ok(Claim::Completed) = claim {
+                if let Ok(Some(done)) = ledger.completion(&record.id) {
+                    self.finish_remote(record, &done);
+                } else {
+                    self.finish_failed(
+                        record,
+                        "ledger completion record unreadable".to_string(),
+                        0,
+                    );
                 }
-                Ok(Claim::Claimed { lease }) => {
-                    self.announce_claim(ledger, &record.id, &lease, None);
-                    self.run_attempts(record, Some((ledger, &lease)));
-                    return;
-                }
-                Ok(Claim::Adopted {
-                    lease,
-                    prev_owner,
-                    stale_ms,
-                }) => {
-                    self.announce_claim(ledger, &record.id, &lease, Some((prev_owner, stale_ms)));
-                    self.run_attempts(record, Some((ledger, &lease)));
-                    return;
-                }
-                Ok(Claim::Held { .. } | Claim::Raced) | Err(_) => {
-                    // A peer is on it: wait for its completion instead
-                    // of computing the same answer twice.
-                    if self.await_remote(ledger, record) {
-                        return;
-                    }
-                }
+                return;
+            }
+            if let Some(won) = claim.ok().and_then(Claim::won) {
+                self.run(record, Some(won));
+                return;
+            }
+            // A peer is on it: wait for its completion instead of
+            // computing the same answer twice.
+            if self.await_remote(ledger, record) {
+                return;
             }
         }
     }
@@ -495,57 +470,13 @@ impl ServerShared {
         false
     }
 
-    /// Emits the lease lifecycle events for a claim, registers the
-    /// lease with the watchdog heartbeat list.
-    fn announce_claim(
-        &self,
-        ledger: &Ledger,
-        job: &str,
-        lease: &Arc<LeaseHandle>,
-        adopted_from: Option<(String, u64)>,
-    ) {
-        if let Some((prev_owner, stale_ms)) = &adopted_from {
-            self.events.emit(&Event::LeaseExpired {
-                job: job.to_string(),
-                owner: prev_owner.clone(),
-                epoch: lease.epoch().saturating_sub(1),
-                stale_ms: *stale_ms,
-            });
-        }
-        self.events.emit(&Event::LeaseClaimed {
-            job: job.to_string(),
-            owner: lease.owner().to_string(),
-            epoch: lease.epoch(),
-            ttl_ms: ledger.ttl().as_millis() as u64,
-        });
-        if let Some((prev_owner, _)) = adopted_from {
-            let has_checkpoint = self
-                .config
-                .checkpoint_dir
-                .as_deref()
-                .is_some_and(|dir| checkpoint::job_dir(dir, job).join("state.txt").exists());
-            self.events.emit(&Event::JobAdopted {
-                job: job.to_string(),
-                owner: lease.owner().to_string(),
-                prev_owner,
-                epoch: lease.epoch(),
-                checkpoint: has_checkpoint,
-            });
-        }
-        let mut held = self.leases.lock().unwrap_or_else(PoisonError::into_inner);
-        held.push(Arc::clone(lease));
-    }
-
-    /// The per-job attempt loop, mirroring the batch scheduler: panics
-    /// are caught per attempt, failures retry (one degradation rung
-    /// down when supervision noted a downshift), and a job that
-    /// exhausts every attempt still tries checkpoint salvage before
-    /// being declared failed. With a lease, terminal states map onto
-    /// the ledger: completions commit a done record, cancellations
-    /// release, and a lost lease hands the record over to the adopter.
-    fn run_attempts(&self, record: &Arc<JobRecord>, leased: Option<(&Ledger, &Arc<LeaseHandle>)>) {
-        let max_attempts = self.config.retries + 1;
-        let ctx = JobContext {
+    /// The runtime context a record's attempts run under.
+    fn context<'a>(
+        &'a self,
+        record: &'a JobRecord,
+        lease: Option<&'a LeaseHandle>,
+    ) -> JobContext<'a> {
+        JobContext {
             cache: &self.sim_cache,
             events: &self.events,
             cancel: &record.cancel,
@@ -555,81 +486,50 @@ impl ServerShared {
             faults: None,
             supervisor: Some(&self.supervisor),
             ladder: Some(&self.config.ladder),
-            max_attempts,
-            lease: leased.map(|(_, lease)| &**lease),
+            retry: RetryPolicy::retries(self.config.retries),
+            lease,
             threads: 1,
-            vfs: &mosaic_runtime::vfs::RealVfs,
-        };
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                execute_job(&record.spec, attempts, &ctx)
-            }));
-            let error = match outcome {
-                Ok(Ok(report)) => {
-                    if let Some((_, lease)) = leased {
-                        if report.status == JobStatus::Cancelled {
-                            lease.release();
-                        } else {
-                            let _ = lease.complete(&completion_record(lease, &report, attempts));
-                        }
-                    }
-                    self.finish_with_report(record, report, attempts);
-                    return;
-                }
-                Ok(Err(e)) => e,
-                Err(payload) => format!("job panicked: {}", panic_message(payload)),
-            };
-            if let Some((ledger, lease)) = leased {
-                if lease.lost() {
-                    // Fenced: the adopter owns the job now; its
-                    // completion terminalizes this record.
-                    while !self.await_remote(ledger, record) {}
-                    return;
-                }
+            vfs: &RealVfs,
+        }
+    }
+
+    /// Runs a record through the runtime's attempt loop
+    /// ([`run_job`]) and terminalizes it, announcing a won ledger claim
+    /// first. When the ledger says a peer owns the job (fenced lease,
+    /// lost commit), the record finishes from the peer's `done` record,
+    /// never from this daemon's own answer.
+    fn run(&self, record: &Arc<JobRecord>, won: Option<Won>) {
+        let (lease, adopted_from) = won.map_or((None, None), |(lease, from)| (Some(lease), from));
+        let ctx = self.context(record, lease.as_deref());
+        if let (Some(ledger), Some(lease)) = (&self.ledger, &lease) {
+            self.leases.announce(&ctx, ledger, lease, adopted_from);
+        }
+        match run_job(&record.spec, &ctx) {
+            JobExecution::Success { result, attempts } => {
+                self.finish_with_report(record, result, attempts);
             }
-            if record.cancel.is_cancelled() {
-                if let Some((_, lease)) = leased {
-                    lease.release();
-                }
-                // Cancelled (wire `cancel` or shutdown `now`) between
-                // attempts: cancellation, not failure, and never a retry.
-                record.finish(
-                    JobState::Cancelled,
-                    JobOutcome {
-                        metrics: None,
-                        iterations: 0,
-                        wall_s: 0.0,
-                        attempts,
-                        degraded: false,
-                        degrade_step: 0,
-                        error: Some(error),
-                    },
-                    false,
-                );
-                return;
-            }
-            if attempts >= max_attempts {
-                if let Some((_, lease)) = leased {
-                    // Commit the failure so peers do not re-run a
-                    // deterministically failing job.
-                    let _ = lease.complete(&CompletionRecord {
-                        job: record.id.clone(),
-                        owner: lease.owner().to_string(),
-                        epoch: lease.epoch(),
-                        status: JobStatus::Failed,
-                        error: Some(error.clone()),
-                        iterations: 0,
-                        attempts,
-                        wall_ms: 0,
-                        degraded: false,
-                        degrade_step: self.supervisor.downshifts(&record.spec.id),
-                        metrics: None,
-                    });
-                }
+            JobExecution::Failure { error, attempts } => {
                 self.finish_failed(record, error, attempts);
-                return;
+            }
+            // Cancelled (wire `cancel` or shutdown `now`) between
+            // attempts: cancellation, not failure.
+            JobExecution::Cancelled { attempts, error } => record.finish(
+                JobState::Cancelled,
+                JobOutcome {
+                    metrics: None,
+                    iterations: 0,
+                    wall_s: 0.0,
+                    attempts,
+                    degraded: false,
+                    degrade_step: 0,
+                    error,
+                },
+                false,
+            ),
+            JobExecution::Remote { .. } => {
+                if let Some(ledger) = &self.ledger {
+                    while !self.await_remote(ledger, record) {}
+                }
             }
         }
     }
@@ -688,49 +588,11 @@ impl ServerShared {
         record.finish(state, outcome, false);
     }
 
-    /// Terminalizes a record whose every attempt failed, after trying
-    /// checkpoint salvage exactly like the batch runtime does.
+    /// Terminalizes a record whose every attempt failed, through the
+    /// batch runtime's checkpoint salvage and `job_finish` event.
     fn finish_failed(&self, record: &Arc<JobRecord>, error: String, attempts: u32) {
-        let downshifts = self.supervisor.downshifts(&record.spec.id);
-        let salvaged = self.config.checkpoint_dir.as_deref().and_then(|dir| {
-            salvage::from_checkpoint(
-                &mosaic_runtime::vfs::RealVfs,
-                dir,
-                &record.spec,
-                Some(&self.config.ladder),
-                downshifts,
-                &self.sim_cache,
-                &self.events,
-                attempts,
-            )
-        });
-        let (epe, pvb, shape, quality) = match &salvaged {
-            Some(m) => (
-                m.epe_violations,
-                m.pvband_nm2,
-                m.shape_violations,
-                m.quality_score,
-            ),
-            None => (0, f64::NAN, 0, f64::NAN),
-        };
-        // The failure's terminal feed line, mirroring run_batch's shape
-        // so `watch` consumers see one JobFinish per job regardless of
-        // how it ended.
-        self.events.emit(&Event::JobFinish {
-            job: record.id.clone(),
-            status: JobStatus::Failed.name().to_string(),
-            error: Some(error.clone()),
-            iterations: 0,
-            epe_violations: epe,
-            pvband_nm2: pvb,
-            shape_violations: shape,
-            quality_score: quality,
-            wall_s: f64::NAN,
-            attempts,
-            recoveries: 0,
-            degraded: salvaged.is_some(),
-            degrade_step: downshifts,
-        });
+        let salvaged =
+            salvage::failed_job(&record.spec, &self.context(record, None), &error, attempts);
         let state = if salvaged.is_some() {
             JobState::Salvaged
         } else {
@@ -744,7 +606,7 @@ impl ServerShared {
                 wall_s: 0.0,
                 attempts,
                 degraded: true,
-                degrade_step: downshifts,
+                degrade_step: self.supervisor.downshifts(&record.spec.id),
                 error: Some(error),
             },
             false,
@@ -789,34 +651,6 @@ impl ServerShared {
                 record.cancel.cancel();
             }
         }
-    }
-}
-
-/// Builds the ledger completion record for a report this daemon
-/// produced under `lease`.
-fn completion_record(lease: &LeaseHandle, report: &JobReport, attempts: u32) -> CompletionRecord {
-    CompletionRecord {
-        job: lease.job().to_string(),
-        owner: lease.owner().to_string(),
-        epoch: lease.epoch(),
-        status: report.status,
-        error: None,
-        iterations: report.iterations,
-        attempts,
-        wall_ms: (report.wall_s * 1000.0).max(0.0) as u64,
-        degraded: report.degraded,
-        degrade_step: report.degrade_step,
-        metrics: report.metrics,
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -874,32 +708,14 @@ impl ServerHandle {
             }
             None => None,
         };
-        let leases: Arc<Mutex<Vec<Arc<LeaseHandle>>>> = Arc::default();
-        let mut supervise = config.supervise.clone();
-        let mut supervisor = Supervisor::new(supervise.clone());
-        if ledger.is_some() {
-            if supervise.poll.is_none() {
-                // Heartbeats ride the watchdog scan loop: poll well
-                // inside the lease TTL so live leases never expire.
-                supervise.poll = Some(
-                    (config.lease_ttl / 4)
-                        .clamp(Duration::from_millis(5), Duration::from_millis(250)),
-                );
-                supervisor = Supervisor::new(supervise.clone());
-            }
-            let beat = Arc::clone(&leases);
-            supervisor = supervisor.with_ticker(WatchTicker::new(move || {
-                let mut held = beat.lock().unwrap_or_else(PoisonError::into_inner);
-                held.retain(|lease| !lease.retired() && !lease.lost());
-                for lease in held.iter() {
-                    let _ = lease.heartbeat();
-                }
-            }));
-        }
-        let supervisor = Arc::new(supervisor);
         // In ledger mode the watchdog doubles as the heartbeat pump, so
         // it runs even with every supervision limit disabled.
-        let watchdog_enabled = supervise.enabled() || ledger.is_some();
+        let leases = HeldLeases::default();
+        let supervisor = Arc::new(match &ledger {
+            Some(_) => leases.supervisor(config.supervise.clone(), config.lease_ttl),
+            None => Supervisor::new(config.supervise.clone()),
+        });
+        let watchdog_enabled = config.supervise.enabled() || ledger.is_some();
         let workers = config.workers.max(1);
         let shared = Arc::new(ServerShared {
             gate: Arc::new(Gate::new(config.max_conns)),

@@ -554,3 +554,167 @@ fn watch_of_a_finished_job_on_a_reused_connection_does_not_stall() {
     );
     server.stop(true);
 }
+
+/// A daemon in ledger mode: `ledger` and `ckpt` are shared with its
+/// peers, `owner` names it in leases and completion records.
+fn ledger_server(root: &std::path::Path, owner: &str) -> ServerHandle {
+    ServerHandle::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        checkpoint_dir: Some(root.join("ckpt")),
+        ledger_dir: Some(root.join("ledger")),
+        lease_ttl: Duration::from_secs(2),
+        ledger_owner: Some(owner.to_string()),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral loopback port")
+}
+
+fn ledger_root(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir()
+        .join("mosaic_serve_ledger")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Polls `fetch` until the daemon knows `job` and it is terminal —
+/// unlike [`wait_done`], a peer's job may not be registered yet.
+fn wait_known_and_done(client: &mut Client, job: &str) -> String {
+    for _ in 0..600 {
+        let reply = client
+            .request(&format!("fetch job={job}"))
+            .expect("fetch succeeds");
+        if reply.starts_with("{\"ok\":true")
+            && matches!(
+                field(&reply, "state"),
+                "done" | "failed" | "salvaged" | "cancelled"
+            )
+        {
+            return reply;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    panic!("job {job} never terminalized");
+}
+
+/// Every feed line of `job` on the daemon at `addr`.
+fn feed(addr: std::net::SocketAddr, job: &str) -> Vec<String> {
+    let mut lines = Vec::new();
+    Client::connect(addr)
+        .expect("connect watcher")
+        .watch(job, 0, &mut |l| lines.push(l.to_string()))
+        .expect("watch a terminal job");
+    lines
+}
+
+#[test]
+fn ledger_daemons_run_a_shared_submission_once() {
+    let root = ledger_root("shared_submission");
+    let a = ledger_server(&root, "serve-a");
+    let b = ledger_server(&root, "serve-b");
+    let mut client_a = Client::connect(a.addr()).expect("connect a");
+    let mut client_b = Client::connect(b.addr()).expect("connect b");
+
+    let job = field(&client_a.request(TINY_SUBMIT).expect("submit a"), "job").to_string();
+    let job_b = field(&client_b.request(TINY_SUBMIT).expect("submit b"), "job").to_string();
+    assert_eq!(job, job_b, "one content-derived id on every daemon");
+    assert!(
+        job.starts_with('g'),
+        "ledger ids are content-derived: {job}"
+    );
+
+    let done_a = wait_done(&mut client_a, &job);
+    let done_b = wait_done(&mut client_b, &job);
+    assert_eq!(field(&done_a, "state"), "done", "{done_a}");
+    assert_eq!(field(&done_b, "state"), "done", "{done_b}");
+    let metrics = |reply: &str| reply[reply.find("\"metrics\":").expect("metrics")..].to_string();
+    assert_eq!(metrics(&done_a), metrics(&done_b), "identical answers");
+
+    // Ran once: one job_start across both feeds, one `done` record.
+    let starts = [a.addr(), b.addr()]
+        .into_iter()
+        .flat_map(|addr| feed(addr, &job))
+        .filter(|l| l.contains("\"event\":\"job_start\""))
+        .count();
+    assert_eq!(starts, 1, "the job ran on exactly one daemon");
+    let ledger =
+        mosaic_runtime::Ledger::open(root.join("ledger"), "reader", Duration::from_secs(2))
+            .expect("open ledger");
+    assert_eq!(ledger.posted_jobs().unwrap(), vec![job.clone()]);
+    assert!(
+        ledger.completion(&job).unwrap().is_some(),
+        "one done record"
+    );
+
+    a.stop(true);
+    b.stop(true);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn ledger_shutdown_now_hands_the_job_to_a_peer() {
+    let root = ledger_root("shutdown_handoff");
+    let a = ledger_server(&root, "serve-a");
+    let addr = a.addr();
+    let reply = Client::connect(addr)
+        .expect("connect a")
+        .request("submit clip=B1 grid=128 pixel=8 iterations=30")
+        .expect("submit");
+    let job = field(&reply, "job").to_string();
+
+    // `shutdown mode=now` on the job's first iteration: the job stops at
+    // the next boundary with its checkpoint saved and its lease released.
+    let mut control = Client::connect(addr).expect("connect control");
+    let mut watcher = Client::connect(addr).expect("connect watcher");
+    let mut stopped = false;
+    let end = watcher
+        .watch(&job, 0, &mut |line| {
+            if !stopped && line.contains("\"event\":\"iteration\"") {
+                stopped = true;
+                let ack = control.request("shutdown mode=now").expect("shutdown");
+                assert!(ack.starts_with("{\"ok\":true"), "{ack}");
+            }
+        })
+        .expect("watch survives shutdown now");
+    assert!(stopped, "the job reached an iteration");
+    assert!(
+        matches!(field(&end, "state"), "salvaged" | "cancelled"),
+        "a cooperative stop: {end}"
+    );
+    a.join();
+
+    // The peer finds the released job on the ledger and finishes it
+    // from the checkpoint — a clean claim, not an adoption.
+    let b = ledger_server(&root, "serve-b");
+    let done = wait_known_and_done(&mut Client::connect(b.addr()).expect("connect b"), &job);
+    assert_eq!(field(&done, "state"), "done", "{done}");
+    let lines = feed(b.addr(), &job);
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("\"event\":\"lease_claimed\"")),
+        "{lines:?}"
+    );
+    assert!(
+        !lines
+            .iter()
+            .any(|l| l.contains("\"event\":\"lease_expired\"")),
+        "released leases are claimed, not adopted: {lines:?}"
+    );
+    let start = lines
+        .iter()
+        .find(|l| l.contains("\"event\":\"job_start\""))
+        .expect("the peer ran the job");
+    assert!(num_field(start, "start_iteration") > 0, "resumed: {start}");
+    let ledger =
+        mosaic_runtime::Ledger::open(root.join("ledger"), "reader", Duration::from_secs(2))
+            .expect("open ledger");
+    assert_eq!(
+        ledger.completion(&job).unwrap().expect("done").owner,
+        "serve-b"
+    );
+
+    b.stop(true);
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -86,9 +86,16 @@ tier1() {
   echo "=== tier1: shard ledger (kill-adopt handoff + multi-shard chaos)"
   # Two-shard crash handoff with bit-identical adopted results, plus the
   # three-shard claim-race/expired-lease soak: no job lost, none
-  # double-completed. Also covered by the workspace test run above;
-  # repeated so a gate failure names it.
+  # double-completed. Then the attempt loop's ledger mapping (fenced,
+  # cancelled, exhausted) and the two-daemon `mosaic serve --ledger`
+  # tests, so a ledger regression in either driver shows up under its
+  # own name. Also covered by the workspace test run above; repeated so
+  # a gate failure names it.
   cargo test -q -p mosaic-runtime --test shard
+  cargo test -q -p mosaic-runtime --lib -- job::tests::fenced_lease_folds_remote_and_commits_nothing \
+    job::tests::cancelled_run_releases_its_lease job::tests::exhausted_attempts_commit_a_failed_record
+  cargo test -q -p mosaic-serve --test loopback -- ledger_daemons_run_a_shared_submission_once \
+    ledger_shutdown_now_hands_the_job_to_a_peer
   echo "=== tier1: crash matrix (sampled slice)"
   # Durable-storage fault layer (DESIGN.md §15): crash-at-op-k sampled
   # across the whole op range of a sharded checkpointing batch, plus
@@ -138,7 +145,7 @@ shard() {
   done
   local rc=0
   for pid in "${pids[@]}"; do wait "$pid" || rc=1; done
-  grep -h "remote\|TOTAL" results/shard_*_summary.txt || true
+  grep -h "remote\|^total:" results/shard_*_summary.txt || true
   echo "shard done ($fleet shards): results/shard_*_summary.txt, results/ledger/"
   return $rc
 }
