@@ -14,12 +14,8 @@
 //!   runs.
 //! * `fft_2d_real_fwd_split/*` — the Hermitian real-input half-spectrum
 //!   forward.
-//! * `fft_2d_split_concurrent/*` — the banded team transforms,
-//!   bit-identical to the serial rows.
 
-use mosaic_numerics::{
-    Complex, Fft, Fft2d, FftDirection, Grid, SpectralTeam, SplitSpectrum, Workspace,
-};
+use mosaic_numerics::{Complex, Fft, Fft2d, FftDirection, Grid, SplitSpectrum, Workspace};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -85,32 +81,5 @@ fn main() {
             plan.forward_real_split_into(&real, &mut half, &mut ws);
             half.at(0)
         });
-    }
-
-    // The banded concurrent transforms (DESIGN.md §14): the calling
-    // thread takes one band, `workers` pooled threads take the rest,
-    // bit-identical to the warm serial rows at any team size. On a
-    // single-CPU host expect parity or a small loss (the bands
-    // serialize on one core plus pay the wave handshake); the rows
-    // exist to track the handshake overhead and to show the scaling on
-    // multi-core hosts.
-    for workers in [1usize, 3] {
-        let mut team = SpectralTeam::new(workers);
-        for n in [128usize, 256, 512] {
-            let plan = Fft2d::new(n, n);
-            let mut spec = SplitSpectrum::from_grid(&Grid::from_fn(n, n, |x, y| {
-                Complex::new((x as f64 * 0.1).sin(), (y as f64 * 0.1).cos())
-            }));
-            let mut ws = Workspace::new();
-            report(
-                &format!("fft_2d_split_concurrent/{n}/threads_{}", workers + 1),
-                40,
-                || {
-                    plan.process_split_par(&mut spec, FftDirection::Forward, &mut ws, &mut team);
-                    plan.process_split_par(&mut spec, FftDirection::Inverse, &mut ws, &mut team);
-                    spec.at(0)
-                },
-            );
-        }
     }
 }

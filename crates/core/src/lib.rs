@@ -27,7 +27,7 @@
 //!   modes.
 //! * [`optimizer`] — Alg. 1's types: configuration, iteration records,
 //!   checkpoints, and the plain [`optimizer::optimize`] entry point.
-//! * [`parallel`] — the intra-job worker state ([`ParallelExec`])
+//! * [`parallel`] — the process-corner worker pool ([`ParallelExec`])
 //!   behind the session's `threads` policy (DESIGN.md §14).
 //! * [`session`] — the [`ExecutionSession`] pipeline every entry point
 //!   resolves to, with the composable [`Instrument`] hook trait.

@@ -38,7 +38,7 @@ use crate::optimizer::OptimizationConfig;
 use crate::parallel::{CornerTask, ParallelExec};
 use crate::problem::OpcProblem;
 use mosaic_geometry::Orientation;
-use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SpectralTeam, SplitSpectrum, Workspace};
+use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SplitSpectrum, Workspace};
 use mosaic_optics::KernelSet;
 use std::sync::Arc;
 
@@ -180,12 +180,12 @@ impl<'a> Objective<'a> {
         ws.give_real_grid(mask);
     }
 
-    /// Parallel twin of [`evaluate_into`](Self::evaluate_into): fans
-    /// independent work out over the worker state built by
+    /// Parallel twin of [`evaluate_into`](Self::evaluate_into): fans the
+    /// `F_pvb` process corners out over the worker state built by
     /// [`parallel_exec`](Self::parallel_exec) (DESIGN.md §14).
     ///
     /// **Bit-identical** to the serial path at every thread count: every
-    /// transform a worker runs is the unchanged serial code against
+    /// corner a worker runs is the unchanged serial code against
     /// task-private state, and every cross-thread reduction is replayed
     /// by the calling thread in the serial path's exact order.
     ///
@@ -213,25 +213,22 @@ impl<'a> Objective<'a> {
     }
 
     /// Builds the reusable worker state for
-    /// [`evaluate_parallel`](Self::evaluate_parallel), or `None` when
-    /// `threads < 2` (the serial path needs no state).
+    /// [`evaluate_parallel`](Self::evaluate_parallel): one task per
+    /// process corner of `F_pvb` (DESIGN.md §14), on
+    /// `min(threads − 1, corners)` workers; the calling thread is the
+    /// remaining one.
     ///
-    /// `threads − 1` workers are spawned; the calling thread is the
-    /// remaining member of the team. The decomposition is chosen once,
-    /// from the problem shape: process-corner fan-out when the objective
-    /// has corners to farm out (`F_pvb` active, combined gradient mode),
-    /// banded-FFT/kernel fan-out otherwise.
+    /// Returns `None` when there are no corners to fan out: `threads < 2`,
+    /// a single condition, `β = 0` or [`GradientMode::PerKernel`]. Those
+    /// sessions take the serial path, which gives the same bits.
     pub fn parallel_exec(&self, threads: usize) -> Option<ParallelExec> {
-        if threads < 2 {
-            return None;
-        }
-        let workers = threads - 1;
         let sim = self.problem.simulator();
-        let corner_mode = sim.condition_count() > 1
+        let fans_out = threads >= 2
+            && sim.condition_count() > 1
             && self.config.beta > 0.0
             && self.config.gradient_mode == GradientMode::Combined;
-        if !corner_mode {
-            return Some(ParallelExec::team(workers));
+        if !fans_out {
+            return None;
         }
         let (gw, gh) = self.problem.grid_dims();
         let pixel_area = self.problem.pixel_nm() * self.problem.pixel_nm();
@@ -250,8 +247,8 @@ impl<'a> Objective<'a> {
                 r_plane: Grid::zeros(gw, gh),
                 pvb_value: 0.0,
             })
-            .collect();
-        Some(ParallelExec::corners(workers, tasks))
+            .collect::<Vec<_>>();
+        Some(ParallelExec::new((threads - 1).min(tasks.len()), tasks))
     }
 
     /// Evaluates `F` and its gradient for an arbitrary mask
@@ -273,10 +270,9 @@ impl<'a> Objective<'a> {
     /// The single numeric path behind every evaluation entry point.
     ///
     /// With `par = None` this is exactly the serial evaluation. With a
-    /// [`ParallelExec`], independent work is fanned out — banded FFT
-    /// passes and per-kernel transforms through the spectral team, or
-    /// whole `F_pvb` corners through the corner pool — while every
-    /// reduction stays on this thread in serial order, keeping results
+    /// [`ParallelExec`], the `F_pvb` corners run on the corner pool while
+    /// this thread evaluates the nominal condition, and every reduction
+    /// stays on this thread in serial order, keeping results
     /// bit-identical (DESIGN.md §14).
     fn evaluate_parameterized_core(
         &self,
@@ -298,11 +294,7 @@ impl<'a> Objective<'a> {
         // The spectral pipeline runs in split-plane (SoA) layout from the
         // mask spectrum onward (DESIGN.md §16).
         let mut mask_spectrum = ws.take_split(gw, gh);
-        match par.as_deref_mut().and_then(ParallelExec::team_mut) {
-            Some(team) => sim.mask_spectrum_split_par(mask, &mut mask_spectrum, ws, team),
-            None => sim.mask_spectrum_split(mask, &mut mask_spectrum, ws),
-        }
-        let corner_mode = par.as_deref().is_some_and(ParallelExec::corner_mode);
+        sim.mask_spectrum_split(mask, &mut mask_spectrum, ws);
         if let Some(p) = par.as_deref_mut() {
             // Corner workers start on this iteration's spectrum while the
             // calling thread evaluates the nominal condition below.
@@ -319,10 +311,10 @@ impl<'a> Objective<'a> {
         let mut fields: Vec<SplitSpectrum> = Vec::new();
         let mut report = ObjectiveReport::default();
 
-        // In corner mode the workers own conditions 1.., so this thread
-        // only walks the nominal condition; the corner merge below
+        // With a corner pool the workers own conditions 1.., so this
+        // thread only walks the nominal condition; the corner merge below
         // replays the skipped accumulates in condition order.
-        let serial_conditions = if corner_mode {
+        let serial_conditions = if par.is_some() {
             1
         } else {
             sim.condition_count()
@@ -347,18 +339,7 @@ impl<'a> Objective<'a> {
                     ws,
                 );
             } else {
-                match par.as_deref_mut().and_then(ParallelExec::team_mut) {
-                    Some(team) => bank.aerial_image_accumulate_split_par(
-                        conv,
-                        &mask_spectrum,
-                        &mut intensity,
-                        ws,
-                        team,
-                    ),
-                    None => {
-                        bank.aerial_image_accumulate_split(conv, &mask_spectrum, &mut intensity, ws)
-                    }
-                }
+                bank.aerial_image_accumulate_split(conv, &mask_spectrum, &mut intensity, ws);
             }
             // Z and dZ/dI in one fused pass (one exponential per pixel).
             sim.resist()
@@ -379,15 +360,7 @@ impl<'a> Objective<'a> {
                 report.target = cfg.alpha * value;
             }
             if pvb_active {
-                // F_pvb contribution of this corner: Σ (Z_c − Z_t)².
-                let mut value = 0.0;
-                for ((gv, (zv, tv)), dv) in
-                    g.iter_mut().zip(z.iter().zip(target.iter())).zip(dz.iter())
-                {
-                    let diff = zv - tv;
-                    value += diff * diff;
-                    *gv += cfg.beta * pixel_area * 2.0 * diff * dv;
-                }
+                let value = pvb_accumulate(&z, target, &dz, cfg.beta, pixel_area, &mut g);
                 report.pvb += cfg.beta * value * pixel_area;
             }
 
@@ -402,7 +375,6 @@ impl<'a> Objective<'a> {
                         2.0 * dose,
                         &mut grad_mask,
                         ws,
-                        par.as_deref_mut().and_then(ParallelExec::team_mut),
                     );
                 }
                 GradientMode::PerKernel => {
@@ -576,6 +548,27 @@ impl<'a> Objective<'a> {
     }
 }
 
+/// `F_pvb` of one corner, `Σ (Z_c − Z_t)²` (returned unweighted), with
+/// `β·px²·2·(Z_c − Z_t)·dZ/dI` accumulated into `g` in the same pass —
+/// the one corner body of the serial condition loop and of every
+/// [`CornerTask`].
+pub(crate) fn pvb_accumulate(
+    z: &Grid<f64>,
+    target: &Grid<f64>,
+    dz: &Grid<f64>,
+    beta: f64,
+    pixel_area: f64,
+    g: &mut Grid<f64>,
+) -> f64 {
+    let mut value = 0.0;
+    for ((gv, (zv, tv)), dv) in g.iter_mut().zip(z.iter().zip(target.iter())).zip(dz.iter()) {
+        let diff = zv - tv;
+        value += diff * diff;
+        *gv += beta * pixel_area * 2.0 * diff * dv;
+    }
+    value
+}
+
 /// `∂F/∂M += scale · Re[(G ⊙ (M ⊗ H)) ★ H]` with the combined kernel —
 /// the one backprop body of the serial condition loop and of every
 /// [`CornerTask`].
@@ -584,9 +577,7 @@ impl<'a> Objective<'a> {
 /// (DESIGN.md §16); the trailing correlation inverts through the
 /// Hermitian half spectrum (only the real part is consumed), which is
 /// ULP-compatible with — not bit-identical to — a full complex
-/// correlation. With a spectral `team`, the transform passes are banded
-/// — bit-identical to the serial calls.
-#[allow(clippy::too_many_arguments)]
+/// correlation.
 pub(crate) fn backpropagate_combined(
     conv: &Convolver,
     mask_spectrum: &SplitSpectrum,
@@ -595,24 +586,12 @@ pub(crate) fn backpropagate_combined(
     scale: f64,
     grad_mask: &mut Grid<f64>,
     ws: &mut Workspace,
-    team: Option<&mut SpectralTeam>,
 ) {
     let (gw, gh) = grad_mask.dims();
     let mut field = ws.take_split(gw, gh);
-    match team {
-        Some(team) => {
-            conv.convolve_spectrum_split_par(mask_spectrum, combined, &mut field, ws, team);
-            scale_split_by_real(&mut field, g);
-            conv.correlate_re_accumulate_split_par(
-                &mut field, combined, scale, grad_mask, ws, team,
-            );
-        }
-        None => {
-            conv.convolve_spectrum_split_into(mask_spectrum, combined, &mut field, ws);
-            scale_split_by_real(&mut field, g);
-            conv.correlate_re_accumulate_split(&mut field, combined, scale, grad_mask, ws);
-        }
-    }
+    conv.convolve_spectrum_split_into(mask_spectrum, combined, &mut field, ws);
+    scale_split_by_real(&mut field, g);
+    conv.correlate_re_accumulate_split(&mut field, combined, scale, grad_mask, ws);
     ws.give_split(field);
 }
 
@@ -842,6 +821,40 @@ mod tests {
         let smoothed_count = eval.report.target / cfg.alpha;
         assert!(smoothed_count >= 0.0);
         assert!(smoothed_count <= p.samples().len() as f64);
+    }
+
+    #[test]
+    fn parallel_exec_fans_out_only_process_corners() {
+        let window = problem(vec![
+            ProcessCondition::NOMINAL,
+            ProcessCondition::new(25.0, 0.98),
+            ProcessCondition::new(-25.0, 1.02),
+        ]);
+        let nominal = problem(ProcessCondition::nominal_only());
+        let combined = config(TargetTerm::ImageDifference, GradientMode::Combined);
+        let blind = OptimizationConfig {
+            beta: 0.0,
+            ..combined.clone()
+        };
+        let per_kernel = config(TargetTerm::ImageDifference, GradientMode::PerKernel);
+        let exec = |p: &OpcProblem, cfg: &OptimizationConfig, threads: usize| {
+            let obj = Objective::new(p, cfg).unwrap();
+            obj.parallel_exec(threads).map(|par| format!("{par:?}"))
+        };
+        // No corners to fan out: no pool, the serial path.
+        assert_eq!(exec(&window, &combined, 1), None, "threads 1");
+        assert_eq!(exec(&nominal, &combined, 4), None, "nominal only");
+        assert_eq!(exec(&window, &blind, 4), None, "beta 0");
+        assert_eq!(exec(&window, &per_kernel, 4), None, "per-kernel");
+        // Two corners: only the workers that get one are spawned.
+        assert_eq!(
+            exec(&window, &combined, 4).as_deref(),
+            Some("ParallelExec { workers: 2, corners: 2 }")
+        );
+        assert_eq!(
+            exec(&window, &combined, 2).as_deref(),
+            Some("ParallelExec { workers: 1, corners: 2 }")
+        );
     }
 
     #[test]

@@ -101,10 +101,12 @@ pub struct OptimizationConfig {
     /// (the default) in all production configurations.
     pub fault_nan_gradient_at: Option<usize>,
     /// Deterministic fault injection for the hardening tests: panic on a
-    /// parallel evaluation worker at this absolute iteration index. Only
-    /// meaningful with [`ExecutionSession::threads`] ≥ 2 (serial runs
-    /// never build a pool). `None` (the default) in all production
-    /// configurations.
+    /// corner-pool worker at this absolute iteration index. Only
+    /// meaningful with [`ExecutionSession::threads`] ≥ 2 on a shape with
+    /// process corners to fan out (more than one condition, `β > 0`,
+    /// [`GradientMode::Combined`](crate::objective::GradientMode::Combined));
+    /// every other session runs serial and builds no pool. `None` (the
+    /// default) in all production configurations.
     ///
     /// [`ExecutionSession::threads`]: crate::session::ExecutionSession::threads
     pub fault_parallel_panic_at: Option<usize>,

@@ -244,12 +244,13 @@ impl<'a> ExecutionSession<'a> {
 
     /// Sets the intra-job evaluation thread budget (DESIGN.md §14).
     ///
-    /// With `n >= 2` every objective evaluation runs through
-    /// [`ParallelExec`](crate::parallel::ParallelExec) — `n − 1` pooled
-    /// worker threads plus the calling thread — and is **bit-identical**
-    /// to the serial path at every thread count. `n <= 1` (the default)
-    /// compiles down to the exact existing serial code path with no pool
-    /// ever constructed.
+    /// With `n >= 2` and process corners to fan out, every objective
+    /// evaluation runs through [`ParallelExec`](crate::parallel::ParallelExec)
+    /// — one pooled worker per corner, at most `n − 1`, plus the calling
+    /// thread — and is **bit-identical** to the serial path at every
+    /// thread count. `n <= 1` (the default) and corner-less shapes
+    /// (see [`Objective::parallel_exec`](crate::objective::Objective::parallel_exec))
+    /// take the serial path with no pool ever constructed.
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
@@ -361,8 +362,8 @@ fn run_session<I: Instrument>(
 ) -> Result<OptimizationResult, OptimizerError> {
     config.validate().map_err(OptimizerError::InvalidConfig)?;
     let objective = Objective::new(problem, config)?;
-    // `threads <= 1` never builds a pool: evaluations take the exact
-    // existing serial code path.
+    // A pool is built only when there are process corners to fan out
+    // and `threads >= 2`; otherwise evaluations take the serial path.
     let mut par = objective.parallel_exec(threads);
     let (
         mut state,

@@ -98,8 +98,7 @@ impl Instrument for ArmingInstrument {
 
 /// Runs one measured session and returns the warm-path allocation
 /// count. Worker threads (if any) allocate only during iteration 0 —
-/// pool spawn, per-thread workspaces, lane buffers — which the arming
-/// policy exempts; everything they allocate afterwards is counted, as
+/// pool spawn, per-thread workspaces — which the arming policy exempts; everything they allocate afterwards is counted, as
 /// the global allocator sees every thread.
 fn measured_run(problem: &OpcProblem, threads: usize) -> u64 {
     let cfg = OptimizationConfig {
@@ -125,16 +124,14 @@ fn measured_run(problem: &OpcProblem, threads: usize) -> u64 {
 fn warm_iterations_allocate_nothing() {
     // The scenarios run sequentially inside the one test function so no
     // concurrent test pollutes the counter: the serial split-plane
-    // baseline, the spectral-team path (single condition → banded split
-    // FFTs with lane plane pairs), and the corner fan-out path (process
-    // window → each worker runs a whole split-layout corner) at two
-    // widths, so both the caller share and multiple worker lanes draw
-    // from their warmed per-thread pools.
+    // baseline and the corner fan-out path (process window → each
+    // worker runs a whole split-layout corner) at two widths, so both
+    // the caller share and multiple worker lanes draw from their warmed
+    // per-thread pools.
     let nominal = small_problem(ProcessCondition::nominal_only());
     let windowed = small_problem(ProcessCondition::paper_window(25.0, 0.02));
     for (name, problem, threads) in [
         ("serial split", &nominal, 1),
-        ("team split threads=2", &nominal, 2),
         ("corners split threads=2", &windowed, 2),
         ("corners split threads=4", &windowed, 4),
     ] {

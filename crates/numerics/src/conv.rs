@@ -34,7 +34,6 @@
 use crate::complex::Complex;
 use crate::fft::{Fft2d, FftDirection};
 use crate::grid::Grid;
-use crate::pool::SpectralTeam;
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
 use std::ops::Range;
@@ -375,11 +374,7 @@ impl KernelSpectrum {
     /// outside the box are left untouched — the box inverse never reads
     /// them. The complex product is expanded as
     /// `re = ar·br − ai·bi`, `im = ar·bi + ai·br`.
-    pub(crate) fn multiply_rows_into(
-        &self,
-        field_spectrum: &SplitSpectrum,
-        out: &mut SplitSpectrum,
-    ) {
+    fn multiply_rows_into(&self, field_spectrum: &SplitSpectrum, out: &mut SplitSpectrum) {
         assert_eq!(
             field_spectrum.dims(),
             self.dims(),
@@ -401,11 +396,6 @@ impl KernelSpectrum {
                 oi[idx] = ar[idx] * bi[k] + ai[idx] * br[k];
             }
         }
-    }
-
-    /// The box rows, for the box inverse.
-    pub(crate) fn rows(&self) -> CyclicRange {
-        self.rows
     }
 }
 
@@ -498,35 +488,8 @@ impl Convolver {
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
-        self.real_spectrum_split(field, out, ws, None);
-    }
-
-    /// Concurrent twin of [`Convolver::forward_real_split_into`]: the
-    /// column pass of the real forward transform is banded across
-    /// `team`'s workers. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn forward_real_split_par(
-        &self,
-        field: &Grid<f64>,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.real_spectrum_split(field, out, ws, Some(team));
-    }
-
-    fn real_spectrum_split(
-        &self,
-        field: &Grid<f64>,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
-    ) {
         let mut half = ws.take_split(self.plan.half_width(), self.height());
-        self.plan.r2c_split(field, &mut half, ws, team);
+        self.plan.forward_real_split_into(field, &mut half, ws);
         self.plan.expand_half_split_into(&half, out);
         ws.give_split(half);
     }
@@ -547,37 +510,8 @@ impl Convolver {
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
-        self.convolve_split(field_spectrum, kernel, out, ws, None);
-    }
-
-    /// Concurrent twin of [`Convolver::convolve_spectrum_split_into`]:
-    /// the row and column passes of the box inverse are banded across
-    /// `team`'s workers. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn convolve_spectrum_split_par(
-        &self,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.convolve_split(field_spectrum, kernel, out, ws, Some(team));
-    }
-
-    fn convolve_split(
-        &self,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
-    ) {
         kernel.multiply_rows_into(field_spectrum, out);
-        self.plan.inverse_from_rows(out, kernel.rows, ws, team);
+        self.plan.inverse_from_rows(out, kernel.rows, ws);
     }
 
     /// Accumulates `scale · Re[field ★ h]` into `acc`: the correlation
@@ -605,38 +539,6 @@ impl Convolver {
         acc: &mut Grid<f64>,
         ws: &mut Workspace,
     ) {
-        self.correlate_split(field, kernel, scale, acc, ws, None);
-    }
-
-    /// Concurrent twin of [`Convolver::correlate_re_accumulate_split`]:
-    /// the 1-D transform passes are banded across `team`'s workers while
-    /// the fold and the accumulate stay serial on the calling thread
-    /// (fixed-order reduction). Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_re_accumulate_split_par(
-        &self,
-        field: &mut SplitSpectrum,
-        kernel: &KernelSpectrum,
-        scale: f64,
-        acc: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.correlate_split(field, kernel, scale, acc, ws, Some(team));
-    }
-
-    fn correlate_split(
-        &self,
-        field: &mut SplitSpectrum,
-        kernel: &KernelSpectrum,
-        scale: f64,
-        acc: &mut Grid<f64>,
-        ws: &mut Workspace,
-        mut team: Option<&mut SpectralTeam>,
-    ) {
         assert_eq!(
             field.dims(),
             kernel.dims(),
@@ -651,13 +553,13 @@ impl Convolver {
         // is row `a` of this `h`-wide spectrum.
         let mut columns = ws.take_split(h, kernel.cols.len());
         self.plan
-            .forward_to_columns(field, kernel.cols, &mut columns, ws, team.as_deref_mut());
+            .forward_to_columns(field, kernel.cols, &mut columns, ws);
         let reached = FoldedColumns::new(kernel.cols, w, self.plan.half_width());
         let mut half = ws.take_split(h, reached.count());
         fold_hermitian(&columns, kernel, &reached, &mut half);
         ws.give_split(columns);
         self.plan
-            .c2r_columns_accumulate(&mut half, reached.runs(), scale, acc, ws, team);
+            .c2r_columns_accumulate(&mut half, reached.runs(), scale, acc, ws);
         ws.give_split(half);
     }
 }

@@ -23,14 +23,9 @@
 //! row-transform work by packing even/odd samples into one half-length
 //! complex FFT.
 //!
-//! Every 2-D entry point has a `*_par` twin ([`Fft2d::process_split_par`],
-//! [`Fft2d::forward_real_split_par`], [`Fft2d::inverse_real_split_par`])
-//! that fans the independent 1-D row and column transforms out over a
-//! [`SpectralTeam`] worker pool (DESIGN.md §14). Each 1-D transform is the
-//! unchanged serial code, the bands are fixed by the worker count alone,
-//! and all merging is done by the calling thread — so the parallel twins
-//! are **bit-identical** to their serial counterparts at every worker
-//! count.
+//! Every transform here is serial. Intra-job parallelism fans out whole
+//! process corners one level up (DESIGN.md §14), and each corner runs
+//! these same calls on its own thread.
 //!
 //! ```
 //! use mosaic_numerics::{Fft, FftDirection, Workspace};
@@ -51,7 +46,6 @@
 use crate::complex::Complex;
 use crate::conv::CyclicRange;
 use crate::grid::Grid;
-use crate::pool::SpectralTeam;
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
 use std::f64::consts::PI;
@@ -503,74 +497,18 @@ fn transpose_into(src: &[f64], dst: &mut [f64], w: usize, h: usize) {
     }
 }
 
-/// Contiguous band `[start, end)` assigned to band `b` of `nb` over
-/// `len` items. Depends only on the three arguments, so the work split —
-/// and therefore every intermediate value — is a pure function of the
-/// worker count, never of scheduling.
-fn band(len: usize, nb: usize, b: usize) -> (usize, usize) {
-    (len * b / nb, len * (b + 1) / nb)
-}
-
-/// Applies `plan` to each of the `rows` consecutive `plan.len()`-sized
-/// row pairs of the re/im planes.
-///
-/// With a team that has workers, contiguous bands fan out to the
-/// workers while the calling thread transforms band 0 itself. Each 1-D
-/// transform is the unchanged serial [`Fft::process_split`] on an exact
-/// copy of its row, and the caller copies finished bands back in lane
-/// order, so the result is bit-identical to the serial loop at every
-/// worker count. Without a team, with an empty team or with at most one
-/// row, this is that serial loop.
+/// Applies `plan` to each consecutive `plan.len()`-sized row pair of the
+/// re/im planes.
 fn rows_split(
     plan: &Fft,
     re: &mut [f64],
     im: &mut [f64],
-    rows: usize,
     direction: FftDirection,
     ws: &mut Workspace,
-    team: Option<&mut SpectralTeam>,
 ) {
     let len = plan.len();
-    let team = match team {
-        Some(team) if team.workers() > 0 && rows > 1 => team,
-        _ => {
-            for r in 0..rows {
-                plan.process_split(
-                    &mut re[r * len..(r + 1) * len],
-                    &mut im[r * len..(r + 1) * len],
-                    direction,
-                    ws,
-                );
-            }
-            return;
-        }
-    };
-    let workers = team.workers();
-    let bands = workers + 1;
-    for lane in 0..workers {
-        let (start, end) = band(rows, bands, lane + 1);
-        let (mut br, mut bi) = team.lane_split_rows_bufs(lane);
-        br.extend_from_slice(&re[start * len..end * len]);
-        bi.extend_from_slice(&im[start * len..end * len]);
-        team.submit_split_rows(lane, plan, direction, br, bi);
-    }
-    team.dispatch();
-    let (start, end) = band(rows, bands, 0);
-    for r in start..end {
-        plan.process_split(
-            &mut re[r * len..(r + 1) * len],
-            &mut im[r * len..(r + 1) * len],
-            direction,
-            ws,
-        );
-    }
-    team.collect();
-    for lane in 0..workers {
-        let (start, end) = band(rows, bands, lane + 1);
-        if let Some((br, bi)) = team.split_rows_result(lane) {
-            re[start * len..end * len].copy_from_slice(br);
-            im[start * len..end * len].copy_from_slice(bi);
-        }
+    for (r, i) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
+        plan.process_split(r, i, direction, ws);
     }
 }
 
@@ -664,33 +602,6 @@ impl Fft2d {
         direction: FftDirection,
         ws: &mut Workspace,
     ) {
-        self.transform_split(spec, direction, ws, None);
-    }
-
-    /// Concurrent twin of [`Fft2d::process_split`]: both 1-D passes are
-    /// banded across `team`'s workers. Bit-identical to the serial path
-    /// at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spectrum shape differs from the planned shape.
-    pub fn process_split_par(
-        &self,
-        spec: &mut SplitSpectrum,
-        direction: FftDirection,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.transform_split(spec, direction, ws, Some(team));
-    }
-
-    pub(crate) fn transform_split(
-        &self,
-        spec: &mut SplitSpectrum,
-        direction: FftDirection,
-        ws: &mut Workspace,
-        mut team: Option<&mut SpectralTeam>,
-    ) {
         assert_eq!(
             spec.dims(),
             (self.width(), self.height()),
@@ -702,14 +613,13 @@ impl Fft2d {
         );
         let (w, h) = spec.dims();
         let (re, im) = spec.planes_mut();
-        rows_split(&self.row, re, im, h, direction, ws, team.as_deref_mut());
-        self.column_pass_split(re, im, w, h, direction, ws, team);
+        rows_split(&self.row, re, im, direction, ws);
+        self.column_pass_split(re, im, w, h, direction, ws);
     }
 
     /// Column pass of a row-major `w × h` plane pair: transposes both
     /// planes with the blocked kernel, runs the `w` contiguous column
-    /// transforms (banded across `team` when given), transposes back.
-    #[allow(clippy::too_many_arguments)]
+    /// transforms, transposes back.
     fn column_pass_split(
         &self,
         re: &mut [f64],
@@ -718,7 +628,6 @@ impl Fft2d {
         h: usize,
         direction: FftDirection,
         ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
     ) {
         if h == 1 {
             return; // length-1 column transform is the identity
@@ -727,7 +636,7 @@ impl Fft2d {
         let mut ti = ws.take_real(w * h);
         transpose_into(re, &mut tr, w, h);
         transpose_into(im, &mut ti, w, h);
-        rows_split(&self.col, &mut tr, &mut ti, w, direction, ws, team);
+        rows_split(&self.col, &mut tr, &mut ti, direction, ws);
         transpose_into(&tr, re, h, w);
         transpose_into(&ti, im, h, w);
         ws.give_real(tr);
@@ -869,33 +778,6 @@ impl Fft2d {
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
-        self.r2c_split(input, out, ws, None);
-    }
-
-    /// Concurrent twin of [`Fft2d::forward_real_split_into`]: serial
-    /// real-row untangling, banded parallel column pass. Bit-identical
-    /// to the serial path at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` is not `w × h` or `out` is not `(w/2+1) × h`.
-    pub fn forward_real_split_par(
-        &self,
-        input: &Grid<f64>,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.r2c_split(input, out, ws, Some(team));
-    }
-
-    pub(crate) fn r2c_split(
-        &self,
-        input: &Grid<f64>,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
-    ) {
         let (w, h) = (self.width(), self.height());
         let hw = self.half_width();
         assert_eq!(
@@ -921,7 +803,7 @@ impl Fft2d {
                 ws,
             );
         }
-        self.column_pass_split(ore, oim, hw, h, FftDirection::Forward, ws, team);
+        self.column_pass_split(ore, oim, hw, h, FftDirection::Forward, ws);
     }
 
     /// Inverse of [`Fft2d::forward_real_split_into`]: reconstructs the
@@ -942,33 +824,6 @@ impl Fft2d {
         out: &mut Grid<f64>,
         ws: &mut Workspace,
     ) {
-        self.c2r_split(half, out, ws, None);
-    }
-
-    /// Concurrent twin of [`Fft2d::inverse_real_split_into`]: banded
-    /// parallel column pass, serial real-row reconstruction.
-    /// Bit-identical to the serial path at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half` is not `(w/2+1) × h` or `out` is not `w × h`.
-    pub fn inverse_real_split_par(
-        &self,
-        half: &mut SplitSpectrum,
-        out: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.c2r_split(half, out, ws, Some(team));
-    }
-
-    pub(crate) fn c2r_split(
-        &self,
-        half: &mut SplitSpectrum,
-        out: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
-    ) {
         let (w, h) = (self.width(), self.height());
         let hw = self.half_width();
         assert_eq!(
@@ -986,7 +841,7 @@ impl Fft2d {
             out.height()
         );
         let (hre, him) = half.planes_mut();
-        self.column_pass_split(hre, him, hw, h, FftDirection::Inverse, ws, team);
+        self.column_pass_split(hre, him, hw, h, FftDirection::Inverse, ws);
         for y in 0..h {
             self.row_c2r_split(
                 &hre[y * hw..(y + 1) * hw],
@@ -1011,7 +866,6 @@ impl Fft2d {
         spec: &mut SplitSpectrum,
         rows: CyclicRange,
         ws: &mut Workspace,
-        mut team: Option<&mut SpectralTeam>,
     ) {
         let (w, h) = (self.width(), self.height());
         assert_eq!(
@@ -1028,15 +882,7 @@ impl Fft2d {
         for run in rows.runs() {
             let (r0, r1) = (run.start * w, run.end * w);
             let (band_re, band_im) = (&mut re[r0..r1], &mut im[r0..r1]);
-            rows_split(
-                &self.row,
-                band_re,
-                band_im,
-                run.len(),
-                FftDirection::Inverse,
-                ws,
-                team.as_deref_mut(),
-            );
+            rows_split(&self.row, band_re, band_im, FftDirection::Inverse, ws);
             for (y, (row_re, row_im)) in
                 run.zip(band_re.chunks_exact(w).zip(band_im.chunks_exact(w)))
             {
@@ -1046,15 +892,7 @@ impl Fft2d {
                 }
             }
         }
-        rows_split(
-            &self.col,
-            &mut tr,
-            &mut ti,
-            w,
-            FftDirection::Inverse,
-            ws,
-            team,
-        );
+        rows_split(&self.col, &mut tr, &mut ti, FftDirection::Inverse, ws);
         transpose_into(&tr, re, h, w);
         transpose_into(&ti, im, h, w);
         ws.give_real(tr);
@@ -1072,7 +910,6 @@ impl Fft2d {
         cols: CyclicRange,
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
-        mut team: Option<&mut SpectralTeam>,
     ) {
         let (w, h) = (self.width(), self.height());
         assert_eq!(
@@ -1085,15 +922,7 @@ impl Fft2d {
         assert_eq!(cols.axis_len(), w, "column range does not match plan width");
         assert_eq!(out.dims(), (h, cols.len()), "column scratch shape mismatch");
         let (re, im) = spec.planes_mut();
-        rows_split(
-            &self.row,
-            re,
-            im,
-            h,
-            FftDirection::Forward,
-            ws,
-            team.as_deref_mut(),
-        );
+        rows_split(&self.row, re, im, FftDirection::Forward, ws);
         let (or_, oi) = out.planes_mut();
         for (y, (row_re, row_im)) in re.chunks_exact(w).zip(im.chunks_exact(w)).enumerate() {
             for (a, x) in cols.indices().enumerate() {
@@ -1101,15 +930,7 @@ impl Fft2d {
                 oi[a * h + y] = row_im[x];
             }
         }
-        rows_split(
-            &self.col,
-            or_,
-            oi,
-            cols.len(),
-            FftDirection::Forward,
-            ws,
-            team,
-        );
+        rows_split(&self.col, or_, oi, FftDirection::Forward, ws);
     }
 
     /// Inverse of a Hermitian half spectrum whose nonzero columns are
@@ -1127,7 +948,6 @@ impl Fft2d {
         scale: f64,
         acc: &mut Grid<f64>,
         ws: &mut Workspace,
-        team: Option<&mut SpectralTeam>,
     ) {
         let (w, h) = (self.width(), self.height());
         let hw = self.half_width();
@@ -1141,7 +961,7 @@ impl Fft2d {
             acc.height()
         );
         let (cre, cim) = half.planes_mut();
-        rows_split(&self.col, cre, cim, count, FftDirection::Inverse, ws, team);
+        rows_split(&self.col, cre, cim, FftDirection::Inverse, ws);
         // Unlisted columns are zero in every row, so the row buffers are
         // zeroed once and only the listed entries rewritten per row.
         let mut row_re = ws.take_real_zeroed(hw);
@@ -1485,30 +1305,6 @@ mod tests {
         let full = transformed_2d(&plan, &p, FftDirection::Inverse);
         for (a, b) in re.iter().zip(full.iter()) {
             assert!((a - b.re).abs() < 1e-12, "{a} vs {}", b.re);
-        }
-    }
-
-    #[test]
-    fn split_par_is_bit_identical_to_split_serial() {
-        for (w, h) in [(8, 8), (16, 12), (7, 5), (8, 7)] {
-            let plan = Fft2d::new(w, h);
-            let input = Grid::from_fn(w, h, |x, y| {
-                Complex::new((x as f64 - 2.0) * 0.4, (y as f64 * 1.9).sin())
-            });
-            let mut ws = Workspace::new();
-            let mut serial = SplitSpectrum::from_grid(&input);
-            plan.process_split(&mut serial, FftDirection::Forward, &mut ws);
-            for workers in [0usize, 1, 2, 3] {
-                let mut team = SpectralTeam::new(workers);
-                let mut par = SplitSpectrum::from_grid(&input);
-                plan.process_split_par(&mut par, FftDirection::Forward, &mut ws, &mut team);
-                for (a, b) in serial.re().iter().zip(par.re().iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{w}x{h} workers={workers} re");
-                }
-                for (a, b) in serial.im().iter().zip(par.im().iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{w}x{h} workers={workers} im");
-                }
-            }
         }
     }
 }

@@ -18,9 +18,9 @@
 //!   autovectorize ([`split`]).
 //! * [`Workspace`] — pooled scratch buffers that make the whole spectral
 //!   pipeline allocation-free after warm-up ([`workspace`]).
-//! * [`WorkerPool`] / [`SpectralTeam`] — a reusable std-only worker team
-//!   with per-thread workspaces behind the concurrent FFT and the
-//!   intra-job parallel evaluation path ([`pool`]).
+//! * [`WorkerPool`] — a generic std-only worker pool with per-thread
+//!   workspaces, behind the process-corner fan-out of the intra-job
+//!   parallel evaluation ([`pool`]). The spectral code itself is serial.
 //! * Reductions and error metrics used by optimizer stopping rules
 //!   ([`stats`]).
 //!
@@ -74,7 +74,7 @@ pub use error::NumericsError;
 pub use fft::{Fft, Fft2d, FftDirection};
 pub use grid::Grid;
 pub use matrix::{eigen_hermitian, HermitianEigen, Matrix};
-pub use pool::{PoolTask, SpectralTask, SpectralTeam, WorkerPool};
+pub use pool::{PoolTask, WorkerPool};
 pub use rng::Rng64;
 pub use split::SplitSpectrum;
 pub use workspace::Workspace;
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::fft::{Fft, Fft2d, FftDirection};
     pub use crate::grid::Grid;
     pub use crate::matrix::{eigen_hermitian, HermitianEigen, Matrix};
-    pub use crate::pool::{PoolTask, SpectralTask, SpectralTeam, WorkerPool};
+    pub use crate::pool::{PoolTask, WorkerPool};
     pub use crate::rng::Rng64;
     pub use crate::split::SplitSpectrum;
     pub use crate::stats;

@@ -1,5 +1,9 @@
-//! A reusable std-only worker team for intra-job parallelism
+//! A generic std-only worker pool for intra-job parallelism
 //! (DESIGN.md §14).
+//!
+//! The spectral code of this crate is serial; the pool knows nothing of
+//! FFTs. Its one client is the process-corner fan-out of the core
+//! crate, whose tasks each evaluate a whole `F_pvb` corner.
 //!
 //! [`WorkerPool`] owns a fixed set of long-lived worker threads, each
 //! with a private [`Workspace`] scratch pool, coordinated through
@@ -23,9 +27,6 @@
 //! scheduler's existing per-job `catch_unwind` / degradation-ladder
 //! retry machinery handles the failure exactly like a serial panic.
 
-use crate::conv::{Convolver, CyclicRange, KernelSpectrum};
-use crate::fft::{Fft, Fft2d, FftDirection};
-use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,7 +91,7 @@ fn injected_worker_panic() -> ! {
     panic!("injected fault: parallel worker panic")
 }
 
-/// A fixed team of worker threads with per-thread [`Workspace`] scratch.
+/// A fixed set of worker threads with per-thread [`Workspace`] scratch.
 ///
 /// See the [module docs](self) for the dispatch/collect protocol and
 /// the determinism and panic-containment contracts.
@@ -114,7 +115,7 @@ impl<T: PoolTask> std::fmt::Debug for WorkerPool<T> {
 
 impl<T: PoolTask> WorkerPool<T> {
     /// Spawns `workers` worker threads. Spawn failures degrade
-    /// gracefully to a smaller team (possibly empty) — determinism does
+    /// gracefully to a smaller pool (possibly empty) — determinism does
     /// not depend on the worker count, only throughput does.
     pub fn new(workers: usize) -> Self {
         let armed = Arc::new(AtomicBool::new(false));
@@ -127,7 +128,7 @@ impl<T: PoolTask> WorkerPool<T> {
             });
             let worker_slot = Arc::clone(&slot);
             // Only worker 0 consumes the fault trigger, so an injected
-            // panic is deterministic regardless of the team size.
+            // panic is deterministic regardless of the pool size.
             let trigger = (index == 0).then(|| Arc::clone(&armed));
             let spawned = std::thread::Builder::new()
                 .name(format!("mosaic-pool-{index}"))
@@ -288,190 +289,6 @@ fn worker_loop<T: PoolTask>(slot: &Slot<T>, trigger: Option<&AtomicBool>) {
     }
 }
 
-/// A spectral work item for a [`SpectralTeam`] lane, over split re/im
-/// planes (DESIGN.md §16): either a contiguous band of 1-D transforms
-/// (the banded passes behind every `*_par` transform) or the box inverse
-/// that finishes one kernel's convolution.
-// The 2-D plan makes `ConvolveRows` several times larger than
-// `SplitRows`. Tasks only move between a lane slot and its worker, and
-// boxing the plan would allocate on every wave.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum SpectralTask {
-    /// Apply `plan` to each consecutive `plan.len()`-sized row of the
-    /// split re/im planes.
-    SplitRows {
-        /// The 1-D plan shared with the caller (`Arc`-backed, clone-cheap).
-        plan: Fft,
-        /// Transform direction.
-        direction: FftDirection,
-        /// The band's real plane, rows packed back to back.
-        re: Vec<f64>,
-        /// The band's imaginary plane, same packing.
-        im: Vec<f64>,
-    },
-    /// Finish a convolution on the worker: the same box inverse
-    /// [`Convolver::convolve_spectrum_split_into`] runs, over a product
-    /// spectrum whose nonzero bins lie in the kernel's box rows.
-    ConvolveRows {
-        /// The 2-D plan shared with the caller.
-        plan: Fft2d,
-        /// The kernel's box rows: the only rows of `spec` the inverse
-        /// reads.
-        rows: CyclicRange,
-        /// The product spectrum, inverse-transformed in place.
-        spec: SplitSpectrum,
-    },
-}
-
-impl PoolTask for SpectralTask {
-    fn run(&mut self, ws: &mut Workspace) {
-        match self {
-            SpectralTask::SplitRows {
-                plan,
-                direction,
-                re,
-                im,
-            } => {
-                let len = plan.len();
-                for (r, i) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
-                    plan.process_split(r, i, *direction, ws);
-                }
-            }
-            SpectralTask::ConvolveRows { plan, rows, spec } => {
-                plan.inverse_from_rows(spec, *rows, ws, None);
-            }
-        }
-    }
-}
-
-/// A [`WorkerPool`] of [`SpectralTask`]s plus its persistent lane
-/// buffers — the reusable worker team behind every `*_par` entry point
-/// in [`crate::fft`], [`crate::conv`] and the optics/core crates.
-///
-/// Lane buffers are recycled across waves (a lane's next task reuses
-/// the planes of its last one), so a warmed team performs no
-/// steady-state allocations.
-#[derive(Debug)]
-pub struct SpectralTeam {
-    pool: WorkerPool<SpectralTask>,
-    lanes: Vec<Option<SpectralTask>>,
-}
-
-impl SpectralTeam {
-    /// A team of `workers` threads (0 is valid: every `*_par` call then
-    /// degrades to its serial twin).
-    pub fn new(workers: usize) -> Self {
-        let pool = WorkerPool::new(workers);
-        let lanes = (0..pool.workers()).map(|_| None).collect();
-        SpectralTeam { pool, lanes }
-    }
-
-    /// Number of worker lanes.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Arms a one-shot injected panic on worker 0 (see
-    /// [`WorkerPool::arm_panic`]).
-    pub fn arm_panic(&self) {
-        self.pool.arm_panic();
-    }
-
-    /// Posts lane `lane`'s task for the next [`dispatch`](Self::dispatch):
-    /// the convolution `F⁻¹(field_spectrum · kernel)`, computed exactly as
-    /// [`Convolver::convolve_spectrum_split_into`] does — the box-row
-    /// product here on the calling thread, the box inverse on the worker
-    /// — into the lane's recycled spectrum (allocating only if the lane
-    /// never held one of sufficient capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from `conv`'s plan.
-    pub fn submit_convolution(
-        &mut self,
-        lane: usize,
-        conv: &Convolver,
-        field_spectrum: &SplitSpectrum,
-        kernel: &KernelSpectrum,
-    ) {
-        let (re, im) = self.recycle_split(lane);
-        let mut spec = SplitSpectrum::from_parts(conv.width(), conv.height(), re, im);
-        kernel.multiply_rows_into(field_spectrum, &mut spec);
-        self.lanes[lane] = Some(SpectralTask::ConvolveRows {
-            plan: conv.plan().clone(),
-            rows: kernel.rows(),
-            spec,
-        });
-    }
-
-    /// The field computed by lane `lane`'s last collected
-    /// [`submit_convolution`](Self::submit_convolution) task, if that is
-    /// what the lane holds.
-    pub fn convolution_result(&self, lane: usize) -> Option<&SplitSpectrum> {
-        match self.lanes.get(lane)? {
-            Some(SpectralTask::ConvolveRows { spec, .. }) => Some(spec),
-            _ => None,
-        }
-    }
-
-    /// Recycles lane `lane`'s previous task storage as a pair of bare
-    /// plane buffers (emptied, capacity preserved).
-    pub(crate) fn lane_split_rows_bufs(&mut self, lane: usize) -> (Vec<f64>, Vec<f64>) {
-        let (mut re, mut im) = self.recycle_split(lane);
-        re.clear();
-        im.clear();
-        (re, im)
-    }
-
-    /// Posts a banded split-plane 1-D row pass as lane `lane`'s task.
-    pub(crate) fn submit_split_rows(
-        &mut self,
-        lane: usize,
-        plan: &Fft,
-        direction: FftDirection,
-        re: Vec<f64>,
-        im: Vec<f64>,
-    ) {
-        self.lanes[lane] = Some(SpectralTask::SplitRows {
-            plan: plan.clone(),
-            direction,
-            re,
-            im,
-        });
-    }
-
-    /// The row band transformed by lane `lane`'s last collected
-    /// [`SpectralTask::SplitRows`] task, if that is what the lane
-    /// holds.
-    pub(crate) fn split_rows_result(&self, lane: usize) -> Option<(&[f64], &[f64])> {
-        match self.lanes.get(lane)? {
-            Some(SpectralTask::SplitRows { re, im, .. }) => Some((re, im)),
-            _ => None,
-        }
-    }
-
-    /// Dispatches every posted lane task to the workers.
-    pub fn dispatch(&mut self) {
-        self.pool.dispatch(&mut self.lanes);
-    }
-
-    /// Waits for the dispatched wave and moves the finished tasks back
-    /// into their lanes (re-raising any contained worker panic; see
-    /// [`WorkerPool::collect`]).
-    pub fn collect(&mut self) {
-        self.pool.collect(&mut self.lanes);
-    }
-
-    fn recycle_split(&mut self, lane: usize) -> (Vec<f64>, Vec<f64>) {
-        match self.lanes[lane].take() {
-            Some(SpectralTask::SplitRows { re, im, .. }) => (re, im),
-            Some(SpectralTask::ConvolveRows { spec, .. }) => spec.into_parts(),
-            None => (Vec::new(), Vec::new()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,28 +398,5 @@ mod tests {
         pool.dispatch(&mut tasks);
         pool.collect(&mut tasks);
         assert_eq!(tasks[0].as_ref().unwrap().output, 6);
-    }
-
-    #[test]
-    fn spectral_team_split_lane_buffers_are_recycled() {
-        let mut team = SpectralTeam::new(1);
-        if team.workers() == 0 {
-            return; // spawn-restricted environment
-        }
-        let conv = Convolver::new(8, 8);
-        let field = SplitSpectrum::zeros(8, 8);
-        let mut impulse = crate::Grid::zeros(8, 8);
-        impulse[(0, 0)] = crate::Complex::ONE;
-        let kernel = conv.kernel_spectrum(&impulse);
-        let convolve_once = |team: &mut SpectralTeam| {
-            team.submit_convolution(0, &conv, &field, &kernel);
-            team.dispatch();
-            team.collect();
-            let result = team.convolution_result(0).unwrap();
-            (result.re().as_ptr(), result.im().as_ptr())
-        };
-        // The next wave's lane spectrum reuses both plane allocations.
-        let first = convolve_once(&mut team);
-        assert_eq!(convolve_once(&mut team), first);
     }
 }

@@ -9,8 +9,8 @@
 //! * the Hermitian real-FFT path vs the full complex transform;
 //! * the half-spectrum gradient correlation vs the real part of the
 //!   full complex correlation;
-//! * the banded team transforms vs the serial ones, pinned at 0 ULP
-//!   across worker counts (DESIGN.md §14, §16).
+//! * the band-limited box convolution and correlation vs the dense
+//!   full-grid path, pinned at 0 ULP (DESIGN.md §16).
 //!
 //! Tolerances are explicit ULP budgets: an error bound of
 //! `scale · ε · ULPS`, where `scale` is the magnitude of the data
@@ -50,13 +50,6 @@ fn assert_ulp_close(a: f64, b: f64, scale: f64, ulps: f64, ctx: &str) {
 fn assert_complex_ulp_close(a: Complex, b: Complex, scale: f64, ulps: f64, ctx: &str) {
     assert_ulp_close(a.re, b.re, scale, ulps, ctx);
     assert_ulp_close(a.im, b.im, scale, ulps, ctx);
-}
-
-fn assert_bits_eq(a: &[f64], b: &[f64], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: length");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: element {i}");
-    }
 }
 
 fn random_complex_grid(rng: &mut Rng64, w: usize, h: usize) -> Grid<Complex> {
@@ -275,79 +268,6 @@ fn half_spectrum_correlation_matches_full_complex_re() {
     }
 }
 
-/// The banded concurrent 2-D FFT is pinned to the serial plan at
-/// **0 ULP**: same spectrum, same plan, every bin's bit pattern
-/// identical, at every team size. Shapes cover the odd-height transpose
-/// path (8×7), the packed-even real-FFT rows (16×12), a pure radix-2
-/// grid (8×8), and Bluestein rows *and* columns (7×5).
-#[test]
-fn concurrent_fft2d_is_bit_identical_to_serial() {
-    let mut rng = Rng64::new(0xD1F_0007);
-    let mut ws = Workspace::new();
-    for (w, h) in [(7, 5), (8, 8), (16, 12), (8, 7)] {
-        let plan = Fft2d::new(w, h);
-        let data = random_complex_grid(&mut rng, w, h);
-        for direction in [FftDirection::Forward, FftDirection::Inverse] {
-            let mut serial = SplitSpectrum::from_grid(&data);
-            plan.process_split(&mut serial, direction, &mut ws);
-            for workers in [0usize, 1, 2, 3] {
-                let mut team = SpectralTeam::new(workers);
-                let mut par = SplitSpectrum::from_grid(&data);
-                plan.process_split_par(&mut par, direction, &mut ws, &mut team);
-                let ctx = format!("{w}x{h} {direction:?} workers={workers}");
-                assert_bits_eq(par.re(), serial.re(), &format!("{ctx} re"));
-                assert_bits_eq(par.im(), serial.im(), &format!("{ctx} im"));
-            }
-        }
-    }
-}
-
-/// Property: the team size never changes a single output bit of the
-/// real-FFT round trip (`forward_real_split_into` /
-/// `inverse_real_split_into` vs their `_par` twins), across random grids
-/// on every harness shape.
-#[test]
-fn thread_count_never_changes_real_fft_bits() {
-    let mut rng = Rng64::new(0xD1F_0008);
-    let mut ws = Workspace::new();
-    for (w, h) in [(7, 5), (8, 8), (16, 12), (8, 7)] {
-        let plan = Fft2d::new(w, h);
-        let hw = w / 2 + 1;
-        for case in 0..4 {
-            let real = random_real_grid(&mut rng, w, h);
-            let mut half_serial = SplitSpectrum::zeros(hw, h);
-            plan.forward_real_split_into(&real, &mut half_serial, &mut ws);
-            let mut round_serial = Grid::zeros(w, h);
-            let mut half_scratch = half_serial.clone();
-            plan.inverse_real_split_into(&mut half_scratch, &mut round_serial, &mut ws);
-            for workers in [0usize, 1, 2, 3] {
-                let mut team = SpectralTeam::new(workers);
-                let ctx = format!("{w}x{h} case={case} workers={workers}");
-                let mut half_par = SplitSpectrum::zeros(hw, h);
-                plan.forward_real_split_par(&real, &mut half_par, &mut ws, &mut team);
-                assert_bits_eq(
-                    half_par.re(),
-                    half_serial.re(),
-                    &format!("forward {ctx} re"),
-                );
-                assert_bits_eq(
-                    half_par.im(),
-                    half_serial.im(),
-                    &format!("forward {ctx} im"),
-                );
-                let mut round_par = Grid::zeros(w, h);
-                let mut half_scratch = half_serial.clone();
-                plan.inverse_real_split_par(&mut half_scratch, &mut round_par, &mut ws, &mut team);
-                assert_bits_eq(
-                    round_par.as_slice(),
-                    round_serial.as_slice(),
-                    &format!("inverse {ctx}"),
-                );
-            }
-        }
-    }
-}
-
 /// SoA↔AoS layout conversion is a pure copy: a round trip through
 /// `SplitSpectrum::from_grid` / `to_grid` preserves every bit on every
 /// harness shape.
@@ -363,106 +283,6 @@ fn split_layout_round_trip_is_bit_exact() {
                 (b.re.to_bits(), b.im.to_bits()),
                 "{w}x{h} bin {i}"
             );
-        }
-    }
-}
-
-/// The banded convolution pipeline (forward FFT, plane-wise Hadamard,
-/// inverse FFT, all on the team) stays inside the chained-transform ULP
-/// budget against the O(N⁴) direct sum, at every worker count.
-#[test]
-fn split_convolution_matches_direct_sum_across_teams() {
-    let mut rng = Rng64::new(0xD1F_000A);
-    let mut ws = Workspace::new();
-    for (w, h) in SHAPES {
-        let field = random_complex_grid(&mut rng, w, h);
-        let kernel = random_complex_grid(&mut rng, w, h);
-        let conv = Convolver::new(w, h);
-        let kspec = conv.kernel_spectrum(&kernel);
-        let slow = convolve_reference(&field, &kernel);
-        let scale = sum_scale(max_mag(&field) * max_mag(&kernel), w * h);
-        for workers in [1usize, 2, 4] {
-            let mut team = SpectralTeam::new(workers);
-            let mut spectrum = SplitSpectrum::from_grid(&field);
-            conv.plan()
-                .process_split_par(&mut spectrum, FftDirection::Forward, &mut ws, &mut team);
-            let mut out = SplitSpectrum::zeros(w, h);
-            conv.convolve_spectrum_split_par(&spectrum, &kspec, &mut out, &mut ws, &mut team);
-            let fast = out.to_grid();
-            for (i, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
-                assert_complex_ulp_close(
-                    *a,
-                    *b,
-                    scale,
-                    ULPS_CONV,
-                    &format!("split-conv {w}x{h} workers={workers} pixel {i}"),
-                );
-            }
-        }
-    }
-}
-
-/// The Hermitian gradient correlation is pinned at **0 ULP** across
-/// teams: the banded variant reproduces the serial accumulate's bits
-/// exactly on every harness shape, at every worker count.
-#[test]
-fn split_correlation_accumulate_is_bit_identical_across_teams() {
-    let mut rng = Rng64::new(0xD1F_000B);
-    let mut ws = Workspace::new();
-    for (w, h) in SHAPES {
-        let field = random_complex_grid(&mut rng, w, h);
-        let kernel = random_complex_grid(&mut rng, w, h);
-        let conv = Convolver::new(w, h);
-        let kspec = conv.kernel_spectrum(&kernel);
-        let seed = Grid::from_fn(w, h, |x, y| (x + 2 * y) as f64 * 0.01);
-        let scale_factor: f64 = 0.75;
-        let mut acc_serial = seed.clone();
-        conv.correlate_re_accumulate_split(
-            &mut SplitSpectrum::from_grid(&field),
-            &kspec,
-            scale_factor,
-            &mut acc_serial,
-            &mut ws,
-        );
-        for workers in [1usize, 2, 4] {
-            let mut team = SpectralTeam::new(workers);
-            let mut acc_par = seed.clone();
-            conv.correlate_re_accumulate_split_par(
-                &mut SplitSpectrum::from_grid(&field),
-                &kspec,
-                scale_factor,
-                &mut acc_par,
-                &mut ws,
-                &mut team,
-            );
-            assert_bits_eq(
-                acc_par.as_slice(),
-                acc_serial.as_slice(),
-                &format!("{w}x{h} workers={workers}"),
-            );
-        }
-    }
-}
-
-/// The banded real-FFT full spectrum (`forward_real_split_par`)
-/// reproduces the serial `forward_real_split_into` bits exactly on
-/// every harness shape, at every worker count.
-#[test]
-fn split_real_fft_is_bit_identical_across_teams() {
-    let mut rng = Rng64::new(0xD1F_000C);
-    let mut ws = Workspace::new();
-    for (w, h) in SHAPES {
-        let real = random_real_grid(&mut rng, w, h);
-        let conv = Convolver::new(w, h);
-        let mut serial = SplitSpectrum::zeros(w, h);
-        conv.forward_real_split_into(&real, &mut serial, &mut ws);
-        for workers in [1usize, 2, 4] {
-            let mut team = SpectralTeam::new(workers);
-            let mut par = SplitSpectrum::zeros(w, h);
-            conv.forward_real_split_par(&real, &mut par, &mut ws, &mut team);
-            let ctx = format!("{w}x{h} workers={workers}");
-            assert_bits_eq(par.re(), serial.re(), &format!("{ctx} re"));
-            assert_bits_eq(par.im(), serial.im(), &format!("{ctx} im"));
         }
     }
 }
@@ -679,72 +499,6 @@ fn box_correlation_matches_dense_oracle() {
             let mut dense = seed.clone();
             dense_correlate_accumulate(&conv, &field, &kernel, scale, &mut dense, &mut ws);
             assert_bits_eq_up_to_zero_sign(boxed.as_slice(), dense.as_slice(), &ctx);
-        }
-    }
-}
-
-/// Serial and team runs of the box convolution (banded and as a lane
-/// task) and of the box correlation agree bit for bit, signed zeros
-/// included, at every worker count.
-#[test]
-fn box_kernels_are_bit_identical_across_teams() {
-    let mut rng = Rng64::new(0xD1F_0012);
-    let mut ws = Workspace::new();
-    for (w, h) in BOX_SHAPES {
-        let conv = Convolver::new(w, h);
-        let field = random_complex_grid(&mut rng, w, h);
-        let field_spectrum = SplitSpectrum::from_grid(&field);
-        let seed = random_real_grid(&mut rng, w, h);
-        for (name, kernel) in oracle_kernels(&mut rng, w, h) {
-            let kspec = KernelSpectrum::from_grid(kernel);
-            let mut conv_serial = SplitSpectrum::zeros(w, h);
-            conv.convolve_spectrum_split_into(&field_spectrum, &kspec, &mut conv_serial, &mut ws);
-            let mut corr_serial = seed.clone();
-            conv.correlate_re_accumulate_split(
-                &mut SplitSpectrum::from_grid(&field),
-                &kspec,
-                0.5,
-                &mut corr_serial,
-                &mut ws,
-            );
-            for workers in [0usize, 1, 2, 3] {
-                let ctx = format!("{w}x{h} {name} workers={workers}");
-                let mut team = SpectralTeam::new(workers);
-                let mut banded = SplitSpectrum::zeros(w, h);
-                conv.convolve_spectrum_split_par(
-                    &field_spectrum,
-                    &kspec,
-                    &mut banded,
-                    &mut ws,
-                    &mut team,
-                );
-                assert_bits_eq(banded.re(), conv_serial.re(), &format!("{ctx} banded re"));
-                assert_bits_eq(banded.im(), conv_serial.im(), &format!("{ctx} banded im"));
-                if team.workers() > 0 {
-                    team.submit_convolution(0, &conv, &field_spectrum, &kspec);
-                    team.dispatch();
-                    team.collect();
-                    let lane = team
-                        .convolution_result(0)
-                        .expect("lane holds a convolution");
-                    assert_bits_eq(lane.re(), conv_serial.re(), &format!("{ctx} lane re"));
-                    assert_bits_eq(lane.im(), conv_serial.im(), &format!("{ctx} lane im"));
-                }
-                let mut corr_par = seed.clone();
-                conv.correlate_re_accumulate_split_par(
-                    &mut SplitSpectrum::from_grid(&field),
-                    &kspec,
-                    0.5,
-                    &mut corr_par,
-                    &mut ws,
-                    &mut team,
-                );
-                assert_bits_eq(
-                    corr_par.as_slice(),
-                    corr_serial.as_slice(),
-                    &format!("{ctx} correlation"),
-                );
-            }
         }
     }
 }

@@ -20,8 +20,8 @@
 
 use crate::config::{OpticsConfig, ProcessCondition};
 use mosaic_numerics::{
-    Complex, Convolver, CyclicRange, Fft2d, FftDirection, Grid, KernelSpectrum, SpectralTeam,
-    SplitSpectrum, Workspace,
+    Complex, Convolver, CyclicRange, Fft2d, FftDirection, Grid, KernelSpectrum, SplitSpectrum,
+    Workspace,
 };
 use std::f64::consts::PI;
 
@@ -177,72 +177,6 @@ impl KernelSet {
         for k in &self.kernels {
             convolver.convolve_spectrum_split_into(mask_spectrum, &k.spectrum, &mut field, ws);
             accumulate_intensity_split(intensity, &field, k.weight * self.condition.dose);
-        }
-        ws.give_split(field);
-    }
-
-    /// Concurrent twin of
-    /// [`aerial_image_accumulate_split`](Self::aerial_image_accumulate_split):
-    /// the independent per-kernel inverse transforms `E_k = M ⊗ h_k` are
-    /// fanned out over `team`'s workers in waves of `workers + 1` (the
-    /// calling thread takes one kernel per wave), while the intensity
-    /// accumulate stays on the calling thread in serial kernel order —
-    /// the fixed-order reduction that keeps results **bit-identical** to
-    /// the serial path at every worker count (DESIGN.md §14).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the bank's grid.
-    pub fn aerial_image_accumulate_split_par(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &SplitSpectrum,
-        intensity: &mut Grid<f64>,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        let workers = team.workers();
-        if workers == 0 {
-            self.aerial_image_accumulate_split(convolver, mask_spectrum, intensity, ws);
-            return;
-        }
-        assert_eq!(
-            mask_spectrum.dims(),
-            (self.width, self.height),
-            "mask spectrum shape mismatch"
-        );
-        assert_eq!(
-            intensity.dims(),
-            (self.width, self.height),
-            "intensity shape mismatch"
-        );
-        intensity.fill(0.0);
-        let mut field = ws.take_split(self.width, self.height);
-        let dose = self.condition.dose;
-        let mut start = 0;
-        while start < self.kernels.len() {
-            let end = (start + workers + 1).min(self.kernels.len());
-            for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
-                team.submit_convolution(lane, convolver, mask_spectrum, &k.spectrum);
-            }
-            team.dispatch();
-            // The calling thread convolves its own kernel while the
-            // workers finish theirs; both sides run the same box
-            // inverse.
-            convolver.convolve_spectrum_split_into(
-                mask_spectrum,
-                &self.kernels[start].spectrum,
-                &mut field,
-                ws,
-            );
-            team.collect();
-            accumulate_intensity_split(intensity, &field, self.kernels[start].weight * dose);
-            for (lane, k) in self.kernels[start + 1..end].iter().enumerate() {
-                if let Some(spec) = team.convolution_result(lane) {
-                    accumulate_intensity_split(intensity, spec, k.weight * dose);
-                }
-            }
-            start = end;
         }
         ws.give_split(field);
     }
@@ -527,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn split_aerial_image_is_bit_identical_across_teams() {
+    fn with_fields_image_is_bit_identical_to_accumulate() {
         let config = small_config();
         let set = KernelSet::build(&config, ProcessCondition::new(10.0, 1.02)).unwrap();
         let conv = Convolver::new(64, 64);
@@ -539,17 +473,8 @@ mod tests {
         let mut ws = Workspace::new();
         let mut split_spec = SplitSpectrum::zeros(64, 64);
         conv.forward_real_split_into(&mask, &mut split_spec, &mut ws);
-        let mut serial = Grid::zeros(64, 64);
-        set.aerial_image_accumulate_split(&conv, &split_spec, &mut serial, &mut ws);
-
-        for workers in [1usize, 2] {
-            let mut team = SpectralTeam::new(workers);
-            let mut par = Grid::zeros(64, 64);
-            set.aerial_image_accumulate_split_par(&conv, &split_spec, &mut par, &mut ws, &mut team);
-            for (i, (a, b)) in par.iter().zip(serial.iter()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers={workers} pixel {i}");
-            }
-        }
+        let mut accumulated = Grid::zeros(64, 64);
+        set.aerial_image_accumulate_split(&conv, &split_spec, &mut accumulated, &mut ws);
 
         let mut fields = Vec::new();
         let mut with_fields = Grid::zeros(64, 64);
@@ -561,7 +486,7 @@ mod tests {
             &mut ws,
         );
         assert_eq!(fields.len(), set.kernels().len());
-        for (i, (a, b)) in with_fields.iter().zip(serial.iter()).enumerate() {
+        for (i, (a, b)) in with_fields.iter().zip(accumulated.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "with-fields pixel {i}");
         }
     }

@@ -6,7 +6,7 @@ use crate::error::OpticsError;
 use crate::kernels::KernelSet;
 use crate::resist::ResistModel;
 use crate::source::SourceShape;
-use mosaic_numerics::{Convolver, Grid, SpectralTeam, SplitSpectrum, Workspace};
+use mosaic_numerics::{Convolver, Grid, SplitSpectrum, Workspace};
 use std::sync::Arc;
 
 /// A hashable identity for a simulator configuration: everything that
@@ -213,23 +213,6 @@ impl LithoSimulator {
         ws: &mut Workspace,
     ) {
         self.convolver.forward_real_split_into(mask, out, ws);
-    }
-
-    /// Concurrent twin of [`mask_spectrum_split`](Self::mask_spectrum_split):
-    /// the forward transform's column pass is banded across `team`'s
-    /// workers. Bit-identical at every worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ from the simulation grid.
-    pub fn mask_spectrum_split_par(
-        &self,
-        mask: &Grid<f64>,
-        out: &mut SplitSpectrum,
-        ws: &mut Workspace,
-        team: &mut SpectralTeam,
-    ) {
-        self.convolver.forward_real_split_par(mask, out, ws, team);
     }
 
     /// Overwrites `intensity` with the aerial image under condition

@@ -22,10 +22,11 @@
 //!   matching attempt, a deterministic stand-in for a worker wedged
 //!   between cancel-token polls, exercising the heartbeat watchdog and
 //!   the degradation ladder.
-//! * [`FaultKind::ParallelPanicAtIteration`] — a pooled
-//!   parallel-evaluation worker panics inside its task at the given
-//!   absolute iteration (jobs running with `threads >= 2`), exercising
-//!   the worker pool's panic containment and reuse across the retry.
+//! * [`FaultKind::ParallelPanicAtIteration`] — a corner-pool worker
+//!   panics inside its task at the given absolute iteration (jobs
+//!   running with `threads >= 2` on a shape with process corners, as
+//!   both presets have), exercising the worker pool's panic
+//!   containment and reuse across the retry.
 //!
 //! Three more cover the shared job ledger's failure surfaces (see
 //! [`crate::ledger`]); these are keyed on the shard's *claim attempt*
@@ -74,10 +75,10 @@ pub enum FaultKind {
     /// A rival lease is planted at the epoch the matching claim
     /// targets, forcing the claim to lose the create-new race.
     ClaimRace,
-    /// A parallel-evaluation worker thread panics inside its pooled
-    /// task at this absolute optimizer iteration. Only fires when the
-    /// job runs with `threads >= 2`; the pool contains the panic and
-    /// stays reusable for the retry.
+    /// A corner-pool worker thread panics inside its task at this
+    /// absolute optimizer iteration. Only fires when the job runs with
+    /// `threads >= 2` on a shape with process corners to fan out; the
+    /// pool contains the panic and stays reusable for the retry.
     ParallelPanicAtIteration(usize),
 }
 

@@ -143,8 +143,8 @@ fn injected_panic_is_contained_and_retried_from_checkpoint() {
     );
 }
 
-/// A worker-thread panic inside a parallel evaluation section (pooled
-/// FFT band / kernel / corner task) is contained by the pool's
+/// A worker-thread panic inside a parallel evaluation section (a pooled
+/// process-corner task) is contained by the pool's
 /// `catch_unwind`, surfaces through the scheduler as a failed attempt,
 /// and the retry resumes from the last checkpoint down the degradation
 /// ladder — exactly like a main-thread panic, with no wedged worker.

@@ -44,20 +44,25 @@ tier1() {
   # test run above; repeated here so a gate failure names the culprit.
   cargo test -q -p mosaic-core --test alloc_smoke
   echo "=== tier1: threads determinism (intra-job parallel evaluation)"
-  # DESIGN.md §14: the jobs x threads matrix must produce bit-identical
+  # DESIGN.md §14: process-corner fan-out is the one intra-job parallel
+  # path. Only shapes with corners (threads >= 2, several conditions,
+  # beta > 0, combined gradients) get a pool, with one worker per
+  # corner at most; the jobs x threads matrix must produce bit-identical
   # masks, EPE counts, PV-band areas and quality scores (the --threads 2
-  # legs run real worker pools regardless of host core count), and the
-  # golden B1 snapshot must pin the exact same constants on the parallel
-  # path. Also covered by the workspace test run above; repeated so a
-  # gate failure names the culprit.
+  # legs run real corner workers regardless of host core count), and
+  # the golden B1 snapshot must pin the exact same constants on the
+  # parallel path. Also covered by the workspace test run above;
+  # repeated so a gate failure names the culprit.
+  cargo test -q -p mosaic-core --lib -- objective::tests::parallel_exec_fans_out_only_process_corners
   cargo test -q -p mosaic-runtime --test batch one_and_four_workers_agree_bit_for_bit
   cargo test -q -p mosaic-runtime --test golden
   echo "=== tier1: band-limited engine"
   # DESIGN.md §16: kernels are stored as their support boxes and the
   # convolution/correlation skip the transforms a box rules out. The
   # dense path is the oracle: every nonzero value must match it bit for
-  # bit on pow2, Bluestein and odd grids, serial and team alike; the
-  # box build must reproduce the dense pupil build; a 512 px @ 2 nm
+  # bit on pow2, Bluestein and odd grids, through the one serial code
+  # path that corner workers run too; the box build must reproduce the
+  # dense pupil build; a 512 px @ 2 nm
   # contest bank must store under 1% of the grid per kernel. Also
   # covered by the workspace test run above; repeated so a gate failure
   # names the culprit.
