@@ -31,8 +31,6 @@
 //!   behind the session's `threads` policy (DESIGN.md §14).
 //! * [`session`] — the [`ExecutionSession`] pipeline every entry point
 //!   resolves to, with the composable [`Instrument`] hook trait.
-//! * [`psm`] — the phase-shifting-mask extension (three-level
-//!   transmission, per the paper's ref. 10).
 //! * [`sraf`] — rule-based sub-resolution assist feature insertion for
 //!   the initial mask.
 //! * [`mosaic`] — the high-level [`Mosaic`] driver with
@@ -67,7 +65,6 @@ pub mod objective;
 pub mod optimizer;
 pub mod parallel;
 pub mod problem;
-pub mod psm;
 pub mod session;
 pub mod sraf;
 
@@ -77,11 +74,10 @@ pub use mosaic::{Mosaic, MosaicConfig, MosaicMode, MosaicPreset};
 pub use objective::{GradientMode, ObjectiveReport, TargetTerm};
 pub use optimizer::{
     optimize, IterationControl, IterationRecord, IterationView, OptimizationConfig,
-    OptimizationResult, OptimizerCheckpoint, OptimizerStart,
+    OptimizationResult, OptimizerCheckpoint,
 };
 pub use parallel::ParallelExec;
 pub use problem::{OpcProblem, PixelSample};
-pub use psm::{optimize_psm, PsmResult, PsmState};
 pub use session::{ExecutionSession, Instrument, NoInstrument};
 pub use sraf::SrafRules;
 
@@ -93,11 +89,10 @@ pub mod prelude {
     pub use crate::objective::{GradientMode, ObjectiveReport, TargetTerm};
     pub use crate::optimizer::{
         optimize, IterationControl, IterationRecord, IterationView, OptimizationConfig,
-        OptimizationResult, OptimizerCheckpoint, OptimizerStart,
+        OptimizationResult, OptimizerCheckpoint,
     };
     pub use crate::parallel::ParallelExec;
     pub use crate::problem::{OpcProblem, PixelSample};
-    pub use crate::psm::{optimize_psm, PsmResult, PsmState};
     pub use crate::session::{ExecutionSession, Instrument, NoInstrument};
     pub use crate::sraf::SrafRules;
 }

@@ -170,14 +170,7 @@ impl<'a> Objective<'a> {
     ///
     /// Panics if the state's shape differs from the problem grid.
     pub fn evaluate_into(&self, state: &MaskState, ws: &mut Workspace, eval: &mut Evaluation) {
-        let (gw, gh) = state.dims();
-        let mut mask = ws.take_real_grid(gw, gh);
-        let mut dmask_dp = ws.take_real_grid(gw, gh);
-        state.mask_into(&mut mask);
-        state.mask_derivative_into(&mut dmask_dp);
-        self.evaluate_parameterized_core(&mask, &dmask_dp, ws, eval, None);
-        ws.give_real_grid(dmask_dp);
-        ws.give_real_grid(mask);
+        self.evaluate_core(state, ws, eval, None);
     }
 
     /// Parallel twin of [`evaluate_into`](Self::evaluate_into): fans the
@@ -202,14 +195,7 @@ impl<'a> Objective<'a> {
         eval: &mut Evaluation,
         par: &mut ParallelExec,
     ) {
-        let (gw, gh) = state.dims();
-        let mut mask = ws.take_real_grid(gw, gh);
-        let mut dmask_dp = ws.take_real_grid(gw, gh);
-        state.mask_into(&mut mask);
-        state.mask_derivative_into(&mut dmask_dp);
-        self.evaluate_parameterized_core(&mask, &dmask_dp, ws, eval, Some(par));
-        ws.give_real_grid(dmask_dp);
-        ws.give_real_grid(mask);
+        self.evaluate_core(state, ws, eval, Some(par));
     }
 
     /// Builds the reusable worker state for
@@ -251,22 +237,6 @@ impl<'a> Objective<'a> {
         Some(ParallelExec::new((threads - 1).min(tasks.len()), tasks))
     }
 
-    /// Evaluates `F` and its gradient for an arbitrary mask
-    /// parameterization: `mask` is the transmission field `M(P)` (values
-    /// may be negative for phase-shifting masks) and `dmask_dp` the
-    /// pixel-wise transform derivative `dM/dP` used for the final chain
-    /// rule. [`evaluate`](Self::evaluate) is the binary-mask
-    /// specialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grids' shape differs from the problem grid.
-    pub fn evaluate_parameterized(&self, mask: &Grid<f64>, dmask_dp: &Grid<f64>) -> Evaluation {
-        let mut eval = Evaluation::empty();
-        self.evaluate_parameterized_core(mask, dmask_dp, &mut Workspace::new(), &mut eval, None);
-        eval
-    }
-
     /// The single numeric path behind every evaluation entry point.
     ///
     /// With `par = None` this is exactly the serial evaluation. With a
@@ -274,10 +244,9 @@ impl<'a> Objective<'a> {
     /// this thread evaluates the nominal condition, and every reduction
     /// stays on this thread in serial order, keeping results
     /// bit-identical (DESIGN.md §14).
-    fn evaluate_parameterized_core(
+    fn evaluate_core(
         &self,
-        mask: &Grid<f64>,
-        dmask_dp: &Grid<f64>,
+        state: &MaskState,
         ws: &mut Workspace,
         eval: &mut Evaluation,
         mut par: Option<&mut ParallelExec>,
@@ -288,13 +257,17 @@ impl<'a> Objective<'a> {
         let target = self.problem.target();
         let pixel_area = self.problem.pixel_nm() * self.problem.pixel_nm();
 
-        assert_eq!(mask.dims(), self.problem.grid_dims(), "mask shape mismatch");
-        assert_eq!(dmask_dp.dims(), mask.dims(), "derivative shape mismatch");
         let (gw, gh) = self.problem.grid_dims();
+        // `M = sig(P)` and `dM/dP` (Eq. (8)); both fills reject a state
+        // whose shape differs from the problem grid.
+        let mut mask = ws.take_real_grid(gw, gh);
+        let mut dmask_dp = ws.take_real_grid(gw, gh);
+        state.mask_into(&mut mask);
+        state.mask_derivative_into(&mut dmask_dp);
         // The spectral pipeline runs in split-plane (SoA) layout from the
         // mask spectrum onward (DESIGN.md §16).
         let mut mask_spectrum = ws.take_split(gw, gh);
-        sim.mask_spectrum_split(mask, &mut mask_spectrum, ws);
+        sim.mask_spectrum_split(&mask, &mut mask_spectrum, ws);
         if let Some(p) = par.as_deref_mut() {
             // Corner workers start on this iteration's spectrum while the
             // calling thread evaluates the nominal condition below.
@@ -431,6 +404,8 @@ impl<'a> Objective<'a> {
         ws.give_real_grid(intensity);
         ws.give_real_grid(grad_mask);
         ws.give_split(mask_spectrum);
+        ws.give_real_grid(dmask_dp);
+        ws.give_real_grid(mask);
     }
 
     /// `F_id = Σ |Z − Z_t|^γ · px²`; accumulates `α·∂F_id/∂Z·dZ/dI` into

@@ -139,13 +139,6 @@ impl OpcProblem {
         &self.sim
     }
 
-    /// A cheap shared handle to the simulator, for reuse by other
-    /// problems with the same optics (see
-    /// [`OpcProblem::from_layout_with_simulator`]).
-    pub fn shared_simulator(&self) -> Arc<LithoSimulator> {
-        Arc::clone(&self.sim)
-    }
-
     /// The source layout.
     pub fn layout(&self) -> &Layout {
         &self.layout

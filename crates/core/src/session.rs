@@ -202,22 +202,6 @@ impl<'a> ExecutionSession<'a> {
         }
     }
 
-    /// Starts a session from an explicit [`OptimizerStart`].
-    pub fn from_start(
-        problem: &'a OpcProblem,
-        config: OptimizationConfig,
-        start: OptimizerStart<'a>,
-    ) -> Self {
-        ExecutionSession {
-            problem,
-            config,
-            start,
-            workspace: None,
-            checkpoint_every: None,
-            threads: 1,
-        }
-    }
-
     /// Draws every per-iteration intermediate from `ws` instead of a
     /// private pool, so a warmed workspace makes the main loop
     /// allocation-free (and worker threads can share one pool across

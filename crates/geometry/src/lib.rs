@@ -8,7 +8,8 @@
 //!   rectilinear geometry ([`point`], [`rect`], [`polygon`]).
 //! * [`Layout`] — a clip full of shapes, with bounding-box queries and
 //!   edge extraction ([`layout`]).
-//! * Scanline rasterization of layouts onto pixel grids ([`raster`]).
+//! * Scanline rasterization of layouts onto pixel grids ([`raster`]), and
+//!   contour tracing of pixel masks back into polygons ([`contour`]).
 //! * EPE measurement-site placement along pattern boundaries, every 40 nm
 //!   per the ICCAD 2013 contest rules ([`sample`]).
 //! * A plain-text clip format for persistence ([`glp`]).
@@ -36,7 +37,6 @@
 pub mod benchmarks;
 pub mod contour;
 pub mod error;
-pub mod fracture;
 pub mod glp;
 pub mod layout;
 pub mod point;
@@ -47,7 +47,6 @@ pub mod sample;
 
 pub use contour::{trace_contours, Contour};
 pub use error::GeometryError;
-pub use fracture::{fracture_layout, fracture_polygon, shot_count};
 pub use layout::Layout;
 pub use point::{Orientation, Point};
 pub use polygon::{Polygon, Segment};
@@ -59,7 +58,6 @@ pub mod prelude {
     pub use crate::benchmarks::{self, BenchmarkId};
     pub use crate::contour::{self, trace_contours, Contour};
     pub use crate::error::GeometryError;
-    pub use crate::fracture::{self, fracture_layout, shot_count};
     pub use crate::glp;
     pub use crate::layout::Layout;
     pub use crate::point::{Orientation, Point};

@@ -27,23 +27,6 @@ pub fn rasterize_layout(layout: &Layout, pixel_nm: i64) -> Grid<f64> {
     grid
 }
 
-/// Rasterizes a single polygon onto a fresh grid of the given pixel shape.
-///
-/// # Panics
-///
-/// Panics if `pixel_nm` is not positive.
-pub fn rasterize_polygon(
-    polygon: &Polygon,
-    pixel_nm: i64,
-    width_px: usize,
-    height_px: usize,
-) -> Grid<f64> {
-    assert!(pixel_nm > 0, "pixel pitch must be positive");
-    let mut grid = Grid::zeros(width_px, height_px);
-    rasterize_polygon_into(polygon, pixel_nm, &mut grid);
-    grid
-}
-
 fn div_ceil(a: i64, b: i64) -> i64 {
     (a + b - 1) / b
 }

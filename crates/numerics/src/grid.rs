@@ -447,15 +447,6 @@ impl Grid<Complex> {
         self.map(|z| z.conj())
     }
 
-    /// Pixel-wise product with another complex grid (Hadamard product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn hadamard(&self, other: &Grid<Complex>) -> Grid<Complex> {
-        self.zip_map(other, |&a, &b| a * b)
-    }
-
     /// Circularly shifts the grid so that the pixel at `(cx, cy)` moves to
     /// `(0, 0)`.
     ///

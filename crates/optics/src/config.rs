@@ -122,8 +122,9 @@ impl OpticsConfig {
     /// # Errors
     ///
     /// Returns [`OpticsError::InvalidParameter`] naming the offending
-    /// field when any parameter is non-positive, NA is non-physical, or
-    /// the kernel count is zero.
+    /// field when any parameter is non-positive, NA is non-physical, the
+    /// kernel count is zero, or the source radii fail
+    /// [`SourceShape::validate`].
     // The negated comparisons deliberately reject NaN alongside
     // non-positive values.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -143,7 +144,7 @@ impl OpticsConfig {
         if self.kernel_count == 0 {
             return Err(OpticsError::param("kernel_count", "must be non-zero"));
         }
-        Ok(())
+        self.source.validate()
     }
 
     /// The pupil cutoff spatial frequency NA/λ in cycles/nm.
@@ -259,6 +260,39 @@ mod tests {
         assert!(OpticsConfig::builder().pixel_nm(0.0).build().is_err());
         assert!(OpticsConfig::builder().grid(0, 64).build().is_err());
         assert!(OpticsConfig::builder().kernel_count(0).build().is_err());
+        // Source radii: inverted annulus, sigma > 1, NaN. The simulator
+        // must reject them before its sampler asserts.
+        let bad_sources = [
+            SourceShape::Annular {
+                sigma_in: 0.9,
+                sigma_out: 0.5,
+            },
+            SourceShape::Annular {
+                sigma_in: 0.6,
+                sigma_out: 1.2,
+            },
+            SourceShape::Circular { sigma: 1.5 },
+            SourceShape::Circular { sigma: f64::NAN },
+            SourceShape::Annular {
+                sigma_in: f64::NAN,
+                sigma_out: 0.9,
+            },
+        ];
+        for source in bad_sources {
+            let err = OpticsConfig::builder().source(source).build().unwrap_err();
+            assert!(
+                matches!(err, OpticsError::InvalidParameter { name: "source", .. }),
+                "{source:?}: {err}"
+            );
+            let mut config = OpticsConfig::contest_32nm(64, 16.0);
+            config.source = source;
+            let sim = crate::LithoSimulator::new(
+                &config,
+                crate::ResistModel::paper(),
+                ProcessCondition::nominal_only(),
+            );
+            assert!(sim.is_err(), "{source:?} built a simulator");
+        }
     }
 
     #[test]

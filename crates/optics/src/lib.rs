@@ -18,7 +18,8 @@
 //! * [`config`] — optical parameters (λ = 193 nm, NA, pixel pitch,
 //!   source shape, kernel count) and [`ProcessCondition`] corners
 //!   (defocus ±25 nm, dose ±2 % in the paper).
-//! * [`source`] — illumination shapes and deterministic Abbe sampling.
+//! * [`source`] — circular and annular illumination and deterministic
+//!   Abbe sampling.
 //! * [`kernels`] — pupil construction and per-condition [`KernelSet`]s.
 //! * [`metrics`] — aerial-image quality diagnostics (ILS/NILS,
 //!   contrast).

@@ -41,19 +41,7 @@ impl SimKey {
             SourceShape::Annular {
                 sigma_in,
                 sigma_out,
-            } => {
-                vec![1, sigma_in.to_bits(), sigma_out.to_bits()]
-            }
-            SourceShape::Dipole {
-                sigma_center,
-                sigma_radius,
-            } => vec![2, sigma_center.to_bits(), sigma_radius.to_bits()],
-            _ => {
-                // Future source shapes hash their debug rendering — slower
-                // but still correct and collision-free per construction.
-                let text = format!("{:?}", config.source);
-                text.as_bytes().iter().map(|&b| u64::from(b)).collect()
-            }
+            } => vec![1, sigma_in.to_bits(), sigma_out.to_bits()],
         };
         SimKey {
             grid: (config.grid_width, config.grid_height),
@@ -457,5 +445,43 @@ mod tests {
         )
         .unwrap();
         assert_ne!(a, other.sim_key());
+        // Sources are part of the key: a collision would make a cache
+        // share one source's banks with another.
+        let key_with = |source: SourceShape| {
+            let config = OpticsConfig::builder()
+                .grid(64, 64)
+                .pixel_nm(8.0)
+                .kernel_count(8)
+                .source(source)
+                .build()
+                .unwrap();
+            SimKey::new(
+                &config,
+                &ResistModel::paper(),
+                &ProcessCondition::nominal_only(),
+            )
+        };
+        assert_eq!(
+            a,
+            key_with(SourceShape::Annular {
+                sigma_in: 0.6,
+                sigma_out: 0.9
+            })
+        );
+        assert_ne!(a, key_with(SourceShape::Circular { sigma: 0.9 }));
+        assert_ne!(
+            a,
+            key_with(SourceShape::Annular {
+                sigma_in: 0.5,
+                sigma_out: 0.9
+            })
+        );
+        assert_ne!(
+            a,
+            key_with(SourceShape::Annular {
+                sigma_in: 0.6,
+                sigma_out: 0.8
+            })
+        );
     }
 }

@@ -8,6 +8,7 @@
 //! uniformly for any point count — so `kernel_count = 24` reproduces the
 //! paper's 24-kernel approximation.
 
+use crate::error::OpticsError;
 use std::f64::consts::PI;
 
 /// One sampled source point in σ coordinates with its intensity weight.
@@ -38,25 +39,37 @@ pub enum SourceShape {
         /// Outer radius in `(sigma_in, 1]`.
         sigma_out: f64,
     },
-    /// Dipole illumination: two pole disks on the x axis — maximizes
-    /// contrast for vertical line/space patterns.
-    Dipole {
-        /// Pole center radius in `(0, 1)`.
-        sigma_center: f64,
-        /// Pole disk radius (must keep the poles inside σ = 1).
-        sigma_radius: f64,
-    },
-    /// Quasar (four-pole) illumination on the diagonals — the compromise
-    /// source for mixed horizontal/vertical layouts.
-    Quasar {
-        /// Pole center radius in `(0, 1)`.
-        sigma_center: f64,
-        /// Pole disk radius.
-        sigma_radius: f64,
-    },
 }
 
 impl SourceShape {
+    /// Checks the radii: `0 < σ ≤ 1` for a disk and
+    /// `0 < σ_in < σ_out ≤ 1` for an annulus. NaN radii fail too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OpticsError::InvalidParameter`] naming `source` when a
+    /// radius is out of range.
+    pub fn validate(&self) -> Result<(), OpticsError> {
+        let (ok, rule) = match *self {
+            SourceShape::Circular { sigma } => (
+                sigma > 0.0 && sigma <= 1.0,
+                "sigma out of range: need 0 < sigma <= 1",
+            ),
+            SourceShape::Annular {
+                sigma_in,
+                sigma_out,
+            } => (
+                sigma_in > 0.0 && sigma_out > sigma_in && sigma_out <= 1.0,
+                "annulus radii out of range: need 0 < sigma_in < sigma_out <= 1",
+            ),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(OpticsError::param("source", rule))
+        }
+    }
+
     /// Samples the source into `count` weighted points.
     ///
     /// Points follow a golden-angle spiral with radii chosen so each point
@@ -64,91 +77,31 @@ impl SourceShape {
     ///
     /// # Panics
     ///
-    /// Panics if `count == 0` or the shape's radii are out of range.
+    /// Panics if `count == 0` or the shape fails
+    /// [`validate`](Self::validate).
     pub fn sample(&self, count: usize) -> Vec<SourcePoint> {
         assert!(count > 0, "source sample count must be non-zero");
+        let valid = self.validate();
+        assert!(valid.is_ok(), "{valid:?}");
         let golden = PI * (3.0 - 5.0f64.sqrt());
         let weight = 1.0 / count as f64;
-        // Disk/annulus shapes place points on a single golden-angle
-        // spiral; pole shapes distribute a spiral per pole.
-        let spiral_point = |t: f64, i: usize, r_of_t: &dyn Fn(f64) -> f64| -> (f64, f64) {
-            let r = r_of_t(t);
-            let theta = golden * i as f64;
-            (r * theta.cos(), r * theta.sin())
-        };
-        let points: Vec<(f64, f64)> = match *self {
-            SourceShape::Circular { sigma } => {
-                assert!(sigma > 0.0 && sigma <= 1.0, "sigma out of range");
-                (0..count)
-                    .map(|i| {
-                        let t = (i as f64 + 0.5) / count as f64;
-                        spiral_point(t, i, &|t| sigma * t.sqrt())
-                    })
-                    .collect()
-            }
+        // Radius of the point at area fraction `t`: equal-area spacing.
+        let radius = |t: f64| match *self {
+            SourceShape::Circular { sigma } => sigma * t.sqrt(),
             SourceShape::Annular {
                 sigma_in,
                 sigma_out,
-            } => {
-                assert!(
-                    sigma_in > 0.0 && sigma_out > sigma_in && sigma_out <= 1.0,
-                    "annulus radii out of range"
-                );
-                (0..count)
-                    .map(|i| {
-                        let t = (i as f64 + 0.5) / count as f64;
-                        // Equal-area spacing between the two radii.
-                        spiral_point(t, i, &|t| {
-                            (sigma_in * sigma_in
-                                + t * (sigma_out * sigma_out - sigma_in * sigma_in))
-                                .sqrt()
-                        })
-                    })
-                    .collect()
-            }
-            SourceShape::Dipole {
-                sigma_center,
-                sigma_radius,
-            } => Self::pole_points(count, sigma_center, sigma_radius, &[0.0, PI]),
-            SourceShape::Quasar {
-                sigma_center,
-                sigma_radius,
-            } => Self::pole_points(
-                count,
-                sigma_center,
-                sigma_radius,
-                &[PI / 4.0, 3.0 * PI / 4.0, 5.0 * PI / 4.0, 7.0 * PI / 4.0],
-            ),
+            } => (sigma_in * sigma_in + t * (sigma_out * sigma_out - sigma_in * sigma_in)).sqrt(),
         };
-        points
-            .into_iter()
-            .map(|(sx, sy)| SourcePoint { sx, sy, weight })
-            .collect()
-    }
-
-    /// Distributes `count` points round-robin over pole disks centered
-    /// at radius `sigma_center` along the given angles.
-    fn pole_points(
-        count: usize,
-        sigma_center: f64,
-        sigma_radius: f64,
-        pole_angles: &[f64],
-    ) -> Vec<(f64, f64)> {
-        assert!(
-            sigma_center > 0.0 && sigma_radius > 0.0 && sigma_center + sigma_radius <= 1.0,
-            "pole geometry out of range (center + radius must stay within sigma = 1)"
-        );
-        let golden = PI * (3.0 - 5.0f64.sqrt());
         (0..count)
             .map(|i| {
-                let pole = pole_angles[i % pole_angles.len()];
-                let (cx, cy) = (sigma_center * pole.cos(), sigma_center * pole.sin());
-                let j = i / pole_angles.len();
-                let per_pole = count.div_ceil(pole_angles.len());
-                let t = (j as f64 + 0.5) / per_pole as f64;
-                let r = sigma_radius * t.sqrt();
-                let theta = golden * j as f64 + pole;
-                (cx + r * theta.cos(), cy + r * theta.sin())
+                let r = radius((i as f64 + 0.5) / count as f64);
+                let theta = golden * i as f64;
+                SourcePoint {
+                    sx: r * theta.cos(),
+                    sy: r * theta.sin(),
+                    weight,
+                }
             })
             .collect()
     }
@@ -206,64 +159,6 @@ mod tests {
     fn sampling_is_deterministic() {
         let shape = SourceShape::Circular { sigma: 0.9 };
         assert_eq!(shape.sample(24), shape.sample(24));
-    }
-
-    #[test]
-    fn dipole_points_cluster_on_the_x_axis() {
-        let pts = SourceShape::Dipole {
-            sigma_center: 0.7,
-            sigma_radius: 0.2,
-        }
-        .sample(24);
-        assert_eq!(pts.len(), 24);
-        for p in &pts {
-            // Every point lies within a pole disk.
-            let d_left = ((p.sx + 0.7).powi(2) + p.sy * p.sy).sqrt();
-            let d_right = ((p.sx - 0.7).powi(2) + p.sy * p.sy).sqrt();
-            assert!(
-                d_left <= 0.2 + 1e-9 || d_right <= 0.2 + 1e-9,
-                "point ({}, {}) outside both poles",
-                p.sx,
-                p.sy
-            );
-        }
-        // Both poles are populated (x symmetric).
-        assert!(pts.iter().any(|p| p.sx > 0.4));
-        assert!(pts.iter().any(|p| p.sx < -0.4));
-    }
-
-    #[test]
-    fn quasar_populates_all_four_poles() {
-        let pts = SourceShape::Quasar {
-            sigma_center: 0.7,
-            sigma_radius: 0.15,
-        }
-        .sample(24);
-        let quadrant_counts = pts.iter().fold([0usize; 4], |mut acc, p| {
-            let q = match (p.sx >= 0.0, p.sy >= 0.0) {
-                (true, true) => 0,
-                (false, true) => 1,
-                (false, false) => 2,
-                (true, false) => 3,
-            };
-            acc[q] += 1;
-            acc
-        });
-        assert_eq!(quadrant_counts, [6, 6, 6, 6]);
-        // All points stay inside the unit sigma circle.
-        for p in &pts {
-            assert!((p.sx * p.sx + p.sy * p.sy).sqrt() <= 1.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn oversized_pole_rejected() {
-        let _ = SourceShape::Dipole {
-            sigma_center: 0.9,
-            sigma_radius: 0.2,
-        }
-        .sample(8);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 #!/bin/bash
-# Regenerates every table/figure/ablation into results/.
+# Regenerates every table/figure/ablation/study into results/: each
+# binary in crates/bench/src/bin has one `run` line below (the root
+# test tests/script_coverage.rs checks this).
 # Scales: tables+figures at `table` (512 px @ 2 nm), ablations at `quick`
-# (256 px @ 4 nm) to keep the full batch within ~1 h on one core.
+# (256 px @ 4 nm); Table 2 alone takes over an hour on one core.
 #
 # `./run_experiments.sh tier1` runs the tier-1 gate instead: release
 # build, full test suite, clippy with warnings denied and rustfmt check.
@@ -189,7 +191,11 @@ case "${1:-}" in
 esac
 
 mkdir -p results
+# The study binaries live in mosaic-bench, which a root build skips;
+# build them before the first `run` truncates a committed result.
+cargo build --release -p mosaic-bench --bins
 
+run table2_table       $BIN/table2 table
 run table3_quick       $BIN/table3 quick
 run fig2               $BIN/fig2
 run fig5_table         $BIN/fig5 table
@@ -199,4 +205,5 @@ run ablation_gamma     $BIN/ablation_gamma quick
 run ablation_init      $BIN/ablation_init quick
 run ablation_weights   $BIN/ablation_weights quick
 run ablation_linesearch $BIN/ablation_linesearch quick
+run kernel_study       $BIN/kernel_study
 echo "all experiments done"
