@@ -10,11 +10,18 @@
 //! Golden values captured on the pre-workspace allocating pipeline
 //! (commit c7fdfae). The zero-allocation workspace refactor reproduces
 //! them bit-exactly except where noted below.
+//!
+//! A second snapshot runs B4 on the contest preset in MOSAIC_exact mode
+//! at 128 px @ 8 nm: 24 kernels and the five-condition contest window,
+//! whose four corners share two defocus states. It pins the best
+//! objective by its bits, so any reordering of the per-condition image,
+//! `F_pvb` or gradient accumulates shows up here.
 
 use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
-    execute_job, CancelToken, EventSink, JobContext, JobSpec, RetryPolicy, SimCache,
+    execute_job, CancelToken, EventSink, JobContext, JobMetrics, JobReport, JobSpec, RetryPolicy,
+    SimCache,
 };
 
 /// FNV-1a over the binarized mask pixels (0/1 as bytes). Stable across
@@ -29,14 +36,9 @@ fn mask_hash(mask: &mosaic_numerics::Grid<f64>) -> u64 {
     h
 }
 
-/// Runs the golden B1 job at the given intra-job thread count and pins
-/// every snapshot constant. The parallel evaluation path replays all
-/// cross-thread reductions in serial order, so `threads = 2` must hit
-/// the exact same constants — including the mask hash bit-for-bit.
-fn golden_snapshot_at(threads: usize) {
-    let mut spec = JobSpec::preset(BenchmarkId::B1, MosaicMode::Fast, 256, 4.0);
-    spec.config.opt.max_iterations = 10;
-
+/// Runs `spec` at the given intra-job thread count and returns its
+/// report, metrics and mask hash, printing the actuals for re-pinning.
+fn run_snapshot(spec: &JobSpec, threads: usize) -> (JobReport, JobMetrics, u64) {
     let cache = SimCache::new();
     let events = EventSink::null();
     let cancel = CancelToken::new();
@@ -55,19 +57,32 @@ fn golden_snapshot_at(threads: usize) {
         threads,
         vfs: &mosaic_runtime::vfs::RealVfs,
     };
-    let report = execute_job(&spec, 1, &ctx).expect("B1 fast job runs");
+    let report = execute_job(spec, 1, &ctx).expect("golden job runs");
     let metrics = report.metrics.expect("finished job carries metrics");
     let hash = mask_hash(&report.binary_mask);
 
     println!(
-        "golden actuals (threads={threads}): hash={hash:#018x} epe={} pvband={} shape={} \
-         quality={} best={:.17e}",
+        "golden actuals ({} threads={threads}): hash={hash:#018x} epe={} pvband={} shape={} \
+         quality={} best={:.17e} best_bits={:#018x}",
+        spec.id,
         metrics.epe_violations,
         metrics.pvband_nm2,
         metrics.shape_violations,
         metrics.quality_score,
-        report.best_objective
+        report.best_objective,
+        report.best_objective.to_bits()
     );
+    (report, metrics, hash)
+}
+
+/// Runs the golden B1 job at the given intra-job thread count and pins
+/// every snapshot constant. The parallel evaluation path replays all
+/// cross-thread reductions in serial order, so `threads = 2` must hit
+/// the exact same constants — including the mask hash bit-for-bit.
+fn golden_snapshot_at(threads: usize) {
+    let mut spec = JobSpec::preset(BenchmarkId::B1, MosaicMode::Fast, 256, 4.0);
+    spec.config.opt.max_iterations = 10;
+    let (report, metrics, hash) = run_snapshot(&spec, threads);
 
     assert_eq!(report.iterations, 10);
     assert_eq!(metrics.epe_violations, 0, "EPE violations drifted");
@@ -89,6 +104,34 @@ fn golden_snapshot_at(threads: usize) {
     );
 }
 
+/// The contest snapshot's binary-mask hash and best-objective bits
+/// (1.10373737906192662e6), captured at commit 9cbb4ce.
+const CONTEST_HASH: u64 = 0x8935_edac_0928_6733;
+const CONTEST_BEST_BITS: u64 = 0x4130_d779_610a_33d2;
+
+/// Runs the B4 contest-window MOSAIC_exact job at the given thread
+/// count and pins every constant, the best objective to the bit.
+fn contest_snapshot_at(threads: usize) {
+    let mut spec = JobSpec::contest(BenchmarkId::B4, MosaicMode::Exact, 128, 8.0);
+    spec.config.opt.max_iterations = 3;
+    assert_eq!(spec.config.optics.kernel_count, 24);
+    assert_eq!(spec.config.conditions.len(), 5);
+    let (report, metrics, hash) = run_snapshot(&spec, threads);
+
+    assert_eq!(report.iterations, 3);
+    assert_eq!(metrics.epe_violations, 53, "EPE violations drifted");
+    assert_eq!(metrics.shape_violations, 1, "shape violations drifted");
+    assert_eq!(metrics.pvband_nm2, 5824.0, "PV-band area drifted");
+    assert_eq!(metrics.quality_score, 298_296.0, "quality score drifted");
+    assert_eq!(hash, CONTEST_HASH, "binary mask hash drifted");
+    assert_eq!(
+        report.best_objective.to_bits(),
+        CONTEST_BEST_BITS,
+        "best objective drifted: {:.17e}",
+        report.best_objective
+    );
+}
+
 #[test]
 fn b1_fast_preset_golden_snapshot() {
     golden_snapshot_at(1);
@@ -97,4 +140,14 @@ fn b1_fast_preset_golden_snapshot() {
 #[test]
 fn b1_fast_preset_golden_snapshot_parallel() {
     golden_snapshot_at(2);
+}
+
+#[test]
+fn b4_contest_exact_golden_snapshot() {
+    contest_snapshot_at(1);
+}
+
+#[test]
+fn b4_contest_exact_golden_snapshot_parallel() {
+    contest_snapshot_at(2);
 }
