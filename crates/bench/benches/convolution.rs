@@ -5,7 +5,7 @@
 //! on split re/im planes with scratch from one warm [`Workspace`].
 
 use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SplitSpectrum, Workspace};
-use mosaic_optics::{KernelSet, OpticsConfig, ProcessCondition};
+use mosaic_optics::{KernelSet, OpticsConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -23,7 +23,7 @@ fn report<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
 
 fn setup() -> (Convolver, KernelSet, Grid<f64>) {
     let config = OpticsConfig::contest_32nm(N, 4.0);
-    let bank = KernelSet::build(&config, ProcessCondition::NOMINAL).expect("kernel bank builds");
+    let bank = KernelSet::build(&config, 0.0).expect("kernel bank builds");
     let conv = Convolver::new(N, N);
     let mask = Grid::from_fn(N, N, |x, y| {
         if (96..160).contains(&x) && (64..192).contains(&y) {
@@ -46,7 +46,13 @@ fn main() {
     // spectrum.
     report("socs_intensity_24k_256", 10, || {
         conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
-        bank.aerial_image_accumulate_split(&conv, &spectrum, &mut intensity, &mut ws);
+        bank.aerial_images_split(
+            &conv,
+            &spectrum,
+            &[1.0],
+            std::slice::from_mut(&mut intensity),
+            &mut ws,
+        );
         intensity[(0, 0)]
     });
 

@@ -15,7 +15,7 @@ use mosaic_bench::format_table;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_numerics::{Convolver, Grid, SplitSpectrum, Workspace};
 use mosaic_optics::kernels::KernelSet;
-use mosaic_optics::{tcc, OpticsConfig, ProcessCondition};
+use mosaic_optics::{tcc, OpticsConfig};
 
 fn main() {
     let grid = 128usize;
@@ -23,8 +23,7 @@ fn main() {
     let mut config = OpticsConfig::contest_32nm(grid, pixel);
     config.kernel_count = 32;
     eprintln!("building TCC ({}px grid @ {}nm)...", grid, pixel);
-    let decomposition =
-        tcc::decompose(&config, ProcessCondition::NOMINAL, 96).expect("TCC decomposition");
+    let decomposition = tcc::decompose(&config, 0.0, 96).expect("TCC decomposition");
     eprintln!(
         "TCC support: {} frequency samples, {} eigenvalues",
         decomposition.support_size,
@@ -34,8 +33,7 @@ fn main() {
     // Dense Abbe reference.
     let mut dense_cfg = config.clone();
     dense_cfg.kernel_count = 96;
-    let reference =
-        KernelSet::build(&dense_cfg, ProcessCondition::NOMINAL).expect("kernel bank builds");
+    let reference = KernelSet::build(&dense_cfg, 0.0).expect("kernel bank builds");
     let conv = Convolver::new(grid, grid);
     let mask = BenchmarkId::B1
         .layout()
@@ -46,11 +44,24 @@ fn main() {
     let mut spectrum = SplitSpectrum::zeros(grid, grid);
     conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
     let mut i_ref = Grid::zeros(grid, grid);
-    reference.aerial_image_accumulate_split(&conv, &spectrum, &mut i_ref, &mut ws);
+    let nominal = [1.0];
+    reference.aerial_images_split(
+        &conv,
+        &spectrum,
+        &nominal,
+        std::slice::from_mut(&mut i_ref),
+        &mut ws,
+    );
 
     let mut i = Grid::zeros(grid, grid);
     let mut image_error = |bank: &KernelSet| -> f64 {
-        bank.aerial_image_accumulate_split(&conv, &spectrum, &mut i, &mut ws);
+        bank.aerial_images_split(
+            &conv,
+            &spectrum,
+            &nominal,
+            std::slice::from_mut(&mut i),
+            &mut ws,
+        );
         let mut num = 0.0;
         let mut den = 0.0;
         for (a, b) in i.iter().zip(i_ref.iter()) {
@@ -69,8 +80,7 @@ fn main() {
     for h in [1usize, 2, 4, 8, 12, 16, 20, 24, 28, 32] {
         let mut cfg_h = config.clone();
         cfg_h.kernel_count = h;
-        let rank_h =
-            tcc::decompose(&cfg_h, ProcessCondition::NOMINAL, 96).expect("TCC decomposition");
+        let rank_h = tcc::decompose(&cfg_h, 0.0, 96).expect("TCC decomposition");
         rows.push(vec![
             h.to_string(),
             format!("{:.4}", decomposition.energy_captured(h)),

@@ -124,16 +124,18 @@ fn measured_run(problem: &OpcProblem, threads: usize) -> u64 {
 fn warm_iterations_allocate_nothing() {
     // The scenarios run sequentially inside the one test function so no
     // concurrent test pollutes the counter: the serial split-plane
-    // baseline and the corner fan-out path (process window → each
-    // worker runs a whole split-layout corner) at two widths, so both
-    // the caller share and multiple worker lanes draw from their warmed
-    // per-thread pools.
+    // baseline, the serial process window (two doses per focus bank, so
+    // the pooled image lists and the shared `E_H` copy are on the warm
+    // path) and the bank fan-out path (each worker runs a whole
+    // split-layout focus bank) at two widths, so both the caller share
+    // and multiple worker lanes draw from their warmed per-thread pools.
     let nominal = small_problem(ProcessCondition::nominal_only());
     let windowed = small_problem(ProcessCondition::paper_window(25.0, 0.02));
     for (name, problem, threads) in [
         ("serial split", &nominal, 1),
-        ("corners split threads=2", &windowed, 2),
-        ("corners split threads=4", &windowed, 4),
+        ("window serial threads=1", &windowed, 1),
+        ("banks split threads=2", &windowed, 2),
+        ("banks split threads=4", &windowed, 4),
     ] {
         let allocations = measured_run(problem, threads);
         assert_eq!(

@@ -18,6 +18,10 @@ use mosaic_numerics::Workspace;
 use mosaic_optics::{OpticsConfig, ProcessCondition, ResistModel};
 
 fn small_problem() -> OpcProblem {
+    problem_with(ProcessCondition::nominal_only())
+}
+
+fn problem_with(conditions: Vec<ProcessCondition>) -> OpcProblem {
     let mut layout = Layout::new(256, 256);
     layout.push(Polygon::from_rect(Rect::new(64, 48, 160, 208)));
     // 96 = 32·3 exercises the Bluestein column path too.
@@ -27,14 +31,7 @@ fn small_problem() -> OpcProblem {
         .kernel_count(4)
         .build()
         .unwrap();
-    OpcProblem::from_layout(
-        &layout,
-        &optics,
-        ResistModel::paper(),
-        ProcessCondition::nominal_only(),
-        40,
-    )
-    .unwrap()
+    OpcProblem::from_layout(&layout, &optics, ResistModel::paper(), conditions, 40).unwrap()
 }
 
 fn config() -> OptimizationConfig {
@@ -100,13 +97,22 @@ fn assert_bit_identical(a: &OptimizationResult, b: &OptimizationResult, ctx: &st
 
 #[test]
 fn poisoned_shared_workspace_run_is_bit_identical_to_fresh() {
-    let problem = small_problem();
-    let fresh = run_fresh(&problem);
-    let (w, h) = problem.grid_dims();
-    let mut ws = Workspace::new();
-    poison(&mut ws, w, h);
-    let pooled = run_pooled(&problem, &mut ws);
-    assert_bit_identical(&fresh, &pooled, "poisoned pool vs fresh");
+    // The nominal condition alone, and the five-condition contest window
+    // whose focus banks share fields, images and `E_H` across two doses.
+    for (name, problem) in [
+        ("nominal", small_problem()),
+        (
+            "contest window",
+            problem_with(ProcessCondition::contest_window()),
+        ),
+    ] {
+        let fresh = run_fresh(&problem);
+        let (w, h) = problem.grid_dims();
+        let mut ws = Workspace::new();
+        poison(&mut ws, w, h);
+        let pooled = run_pooled(&problem, &mut ws);
+        assert_bit_identical(&fresh, &pooled, &format!("{name}: poisoned pool vs fresh"));
+    }
 }
 
 #[test]

@@ -39,6 +39,9 @@ use crate::split::SplitSpectrum;
 #[derive(Debug, Default)]
 pub struct Workspace {
     real_pool: Vec<Vec<f64>>,
+    /// Emptied grid lists from [`give_real_grids`](Self::give_real_grids),
+    /// kept for their capacity.
+    grid_lists: Vec<Vec<Grid<f64>>>,
 }
 
 /// Removes the best-fit buffer from a pool: the smallest capacity that
@@ -104,6 +107,29 @@ impl Workspace {
     /// Returns a real grid's buffer to the pool.
     pub fn give_real_grid(&mut self, grid: Grid<f64>) {
         self.give_real(grid.into_vec());
+    }
+
+    /// Takes `count` real grids of `width × height` with unspecified
+    /// contents, in a list that is itself pooled: with a warm pool,
+    /// neither the grids nor the list allocate.
+    pub fn take_real_grids(&mut self, count: usize, width: usize, height: usize) -> Vec<Grid<f64>> {
+        let mut grids = self.grid_lists.pop().unwrap_or_default();
+        for _ in 0..count {
+            let grid = self.take_real_grid(width, height);
+            grids.push(grid);
+        }
+        grids
+    }
+
+    /// Returns the grids left in a list and the emptied list itself to
+    /// the pool.
+    pub fn give_real_grids(&mut self, mut grids: Vec<Grid<f64>>) {
+        for grid in grids.drain(..) {
+            self.give_real_grid(grid);
+        }
+        if grids.capacity() > 0 {
+            self.grid_lists.push(grids);
+        }
     }
 
     /// Takes a `width × height` split-plane spectrum (two `f64` plane
@@ -231,6 +257,26 @@ mod tests {
         let g2 = ws.take_real_grid(12, 7);
         assert_eq!(g2.dims(), (12, 7));
         assert_eq!(ws.pooled_buffers(), 0);
+    }
+
+    #[test]
+    fn grid_lists_recycle_the_list_and_its_grids() {
+        let mut ws = Workspace::new();
+        let grids = ws.take_real_grids(3, 12, 7);
+        assert_eq!(grids.len(), 3);
+        assert!(grids.iter().all(|g| g.dims() == (12, 7)));
+        let list_ptr = grids.as_ptr();
+        ws.give_real_grids(grids);
+        assert_eq!(ws.pooled_buffers(), 3, "three grid buffers parked");
+        let mut again = ws.take_real_grids(2, 12, 7);
+        assert_eq!(again.as_ptr(), list_ptr, "the emptied list is reused");
+        assert_eq!(ws.pooled_buffers(), 1);
+        // A grid taken out of the list early goes back on its own.
+        if let Some(grid) = again.pop() {
+            ws.give_real_grid(grid);
+        }
+        ws.give_real_grids(again);
+        assert_eq!(ws.pooled_buffers(), 3);
     }
 
     #[test]

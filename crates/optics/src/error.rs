@@ -16,13 +16,6 @@ pub enum OpticsError {
     },
     /// A simulator was requested with no process conditions.
     NoConditions,
-    /// A shared kernel bank's grid does not match the configuration grid.
-    BankGridMismatch {
-        /// Grid expected by the configuration `(width, height)`.
-        expected: (usize, usize),
-        /// Grid of the offending bank `(width, height)`.
-        got: (usize, usize),
-    },
     /// The sampled pupil support contains no frequency points — the
     /// simulation grid is too coarse for the optical cutoff.
     EmptyPupilSupport,
@@ -44,11 +37,6 @@ impl fmt::Display for OpticsError {
                 write!(f, "invalid optical parameter '{name}': {message}")
             }
             OpticsError::NoConditions => write!(f, "need at least one process condition"),
-            OpticsError::BankGridMismatch { expected, got } => write!(
-                f,
-                "kernel bank grid {}x{} does not match configuration grid {}x{}",
-                got.0, got.1, expected.0, expected.1
-            ),
             OpticsError::EmptyPupilSupport => {
                 write!(f, "pupil support is empty - grid too coarse for the cutoff")
             }

@@ -20,7 +20,7 @@
 //!   (defocus ±25 nm, dose ±2 % in the paper).
 //! * [`source`] — circular and annular illumination and deterministic
 //!   Abbe sampling.
-//! * [`kernels`] — pupil construction and per-condition [`KernelSet`]s.
+//! * [`kernels`] — pupil construction and per-focus-state [`KernelSet`]s.
 //! * [`metrics`] — aerial-image quality diagnostics (ILS/NILS,
 //!   contrast).
 //! * [`resist`] — sigmoid and hard-threshold resist models.

@@ -21,7 +21,7 @@
 //! `O(few hundred)` frequency samples inside the extended cutoff
 //! `(1 + σ_max)·NA/λ` participate.
 
-use crate::config::{OpticsConfig, ProcessCondition};
+use crate::config::OpticsConfig;
 use crate::error::OpticsError;
 use crate::kernels::{freq, CoherentKernel, KernelSet};
 use mosaic_numerics::{eigen_hermitian, Complex, Grid, KernelSpectrum, Matrix};
@@ -53,8 +53,9 @@ impl TccDecomposition {
     }
 }
 
-/// Builds the TCC on the pupil-support frequency samples and
-/// eigendecomposes it into `config.kernel_count` optimal kernels.
+/// Builds the TCC of the focus state `defocus_nm` on the pupil-support
+/// frequency samples and eigendecomposes it into `config.kernel_count`
+/// optimal kernels.
 ///
 /// `source_samples` controls how densely the source is integrated
 /// (independent of the kernel count; 4–10× the kernel count is plenty).
@@ -67,7 +68,7 @@ impl TccDecomposition {
 /// sample the pupil.
 pub fn decompose(
     config: &OpticsConfig,
-    condition: ProcessCondition,
+    defocus_nm: f64,
     source_samples: usize,
 ) -> Result<TccDecomposition, OpticsError> {
     config.validate()?;
@@ -106,7 +107,7 @@ pub fn decompose(
     let pupil = |gx: f64, gy: f64| -> Complex {
         let g2 = gx * gx + gy * gy;
         if g2 <= cutoff * cutoff {
-            Complex::cis(-PI * config.wavelength_nm * condition.defocus_nm * g2)
+            Complex::cis(-PI * config.wavelength_nm * defocus_nm * g2)
         } else {
             Complex::ZERO
         }
@@ -151,7 +152,7 @@ pub fn decompose(
         .collect();
     Ok(TccDecomposition {
         eigenvalues: eig.values,
-        kernels: KernelSet::from_kernels(kernels, condition, w, h),
+        kernels: KernelSet::from_kernels(kernels, defocus_nm, w, h),
         support_size: n,
     })
 }
@@ -182,13 +183,19 @@ mod tests {
         let mut spectrum = SplitSpectrum::zeros(64, 64);
         conv.forward_real_split_into(mask, &mut spectrum, &mut ws);
         let mut intensity = Grid::zeros(64, 64);
-        set.aerial_image_accumulate_split(&conv, &spectrum, &mut intensity, &mut ws);
+        set.aerial_images_split(
+            &conv,
+            &spectrum,
+            &[1.0],
+            std::slice::from_mut(&mut intensity),
+            &mut ws,
+        );
         intensity
     }
 
     #[test]
     fn eigenvalues_nonnegative_and_descending() {
-        let tcc = decompose(&config(), ProcessCondition::NOMINAL, 64).unwrap();
+        let tcc = decompose(&config(), 0.0, 64).unwrap();
         assert!(tcc.support_size > 16);
         for pair in tcc.eigenvalues.windows(2) {
             assert!(pair[0] >= pair[1] - 1e-12);
@@ -200,7 +207,7 @@ mod tests {
 
     #[test]
     fn energy_capture_grows_to_one() {
-        let tcc = decompose(&config(), ProcessCondition::NOMINAL, 64).unwrap();
+        let tcc = decompose(&config(), 0.0, 64).unwrap();
         let mut prev = 0.0;
         for h in [1usize, 4, 8, 16, tcc.eigenvalues.len()] {
             let e = tcc.energy_captured(h);
@@ -220,7 +227,7 @@ mod tests {
     fn clear_field_intensity_near_unity() {
         // DC response: Σ_k |K_k(0)|² equals TCC(0,0) = 1 up to rank
         // truncation.
-        let tcc = decompose(&config(), ProcessCondition::NOMINAL, 64).unwrap();
+        let tcc = decompose(&config(), 0.0, 64).unwrap();
         let intensity = socs_image(&tcc.kernels, &Grid::filled(64, 64, 1.0));
         let center = intensity[(32, 32)];
         assert!(
@@ -235,10 +242,10 @@ mod tests {
         // the same Hopkins operator, so their aerial images must agree.
         let cfg = config();
         let source_n = 64;
-        let tcc = decompose(&cfg, ProcessCondition::NOMINAL, source_n).unwrap();
+        let tcc = decompose(&cfg, 0.0, source_n).unwrap();
         let mut abbe_cfg = cfg.clone();
         abbe_cfg.kernel_count = source_n;
-        let abbe = KernelSet::build(&abbe_cfg, ProcessCondition::NOMINAL).unwrap();
+        let abbe = KernelSet::build(&abbe_cfg, 0.0).unwrap();
         let i_tcc = socs_image(&tcc.kernels, &bar_mask());
         let i_abbe = socs_image(&abbe, &bar_mask());
         let mut num = 0.0;
@@ -257,8 +264,8 @@ mod tests {
     #[test]
     fn defocus_enters_the_tcc() {
         let cfg = config();
-        let focused = decompose(&cfg, ProcessCondition::NOMINAL, 32).unwrap();
-        let defocused = decompose(&cfg, ProcessCondition::new(80.0, 1.0), 32).unwrap();
+        let focused = decompose(&cfg, 0.0, 32).unwrap();
+        let defocused = decompose(&cfg, 80.0, 32).unwrap();
         let i_f = socs_image(&focused.kernels, &bar_mask());
         let i_d = socs_image(&defocused.kernels, &bar_mask());
         // Peak intensity drops under defocus.
@@ -267,7 +274,7 @@ mod tests {
 
     #[test]
     fn dominant_kernel_dominates() {
-        let tcc = decompose(&config(), ProcessCondition::NOMINAL, 48).unwrap();
+        let tcc = decompose(&config(), 0.0, 48).unwrap();
         // λ₁ should carry a large share for a conventional-ish source.
         assert!(tcc.energy_captured(1) > 0.15);
         assert!(tcc.energy_captured(1) < 1.0);

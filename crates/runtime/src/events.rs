@@ -104,6 +104,16 @@ pub enum Event {
         gradient_rms: f64,
         /// Whether the jump technique fired.
         jumped: bool,
+        /// Wall time from the iteration's start hook to its end hook, ms.
+        wall_ms: f64,
+        /// Objective evaluations in the iteration, line-search trials
+        /// included.
+        evals: usize,
+        /// The weighted design-target term of `objective`.
+        target: f64,
+        /// The weighted process-window term of `objective`; `target +
+        /// pvb` is `objective` exactly.
+        pvb: f64,
     },
     /// A job reached a terminal state.
     JobFinish {
@@ -339,6 +349,10 @@ impl Event {
                 objective,
                 gradient_rms,
                 jumped,
+                wall_ms,
+                evals,
+                target,
+                pvb,
             } => {
                 o.push_str("\"iteration\",\"job\":");
                 push_json_string(&mut o, job);
@@ -346,7 +360,12 @@ impl Event {
                 push_json_f64(&mut o, *objective);
                 o.push_str(",\"gradient_rms\":");
                 push_json_f64(&mut o, *gradient_rms);
-                let _ = write!(o, ",\"jumped\":{jumped}");
+                let _ = write!(o, ",\"jumped\":{jumped},\"wall_ms\":");
+                push_json_f64(&mut o, *wall_ms);
+                let _ = write!(o, ",\"evals\":{evals},\"target\":");
+                push_json_f64(&mut o, *target);
+                o.push_str(",\"pvb\":");
+                push_json_f64(&mut o, *pvb);
             }
             Event::JobFinish {
                 job,
@@ -771,10 +790,16 @@ mod tests {
             objective: f64::NAN,
             gradient_rms: f64::INFINITY,
             jumped: false,
+            wall_ms: 1.5,
+            evals: 3,
+            target: f64::NAN,
+            pvb: 0.25,
         };
         let json = e.to_json(0.0);
         assert!(json.contains("\"objective\":null"));
         assert!(json.contains("\"gradient_rms\":null"));
+        assert!(json.contains("\"jumped\":false,\"wall_ms\":1.5,\"evals\":3"));
+        assert!(json.contains("\"target\":null,\"pvb\":0.25"));
     }
 
     #[test]

@@ -216,6 +216,65 @@ fn checkpoint_kill_resume_reaches_the_same_final_mask() {
     assert!(!ckpt.join(&spec.id).exists());
 }
 
+/// The numeric value of a top-level `"key":number` field of one JSONL
+/// event line.
+fn number_field(line: &str, key: &str) -> f64 {
+    let needle = format!("\"{key}\":");
+    let start = line
+        .find(&needle)
+        .unwrap_or_else(|| panic!("no {key}: {line}"))
+        + needle.len();
+    let rest = &line[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end]
+        .parse()
+        .unwrap_or_else(|e| panic!("{key} in {line}: {e}"))
+}
+
+/// Every `iteration` event carries its wall time, its objective
+/// evaluations (line-search trials included) and the target/PV-band
+/// split of its objective, which sums back to the objective exactly.
+#[test]
+fn iteration_events_carry_timing_evals_and_the_objective_split() {
+    let dir = temp_dir("iteration_events");
+    let report = dir.join("report.jsonl");
+    // B4 searches its steps, so its iterations evaluate more than once.
+    let mut searched_spec = tiny_spec(BenchmarkId::B4, 4);
+    searched_spec.config.opt.line_search = true;
+    let specs = vec![tiny_spec(BenchmarkId::B1, 4), searched_spec];
+    let outcome = run_batch(
+        &specs,
+        &BatchConfig {
+            workers: 1,
+            report: Some(report.clone()),
+            ..BatchConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(outcome.finished, 2);
+    let text = std::fs::read_to_string(&report).unwrap();
+    let iterations: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("{\"event\":\"iteration\""))
+        .collect();
+    assert_eq!(iterations.len(), 8);
+    let mut searched = false;
+    for line in iterations {
+        let evals = number_field(line, "evals");
+        assert!(evals >= 1.0 && evals.fract() == 0.0, "evals: {line}");
+        searched |= evals > 1.0;
+        assert!(number_field(line, "wall_ms") > 0.0, "wall_ms: {line}");
+        let (target, pvb) = (number_field(line, "target"), number_field(line, "pvb"));
+        assert!(pvb > 0.0, "the fast preset has process corners: {line}");
+        assert_eq!(
+            (target + pvb).to_bits(),
+            number_field(line, "objective").to_bits(),
+            "target + pvb: {line}"
+        );
+    }
+    assert!(searched, "no iteration ran a line-search trial");
+}
+
 /// The JSONL report contains one parseable event per line covering the
 /// whole batch lifecycle.
 #[test]
