@@ -185,7 +185,7 @@ impl Drop for AttemptGuard {
 }
 
 /// Batch-wide per-iteration wall-clock samples, fed by the job runner's
-/// wall-clock sampler instrument. The distribution is the raw material
+/// job-control instrument. The distribution is the raw material
 /// for *percentile-derived* budgets: instead of guessing a per-job
 /// timeout up front, a caller can let a few jobs run, read e.g.
 /// [`percentile_ms(95.0)`](IterationStats::percentile_ms) × the
