@@ -13,8 +13,10 @@
 //! | `ablation_gamma`  | γ trade-off for F_fast (§3.3)                  |
 //! | `ablation_init`   | SRAF init and jump technique on/off            |
 //! | `ablation_weights`| α/β trade-off sweep (Eq. (7))                  |
+//! | `ablation_linesearch` | fixed step + jump vs line search (ref. 12) |
+//! | `kernel_study`    | kernel order h vs image error (Eq. (2))        |
 //!
-//! The `benches/` directory holds Criterion micro-benchmarks of the
+//! The `benches/` directory holds std-only micro-benchmarks of the
 //! numerical substrate (FFT, convolution, one gradient step).
 //!
 //! # Scale
@@ -32,7 +34,7 @@
 #![warn(missing_docs)]
 
 use mosaic_baselines::{EdgeOpc, IltBaseline, OpcBaseline, RuleOpc};
-use mosaic_core::{Mosaic, MosaicConfig, MosaicMode, OpcProblem};
+use mosaic_core::{Mosaic, MosaicConfig, MosaicMode, OpcProblem, EPE_THRESHOLD_NM};
 use mosaic_eval::{ContestReport, Evaluator};
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_numerics::Grid;
@@ -177,7 +179,7 @@ pub fn contest_evaluator(bench: BenchmarkId, scale: Scale) -> Evaluator {
         (scale.grid, scale.grid),
         scale.pixel_nm,
         40,
-        15.0,
+        EPE_THRESHOLD_NM,
     )
 }
 

@@ -71,7 +71,7 @@ pub mod sraf;
 pub use error::{CoreError, OptimizerError};
 pub use mask::MaskState;
 pub use mosaic::{Mosaic, MosaicConfig, MosaicMode, MosaicPreset};
-pub use objective::{GradientMode, ObjectiveReport, TargetTerm};
+pub use objective::{GradientMode, ObjectiveReport, TargetTerm, EPE_THRESHOLD_NM};
 pub use optimizer::{
     optimize, IterationControl, IterationRecord, IterationView, OptimizationConfig,
     OptimizationResult, OptimizerCheckpoint,
@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::error::{CoreError, OptimizerError};
     pub use crate::mask::MaskState;
     pub use crate::mosaic::{Mosaic, MosaicConfig, MosaicMode, MosaicPreset};
-    pub use crate::objective::{GradientMode, ObjectiveReport, TargetTerm};
+    pub use crate::objective::{GradientMode, ObjectiveReport, TargetTerm, EPE_THRESHOLD_NM};
     pub use crate::optimizer::{
         optimize, IterationControl, IterationRecord, IterationView, OptimizationConfig,
         OptimizationResult, OptimizerCheckpoint,

@@ -90,17 +90,6 @@ impl MaskState {
         self.p.map(|&p| 1.0 / (1.0 + (-t * p).exp()))
     }
 
-    /// The transform derivative `dM/dP = θ_M · M · (1 − M)` evaluated at
-    /// the current variables — the chain-rule factor closing every
-    /// gradient in §3.
-    pub fn mask_derivative(&self) -> Grid<f64> {
-        let t = self.theta_m;
-        self.p.map(|&p| {
-            let m = 1.0 / (1.0 + (-t * p).exp());
-            t * m * (1.0 - m)
-        })
-    }
-
     /// In-place twin of [`mask`](Self::mask): overwrites `out` with
     /// `sig(P)` without allocating. Same numerics as the allocating call.
     ///
@@ -115,7 +104,9 @@ impl MaskState {
         }
     }
 
-    /// In-place twin of [`mask_derivative`](Self::mask_derivative).
+    /// Overwrites `out` with the transform derivative
+    /// `dM/dP = θ_M · M · (1 − M)` at the current variables — the
+    /// chain-rule factor closing every gradient in §3.
     ///
     /// # Panics
     ///
@@ -204,7 +195,8 @@ mod tests {
     #[test]
     fn derivative_matches_finite_difference() {
         let mut state = MaskState::from_mask(&checker(4), 4.0);
-        let d = state.mask_derivative();
+        let mut d = Grid::zeros(4, 4);
+        state.mask_derivative_into(&mut d);
         let m0 = state.mask();
         // Perturb every variable by eps via a uniform "gradient" of -1.
         let eps = 1e-6;

@@ -42,6 +42,14 @@ use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SplitSpectrum, Workspace}
 use mosaic_optics::KernelSet;
 use std::sync::Arc;
 
+/// EPE violation threshold `th_epe` in nm (15 in the contest): the half
+/// width of each site's `F_epe` window (Eq. (12)–(14)) and the
+/// violation threshold of the contest EPE count.
+pub const EPE_THRESHOLD_NM: f64 = 15.0;
+
+/// Steepness `θ_epe` of the EPE-violation sigmoid (Eq. (11)).
+const EPE_STEEPNESS: f64 = 1.0;
+
 /// How the gradient folds the kernel bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GradientMode {
@@ -133,8 +141,7 @@ impl<'a> Objective<'a> {
         let combined = (0..sim.bank_count())
             .map(|b| Arc::new(sim.bank(b).combined()))
             .collect();
-        let epe_threshold_px =
-            ((config.epe_threshold_nm / problem.pixel_nm()).round() as usize).max(1);
+        let epe_threshold_px = ((EPE_THRESHOLD_NM / problem.pixel_nm()).round() as usize).max(1);
         Ok(Objective {
             problem,
             config,
@@ -351,7 +358,7 @@ impl<'a> Objective<'a> {
                     };
                     report.target = cfg.alpha * value;
                 }
-                if (c > 0 || cfg.pvb_include_nominal) && pvb_on {
+                if c > 0 && pvb_on {
                     let value = pvb_accumulate(&z, target, &dz, cfg.beta, pixel_area, &mut g);
                     report.pvb += cfg.beta * value * pixel_area;
                 }
@@ -469,7 +476,7 @@ impl<'a> Objective<'a> {
     ) -> f64 {
         let (gw, gh) = z.dims();
         let th = self.epe_threshold_px as i64;
-        let theta = self.config.epe_steepness;
+        let theta = EPE_STEEPNESS;
         let alpha = self.config.alpha;
         let mut value = 0.0;
         let mut weight = ws.take_real_grid_zeroed(gw, gh);
@@ -959,9 +966,8 @@ mod tests {
     #[test]
     fn epe_threshold_converts_nm_to_pixels() {
         let p = problem(ProcessCondition::nominal_only());
-        let mut cfg = config(TargetTerm::EdgePlacement, GradientMode::Combined);
-        cfg.epe_threshold_nm = 16.0;
+        let cfg = config(TargetTerm::EdgePlacement, GradientMode::Combined);
         let obj = Objective::new(&p, &cfg).unwrap();
-        assert_eq!(obj.epe_threshold_px(), 4); // 16 nm / 4 nm px
+        assert_eq!(obj.epe_threshold_px(), 4); // 15 nm / 4 nm px, rounded
     }
 }

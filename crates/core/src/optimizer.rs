@@ -26,9 +26,12 @@ use mosaic_numerics::Grid;
 /// Every knob of the optimization (objective weights + Alg. 1 controls).
 ///
 /// Defaults follow the paper where it gives values (θ_Z through the
-/// resist model, th_iter = 20, th_g = 10⁻⁵, γ = 4, th_epe = 15 nm,
-/// α = 5000 / β = 4 from the contest score) and sensible choices where it
-/// does not (θ_M, θ_epe, step size).
+/// resist model, th_iter = 20, γ = 4, α = 5000 / β = 4 from the contest
+/// score) and sensible choices where it does not (θ_M, step size). The
+/// values the paper fixes are constants next to the code that reads
+/// them: th_g, the jump and the numerical guard in [`crate::session`],
+/// θ_epe and th_epe ([`EPE_THRESHOLD_NM`](crate::EPE_THRESHOLD_NM)) in
+/// [`crate::objective`].
 #[derive(Debug, Clone)]
 pub struct OptimizationConfig {
     /// Weight of the design-target term (`α`); the contest score charges
@@ -41,36 +44,18 @@ pub struct OptimizationConfig {
     pub gamma: f64,
     /// Mask sigmoid steepness `θ_M` (Eq. (8)).
     pub mask_steepness: f64,
-    /// EPE-violation sigmoid steepness `θ_epe` (Eq. (11)).
-    pub epe_steepness: f64,
-    /// EPE violation threshold in nm (`th_epe` = 15 in the contest).
-    pub epe_threshold_nm: f64,
-    /// Gradient-descent step size (applied to the max-normalized
-    /// gradient when [`normalize_gradient`](Self::normalize_gradient) is
-    /// set).
+    /// Gradient-descent step size, applied to the gradient normalized by
+    /// its max-abs, so one step size serves the very different scales of
+    /// `α` and `β`.
     pub step_size: f64,
     /// Iteration cap `th_iter`.
     pub max_iterations: usize,
-    /// RMS-gradient stopping tolerance `th_g`.
-    pub gradient_tolerance: f64,
-    /// Normalize the gradient by its max-abs before stepping. Keeps one
-    /// step size usable across the very different scales of `α`/`β`;
-    /// disable to reproduce raw steepest descent.
-    pub normalize_gradient: bool,
     /// Enable the jump technique.
     pub jump_enabled: bool,
-    /// Step multiplier applied on a jump.
-    pub jump_factor: f64,
-    /// Number of consecutive stagnant iterations that triggers a jump.
-    pub jump_patience: usize,
     /// Which design-target term to use (MOSAIC_fast vs MOSAIC_exact).
     pub target_term: TargetTerm,
     /// Gradient folding mode (per-kernel exact vs Eq. (21) combined).
     pub gradient_mode: GradientMode,
-    /// Also charge the nominal condition in `F_pvb` (the paper sums over
-    /// "possible process conditions"; corners-only is the default since
-    /// the nominal image is already driven by the target term).
-    pub pvb_include_nominal: bool,
     /// Backtracking line search (Zhao & Chu, the paper's ref. 12):
     /// instead of a fixed step, try `step, step/2, step/4, …` and take
     /// the first that decreases the objective. Costs one extra objective
@@ -83,19 +68,6 @@ pub struct OptimizationConfig {
     /// [`OptimizationResult::iterates`] — needed for convergence studies
     /// (Fig. 6); off by default to save memory.
     pub record_iterates: bool,
-    /// Numerical guard: detect a non-finite objective or gradient, roll
-    /// back to the best iterate, damp the step and retry (on by
-    /// default). With the guard off, the first non-finite evaluation
-    /// fails the run immediately with
-    /// [`OptimizerError::Diverged`](crate::error::OptimizerError).
-    pub guard_enabled: bool,
-    /// Recovery budget: rollbacks the guard may spend per run before it
-    /// gives up with `Diverged`.
-    pub max_recoveries: usize,
-    /// Step-size multiplier applied cumulatively on each recovery
-    /// (in `(0, 1)`). Healthy runs never apply it, so enabling the
-    /// guard does not perturb finite trajectories.
-    pub recovery_damping: f64,
     /// Deterministic fault injection for the hardening tests: overwrite
     /// the gradient with NaN at this absolute iteration index. `None`
     /// (the default) in all production configurations.
@@ -103,8 +75,9 @@ pub struct OptimizationConfig {
     /// Deterministic fault injection for the hardening tests: panic on a
     /// corner-pool worker at this absolute iteration index. Only
     /// meaningful with [`ExecutionSession::threads`] ≥ 2 on a shape with
-    /// process corners to fan out (more than one condition, `β > 0`,
-    /// [`GradientMode::Combined`](crate::objective::GradientMode::Combined));
+    /// at least two focus banks (runs of process conditions that share
+    /// one defocus), `β > 0` and
+    /// [`GradientMode::Combined`](crate::objective::GradientMode::Combined);
     /// every other session runs serial and builds no pool. `None` (the
     /// default) in all production configurations.
     ///
@@ -119,24 +92,14 @@ impl Default for OptimizationConfig {
             beta: 4.0,
             gamma: 4.0,
             mask_steepness: 4.0,
-            epe_steepness: 1.0,
-            epe_threshold_nm: 15.0,
             step_size: 3.0,
             max_iterations: 20,
-            gradient_tolerance: 1e-5,
-            normalize_gradient: true,
             jump_enabled: true,
-            jump_factor: 8.0,
-            jump_patience: 2,
             target_term: TargetTerm::ImageDifference,
             gradient_mode: GradientMode::Combined,
-            pvb_include_nominal: false,
             line_search: false,
             line_search_max_halvings: 4,
             record_iterates: false,
-            guard_enabled: true,
-            max_recoveries: 3,
-            recovery_damping: 0.5,
             fault_nan_gradient_at: None,
             fault_parallel_panic_at: None,
         }
@@ -162,26 +125,14 @@ impl OptimizationConfig {
         if !(self.mask_steepness > 0.0) {
             return Err("mask_steepness must be positive".into());
         }
-        if !(self.epe_steepness > 0.0) {
-            return Err("epe_steepness must be positive".into());
-        }
-        if !(self.epe_threshold_nm > 0.0) {
-            return Err("epe_threshold_nm must be positive".into());
-        }
         if !(self.step_size > 0.0) {
             return Err("step_size must be positive".into());
         }
         if self.max_iterations == 0 {
             return Err("max_iterations must be non-zero".into());
         }
-        if self.jump_enabled && !(self.jump_factor > 1.0) {
-            return Err("jump_factor must exceed 1".into());
-        }
         if self.line_search && self.line_search_max_halvings == 0 {
             return Err("line_search_max_halvings must be non-zero".into());
-        }
-        if self.guard_enabled && !(self.recovery_damping > 0.0 && self.recovery_damping < 1.0) {
-            return Err("recovery_damping must be in (0, 1)".into());
         }
         Ok(())
     }
@@ -472,12 +423,15 @@ mod tests {
         cfg.max_iterations = 12;
         // Absurdly small steps guarantee stagnation.
         cfg.step_size = 1e-9;
-        cfg.jump_patience = 2;
         let result = optimize(&p, &cfg, p.target()).unwrap();
         assert!(
             result.history.iter().any(|r| r.jumped),
             "no jump despite stagnation"
         );
+        // The jump technique multiplies the step by exactly 8.
+        for r in result.history.iter().filter(|r| r.jumped) {
+            assert_eq!(r.step, 8.0 * cfg.step_size, "iteration {}", r.iteration);
+        }
     }
 
     #[test]
@@ -511,11 +465,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = OptimizationConfig {
             step_size: 0.0,
-            ..base()
-        };
-        assert!(c.validate().is_err());
-        let c = OptimizationConfig {
-            jump_factor: 0.5,
             ..base()
         };
         assert!(c.validate().is_err());
@@ -653,33 +602,11 @@ mod guard_tests {
         assert!(result.history.len() > 4);
         let after = &result.history[4];
         assert!(!after.recovered);
-        assert!(after.step > 0.0 && after.step < cfg.step_size);
+        // One recovery damps the step by exactly 0.5.
+        assert_eq!(after.step, 0.5 * cfg.step_size);
         assert!(result.best_report().total.is_finite());
         for &v in result.binary_mask.iter() {
             assert!(v == 0.0 || v == 1.0);
-        }
-    }
-
-    /// With the guard disabled, the same fault fails the run with a
-    /// typed error carrying the last finite loss.
-    #[test]
-    fn guard_off_fails_fast_with_diverged() {
-        let p = small_problem();
-        let mut cfg = quick_config();
-        cfg.guard_enabled = false;
-        cfg.fault_nan_gradient_at = Some(2);
-        let err = optimize(&p, &cfg, p.target()).unwrap_err();
-        match err {
-            OptimizerError::Diverged {
-                iteration,
-                last_finite_loss,
-                recoveries,
-            } => {
-                assert_eq!(iteration, 2);
-                assert!(last_finite_loss.is_finite(), "two finite iterations ran");
-                assert_eq!(recoveries, 0);
-            }
-            other => panic!("expected Diverged, got {other:?}"),
         }
     }
 
@@ -689,8 +616,7 @@ mod guard_tests {
     #[test]
     fn exhausted_recovery_budget_is_diverged() {
         let p = small_problem();
-        let mut cfg = quick_config();
-        cfg.max_recoveries = 2;
+        let cfg = quick_config();
         let mut seed = p.target().clone();
         seed[(0, 0)] = f64::NAN;
         let err = optimize(&p, &cfg, &seed).unwrap_err();
@@ -700,31 +626,11 @@ mod guard_tests {
                 last_finite_loss,
                 recoveries,
             } => {
-                assert_eq!(iteration, 2, "budget of 2 consumed two slots");
+                assert_eq!(iteration, 3, "the budget of 3 consumed three slots");
                 assert!(last_finite_loss.is_nan(), "no finite loss was ever seen");
-                assert_eq!(recoveries, 2);
+                assert_eq!(recoveries, 3);
             }
             other => panic!("expected Diverged, got {other:?}"),
-        }
-    }
-
-    /// The guard must not perturb healthy trajectories: identical runs
-    /// with the guard on and off produce bit-identical masks.
-    #[test]
-    fn guard_is_bit_transparent_on_healthy_runs() {
-        let p = small_problem();
-        let mut on = quick_config();
-        on.guard_enabled = true;
-        let mut off = quick_config();
-        off.guard_enabled = false;
-        let a = optimize(&p, &on, p.target()).unwrap();
-        let b = optimize(&p, &off, p.target()).unwrap();
-        assert_eq!(a.binary_mask, b.binary_mask);
-        assert_eq!(a.best_iteration, b.best_iteration);
-        assert_eq!(a.recoveries, 0);
-        for (ra, rb) in a.history.iter().zip(&b.history) {
-            assert_eq!(ra.report.total.to_bits(), rb.report.total.to_bits());
-            assert_eq!(ra.step.to_bits(), rb.step.to_bits());
         }
     }
 

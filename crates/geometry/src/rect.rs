@@ -39,11 +39,6 @@ impl Rect {
         }
     }
 
-    /// Creates a rectangle from a corner point, width and height.
-    pub fn from_origin_size(origin: Point, width: i64, height: i64) -> Self {
-        Rect::new(origin.x, origin.y, origin.x + width, origin.y + height)
-    }
-
     /// Width in nm.
     #[inline]
     pub fn width(&self) -> i64 {
@@ -90,16 +85,6 @@ impl Rect {
     /// `true` when the rectangles share any interior area.
     pub fn overlaps(&self, other: &Rect) -> bool {
         self.intersection(other).is_some()
-    }
-
-    /// Smallest rectangle containing both operands.
-    pub fn union_bbox(&self, other: &Rect) -> Rect {
-        Rect {
-            x0: self.x0.min(other.x0),
-            y0: self.y0.min(other.y0),
-            x1: self.x1.max(other.x1),
-            y1: self.y1.max(other.y1),
-        }
     }
 
     /// The rectangle grown by `margin` nm on every side (shrunk when
@@ -172,16 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn union_bbox_covers_both() {
-        let a = Rect::new(0, 0, 2, 2);
-        let b = Rect::new(5, 7, 6, 9);
-        let u = a.union_bbox(&b);
-        assert!(u.contains_rect(&a));
-        assert!(u.contains_rect(&b));
-        assert_eq!(u, Rect::new(0, 0, 6, 9));
-    }
-
-    #[test]
     fn inflate_grows_and_shrinks() {
         let r = Rect::new(2, 2, 6, 6);
         assert_eq!(r.inflate(1), Rect::new(1, 1, 7, 7));
@@ -190,9 +165,8 @@ mod tests {
     }
 
     #[test]
-    fn center_and_from_origin_size() {
-        let r = Rect::from_origin_size(Point::new(2, 4), 6, 8);
-        assert_eq!(r, Rect::new(2, 4, 8, 12));
+    fn center_is_the_midpoint() {
+        let r = Rect::new(2, 4, 8, 12);
         assert_eq!(r.center(), Point::new(5, 8));
     }
 }

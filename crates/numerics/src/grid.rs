@@ -142,12 +142,6 @@ impl<T> Grid<T> {
         &self.data
     }
 
-    /// Mutable view of the underlying row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consumes the grid, returning the underlying buffer.
     #[inline]
     pub fn into_vec(self) -> Vec<T> {
@@ -369,18 +363,6 @@ impl Grid<f64> {
         self.data.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Adds `other * scale` into `self` pixel-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn accumulate_scaled(&mut self, other: &Grid<f64>, scale: f64) {
-        assert_eq!(self.dims(), other.dims(), "grid shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b * scale;
-        }
-    }
-
     /// Converts to a complex grid with zero imaginary part.
     pub fn to_complex(&self) -> Grid<Complex> {
         self.map(|&v| Complex::new(v, 0.0))
@@ -551,14 +533,6 @@ mod tests {
         let g = Grid::filled(2, 1, Complex::new(3.0, 4.0));
         let i = g.norm_sqr();
         assert_eq!(i.as_slice(), &[25.0, 25.0]);
-    }
-
-    #[test]
-    fn accumulate_scaled_adds_in_place() {
-        let mut a = Grid::filled(2, 1, 1.0);
-        let b = Grid::filled(2, 1, 2.0);
-        a.accumulate_scaled(&b, 0.5);
-        assert_eq!(a.as_slice(), &[2.0, 2.0]);
     }
 
     #[test]

@@ -24,43 +24,9 @@ pub fn grid_rms(grid: &Grid<f64>) -> f64 {
     rms(grid.as_slice())
 }
 
-/// Mean of a slice; `0.0` for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
 /// Largest absolute value in a slice; `0.0` for an empty slice.
 pub fn max_abs(values: &[f64]) -> f64 {
     values.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-}
-
-/// Sum of squared differences between two same-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn sum_sq_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Number of entries where two binary (0/1) slices differ.
-///
-/// Both PV-band area and image-difference diagnostics are pixel counts of
-/// this form.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn count_diff(a: &[f64], b: &[f64]) -> usize {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter()
-        .zip(b)
-        .filter(|(x, y)| (**x > 0.5) != (**y > 0.5))
-        .count()
 }
 
 #[cfg(test)]
@@ -84,26 +50,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_max_abs() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
+    fn max_abs_of_slice() {
         assert_eq!(max_abs(&[-5.0, 4.0]), 5.0);
-        assert_eq!(mean(&[]), 0.0);
         assert_eq!(max_abs(&[]), 0.0);
-    }
-
-    #[test]
-    fn sum_sq_diff_basic() {
-        assert_eq!(sum_sq_diff(&[1.0, 2.0], &[0.0, 4.0]), 5.0);
-    }
-
-    #[test]
-    fn count_diff_uses_half_threshold() {
-        assert_eq!(count_diff(&[0.0, 1.0, 0.9, 0.1], &[0.0, 0.0, 1.0, 1.0]), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn sum_sq_diff_length_checked() {
-        sum_sq_diff(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -151,12 +151,6 @@ impl OpticsConfig {
     pub fn cutoff_frequency(&self) -> f64 {
         self.na / self.wavelength_nm
     }
-
-    /// Rayleigh resolution estimate `0.61·λ/NA` in nm — handy for sizing
-    /// guard bands and SRAF placement rules.
-    pub fn rayleigh_resolution_nm(&self) -> f64 {
-        0.61 * self.wavelength_nm / self.na
-    }
 }
 
 /// Builder for [`OpticsConfig`] (C-BUILDER).
@@ -302,12 +296,5 @@ mod tests {
         assert_eq!(w[0], ProcessCondition::NOMINAL);
         assert!(w.iter().any(|c| c.defocus_nm == 25.0 && c.dose == 0.98));
         assert!(w.iter().any(|c| c.defocus_nm == -25.0 && c.dose == 1.02));
-    }
-
-    #[test]
-    fn rayleigh_resolution_for_contest_optics() {
-        let c = OpticsConfig::contest_32nm(128, 4.0);
-        let r = c.rayleigh_resolution_nm();
-        assert!((r - 87.2).abs() < 0.5, "resolution {r}");
     }
 }

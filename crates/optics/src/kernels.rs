@@ -22,8 +22,7 @@
 
 use crate::config::OpticsConfig;
 use mosaic_numerics::{
-    Complex, Convolver, CyclicRange, Fft2d, FftDirection, Grid, KernelSpectrum, SplitSpectrum,
-    Workspace,
+    Complex, Convolver, CyclicRange, Grid, KernelSpectrum, SplitSpectrum, Workspace,
 };
 use std::f64::consts::PI;
 
@@ -241,25 +240,6 @@ impl KernelSet {
             intensity.fill(0.0);
         }
     }
-
-    /// The spatial-domain kernel `h_k`, centered on the grid — for
-    /// inspection and plotting only (the pipeline never needs it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn spatial_kernel(&self, index: usize) -> Grid<Complex> {
-        let mut field = SplitSpectrum::from_grid(&self.kernels[index].spectrum.to_grid());
-        Fft2d::new(self.width, self.height).process_split(
-            &mut field,
-            FftDirection::Inverse,
-            &mut Workspace::new(),
-        );
-        // Move the origin to the grid center for viewing.
-        field
-            .to_grid()
-            .shift_origin(self.width / 2, self.height / 2)
-    }
 }
 
 /// `intensities[d] += (weight · doses[d]) · |E|²` for every dose `d`,
@@ -442,22 +422,6 @@ mod tests {
         for (a, b) in combined.to_grid().iter().zip(manual.iter()) {
             assert!((*a - *b).norm() < 1e-12);
         }
-    }
-
-    #[test]
-    fn spatial_kernel_is_centered_and_low_pass() {
-        let set = KernelSet::build(&small_config(), 0.0).unwrap();
-        let h = set.spatial_kernel(0);
-        // Peak magnitude at the grid center.
-        let mut best = (0, 0);
-        let mut best_v = f64::MIN;
-        for ((x, y), v) in h.indexed_iter() {
-            if v.norm() > best_v {
-                best_v = v.norm();
-                best = (x, y);
-            }
-        }
-        assert_eq!(best, (32, 32));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! * [`source`] — circular and annular illumination and deterministic
 //!   Abbe sampling.
 //! * [`kernels`] — pupil construction and per-focus-state [`KernelSet`]s.
-//! * [`metrics`] — aerial-image quality diagnostics (ILS/NILS,
-//!   contrast).
+//! * [`metrics`] — aerial-image quality diagnostics (edge image log
+//!   slope).
 //! * [`resist`] — sigmoid and hard-threshold resist models.
 //! * [`simulator`] — [`LithoSimulator`], the end-to-end
 //!   mask → aerial image → printed image pipeline.

@@ -3,12 +3,9 @@
 //! Before EPE and PV bands, lithographers judge images by their slope:
 //! a steep intensity transition at the feature edge tolerates dose and
 //! focus errors (Cobb & Granik, "OPC methods to improve image slope and
-//! process window" — reference 2 of the paper). This module measures:
-//!
-//! * **ILS** — image log slope `|∇I|/I` at an edge position, in 1/nm;
-//! * **NILS** — ILS normalized by the feature width (dimensionless; a
-//!   printable edge typically needs NILS ≳ 2);
-//! * **image contrast** `(I_max − I_min)/(I_max + I_min)` over a region.
+//! process window" — reference 2 of the paper). This module measures the
+//! **ILS** — image log slope `|∇I|/I` at an edge position, in 1/nm — and
+//! summarizes it over a set of edge probes.
 //!
 //! These are diagnostics — the MOSAIC objective never consumes them —
 //! but they explain *why* a mask works: SRAFs and ILT decoration raise
@@ -46,33 +43,6 @@ pub fn image_log_slope(
         .abs()
         / (2.0 * pixel_nm);
     grad / i0
-}
-
-/// Normalized image log slope: `ILS · feature_width`.
-pub fn nils(
-    intensity: &Grid<f64>,
-    x: usize,
-    y: usize,
-    normal: (i64, i64),
-    pixel_nm: f64,
-    feature_width_nm: f64,
-) -> f64 {
-    image_log_slope(intensity, x, y, normal, pixel_nm) * feature_width_nm
-}
-
-/// Michelson contrast `(I_max − I_min)/(I_max + I_min)` over the whole
-/// grid; 0 for a flat or empty image.
-pub fn contrast(intensity: &Grid<f64>) -> f64 {
-    if intensity.is_empty() {
-        return 0.0;
-    }
-    let max = intensity.max();
-    let min = intensity.min();
-    if max + min <= 0.0 {
-        0.0
-    } else {
-        (max - min) / (max + min)
-    }
 }
 
 /// Summary statistics of the edge ILS over a set of probe points.
@@ -155,21 +125,6 @@ mod tests {
         assert_eq!(image_log_slope(&img, 0, 10, (1, 0), 1.0), 0.0);
         let dark = Grid::<f64>::zeros(8, 8);
         assert_eq!(image_log_slope(&dark, 4, 4, (1, 0), 1.0), 0.0);
-    }
-
-    #[test]
-    fn nils_scales_by_width() {
-        let img = ramp_image();
-        let ils = image_log_slope(&img, 10, 10, (1, 0), 1.0);
-        assert!((nils(&img, 10, 10, (1, 0), 1.0, 45.0) - ils * 45.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn contrast_of_known_image() {
-        let img = ramp_image();
-        let c = contrast(&img);
-        assert!((c - (0.8 - 0.2) / (0.8 + 0.2)).abs() < 1e-12);
-        assert_eq!(contrast(&Grid::filled(4, 4, 0.5)), 0.0);
     }
 
     #[test]

@@ -76,23 +76,10 @@ impl ResistModel {
         intensity.map(|&i| self.sigmoid(i))
     }
 
-    /// In-place twin of [`develop`](Self::develop): overwrites `out`
-    /// with `sig(I)` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn develop_into(&self, intensity: &Grid<f64>, out: &mut Grid<f64>) {
-        assert_eq!(intensity.dims(), out.dims(), "develop shape mismatch");
-        for (o, &i) in out.iter_mut().zip(intensity.iter()) {
-            *o = self.sigmoid(i);
-        }
-    }
-
-    /// Fused twin of [`develop_into`](Self::develop_into) that also
-    /// writes the sigmoid derivative: one exponential per pixel serves
-    /// both `Z = sig(I)` and `dZ/dI = θ_Z · sig · (1 − sig)` — the pair
-    /// every gradient evaluation needs (§3). Bit-identical to calling
+    /// In-place twin of [`develop`](Self::develop) that also writes the
+    /// sigmoid derivative: one exponential per pixel serves both
+    /// `Z = sig(I)` and `dZ/dI = θ_Z · sig · (1 − sig)` — the pair every
+    /// gradient evaluation needs (§3). Bit-identical to calling
     /// [`sigmoid`](Self::sigmoid) and
     /// [`sigmoid_derivative`](Self::sigmoid_derivative) separately,
     /// because the derivative recomputes the same sigmoid value from

@@ -265,12 +265,6 @@ impl LithoSimulator {
         intensity
     }
 
-    /// Continuous printed image `Z = sig(I)` (Eq. (4)) under condition
-    /// `index`.
-    pub fn printed_continuous(&self, mask: &Grid<f64>, index: usize) -> Grid<f64> {
-        self.resist.develop(&self.aerial_image(mask, index))
-    }
-
     /// Binary printed image (Eq. (3)) from an aerial image.
     pub fn printed(&self, intensity: &Grid<f64>) -> Grid<f64> {
         self.resist.print(intensity)
@@ -375,17 +369,6 @@ mod tests {
             "overdose narrower than underdose"
         );
         assert!(width(&prints[1]) > 0);
-    }
-
-    #[test]
-    fn continuous_and_binary_prints_agree() {
-        let sim = simulator(ProcessCondition::nominal_only());
-        let mask = bar_mask();
-        let z = sim.printed_continuous(&mask, 0);
-        let p = sim.printed(&sim.aerial_image(&mask, 0));
-        for (zc, pb) in z.iter().zip(p.iter()) {
-            assert_eq!((*zc > 0.5) as i32 as f64, *pb);
-        }
     }
 
     #[test]

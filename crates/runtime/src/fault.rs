@@ -24,8 +24,8 @@
 //!   the degradation ladder.
 //! * [`FaultKind::ParallelPanicAtIteration`] — a corner-pool worker
 //!   panics inside its task at the given absolute iteration (jobs
-//!   running with `threads >= 2` on a shape with process corners, as
-//!   both presets have), exercising the worker pool's panic
+//!   running with `threads >= 2` on a shape with at least two focus
+//!   banks, as both presets have), exercising the worker pool's panic
 //!   containment and reuse across the retry.
 //!
 //! Three more cover the shared job ledger's failure surfaces (see
@@ -77,8 +77,9 @@ pub enum FaultKind {
     ClaimRace,
     /// A corner-pool worker thread panics inside its task at this
     /// absolute optimizer iteration. Only fires when the job runs with
-    /// `threads >= 2` on a shape with process corners to fan out; the
-    /// pool contains the panic and stays reusable for the retry.
+    /// `threads >= 2` on a shape with at least two focus banks (runs of
+    /// process conditions that share one defocus), so a pool exists;
+    /// the pool contains the panic and stays reusable for the retry.
     ParallelPanicAtIteration(usize),
 }
 

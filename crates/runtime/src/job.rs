@@ -31,6 +31,8 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+pub use mosaic_core::EPE_THRESHOLD_NM;
+
 thread_local! {
     /// Per-worker spectral scratch pool. The pool's shared runner
     /// closure (`&dyn Fn`) cannot carry `&mut` state across workers, so
@@ -39,9 +41,6 @@ thread_local! {
     /// grid fits.
     static WORKER_WS: RefCell<Workspace> = RefCell::new(Workspace::new());
 }
-
-/// Contest EPE violation threshold in nm.
-pub const EPE_THRESHOLD_NM: f64 = 15.0;
 
 /// Lifecycle state of a job. The scheduler moves every job
 /// queued → running → one of the terminal states; [`JobReport::status`]
@@ -180,7 +179,7 @@ pub struct JobReport {
     /// The final binarized mask on the simulation grid.
     pub binary_mask: Grid<f64>,
     /// Numerical-guard recoveries the optimizer performed in this run
-    /// (see `mosaic_core::OptimizationConfig::guard_enabled`).
+    /// (see `mosaic_core::ExecutionSession::run_instrumented`).
     pub recoveries: usize,
     /// Whether [`metrics`](Self::metrics) were salvaged from a partial
     /// (cancelled / timed-out) run rather than a completed one.

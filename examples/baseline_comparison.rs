@@ -20,7 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.conditions.clone(),
         config.epe_spacing_nm,
     )?;
-    let evaluator = Evaluator::new(&layout, problem.grid_dims(), problem.pixel_nm(), 40, 15.0);
+    let evaluator = Evaluator::new(
+        &layout,
+        problem.grid_dims(),
+        problem.pixel_nm(),
+        40,
+        EPE_THRESHOLD_NM,
+    );
 
     println!(
         "{:>14}  {:>5}  {:>10}  {:>6}  {:>8}  {:>9}",

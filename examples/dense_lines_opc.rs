@@ -32,7 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runtime = start.elapsed().as_secs_f64();
 
     let problem = mosaic.problem();
-    let evaluator = Evaluator::new(&layout, problem.grid_dims(), problem.pixel_nm(), 40, 15.0);
+    let evaluator = Evaluator::new(
+        &layout,
+        problem.grid_dims(),
+        problem.pixel_nm(),
+        40,
+        EPE_THRESHOLD_NM,
+    );
     let report = evaluator.evaluate_mask(problem.simulator(), &result.binary_mask, runtime);
     println!("MOSAIC_exact: {}", report.score);
     println!(

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let re_rastered = mask_layout.rasterize(1);
     assert_eq!(re_rastered, clip_mask, "contour round trip must be exact");
 
-    let evaluator = Evaluator::new(&layout, problem.grid_dims(), pixel, 40, 15.0);
+    let evaluator = Evaluator::new(&layout, problem.grid_dims(), pixel, 40, EPE_THRESHOLD_NM);
     let score_pixels = evaluator
         .evaluate_mask(problem.simulator(), &result.binary_mask, 0.0)
         .score

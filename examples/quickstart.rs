@@ -43,7 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Score the *uncorrected* target mask for reference.
     let problem = mosaic.problem();
-    let evaluator = Evaluator::new(&layout, problem.grid_dims(), problem.pixel_nm(), 40, 15.0);
+    let evaluator = Evaluator::new(
+        &layout,
+        problem.grid_dims(),
+        problem.pixel_nm(),
+        40,
+        EPE_THRESHOLD_NM,
+    );
     let before = evaluator.evaluate_mask(problem.simulator(), problem.target(), 0.0);
     println!(
         "before OPC: {} EPE violations, PV band {:.0} nm², score {:.0}",

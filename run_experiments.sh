@@ -26,6 +26,10 @@
 # `./run_experiments.sh fig6` reruns only the Fig. 6 table
 # (results/fig6_table.txt and .log).
 #
+# `./run_experiments.sh ablations` reruns only the five ablations A1–A5
+# at quick scale (results/ablation_*.txt and .log), the same lines the
+# full run executes; under a minute on 2 vCPUs.
+#
 # `./run_experiments.sh bench` runs the repository benchmark
 # (perfbench/run.py) on both workloads, end to end (--trace 0) and
 # traced (--trace 1), and appends one row built from their
@@ -55,12 +59,13 @@ tier1() {
   # test run above; repeated here so a gate failure names the culprit.
   cargo test -q -p mosaic-core --test alloc_smoke
   echo "=== tier1: threads determinism (intra-job parallel evaluation)"
-  # DESIGN.md §14: process-corner fan-out is the one intra-job parallel
-  # path. Only shapes with corners (threads >= 2, several conditions,
-  # beta > 0, combined gradients) get a pool, with one worker per
-  # corner at most; the jobs x threads matrix must produce bit-identical
+  # DESIGN.md §14: focus-bank fan-out is the one intra-job parallel
+  # path. Only shapes with at least two focus banks (runs of process
+  # conditions that share one defocus), threads >= 2, beta > 0 and
+  # combined gradients get a pool, with min(threads - 1, banks - 1)
+  # workers; the jobs x threads matrix must produce bit-identical
   # masks, EPE counts, PV-band areas and quality scores (the --threads 2
-  # legs run real corner workers regardless of host core count), and
+  # legs run real bank workers regardless of host core count), and
   # the golden B1 snapshot must pin the exact same constants on the
   # parallel path, as must the B4 contest-window MOSAIC_exact snapshot
   # (five conditions in three focus states, best objective pinned to
@@ -193,6 +198,17 @@ fig6() {
   run fig6_table         $BIN/fig6 table
 }
 
+ablations() {
+  # A1–A5 (EXPERIMENTS.md) at quick scale; the full run below calls
+  # this too.
+  cargo build --release -p mosaic-bench --bins
+  run ablation_kernel    $BIN/ablation_kernel quick
+  run ablation_gamma     $BIN/ablation_gamma quick
+  run ablation_init      $BIN/ablation_init quick
+  run ablation_weights   $BIN/ablation_weights quick
+  run ablation_linesearch $BIN/ablation_linesearch quick
+}
+
 bench() {
   local workloads="ref_batch contest_exact512"
   for trace in 0 1; do
@@ -269,6 +285,7 @@ case "${1:-}" in
   shard) shard; exit 0 ;;
   crashmat) crashmat; exit 0 ;;
   fig6) fig6; exit 0 ;;
+  ablations) ablations; exit 0 ;;
   bench) bench; exit 0 ;;
 esac
 
@@ -282,10 +299,6 @@ run table3_quick       $BIN/table3 quick
 run fig2               $BIN/fig2
 run fig5_table         $BIN/fig5 table
 run fig6_table         $BIN/fig6 table
-run ablation_kernel    $BIN/ablation_kernel quick
-run ablation_gamma     $BIN/ablation_gamma quick
-run ablation_init      $BIN/ablation_init quick
-run ablation_weights   $BIN/ablation_weights quick
-run ablation_linesearch $BIN/ablation_linesearch quick
+ablations
 run kernel_study       $BIN/kernel_study
 echo "all experiments done"

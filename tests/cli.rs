@@ -226,6 +226,40 @@ fn batch_rejects_unknown_benchmark_list_entry() {
 }
 
 #[test]
+fn run_progress_parses_like_every_count_flag() {
+    let dir = temp_dir("progress");
+    let clip = dir.join("clip.glp");
+    let out = mosaic_bin()
+        .args([
+            "gen",
+            "--bench",
+            "B1",
+            "--out",
+            clip.to_str().expect("utf8 path"),
+        ])
+        .output()
+        .expect("run mosaic gen");
+    assert!(out.status.success());
+    let run = |progress: &str| {
+        mosaic_bin()
+            .args(["run", "--clip", clip.to_str().expect("utf8 path")])
+            .args(["--grid", "128", "--pixel", "8", "--mode", "fast"])
+            .args(["--iterations", "1", "--progress", progress])
+            .output()
+            .expect("run mosaic run")
+    };
+    let out = run("0");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--progress must be at least 1"), "{err}");
+    // A non-number gets the same message as --iterations would.
+    let out = run("x");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--progress: invalid digit"), "{err}");
+}
+
+#[test]
 fn flags_require_values() {
     let out = mosaic_bin().args(["gen", "--bench"]).output().expect("run");
     assert!(!out.status.success());
