@@ -70,16 +70,11 @@ impl ResistModel {
         self.steepness * s * (1.0 - s)
     }
 
-    /// Applies the sigmoid pixel-wise: the continuous printed image
-    /// `Z = sig(I)`.
-    pub fn develop(&self, intensity: &Grid<f64>) -> Grid<f64> {
-        intensity.map(|&i| self.sigmoid(i))
-    }
-
-    /// In-place twin of [`develop`](Self::develop) that also writes the
-    /// sigmoid derivative: one exponential per pixel serves both
-    /// `Z = sig(I)` and `dZ/dI = θ_Z · sig · (1 − sig)` — the pair every
-    /// gradient evaluation needs (§3). Bit-identical to calling
+    /// Applies the sigmoid pixel-wise into `z` — the continuous printed
+    /// image `Z = sig(I)` — and writes its derivative into `dz`: one
+    /// exponential per pixel serves both `Z` and
+    /// `dZ/dI = θ_Z · sig · (1 − sig)` — the pair every gradient
+    /// evaluation needs (§3). Bit-identical to calling
     /// [`sigmoid`](Self::sigmoid) and
     /// [`sigmoid_derivative`](Self::sigmoid_derivative) separately,
     /// because the derivative recomputes the same sigmoid value from
@@ -156,7 +151,8 @@ mod tests {
     fn develop_and_print_are_consistent() {
         let r = ResistModel::paper();
         let intensity = Grid::from_vec(4, 1, vec![0.1, 0.49, 0.51, 0.9]).unwrap();
-        let z = r.develop(&intensity);
+        let (mut z, mut dz) = (Grid::zeros(4, 1), Grid::zeros(4, 1));
+        r.develop_with_derivative_into(&intensity, &mut z, &mut dz);
         let p = r.print(&intensity);
         assert_eq!(p.as_slice(), &[0.0, 0.0, 1.0, 1.0]);
         // Hard print agrees with rounding the sigmoid image.

@@ -8,7 +8,6 @@
 //! paper's Table 2 reports per-clip results.
 
 use crate::cache::SimCache;
-use crate::degrade::DegradationLadder;
 use crate::events::{Event, EventObserver, EventSink};
 use crate::fault::FaultPlan;
 use crate::job::{run_job, JobContext, JobMetrics, JobReport, JobSpec, JobStatus};
@@ -57,12 +56,9 @@ pub struct BatchConfig {
     /// Planned faults for hardening tests; empty in production.
     pub faults: FaultPlan,
     /// Supervision knobs: per-job budget, heartbeat grace, watchdog
-    /// poll (see [`crate::supervise`]).
+    /// poll (see [`crate::supervise`]). Downshifted retries run down the
+    /// fixed degradation ladder ([`crate::degrade`]).
     pub supervise: SupervisorConfig,
-    /// Degradation ladder applied to downshifted retries (see
-    /// [`crate::degrade`]); [`DegradationLadder::none`] retries the
-    /// original configuration forever.
-    pub ladder: DegradationLadder,
     /// Shared-ledger sharding (see [`crate::shard`]); when set,
     /// [`run_batch`] claims jobs from the ledger instead of assigning
     /// them statically, so multiple processes can drain one queue.
@@ -89,7 +85,6 @@ impl Default for BatchConfig {
             cancel: CancelToken::new(),
             faults: FaultPlan::new(),
             supervise: SupervisorConfig::default(),
-            ladder: DegradationLadder::default(),
             shard: None,
             vfs: None,
         }
@@ -207,9 +202,8 @@ pub fn run_batch(specs: &[JobSpec], config: &BatchConfig) -> io::Result<BatchOut
         deadline: config.deadline.map(|d| started + d),
         checkpoint_dir: config.checkpoint_dir.as_deref(),
         checkpoint_every: config.checkpoint_every,
-        faults: (!config.faults.is_empty()).then_some(&config.faults),
-        supervisor: Some(&supervisor),
-        ladder: Some(&config.ladder),
+        faults: &config.faults,
+        supervisor: &supervisor,
         retry: RetryPolicy {
             retries: config.retries,
             backoff: config.retry_backoff,

@@ -1,14 +1,17 @@
-//! Degradation ladder: fallback presets for retries after a timeout,
-//! stall or divergence.
+//! Degradation ladder: fallback configurations for retries after a
+//! timeout, stall or divergence.
 //!
 //! Re-running the identical configuration after a blown budget mostly
 //! blows the budget again. Instead, each supervision downshift
 //! ([`crate::supervise::Supervisor::note_downshift`]) moves the job one
-//! rung down a configured ladder of *cheaper* configurations — fewer
+//! rung down a fixed ladder of *cheaper* configurations — fewer
 //! iterations, then fewer SOCS kernels, then a coarser grid — trading
 //! mask quality for the chance to ship *any* scored mask within the
 //! budget (Eq. (22) pays 5000 per EPE violation but a job that returns
-//! nothing forfeits everything it would have scored).
+//! nothing forfeits everything it would have scored). Which rung an
+//! attempt runs at is the supervisor's call
+//! ([`crate::supervise::Supervisor::attempt_rung`]); this module only
+//! says what each rung does.
 //!
 //! Rungs are cumulative: a job two rungs down runs with halved
 //! iterations *and* halved kernels. Coarsening the grid halves the
@@ -23,8 +26,8 @@
 use mosaic_core::MosaicConfig;
 
 /// One rung of the ladder — a single cheapening transformation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeStep {
+#[derive(Debug, Clone, Copy)]
+enum DegradeStep {
     /// Halve the iteration cap (floor 1).
     HalveIterations,
     /// Halve the SOCS kernel count (floor 2).
@@ -36,7 +39,7 @@ pub enum DegradeStep {
 
 impl DegradeStep {
     /// Short machine-readable name used in `degrade` events.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             DegradeStep::HalveIterations => "halve_iterations",
             DegradeStep::HalveKernels => "halve_kernels",
@@ -75,61 +78,27 @@ impl DegradeStep {
     }
 }
 
-/// An ordered list of [`DegradeStep`] rungs. The default ladder is
-/// iterations → kernels → grid; [`DegradationLadder::none`] disables
-/// degradation (every retry reruns the original configuration).
-#[derive(Debug, Clone)]
-pub struct DegradationLadder {
-    steps: Vec<DegradeStep>,
-}
+/// The ladder, in the order its rungs apply.
+const LADDER: [DegradeStep; 3] = [
+    DegradeStep::HalveIterations,
+    DegradeStep::HalveKernels,
+    DegradeStep::CoarsenGrid,
+];
 
-impl Default for DegradationLadder {
-    fn default() -> Self {
-        DegradationLadder {
-            steps: vec![
-                DegradeStep::HalveIterations,
-                DegradeStep::HalveKernels,
-                DegradeStep::CoarsenGrid,
-            ],
-        }
-    }
-}
+/// Number of rungs on the ladder: the deepest rung a job can run at.
+pub const RUNGS: usize = LADDER.len();
 
-impl DegradationLadder {
-    /// A custom ladder (rungs applied in order).
-    pub fn new(steps: Vec<DegradeStep>) -> Self {
-        DegradationLadder { steps }
-    }
-
-    /// The empty ladder: downshifts are counted but change nothing.
-    pub fn none() -> Self {
-        DegradationLadder { steps: Vec::new() }
-    }
-
-    /// Number of rungs.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the ladder has no rungs.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Applies the first `count` rungs (clamped to the ladder length)
-    /// cumulatively to a copy of `config`; returns the degraded
-    /// configuration and a human-readable summary of what changed
-    /// (empty at rung 0).
-    pub fn apply(&self, config: &MosaicConfig, count: usize) -> (MosaicConfig, String) {
-        let mut degraded = config.clone();
-        let notes: Vec<String> = self
-            .steps
-            .iter()
-            .take(count)
-            .map(|step| format!("{}: {}", step.name(), step.apply(&mut degraded)))
-            .collect();
-        (degraded, notes.join("; "))
-    }
+/// Applies the first `rungs` rungs (clamped to [`RUNGS`]) cumulatively
+/// to a copy of `config`; returns the degraded configuration and a
+/// human-readable summary of what changed (empty at rung 0).
+pub fn apply(config: &MosaicConfig, rungs: usize) -> (MosaicConfig, String) {
+    let mut degraded = config.clone();
+    let notes: Vec<String> = LADDER
+        .iter()
+        .take(rungs)
+        .map(|step| format!("{}: {}", step.name(), step.apply(&mut degraded)))
+        .collect();
+    (degraded, notes.join("; "))
 }
 
 #[cfg(test)]
@@ -142,7 +111,7 @@ mod tests {
 
     #[test]
     fn rung_zero_is_identity() {
-        let (cfg, note) = DegradationLadder::default().apply(&base(), 0);
+        let (cfg, note) = apply(&base(), 0);
         assert_eq!(cfg.opt.max_iterations, base().opt.max_iterations);
         assert_eq!(cfg.optics.grid_width, 256);
         assert!(note.is_empty());
@@ -150,11 +119,10 @@ mod tests {
 
     #[test]
     fn rungs_compose_cumulatively() {
-        let ladder = DegradationLadder::default();
-        let (one, _) = ladder.apply(&base(), 1);
+        let (one, _) = apply(&base(), 1);
         assert_eq!(one.opt.max_iterations, 4);
         assert_eq!(one.optics.kernel_count, 8, "rung 1 leaves kernels alone");
-        let (three, note) = ladder.apply(&base(), 3);
+        let (three, note) = apply(&base(), 3);
         assert_eq!(three.opt.max_iterations, 4);
         assert_eq!(three.optics.kernel_count, 4);
         assert_eq!(three.optics.grid_width, 128);
@@ -165,9 +133,8 @@ mod tests {
 
     #[test]
     fn count_past_the_last_rung_is_clamped() {
-        let ladder = DegradationLadder::default();
-        let (a, _) = ladder.apply(&base(), 3);
-        let (b, _) = ladder.apply(&base(), 99);
+        let (a, _) = apply(&base(), 3);
+        let (b, _) = apply(&base(), 99);
         assert_eq!(a.opt.max_iterations, b.opt.max_iterations);
         assert_eq!(a.optics.grid_width, b.optics.grid_width);
     }
@@ -179,17 +146,10 @@ mod tests {
         cfg.optics.kernel_count = 2;
         cfg.optics.grid_width = 64;
         cfg.optics.grid_height = 64;
-        let (d, note) = DegradationLadder::default().apply(&cfg, 3);
+        let (d, note) = apply(&cfg, 3);
         assert_eq!(d.opt.max_iterations, 1);
         assert_eq!(d.optics.kernel_count, 2);
         assert_eq!(d.optics.grid_width, 64, "grid floor holds");
         assert!(note.contains("at floor"));
-    }
-
-    #[test]
-    fn empty_ladder_never_changes_anything() {
-        let (cfg, note) = DegradationLadder::none().apply(&base(), 5);
-        assert_eq!(cfg.optics.kernel_count, base().optics.kernel_count);
-        assert!(note.is_empty());
     }
 }

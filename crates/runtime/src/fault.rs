@@ -4,8 +4,8 @@
 //! a test can arrange for exactly one attempt of one job to misbehave —
 //! the retry (a different attempt number) runs clean. The plan is wired
 //! through [`crate::batch::BatchConfig`] and consulted by the job
-//! runner; production code simply never installs one, so the default
-//! empty plan costs one `Option` check per lookup.
+//! runner; production code runs with the empty plan, whose lookups
+//! scan nothing.
 //!
 //! Five fault kinds cover the runtime's failure surfaces:
 //!
@@ -115,9 +115,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan — nothing ever fails on purpose.
-    pub fn new() -> Self {
-        FaultPlan::default()
+    /// An empty plan — nothing ever fails on purpose. `const`, so a
+    /// caller without faults can hold one in a `static`.
+    pub const fn new() -> Self {
+        FaultPlan { faults: Vec::new() }
     }
 
     /// Adds a fault for `(job, attempt)` (builder style).
@@ -129,11 +130,6 @@ impl FaultPlan {
             kind,
         });
         self
-    }
-
-    /// Whether the plan contains no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 
     fn matching<'a>(&'a self, job: &'a str, attempt: u32) -> impl Iterator<Item = FaultKind> + 'a {
@@ -214,7 +210,6 @@ mod tests {
     #[test]
     fn empty_plan_matches_nothing() {
         let plan = FaultPlan::new();
-        assert!(plan.is_empty());
         assert_eq!(plan.panic_at("B1-fast", 1), None);
         assert_eq!(plan.nan_gradient_at("B1-fast", 1), None);
         assert!(!plan.checkpoint_save_fails("B1-fast", 1));

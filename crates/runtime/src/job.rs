@@ -13,12 +13,12 @@
 
 use crate::cache::SimCache;
 use crate::checkpoint;
-use crate::degrade::DegradationLadder;
+use crate::degrade;
 use crate::events::{Event, EventSink};
 use crate::fault::FaultPlan;
 use crate::ledger::{CompletionRecord, LeaseHandle};
 use crate::scheduler::{run_attempts, CancelToken, JobExecution, RetryPolicy};
-use crate::supervise::{AttemptGuard, IterationStats, JobSlot, Supervisor};
+use crate::supervise::{AttemptGuard, Supervisor};
 use mosaic_core::{
     Instrument, IterationControl, IterationRecord, IterationView, MaskState, Mosaic, MosaicConfig,
     MosaicMode, OptimizerCheckpoint, OptimizerError,
@@ -42,15 +42,11 @@ thread_local! {
     static WORKER_WS: RefCell<Workspace> = RefCell::new(Workspace::new());
 }
 
-/// Lifecycle state of a job. The scheduler moves every job
-/// queued → running → one of the terminal states; [`JobReport::status`]
-/// records which terminal state was reached.
+/// How a job ended. [`JobReport::status`] is `Finished`, `Cancelled` or
+/// `TimedOut`; a job whose every attempt failed ends `Failed` (its
+/// `job_finish` event and ledger record say so).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Waiting for a worker.
-    Queued,
-    /// A worker is optimizing it.
-    Running,
     /// Optimized and scored.
     Finished,
     /// Every attempt failed (error or panic).
@@ -69,8 +65,6 @@ impl JobStatus {
     /// Lower-case name used in events and summaries.
     pub fn name(self) -> &'static str {
         match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
             JobStatus::Finished => "finished",
             JobStatus::Failed => "failed",
             JobStatus::Cancelled => "cancelled",
@@ -161,8 +155,8 @@ pub struct JobReport {
     pub id: String,
     /// The spec's clip.
     pub clip: BenchmarkId,
-    /// `Finished` or `Cancelled` (failures surface as scheduler errors,
-    /// not reports).
+    /// `Finished`, `Cancelled` or `TimedOut` (failures surface as
+    /// scheduler errors, not reports).
     pub status: JobStatus,
     /// Optimizer iterations recorded in this run (0 when a completed
     /// checkpoint only needed scoring).
@@ -206,14 +200,13 @@ pub struct JobContext<'a> {
     /// Save a checkpoint every this many iterations (0 = only on
     /// cancellation).
     pub checkpoint_every: usize,
-    /// Planned faults for hardening tests; `None` in production.
-    pub faults: Option<&'a FaultPlan>,
-    /// Supervision registry (heartbeats, per-job budgets, downshift
-    /// counters); `None` runs unsupervised.
-    pub supervisor: Option<&'a Supervisor>,
-    /// Degradation ladder applied on downshifted retries; `None`
-    /// reruns the original configuration on every attempt.
-    pub ladder: Option<&'a DegradationLadder>,
+    /// Planned faults for hardening tests; the empty plan in
+    /// production.
+    pub faults: &'a FaultPlan,
+    /// Supervision registry: heartbeats, per-job budgets, and the
+    /// downshift counters that decide each attempt's ladder rung
+    /// ([`Supervisor::attempt_rung`]).
+    pub supervisor: &'a Supervisor,
     /// The job's retry budget: [`run_job`] grants `1 + retry.retries`
     /// attempts. A supervision stop (budget overrun or stall) on a
     /// non-final attempt returns an error so the loop retries (one
@@ -249,33 +242,17 @@ fn injected_panic(job: &str, iteration: usize) -> ! {
     panic!("injected fault: {job} panics at iteration {iteration}")
 }
 
-/// Forwards the session's liveness hooks to the supervision slot: the
-/// watchdog sees a beat at every iteration start and after every
+/// Job control: supervision heartbeats, planned fault injection,
+/// per-iteration progress events (with the iteration's wall time and
+/// evaluation count), and cooperative stop polling (batch token,
+/// deadline, and the watchdog's per-job stop flag).
+///
+/// The watchdog sees a beat at every iteration start and after every
 /// objective evaluation (including each line-search trial), exactly the
-/// granularity the stall grace period is calibrated against.
-struct SlotPulse<'a> {
-    guard: Option<&'a AttemptGuard>,
-}
-
-impl Instrument for SlotPulse<'_> {
-    fn on_iteration_start(&mut self, _iteration: usize) {
-        if let Some(guard) = self.guard {
-            guard.beat();
-        }
-    }
-
-    fn on_objective_eval(&mut self) {
-        if let Some(guard) = self.guard {
-            guard.beat();
-        }
-    }
-}
-
-/// Job control: planned fault injection, per-iteration progress events
-/// (with the iteration's wall time and evaluation count), and
-/// cooperative stop polling (batch token, deadline, and the watchdog's
-/// per-job stop flag). Each iteration's wall time is also sampled into
-/// the batch-wide [`IterationStats`], the raw material for
+/// granularity the stall grace period is calibrated against; a planned
+/// stall sleeps after the iteration's last beat. Each iteration's wall
+/// time is also sampled into the supervisor's batch-wide
+/// [`crate::supervise::IterationStats`], the raw material for
 /// percentile-derived budgets; recovery iterations are sampled too — a
 /// rollback costs a full objective evaluation and belongs in the
 /// distribution.
@@ -283,8 +260,7 @@ struct JobControl<'a, 'b> {
     spec: &'a JobSpec,
     attempt: u32,
     ctx: &'a JobContext<'b>,
-    slot: Option<&'a JobSlot>,
-    stats: Option<&'a IterationStats>,
+    guard: &'a AttemptGuard,
     fault_panic: Option<usize>,
     stall_pending: Option<u64>,
     iterations: usize,
@@ -303,20 +279,20 @@ impl JobControl<'_, '_> {
             return 0.0;
         };
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        if let Some(stats) = self.stats {
-            stats.record(wall_ms);
-        }
+        self.ctx.supervisor.iteration_stats().record(wall_ms);
         wall_ms
     }
 }
 
 impl Instrument for JobControl<'_, '_> {
     fn on_iteration_start(&mut self, _iteration: usize) {
+        self.guard.beat();
         self.iteration_started = Some(Instant::now());
         self.evals = 0;
     }
 
     fn on_objective_eval(&mut self) {
+        self.guard.beat();
         self.evals += 1;
     }
 
@@ -359,7 +335,7 @@ impl Instrument for JobControl<'_, '_> {
             pvb: view.record.report.pvb,
         });
         if self.ctx.stop_requested()
-            || self.slot.is_some_and(|s| s.stop_requested())
+            || self.guard.slot().stop_requested()
             || self.ctx.lease.is_some_and(|l| l.lost())
         {
             self.cancelled = true;
@@ -474,10 +450,7 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext<'_>) -> JobExecution<JobReport> 
         attempts,
         wall_ms: report.map_or(0, |r| (r.wall_s * 1000.0).max(0.0) as u64),
         degraded: report.is_some_and(|r| r.degraded),
-        degrade_step: match report {
-            Some(r) => r.degrade_step,
-            None => ctx.supervisor.map_or(0, |s| s.downshifts(&spec.id)),
-        },
+        degrade_step: report.map_or_else(|| ctx.supervisor.rung(&spec.id), |r| r.degrade_step),
         metrics: report.and_then(|r| r.metrics),
     };
     if matches!(lease.complete(&record), Ok(true)) {
@@ -524,28 +497,14 @@ fn attempt_on(
         return Err("cancelled before start".to_string());
     }
     let started = Instant::now();
-    // Resolve the degradation rung this attempt's configuration runs at:
-    // the job's own downshifts (timeouts, stalls, divergences across
-    // attempts), or the rung that finally completed an earlier job of
-    // the same class — whichever is deeper.
-    let (degrade_step, preemptive) = match (ctx.supervisor, ctx.ladder) {
-        (Some(sup), Some(ladder)) => {
-            let shifts = sup.downshifts(&spec.id);
-            let rung = sup.preemptive_rung(&spec_class(spec));
-            (shifts.max(rung).min(ladder.len()), rung > shifts)
-        }
-        _ => (0, false),
-    };
-    let (job_config, degrade_note) = match ctx.ladder {
-        Some(ladder) => ladder.apply(&spec.config, degrade_step),
-        None => (spec.config.clone(), String::new()),
-    };
+    let (degrade_step, preemptive) = ctx.supervisor.attempt_rung(&spec.id, &spec_class(spec));
+    let (job_config, degrade_note) = degrade::apply(&spec.config, degrade_step);
     // Supervision: register this attempt with the watchdog, declaring
     // the (possibly degraded) iteration plan so an adaptive budget can
     // be derived from it.
     let guard = ctx
         .supervisor
-        .map(|s| s.register_planned(&spec.id, attempt, job_config.opt.max_iterations));
+        .register(&spec.id, attempt, job_config.opt.max_iterations);
     if degrade_step > 0 {
         ctx.events.emit(&Event::Degrade {
             job: spec.id.clone(),
@@ -558,17 +517,6 @@ fn attempt_on(
             },
         });
     }
-    let fault_panic = ctx.faults.and_then(|p| p.panic_at(&spec.id, attempt));
-    let fault_nan = ctx
-        .faults
-        .and_then(|p| p.nan_gradient_at(&spec.id, attempt));
-    let fault_save = ctx
-        .faults
-        .is_some_and(|p| p.checkpoint_save_fails(&spec.id, attempt));
-    let fault_stall = ctx.faults.and_then(|p| p.stall_millis(&spec.id, attempt));
-    let fault_parallel = ctx
-        .faults
-        .and_then(|p| p.parallel_panic_at(&spec.id, attempt));
     let resume = match ctx.checkpoint_dir {
         Some(dir) => {
             let (cp, quarantined) = checkpoint::load_or_quarantine_with(ctx.vfs, dir, &spec.id)
@@ -633,7 +581,7 @@ fn attempt_on(
     // iteration allocates nothing inside the optimizer loop.
     ws.warm_spectral(job_config.optics.grid_width, job_config.optics.grid_height);
     let mut config = job_config.clone();
-    if let Some(i) = fault_nan {
+    if let Some(i) = ctx.faults.nan_gradient_at(&spec.id, attempt) {
         config.opt.fault_nan_gradient_at = Some(i);
         ctx.events.emit(&Event::Fault {
             job: spec.id.clone(),
@@ -642,7 +590,7 @@ fn attempt_on(
             detail: format!("gradient poisoned with NaN at iteration {i}"),
         });
     }
-    if let Some(i) = fault_parallel {
+    if let Some(i) = ctx.faults.parallel_panic_at(&spec.id, attempt) {
         config.opt.fault_parallel_panic_at = Some(i);
         ctx.events.emit(&Event::Fault {
             job: spec.id.clone(),
@@ -678,18 +626,13 @@ fn attempt_on(
             started,
         )?
     } else {
-        let slot = guard.as_ref().map(AttemptGuard::slot);
-        let mut pulse = SlotPulse {
-            guard: guard.as_ref(),
-        };
         let mut control = JobControl {
             spec,
             attempt,
             ctx,
-            slot,
-            stats: ctx.supervisor.map(Supervisor::iteration_stats),
-            fault_panic,
-            stall_pending: fault_stall,
+            guard: &guard,
+            fault_panic: ctx.faults.panic_at(&spec.id, attempt),
+            stall_pending: ctx.faults.stall_millis(&spec.id, attempt),
             iterations: 0,
             cancelled: false,
             iteration_started: None,
@@ -699,12 +642,9 @@ fn attempt_on(
             spec,
             attempt,
             ctx,
-            fault_save,
+            fault_save: ctx.faults.checkpoint_save_fails(&spec.id, attempt),
         };
-        // The instrument stack composes by nesting tuples; every hook
-        // fans out left to right, so beats land before the control
-        // instrument can sleep (planned stall) or stop the session.
-        let mut stack = (&mut pulse, (&mut control, &mut writer));
+        let mut stack = (&mut control, &mut writer);
         let mut session = match resume {
             Some(cp) => mosaic.resume_session(spec.mode, cp),
             None => mosaic.session(spec.mode),
@@ -733,9 +673,7 @@ fn attempt_on(
                         kind: "diverged".to_string(),
                         detail: e.to_string(),
                     });
-                    if let Some(sup) = ctx.supervisor {
-                        sup.note_downshift(&spec.id);
-                    }
+                    ctx.supervisor.note_downshift(&spec.id);
                 }
                 return Err(format!("optimization failed: {e}"));
             }
@@ -772,7 +710,8 @@ fn attempt_on(
             // worker that recovers before the hard-stall escalation
             // still carries stop without timed_out; both shapes must
             // take the degraded-retry path while retries remain.
-            let supervised = slot.is_some_and(JobSlot::stop_requested) && !ctx.stop_requested();
+            let slot = guard.slot();
+            let supervised = slot.stop_requested() && !ctx.stop_requested();
             if supervised && attempt <= ctx.retry.retries {
                 // The watchdog cut this attempt short but retries
                 // remain: fail the attempt so the loop reruns the
@@ -787,7 +726,7 @@ fn attempt_on(
             // best-so-far mask (it restores the best iterate on stop),
             // so score it — Eq. (22) pays for whatever is shipped, and
             // a scored partial mask always beats returning nothing.
-            let status = if supervised || slot.is_some_and(|s| s.timed_out()) {
+            let status = if supervised || slot.timed_out() {
                 JobStatus::TimedOut
             } else {
                 JobStatus::Cancelled
@@ -837,9 +776,8 @@ fn attempt_on(
     // same-class specs start there pre-emptively — including rung 0,
     // which clears a stale class entry after a clean completion.
     if report.status == JobStatus::Finished {
-        if let Some(sup) = ctx.supervisor {
-            sup.note_completed_rung(&spec_class(spec), report.degrade_step);
-        }
+        ctx.supervisor
+            .note_completed_rung(&spec_class(spec), report.degrade_step);
     }
     emit_finish(ctx, &report, attempt, None);
     Ok(report)
@@ -982,7 +920,10 @@ mod tests {
     use super::*;
     use crate::events::EventObserver;
     use crate::ledger::{Claim, Ledger};
+    use crate::supervise::SupervisorConfig;
     use std::sync::Arc;
+
+    static NO_FAULTS: FaultPlan = FaultPlan::new();
 
     fn tiny_spec(clip: BenchmarkId) -> JobSpec {
         let mut spec = JobSpec::preset(clip, MosaicMode::Fast, 128, 8.0);
@@ -994,6 +935,7 @@ mod tests {
         cache: &'a SimCache,
         events: &'a EventSink,
         cancel: &'a CancelToken,
+        supervisor: &'a Supervisor,
     ) -> JobContext<'a> {
         JobContext {
             cache,
@@ -1002,9 +944,8 @@ mod tests {
             deadline: None,
             checkpoint_dir: None,
             checkpoint_every: 0,
-            faults: None,
-            supervisor: None,
-            ladder: None,
+            faults: &NO_FAULTS,
+            supervisor,
             retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
@@ -1017,10 +958,11 @@ mod tests {
         let cache = SimCache::new();
         let events = EventSink::null();
         let cancel = CancelToken::new();
+        let sup = Supervisor::new(SupervisorConfig::default());
         let report = execute_job(
             &tiny_spec(BenchmarkId::B1),
             1,
-            &ctx(&cache, &events, &cancel),
+            &ctx(&cache, &events, &cancel, &sup),
         )
         .expect("job succeeds");
         assert_eq!(report.status, JobStatus::Finished);
@@ -1037,10 +979,11 @@ mod tests {
         let events = EventSink::null();
         let cancel = CancelToken::new();
         cancel.cancel();
+        let sup = Supervisor::new(SupervisorConfig::default());
         let err = execute_job(
             &tiny_spec(BenchmarkId::B1),
             1,
-            &ctx(&cache, &events, &cancel),
+            &ctx(&cache, &events, &cancel, &sup),
         )
         .unwrap_err();
         assert!(err.contains("cancelled"));
@@ -1056,7 +999,8 @@ mod tests {
         // A deadline already in the past stops the job cooperatively at
         // its first iteration boundary (entry is gated on the token
         // only), so exactly one iteration runs.
-        let context = ctx(&cache, &events, &cancel);
+        let sup = Supervisor::new(SupervisorConfig::default());
+        let context = ctx(&cache, &events, &cancel, &sup);
         let deadline_ctx = JobContext {
             deadline: Some(Instant::now()),
             ..context
@@ -1069,7 +1013,10 @@ mod tests {
         let metrics = report.metrics.expect("cancelled jobs salvage metrics");
         assert!(metrics.quality_score.is_finite());
         assert!(report.degraded, "salvaged results are flagged degraded");
-        assert_eq!(report.degrade_step, 0, "no downshift without a supervisor");
+        assert_eq!(
+            report.degrade_step, 0,
+            "a fresh supervisor has no downshift"
+        );
     }
 
     /// A ledger under a fresh temporary root holding a live claim on
@@ -1097,9 +1044,10 @@ mod tests {
             .plant(&spec.id, "rival", Duration::from_secs(60))
             .unwrap();
         let (cache, events, cancel) = (SimCache::new(), EventSink::null(), CancelToken::new());
+        let sup = Supervisor::new(SupervisorConfig::default());
         let leased = JobContext {
             lease: Some(&lease),
-            ..ctx(&cache, &events, &cancel)
+            ..ctx(&cache, &events, &cancel, &sup)
         };
         let execution = run_job(&spec, &leased);
         assert!(
@@ -1124,9 +1072,10 @@ mod tests {
             }
         }));
         let cache = SimCache::new();
+        let sup = Supervisor::new(SupervisorConfig::default());
         let leased = JobContext {
             lease: Some(&lease),
-            ..ctx(&cache, &events, &cancel)
+            ..ctx(&cache, &events, &cancel, &sup)
         };
         match run_job(&spec, &leased) {
             JobExecution::Success { result, .. } => assert_eq!(result.status, JobStatus::Cancelled),
@@ -1148,10 +1097,11 @@ mod tests {
         let spec = JobSpec::preset(BenchmarkId::B1, MosaicMode::Fast, 64, 8.0);
         let (ledger, lease) = claimed("failed", &spec);
         let (cache, events, cancel) = (SimCache::new(), EventSink::null(), CancelToken::new());
+        let sup = Supervisor::new(SupervisorConfig::default());
         let leased = JobContext {
             lease: Some(&lease),
             retry: RetryPolicy::retries(1),
-            ..ctx(&cache, &events, &cancel)
+            ..ctx(&cache, &events, &cancel, &sup)
         };
         match run_job(&spec, &leased) {
             JobExecution::Failure { attempts, .. } => assert_eq!(attempts, 2),

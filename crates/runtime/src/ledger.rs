@@ -256,8 +256,6 @@ pub struct CompletionRecord {
 
 fn status_from_name(name: &str) -> Option<JobStatus> {
     Some(match name {
-        "queued" => JobStatus::Queued,
-        "running" => JobStatus::Running,
         "finished" => JobStatus::Finished,
         "failed" => JobStatus::Failed,
         "cancelled" => JobStatus::Cancelled,

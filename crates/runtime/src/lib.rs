@@ -15,10 +15,11 @@
 //!   panic isolation, retry with backoff, cooperative cancellation and
 //!   the ledger fence.
 //! * [`job`] — the job unit ([`JobSpec`]: clip × mode × resolution),
-//!   its lifecycle (queued → running → finished / failed / cancelled),
-//!   the attempt runner [`execute_job`] and [`run_job`], the way every
-//!   job runs — batch pool, ledger sweep and `mosaic serve` alike —
-//!   which also commits, releases or gives up a job's ledger lease.
+//!   its terminal states ([`JobStatus`]: finished / failed / cancelled
+//!   / timed out), the attempt runner [`execute_job`] and [`run_job`],
+//!   the way every job runs — batch pool, ledger sweep and `mosaic
+//!   serve` alike — which also commits, releases or gives up a job's
+//!   ledger lease.
 //! * [`events`] — structured JSONL progress events (job start, per-
 //!   iteration telemetry, job finish with EPE / PV-band / score, batch
 //!   summary) written through a thread-safe [`EventSink`].
@@ -37,11 +38,14 @@
 //!   evaluation; a dedicated watchdog thread cancels attempts that blow
 //!   their budget or stop beating, and escalates repeated stalls to
 //!   [`JobStatus::TimedOut`]. Per-iteration wall times stream into a
-//!   batch-wide [`IterationStats`] for percentile-derived budgets.
-//! * [`degrade`] — the degradation ladder: on a timeout or divergence
-//!   retry the next attempt is downshifted one rung (halve iterations →
-//!   halve SOCS kernels → coarsen the grid), so a struggling job trades
-//!   fidelity for completion instead of failing outright.
+//!   batch-wide [`IterationStats`] for percentile-derived budgets. The
+//!   supervisor also decides which degradation rung each attempt runs
+//!   at ([`Supervisor::attempt_rung`]).
+//! * [`degrade`] — the fixed degradation ladder: on a timeout or
+//!   divergence retry the next attempt is downshifted one rung (halve
+//!   iterations → halve SOCS kernels → coarsen the grid), so a
+//!   struggling job trades fidelity for completion instead of failing
+//!   outright.
 //! * [`salvage`] — partial-result salvage: cancelled and timed-out
 //!   attempts score their best-so-far mask in-process, and jobs that
 //!   failed every attempt are scored from their last checkpoint, so the
@@ -122,7 +126,6 @@ pub mod vfs;
 
 pub use batch::{render_summary, run_batch, BatchConfig, BatchOutcome, JobFailure};
 pub use cache::SimCache;
-pub use degrade::{DegradationLadder, DegradeStep};
 pub use events::{Event, EventObserver, EventSink};
 pub use fault::{FaultKind, FaultPlan};
 pub use job::{execute_job, run_job, JobContext, JobMetrics, JobReport, JobSpec, JobStatus};
@@ -142,7 +145,6 @@ pub mod prelude {
     pub use crate::batch::{render_summary, run_batch, BatchConfig, BatchOutcome, JobFailure};
     pub use crate::cache::SimCache;
     pub use crate::checkpoint;
-    pub use crate::degrade::{DegradationLadder, DegradeStep};
     pub use crate::events::{Event, EventObserver, EventSink};
     pub use crate::fault::{FaultKind, FaultPlan};
     pub use crate::job::{

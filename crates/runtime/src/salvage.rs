@@ -19,7 +19,7 @@
 
 use crate::cache::SimCache;
 use crate::checkpoint;
-use crate::degrade::DegradationLadder;
+use crate::degrade;
 use crate::events::{Event, EventSink};
 use crate::job::{score_mask, JobContext, JobMetrics, JobSpec, JobStatus};
 use crate::vfs::Vfs;
@@ -27,21 +27,20 @@ use mosaic_core::MaskState;
 use std::path::Path;
 
 /// Attempts to salvage a score from `spec`'s last checkpoint under
-/// `root`. `downshifts` is the job's final downshift count (from the
-/// supervisor), used to find the ladder rung whose grid matches the
-/// checkpoint — the last attempt may have run degraded. The checkpoint
-/// is read through `vfs`, so storage chaos reaches this path too.
+/// `root`. `rung` is the job's final ladder rung
+/// ([`crate::supervise::Supervisor::rung`]); the rungs up to it are
+/// searched for the configuration whose grid matches the checkpoint —
+/// the last attempt may have run degraded. The checkpoint is read
+/// through `vfs`, so storage chaos reaches this path too.
 ///
 /// Returns `None` when there is nothing to salvage (no checkpoint, a
 /// quarantined corrupt one, or an unscorable mask); emits `fault`
 /// events for the latter two.
-#[allow(clippy::too_many_arguments)]
 pub fn from_checkpoint(
     vfs: &dyn Vfs,
     root: &Path,
     spec: &JobSpec,
-    ladder: Option<&DegradationLadder>,
-    downshifts: usize,
+    rung: usize,
     cache: &SimCache,
     events: &EventSink,
     attempts: u32,
@@ -68,14 +67,10 @@ pub fn from_checkpoint(
     }
     let cp = cp?;
     // Find the configuration the checkpoint was written at: walk the
-    // applied ladder rungs from the deepest down, matching on grid
-    // shape (the only rung-dependent property a checkpoint encodes).
-    let rungs = ladder.map_or(0, DegradationLadder::len).min(downshifts);
-    let config = (0..=rungs).rev().find_map(|count| {
-        let candidate = match ladder {
-            Some(l) => l.apply(&spec.config, count).0,
-            None => spec.config.clone(),
-        };
+    // rungs from the job's own down, matching on grid shape (the only
+    // rung-dependent property a checkpoint encodes).
+    let config = (0..=rung).rev().find_map(|count| {
+        let candidate = degrade::apply(&spec.config, count).0;
         let dims = (candidate.optics.grid_width, candidate.optics.grid_height);
         (cp.variables.dims() == dims).then_some(candidate)
     })?;
@@ -117,12 +112,10 @@ pub fn failed_job(
     error: &str,
     attempts: u32,
 ) -> Option<JobMetrics> {
-    let downshifts = ctx.supervisor.map_or(0, |s| s.downshifts(&spec.id));
-    let salvaged = ctx.checkpoint_dir.and_then(|dir| {
-        from_checkpoint(
-            ctx.vfs, dir, spec, ctx.ladder, downshifts, ctx.cache, ctx.events, attempts,
-        )
-    });
+    let rung = ctx.supervisor.rung(&spec.id);
+    let salvaged = ctx
+        .checkpoint_dir
+        .and_then(|dir| from_checkpoint(ctx.vfs, dir, spec, rung, ctx.cache, ctx.events, attempts));
     let (epe, pvb, shape, quality) = match &salvaged {
         Some(m) => (
             m.epe_violations,
@@ -145,7 +138,7 @@ pub fn failed_job(
         attempts,
         recoveries: 0,
         degraded: salvaged.is_some(),
-        degrade_step: downshifts,
+        degrade_step: rung,
     });
     salvaged
 }

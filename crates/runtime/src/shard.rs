@@ -317,17 +317,14 @@ fn visit(
         });
     };
     // Ledger fault injection, keyed on this shard's claim attempt.
-    if ctx
-        .faults
-        .is_some_and(|f| f.lease_write_fails(&spec.id, claim_no))
-    {
+    if ctx.faults.lease_write_fails(&spec.id, claim_no) {
         fault(
             "lease_write_error",
             "injected lease-write I/O error; claim skipped".to_string(),
         );
         return false;
     }
-    if ctx.faults.is_some_and(|f| f.claim_race(&spec.id, claim_no)) {
+    if ctx.faults.claim_race(&spec.id, claim_no) {
         // Plant an already-expired rival at the epoch this claim
         // targets: the claim loses the create-new race it would have
         // won and must take the adoption path instead.
@@ -355,9 +352,7 @@ fn visit(
     };
     // Pause before the lease joins the heartbeat pump, so no renewal
     // slips in ahead of the injected stall.
-    let pause = ctx
-        .faults
-        .and_then(|f| f.shard_pause_millis(&spec.id, claim_no));
+    let pause = ctx.faults.shard_pause_millis(&spec.id, claim_no);
     if let Some(millis) = pause {
         lease.pause(millis);
     }

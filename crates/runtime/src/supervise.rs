@@ -24,10 +24,14 @@
 //!   no recovery;
 //! * each watchdog intervention — and each optimizer divergence the job
 //!   runner reports via [`Supervisor::note_downshift`] — bumps the
-//!   job's *downshift counter*, which the degradation ladder
-//!   ([`crate::degrade`]) reads on the retry so the next attempt runs a
-//!   cheaper configuration instead of repeating the one that blew its
-//!   budget.
+//!   job's *downshift counter*, so the retry runs one rung further down
+//!   the degradation ladder ([`crate::degrade`]) instead of repeating
+//!   the configuration that blew its budget;
+//! * the supervisor alone decides which rung a job runs at:
+//!   [`Supervisor::attempt_rung`] for each attempt (the deeper of the
+//!   job's downshifts and the rung that last completed a job of its
+//!   class) and [`Supervisor::rung`] for the job's terminal record and
+//!   its checkpoint salvage.
 //!
 //! Safe Rust cannot kill a wedged thread, so the watchdog's stop flag
 //! is still cooperative — but detection, the JSONL fault trail, the
@@ -36,6 +40,7 @@
 //! as a `"stall_hard"` fault so an operator can see the worker never
 //! recovered.
 
+use crate::degrade::RUNGS;
 use crate::events::{Event, EventSink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -261,7 +266,8 @@ impl std::fmt::Debug for WatchTicker {
 }
 
 /// Per-batch supervision registry: live attempt slots for the watchdog
-/// plus the per-job downshift counters the degradation ladder reads.
+/// plus the per-job downshift counters that decide each job's ladder
+/// rung.
 #[derive(Debug)]
 pub struct Supervisor {
     config: SupervisorConfig,
@@ -319,17 +325,12 @@ impl Supervisor {
 
     /// Registers one attempt and returns its guard. The attempt's
     /// budget clock starts now; its heartbeat is primed so a fresh
-    /// attempt is never immediately stalled.
-    pub fn register(&self, job: &str, attempt: u32) -> AttemptGuard {
-        self.register_planned(job, attempt, 0)
-    }
-
-    /// Like [`register`](Self::register), but declaring how many
+    /// attempt is never immediately stalled. `planned` is how many
     /// optimizer iterations the attempt plans to run — the multiplier
     /// for an adaptive, percentile-derived budget (see
-    /// [`SupervisorConfig::adaptive`]). Zero leaves the attempt without
+    /// [`SupervisorConfig::adaptive`]); zero leaves the attempt without
     /// an adaptive budget.
-    pub fn register_planned(&self, job: &str, attempt: u32, planned: usize) -> AttemptGuard {
+    pub fn register(&self, job: &str, attempt: u32, planned: usize) -> AttemptGuard {
         let now = self.epoch.elapsed().as_millis() as u64;
         let slot = Arc::new(JobSlot {
             job: job.to_string(),
@@ -353,10 +354,38 @@ impl Supervisor {
         AttemptGuard { slot }
     }
 
-    /// The job's accumulated downshift count — how many degradation
-    /// ladder rungs its next attempt applies.
+    /// The job's accumulated downshift count: timeouts, stalls and
+    /// divergences, plus the rung a pre-emptive start placed it at.
     pub fn downshifts(&self, job: &str) -> usize {
         self.lock_downshifts().get(job).copied().unwrap_or(0)
+    }
+
+    /// The ladder rung the job has been driven to: its downshift count
+    /// capped at [`RUNGS`]. A failed job's terminal record carries this
+    /// rung, and its checkpoint salvage searches the rungs up to it.
+    pub fn rung(&self, job: &str) -> usize {
+        self.downshifts(job).min(RUNGS)
+    }
+
+    /// The ladder rung this attempt of `job` runs at, and whether the
+    /// job's `class` put it there pre-emptively: the deeper of the job's
+    /// downshifts and the rung that last completed a job of the class,
+    /// capped at [`RUNGS`]. A deeper class rung becomes the job's
+    /// downshift count, so a later downshift goes one rung below it.
+    pub fn attempt_rung(&self, job: &str, class: &str) -> (usize, bool) {
+        let class_rung = self
+            .lock_completed_rungs()
+            .get(class)
+            .copied()
+            .unwrap_or(0)
+            .min(RUNGS);
+        let mut downshifts = self.lock_downshifts();
+        let shifts = downshifts.get(job).copied().unwrap_or(0);
+        if class_rung > shifts {
+            downshifts.insert(job.to_string(), class_rung);
+            return (class_rung, true);
+        }
+        (shifts.min(RUNGS), false)
     }
 
     /// Bumps the job's downshift counter (watchdog timeout, stall or a
@@ -381,18 +410,13 @@ impl Supervisor {
     }
 
     /// Records the ladder rung that finally completed a job of `class`
-    /// (latest completion wins). Rung 0 — the original configuration —
-    /// is recorded too, so one struggling outlier does not condemn the
-    /// whole class for the rest of the batch.
+    /// (latest completion wins): later jobs of the class start there
+    /// pre-emptively (see [`attempt_rung`](Self::attempt_rung)). Rung 0
+    /// — the original configuration — is recorded too, so one
+    /// struggling outlier does not condemn the whole class for the rest
+    /// of the batch.
     pub fn note_completed_rung(&self, class: &str, rung: usize) {
         self.lock_completed_rungs().insert(class.to_string(), rung);
-    }
-
-    /// The ladder rung later jobs of `class` should start at
-    /// pre-emptively: what the last completed same-class job needed
-    /// (0 when the class has no history).
-    pub fn preemptive_rung(&self, class: &str) -> usize {
-        self.lock_completed_rungs().get(class).copied().unwrap_or(0)
     }
 
     /// Derives this slot's adaptive budget once enough samples exist:
@@ -546,7 +570,7 @@ mod tests {
     fn healthy_attempt_is_left_alone() {
         let sup = Supervisor::new(fast_config());
         let events = EventSink::null();
-        let guard = sup.register("B1-fast", 1);
+        let guard = sup.register("B1-fast", 1, 0);
         guard.beat();
         sup.scan(&events);
         assert!(!guard.slot().stop_requested());
@@ -561,7 +585,7 @@ mod tests {
             ..fast_config()
         });
         let events = EventSink::null();
-        let guard = sup.register("B1-fast", 1);
+        let guard = sup.register("B1-fast", 1, 0);
         std::thread::sleep(Duration::from_millis(45));
         sup.scan(&events);
         assert!(guard.slot().stop_requested(), "first miss cancels");
@@ -584,7 +608,7 @@ mod tests {
             ..fast_config()
         });
         let events = EventSink::null();
-        let guard = sup.register("B2-fast", 1);
+        let guard = sup.register("B2-fast", 1, 0);
         for _ in 0..4 {
             std::thread::sleep(Duration::from_millis(15));
             guard.beat();
@@ -600,7 +624,7 @@ mod tests {
             ..fast_config()
         });
         let events = EventSink::null();
-        let guard = sup.register("B3-fast", 2);
+        let guard = sup.register("B3-fast", 2, 0);
         std::thread::sleep(Duration::from_millis(50));
         guard.beat(); // alive, but over budget
         sup.scan(&events);
@@ -613,7 +637,7 @@ mod tests {
     fn dropped_guard_retires_the_slot() {
         let sup = Supervisor::new(fast_config());
         let events = EventSink::null();
-        let guard = sup.register("B4-fast", 1);
+        let guard = sup.register("B4-fast", 1, 0);
         drop(guard);
         std::thread::sleep(Duration::from_millis(45));
         sup.scan(&events); // must not flag the finished attempt
@@ -643,7 +667,7 @@ mod tests {
             ..SupervisorConfig::default()
         });
         let events = EventSink::null();
-        let guard = sup.register("B1-fast", 1);
+        let guard = sup.register("B1-fast", 1, 0);
         std::thread::sleep(Duration::from_millis(45));
         sup.scan(&events);
         assert!(!guard.slot().stop_requested());
@@ -691,7 +715,7 @@ mod tests {
         for _ in 0..MIN_BUDGET_SAMPLES {
             sup.iteration_stats().record(1.0);
         }
-        let guard = sup.register_planned("B1-fast", 1, 2);
+        let guard = sup.register("B1-fast", 1, 2);
         sup.scan(&events);
         assert_eq!(
             guard.slot().derived_budget_ms.load(Ordering::SeqCst),
@@ -715,7 +739,7 @@ mod tests {
             ..SupervisorConfig::default()
         });
         let events = EventSink::null();
-        let guard = sup.register_planned("B1-fast", 1, 100);
+        let guard = sup.register("B1-fast", 1, 100);
         sup.scan(&events);
         assert_eq!(
             guard.slot().derived_budget_ms.load(Ordering::SeqCst),
@@ -725,8 +749,9 @@ mod tests {
         for _ in 0..MIN_BUDGET_SAMPLES {
             sup.iteration_stats().record(2.0);
         }
-        // Plain register (planned = 0) never gets an adaptive budget.
-        let unplanned = sup.register("B2-fast", 1);
+        // An attempt registered with planned = 0 never gets an adaptive
+        // budget.
+        let unplanned = sup.register("B2-fast", 1, 0);
         sup.scan(&events);
         assert!(guard.slot().derived_budget_ms.load(Ordering::SeqCst) >= 50);
         assert_eq!(unplanned.slot().derived_budget_ms.load(Ordering::SeqCst), 0);
@@ -744,7 +769,7 @@ mod tests {
         for _ in 0..MIN_BUDGET_SAMPLES {
             sup.iteration_stats().record(1_000.0); // would derive a huge budget
         }
-        let guard = sup.register_planned("B1-fast", 1, 100);
+        let guard = sup.register("B1-fast", 1, 100);
         std::thread::sleep(Duration::from_millis(50));
         sup.scan(&events);
         assert!(guard.slot().timed_out(), "the static 40 ms budget applied");
@@ -758,13 +783,35 @@ mod tests {
     #[test]
     fn completed_rungs_feed_preemptive_starts() {
         let sup = Supervisor::new(SupervisorConfig::default());
-        assert_eq!(sup.preemptive_rung("256x256-fast"), 0, "no history");
+        assert_eq!(
+            sup.attempt_rung("B1-fast", "256x256-fast"),
+            (0, false),
+            "no history"
+        );
         sup.note_completed_rung("256x256-fast", 2);
-        assert_eq!(sup.preemptive_rung("256x256-fast"), 2);
-        assert_eq!(sup.preemptive_rung("512x512-exact"), 0, "per class");
+        assert_eq!(sup.attempt_rung("B2-fast", "256x256-fast"), (2, true));
+        // The pre-emptive rung is the base a later downshift counts from.
+        sup.note_downshift("B2-fast");
+        assert_eq!(sup.attempt_rung("B2-fast", "256x256-fast"), (3, false));
+        assert_eq!(
+            sup.attempt_rung("B3-exact", "512x512-exact"),
+            (0, false),
+            "per class"
+        );
         // A later clean completion at the original config resets it.
         sup.note_completed_rung("256x256-fast", 0);
-        assert_eq!(sup.preemptive_rung("256x256-fast"), 0);
+        assert_eq!(sup.attempt_rung("B4-fast", "256x256-fast"), (0, false));
+    }
+
+    #[test]
+    fn rung_is_capped_at_the_ladder_depth() {
+        let sup = Supervisor::new(SupervisorConfig::default());
+        for _ in 0..5 {
+            sup.note_downshift("B1-fast");
+        }
+        assert_eq!(sup.downshifts("B1-fast"), 5);
+        assert_eq!(sup.rung("B1-fast"), 3, "a three-rung ladder");
+        assert_eq!(sup.attempt_rung("B1-fast", "256x256-fast"), (3, false));
     }
 
     #[test]
@@ -798,7 +845,7 @@ mod tests {
         // ladder rung, not two.
         let sup = Supervisor::new(fast_config());
         let events = EventSink::null();
-        let guard = sup.register("B5-fast", 1);
+        let guard = sup.register("B5-fast", 1, 0);
         std::thread::sleep(Duration::from_millis(50));
         sup.scan(&events);
         assert!(guard.slot().stop_requested());

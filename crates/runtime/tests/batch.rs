@@ -5,8 +5,8 @@
 use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
-    execute_job, run_batch, BatchConfig, CancelToken, EventSink, JobContext, JobExecution, JobSpec,
-    JobStatus, RetryPolicy, SimCache,
+    execute_job, run_batch, BatchConfig, CancelToken, EventSink, FaultPlan, JobContext,
+    JobExecution, JobSpec, JobStatus, RetryPolicy, SimCache, Supervisor, SupervisorConfig,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -144,9 +144,8 @@ fn checkpoint_kill_resume_reaches_the_same_final_mask() {
             deadline: None,
             checkpoint_dir: None,
             checkpoint_every: 0,
-            faults: None,
-            supervisor: None,
-            ladder: None,
+            faults: &FaultPlan::new(),
+            supervisor: &Supervisor::new(SupervisorConfig::default()),
             retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
@@ -168,9 +167,8 @@ fn checkpoint_kill_resume_reaches_the_same_final_mask() {
             deadline: Some(Instant::now()),
             checkpoint_dir: Some(&ckpt),
             checkpoint_every: 1,
-            faults: None,
-            supervisor: None,
-            ladder: None,
+            faults: &FaultPlan::new(),
+            supervisor: &Supervisor::new(SupervisorConfig::default()),
             retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
@@ -194,9 +192,8 @@ fn checkpoint_kill_resume_reaches_the_same_final_mask() {
             deadline: None,
             checkpoint_dir: Some(&ckpt),
             checkpoint_every: 1,
-            faults: None,
-            supervisor: None,
-            ladder: None,
+            faults: &FaultPlan::new(),
+            supervisor: &Supervisor::new(SupervisorConfig::default()),
             retry: RetryPolicy::none(),
             lease: None,
             threads: 1,

@@ -20,8 +20,8 @@
 use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
-    execute_job, CancelToken, EventSink, JobContext, JobMetrics, JobReport, JobSpec, RetryPolicy,
-    SimCache,
+    execute_job, CancelToken, EventSink, FaultPlan, JobContext, JobMetrics, JobReport, JobSpec,
+    RetryPolicy, SimCache, Supervisor, SupervisorConfig,
 };
 
 /// FNV-1a over the binarized mask pixels (0/1 as bytes). Stable across
@@ -49,9 +49,8 @@ fn run_snapshot(spec: &JobSpec, threads: usize) -> (JobReport, JobMetrics, u64) 
         deadline: None,
         checkpoint_dir: None,
         checkpoint_every: 0,
-        faults: None,
-        supervisor: None,
-        ladder: None,
+        faults: &FaultPlan::new(),
+        supervisor: &Supervisor::new(SupervisorConfig::default()),
         retry: RetryPolicy::none(),
         lease: None,
         threads,

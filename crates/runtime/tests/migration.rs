@@ -9,8 +9,8 @@
 use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
-    execute_job, CancelToken, DegradationLadder, EventSink, JobContext, JobSpec, JobStatus,
-    RetryPolicy, SimCache, Supervisor, SupervisorConfig,
+    execute_job, CancelToken, EventSink, FaultPlan, JobContext, JobSpec, JobStatus, RetryPolicy,
+    SimCache, Supervisor, SupervisorConfig,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -29,7 +29,7 @@ fn spec() -> JobSpec {
 }
 
 /// A supervisor whose downshift counter already sits at the coarsen-grid
-/// rung of the default ladder (iterations → kernels → grid).
+/// rung of the ladder (iterations → kernels → grid).
 fn supervisor_at_coarsen_rung(job: &str) -> Supervisor {
     let sup = Supervisor::new(SupervisorConfig::default());
     for _ in 0..3 {
@@ -46,7 +46,6 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
     let spec = spec();
     let cache = SimCache::new();
     let cancel = CancelToken::new();
-    let ladder = DegradationLadder::default();
 
     // Attempt 1 at the full 128×128 grid: the elapsed deadline cancels
     // it at the first iteration boundary, leaving a fine-grid
@@ -63,9 +62,8 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
                 deadline: Some(Instant::now()),
                 checkpoint_dir: Some(&ckpt),
                 checkpoint_every: 1,
-                faults: None,
-                supervisor: None,
-                ladder: Some(&ladder),
+                faults: &FaultPlan::new(),
+                supervisor: &Supervisor::new(SupervisorConfig::default()),
                 retry: RetryPolicy::retries(1),
                 lease: None,
                 threads: 1,
@@ -92,9 +90,8 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
             deadline: None,
             checkpoint_dir: Some(&ckpt),
             checkpoint_every: 1,
-            faults: None,
-            supervisor: Some(&sup),
-            ladder: Some(&ladder),
+            faults: &FaultPlan::new(),
+            supervisor: &sup,
             retry: RetryPolicy::retries(1),
             lease: None,
             threads: 1,
@@ -145,9 +142,8 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
             deadline: None,
             checkpoint_dir: None,
             checkpoint_every: 0,
-            faults: None,
-            supervisor: Some(&fresh_sup),
-            ladder: Some(&ladder),
+            faults: &FaultPlan::new(),
+            supervisor: &fresh_sup,
             retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
@@ -169,5 +165,44 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
         "carried progress must not lose objective ground: {} vs {}",
         migrated.best_objective,
         fresh.best_objective
+    );
+}
+
+/// A job that starts pre-emptively on its class's completed rung and
+/// then has its attempt cut short must retry one rung *below* where it
+/// started: rerunning the starting rung would repeat the configuration
+/// that just blew its budget.
+#[test]
+fn downshift_after_preemptive_start_goes_one_rung_deeper() {
+    let spec = spec();
+    let cache = SimCache::new();
+    let events = EventSink::null();
+    let cancel = CancelToken::new();
+    let faults = FaultPlan::new();
+    let sup = Supervisor::new(SupervisorConfig::default());
+    // An earlier job of the same class (128×128, fast) needed rung 1.
+    sup.note_completed_rung("128x128-fast", 1);
+    let ctx = JobContext {
+        cache: &cache,
+        events: &events,
+        cancel: &cancel,
+        deadline: None,
+        checkpoint_dir: None,
+        checkpoint_every: 0,
+        faults: &faults,
+        supervisor: &sup,
+        retry: RetryPolicy::retries(1),
+        lease: None,
+        threads: 1,
+        vfs: &mosaic_runtime::vfs::RealVfs,
+    };
+    let first = execute_job(&spec, 1, &ctx).unwrap();
+    assert_eq!(first.degrade_step, 1, "the job starts at its class's rung");
+    // The watchdog (or a divergence) downshifts the job once.
+    sup.note_downshift(&spec.id);
+    let second = execute_job(&spec, 2, &ctx).unwrap();
+    assert_eq!(
+        second.degrade_step, 2,
+        "the retry runs one rung below the pre-emptive start"
     );
 }

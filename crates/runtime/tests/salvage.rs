@@ -6,8 +6,9 @@
 use mosaic_core::MosaicMode;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
-    execute_job, run_batch, salvage, BatchConfig, CancelToken, EventSink, FaultKind, FaultPlan,
-    JobContext, JobExecution, JobSpec, JobStatus, RetryPolicy, SimCache, SupervisorConfig,
+    execute_job, run_batch, run_job, salvage, BatchConfig, CancelToken, EventSink, FaultKind,
+    FaultPlan, JobContext, JobExecution, JobSpec, JobStatus, RetryPolicy, SimCache, Supervisor,
+    SupervisorConfig,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -48,9 +49,8 @@ fn cancelled_run_salvage_matches_checkpoint_salvage_bit_exactly() {
             deadline: Some(Instant::now()),
             checkpoint_dir: Some(&ckpt),
             checkpoint_every: 1,
-            faults: None,
-            supervisor: None,
-            ladder: None,
+            faults: &FaultPlan::new(),
+            supervisor: &Supervisor::new(SupervisorConfig::default()),
             retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
@@ -70,7 +70,6 @@ fn cancelled_run_salvage_matches_checkpoint_salvage_bit_exactly() {
         &mosaic_runtime::vfs::RealVfs,
         &ckpt,
         &spec,
-        None,
         0,
         &cache,
         &events,
@@ -187,4 +186,64 @@ fn budget_timeout_on_final_attempt_salvages_and_counts_as_timed_out() {
         lines.contains("\"status\":\"timed_out\""),
         "job_finish does not carry the timed_out status"
     );
+}
+
+/// A job that starts pre-emptively on its class's coarse rung and then
+/// fails every attempt still salvages the checkpoint it left at that
+/// rung's grid, and its terminal event names the rung it ran at.
+#[test]
+fn preemptive_rung_failure_salvages_its_coarse_checkpoint() {
+    let dir = temp_dir("preemptive_rung");
+    let ckpt = dir.join("ckpt");
+    let report = dir.join("report.jsonl");
+    let spec = JobSpec::preset(BenchmarkId::B2, MosaicMode::Fast, 128, 8.0);
+    let cache = SimCache::new();
+    let events = EventSink::to_file(&report).unwrap();
+    let cancel = CancelToken::new();
+    // An earlier job of the same class (128×128, fast) needed all three
+    // rungs, so this one starts on the coarsened 64×64 grid.
+    let sup = Supervisor::new(SupervisorConfig::default());
+    sup.note_completed_rung("128x128-fast", 3);
+    // Both attempts checkpoint iteration 0, then panic at iteration 1.
+    let faults = FaultPlan::new()
+        .inject(&spec.id, 1, FaultKind::PanicAtIteration(1))
+        .inject(&spec.id, 2, FaultKind::PanicAtIteration(1));
+    let ctx = JobContext {
+        cache: &cache,
+        events: &events,
+        cancel: &cancel,
+        deadline: None,
+        checkpoint_dir: Some(&ckpt),
+        checkpoint_every: 1,
+        faults: &faults,
+        supervisor: &sup,
+        retry: RetryPolicy::retries(1),
+        lease: None,
+        threads: 1,
+        vfs: &mosaic_runtime::vfs::RealVfs,
+    };
+    let (error, attempts) = match run_job(&spec, &ctx) {
+        JobExecution::Failure { error, attempts } => (error, attempts),
+        other => panic!("expected a failure, got {other:?}"),
+    };
+    assert_eq!(attempts, 2);
+    let state = std::fs::read_to_string(ckpt.join(&spec.id).join("state.txt")).unwrap();
+    assert!(
+        state.lines().any(|l| l == "grid 64 64"),
+        "the attempts checkpointed at the coarse rung's grid"
+    );
+
+    let salvaged = salvage::failed_job(&spec, &ctx, &error, attempts);
+    assert!(
+        salvaged.is_some(),
+        "the coarse checkpoint must be found and scored"
+    );
+    assert_eq!(sup.rung(&spec.id), 3);
+    let lines = std::fs::read_to_string(&report).unwrap();
+    let finish = lines
+        .lines()
+        .find(|l| l.contains("\"event\":\"job_finish\""))
+        .expect("the failed job emits its job_finish");
+    assert!(finish.contains("\"status\":\"failed\""), "{finish}");
+    assert!(finish.contains("\"degrade_step\":3"), "{finish}");
 }

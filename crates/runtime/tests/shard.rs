@@ -9,6 +9,7 @@ use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_runtime::{
     execute_job, run_batch, BatchConfig, CancelToken, Claim, EventSink, FaultKind, FaultPlan,
     JobContext, JobExecution, JobSpec, JobStatus, Ledger, RetryPolicy, ShardConfig, SimCache,
+    Supervisor, SupervisorConfig,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -54,9 +55,8 @@ fn dead_shard_is_adopted_with_bit_identical_results() {
             deadline: None,
             checkpoint_dir: None,
             checkpoint_every: 0,
-            faults: None,
-            supervisor: None,
-            ladder: None,
+            faults: &FaultPlan::new(),
+            supervisor: &Supervisor::new(SupervisorConfig::default()),
             retry: RetryPolicy::none(),
             lease: None,
             threads: 1,
@@ -85,9 +85,8 @@ fn dead_shard_is_adopted_with_bit_identical_results() {
             deadline: Some(Instant::now()),
             checkpoint_dir: Some(&ckpt),
             checkpoint_every: 1,
-            faults: None,
-            supervisor: None,
-            ladder: None,
+            faults: &FaultPlan::new(),
+            supervisor: &Supervisor::new(SupervisorConfig::default()),
             retry: RetryPolicy::none(),
             lease: Some(&lease_a),
             threads: 1,

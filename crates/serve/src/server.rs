@@ -31,7 +31,7 @@ use crate::protocol::SubmitParams;
 use crate::result_cache::{CachedResult, ResultCache};
 use crate::store::{JobOutcome, JobRecord, JobState, JobStore};
 use mosaic_runtime::{
-    run_job, salvage, Claim, CompletionRecord, DegradationLadder, Event, EventObserver, EventSink,
+    run_job, salvage, Claim, CompletionRecord, Event, EventObserver, EventSink, FaultPlan,
     HeldLeases, JobContext, JobExecution, JobReport, JobStatus, LeaseHandle, Ledger, RealVfs,
     RetryPolicy, SimCache, Supervisor, SupervisorConfig, Won,
 };
@@ -43,6 +43,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The daemon injects no faults: every job runs under the empty plan.
+static NO_FAULTS: FaultPlan = FaultPlan::new();
 
 /// Knobs for one server instance.
 #[derive(Debug, Clone)]
@@ -69,8 +72,6 @@ pub struct ServeConfig {
     /// Supervision knobs (per-job budget, stall grace); disabled
     /// limits spawn no watchdog.
     pub supervise: SupervisorConfig,
-    /// Degradation ladder applied on downshifted retries.
-    pub ladder: DegradationLadder,
     /// Shared job-ledger root; `None` keeps the queue private to this
     /// daemon. With a ledger, submissions get content-derived job ids,
     /// are posted to the ledger, and idle workers also drain jobs
@@ -107,7 +108,6 @@ impl Default for ServeConfig {
             checkpoint_dir: None,
             checkpoint_every: 1,
             supervise: SupervisorConfig::default(),
-            ladder: DegradationLadder::default(),
             ledger_dir: None,
             lease_ttl: Duration::from_secs(5),
             ledger_owner: None,
@@ -483,9 +483,8 @@ impl ServerShared {
             deadline: None,
             checkpoint_dir: self.config.checkpoint_dir.as_deref(),
             checkpoint_every: self.config.checkpoint_every,
-            faults: None,
-            supervisor: Some(&self.supervisor),
-            ladder: Some(&self.config.ladder),
+            faults: &NO_FAULTS,
+            supervisor: &self.supervisor,
             retry: RetryPolicy::retries(self.config.retries),
             lease,
             threads: 1,
@@ -606,7 +605,7 @@ impl ServerShared {
                 wall_s: 0.0,
                 attempts,
                 degraded: true,
-                degrade_step: self.supervisor.downshifts(&record.spec.id),
+                degrade_step: self.supervisor.rung(&record.spec.id),
                 error: Some(error),
             },
             false,

@@ -107,6 +107,16 @@ tier1() {
   cargo test -q -p mosaic-serve --test loopback
   echo "=== tier1: supervision soak"
   soak
+  echo "=== tier1: degradation ladder"
+  # DESIGN.md §10: the supervisor decides which ladder rung each attempt
+  # runs at. Cross-grid checkpoint migration, a downshift after a
+  # pre-emptive start going one rung deeper than the start, and the
+  # checkpoint salvage of a job that failed on its pre-emptive coarse
+  # rung. Also covered by the workspace test run above; repeated so a
+  # gate failure names the ladder.
+  cargo test -q -p mosaic-runtime --test migration
+  cargo test -q -p mosaic-runtime --test salvage -- \
+    preemptive_rung_failure_salvages_its_coarse_checkpoint
   echo "=== tier1: shard ledger (kill-adopt handoff + multi-shard chaos)"
   # Two-shard crash handoff with bit-identical adopted results, plus the
   # three-shard claim-race/expired-lease soak: no job lost, none

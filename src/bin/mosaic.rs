@@ -667,7 +667,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             stall_grace,
             ..SupervisorConfig::default()
         },
-        ladder: DegradationLadder::default(),
         ledger_dir: flags.get("ledger").map(PathBuf::from),
         lease_ttl: lease_ttl_from(flags)?,
         ledger_owner: flags.get("ledger-owner").cloned(),
