@@ -19,12 +19,15 @@
 //! pupil disk of the frequency grid. A [`KernelSpectrum`] therefore stores
 //! just the smallest cyclic row × column box holding its nonzero bins
 //! (DESIGN.md §16), and both operations skip the 1-D transforms the box
-//! rules out — the convolution row-transforms only the box rows, the
-//! correlation column-transforms only the box columns and inverts only
+//! rules out — the convolution row-transforms only the box rows and its
+//! column inverses skip the butterfly blocks those rows leave all-zero,
+//! the correlation column-transforms only the box columns and inverts only
 //! the half-spectrum columns the box or its mirror reaches. Every skipped
 //! transform has an all-zero input or outputs that only zero kernel bins
 //! multiply, so every nonzero output value is bit-identical to the dense
-//! path (DESIGN.md §9).
+//! path (DESIGN.md §9). The SOCS image
+//! ([`Convolver::socs_intensities_into`]) runs the convolution's pass and
+//! sums `|E_k|²` column by column, without storing a field.
 //!
 //! Convolution here is *circular*. Callers embed their pattern with a guard
 //! band at least as wide as the kernel support (see
@@ -32,7 +35,7 @@
 //! wrap-around never reaches real geometry.
 
 use crate::complex::Complex;
-use crate::fft::{Fft2d, FftDirection};
+use crate::fft::{transpose_into, Fft2d, FftDirection};
 use crate::grid::Grid;
 use crate::split::SplitSpectrum;
 use crate::workspace::Workspace;
@@ -369,33 +372,34 @@ impl KernelSpectrum {
         }
     }
 
-    /// Writes `field_spectrum · kernel` into the box rows of `out`: the
-    /// products inside the box, zeros in the rest of those rows. Rows
-    /// outside the box are left untouched — the box inverse never reads
-    /// them. The complex product is expanded as
-    /// `re = ar·br − ai·bi`, `im = ar·bi + ai·br`.
-    fn multiply_rows_into(&self, field_spectrum: &SplitSpectrum, out: &mut SplitSpectrum) {
+    /// The box rows of `field_spectrum · kernel` as a row-major
+    /// `w × rows.len()` band drawn from `ws`, in range order: the
+    /// products inside the box, zeros in the rest of each row. The
+    /// complex product is expanded as `re = ar·br − ai·bi`,
+    /// `im = ar·bi + ai·br`.
+    fn multiply_rows(&self, field_spectrum: &SplitSpectrum, ws: &mut Workspace) -> SplitSpectrum {
         assert_eq!(
             field_spectrum.dims(),
             self.dims(),
             "field/kernel spectrum shape mismatch"
         );
-        assert_eq!(field_spectrum.dims(), out.dims(), "output shape mismatch");
         let w = field_spectrum.width();
         let bw = self.cols.len();
+        let mut band = ws.take_split(w, self.rows.len());
         let (ar, ai) = field_spectrum.planes();
         let (br, bi) = self.samples.planes();
-        let (or_, oi) = out.planes_mut();
+        let (or_, oi) = band.planes_mut();
         for (b, j) in self.rows.indices().enumerate() {
-            let row = j * w;
-            or_[row..row + w].fill(0.0);
-            oi[row..row + w].fill(0.0);
+            let (out_re, out_im) = (&mut or_[b * w..(b + 1) * w], &mut oi[b * w..(b + 1) * w]);
+            out_re.fill(0.0);
+            out_im.fill(0.0);
             for (a, i) in self.cols.indices().enumerate() {
-                let (idx, k) = (row + i, b * bw + a);
-                or_[idx] = ar[idx] * br[k] - ai[idx] * bi[k];
-                oi[idx] = ar[idx] * bi[k] + ai[idx] * br[k];
+                let (idx, k) = (j * w + i, b * bw + a);
+                out_re[i] = ar[idx] * br[k] - ai[idx] * bi[k];
+                out_im[i] = ar[idx] * bi[k] + ai[idx] * br[k];
             }
         }
+        band
     }
 }
 
@@ -498,7 +502,8 @@ impl Convolver {
     ///
     /// Only the kernel's box rows are multiplied and row-transformed; the
     /// transform of every other (all-zero) row is zero, so it is skipped,
-    /// and the full column pass follows.
+    /// and each column's inverse skips the butterfly blocks those rows
+    /// leave all-zero (DESIGN.md §16).
     ///
     /// # Panics
     ///
@@ -510,8 +515,70 @@ impl Convolver {
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
-        kernel.multiply_rows_into(field_spectrum, out);
-        self.plan.inverse_from_rows(out, kernel.rows, ws);
+        let mut band = kernel.multiply_rows(field_spectrum, ws);
+        self.plan.inverse_from_rows(&mut band, kernel.rows, out, ws);
+        ws.give_split(band);
+    }
+
+    /// Overwrites each `images[d]` with the SOCS intensity
+    /// `Σ_k (w_k · doses[d]) · |F⁻¹(field_spectrum · K_k)|²` over the
+    /// `(K_k, w_k)` pairs of `kernels`, added in kernel order from `+0`
+    /// (Eq. (2) with one image per dose).
+    ///
+    /// No field is ever stored: each kernel's box rows are multiplied and
+    /// row-transformed, and every column of its field, as it leaves the
+    /// pruned column inverse, is added as `(w_k · dose) · (re² + im²)`
+    /// into that column of each dose's column-major accumulator. One
+    /// transpose per dose then writes every pixel of its image, so the
+    /// images need no zero fill. Each value equals
+    /// [`convolve_spectrum_split_into`](Self::convolve_spectrum_split_into)
+    /// followed by the same accumulate, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `doses` and `images` differ in length or any shape
+    /// differs from the plan.
+    pub fn socs_intensities_into<'k>(
+        &self,
+        field_spectrum: &SplitSpectrum,
+        kernels: impl IntoIterator<Item = (&'k KernelSpectrum, f64)>,
+        doses: &[f64],
+        images: &mut [Grid<f64>],
+        ws: &mut Workspace,
+    ) {
+        let (w, h) = (self.width(), self.height());
+        assert_eq!(
+            field_spectrum.dims(),
+            (w, h),
+            "field spectrum shape mismatch"
+        );
+        assert_eq!(doses.len(), images.len(), "one image per dose");
+        assert!(
+            images.iter().all(|image| image.dims() == (w, h)),
+            "image shape mismatch"
+        );
+        // Column-major: row `x` of an `h`-wide accumulator is column `x`.
+        let mut columns = ws.take_real_grids(doses.len(), h, w);
+        for acc in &mut columns {
+            acc.fill(0.0);
+        }
+        for (kernel, weight) in kernels {
+            let mut band = kernel.multiply_rows(field_spectrum, ws);
+            self.plan
+                .inverse_columns_from_rows(&mut band, kernel.rows, ws, |x, re, im| {
+                    for (acc, &dose) in columns.iter_mut().zip(doses) {
+                        let scale = weight * dose;
+                        for ((a, &r), &i) in acc.row_mut(x).iter_mut().zip(re).zip(im) {
+                            *a += scale * (r * r + i * i);
+                        }
+                    }
+                });
+            ws.give_split(band);
+        }
+        for (image, acc) in images.iter_mut().zip(&columns) {
+            transpose_into(acc.as_slice(), image.as_mut_slice(), h, w);
+        }
+        ws.give_real_grids(columns);
     }
 
     /// Accumulates `scale · Re[field ★ h]` into `acc`: the correlation

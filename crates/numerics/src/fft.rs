@@ -261,15 +261,19 @@ impl Fft {
                     FftDirection::Forward => stage_im,
                     FftDirection::Inverse => stage_im_inv,
                 };
-                Self::radix2_split_in_place(re, im, stage_re, tw_im, rev);
+                // The index itself is compared against its reversal to
+                // swap each pair exactly once.
+                for (i, &r) in rev.iter().enumerate() {
+                    let j = r as usize;
+                    if i < j {
+                        re.swap(i, j);
+                        im.swap(i, j);
+                    }
+                }
+                let every_row = CyclicRange::full(self.len);
+                Self::radix2_stages(re, im, stage_re, tw_im, rev, every_row);
                 if direction == FftDirection::Inverse {
-                    let scale = 1.0 / self.len as f64;
-                    for v in re.iter_mut() {
-                        *v *= scale;
-                    }
-                    for v in im.iter_mut() {
-                        *v *= scale;
-                    }
+                    self.scale_inverse(re, im);
                 }
             }
             Algo::Bluestein {
@@ -286,40 +290,99 @@ impl Fft {
         }
     }
 
-    /// Radix-2 kernel: bit-reversal permutation, then one pass of
-    /// butterflies per stage, reading each stage's packed twiddle
-    /// planes with unit stride.
-    fn radix2_split_in_place(
+    /// The inverse scaling `1/len` of every value of both planes.
+    fn scale_inverse(&self, re: &mut [f64], im: &mut [f64]) {
+        let scale = 1.0 / self.len as f64;
+        for v in re.iter_mut() {
+            *v *= scale;
+        }
+        for v in im.iter_mut() {
+            *v *= scale;
+        }
+    }
+
+    /// Inverse-transforms a column that is zero outside the cyclic range
+    /// `rows` into `re`/`im`, where `live(t)` is the `(re, im)` entry at
+    /// axis index `(rows.start + t) mod len` — exactly what
+    /// [`process_split`](Self::process_split) gives for the zero-filled
+    /// column, bit for bit, zero signs included (DESIGN.md §9).
+    ///
+    /// Radix-2 lengths gather the live entries straight into their
+    /// bit-reversed slots (the permutation pass is never run) and skip
+    /// every butterfly block that holds no live slot: its inputs are all
+    /// `+0`, so its butterflies would write `+0` again. Other lengths
+    /// gather in natural order and run the unchanged transform.
+    pub(crate) fn inverse_pruned(
+        &self,
+        rows: CyclicRange,
+        live: impl Fn(usize) -> (f64, f64),
+        re: &mut [f64],
+        im: &mut [f64],
+        ws: &mut Workspace,
+    ) {
+        assert_eq!(rows.axis_len(), self.len, "row range does not match plan");
+        assert_eq!((re.len(), im.len()), (self.len, self.len), "column length");
+        re.fill(0.0);
+        im.fill(0.0);
+        match &self.algo {
+            Algo::Radix2 {
+                rev,
+                stage_re,
+                stage_im_inv,
+                ..
+            } => {
+                for (t, y) in rows.indices().enumerate() {
+                    let slot = rev[y] as usize;
+                    (re[slot], im[slot]) = live(t);
+                }
+                Self::radix2_stages(re, im, stage_re, stage_im_inv, rev, rows);
+                self.scale_inverse(re, im);
+            }
+            Algo::Identity | Algo::Bluestein { .. } => {
+                for (t, y) in rows.indices().enumerate() {
+                    (re[y], im[y]) = live(t);
+                }
+                self.process_split(re, im, FftDirection::Inverse, ws);
+            }
+        }
+    }
+
+    /// Radix-2 butterflies over bit-reversed data whose slots are all
+    /// `+0` except those of the rows `live`, one pass per stage, reading
+    /// each stage's packed twiddle planes with unit stride.
+    ///
+    /// Row `y` sits in slot `rev[y]`, so at block size `2^s` it lies in
+    /// the block that starts at `rev[y]` with its low `s` bits cleared,
+    /// and two rows share a block exactly when they agree modulo
+    /// `len/2^s`. The `R` rows of a cyclic range therefore fill all
+    /// `len/2^s` blocks of a stage once `R ≥ len/2^s` (the dense loop
+    /// runs) and `R` distinct blocks before that (only those run).
+    fn radix2_stages(
         re: &mut [f64],
         im: &mut [f64],
         stage_re: &[f64],
         stage_im: &[f64],
         rev: &[u32],
+        live: CyclicRange,
     ) {
         let n = re.len();
-        // The index itself is compared against its reversal to swap each
-        // pair exactly once.
-        for (i, &r) in rev.iter().enumerate() {
-            let j = r as usize;
-            if i < j {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
         // First stage (size 2): the only twiddle is cis(0) = exactly
         // (1, 0), so the butterfly is a bare add/sub per plane —
         // numerically identical to multiplying by the table entry.
-        for pair in re.chunks_exact_mut(2) {
-            let even = pair[0];
-            let odd = pair[1];
+        let add_sub = |pair: &mut [f64]| {
+            let (even, odd) = (pair[0], pair[1]);
             pair[0] = even + odd;
             pair[1] = even - odd;
-        }
-        for pair in im.chunks_exact_mut(2) {
-            let even = pair[0];
-            let odd = pair[1];
-            pair[0] = even + odd;
-            pair[1] = even - odd;
+        };
+        if live.len() >= n / 2 {
+            re.chunks_exact_mut(2).for_each(add_sub);
+            im.chunks_exact_mut(2).for_each(add_sub);
+        } else {
+            for y in live.indices() {
+                let start = rev[y] as usize & !1;
+                add_sub(&mut re[start..start + 2]);
+                add_sub(&mut im[start..start + 2]);
+            }
         }
         // Remaining stages: each stage's twiddles sit contiguously in
         // the packed tables at a cursor that advances by size/2.
@@ -329,10 +392,20 @@ impl Fft {
             let half = size / 2;
             let tw_re = &stage_re[off..off + half];
             let tw_im = &stage_im[off..off + half];
-            for (rblock, iblock) in re.chunks_exact_mut(size).zip(im.chunks_exact_mut(size)) {
+            let butterflies = |rblock: &mut [f64], iblock: &mut [f64]| {
                 let (lo_re, hi_re) = rblock.split_at_mut(half);
                 let (lo_im, hi_im) = iblock.split_at_mut(half);
                 split_butterflies(lo_re, lo_im, hi_re, hi_im, tw_re, tw_im);
+            };
+            if live.len() >= n / size {
+                for (rblock, iblock) in re.chunks_exact_mut(size).zip(im.chunks_exact_mut(size)) {
+                    butterflies(rblock, iblock);
+                }
+            } else {
+                for y in live.indices() {
+                    let start = rev[y] as usize & !(size - 1);
+                    butterflies(&mut re[start..start + size], &mut im[start..start + size]);
+                }
             }
             off += half;
             size <<= 1;
@@ -473,7 +546,7 @@ const TRANSPOSE_TILE: usize = 32;
 /// Blocked out-of-place transpose: `dst[x*h + y] = src[y*w + x]` for a
 /// row-major `w × h` source. Calling it again with `w`/`h` swapped
 /// inverts it.
-fn transpose_into(src: &[f64], dst: &mut [f64], w: usize, h: usize) {
+pub(crate) fn transpose_into(src: &[f64], dst: &mut [f64], w: usize, h: usize) {
     debug_assert_eq!(src.len(), w * h);
     debug_assert_eq!(dst.len(), w * h);
     let mut y0 = 0;
@@ -852,49 +925,70 @@ impl Fft2d {
         }
     }
 
-    /// Inverse-transforms `spec` in place, given that every nonzero bin
-    /// lies in the rows `rows` — the box inverse of a convolution with a
-    /// band-limited kernel (DESIGN.md §16).
+    /// Inverse-transforms, column by column, a spectrum whose nonzero
+    /// bins all lie in the rows `rows`, given as the row-major
+    /// `w × rows.len()` band `band` of those rows in range order (its
+    /// planes are consumed as scratch), and hands column `x` of the
+    /// result to `column(x, re, im)` for every `x` in turn — the box
+    /// inverse of a convolution with a band-limited kernel (DESIGN.md
+    /// §16).
     ///
-    /// Only those rows are row-transformed: the transform of an all-zero
-    /// row is zero. They are written straight into a zeroed transposed
-    /// scratch for the full column pass, so the other rows of `spec` are
-    /// never read (their contents may be stale); every row of `spec` is
-    /// overwritten with the result.
+    /// Only the band rows are row-transformed (the transform of an
+    /// all-zero row is zero); each column then runs
+    /// [`Fft::inverse_pruned`] in one reused `h`-long buffer pair, so
+    /// every column value is the dense 2-D inverse's, bit for bit.
+    pub(crate) fn inverse_columns_from_rows(
+        &self,
+        band: &mut SplitSpectrum,
+        rows: CyclicRange,
+        ws: &mut Workspace,
+        mut column: impl FnMut(usize, &[f64], &[f64]),
+    ) {
+        let (w, h) = (self.width(), self.height());
+        assert_eq!(rows.axis_len(), h, "row range does not match plan height");
+        assert_eq!(band.dims(), (w, rows.len()), "row band shape mismatch");
+        let (br, bi) = band.planes_mut();
+        rows_split(&self.row, br, bi, FftDirection::Inverse, ws);
+        let mut cr = ws.take_real(h);
+        let mut ci = ws.take_real(h);
+        for x in 0..w {
+            let live = |t: usize| (br[t * w + x], bi[t * w + x]);
+            self.col.inverse_pruned(rows, live, &mut cr, &mut ci, ws);
+            column(x, &cr, &ci);
+        }
+        ws.give_real(ci);
+        ws.give_real(cr);
+    }
+
+    /// Overwrites `out` with the inverse transform of a spectrum whose
+    /// nonzero bins all lie in the rows `rows`, given as the band of
+    /// [`inverse_columns_from_rows`](Self::inverse_columns_from_rows):
+    /// each column lands in a transposed scratch, and one transpose back
+    /// writes every value of `out`, so `out` needs no zero fill.
     pub(crate) fn inverse_from_rows(
         &self,
-        spec: &mut SplitSpectrum,
+        band: &mut SplitSpectrum,
         rows: CyclicRange,
+        out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
         let (w, h) = (self.width(), self.height());
         assert_eq!(
-            spec.dims(),
+            out.dims(),
             (w, h),
             "FFT2D plan {w}x{h} does not match split spectrum {}x{}",
-            spec.width(),
-            spec.height()
+            out.width(),
+            out.height()
         );
-        assert_eq!(rows.axis_len(), h, "row range does not match plan height");
-        let (re, im) = spec.planes_mut();
-        let mut tr = ws.take_real_zeroed(w * h);
-        let mut ti = ws.take_real_zeroed(w * h);
-        for run in rows.runs() {
-            let (r0, r1) = (run.start * w, run.end * w);
-            let (band_re, band_im) = (&mut re[r0..r1], &mut im[r0..r1]);
-            rows_split(&self.row, band_re, band_im, FftDirection::Inverse, ws);
-            for (y, (row_re, row_im)) in
-                run.zip(band_re.chunks_exact(w).zip(band_im.chunks_exact(w)))
-            {
-                for (x, (&r, &i)) in row_re.iter().zip(row_im).enumerate() {
-                    tr[x * h + y] = r;
-                    ti[x * h + y] = i;
-                }
-            }
-        }
-        rows_split(&self.col, &mut tr, &mut ti, FftDirection::Inverse, ws);
-        transpose_into(&tr, re, h, w);
-        transpose_into(&ti, im, h, w);
+        let mut tr = ws.take_real(w * h);
+        let mut ti = ws.take_real(w * h);
+        self.inverse_columns_from_rows(band, rows, ws, |x, re, im| {
+            tr[x * h..(x + 1) * h].copy_from_slice(re);
+            ti[x * h..(x + 1) * h].copy_from_slice(im);
+        });
+        let (ore, oim) = out.planes_mut();
+        transpose_into(&tr, ore, h, w);
+        transpose_into(&ti, oim, h, w);
         ws.give_real(tr);
         ws.give_real(ti);
     }
@@ -1053,6 +1147,7 @@ pub fn dft_reference(input: &[Complex], direction: FftDirection) -> Vec<Complex>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng64;
 
     fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -1189,6 +1284,61 @@ mod tests {
             FftDirection::Forward,
             &mut Workspace::new(),
         );
+    }
+
+    /// Checks [`Fft::inverse_pruned`] on one range against the dense
+    /// inverse of the zero-filled column, with random live values (a few
+    /// of them exact `±0`), `to_bits` on both planes.
+    fn assert_pruned_inverse_exact(n: usize, rows: CyclicRange, rng: &mut Rng64) {
+        let fft = Fft::new(n);
+        let mut value = || match rng.range_usize(0, 20) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.range_f64(-2.0, 2.0),
+        };
+        let live: Vec<(f64, f64)> = (0..rows.len()).map(|_| (value(), value())).collect();
+        let mut ws = Workspace::new();
+        let (mut re, mut im) = (vec![0.0; n], vec![0.0; n]);
+        for (t, y) in rows.indices().enumerate() {
+            (re[y], im[y]) = live[t];
+        }
+        fft.process_split(&mut re, &mut im, FftDirection::Inverse, &mut ws);
+        let (mut pr, mut pi) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+        fft.inverse_pruned(rows, |t| live[t], &mut pr, &mut pi, &mut ws);
+        for y in 0..n {
+            assert_eq!(
+                (pr[y].to_bits(), pi[y].to_bits()),
+                (re[y].to_bits(), im[y].to_bits()),
+                "n={n} {rows:?} index {y}: ({}, {}) vs ({}, {})",
+                pr[y],
+                pi[y],
+                re[y],
+                im[y]
+            );
+        }
+    }
+
+    /// The pruned column inverse is the dense inverse bit for bit, zero
+    /// signs included (a skipped block holds `+0` and would write `+0`):
+    /// every cyclic range on every power of two up to 64 and on the
+    /// Bluestein lengths 12 and 15, and pupil-like ranges at 128–1024 —
+    /// 15 rows around zero frequency, 15 rows around Nyquist, the
+    /// combined kernel's 27 rows and the full axis.
+    #[test]
+    fn pruned_inverse_matches_dense_column_bit_for_bit() {
+        let mut rng = Rng64::new(0xF17_0001);
+        for n in [1usize, 2, 4, 8, 16, 32, 64, 12, 15] {
+            for start in 0..n {
+                for len in 0..=n {
+                    assert_pruned_inverse_exact(n, CyclicRange::new(start, len, n), &mut rng);
+                }
+            }
+        }
+        for n in [128usize, 256, 512, 1024] {
+            for (start, len) in [(n - 7, 15), (n / 2 - 7, 15), (n - 13, 27), (0, n)] {
+                assert_pruned_inverse_exact(n, CyclicRange::new(start, len, n), &mut rng);
+            }
+        }
     }
 
     #[test]

@@ -148,23 +148,28 @@ impl Workspace {
     }
 
     /// Preallocates the buffers a `width × height` spectral pipeline
-    /// (forward real FFT, per-kernel convolve/accumulate, adjoint
-    /// correlation) needs, so even the very first iteration after this
-    /// call stays off the allocator. Sized generously; overshoot is a
-    /// few reusable buffers, never a correctness issue.
+    /// (forward real FFT, the fused SOCS image pass, the box convolution
+    /// and the adjoint correlation) needs, so even the very first
+    /// iteration after this call stays off the allocator. Sized
+    /// generously; overshoot is a few reusable buffers, never a
+    /// correctness issue.
     pub fn warm_spectral(&mut self, width: usize, height: usize) {
         let full = width * height;
         let half = (width / 2 + 1) * height;
         // The spectral pipeline (DESIGN.md §16) draws *pairs* of f64
         // planes for every spectrum it touches: the mask spectrum, the
-        // per-kernel field, the transpose scratch of the column pass,
-        // the half-spectrum of the mask transform, the column-subset
-        // scratch of the box correlation (the kernel's box columns of
-        // the forward spectrum and the folded half-spectrum columns, at
-        // most a half spectrum each for a pupil kernel) with its two
-        // half-row and one row buffers, and the Bluestein pad /
-        // real-row pack scratch for non-power-of-two shapes. Warm enough
-        // buffers for all of them plus the real-grid intermediates.
+        // backprop field `E_H` and the transpose scratch of its box
+        // inverse, the half-spectrum of the mask transform, each
+        // kernel's row band (its box rows, at most a half spectrum for a
+        // pupil kernel) with the one column pair the pruned column
+        // inverse runs in, the column-subset scratch of the box
+        // correlation (the kernel's box columns of the forward spectrum
+        // and the folded half-spectrum columns, at most a half spectrum
+        // each) with its two half-row and one row buffers, and the
+        // Bluestein pad / real-row pack scratch for non-power-of-two
+        // shapes. Full grids also serve the images and the image pass's
+        // per-dose column-major accumulators. Warm enough buffers for
+        // all of them plus the real-grid intermediates.
         let mut real_sizes = vec![full; 16];
         real_sizes.extend([half; 8]);
         real_sizes.extend([width.max(height); 8]);

@@ -9,8 +9,8 @@
 //! * the Hermitian real-FFT path vs the full complex transform;
 //! * the half-spectrum gradient correlation vs the real part of the
 //!   full complex correlation;
-//! * the band-limited box convolution and correlation vs the dense
-//!   full-grid path, pinned at 0 ULP (DESIGN.md §16).
+//! * the band-limited box convolution, correlation and fused SOCS image
+//!   vs the dense full-grid path, pinned at 0 ULP (DESIGN.md §16).
 //!
 //! Tolerances are explicit ULP budgets: an error bound of
 //! `scale · ε · ULPS`, where `scale` is the magnitude of the data
@@ -470,6 +470,77 @@ fn box_convolution_matches_dense_oracle() {
                 &intensity(&dense),
                 &format!("{ctx} intensity"),
             );
+        }
+    }
+}
+
+/// The fused SOCS pass images every dose as the dense oracle's
+/// `Σ_k (w_k·d)·|E_k|²`, added in kernel order from `+0`, bit for bit
+/// (up to the sign of a zero); the images start poisoned with NaN, so
+/// every pixel must be written. Each bank is three consecutive oracle
+/// kernels (cyclically, so every kernel leads one bank); the 64×64 grid
+/// holds 15-row pupil-like boxes — around zero frequency, around
+/// Nyquist and off axis — so its column inverses skip butterfly blocks.
+#[test]
+fn box_intensity_matches_dense_oracle() {
+    let mut rng = Rng64::new(0xD1F_0012);
+    let mut ws = Workspace::new();
+    let doses = [0.98, 1.0, 1.02];
+    for (w, h) in BOX_SHAPES.into_iter().chain([(64, 64)]) {
+        let conv = Convolver::new(w, h);
+        let field_spectrum = SplitSpectrum::from_grid(&random_complex_grid(&mut rng, w, h));
+        let kernels = if (w, h) == (64, 64) {
+            [
+                ("pupil wraps zero", (57, 57)),
+                ("pupil at Nyquist", (25, 25)),
+                ("pupil off axis", (10, 50)),
+            ]
+            .into_iter()
+            .map(|(name, origin)| {
+                (
+                    name.to_string(),
+                    box_kernel(&mut rng, (w, h), origin, (15, 15)),
+                )
+            })
+            .collect()
+        } else {
+            oracle_kernels(&mut rng, w, h)
+        };
+        let weights: Vec<f64> = kernels.iter().map(|_| rng.range_f64(0.05, 1.0)).collect();
+        let boxes: Vec<KernelSpectrum> = kernels
+            .iter()
+            .map(|(_, k)| KernelSpectrum::from_grid(k.clone()))
+            .collect();
+        let dense: Vec<SplitSpectrum> = kernels
+            .iter()
+            .map(|(_, k)| dense_convolve(&conv, &field_spectrum, k, &mut ws))
+            .collect();
+        for first in 0..kernels.len() {
+            let bank: Vec<usize> = (first..first + 3).map(|i| i % kernels.len()).collect();
+            let names: Vec<&str> = bank.iter().map(|&i| kernels[i].0.as_str()).collect();
+            let mut images = vec![Grid::filled(w, h, f64::NAN); doses.len()];
+            conv.socs_intensities_into(
+                &field_spectrum,
+                bank.iter().map(|&i| (&boxes[i], weights[i])),
+                &doses,
+                &mut images,
+                &mut ws,
+            );
+            for (image, &dose) in images.iter().zip(&doses) {
+                let mut expect = vec![0.0; w * h];
+                for &i in &bank {
+                    let scale = weights[i] * dose;
+                    let (re, im) = dense[i].planes();
+                    for ((e, &r), &i) in expect.iter_mut().zip(re).zip(im) {
+                        *e += scale * (r * r + i * i);
+                    }
+                }
+                assert_bits_eq_up_to_zero_sign(
+                    image.as_slice(),
+                    &expect,
+                    &format!("{w}x{h} {names:?} dose {dose}"),
+                );
+            }
         }
     }
 }

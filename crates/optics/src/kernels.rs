@@ -151,12 +151,14 @@ impl KernelSet {
 
     /// Overwrites each `intensities[i]` with the aerial image
     /// `doses[i] · Σ_k w_k |M ⊗ h_k|²` from a precomputed mask spectrum,
-    /// in one pass over the coherent fields: each field `E_k` is computed
-    /// once, through one reused scratch field drawn from `ws`, and added
-    /// to every dose's image as `(w_k · doses[i]) · |E_k|²` in kernel
-    /// order. Each image therefore gets exactly the bits a pass for its
-    /// dose alone would give. Every pass walks unit-stride `f64` planes
-    /// (DESIGN.md §16).
+    /// in one pass over the coherent fields
+    /// ([`Convolver::socs_intensities_into`]): each field `E_k` is
+    /// computed once, column by column, and each column is added to every
+    /// dose's image as `(w_k · doses[i]) · |E_k|²` in kernel order, so no
+    /// field is ever stored. Each image therefore gets exactly the bits a
+    /// pass for its dose alone would give. The serial bank loop, the
+    /// focus-bank tasks, single-condition images and contest scoring all
+    /// image through this call (DESIGN.md §16).
     ///
     /// # Panics
     ///
@@ -170,13 +172,8 @@ impl KernelSet {
         intensities: &mut [Grid<f64>],
         ws: &mut Workspace,
     ) {
-        self.prepare_images(mask_spectrum, doses, intensities);
-        let mut field = ws.take_split(self.width, self.height);
-        for k in &self.kernels {
-            convolver.convolve_spectrum_split_into(mask_spectrum, &k.spectrum, &mut field, ws);
-            accumulate_intensities_split(intensities, doses, &field, k.weight);
-        }
-        ws.give_split(field);
+        let kernels = self.kernels.iter().map(|k| (&k.spectrum, k.weight));
+        convolver.socs_intensities_into(mask_spectrum, kernels, doses, intensities, ws);
     }
 
     /// Like [`aerial_images_split`](Self::aerial_images_split) but also
@@ -203,7 +200,10 @@ impl KernelSet {
         ws: &mut Workspace,
     ) {
         self.prepare_images(mask_spectrum, doses, intensities);
-        fields.retain(|f| f.dims() == (self.width, self.height));
+        let shape = (self.width, self.height);
+        for misfit in fields.extract_if(.., |f| f.dims() != shape) {
+            ws.give_split(misfit);
+        }
         while fields.len() < self.kernels.len() {
             fields.push(ws.take_split(self.width, self.height));
         }
@@ -485,6 +485,41 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "with-fields dose {d} pixel {i}");
             }
         }
+    }
+
+    #[test]
+    fn mismatched_fields_go_back_to_the_pool() {
+        let set = KernelSet::build(&small_config(), 10.0).unwrap();
+        let conv = Convolver::new(64, 64);
+        let mask = Grid::from_fn(64, 64, |x, _| if x > 20 && x < 44 { 1.0 } else { 0.0 });
+        let mut ws = Workspace::new();
+        let mut spectrum = SplitSpectrum::zeros(64, 64);
+        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+        let mut image = Grid::zeros(64, 64);
+        let mut fields = Vec::new();
+        let mut pass = |fields: &mut Vec<SplitSpectrum>, ws: &mut Workspace| {
+            set.aerial_images_with_fields_split(
+                &conv,
+                &spectrum,
+                &[1.0],
+                std::slice::from_mut(&mut image),
+                fields,
+                ws,
+            );
+        };
+        // The first pass warms the pool; the second holds one field of
+        // the wrong shape among the right ones.
+        pass(&mut fields, &mut ws);
+        let pooled = ws.pooled_buffers();
+        fields.insert(3, SplitSpectrum::zeros(32, 32));
+        pass(&mut fields, &mut ws);
+        assert_eq!(fields.len(), set.kernels().len());
+        assert!(fields.iter().all(|f| f.dims() == (64, 64)));
+        assert_eq!(
+            ws.pooled_buffers(),
+            pooled + 2,
+            "the misfit's two planes are pooled, not freed"
+        );
     }
 
     /// The dense bank build the box build replaced: every bin of the

@@ -80,12 +80,16 @@ tier1() {
   # convolution/correlation skip the transforms a box rules out. The
   # dense path is the oracle: every nonzero value must match it bit for
   # bit on pow2, Bluestein and odd grids, through the one serial code
-  # path that corner workers run too; the box build must reproduce the
-  # dense pupil build; a 512 px @ 2 nm
+  # path that corner workers run too, and so must the fused SOCS image
+  # of three weighted kernels at three doses; the pruned column inverse
+  # must equal the dense one bit for bit, zero signs included, on every
+  # cyclic range of every power of two up to 64; the box build must
+  # reproduce the dense pupil build; a 512 px @ 2 nm
   # contest bank must store under 1% of the grid per kernel. Also
   # covered by the workspace test run above; repeated so a gate failure
   # names the culprit.
   cargo test -q -p mosaic-numerics --test differential box_
+  cargo test -q -p mosaic-numerics --lib -- fft::tests::pruned_inverse_matches_dense_column_bit_for_bit
   cargo test -q -p mosaic-numerics --test proptests kernel_box_
   cargo test -q -p mosaic-optics --lib -- box_build_matches_dense_build \
     contest_bank_stores_under_one_percent_of_the_grid
