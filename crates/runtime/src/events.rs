@@ -13,6 +13,7 @@
 //! every rendered line to an in-process [`EventObserver`] in addition
 //! to (or instead of) the report file.
 
+use crate::job::JobOutcome;
 use crate::jsonl::{push_json_f64, push_json_string};
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -115,37 +116,18 @@ pub enum Event {
         /// pvb` is `objective` exactly.
         pvb: f64,
     },
-    /// A job reached a terminal state.
+    /// A job reached a terminal state. The line carries the outcome's
+    /// status (`"finished"`, `"failed"`, `"cancelled"` or
+    /// `"timed_out"`), its error when one is set, iterations, the
+    /// metrics' EPE violations, PV-band area (nm²), shape violations
+    /// and runtime-excluded quality score (`0` / `null` when nothing
+    /// was scored), wall time, attempts, recoveries, whether the
+    /// metrics were salvaged (`degraded`) and the ladder rung.
     JobFinish {
         /// Job identifier.
         job: String,
-        /// `"finished"`, `"failed"` or `"cancelled"`.
-        status: String,
-        /// Error message for failures (`None` otherwise).
-        error: Option<String>,
-        /// Optimizer iterations recorded in this run.
-        iterations: usize,
-        /// EPE violations of the final mask (contest metric).
-        epe_violations: usize,
-        /// PV-band area of the final mask, nm².
-        pvband_nm2: f64,
-        /// Shape violations of the final mask.
-        shape_violations: usize,
-        /// Runtime-excluded contest score (deterministic across worker
-        /// counts).
-        quality_score: f64,
-        /// Job wall time, seconds.
-        wall_s: f64,
-        /// Attempts consumed.
-        attempts: u32,
-        /// Numerical-guard recoveries the optimizer performed.
-        recoveries: usize,
-        /// Whether the metrics were salvaged from a partial
-        /// (cancelled / timed-out) run's best-so-far mask.
-        degraded: bool,
-        /// Degradation-ladder rungs the reported attempt ran at
-        /// (0 = original configuration).
-        degrade_step: usize,
+        /// How the job ended.
+        outcome: JobOutcome,
     },
     /// A submission was answered from a result cache without scheduling
     /// a worker (`mosaic serve`'s LRU keyed on clip-hash × preset).
@@ -263,7 +245,7 @@ pub enum Event {
         finished: usize,
         /// Jobs that failed every attempt.
         failed: usize,
-        /// Jobs cancelled before starting.
+        /// Jobs cancelled before or during a run.
         cancelled: usize,
         /// Jobs whose final attempt timed out under supervision.
         timed_out: usize,
@@ -367,43 +349,40 @@ impl Event {
                 o.push_str(",\"pvb\":");
                 push_json_f64(&mut o, *pvb);
             }
-            Event::JobFinish {
-                job,
-                status,
-                error,
-                iterations,
-                epe_violations,
-                pvband_nm2,
-                shape_violations,
-                quality_score,
-                wall_s,
-                attempts,
-                recoveries,
-                degraded,
-                degrade_step,
-            } => {
+            Event::JobFinish { job, outcome } => {
                 o.push_str("\"job_finish\",\"job\":");
                 push_json_string(&mut o, job);
                 o.push_str(",\"status\":");
-                push_json_string(&mut o, status);
-                if let Some(e) = error {
+                push_json_string(&mut o, outcome.status.name());
+                if let Some(e) = &outcome.error {
                     o.push_str(",\"error\":");
                     push_json_string(&mut o, e);
                 }
+                let (epe, pvband, shape, quality) =
+                    outcome.metrics.map_or((0, f64::NAN, 0, f64::NAN), |m| {
+                        (
+                            m.epe_violations,
+                            m.pvband_nm2,
+                            m.shape_violations,
+                            m.quality_score,
+                        )
+                    });
                 let _ = write!(
                     o,
-                    ",\"iterations\":{iterations},\"epe_violations\":{epe_violations}"
+                    ",\"iterations\":{},\"epe_violations\":{epe}",
+                    outcome.iterations
                 );
                 o.push_str(",\"pvband_nm2\":");
-                push_json_f64(&mut o, *pvband_nm2);
-                let _ = write!(o, ",\"shape_violations\":{shape_violations}");
+                push_json_f64(&mut o, pvband);
+                let _ = write!(o, ",\"shape_violations\":{shape}");
                 o.push_str(",\"quality_score\":");
-                push_json_f64(&mut o, *quality_score);
+                push_json_f64(&mut o, quality);
                 o.push_str(",\"wall_s\":");
-                push_json_f64(&mut o, *wall_s);
+                push_json_f64(&mut o, outcome.wall_s);
                 let _ = write!(
                     o,
-                    ",\"attempts\":{attempts},\"recoveries\":{recoveries},\"degraded\":{degraded},\"degrade_step\":{degrade_step}"
+                    ",\"attempts\":{},\"recoveries\":{},\"degraded\":{},\"degrade_step\":{}",
+                    outcome.attempts, outcome.recoveries, outcome.degraded, outcome.degrade_step
                 );
             }
             Event::CacheHit {
@@ -717,18 +696,7 @@ mod tests {
     fn strings_are_escaped() {
         let e = Event::JobFinish {
             job: "B\"1\"".to_string(),
-            status: "failed".to_string(),
-            error: Some("line1\nline2\t\\".to_string()),
-            iterations: 0,
-            epe_violations: 0,
-            pvband_nm2: 0.0,
-            shape_violations: 0,
-            quality_score: 0.0,
-            wall_s: 0.0,
-            attempts: 2,
-            recoveries: 0,
-            degraded: false,
-            degrade_step: 0,
+            outcome: JobOutcome::failed("line1\nline2\t\\".to_string(), 2, 0, None),
         };
         let json = e.to_json(1.0);
         assert!(json.contains("\"job\":\"B\\\"1\\\"\""));

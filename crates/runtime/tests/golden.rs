@@ -57,7 +57,10 @@ fn run_snapshot(spec: &JobSpec, threads: usize) -> (JobReport, JobMetrics, u64) 
         vfs: &mosaic_runtime::vfs::RealVfs,
     };
     let report = execute_job(spec, 1, &ctx).expect("golden job runs");
-    let metrics = report.metrics.expect("finished job carries metrics");
+    let metrics = report
+        .outcome
+        .metrics
+        .expect("finished job carries metrics");
     let hash = mask_hash(&report.binary_mask);
 
     println!(
@@ -83,7 +86,7 @@ fn golden_snapshot_at(threads: usize) {
     spec.config.opt.max_iterations = 10;
     let (report, metrics, hash) = run_snapshot(&spec, threads);
 
-    assert_eq!(report.iterations, 10);
+    assert_eq!(report.outcome.iterations, 10);
     assert_eq!(metrics.epe_violations, 0, "EPE violations drifted");
     assert_eq!(metrics.shape_violations, 0, "shape violations drifted");
     assert_eq!(metrics.pvband_nm2, 4464.0, "PV-band area drifted");
@@ -117,7 +120,7 @@ fn contest_snapshot_at(threads: usize) {
     assert_eq!(spec.config.conditions.len(), 5);
     let (report, metrics, hash) = run_snapshot(&spec, threads);
 
-    assert_eq!(report.iterations, 3);
+    assert_eq!(report.outcome.iterations, 3);
     assert_eq!(metrics.epe_violations, 53, "EPE violations drifted");
     assert_eq!(metrics.shape_violations, 1, "shape violations drifted");
     assert_eq!(metrics.pvband_nm2, 5824.0, "PV-band area drifted");

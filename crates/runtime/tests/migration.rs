@@ -71,8 +71,8 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
             },
         )
         .unwrap();
-        assert_eq!(first.status, JobStatus::Cancelled);
-        assert_eq!(first.iterations, 1);
+        assert_eq!(first.outcome.status, JobStatus::Cancelled);
+        assert_eq!(first.outcome.iterations, 1);
         assert_eq!(first.binary_mask.dims(), (128, 128));
     }
 
@@ -99,18 +99,21 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
         },
     )
     .unwrap();
-    assert_eq!(migrated.status, JobStatus::Finished);
-    assert_eq!(migrated.degrade_step, 3, "all three rungs applied");
+    assert_eq!(migrated.outcome.status, JobStatus::Finished);
+    assert_eq!(migrated.outcome.degrade_step, 3, "all three rungs applied");
     assert_eq!(
         migrated.binary_mask.dims(),
         (64, 64),
         "the retry ran at the coarsened grid"
     );
     assert_eq!(
-        migrated.iterations, 4,
+        migrated.outcome.iterations, 4,
         "the migrated resume gets the full halved iteration budget"
     );
-    let migrated_metrics = migrated.metrics.expect("finished jobs carry metrics");
+    let migrated_metrics = migrated
+        .outcome
+        .metrics
+        .expect("finished jobs carry metrics");
 
     // The migration is recorded in the JSONL trail with both grids.
     let lines = std::fs::read_to_string(&report).unwrap();
@@ -151,9 +154,9 @@ fn coarsen_grid_retry_resumes_from_resampled_checkpoint() {
         },
     )
     .unwrap();
-    assert_eq!(fresh.status, JobStatus::Finished);
-    assert_eq!(fresh.degrade_step, 3);
-    let fresh_metrics = fresh.metrics.expect("finished jobs carry metrics");
+    assert_eq!(fresh.outcome.status, JobStatus::Finished);
+    assert_eq!(fresh.outcome.degrade_step, 3);
+    let fresh_metrics = fresh.outcome.metrics.expect("finished jobs carry metrics");
     assert!(
         migrated_metrics.quality_score <= fresh_metrics.quality_score,
         "migrated resume ({}) must beat or match a from-scratch degraded run ({})",
@@ -197,12 +200,15 @@ fn downshift_after_preemptive_start_goes_one_rung_deeper() {
         vfs: &mosaic_runtime::vfs::RealVfs,
     };
     let first = execute_job(&spec, 1, &ctx).unwrap();
-    assert_eq!(first.degrade_step, 1, "the job starts at its class's rung");
+    assert_eq!(
+        first.outcome.degrade_step, 1,
+        "the job starts at its class's rung"
+    );
     // The watchdog (or a divergence) downshifts the job once.
     sup.note_downshift(&spec.id);
     let second = execute_job(&spec, 2, &ctx).unwrap();
     assert_eq!(
-        second.degrade_step, 2,
+        second.outcome.degrade_step, 2,
         "the retry runs one rung below the pre-emptive start"
     );
 }

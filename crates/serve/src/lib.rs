@@ -57,7 +57,7 @@ pub use client::Client;
 pub use protocol::{parse_request, Request, SubmitParams};
 pub use result_cache::{CacheStats, CachedResult, ResultCache};
 pub use server::{ServeConfig, ServerHandle, ShutdownHandle};
-pub use store::{JobOutcome, JobRecord, JobState, JobStore, StoreCounts};
+pub use store::{JobRecord, JobState, JobStore, StoreCounts};
 
 /// Convenience re-exports for `use mosaic_serve::prelude::*`.
 pub mod prelude {
@@ -65,5 +65,5 @@ pub mod prelude {
     pub use crate::protocol::{parse_request, Request, SubmitParams};
     pub use crate::result_cache::{CacheStats, CachedResult, ResultCache};
     pub use crate::server::{ServeConfig, ServerHandle, ShutdownHandle};
-    pub use crate::store::{JobOutcome, JobRecord, JobState, JobStore, StoreCounts};
+    pub use crate::store::{JobRecord, JobState, JobStore, StoreCounts};
 }

@@ -16,7 +16,7 @@
 //! finished jobs are admitted — salvaged partials and failures must
 //! not be replayed as authoritative answers.
 
-use crate::store::JobOutcome;
+use mosaic_runtime::JobOutcome;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -164,15 +164,7 @@ mod tests {
 
     fn result(tag: &str) -> CachedResult {
         CachedResult {
-            outcome: JobOutcome {
-                metrics: None,
-                iterations: 1,
-                wall_s: 0.5,
-                attempts: 1,
-                degraded: false,
-                degrade_step: 0,
-                error: None,
-            },
+            outcome: JobOutcome::cancelled(1, None),
             source_job: tag.to_string(),
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Every submission becomes a [`JobRecord`]: its parameters, lifecycle
 //! state (queued → running → done / failed / salvaged / cancelled), the
-//! outcome summary, and an append-only per-job buffer of the JSONL
+//! runtime's [`JobOutcome`], and an append-only per-job buffer of the JSONL
 //! event lines the runtime emitted while it ran. Watch connections
 //! replay that buffer from any index and then block on the record's
 //! condvar for live lines, which is what makes the feed lossless: a
@@ -14,7 +14,7 @@
 //! never contend with submitters of another.
 
 use crate::protocol::SubmitParams;
-use mosaic_runtime::{JobMetrics, JobSpec};
+use mosaic_runtime::{JobOutcome, JobSpec, JobStatus};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -55,27 +55,18 @@ impl JobState {
     pub fn terminal(self) -> bool {
         !matches!(self, JobState::Queued | JobState::Running)
     }
-}
 
-/// What a terminal job produced, in wire-serializable form. The mask
-/// itself stays in the optimizer's checkpoint files; the service ships
-/// scores, not pixels.
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
-    /// Contest metrics, when the run (or salvage) produced any.
-    pub metrics: Option<JobMetrics>,
-    /// Optimizer iterations recorded.
-    pub iterations: usize,
-    /// Wall time of the producing run, seconds (0 for cache hits).
-    pub wall_s: f64,
-    /// Attempts consumed.
-    pub attempts: u32,
-    /// Whether the metrics were salvaged from a partial run.
-    pub degraded: bool,
-    /// Degradation-ladder rungs the final attempt ran at.
-    pub degrade_step: usize,
-    /// Error message for failures.
-    pub error: Option<String>,
+    /// The terminal state a job's outcome maps to: finished → done;
+    /// otherwise salvaged when it carries metrics, then failed or
+    /// cancelled by its status (a timed-out job always salvages).
+    pub fn of(outcome: &JobOutcome) -> JobState {
+        match outcome.status {
+            JobStatus::Finished => JobState::Done,
+            _ if outcome.metrics.is_some() => JobState::Salvaged,
+            JobStatus::Failed => JobState::Failed,
+            _ => JobState::Cancelled,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -137,7 +128,9 @@ impl JobRecord {
         self.lock().cached
     }
 
-    /// The outcome, once terminal.
+    /// The outcome, once terminal. The mask itself stays in the
+    /// optimizer's checkpoint files; the service ships scores, not
+    /// pixels.
     pub fn outcome(&self) -> Option<JobOutcome> {
         self.lock().outcome.clone()
     }
@@ -161,13 +154,14 @@ impl JobRecord {
         true
     }
 
-    /// Terminalizes the record and wakes every watcher.
-    pub fn finish(&self, state: JobState, outcome: JobOutcome, cached: bool) {
+    /// Terminalizes the record in the state its outcome maps to
+    /// ([`JobState::of`]) and wakes every watcher.
+    pub fn finish(&self, outcome: JobOutcome, cached: bool) {
         let mut s = self.lock();
         if s.state.terminal() {
             return;
         }
-        s.state = state;
+        s.state = JobState::of(&outcome);
         s.outcome = Some(outcome);
         s.cached = cached;
         drop(s);
@@ -182,16 +176,9 @@ impl JobRecord {
         if s.state != JobState::Queued {
             return false;
         }
-        s.state = JobState::Cancelled;
-        s.outcome = Some(JobOutcome {
-            metrics: None,
-            iterations: 0,
-            wall_s: 0.0,
-            attempts: 0,
-            degraded: false,
-            degrade_step: 0,
-            error: Some("cancelled while queued".to_string()),
-        });
+        let outcome = JobOutcome::cancelled(0, Some("cancelled while queued".to_string()));
+        s.state = JobState::of(&outcome);
+        s.outcome = Some(outcome);
         drop(s);
         self.cond.notify_all();
         true
@@ -391,21 +378,46 @@ mod tests {
         assert_eq!(state, JobState::Queued);
         // Terminal state unblocks immediately.
         r.finish(
-            JobState::Done,
             JobOutcome {
-                metrics: None,
-                iterations: 1,
-                wall_s: 0.1,
-                attempts: 1,
-                degraded: false,
-                degrade_step: 0,
-                error: None,
+                status: JobStatus::Finished,
+                ..JobOutcome::cancelled(1, None)
             },
             false,
         );
         let (lines, state) = r.wait_lines(2, Duration::from_secs(5));
         assert!(lines.is_empty());
         assert_eq!(state, JobState::Done);
+    }
+
+    #[test]
+    fn state_is_derived_from_the_outcome() {
+        let metrics = mosaic_runtime::JobMetrics {
+            epe_violations: 1,
+            pvband_nm2: 2.0,
+            shape_violations: 0,
+            quality_score: 3.0,
+            contest_score: 4.0,
+        };
+        let with = |status, metrics| JobOutcome {
+            status,
+            metrics,
+            ..JobOutcome::cancelled(1, None)
+        };
+        let cases = [
+            (with(JobStatus::Finished, Some(metrics)), JobState::Done),
+            (
+                with(JobStatus::Cancelled, Some(metrics)),
+                JobState::Salvaged,
+            ),
+            (with(JobStatus::TimedOut, Some(metrics)), JobState::Salvaged),
+            (with(JobStatus::Failed, Some(metrics)), JobState::Salvaged),
+            (with(JobStatus::Failed, None), JobState::Failed),
+            (with(JobStatus::Cancelled, None), JobState::Cancelled),
+            (with(JobStatus::TimedOut, None), JobState::Cancelled),
+        ];
+        for (outcome, state) in cases {
+            assert_eq!(JobState::of(&outcome), state, "{outcome:?}");
+        }
     }
 
     #[test]

@@ -718,3 +718,28 @@ fn ledger_shutdown_now_hands_the_job_to_a_peer() {
     b.stop(true);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A submission that fails every attempt (the 1024 nm clip does not fit
+/// a 512 nm grid) replies and reports from one outcome: the fetch reply
+/// and the feed's `job_finish` agree that nothing was salvaged and that
+/// no optimizer wall time was charged.
+#[test]
+fn failed_submission_reply_and_job_finish_agree() {
+    let server = tiny_server(1, 4);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let reply = client
+        .request("submit clip=B1 grid=64 pixel=8 iterations=2")
+        .expect("submit");
+    let job = field(&reply, "job").to_string();
+    let fetched = wait_done(&mut client, &job);
+    assert_eq!(field(&fetched, "state"), "failed", "{fetched}");
+    let finish = feed(server.addr(), &job)
+        .into_iter()
+        .find(|l| l.contains("\"event\":\"job_finish\""))
+        .expect("the failed job's feed carries its job_finish");
+    for line in [&fetched, &finish] {
+        assert!(line.contains("\"wall_s\":0,"), "{line}");
+        assert!(line.contains("\"degraded\":false,"), "{line}");
+    }
+    server.stop(true);
+}
