@@ -76,10 +76,9 @@ pub struct OptimizationConfig {
     /// corner-pool worker at this absolute iteration index. Only
     /// meaningful with [`ExecutionSession::threads`] ≥ 2 on a shape with
     /// at least two focus banks (runs of process conditions that share
-    /// one defocus), `β > 0` and
-    /// [`GradientMode::Combined`](crate::objective::GradientMode::Combined);
-    /// every other session runs serial and builds no pool. `None` (the
-    /// default) in all production configurations.
+    /// one defocus), `β > 0` and [`GradientMode::Combined`]; every other
+    /// session runs serial and builds no pool. `None` (the default) in
+    /// all production configurations.
     ///
     /// [`ExecutionSession::threads`]: crate::session::ExecutionSession::threads
     pub fault_parallel_panic_at: Option<usize>,

@@ -1,6 +1,6 @@
 //! Human-readable evaluation reports.
 //!
-//! Turns a [`ContestReport`](crate::ContestReport) into the text summary
+//! Turns a [`ContestReport`] into the text summary
 //! the CLI and examples print: score breakdown, an EPE histogram over
 //! the measurement sites, and the worst offenders with their positions —
 //! the view an OPC engineer actually debugs from.

@@ -130,7 +130,7 @@ impl Layout {
 
     /// Places EPE measurement sites every `spacing_nm` along every edge.
     ///
-    /// See the [`sample`][crate::sample] module for the placement rule.
+    /// See the [`sample`] module for the placement rule.
     ///
     /// # Panics
     ///

@@ -142,12 +142,6 @@ impl<T> Grid<T> {
         &self.data
     }
 
-    /// Mutable view of the underlying row-major buffer.
-    #[inline]
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consumes the grid, returning the underlying buffer.
     #[inline]
     pub fn into_vec(self) -> Vec<T> {

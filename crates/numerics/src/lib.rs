@@ -69,7 +69,7 @@ pub mod stats;
 pub mod workspace;
 
 pub use complex::Complex;
-pub use conv::{Convolver, CyclicRange, KernelSpectrum};
+pub use conv::{Convolver, CyclicRange, IntensityPlan, KernelSpectrum};
 pub use error::NumericsError;
 pub use fft::{Fft, Fft2d, FftDirection};
 pub use grid::Grid;
@@ -82,7 +82,7 @@ pub use workspace::Workspace;
 /// The types almost every user of this crate needs.
 pub mod prelude {
     pub use crate::complex::Complex;
-    pub use crate::conv::{Convolver, CyclicRange, KernelSpectrum};
+    pub use crate::conv::{Convolver, CyclicRange, IntensityPlan, KernelSpectrum};
     pub use crate::error::NumericsError;
     pub use crate::fft::{Fft, Fft2d, FftDirection};
     pub use crate::grid::Grid;

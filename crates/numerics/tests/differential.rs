@@ -474,13 +474,27 @@ fn box_convolution_matches_dense_oracle() {
     }
 }
 
-/// The fused SOCS pass images every dose as the dense oracle's
-/// `Σ_k (w_k·d)·|E_k|²`, added in kernel order from `+0`, bit for bit
-/// (up to the sign of a zero); the images start poisoned with NaN, so
-/// every pixel must be written. Each bank is three consecutive oracle
-/// kernels (cyclically, so every kernel leads one bank); the 64×64 grid
-/// holds 15-row pupil-like boxes — around zero frequency, around
-/// Nyquist and off axis — so its column inverses skip butterfly blocks.
+/// Largest `|a − b|` over two equally long slices; NaN if any
+/// difference is NaN.
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "length");
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, |m, d| if d.is_nan() || d > m { d } else { m })
+}
+
+/// The small-grid SOCS pass images every dose as the dense oracle's
+/// `Σ_k (w_k·d)·|E_k|²`, added in kernel order from `+0`, within
+/// `1e-12 ×` the oracle image's peak (DESIGN.md §9: the one numeric
+/// change of the band-limited engine); the images start poisoned with
+/// NaN, so every pixel must be written. Each bank is three consecutive
+/// oracle kernels (cyclically, so every kernel leads one bank) with its
+/// own intensity plan; the 64×64 grid holds 15-row pupil-like boxes —
+/// around zero frequency, around Nyquist and off axis — on a 32×32
+/// small grid, and the full-grid kernels of the small shapes make the
+/// small grid wider than the simulation grid, so the fold sums aliased
+/// bins.
 #[test]
 fn box_intensity_matches_dense_oracle() {
     let mut rng = Rng64::new(0xD1F_0012);
@@ -518,8 +532,10 @@ fn box_intensity_matches_dense_oracle() {
         for first in 0..kernels.len() {
             let bank: Vec<usize> = (first..first + 3).map(|i| i % kernels.len()).collect();
             let names: Vec<&str> = bank.iter().map(|&i| kernels[i].0.as_str()).collect();
+            let plan = IntensityPlan::new(bank.iter().map(|&i| &boxes[i]));
             let mut images = vec![Grid::filled(w, h, f64::NAN); doses.len()];
             conv.socs_intensities_into(
+                &plan,
                 &field_spectrum,
                 bank.iter().map(|&i| (&boxes[i], weights[i])),
                 &doses,
@@ -535,10 +551,11 @@ fn box_intensity_matches_dense_oracle() {
                         *e += scale * (r * r + i * i);
                     }
                 }
-                assert_bits_eq_up_to_zero_sign(
-                    image.as_slice(),
-                    &expect,
-                    &format!("{w}x{h} {names:?} dose {dose}"),
+                let peak = expect.iter().fold(0.0, |m: f64, &v| m.max(v));
+                let err = max_abs_diff(image.as_slice(), &expect);
+                assert!(
+                    err <= 1e-12 * peak,
+                    "{w}x{h} {names:?} dose {dose}: max error {err:e}, peak {peak:e}"
                 );
             }
         }

@@ -1,14 +1,14 @@
 //! The daemon: listener, connection gate, worker pool, shutdown.
 //!
 //! [`ServerHandle::start`] binds a TCP listener and spawns three kinds
-//! of threads around one shared [`ServerShared`] state:
+//! of threads around one shared `ServerShared` state:
 //!
 //! * **workers** pull queued [`JobRecord`]s off a condvar-guarded queue
 //!   and run each through [`mosaic_runtime::run_job`] — the attempt loop
 //!   the batch runtime uses, with its retry, panic isolation and ledger
 //!   policy — terminalizing each record when done;
 //! * the **listener** accepts connections behind a semaphore
-//!   ([`Gate`]): the permit is acquired *before* `accept()`, so when
+//!   (`Gate`): the permit is acquired *before* `accept()`, so when
 //!   `max_conns` handlers are live the N+1th client waits in the OS
 //!   accept backlog instead of being half-served — it connects, then
 //!   queues cleanly until a permit frees;

@@ -78,21 +78,33 @@ tier1() {
   echo "=== tier1: band-limited engine"
   # DESIGN.md §16: kernels are stored as their support boxes and the
   # convolution/correlation skip the transforms a box rules out. The
-  # dense path is the oracle: every nonzero value must match it bit for
-  # bit on pow2, Bluestein and odd grids, through the one serial code
-  # path that corner workers run too, and so must the fused SOCS image
-  # of three weighted kernels at three doses; the pruned column inverse
-  # must equal the dense one bit for bit, zero signs included, on every
-  # cyclic range of every power of two up to 64; the box build must
-  # reproduce the dense pupil build; a 512 px @ 2 nm
-  # contest bank must store under 1% of the grid per kernel. Also
-  # covered by the workspace test run above; repeated so a gate failure
-  # names the culprit.
+  # dense path is the oracle: every nonzero value of the box
+  # convolution and correlation must match it bit for bit on pow2,
+  # Bluestein and odd grids, through the one serial code path that
+  # corner workers run too. The SOCS image, summed on each bank's small
+  # grid, is the one numeric change (DESIGN.md §9): it must match the
+  # dense per-kernel sum within 1e-12 x the image peak, for three
+  # weighted kernels at three doses and at the shapes that run (the
+  # contest banks at 128 px @ 8 nm, the fast-preset bank, the 45x38
+  # Bluestein grid and the 16x15 @ 80 nm grid whose small grid
+  # aliases), and a bank pass over several doses must equal one
+  # single-dose pass per condition bit for bit. The pruned column
+  # inverse must equal the dense one bit for bit, zero signs included,
+  # on every cyclic range of every power of two up to 64; the box build
+  # must reproduce the dense pupil build; a 512 px @ 2 nm contest bank
+  # must store under 1% of the grid per kernel. Also covered by the
+  # workspace test run above; repeated so a gate failure names the
+  # culprit.
   cargo test -q -p mosaic-numerics --test differential box_
   cargo test -q -p mosaic-numerics --lib -- fft::tests::pruned_inverse_matches_dense_column_bit_for_bit
   cargo test -q -p mosaic-numerics --test proptests kernel_box_
   cargo test -q -p mosaic-optics --lib -- box_build_matches_dense_build \
-    contest_bank_stores_under_one_percent_of_the_grid
+    contest_bank_stores_under_one_percent_of_the_grid \
+    kernels::tests::socs_image_oracle_contest_banks_128px \
+    kernels::tests::socs_image_oracle_fast_preset_bank \
+    kernels::tests::socs_image_oracle_bluestein_45x38 \
+    kernels::tests::socs_image_oracle_aliased_16x15 \
+    simulator::tests::bank_pass_matches_the_per_condition_loop_bit_for_bit
   echo "=== tier1: clippy"
   cargo clippy --all-targets --workspace -- -D warnings
   echo "=== tier1: no-panic lint (library code)"
@@ -165,7 +177,9 @@ tier1() {
   # than in the next traced run.
   cargo build --release --offline --manifest-path perfbench/probe/Cargo.toml --bin perfbench-trace
   echo "=== tier1: rustdoc (warnings denied)"
-  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+  # Every workspace package, not only the root one: a private or
+  # redundant intra-doc link in any crate fails here.
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
   echo "=== tier1: fmt"
   cargo fmt --all --check
   echo "tier1 OK"
