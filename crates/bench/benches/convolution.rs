@@ -42,8 +42,8 @@ fn main() {
     let mut field = SplitSpectrum::zeros(N, N);
     let mut intensity = Grid::<f64>::zeros(N, N);
 
-    // The full SOCS aerial image: 24 convolutions reusing one mask
-    // spectrum.
+    // The full SOCS aerial image: the mask spectrum, then the 24-kernel
+    // bank's image pass on its small grid.
     report("socs_intensity_24k_256", 10, || {
         conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
         bank.aerial_images_split(

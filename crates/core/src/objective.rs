@@ -319,7 +319,7 @@ impl<'a> Objective<'a> {
             }
             let bank = sim.bank(b);
             let doses = &sim.doses()[conditions.clone()];
-            // One field pass images every dose of the bank.
+            // One image pass images every dose of the bank.
             let mut intensities = ws.take_real_grids(doses.len(), gw, gh);
             match cfg.gradient_mode {
                 GradientMode::Combined => {
