@@ -800,6 +800,76 @@ mod tests {
         check_gradient(TargetTerm::ImageDifference, GradientMode::PerKernel, window);
     }
 
+    /// FNV-1a over 64-bit words of two [`GradientMode::PerKernel`]
+    /// evaluations of `term` on `bench` in the contest preset (24
+    /// kernels, the five-condition window in three focus banks): at the
+    /// SRAF-seeded mask, then one max-normalized step along its gradient,
+    /// through one workspace. Every report value and every gradient value
+    /// is hashed.
+    fn per_kernel_bits_hash(
+        bench: mosaic_geometry::benchmarks::BenchmarkId,
+        grid: usize,
+        pixel_nm: f64,
+        term: TargetTerm,
+    ) -> u64 {
+        let layout = bench.layout().unwrap();
+        let contest = crate::mosaic::MosaicConfig::contest(grid, pixel_nm);
+        let mosaic = crate::mosaic::Mosaic::new(&layout, contest).unwrap();
+        let p = mosaic.problem();
+        assert_eq!(p.simulator().bank_count(), 3);
+        let cfg = config(term, GradientMode::PerKernel);
+        let obj = Objective::new(p, &cfg).unwrap();
+        let mut state = MaskState::from_mask(mosaic.initial_mask(), cfg.mask_steepness);
+        let mut ws = Workspace::new();
+        let mut eval = Evaluation::empty();
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..2 {
+            obj.evaluate_into(&state, &mut ws, &mut eval);
+            let r = eval.report;
+            for v in [r.total, r.target, r.pvb]
+                .iter()
+                .chain(eval.gradient.iter())
+            {
+                hash = (hash ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            let max = eval.gradient.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            state.step(&eval.gradient.map(|&g| g / max), 0.5);
+        }
+        hash
+    }
+
+    #[test]
+    fn per_kernel_evaluations_are_pinned_to_the_bit() {
+        // The exact adjoint's bits, pinned at cb63e46 (the finite-
+        // difference checks above only bound them): a radix-2 grid, and
+        // a 96 px grid whose rows and columns run Bluestein.
+        use mosaic_geometry::benchmarks::BenchmarkId;
+        let cases = [
+            (
+                BenchmarkId::B4,
+                128,
+                8.0,
+                [0x36b0_8b72_83e0_c556, 0xd1be_c7c7_c592_b017],
+            ),
+            (
+                BenchmarkId::B2,
+                96,
+                12.0,
+                [0x3b54_360f_7d9c_ad6c, 0x0082_57a6_f685_3f21],
+            ),
+        ];
+        for (bench, grid, pixel_nm, pins) in cases {
+            let terms = [TargetTerm::ImageDifference, TargetTerm::EdgePlacement];
+            for (term, pin) in terms.into_iter().zip(pins) {
+                let hash = per_kernel_bits_hash(bench, grid, pixel_nm, term);
+                assert_eq!(
+                    hash, pin,
+                    "{bench:?} {grid} px @ {pixel_nm} nm {term:?}: {hash:#018x}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn parallel_evaluation_matches_serial_bit_for_bit_on_shared_banks() {
         let p = problem(ProcessCondition::contest_window());
