@@ -872,10 +872,33 @@ mod tests {
 
     #[test]
     fn parallel_evaluation_matches_serial_bit_for_bit_on_shared_banks() {
-        let p = problem(ProcessCondition::contest_window());
+        // The contest window's nominal bank holds the nominal condition
+        // alone; the second window puts a dose corner in it, so the
+        // calling thread runs a corner too, and gives its +25 nm bank two
+        // doses and its −25 nm bank one.
+        let corner_at_focus = vec![
+            ProcessCondition::NOMINAL,
+            ProcessCondition::new(0.0, 0.98),
+            ProcessCondition::new(25.0, 1.0),
+            ProcessCondition::new(25.0, 1.02),
+            ProcessCondition::new(-25.0, 0.98),
+        ];
+        for (window, conditions) in [
+            ("contest", ProcessCondition::contest_window()),
+            ("corner at focus", corner_at_focus),
+        ] {
+            let p = problem(conditions);
+            assert_eq!(p.simulator().bank_count(), 3, "{window}");
+            check_parallel_matches_serial(&p, window);
+        }
+    }
+
+    /// Serial and fanned-out evaluations of both target terms on `p`,
+    /// at threads 2–4 and twice per pool, agree bit for bit.
+    fn check_parallel_matches_serial(p: &OpcProblem, window: &str) {
         for term in [TargetTerm::ImageDifference, TargetTerm::EdgePlacement] {
             let cfg = config(term, GradientMode::Combined);
-            let obj = Objective::new(&p, &cfg).unwrap();
+            let obj = Objective::new(p, &cfg).unwrap();
             // A perturbed mask, so every corner prints differently.
             let mut state = MaskState::from_mask(p.target(), cfg.mask_steepness);
             let (w, h) = state.dims();
@@ -884,14 +907,17 @@ mod tests {
             let mut ws = Workspace::new();
             let mut serial = Evaluation::empty();
             obj.evaluate_into(&state, &mut ws, &mut serial);
-            assert!(serial.report.pvb > 0.0, "{term:?}: no PV-band term");
+            assert!(
+                serial.report.pvb > 0.0,
+                "{window} {term:?}: no PV-band term"
+            );
             for threads in [2, 3, 4] {
                 let mut par = obj.parallel_exec(threads).unwrap();
                 let mut parallel = Evaluation::empty();
                 // Twice: the second run reuses the warm tasks.
                 for run in 0..2 {
                     obj.evaluate_parallel(&state, &mut ws, &mut parallel, &mut par);
-                    let label = format!("{term:?} threads {threads} run {run}");
+                    let label = format!("{window} {term:?} threads {threads} run {run}");
                     let (a, b) = (serial.report, parallel.report);
                     assert_eq!(a.total.to_bits(), b.total.to_bits(), "{label}: total");
                     assert_eq!(a.target.to_bits(), b.target.to_bits(), "{label}: target");
