@@ -33,7 +33,8 @@
 //! so a bank's kernels are imaged and summed on a small grid at least
 //! twice the widest box ([`IntensityPlan`]: 32×32 for the pupil kernels
 //! of the presets), and one forward transform there plus one pruned
-//! full-grid real inverse per dose gives the image. This is the one
+//! full-grid real inverse per dose gives the image; the correlation ends
+//! in the same real inverse, over every row. This is the one
 //! operation here that is not bit-identical to the dense path: it is
 //! equal in exact arithmetic and within `1e-12 ×` the image peak in
 //! floats (DESIGN.md §9).
@@ -678,7 +679,10 @@ impl Convolver {
         for (image, sum) in images.iter_mut().zip(&sums) {
             plan.plan.forward_real_split_into(sum, &mut half, ws);
             fold_intensity_spectrum(plan, &half, (w, h), rows, &mut folded, scale);
-            self.plan.inverse_real_from_box(&folded, rows, image, ws);
+            self.plan
+                .inverse_real_pruned(&folded, &[0..cols], rows, ws, |y, row| {
+                    image.row_mut(y).copy_from_slice(row);
+                });
         }
         ws.give_split(folded);
         ws.give_split(half);
@@ -696,8 +700,9 @@ impl Convolver {
     /// is folded into its Hermitian part `(P(f) + conj(P(−f)))/2`, which
     /// inverse-transforms to exactly `Re(F⁻¹ P)` (exact arithmetic), and
     /// only the half-spectrum columns the box or its mirror reaches go
-    /// through the inverse column pass before the `w/2 + 1`-column real
-    /// row inverse.
+    /// through the column inverse, over every row, before the
+    /// `w/2 + 1`-column real row inverse — the same real inverse as the
+    /// SOCS image's.
     ///
     /// # Panics
     ///
@@ -729,8 +734,13 @@ impl Convolver {
         let mut half = ws.take_split(h, reached.count());
         fold_hermitian(&columns, kernel, &reached, &mut half);
         ws.give_split(columns);
+        let every_row = CyclicRange::full(h);
         self.plan
-            .c2r_columns_accumulate(&mut half, reached.runs(), scale, acc, ws);
+            .inverse_real_pruned(&half, reached.runs(), every_row, ws, |y, row| {
+                for (a, &r) in acc.row_mut(y).iter_mut().zip(row) {
+                    *a += scale * r;
+                }
+            });
         ws.give_split(half);
     }
 }

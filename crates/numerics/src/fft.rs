@@ -21,7 +21,10 @@
 //! columns ([`Fft2d::forward_real_split_into`] /
 //! [`Fft2d::inverse_real_split_into`]), which roughly halves the
 //! row-transform work by packing even/odd samples into one half-length
-//! complex FFT.
+//! complex FFT. Its pruned form, which inverts only the listed
+//! half-spectrum columns over a cyclic row range before rebuilding every
+//! real row, ends both the SOCS image and the gradient correlation
+//! (DESIGN.md §16).
 //!
 //! Every transform here is serial. Intra-job parallelism fans out whole
 //! process corners one level up (DESIGN.md §14), and each corner runs
@@ -589,8 +592,6 @@ fn rows_split(
 /// half spectrum of `w/2 + 1` columns.
 #[derive(Debug, Clone)]
 enum RealRowPlan {
-    /// `w == 1`: the row transform is the identity.
-    Trivial,
     /// Even width: pack adjacent sample pairs into one half-length
     /// complex FFT, then untangle the even/odd sub-spectra.
     Even {
@@ -600,7 +601,8 @@ enum RealRowPlan {
         tw: Arc<[Complex]>,
     },
     /// Odd width: full-width complex row transform, keep the first
-    /// `w/2 + 1` bins (the rest are their mirror conjugates).
+    /// `w/2 + 1` bins (the rest are their mirror conjugates). At `w == 1`
+    /// the transform is the identity.
     Odd,
 }
 
@@ -626,9 +628,7 @@ impl Fft2d {
     ///
     /// Panics if either dimension is zero.
     pub fn new(width: usize, height: usize) -> Self {
-        let half = if width == 1 {
-            RealRowPlan::Trivial
-        } else if width.is_multiple_of(2) {
+        let half = if width.is_multiple_of(2) {
             let tw: Vec<Complex> = (0..=width / 2)
                 .map(|k| Complex::cis(-2.0 * PI * k as f64 / width as f64))
                 .collect();
@@ -731,10 +731,6 @@ impl Fft2d {
         debug_assert_eq!(out_re.len(), hw);
         debug_assert_eq!(out_im.len(), hw);
         match &self.half {
-            RealRowPlan::Trivial => {
-                out_re[0] = input[0];
-                out_im[0] = 0.0;
-            }
             RealRowPlan::Even { half_fft, tw } => {
                 let m = w / 2;
                 let mut zr = ws.take_real(m);
@@ -788,7 +784,6 @@ impl Fft2d {
         debug_assert_eq!(spec_im.len(), hw);
         debug_assert_eq!(out.len(), w);
         match &self.half {
-            RealRowPlan::Trivial => out[0] = spec_re[0],
             RealRowPlan::Even { half_fft, tw } => {
                 let m = w / 2;
                 let mut zr = ws.take_real(m);
@@ -1006,71 +1001,39 @@ impl Fft2d {
         rows_split(&self.col, or_, oi, FftDirection::Forward, ws);
     }
 
-    /// Inverse of a Hermitian half spectrum whose nonzero columns are
-    /// the ascending `runs` of `0..w/2+1`, given column-major in `half`
-    /// (the `c`-th listed column is row `c` of the `h`-wide `half`,
-    /// whose planes are consumed as scratch): the listed columns are
-    /// inverse column-transformed, then every real row is rebuilt and
-    /// `scale ·` it accumulated into `acc`. Equals
+    /// Rebuilds every real row `y` of the inverse of a Hermitian half
+    /// spectrum and hands it to `row(y, values)`. The spectrum's nonzero
+    /// bins all lie in the listed columns `cols` (ascending runs of
+    /// `0..w/2+1`) and the cyclic row range `rows`, given column-major in
+    /// `band`: the `c`-th listed column is row `c` of the
+    /// `rows.len()`-wide band, in range order. Each listed column runs
+    /// [`Fft::inverse_pruned`], then every real row is rebuilt from its
+    /// half row, whose unlisted columns are zero. Over the full row
+    /// range the pruned inverse runs the dense column pass butterfly for
+    /// butterfly, so the rows are those of
     /// [`inverse_real_split_into`](Self::inverse_real_split_into) of the
-    /// dense half spectrum followed by `acc += scale · out`.
-    pub(crate) fn c2r_columns_accumulate(
-        &self,
-        half: &mut SplitSpectrum,
-        runs: &[Range<usize>],
-        scale: f64,
-        acc: &mut Grid<f64>,
-        ws: &mut Workspace,
-    ) {
-        let (w, h) = (self.width(), self.height());
-        let count: usize = runs.iter().map(ExactSizeIterator::len).sum();
-        assert_eq!(half.dims(), (h, count), "column scratch shape mismatch");
-        assert_eq!(
-            acc.dims(),
-            (w, h),
-            "real output {}x{} does not match plan {w}x{h}",
-            acc.width(),
-            acc.height()
-        );
-        let (cre, cim) = half.planes_mut();
-        rows_split(&self.col, cre, cim, FftDirection::Inverse, ws);
-        self.c2r_rows(half, runs, ws, |y, row| {
-            for (a, &r) in acc.row_mut(y).iter_mut().zip(row) {
-                *a += scale * r;
-            }
-        });
-    }
-
-    /// Overwrites `out` with the real inverse of a Hermitian half
-    /// spectrum whose nonzero bins all lie in the columns `0..cols` and
-    /// the cyclic row range `rows`, given column-major in `band`
-    /// (column `c` is row `c` of the `rows.len()`-wide band, in range
-    /// order): each column runs [`Fft::inverse_pruned`], then every real
-    /// row is rebuilt from its half row. Equals
-    /// [`inverse_real_split_into`](Self::inverse_real_split_into) of the
-    /// zero-filled half spectrum up to the sign of a zero.
-    pub(crate) fn inverse_real_from_box(
+    /// zero-filled half spectrum. The SOCS image copies each row out; the
+    /// gradient correlation passes every row and adds `scale ·` each row.
+    pub(crate) fn inverse_real_pruned(
         &self,
         band: &SplitSpectrum,
+        cols: &[Range<usize>],
         rows: CyclicRange,
-        out: &mut Grid<f64>,
         ws: &mut Workspace,
+        mut row: impl FnMut(usize, &[f64]),
     ) {
         let (w, h) = (self.width(), self.height());
-        let cols = band.height();
-        assert_eq!(rows.axis_len(), h, "row range does not match plan height");
-        assert_eq!(band.width(), rows.len(), "column band shape mismatch");
-        assert!(cols <= self.half_width(), "band wider than a half spectrum");
-        assert_eq!(
-            out.dims(),
-            (w, h),
-            "real output {}x{} does not match plan {w}x{h}",
-            out.width(),
-            out.height()
-        );
+        let hw = self.half_width();
         let r = rows.len();
+        let count: usize = cols.iter().map(ExactSizeIterator::len).sum();
+        assert_eq!(rows.axis_len(), h, "row range does not match plan height");
+        assert_eq!(band.dims(), (r, count), "column band shape mismatch");
+        assert!(
+            cols.iter().all(|c| c.end <= hw),
+            "column outside the half spectrum"
+        );
         let (br, bi) = band.planes();
-        let mut columns = ws.take_split(h, cols);
+        let mut columns = ws.take_split(h, count);
         let (cre, cim) = columns.planes_mut();
         for (c, (cr, ci)) in cre
             .chunks_exact_mut(h)
@@ -1080,34 +1043,13 @@ impl Fft2d {
             let live = |t: usize| (br[c * r + t], bi[c * r + t]);
             self.col.inverse_pruned(rows, live, cr, ci, ws);
         }
-        self.c2r_rows(&columns, std::slice::from_ref(&(0..cols)), ws, |y, row| {
-            out.row_mut(y).copy_from_slice(row);
-        });
-        ws.give_split(columns);
-    }
-
-    /// Rebuilds every real row `y` of the inverse from column-transformed
-    /// half-spectrum columns at the ascending `runs` of `0..w/2+1`, given
-    /// column-major in `columns` (the `c`-th listed column is row `c` of
-    /// the `h`-wide `columns`; unlisted columns are zero), and hands it
-    /// to `row(y, values)`.
-    fn c2r_rows(
-        &self,
-        columns: &SplitSpectrum,
-        runs: &[Range<usize>],
-        ws: &mut Workspace,
-        mut row: impl FnMut(usize, &[f64]),
-    ) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        let (cre, cim) = columns.planes();
         // Unlisted columns are zero in every row, so the row buffers are
         // zeroed once and only the listed entries rewritten per row.
         let mut row_re = ws.take_real_zeroed(hw);
         let mut row_im = ws.take_real_zeroed(hw);
         let mut out = ws.take_real(w);
         for y in 0..h {
-            for (c, x) in runs.iter().cloned().flatten().enumerate() {
+            for (c, x) in cols.iter().cloned().flatten().enumerate() {
                 row_re[x] = cre[c * h + y];
                 row_im[x] = cim[c * h + y];
             }
@@ -1117,6 +1059,7 @@ impl Fft2d {
         ws.give_real(out);
         ws.give_real(row_im);
         ws.give_real(row_re);
+        ws.give_split(columns);
     }
 
     /// Expands a Hermitian half spectrum to the full `w × h` spectrum
@@ -1463,7 +1406,7 @@ mod tests {
 
     #[test]
     fn expanded_half_spectrum_matches_complex_forward() {
-        for (w, h) in [(8, 8), (16, 12), (7, 5), (6, 9)] {
+        for (w, h) in [(8, 8), (16, 12), (7, 5), (6, 9), (1, 4)] {
             let plan = Fft2d::new(w, h);
             let input = Grid::from_fn(w, h, |x, y| (x as f64 - 0.3 * y as f64).sin());
             let full = real_spectrum(&plan, &input, &mut Workspace::new()).to_grid();
