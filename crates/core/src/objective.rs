@@ -296,8 +296,7 @@ impl<'a> Objective<'a> {
         let mut dz = ws.take_real_grid(gw, gh);
         let mut g = ws.take_real_grid(gw, gh);
         // Per-kernel field handles (PerKernel mode only); the plane
-        // buffers come from the workspace and are returned after the
-        // bank loop.
+        // buffers come from the workspace and go back after each bank.
         let mut fields: Vec<SplitSpectrum> = Vec::new();
         let mut report = ObjectiveReport::default();
 
@@ -321,20 +320,9 @@ impl<'a> Objective<'a> {
             let doses = &sim.doses()[conditions.clone()];
             // One image pass images every dose of the bank.
             let mut intensities = ws.take_real_grids(doses.len(), gw, gh);
-            match cfg.gradient_mode {
-                GradientMode::Combined => {
-                    bank.aerial_images_split(conv, &mask_spectrum, doses, &mut intensities, ws);
-                }
-                GradientMode::PerKernel => bank.aerial_images_with_fields_split(
-                    conv,
-                    &mask_spectrum,
-                    doses,
-                    &mut intensities,
-                    &mut fields,
-                    ws,
-                ),
-            }
-            // `E_H = M ⊗ H`, convolved by the bank's first backprop.
+            bank.aerial_images_split(conv, &mask_spectrum, doses, &mut intensities, ws);
+            // `E_H = M ⊗ H`, or every `E_k = M ⊗ h_k` in `fields`,
+            // convolved by the bank's first backprop.
             let mut e_h = None;
             let last = conditions.end - 1;
             for ((c, intensity), &dose) in conditions.zip(intensities.drain(..)).zip(doses) {
@@ -380,8 +368,9 @@ impl<'a> Objective<'a> {
                     GradientMode::PerKernel => {
                         self.backpropagate_per_kernel(
                             conv,
+                            &mask_spectrum,
                             bank,
-                            &fields,
+                            &mut fields,
                             &g,
                             2.0 * dose,
                             &mut grad_mask,
@@ -391,6 +380,9 @@ impl<'a> Objective<'a> {
                 }
             }
             ws.give_real_grids(intensities);
+            for field in fields.drain(..) {
+                ws.give_split(field);
+            }
         }
         if let Some(p) = par {
             // Drain the bank workers, then replay the two cross-corner
@@ -426,9 +418,6 @@ impl<'a> Objective<'a> {
         }
         eval.report = report;
 
-        for f in fields.drain(..) {
-            ws.give_split(f);
-        }
         ws.give_real_grid(g);
         ws.give_real_grid(dz);
         ws.give_real_grid(z);
@@ -518,21 +507,31 @@ impl<'a> Objective<'a> {
     }
 
     /// `∂F/∂M += scale · Σ_k w_k Re[(G ⊙ E_k) ★ h_k]` with the exact
-    /// per-kernel adjoint.
+    /// per-kernel adjoint. A bank's first call (no `fields`) convolves
+    /// every `E_k = M ⊗ h_k` into `fields`, and its other doses reuse
+    /// them, as [`backpropagate_combined`] reuses `E_H`.
     #[allow(clippy::too_many_arguments)]
     fn backpropagate_per_kernel(
         &self,
         conv: &Convolver,
+        mask_spectrum: &SplitSpectrum,
         bank: &KernelSet,
-        fields: &[SplitSpectrum],
+        fields: &mut Vec<SplitSpectrum>,
         g: &Grid<f64>,
         scale: f64,
         grad_mask: &mut Grid<f64>,
         ws: &mut Workspace,
     ) {
         let (gw, gh) = grad_mask.dims();
+        if fields.is_empty() {
+            for kernel in bank.kernels() {
+                let mut field = ws.take_split(gw, gh);
+                conv.convolve_spectrum_split_into(mask_spectrum, &kernel.spectrum, &mut field, ws);
+                fields.push(field);
+            }
+        }
         let mut weighted = ws.take_split(gw, gh);
-        for (kernel, field) in bank.kernels().iter().zip(fields) {
+        for (kernel, field) in bank.kernels().iter().zip(fields.iter()) {
             weight_split_by_real(field, g, &mut weighted);
             conv.correlate_re_accumulate_split(
                 &mut weighted,

@@ -20,7 +20,9 @@
 //! and stored ([`KernelSpectrum`], DESIGN.md §16): bank memory scales with
 //! the pupil support, not with the grid. The bank's image is summed on a
 //! small grid planned once from those boxes ([`IntensityPlan`]), so its
-//! cost per kernel does not grow with the grid either.
+//! cost per kernel does not grow with the grid either. That pass is the
+//! bank's one image call ([`KernelSet::aerial_images_split`]); a gradient
+//! that needs the coherent fields convolves them itself.
 
 use crate::config::OpticsConfig;
 use mosaic_numerics::{
@@ -160,8 +162,9 @@ impl KernelSet {
     /// full-grid inverse per dose writes its image. A dose's image gets
     /// exactly the bits a pass for that dose alone would give, and stays
     /// within `1e-12 ×` its peak of the dense per-kernel sum. The serial
-    /// bank loop, the focus-bank tasks, single-condition images and
-    /// contest scoring all image through this call (DESIGN.md §16).
+    /// bank loop in both gradient modes, the focus-bank tasks,
+    /// single-condition images and contest scoring all image through
+    /// this call (DESIGN.md §16).
     ///
     /// # Panics
     ///
@@ -184,48 +187,6 @@ impl KernelSet {
             intensities,
             ws,
         );
-    }
-
-    /// Like [`aerial_images_split`](Self::aerial_images_split) — the same
-    /// pass writes the images, so they are its bits — but also refills
-    /// `fields` with every coherent field `E_k = M ⊗ h_k`, reusing
-    /// spectra already in `fields` when their shape matches (and drawing
-    /// any missing ones from `ws`).
-    ///
-    /// The per-kernel gradient (Eq. (14)) needs these fields, so the
-    /// optimizer asks for them once per focus state and reuses them for
-    /// every dose; callers give the spectra back to `ws` when done — or
-    /// simply keep the `Vec` alive across iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `doses` and `intensities` differ in length or shapes
-    /// differ from the bank's grid.
-    pub fn aerial_images_with_fields_split(
-        &self,
-        convolver: &Convolver,
-        mask_spectrum: &SplitSpectrum,
-        doses: &[f64],
-        intensities: &mut [Grid<f64>],
-        fields: &mut Vec<SplitSpectrum>,
-        ws: &mut Workspace,
-    ) {
-        let shape = (self.width, self.height);
-        for misfit in fields.extract_if(.., |f| f.dims() != shape) {
-            ws.give_split(misfit);
-        }
-        while fields.len() < self.kernels.len() {
-            fields.push(ws.take_split(self.width, self.height));
-        }
-        while fields.len() > self.kernels.len() {
-            if let Some(extra) = fields.pop() {
-                ws.give_split(extra);
-            }
-        }
-        self.aerial_images_split(convolver, mask_spectrum, doses, intensities, ws);
-        for (k, field) in self.kernels.iter().zip(fields.iter_mut()) {
-            convolver.convolve_spectrum_split_into(mask_spectrum, &k.spectrum, field, ws);
-        }
     }
 }
 
@@ -392,104 +353,6 @@ mod tests {
         for (a, b) in combined.to_grid().iter().zip(manual.iter()) {
             assert!((*a - *b).norm() < 1e-12);
         }
-    }
-
-    #[test]
-    fn fields_returned_match_intensity() {
-        let set = KernelSet::build(&small_config(), 10.0).unwrap();
-        let conv = Convolver::new(64, 64);
-        let mask = Grid::from_fn(64, 64, |x, _| if x > 20 && x < 44 { 1.0 } else { 0.0 });
-        let mut ws = Workspace::new();
-        let mut spectrum = SplitSpectrum::zeros(64, 64);
-        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
-        let mut intensity = Grid::zeros(64, 64);
-        let mut fields = Vec::new();
-        set.aerial_images_with_fields_split(
-            &conv,
-            &spectrum,
-            &[1.02],
-            std::slice::from_mut(&mut intensity),
-            &mut fields,
-            &mut ws,
-        );
-        assert_eq!(fields.len(), set.kernels().len());
-        let manual: f64 = set
-            .kernels()
-            .iter()
-            .zip(&fields)
-            .map(|(k, f)| k.weight * 1.02 * f.at(32 * 64 + 32).norm_sqr())
-            .sum();
-        assert!((intensity[(32, 32)] - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn with_fields_image_is_bit_identical_to_accumulate() {
-        let config = small_config();
-        let set = KernelSet::build(&config, 10.0).unwrap();
-        let conv = Convolver::new(64, 64);
-        let mask = Grid::from_fn(
-            64,
-            64,
-            |x, y| if (x / 8 + y / 8) % 2 == 0 { 1.0 } else { 0.0 },
-        );
-        let mut ws = Workspace::new();
-        let mut split_spec = SplitSpectrum::zeros(64, 64);
-        conv.forward_real_split_into(&mask, &mut split_spec, &mut ws);
-        let doses = [0.98, 1.02];
-        let mut accumulated = vec![Grid::zeros(64, 64); 2];
-        set.aerial_images_split(&conv, &split_spec, &doses, &mut accumulated, &mut ws);
-
-        let mut fields = Vec::new();
-        let mut with_fields = vec![Grid::zeros(64, 64); 2];
-        set.aerial_images_with_fields_split(
-            &conv,
-            &split_spec,
-            &doses,
-            &mut with_fields,
-            &mut fields,
-            &mut ws,
-        );
-        assert_eq!(fields.len(), set.kernels().len());
-        for (d, (wf, acc)) in with_fields.iter().zip(&accumulated).enumerate() {
-            for (i, (a, b)) in wf.iter().zip(acc.iter()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "with-fields dose {d} pixel {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn mismatched_fields_go_back_to_the_pool() {
-        let set = KernelSet::build(&small_config(), 10.0).unwrap();
-        let conv = Convolver::new(64, 64);
-        let mask = Grid::from_fn(64, 64, |x, _| if x > 20 && x < 44 { 1.0 } else { 0.0 });
-        let mut ws = Workspace::new();
-        let mut spectrum = SplitSpectrum::zeros(64, 64);
-        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
-        let mut image = Grid::zeros(64, 64);
-        let mut fields = Vec::new();
-        let mut pass = |fields: &mut Vec<SplitSpectrum>, ws: &mut Workspace| {
-            set.aerial_images_with_fields_split(
-                &conv,
-                &spectrum,
-                &[1.0],
-                std::slice::from_mut(&mut image),
-                fields,
-                ws,
-            );
-        };
-        // The first pass warms the pool; the second holds one field of
-        // the wrong shape among the right ones.
-        pass(&mut fields, &mut ws);
-        let pooled = ws.pooled_buffers();
-        fields.insert(3, SplitSpectrum::zeros(32, 32));
-        pass(&mut fields, &mut ws);
-        assert_eq!(fields.len(), set.kernels().len());
-        assert!(fields.iter().all(|f| f.dims() == (64, 64)));
-        assert_eq!(
-            ws.pooled_buffers(),
-            pooled + 2,
-            "the misfit's two planes are pooled, not freed"
-        );
     }
 
     /// Largest `|a − b|` over two grids of one shape; NaN if any
