@@ -218,8 +218,8 @@ impl<'a> ExecutionSession<'a> {
     /// private pool, so a warmed workspace makes the main loop
     /// allocation-free (and worker threads can share one pool across
     /// jobs). The hot loop's spectral intermediates are re/im plane
-    /// pairs drawn via `take_split` (DESIGN.md §16);
-    /// [`Workspace::warm_spectral`] pre-sizes the pool for them.
+    /// pairs drawn via `take_split` (DESIGN.md §16); the first
+    /// evaluation draws them, and every later one reuses them.
     #[must_use]
     pub fn workspace(mut self, ws: &'a mut Workspace) -> Self {
         self.workspace = Some(ws);

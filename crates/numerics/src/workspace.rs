@@ -147,12 +147,14 @@ impl Workspace {
         self.give_real(im);
     }
 
-    /// Preallocates the buffers a `width × height` spectral pipeline
-    /// (forward real FFT, the small-grid SOCS image pass, the box
-    /// convolution and the adjoint correlation) needs, so even the very
-    /// first iteration after this call stays off the allocator. Sized
-    /// generously; overshoot is a few reusable buffers, never a
-    /// correctness issue.
+    /// Preallocates a fixed list of buffers for a `width × height`
+    /// spectral pipeline (forward real FFT, the small-grid SOCS image
+    /// pass, the box convolution and the adjoint correlation). Nothing
+    /// in the program calls this: the pipeline draws its scratch on
+    /// first use, so each pool holds what its first evaluation drew and
+    /// nothing more. Only the benchmark probe (`perfbench/probe`)
+    /// pre-warms through it, and it goes with the probe's two calls at
+    /// the next change to the benchmark.
     pub fn warm_spectral(&mut self, width: usize, height: usize) {
         let full = width * height;
         let half = (width / 2 + 1) * height;
@@ -169,8 +171,8 @@ impl Workspace {
         // correlation (the kernel's box columns of the forward spectrum
         // and the folded half-spectrum columns, at most a half spectrum
         // each) and of the image's pruned real inverse (its live
-        // half-spectrum columns), the half-row and row buffers of both
-        // real inverses, and the Bluestein pad / real-row pack scratch
+        // half-spectrum columns), the half-row and row buffers of the
+        // real inverse, and the Bluestein pad / real-row pack scratch
         // for non-power-of-two shapes. The image pass also draws, per
         // bank, one small-grid sum per dose and the small grid's field,
         // row band, transpose scratch, half spectrum and folded bins; no

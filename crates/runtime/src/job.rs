@@ -683,10 +683,6 @@ fn attempt_on(
             &job_config.conditions,
         )
         .map_err(|e| format!("simulator build failed: {e}"))?;
-    // Pre-size the pool for this job's grid: the cached simulator fixes
-    // the spectral working set, so warming here means even the first
-    // iteration allocates nothing inside the optimizer loop.
-    ws.warm_spectral(job_config.optics.grid_width, job_config.optics.grid_height);
     let mut config = job_config.clone();
     if let Some(i) = ctx.faults.nan_gradient_at(&spec.id, attempt) {
         config.opt.fault_nan_gradient_at = Some(i);
