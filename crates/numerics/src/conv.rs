@@ -669,18 +669,19 @@ impl Convolver {
             }
         }
         ws.give_split(field);
-        // The image spectrum's live bins: half-spectrum columns `0..cols`
-        // and the rows of offsets `−(bh − 1)..=bh − 1`.
-        let cols = bw.min(self.plan.half_width());
+        // The image spectrum's live bins: the half-spectrum columns
+        // `cols` and the rows of offsets `−(bh − 1)..=bh − 1`.
+        let cols = 0..bw.min(self.plan.half_width());
         let rows = CyclicRange::new((h + 1 - bh.max(1)) % h, (2 * bh).saturating_sub(1), h);
         let scale = (lx * ly) as f64 / (w * h) as f64;
         let mut half = ws.take_split(plan.plan.half_width(), ly);
-        let mut folded = ws.take_split(rows.len(), cols);
+        let mut folded = ws.take_split(rows.len(), cols.len());
         for (image, sum) in images.iter_mut().zip(&sums) {
             plan.plan.forward_real_split_into(sum, &mut half, ws);
             fold_intensity_spectrum(plan, &half, (w, h), rows, &mut folded, scale);
+            let live = std::slice::from_ref(&cols);
             self.plan
-                .inverse_real_pruned(&folded, &[0..cols], rows, ws, |y, row| {
+                .inverse_real_pruned(&folded, live, rows, ws, |y, row| {
                     image.row_mut(y).copy_from_slice(row);
                 });
         }

@@ -1002,18 +1002,17 @@ impl Fft2d {
     }
 
     /// Rebuilds every real row `y` of the inverse of a Hermitian half
-    /// spectrum and hands it to `row(y, values)`. The spectrum's nonzero
-    /// bins all lie in the listed columns `cols` (ascending runs of
-    /// `0..w/2+1`) and the cyclic row range `rows`, given column-major in
-    /// `band`: the `c`-th listed column is row `c` of the
-    /// `rows.len()`-wide band, in range order. Each listed column runs
-    /// [`Fft::inverse_pruned`], then every real row is rebuilt from its
-    /// half row, whose unlisted columns are zero. Over the full row
-    /// range the pruned inverse runs the dense column pass butterfly for
-    /// butterfly, so the rows are those of
+    /// spectrum and hands it to `row(y, values)`: the SOCS image copies
+    /// each row out, the gradient correlation adds `scale ·` it. The
+    /// spectrum's nonzero bins all lie in the listed columns `cols`
+    /// (ascending runs of `0..w/2+1`) and the cyclic row range `rows`,
+    /// given column-major in `band`: the `c`-th listed column is row `c`
+    /// of the `rows.len()`-wide band, in range order. Each listed column
+    /// runs [`Fft::inverse_pruned`] (over the full row range, the dense
+    /// column inverse butterfly for butterfly), then every real row is
+    /// rebuilt from its half row, whose unlisted columns are zero. Equals
     /// [`inverse_real_split_into`](Self::inverse_real_split_into) of the
-    /// zero-filled half spectrum. The SOCS image copies each row out; the
-    /// gradient correlation passes every row and adds `scale ·` each row.
+    /// zero-filled half spectrum up to the sign of a zero.
     pub(crate) fn inverse_real_pruned(
         &self,
         band: &SplitSpectrum,
