@@ -69,9 +69,13 @@ tier1() {
   # the golden B1 snapshot must pin the exact same constants on the
   # parallel path, as must the B4 contest-window MOSAIC_exact snapshot
   # (five conditions in three focus states, best objective pinned to
-  # the bit). Also covered by the workspace test run above; repeated so
-  # a gate failure names the culprit.
-  cargo test -q -p mosaic-core --lib -- objective::tests::parallel_exec_fans_out_only_process_corners
+  # the bit). A serial and a fanned-out evaluation must agree bit for
+  # bit at threads 2-4 on the contest window and on a window with a
+  # dose corner in the nominal bank, which the calling thread runs.
+  # Also covered by the workspace test run above; repeated so a gate
+  # failure names the culprit.
+  cargo test -q -p mosaic-core --lib -- objective::tests::parallel_exec_fans_out_only_process_corners \
+    objective::tests::parallel_evaluation_matches_serial_bit_for_bit_on_shared_banks
   cargo test -q -p mosaic-runtime --test batch one_and_four_workers_agree_bit_for_bit
   cargo test -q -p mosaic-runtime --test golden -- b1_fast_preset_golden_snapshot \
     b4_contest_exact_golden_snapshot
@@ -88,7 +92,10 @@ tier1() {
   # contest banks at 128 px @ 8 nm, the fast-preset bank, the 45x38
   # Bluestein grid and the 16x15 @ 80 nm grid whose small grid
   # aliases), and a bank pass over several doses must equal one
-  # single-dose pass per condition bit for bit. The pruned column
+  # single-dose pass per condition bit for bit. The image and the
+  # gradient correlation end in one pruned real inverse; the
+  # per-kernel gradient's bits are pinned on the contest window at a
+  # power-of-two and a Bluestein grid. The pruned column
   # inverse must equal the dense one bit for bit, zero signs included,
   # on every cyclic range of every power of two up to 64; the box build
   # must reproduce the dense pupil build; a 512 px @ 2 nm contest bank
@@ -105,6 +112,7 @@ tier1() {
     kernels::tests::socs_image_oracle_bluestein_45x38 \
     kernels::tests::socs_image_oracle_aliased_16x15 \
     simulator::tests::bank_pass_matches_the_per_condition_loop_bit_for_bit
+  cargo test -q -p mosaic-core --lib -- objective::tests::per_kernel_evaluations_are_pinned_to_the_bit
   echo "=== tier1: clippy"
   cargo clippy --all-targets --workspace -- -D warnings
   echo "=== tier1: no-panic lint (library code)"
