@@ -18,11 +18,12 @@
 //! [`Objective::parallel_exec`](crate::objective::Objective::parallel_exec)
 //! builds one only when there are banks to fan out, with
 //! `min(threads − 1, banks − 1)` workers, so every worker gets a bank
-//! and at most `threads` OS threads are ever runnable: the calling
-//! thread runs the nominal bank and, when banks outnumber workers, one
-//! bank of each chunk.
+//! and at most `threads` OS threads are ever runnable. The banks go
+//! out in one wave: each worker takes one, and the calling thread runs
+//! the nominal bank and then every corner bank no worker holds, all
+//! through the one bank body of the serial path.
 
-use crate::objective::{backpropagate_combined, pvb_accumulate};
+use crate::objective::{evaluate_bank, pvb_accumulate, BankGradient, GradientMode};
 use mosaic_numerics::{
     Convolver, Grid, KernelSpectrum, PoolTask, SplitSpectrum, WorkerPool, Workspace,
 };
@@ -59,55 +60,26 @@ pub(crate) struct CornerTask {
 }
 
 impl PoolTask for CornerTask {
-    /// The exact per-bank body of the serial bank loop (one image pass
-    /// for every dose, then per corner resist → `∂F/∂I` → combined-kernel
-    /// backprop, through the same [`pvb_accumulate`] and
-    /// [`backpropagate_combined`]), stopping short of the two
-    /// cross-corner accumulates, which the caller replays serially.
+    /// The bank body of the serial path ([`evaluate_bank`]) with the
+    /// [`pvb_accumulate`] term at every corner, each corner's backprop
+    /// landing on its zeroed `r_plane`; the two cross-corner
+    /// accumulates are left to the caller, which replays them serially.
     fn run(&mut self, ws: &mut Workspace) {
-        let (gw, gh) = self.mask_spectrum.dims();
-        let mut intensities = ws.take_real_grids(self.doses.len(), gw, gh);
-        let mut z = ws.take_real_grid(gw, gh);
-        let mut dz = ws.take_real_grid(gw, gh);
-        let mut g = ws.take_real_grid(gw, gh);
-        self.bank.aerial_images_split(
+        evaluate_bank(
             &self.conv,
             &self.mask_spectrum,
+            &self.bank,
+            &self.combined,
+            &self.resist,
             &self.doses,
-            &mut intensities,
+            GradientMode::Combined,
+            BankGradient::PerDose(&mut self.r_planes),
             ws,
+            |i, z, dz, g, _| {
+                self.pvb_values[i] =
+                    pvb_accumulate(z, &self.target, dz, self.beta, self.pixel_area, g);
+            },
         );
-        let mut e_h = None;
-        let last = self.doses.len() - 1;
-        let corners = self.r_planes.iter_mut().zip(&mut self.pvb_values);
-        for (i, ((intensity, &dose), (r_plane, pvb_value))) in intensities
-            .drain(..)
-            .zip(&self.doses)
-            .zip(corners)
-            .enumerate()
-        {
-            self.resist
-                .develop_with_derivative_into(&intensity, &mut z, &mut dz);
-            ws.give_real_grid(intensity);
-            g.fill(0.0);
-            *pvb_value = pvb_accumulate(&z, &self.target, &dz, self.beta, self.pixel_area, &mut g);
-            r_plane.fill(0.0);
-            backpropagate_combined(
-                &self.conv,
-                &self.mask_spectrum,
-                &self.combined,
-                &mut e_h,
-                i == last,
-                &g,
-                2.0 * dose,
-                r_plane,
-                ws,
-            );
-        }
-        ws.give_real_grid(g);
-        ws.give_real_grid(dz);
-        ws.give_real_grid(z);
-        ws.give_real_grids(intensities);
     }
 }
 
@@ -121,10 +93,10 @@ impl PoolTask for CornerTask {
 /// call of the run.
 pub struct ParallelExec {
     pool: WorkerPool<CornerTask>,
-    /// One task per focus bank after the nominal one, in condition order.
+    /// One task per focus bank after the nominal one, in condition
+    /// order; the first `workers` go to the pool lanes of the same
+    /// index.
     tasks: Vec<Option<CornerTask>>,
-    /// In-flight scratch lanes, one per pool worker.
-    lanes: Vec<Option<CornerTask>>,
 }
 
 impl std::fmt::Debug for ParallelExec {
@@ -141,12 +113,9 @@ impl std::fmt::Debug for ParallelExec {
 impl ParallelExec {
     /// Spawns `workers` pool threads for the prepared bank tasks.
     pub(crate) fn new(workers: usize, tasks: Vec<CornerTask>) -> Self {
-        let pool = WorkerPool::new(workers);
-        let lanes = (0..pool.workers()).map(|_| None).collect();
         ParallelExec {
-            pool,
+            pool: WorkerPool::new(workers),
             tasks: tasks.into_iter().map(Some).collect(),
-            lanes,
         }
     }
 
@@ -157,61 +126,34 @@ impl ParallelExec {
     }
 
     /// Refreshes every bank task with this evaluation's mask spectrum
-    /// and dispatches the first chunk of worker banks, so they overlap
-    /// with the caller's serial nominal-bank work.
+    /// and dispatches the first `workers` of them, one per pool lane, so
+    /// they overlap with the caller's nominal bank.
     pub(crate) fn corners_start(&mut self, mask_spectrum: &SplitSpectrum) {
         for task in self.tasks.iter_mut().flatten() {
             task.mask_spectrum.copy_from(mask_spectrum);
             task.pvb_values.fill(0.0);
         }
-        self.dispatch_chunk(0);
+        let workers = self.pool.workers();
+        self.pool.dispatch(&mut self.tasks[..workers]);
     }
 
-    /// Runs the caller's share of every chunk and drains the workers.
-    /// After this, each task holds its corners' `pvb_values` /
-    /// `r_planes` and the caller can merge them in condition order.
+    /// Runs every bank task no worker holds on the calling thread, then
+    /// drains the workers. After this, each task holds its corners'
+    /// `pvb_values` / `r_planes` and the caller can merge them in
+    /// condition order.
     ///
-    /// Banks are processed in chunks of `workers + 1`: `workers` on the
-    /// pool, one on the calling thread. A worker panic propagates
-    /// from the pool's `collect` after every lane drains, leaving the
-    /// pool reusable for the retry.
+    /// A worker panic propagates from the pool's `collect` after every
+    /// lane drains, leaving the pool reusable for the retry.
     pub(crate) fn corners_finish(&mut self, ws: &mut Workspace) {
         let workers = self.pool.workers();
-        let mut base = 0;
-        while base < self.tasks.len() {
-            if let Some(Some(task)) = self.tasks.get_mut(base + workers) {
-                task.run(ws);
-            }
-            self.collect_chunk(base);
-            base += workers + 1;
-            if base < self.tasks.len() {
-                self.dispatch_chunk(base);
-            }
+        for task in self.tasks[workers..].iter_mut().flatten() {
+            task.run(ws);
         }
+        self.pool.collect(&mut self.tasks[..workers]);
     }
 
     /// The finished bank tasks, in condition order.
     pub(crate) fn corner_tasks(&self) -> impl Iterator<Item = &CornerTask> {
         self.tasks.iter().flatten()
-    }
-
-    /// Moves tasks `base..base + workers` into the pool lanes and
-    /// dispatches them.
-    fn dispatch_chunk(&mut self, base: usize) {
-        for (lane, task) in self.lanes.iter_mut().zip(self.tasks.iter_mut().skip(base)) {
-            *lane = task.take();
-        }
-        self.pool.dispatch(&mut self.lanes);
-    }
-
-    /// Collects the chunk dispatched at `base` and moves the finished
-    /// tasks back to their bank slots.
-    fn collect_chunk(&mut self, base: usize) {
-        self.pool.collect(&mut self.lanes);
-        for (lane, task) in self.lanes.iter_mut().zip(self.tasks.iter_mut().skip(base)) {
-            if lane.is_some() {
-                *task = lane.take();
-            }
-        }
     }
 }
