@@ -529,57 +529,45 @@ fn run_session<I: Instrument>(
         };
         history.push(record);
 
-        if rms < GRADIENT_TOLERANCE {
-            converged = true;
-            let view = IterationView {
-                record: &record,
-                variables: state.variables(),
-                best_variables: &best_vars,
-                best_value,
-                value,
-                stagnant,
-                recoveries,
-                step_damp,
-            };
-            let control = instrument.on_iteration_end(&view);
-            capture_checkpoint(checkpoint_every, &view, control, instrument);
-            break;
-        }
-
-        // Normalize in place (`g / max` pixel-wise) and descend along the
-        // stored gradient.
-        let max = stats::max_abs(eval.gradient.as_slice());
-        if max > 0.0 {
-            for g in eval.gradient.iter_mut() {
-                *g /= max;
-            }
-        }
-        let direction = &eval.gradient;
-        if config.line_search && !jump {
-            // Backtracking: accept the first halved step that descends;
-            // if none does, keep the smallest trial (best-iterate
-            // tracking protects the result either way).
-            let (gw, gh) = state.dims();
-            let mut base_vars = ws.take_real_grid(gw, gh);
-            base_vars.copy_from(state.variables());
-            let mut trial = step;
-            for attempt in 0..config.line_search_max_halvings {
-                state.restore_from(&base_vars);
-                state.step(direction, trial);
-                match par.as_mut() {
-                    Some(p) => objective.evaluate_parallel(&state, ws, &mut eval_ls, p),
-                    None => objective.evaluate_into(&state, ws, &mut eval_ls),
+        // A converged iterate takes no step, but still ends through the
+        // hooks below before the loop stops.
+        converged = rms < GRADIENT_TOLERANCE;
+        if !converged {
+            // Normalize in place (`g / max` pixel-wise) and descend along
+            // the stored gradient.
+            let max = stats::max_abs(eval.gradient.as_slice());
+            if max > 0.0 {
+                for g in eval.gradient.iter_mut() {
+                    *g /= max;
                 }
-                instrument.on_objective_eval();
-                let f_trial = eval_ls.report.total;
-                if f_trial < value || attempt + 1 == config.line_search_max_halvings {
-                    break;
-                }
-                trial *= 0.5;
             }
-            ws.give_real_grid(base_vars);
-        } else {
-            state.step(direction, step);
+            let direction = &eval.gradient;
+            if config.line_search && !jump {
+                // Backtracking: accept the first halved step that
+                // descends; if none does, keep the smallest trial
+                // (best-iterate tracking protects the result either way).
+                let (gw, gh) = state.dims();
+                let mut base_vars = ws.take_real_grid(gw, gh);
+                base_vars.copy_from(state.variables());
+                let mut trial = step;
+                for attempt in 0..config.line_search_max_halvings {
+                    state.restore_from(&base_vars);
+                    state.step(direction, trial);
+                    match par.as_mut() {
+                        Some(p) => objective.evaluate_parallel(&state, ws, &mut eval_ls, p),
+                        None => objective.evaluate_into(&state, ws, &mut eval_ls),
+                    }
+                    instrument.on_objective_eval();
+                    let f_trial = eval_ls.report.total;
+                    if f_trial < value || attempt + 1 == config.line_search_max_halvings {
+                        break;
+                    }
+                    trial *= 0.5;
+                }
+                ws.give_real_grid(base_vars);
+            } else {
+                state.step(direction, step);
+            }
         }
 
         let view = IterationView {
@@ -594,7 +582,7 @@ fn run_session<I: Instrument>(
         };
         let control = instrument.on_iteration_end(&view);
         capture_checkpoint(checkpoint_every, &view, control, instrument);
-        if control == IterationControl::Stop {
+        if converged || control == IterationControl::Stop {
             break;
         }
     }
@@ -722,6 +710,46 @@ mod tests {
         // Due at iterations 2 and 4; the stop at iteration 5 forces one
         // final capture even though 5 is off-cadence.
         assert_eq!(cap.checkpoints, vec![2, 4, 5]);
+    }
+
+    #[test]
+    fn converged_iteration_ends_through_the_hooks_without_a_step() {
+        // With α = β = 0 the gradient is exactly zero, so iteration 0
+        // converges: it ends through the hooks like any other iteration,
+        // takes no step and stops the session.
+        struct Ends {
+            variables: Vec<Grid<f64>>,
+            checkpoints: usize,
+        }
+        impl Instrument for Ends {
+            fn on_iteration_end(&mut self, view: &IterationView<'_>) -> IterationControl {
+                self.variables.push(view.variables.clone());
+                IterationControl::Continue
+            }
+            fn on_checkpoint(&mut self, _checkpoint: &OptimizerCheckpoint) {
+                self.checkpoints += 1;
+            }
+        }
+        let p = small_problem();
+        let cfg = OptimizationConfig {
+            alpha: 0.0,
+            beta: 0.0,
+            ..quick_config()
+        };
+        let mut ends = Ends {
+            variables: Vec::new(),
+            checkpoints: 0,
+        };
+        let r = ExecutionSession::from_mask(&p, cfg.clone(), p.target())
+            .checkpoints(1)
+            .run_instrumented(&mut ends)
+            .unwrap();
+        assert!(r.converged);
+        assert_eq!(r.history.len(), 1);
+        assert_eq!(r.history[0].gradient_rms, 0.0);
+        assert_eq!(ends.checkpoints, 1);
+        let seed = MaskState::from_mask(p.target(), cfg.mask_steepness);
+        assert_eq!(ends.variables, vec![seed.variables().clone()]);
     }
 
     #[test]
