@@ -166,8 +166,8 @@ pub struct JobOutcome {
     pub iterations: usize,
     /// Attempts consumed.
     pub attempts: u32,
-    /// Wall time of the reporting attempt on its worker, seconds (0 for
-    /// jobs that produced no report).
+    /// Wall time of the reporting attempt up to scoring on its worker,
+    /// seconds (0 for jobs that produced no report).
     pub wall_s: f64,
     /// Numerical-guard recoveries the optimizer performed in the
     /// reporting attempt (see
@@ -832,8 +832,9 @@ fn attempt_on(
             result.binary_mask,
         )
     };
-    let (wall_s, metrics) = if status == JobStatus::Finished {
-        let wall_s = started.elapsed().as_secs_f64();
+    // One span for every status, taken before any scoring.
+    let wall_s = started.elapsed().as_secs_f64();
+    let metrics = if status == JobStatus::Finished {
         let metrics = score_mask(&job_config, ctx.cache, &binary_mask, &layout, wall_s)?;
         if let Some(dir) = ctx.checkpoint_dir {
             checkpoint::clear_with(ctx.vfs, dir, &spec.id)
@@ -844,14 +845,13 @@ fn attempt_on(
         // 0, which clears a stale class entry after a clean completion.
         ctx.supervisor
             .note_completed_rung(&spec_class(spec), degrade_step);
-        (wall_s, Some(metrics))
+        Some(metrics)
     } else {
         // Partial-result salvage: the optimizer returned its
         // best-so-far mask (it restores the best iterate on stop), so
         // score it — Eq. (22) pays for whatever is shipped, and a
         // scored partial mask always beats returning nothing.
-        let metrics = salvage_metrics(spec, &job_config, ctx, attempt, &binary_mask, &layout);
-        (started.elapsed().as_secs_f64(), metrics)
+        salvage_metrics(spec, &job_config, ctx, attempt, &binary_mask, &layout)
     };
     let report = JobReport {
         id: spec.id.clone(),
