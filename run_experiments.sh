@@ -69,11 +69,14 @@ tier1() {
   # the golden B1 snapshot must pin the exact same constants on the
   # parallel path, as must the B4 contest-window MOSAIC_exact snapshot
   # (five conditions in three focus states, best objective pinned to
-  # the bit). A serial and a fanned-out evaluation must agree bit for
-  # bit at threads 2-4 on the contest window and on a window with a
-  # dose corner in the nominal bank, which the calling thread runs.
-  # Also covered by the workspace test run above; repeated so a gate
-  # failure names the culprit.
+  # the bit). The bank tasks go out in one wave, and the calling thread
+  # runs the nominal bank and then every corner bank no worker holds,
+  # through the one bank body the serial path runs. A serial and a
+  # fanned-out evaluation must agree bit for bit at threads 2-4 on the
+  # contest window, on a window with a dose corner in the nominal bank,
+  # and on a four-bank window whose corner banks outnumber the workers
+  # at threads 2 and 3. Also covered by the workspace test run above;
+  # repeated so a gate failure names the culprit.
   cargo test -q -p mosaic-core --lib -- objective::tests::parallel_exec_fans_out_only_process_corners \
     objective::tests::parallel_evaluation_matches_serial_bit_for_bit_on_shared_banks
   cargo test -q -p mosaic-runtime --test batch one_and_four_workers_agree_bit_for_bit
