@@ -58,10 +58,10 @@ fn main() {
 
     // Eq. (21): one convolution against the pre-combined kernel vs the
     // per-kernel sum of 24 convolutions of the same linear field.
-    let combined = bank.combined();
+    let combined = &bank.combined().spectrum;
     report("eq21/combined_1_convolution", 20, || {
         conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
-        conv.convolve_spectrum_split_into(&spectrum, &combined, &mut field, &mut ws);
+        conv.convolve_spectrum_split_into(&spectrum, combined, &mut field, &mut ws);
         field.at(0)
     });
     report("eq21/per_kernel_24_convolutions", 10, || {
@@ -78,14 +78,16 @@ fn main() {
 
     // Kernel spectrum precomputation amortization: building a spectrum vs
     // reusing it.
-    let spec: KernelSpectrum = bank.combined();
     report("spectrum_reuse/reused", 20, || {
         conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
-        conv.convolve_spectrum_split_into(&spectrum, &spec, &mut field, &mut ws);
+        conv.convolve_spectrum_split_into(&spectrum, combined, &mut field, &mut ws);
         field.at(0)
     });
     report("spectrum_reuse/rebuild_each_time", 10, || {
-        let fresh = bank.combined();
+        let mut fresh = KernelSpectrum::zeros(N, N);
+        for k in bank.kernels() {
+            fresh.accumulate(&k.spectrum, k.weight);
+        }
         conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
         conv.convolve_spectrum_split_into(&spectrum, &fresh, &mut field, &mut ws);
         field.at(0)

@@ -104,22 +104,6 @@ impl MaskState {
         }
     }
 
-    /// Overwrites `out` with the transform derivative
-    /// `dM/dP = θ_M · M · (1 − M)` at the current variables — the
-    /// chain-rule factor closing every gradient in §3.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn mask_derivative_into(&self, out: &mut Grid<f64>) {
-        assert_eq!(self.p.dims(), out.dims(), "mask shape mismatch");
-        let t = self.theta_m;
-        for (o, &p) in out.iter_mut().zip(self.p.iter()) {
-            let m = 1.0 / (1.0 + (-t * p).exp());
-            *o = t * m * (1.0 - m);
-        }
-    }
-
     /// Gradient-descent update `P ← P − step · g` (line 6 of Alg. 1).
     ///
     /// # Panics
@@ -189,23 +173,6 @@ mod tests {
         let state = MaskState::from_mask(&checker(4), 4.0);
         for &m in state.mask().iter() {
             assert!(m > 0.0 && m < 1.0);
-        }
-    }
-
-    #[test]
-    fn derivative_matches_finite_difference() {
-        let mut state = MaskState::from_mask(&checker(4), 4.0);
-        let mut d = Grid::zeros(4, 4);
-        state.mask_derivative_into(&mut d);
-        let m0 = state.mask();
-        // Perturb every variable by eps via a uniform "gradient" of -1.
-        let eps = 1e-6;
-        let ones = Grid::filled(4, 4, -1.0);
-        state.step(&ones, eps);
-        let m1 = state.mask();
-        for ((a, b), dv) in m1.iter().zip(m0.iter()).zip(d.iter()) {
-            let fd = (a - b) / eps;
-            assert!((fd - dv).abs() < 1e-5, "fd {fd} vs analytic {dv}");
         }
     }
 

@@ -11,12 +11,18 @@
 //! where `★` is cross-correlation with the conjugated kernel (the
 //! `H*(−x)` terms of Eq. (14)/(17)). Two gradient modes are provided:
 //!
-//! * [`GradientMode::PerKernel`] — the exact adjoint, one correlation per
-//!   kernel per condition;
+//! * [`GradientMode::PerKernel`] — the exact adjoint, one convolution per
+//!   kernel per focus bank and one correlation per kernel per condition;
 //! * [`GradientMode::Combined`] — the paper's Eq. (21) speedup: kernels
-//!   are pre-combined into `H = Σ_k w_k h_k`, collapsing the sum to a
-//!   single convolution and a single correlation per condition (this is
-//!   the form actually written in Eq. (14) and Eq. (17)).
+//!   are pre-combined into `H = Σ_k w_k h_k`, which each focus bank holds
+//!   ([`KernelSet::combined`], weight 1), collapsing the sum to a single
+//!   convolution per focus bank and a single correlation per condition
+//!   (this is the form actually written in Eq. (14) and Eq. (17)).
+//!
+//! The two modes differ only in the kernel list the one backprop loop of
+//! each focus bank runs over; the chain rule through Eq. (8) closes with
+//! `dM/dP = θ_M·M·(1−M)`, formed from the mask the evaluation already
+//! holds.
 //!
 //! The terms:
 //!
@@ -38,7 +44,7 @@ use crate::optimizer::OptimizationConfig;
 use crate::parallel::{CornerTask, ParallelExec};
 use crate::problem::OpcProblem;
 use mosaic_geometry::Orientation;
-use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SplitSpectrum, Workspace};
+use mosaic_numerics::{Convolver, Grid, SplitSpectrum, Workspace};
 use mosaic_optics::{KernelSet, ResistModel};
 use std::sync::Arc;
 
@@ -114,13 +120,13 @@ impl Default for Evaluation {
 
 /// A reusable objective evaluator bound to one problem and configuration.
 ///
-/// Construction precomputes the combined kernel spectrum of every focus
-/// bank (Eq. (21)), so repeated evaluations only pay FFTs.
+/// Every focus bank of the problem's simulator holds its own combined
+/// kernel `H` (Eq. (21), [`KernelSet::combined`]), built on the first
+/// evaluation that needs it, so repeated evaluations only pay FFTs.
 #[derive(Debug)]
 pub struct Objective<'a> {
     problem: &'a OpcProblem,
     config: &'a OptimizationConfig,
-    combined: Vec<Arc<KernelSpectrum>>,
     epe_threshold_px: usize,
 }
 
@@ -137,15 +143,10 @@ impl<'a> Objective<'a> {
         config: &'a OptimizationConfig,
     ) -> Result<Self, OptimizerError> {
         config.validate().map_err(OptimizerError::InvalidConfig)?;
-        let sim = problem.simulator();
-        let combined = (0..sim.bank_count())
-            .map(|b| Arc::new(sim.bank(b).combined()))
-            .collect();
         let epe_threshold_px = ((EPE_THRESHOLD_NM / problem.pixel_nm()).round() as usize).max(1);
         Ok(Objective {
             problem,
             config,
-            combined,
             epe_threshold_px,
         })
     }
@@ -165,16 +166,15 @@ impl<'a> Objective<'a> {
 
     /// Allocation-free twin of [`evaluate`](Self::evaluate): fills `eval`
     /// drawing every intermediate from `ws`. With a warm workspace and a
-    /// sized `eval.gradient`, an evaluation in [`GradientMode::Combined`]
-    /// performs zero heap allocations (asserted by the allocation smoke
-    /// test); [`GradientMode::PerKernel`] additionally keeps one `Vec` of
-    /// per-kernel field handles per focus bank.
+    /// sized `eval.gradient`, an evaluation performs zero heap
+    /// allocations in either [`GradientMode`] (asserted by the allocation
+    /// smoke test).
     ///
     /// The conditions are walked by focus bank (DESIGN.md §9), each
     /// through the one bank body every corner worker runs too: a bank's
-    /// coherent fields, and its `E_H = M ⊗ H`, are computed once and
-    /// shared by its doses, while every per-condition accumulate still
-    /// happens in condition order.
+    /// image pass and its backprop fields (`E_H = M ⊗ H`, or every
+    /// `E_k = M ⊗ h_k`) are computed once and shared by its doses, while
+    /// every per-condition accumulate still happens in condition order.
     ///
     /// There is exactly one numeric path: `evaluate` delegates here, so
     /// pooled and allocating evaluations are bit-identical.
@@ -201,8 +201,9 @@ impl<'a> Objective<'a> {
     ///
     /// Panics if the state's shape differs from the problem grid, or
     /// re-raises a worker panic (fault injection / hardware faults)
-    /// after the worker pool has drained — the pool stays reusable, so
-    /// callers may retry.
+    /// after the worker pool has drained. The pool hands the panicked
+    /// bank's task back, so a retry on the same `par` evaluates every
+    /// bank and gives the serial bits.
     pub fn evaluate_parallel(
         &self,
         state: &MaskState,
@@ -241,7 +242,6 @@ impl<'a> Objective<'a> {
                 CornerTask {
                     bank: Arc::clone(&sim.shared_banks()[b]),
                     conv: sim.convolver().clone(),
-                    combined: Arc::clone(&self.combined[b]),
                     resist: *sim.resist(),
                     target: Arc::clone(&target),
                     beta: self.config.beta,
@@ -264,7 +264,7 @@ impl<'a> Objective<'a> {
     /// nominal bank and then on this thread where banks outnumber the
     /// workers; every reduction stays on this thread in serial order,
     /// keeping results bit-identical (DESIGN.md §14).
-    fn evaluate_core(
+    pub(crate) fn evaluate_core(
         &self,
         state: &MaskState,
         ws: &mut Workspace,
@@ -279,12 +279,10 @@ impl<'a> Objective<'a> {
         let pvb_on = cfg.beta > 0.0;
 
         let (gw, gh) = self.problem.grid_dims();
-        // `M = sig(P)` and `dM/dP` (Eq. (8)); both fills reject a state
-        // whose shape differs from the problem grid.
+        // `M = sig(P)` (Eq. (8)); the fill rejects a state whose shape
+        // differs from the problem grid.
         let mut mask = ws.take_real_grid(gw, gh);
-        let mut dmask_dp = ws.take_real_grid(gw, gh);
         state.mask_into(&mut mask);
-        state.mask_derivative_into(&mut dmask_dp);
         // The spectral pipeline runs in split-plane (SoA) layout from the
         // mask spectrum onward (DESIGN.md §16).
         let mut mask_spectrum = ws.take_split(gw, gh);
@@ -318,7 +316,6 @@ impl<'a> Objective<'a> {
                 conv,
                 &mask_spectrum,
                 sim.bank(b),
-                &self.combined[b],
                 sim.resist(),
                 &sim.doses()[conditions],
                 cfg.gradient_mode,
@@ -364,23 +361,24 @@ impl<'a> Objective<'a> {
         }
         report.total = report.target + report.pvb;
 
-        // Chain through the parameterization: ∂F/∂P = ∂F/∂M ⊙ dM/dP.
+        // Chain through the parameterization: ∂F/∂P = ∂F/∂M ⊙ dM/dP,
+        // with `dM/dP = θ_M · M · (1 − M)` formed from the mask itself.
         if eval.gradient.dims() != (gw, gh) {
             eval.gradient = Grid::zeros(gw, gh);
         }
-        for ((o, &gm), &dm) in eval
+        let theta = state.theta_m();
+        for ((o, &gm), &m) in eval
             .gradient
             .iter_mut()
             .zip(grad_mask.iter())
-            .zip(dmask_dp.iter())
+            .zip(mask.iter())
         {
-            *o = gm * dm;
+            *o = gm * (theta * m * (1.0 - m));
         }
         eval.report = report;
 
         ws.give_real_grid(grad_mask);
         ws.give_split(mask_spectrum);
-        ws.give_real_grid(dmask_dp);
         ws.give_real_grid(mask);
     }
 
@@ -475,22 +473,26 @@ pub(crate) enum BankGradient<'a> {
 /// The one focus-bank body of an evaluation, run by the calling
 /// thread's bank loop and by every [`CornerTask`] (DESIGN.md §14).
 ///
-/// One image pass images every dose of the bank. Then, dose by dose,
-/// the resist develops `Z` and `dZ/dI` in one fused pass (one
-/// exponential per pixel), `terms(i, z, dz, g, ws)` accumulates
-/// `∂F/∂I` of dose `i` into the zeroed `g`, and the backprop adds
-/// `2·dose · ∂F/∂M` into `out`. `E_H = M ⊗ H` in
-/// [`GradientMode::Combined`] (see [`backpropagate_combined`]), or every
-/// `E_k = M ⊗ h_k` for the exact per-kernel adjoint
-/// `Σ_k w_k Re[(G ⊙ E_k) ★ h_k]` in [`GradientMode::PerKernel`], is
-/// convolved at the first dose and reused by the others. Every scratch
-/// grid comes from `ws` and goes back to it.
+/// The backprop kernels are the bank's combined kernel `H`
+/// ([`KernelSet::combined`], weight 1) in [`GradientMode::Combined`],
+/// or its every `h_k` for the exact per-kernel adjoint in
+/// [`GradientMode::PerKernel`]. Each field `E = M ⊗ h` is convolved
+/// once, before one image pass images every dose of the bank. Then,
+/// dose by dose, the resist develops `Z` and `dZ/dI` in one fused pass
+/// (one exponential per pixel), `terms(i, z, dz, g, ws)` accumulates
+/// `∂F/∂I` of dose `i` into the zeroed `g`, and every field weighted by
+/// `g` is correlated back, adding `2·dose·w · Re[(G ⊙ E) ★ h]` into
+/// `out`. The convolution and the correlation both run their box forms
+/// (DESIGN.md §16); the correlation inverts through the Hermitian half
+/// spectrum (only the real part is consumed), which is ULP-compatible
+/// with — not bit-identical to — a full complex correlation. Every
+/// scratch grid, the field list included, comes from `ws` and goes back
+/// to it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_bank(
     conv: &Convolver,
     mask_spectrum: &SplitSpectrum,
     bank: &KernelSet,
-    combined: &KernelSpectrum,
     resist: &ResistModel,
     doses: &[f64],
     mode: GradientMode,
@@ -499,13 +501,19 @@ pub(crate) fn evaluate_bank(
     mut terms: impl FnMut(usize, &Grid<f64>, &Grid<f64>, &mut Grid<f64>, &mut Workspace),
 ) {
     let (gw, gh) = mask_spectrum.dims();
+    let kernels = match mode {
+        GradientMode::Combined => std::slice::from_ref(bank.combined()),
+        GradientMode::PerKernel => bank.kernels(),
+    };
+    let mut fields = ws.take_splits(kernels.len(), gw, gh);
+    for (kernel, field) in kernels.iter().zip(&mut fields) {
+        conv.convolve_spectrum_split_into(mask_spectrum, &kernel.spectrum, field, ws);
+    }
     let mut intensities = ws.take_real_grids(doses.len(), gw, gh);
     let mut z = ws.take_real_grid(gw, gh);
     let mut dz = ws.take_real_grid(gw, gh);
     let mut g = ws.take_real_grid(gw, gh);
     bank.aerial_images_split(conv, mask_spectrum, doses, &mut intensities, ws);
-    let mut e_h = None;
-    let mut fields = Vec::new();
     for (i, (intensity, &dose)) in intensities.drain(..).zip(doses).enumerate() {
         resist.develop_with_derivative_into(&intensity, &mut z, &mut dz);
         ws.give_real_grid(intensity);
@@ -519,55 +527,24 @@ pub(crate) fn evaluate_bank(
                 plane
             }
         };
-        match mode {
-            GradientMode::Combined => {
-                backpropagate_combined(
-                    conv,
-                    mask_spectrum,
-                    combined,
-                    &mut e_h,
-                    i + 1 == doses.len(),
-                    &g,
-                    2.0 * dose,
-                    grad,
-                    ws,
-                );
-            }
-            GradientMode::PerKernel => {
-                if fields.is_empty() {
-                    for kernel in bank.kernels() {
-                        let mut field = ws.take_split(gw, gh);
-                        conv.convolve_spectrum_split_into(
-                            mask_spectrum,
-                            &kernel.spectrum,
-                            &mut field,
-                            ws,
-                        );
-                        fields.push(field);
-                    }
-                }
-                let mut weighted = ws.take_split(gw, gh);
-                for (kernel, field) in bank.kernels().iter().zip(&fields) {
-                    weight_split_by_real(field, &g, &mut weighted);
-                    conv.correlate_re_accumulate_split(
-                        &mut weighted,
-                        &kernel.spectrum,
-                        2.0 * dose * kernel.weight,
-                        grad,
-                        ws,
-                    );
-                }
-                ws.give_split(weighted);
-            }
+        let mut weighted = ws.take_split(gw, gh);
+        for (kernel, field) in kernels.iter().zip(&fields) {
+            weight_split_by_real(field, &g, &mut weighted);
+            conv.correlate_re_accumulate_split(
+                &mut weighted,
+                &kernel.spectrum,
+                2.0 * dose * kernel.weight,
+                grad,
+                ws,
+            );
         }
-    }
-    for field in fields {
-        ws.give_split(field);
+        ws.give_split(weighted);
     }
     ws.give_real_grid(g);
     ws.give_real_grid(dz);
     ws.give_real_grid(z);
     ws.give_real_grids(intensities);
+    ws.give_splits(fields);
 }
 
 /// `F_pvb` of one corner, `Σ (Z_c − Z_t)²` (returned unweighted), with
@@ -591,53 +568,7 @@ pub(crate) fn pvb_accumulate(
     value
 }
 
-/// `∂F/∂M += scale · Re[(G ⊙ E_H) ★ H]` with the combined kernel for
-/// one dose of a focus bank, where `E_H = M ⊗ H` — the combined-kernel
-/// backprop of [`evaluate_bank`].
-///
-/// `e_h` carries `E_H` between the bank's doses: the first call (`None`)
-/// convolves it, every dose but the `last` weights a copy and hands it
-/// on, and the last weights it in place and gives it back to `ws`. A
-/// one-dose bank therefore runs exactly one convolution and no copy.
-///
-/// The convolution and the correlation both run their box forms
-/// (DESIGN.md §16); the trailing correlation inverts through the
-/// Hermitian half spectrum (only the real part is consumed), which is
-/// ULP-compatible with — not bit-identical to — a full complex
-/// correlation.
-#[allow(clippy::too_many_arguments)]
-fn backpropagate_combined(
-    conv: &Convolver,
-    mask_spectrum: &SplitSpectrum,
-    combined: &KernelSpectrum,
-    e_h: &mut Option<SplitSpectrum>,
-    last: bool,
-    g: &Grid<f64>,
-    scale: f64,
-    grad_mask: &mut Grid<f64>,
-    ws: &mut Workspace,
-) {
-    let (gw, gh) = grad_mask.dims();
-    let mut field = e_h.take().unwrap_or_else(|| {
-        let mut field = ws.take_split(gw, gh);
-        conv.convolve_spectrum_split_into(mask_spectrum, combined, &mut field, ws);
-        field
-    });
-    if last {
-        scale_split_by_real(&mut field, g);
-        conv.correlate_re_accumulate_split(&mut field, combined, scale, grad_mask, ws);
-        ws.give_split(field);
-    } else {
-        let mut weighted = ws.take_split(gw, gh);
-        weight_split_by_real(&field, g, &mut weighted);
-        conv.correlate_re_accumulate_split(&mut weighted, combined, scale, grad_mask, ws);
-        ws.give_split(weighted);
-        *e_h = Some(field);
-    }
-}
-
-/// `out = field ⊙ g`, both planes pixel-wise: the same products as
-/// [`scale_split_by_real`], into a separate spectrum.
+/// `out = field ⊙ g`, both planes pixel-wise.
 fn weight_split_by_real(field: &SplitSpectrum, g: &Grid<f64>, out: &mut SplitSpectrum) {
     let (fr, fi) = field.planes();
     let (or, oi) = out.planes_mut();
@@ -646,15 +577,6 @@ fn weight_split_by_real(field: &SplitSpectrum, g: &Grid<f64>, out: &mut SplitSpe
     }
     for ((o, &f), &gv) in oi.iter_mut().zip(fi).zip(g.iter()) {
         *o = f * gv;
-    }
-}
-
-/// Scales both planes of `field` pixel-wise by the real grid `g`.
-fn scale_split_by_real(field: &mut SplitSpectrum, g: &Grid<f64>) {
-    let (fr, fi) = field.planes_mut();
-    for ((r, i), &gv) in fr.iter_mut().zip(fi.iter_mut()).zip(g.iter()) {
-        *r *= gv;
-        *i *= gv;
     }
 }
 
@@ -927,7 +849,8 @@ mod tests {
     }
 
     /// Serial and fanned-out evaluations of both target terms on `p`,
-    /// at threads 2–4 and twice per pool, agree bit for bit.
+    /// at threads 2–4 and three times per pool, agree bit for bit; the
+    /// third run retries after an injected worker panic.
     fn check_parallel_matches_serial(p: &OpcProblem, window: &str) {
         for term in [TargetTerm::ImageDifference, TargetTerm::EdgePlacement] {
             let cfg = config(term, GradientMode::Combined);
@@ -947,10 +870,18 @@ mod tests {
             for threads in [2, 3, 4] {
                 let mut par = obj.parallel_exec(threads).unwrap();
                 let mut parallel = Evaluation::empty();
-                // Twice: the second run reuses the warm tasks.
-                for run in 0..2 {
-                    obj.evaluate_parallel(&state, &mut ws, &mut parallel, &mut par);
+                // The second run reuses the warm tasks; the third follows
+                // a panic on worker 0, whose bank task must come back.
+                for run in 0..3 {
                     let label = format!("{window} {term:?} threads {threads} run {run}");
+                    if run == 2 {
+                        par.arm_panic();
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            obj.evaluate_parallel(&state, &mut ws, &mut parallel, &mut par);
+                        }));
+                        assert!(caught.is_err(), "{label}: the injected panic fired");
+                    }
+                    obj.evaluate_parallel(&state, &mut ws, &mut parallel, &mut par);
                     let (a, b) = (serial.report, parallel.report);
                     assert_eq!(a.total.to_bits(), b.total.to_bits(), "{label}: total");
                     assert_eq!(a.target.to_bits(), b.target.to_bits(), "{label}: target");

@@ -24,9 +24,7 @@
 //! through the one bank body of the serial path.
 
 use crate::objective::{evaluate_bank, pvb_accumulate, BankGradient, GradientMode};
-use mosaic_numerics::{
-    Convolver, Grid, KernelSpectrum, PoolTask, SplitSpectrum, WorkerPool, Workspace,
-};
+use mosaic_numerics::{Convolver, Grid, PoolTask, SplitSpectrum, WorkerPool, Workspace};
 use mosaic_optics::{KernelSet, ResistModel};
 use std::sync::Arc;
 
@@ -39,9 +37,9 @@ use std::sync::Arc;
 /// own `pvb_values` / `r_planes`; the deterministic merge is the
 /// caller's job.
 pub(crate) struct CornerTask {
+    /// The focus bank, which also holds its combined kernel `H`.
     pub(crate) bank: Arc<KernelSet>,
     pub(crate) conv: Convolver,
-    pub(crate) combined: Arc<KernelSpectrum>,
     pub(crate) resist: ResistModel,
     pub(crate) target: Arc<Grid<f64>>,
     pub(crate) beta: f64,
@@ -69,7 +67,6 @@ impl PoolTask for CornerTask {
             &self.conv,
             &self.mask_spectrum,
             &self.bank,
-            &self.combined,
             &self.resist,
             &self.doses,
             GradientMode::Combined,
@@ -143,7 +140,8 @@ impl ParallelExec {
     /// condition order.
     ///
     /// A worker panic propagates from the pool's `collect` after every
-    /// lane drains, leaving the pool reusable for the retry.
+    /// lane drains and every task, the panicked one included, is back
+    /// in place, so a retry runs every bank.
     pub(crate) fn corners_finish(&mut self, ws: &mut Workspace) {
         let workers = self.pool.workers();
         for task in self.tasks[workers..].iter_mut().flatten() {

@@ -51,7 +51,8 @@ impl OpcProblem {
     /// Returns [`CoreError::ClipTooLarge`] when the rasterized clip
     /// exceeds the simulation grid, [`CoreError::Optics`] for invalid
     /// optics, and [`CoreError::InvalidConfig`] for an empty condition
-    /// list or non-positive sample spacing.
+    /// list, non-positive sample spacing or a pixel pitch that is not a
+    /// whole number of nm of at least 1.
     pub fn from_layout(
         layout: &Layout,
         optics: &OpticsConfig,
@@ -93,7 +94,14 @@ impl OpcProblem {
             ));
         }
         let pixel_nm = optics.pixel_nm;
-        let clip = layout.rasterize(pixel_nm.round() as i64);
+        // The clip is drawn on whole nm, so it rasterizes only at a
+        // whole-nm pitch; the kernels and EPE sites use `pixel_nm` as is.
+        if !(pixel_nm >= 1.0 && pixel_nm.fract() == 0.0) {
+            return Err(CoreError::InvalidConfig(format!(
+                "pixel pitch must be a whole number of nm, at least 1, got {pixel_nm}"
+            )));
+        }
+        let clip = layout.rasterize(pixel_nm as i64);
         let (cw, ch) = clip.dims();
         let (gw, gh) = (optics.grid_width, optics.grid_height);
         if cw > gw || ch > gh {
@@ -292,6 +300,24 @@ mod tests {
             ),
             Err(CoreError::InvalidConfig(_))
         ));
+        for pixel_nm in [2.5, 0.4] {
+            let optics = OpticsConfig {
+                pixel_nm,
+                ..small_optics()
+            };
+            let err = OpcProblem::from_layout(
+                &l,
+                &optics,
+                ResistModel::paper(),
+                ProcessCondition::nominal_only(),
+                40,
+            )
+            .err();
+            assert!(
+                matches!(err, Some(CoreError::InvalidConfig(_))),
+                "pixel {pixel_nm} nm: {err:?}"
+            );
+        }
     }
 
     #[test]

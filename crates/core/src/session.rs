@@ -440,10 +440,7 @@ fn run_session<I: Instrument>(
                 p.arm_panic();
             }
         }
-        match par.as_mut() {
-            Some(p) => objective.evaluate_parallel(&state, ws, &mut eval, p),
-            None => objective.evaluate_into(&state, ws, &mut eval),
-        }
+        objective.evaluate_core(&state, ws, &mut eval, par.as_mut());
         instrument.on_objective_eval();
         if config.fault_nan_gradient_at == Some(iteration) {
             // Test-only fault: poison one gradient entry so the RMS (and
@@ -553,10 +550,7 @@ fn run_session<I: Instrument>(
                 for attempt in 0..config.line_search_max_halvings {
                     state.restore_from(&base_vars);
                     state.step(direction, trial);
-                    match par.as_mut() {
-                        Some(p) => objective.evaluate_parallel(&state, ws, &mut eval_ls, p),
-                        None => objective.evaluate_into(&state, ws, &mut eval_ls),
-                    }
+                    objective.evaluate_core(&state, ws, &mut eval_ls, par.as_mut());
                     instrument.on_objective_eval();
                     let f_trial = eval_ls.report.total;
                     if f_trial < value || attempt + 1 == config.line_search_max_halvings {

@@ -3,15 +3,15 @@
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! runs a real optimization, arms the counter at the end of the first
 //! (warm-up) iteration and reads it back at the last iteration's hook.
-//! In [`GradientMode::Combined`] (the default and the batch-bench
-//! configuration) every warm iteration — objective evaluation, gradient
-//! backpropagation, descent step, best-iterate tracking — must perform
-//! **zero heap allocations**: all spectral scratch comes from the
-//! [`Workspace`] pool the warm-up iteration populated. Since the core
-//! rethread onto the split-plane engine (DESIGN.md §16) the measured
-//! path is the SoA one end to end — `take_split` plane pairs, split
-//! real-FFT halves, split convolve/correlate — so this gate also pins
-//! the split free-lists.
+//! In either [`GradientMode`] (combined is the default and the
+//! batch-bench configuration) every warm iteration — objective
+//! evaluation, gradient backpropagation, descent step, best-iterate
+//! tracking — must perform **zero heap allocations**: all spectral
+//! scratch comes from the [`Workspace`] pool the warm-up iteration
+//! populated. Since the core rethread onto the split-plane engine
+//! (DESIGN.md §16) the measured path is the SoA one end to end —
+//! `take_split` plane pairs, split real-FFT halves, split
+//! convolve/correlate — so this gate also pins the split free-lists.
 //!
 //! The single test function keeps the process free of concurrent test
 //! threads that would pollute the counter.
@@ -100,10 +100,10 @@ impl Instrument for ArmingInstrument {
 /// count. Worker threads (if any) allocate only during iteration 0 —
 /// pool spawn, per-thread workspaces — which the arming policy exempts; everything they allocate afterwards is counted, as
 /// the global allocator sees every thread.
-fn measured_run(problem: &OpcProblem, threads: usize) -> u64 {
+fn measured_run(problem: &OpcProblem, threads: usize, gradient_mode: GradientMode) -> u64 {
     let cfg = OptimizationConfig {
         max_iterations: 4,
-        gradient_mode: GradientMode::Combined,
+        gradient_mode,
         ..OptimizationConfig::default()
     };
     let mut ws = Workspace::new();
@@ -125,19 +125,23 @@ fn warm_iterations_allocate_nothing() {
     // The scenarios run sequentially inside the one test function so no
     // concurrent test pollutes the counter: the serial split-plane
     // baseline, the serial process window (two doses per focus bank, so
-    // the pooled image lists and the shared `E_H` copy are on the warm
-    // path) and the bank fan-out path (each worker runs a whole
-    // split-layout focus bank) at two widths, so both the caller share
-    // and multiple worker lanes draw from their warmed per-thread pools.
+    // the pooled image and field lists and the per-dose weighted scratch
+    // are on the warm path), the same window with the exact per-kernel
+    // adjoint (one pooled field per kernel), and the bank fan-out path
+    // (each worker runs a whole split-layout focus bank) at two widths,
+    // so both the caller share and multiple worker lanes draw from their
+    // warmed per-thread pools.
     let nominal = small_problem(ProcessCondition::nominal_only());
     let windowed = small_problem(ProcessCondition::paper_window(25.0, 0.02));
-    for (name, problem, threads) in [
-        ("serial split", &nominal, 1),
-        ("window serial threads=1", &windowed, 1),
-        ("banks split threads=2", &windowed, 2),
-        ("banks split threads=4", &windowed, 4),
+    use GradientMode::{Combined, PerKernel};
+    for (name, problem, threads, mode) in [
+        ("serial split", &nominal, 1, Combined),
+        ("window serial threads=1", &windowed, 1, Combined),
+        ("window per-kernel", &windowed, 1, PerKernel),
+        ("banks split threads=2", &windowed, 2, Combined),
+        ("banks split threads=4", &windowed, 4, Combined),
     ] {
-        let allocations = measured_run(problem, threads);
+        let allocations = measured_run(problem, threads, mode);
         assert_eq!(
             allocations, 0,
             "warm optimizer iterations ({name}) performed {allocations} heap \

@@ -21,11 +21,13 @@
 //! are therefore bit-identical at every worker count.
 //!
 //! Panic containment: a panicking task is caught on the worker
-//! (`catch_unwind`), the lane is marked poisoned, and `collect` re-raises
-//! the first panic on the calling thread *after* draining every lane —
-//! so the pool itself stays consistent and reusable, and the batch
-//! scheduler's existing per-job `catch_unwind` / degradation-ladder
-//! retry machinery handles the failure exactly like a serial panic.
+//! (`catch_unwind`) and handed back with its panic message like any
+//! finished task, and `collect` re-raises the first panic on the calling
+//! thread *after* draining every lane and moving every task back — so
+//! the pool itself stays consistent and reusable, a retry of the same
+//! tasks runs every one of them, and the batch scheduler's existing
+//! per-job `catch_unwind` / degradation-ladder retry machinery handles
+//! the failure exactly like a serial panic.
 
 use crate::workspace::Workspace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,11 +51,10 @@ enum SlotState<T> {
     Idle,
     /// Work posted by the caller, not yet picked up.
     Pending(T),
-    /// The worker finished the task normally.
-    Done(T),
-    /// The task panicked on the worker; the payload message is kept so
-    /// `collect` can re-raise it on the calling thread.
-    Panicked(String),
+    /// The worker finished the task, with the payload message if it
+    /// panicked, so `collect` can hand the task back and re-raise the
+    /// panic on the calling thread.
+    Done(T, Option<String>),
     /// Shutdown request (pool drop).
     Stop,
 }
@@ -181,8 +182,9 @@ impl<T: PoolTask> WorkerPool<T> {
     }
 
     /// Waits for every lane dispatched through the matching
-    /// [`dispatch`](Self::dispatch) call and moves the finished tasks
-    /// back into `tasks[..]` at their original indices.
+    /// [`dispatch`](Self::dispatch) call and moves the finished tasks,
+    /// panicked ones included, back into `tasks[..]` at their original
+    /// indices.
     ///
     /// # Panics
     ///
@@ -202,14 +204,9 @@ impl<T: PoolTask> WorkerPool<T> {
             let mut state = lock(slot);
             loop {
                 match std::mem::replace(&mut *state, SlotState::Idle) {
-                    SlotState::Done(finished) => {
+                    SlotState::Done(finished, msg) => {
                         *task = Some(finished);
-                        break;
-                    }
-                    SlotState::Panicked(msg) => {
-                        if panicked.is_none() {
-                            panicked = Some(msg);
-                        }
+                        panicked = panicked.or(msg);
                         break;
                     }
                     other => {
@@ -247,8 +244,8 @@ impl<T: PoolTask> Drop for WorkerPool<T> {
 }
 
 /// The worker thread body: wait for a pending task, run it under
-/// `catch_unwind` with this thread's private workspace, post the result
-/// (or the contained panic) back, repeat until stopped.
+/// `catch_unwind` with this thread's private workspace, post the task
+/// back with the contained panic if any, repeat until stopped.
 fn worker_loop<T: PoolTask>(slot: &Slot<T>, trigger: Option<&AtomicBool>) {
     let mut ws = Workspace::new();
     loop {
@@ -281,10 +278,7 @@ fn worker_loop<T: PoolTask>(slot: &Slot<T>, trigger: Option<&AtomicBool>) {
             // clobber the stop request (the join in Drop depends on it).
             return;
         }
-        *state = match outcome {
-            Ok(()) => SlotState::Done(task),
-            Err(payload) => SlotState::Panicked(panic_text(payload)),
-        };
+        *state = SlotState::Done(task, outcome.err().map(panic_text));
         slot.cv.notify_all();
     }
 }
@@ -371,8 +365,19 @@ mod tests {
         let msg = payload.downcast::<String>().expect("panic message string");
         assert!(msg.contains("task exploded on input 1"), "msg: {msg}");
 
-        // The healthy lane still drained (its task is back), and the
-        // pool accepts and completes a fresh wave afterwards.
+        // Both lanes drained and both tasks are back, the panicked one
+        // included, so the same wave can be dispatched again.
+        assert_eq!(tasks[1].as_ref().unwrap().output, 4);
+        tasks[0]
+            .as_mut()
+            .expect("the panicked task is handed back")
+            .boom = false;
+        pool.dispatch(&mut tasks);
+        pool.collect(&mut tasks);
+        assert_eq!(tasks[0].as_ref().unwrap().output, 2);
+        assert_eq!(tasks[1].as_ref().unwrap().output, 4);
+
+        // The pool accepts and completes a fresh wave afterwards.
         let mut tasks = wave(&[5, 6]);
         pool.dispatch(&mut tasks);
         pool.collect(&mut tasks);

@@ -42,6 +42,9 @@ pub struct Workspace {
     /// Emptied grid lists from [`give_real_grids`](Self::give_real_grids),
     /// kept for their capacity.
     grid_lists: Vec<Vec<Grid<f64>>>,
+    /// Emptied spectrum lists from [`give_splits`](Self::give_splits),
+    /// kept for their capacity.
+    split_lists: Vec<Vec<SplitSpectrum>>,
 }
 
 /// Removes the best-fit buffer from a pool: the smallest capacity that
@@ -145,6 +148,29 @@ impl Workspace {
         let (re, im) = spectrum.into_parts();
         self.give_real(re);
         self.give_real(im);
+    }
+
+    /// Takes `count` split spectra of `width × height` with unspecified
+    /// contents, in a list that is itself pooled: with a warm pool,
+    /// neither the spectra nor the list allocate.
+    pub fn take_splits(&mut self, count: usize, width: usize, height: usize) -> Vec<SplitSpectrum> {
+        let mut spectra = self.split_lists.pop().unwrap_or_default();
+        for _ in 0..count {
+            let spectrum = self.take_split(width, height);
+            spectra.push(spectrum);
+        }
+        spectra
+    }
+
+    /// Returns the spectra left in a list and the emptied list itself
+    /// to the pool.
+    pub fn give_splits(&mut self, mut spectra: Vec<SplitSpectrum>) {
+        for spectrum in spectra.drain(..) {
+            self.give_split(spectrum);
+        }
+        if spectra.capacity() > 0 {
+            self.split_lists.push(spectra);
+        }
     }
 
     /// Preallocates a fixed list of buffers for a `width × height`

@@ -29,6 +29,7 @@ use mosaic_numerics::{
     Complex, Convolver, CyclicRange, Grid, IntensityPlan, KernelSpectrum, SplitSpectrum, Workspace,
 };
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// One coherent system: an intensity weight and a transfer function.
 #[derive(Debug, Clone)]
@@ -47,6 +48,9 @@ pub struct KernelSet {
     /// The small grid the bank's intensity is summed on, planned once
     /// from the kernel boxes.
     intensity_plan: IntensityPlan,
+    /// `H = Σ_k w_k h_k`, built on the first call to
+    /// [`combined`](Self::combined).
+    combined: OnceLock<CoherentKernel>,
     defocus_nm: f64,
     width: usize,
     height: usize,
@@ -73,6 +77,7 @@ impl KernelSet {
         KernelSet {
             intensity_plan: IntensityPlan::new(kernels.iter().map(|k| &k.spectrum)),
             kernels,
+            combined: OnceLock::new(),
             defocus_nm,
             width,
             height,
@@ -140,16 +145,24 @@ impl KernelSet {
     }
 
     /// The weight-combined kernel `H = Σ_k w_k h_k` of Eq. (21), in the
-    /// frequency domain.
+    /// frequency domain, with weight 1.
     ///
-    /// Convolving with this single kernel replaces `h` convolutions in the
-    /// gradient computation (§3.5) — the MOSAIC_fast speedup.
-    pub fn combined(&self) -> KernelSpectrum {
-        let mut acc = KernelSpectrum::zeros(self.width, self.height);
-        for k in &self.kernels {
-            acc.accumulate(&k.spectrum, k.weight);
-        }
-        acc
+    /// Convolving and correlating with this single kernel replaces `h`
+    /// of each in the gradient computation (§3.5) — the MOSAIC_fast
+    /// speedup. It is built on the first call and held by the bank from
+    /// then on, so every session and corner task on a shared bank uses
+    /// one `H`, and a bank that only images never builds it.
+    pub fn combined(&self) -> &CoherentKernel {
+        self.combined.get_or_init(|| {
+            let mut spectrum = KernelSpectrum::zeros(self.width, self.height);
+            for k in &self.kernels {
+                spectrum.accumulate(&k.spectrum, k.weight);
+            }
+            CoherentKernel {
+                weight: 1.0,
+                spectrum,
+            }
+        })
     }
 
     /// Overwrites each `intensities[i]` with the aerial image
@@ -343,7 +356,7 @@ mod tests {
     #[test]
     fn combined_kernel_matches_weighted_sum() {
         let set = KernelSet::build(&small_config(), 0.0).unwrap();
-        let combined = set.combined();
+        let combined = &set.combined().spectrum;
         let mut manual = Grid::<Complex>::zeros(64, 64);
         for k in set.kernels() {
             for (m, s) in manual.iter_mut().zip(k.spectrum.to_grid().iter()) {
@@ -558,7 +571,7 @@ mod tests {
                     "kernel {k} stores {stored} of {bins} bins"
                 );
             }
-            let (cols, rows) = set.combined().support();
+            let (cols, rows) = set.combined().spectrum.support();
             assert!(
                 cols.len() * rows.len() * 100 < bins,
                 "combined kernel box too large"

@@ -115,8 +115,10 @@ impl SubmitParams {
                     pixel = value
                         .parse()
                         .map_err(|_| format!("pixel: '{value}' is not a number"))?;
-                    if !(pixel.is_finite() && pixel > 0.0) {
-                        return Err(format!("pixel must be positive and finite, got {pixel}"));
+                    if !(pixel >= 1.0 && pixel.fract() == 0.0) {
+                        return Err(format!(
+                            "pixel must be a whole number of nm, at least 1, got {pixel}"
+                        ));
                     }
                 }
                 "iterations" => {
@@ -408,9 +410,13 @@ mod tests {
         assert!(parse_request("submit clip=B1 grid=0")
             .unwrap_err()
             .contains("grid"));
-        assert!(parse_request("submit clip=B1 pixel=-1")
-            .unwrap_err()
-            .contains("pixel"));
+        for pixel in ["-1", "2.5", "0.4"] {
+            let line = format!("submit clip=B1 pixel={pixel}");
+            assert!(
+                parse_request(&line).unwrap_err().contains("pixel"),
+                "{line}"
+            );
+        }
         assert!(parse_request("watch").unwrap_err().contains("job=<id>"));
         assert!(parse_request("watch job=x from=abc")
             .unwrap_err()

@@ -55,8 +55,10 @@ tier1() {
   cargo test -q --workspace
   echo "=== tier1: zero-allocation hot path"
   # Counting-allocator smoke test (DESIGN.md §9): warm optimizer
-  # iterations must not touch the heap. Also covered by the workspace
-  # test run above; repeated here so a gate failure names the culprit.
+  # iterations must not touch the heap, serial and at 2 and 4 threads,
+  # including the exact per-kernel gradient on a process window (its
+  # pooled field list). Also covered by the workspace test run above;
+  # repeated here so a gate failure names the culprit.
   cargo test -q -p mosaic-core --test alloc_smoke
   echo "=== tier1: threads determinism (intra-job parallel evaluation)"
   # DESIGN.md §14: focus-bank fan-out is the one intra-job parallel
@@ -75,10 +77,14 @@ tier1() {
   # fanned-out evaluation must agree bit for bit at threads 2-4 on the
   # contest window, on a window with a dose corner in the nominal bank,
   # and on a four-bank window whose corner banks outnumber the workers
-  # at threads 2 and 3. Also covered by the workspace test run above;
-  # repeated so a gate failure names the culprit.
+  # at threads 2 and 3, and again on a retry after an injected worker
+  # panic: the pool hands the panicked bank's task back, so the retry
+  # runs every bank (the pool test re-dispatches a panicked wave). Also
+  # covered by the workspace test run above; repeated so a gate failure
+  # names the culprit.
   cargo test -q -p mosaic-core --lib -- objective::tests::parallel_exec_fans_out_only_process_corners \
     objective::tests::parallel_evaluation_matches_serial_bit_for_bit_on_shared_banks
+  cargo test -q -p mosaic-numerics --lib -- pool::tests::panic_is_contained_and_pool_stays_reusable
   cargo test -q -p mosaic-runtime --test batch one_and_four_workers_agree_bit_for_bit
   cargo test -q -p mosaic-runtime --test golden -- b1_fast_preset_golden_snapshot \
     b4_contest_exact_golden_snapshot
