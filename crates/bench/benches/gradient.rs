@@ -1,12 +1,27 @@
 //! Micro-benchmarks of one full objective evaluation (value + gradient)
-//! in each mode — the ILT inner-loop cost (B0 in DESIGN.md).
+//! in each mode — the ILT inner-loop cost (B0 in DESIGN.md) — and the
+//! phase split of one evaluation at the repository benchmark's two
+//! shapes.
 //!
-//! Std-only harness (`cargo bench --bench gradient`).
+//! Std-only harness (`cargo bench --bench gradient`). The phase split
+//! builds B4 in the fast preset at 256 px @ 4 nm (the reference batch's
+//! shape) and in the contest preset at 512 px @ 2 nm (`contest_exact512`),
+//! times one evaluation serially and at 2 threads, then times its parts
+//! one at a time through the public calls an evaluation makes: the mask
+//! spectrum, each focus bank's image pass, each bank's gradient
+//! correlation and the evaluation's one real inverse. Each part runs on
+//! its own, so the parts do not add up to the evaluation exactly (the
+//! resist, the target and `F_pvb` terms and the chain rule are not
+//! split out). Rows print the minimum and the median over the runs.
 
+use mosaic_core::objective::{Evaluation, Objective};
 use mosaic_core::{
-    objective::Objective, GradientMode, MaskState, OpcProblem, OptimizationConfig, TargetTerm,
+    GradientMode, MaskState, Mosaic, MosaicConfig, MosaicMode, OpcProblem, OptimizationConfig,
+    TargetTerm,
 };
+use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_geometry::{Layout, Polygon, Rect};
+use mosaic_numerics::{Grid, KernelSpectrum, SplitSpectrum, Workspace};
 use mosaic_optics::{OpticsConfig, ProcessCondition, ResistModel};
 use std::hint::black_box;
 use std::time::Instant;
@@ -19,6 +34,25 @@ fn report<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     }
     let per = start.elapsed().as_secs_f64() / f64::from(iters);
     println!("{name:<40} {:>12.3} ms/iter ({iters} iters)", per * 1e3);
+}
+
+/// Runs `f` once to warm up, then `runs` times, and prints the minimum
+/// and the median in ms.
+fn phase<T>(shape: &str, name: &str, runs: usize, mut f: impl FnMut() -> T) {
+    black_box(f());
+    let mut ms: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    println!(
+        "phase/{shape:<12} {name:<44} min {:>8.3} ms  median {:>8.3} ms ({runs} runs)",
+        ms[0],
+        ms[runs / 2]
+    );
 }
 
 fn problem() -> OpcProblem {
@@ -43,6 +77,76 @@ fn problem() -> OpcProblem {
         40,
     )
     .expect("problem assembles")
+}
+
+/// The phase split of one evaluation of B4 under `config` in `mode`.
+fn phase_split(shape: &str, config: MosaicConfig, mode: MosaicMode, runs: usize) {
+    let layout = BenchmarkId::B4.layout().expect("B4 generates");
+    let mosaic = Mosaic::new(&layout, config).expect("B4 assembles");
+    let p = mosaic.problem();
+    let sim = p.simulator();
+    let conv = sim.convolver();
+    let cfg = mosaic.config_for(mode);
+    let objective = Objective::new(p, &cfg).expect("valid configuration");
+    let state = MaskState::from_mask(mosaic.initial_mask(), cfg.mask_steepness);
+    let mut ws = Workspace::new();
+    let mut eval = Evaluation::empty();
+    phase(shape, "evaluation, serial", runs, || {
+        objective.evaluate_into(&state, &mut ws, &mut eval);
+        eval.report.total
+    });
+    let mut par = objective.parallel_exec(2).expect("corner banks to fan out");
+    phase(shape, "evaluation, 2 threads", runs, || {
+        objective.evaluate_parallel(&state, &mut ws, &mut eval, &mut par);
+        eval.report.total
+    });
+    drop(par);
+
+    let (w, h) = p.grid_dims();
+    let mut mask = Grid::zeros(w, h);
+    state.mask_into(&mut mask);
+    let mut spectrum = SplitSpectrum::zeros(w, h);
+    phase(shape, "mask_spectrum_split", runs, || {
+        sim.mask_spectrum_split(&mask, &mut spectrum, &mut ws);
+        spectrum.at(1)
+    });
+    // Each bank's gradient sum `G` stands in as its first dose's image:
+    // the correlation's cost does not depend on the values.
+    let mut bank_spectrum = None;
+    for b in 0..sim.bank_count() {
+        let bank = sim.bank(b);
+        let doses = &sim.doses()[sim.bank_conditions(b)];
+        let mut images = vec![Grid::zeros(w, h); doses.len()];
+        let name = format!("bank {b}: aerial_images_split, {} dose(s)", doses.len());
+        phase(shape, &name, runs, || {
+            bank.aerial_images_split(conv, &spectrum, doses, &mut images, &mut ws);
+            images[0][(0, 0)]
+        });
+        let h_kernel = bank.combined();
+        let (cols, rows) = h_kernel.spectrum.support();
+        let mut out = KernelSpectrum::zeros_in(cols, rows, &mut ws);
+        let kernels = [(&h_kernel.spectrum, h_kernel.weight)];
+        let name = format!("bank {b}: correlation_spectrum_into");
+        phase(shape, &name, runs, || {
+            conv.correlation_spectrum_into(
+                bank.combined_plan(),
+                &images[0],
+                &spectrum,
+                kernels,
+                &mut out,
+                &mut ws,
+            );
+        });
+        bank_spectrum = Some(out);
+    }
+    let bank_spectrum = bank_spectrum.expect("at least one bank");
+    let mut gradient = Grid::zeros(w, h);
+    phase(shape, "inverse_re_rows", runs, || {
+        conv.inverse_re_rows(&bank_spectrum, &mut ws, |y, row| {
+            gradient.row_mut(y).copy_from_slice(row);
+        });
+        gradient[(0, 0)]
+    });
 }
 
 fn main() {
@@ -75,4 +179,16 @@ fn main() {
             objective.evaluate(&state)
         });
     }
+    phase_split(
+        "fast256",
+        MosaicConfig::fast_preset(256, 4.0),
+        MosaicMode::Fast,
+        100,
+    );
+    phase_split(
+        "contest512",
+        MosaicConfig::contest(512, 2.0),
+        MosaicMode::Exact,
+        30,
+    );
 }

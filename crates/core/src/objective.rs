@@ -11,16 +11,21 @@
 //! where `★` is cross-correlation with the conjugated kernel (the
 //! `H*(−x)` terms of Eq. (14)/(17)). Two gradient modes are provided:
 //!
-//! * [`GradientMode::PerKernel`] — the exact adjoint, one convolution per
-//!   kernel per focus bank and one correlation per kernel per condition;
+//! * [`GradientMode::PerKernel`] — the exact adjoint, one correlation
+//!   per kernel per focus bank;
 //! * [`GradientMode::Combined`] — the paper's Eq. (21) speedup: kernels
 //!   are pre-combined into `H = Σ_k w_k h_k`, which each focus bank holds
 //!   ([`KernelSet::combined`], weight 1), collapsing the sum to a single
-//!   convolution per focus bank and a single correlation per condition
-//!   (this is the form actually written in Eq. (14) and Eq. (17)).
+//!   correlation per focus bank (this is the form actually written in
+//!   Eq. (14) and Eq. (17)).
 //!
-//! The two modes differ only in the kernel list the one backprop loop of
-//! each focus bank runs over; the chain rule through Eq. (8) closes with
+//! The correlation is linear in `G`, so each focus bank first sums
+//! `2·dose·G` over its doses and correlates once. The two modes differ
+//! only in the kernel list that one correlation runs over. Each bank's
+//! share is formed as a spectrum on `H`'s box
+//! ([`Convolver::correlation_spectrum_into`]); the banks' boxes are
+//! summed and one real inverse ([`Convolver::inverse_re_rows`]) gives
+//! `∂F/∂M`, whose rows it closes through Eq. (8) with
 //! `dM/dP = θ_M·M·(1−M)`, formed from the mask the evaluation already
 //! holds.
 //!
@@ -44,7 +49,7 @@ use crate::optimizer::OptimizationConfig;
 use crate::parallel::{CornerTask, ParallelExec};
 use crate::problem::OpcProblem;
 use mosaic_geometry::Orientation;
-use mosaic_numerics::{Convolver, Grid, SplitSpectrum, Workspace};
+use mosaic_numerics::{Convolver, Grid, KernelSpectrum, SplitSpectrum, Workspace};
 use mosaic_optics::{KernelSet, ResistModel};
 use std::sync::Arc;
 
@@ -59,7 +64,8 @@ const EPE_STEEPNESS: f64 = 1.0;
 /// How the gradient folds the kernel bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GradientMode {
-    /// Exact adjoint: one correlation per kernel (h× the convolutions).
+    /// Exact adjoint: one correlation per kernel (h× the small-grid
+    /// products).
     PerKernel,
     /// Eq. (21): kernels pre-combined into `H = Σ w_k h_k` — the paper's
     /// formulation and default.
@@ -172,9 +178,9 @@ impl<'a> Objective<'a> {
     ///
     /// The conditions are walked by focus bank (DESIGN.md §9), each
     /// through the one bank body every corner worker runs too: a bank's
-    /// image pass and its backprop fields (`E_H = M ⊗ H`, or every
-    /// `E_k = M ⊗ h_k`) are computed once and shared by its doses, while
-    /// every per-condition accumulate still happens in condition order.
+    /// image pass and its one correlation serve all its doses, while
+    /// every per-condition term still accumulates in condition order and
+    /// the banks' gradient spectra are summed in bank order.
     ///
     /// There is exactly one numeric path: `evaluate` delegates here, so
     /// pooled and allocating evaluations are bit-identical.
@@ -239,8 +245,11 @@ impl<'a> Objective<'a> {
         let tasks = (1..sim.bank_count())
             .map(|b| {
                 let conditions = sim.bank_conditions(b);
+                let bank = Arc::clone(&sim.shared_banks()[b]);
+                let (cols, rows) = bank.combined().spectrum.support();
                 CornerTask {
-                    bank: Arc::clone(&sim.shared_banks()[b]),
+                    gradient: KernelSpectrum::zeros_in(cols, rows, &mut Workspace::new()),
+                    bank,
                     conv: sim.convolver().clone(),
                     resist: *sim.resist(),
                     target: Arc::clone(&target),
@@ -248,7 +257,6 @@ impl<'a> Objective<'a> {
                     pixel_area,
                     doses: sim.doses()[conditions.clone()].to_vec(),
                     mask_spectrum: SplitSpectrum::zeros(gw, gh),
-                    r_planes: conditions.clone().map(|_| Grid::zeros(gw, gh)).collect(),
                     pvb_values: vec![0.0; conditions.len()],
                 }
             })
@@ -292,12 +300,15 @@ impl<'a> Objective<'a> {
             // calling thread evaluates the nominal bank below.
             p.corners_start(&mask_spectrum);
         }
-        let mut grad_mask = ws.take_real_grid_zeroed(gw, gh);
+        // The spectrum of `∂F/∂M` on `H`'s box: each bank's share begins
+        // at +0 and is added in bank order, on this thread, on both paths.
+        let (cols, rows) = sim.bank(0).combined().spectrum.support();
+        let mut spectrum = KernelSpectrum::zeros_in(cols, rows, ws);
         let mut report = ObjectiveReport::default();
 
         // With a corner pool the workers own banks 1.., so this thread
         // only walks the nominal condition's bank; the corner merge below
-        // replays the skipped accumulates in condition order.
+        // adds the skipped banks in bank order.
         let serial_banks = if par.is_some() { 1 } else { sim.bank_count() };
         for b in 0..serial_banks {
             // Which conditions carry a term? Every one when β > 0; else
@@ -312,14 +323,17 @@ impl<'a> Objective<'a> {
                 continue;
             }
             let first = conditions.start;
+            let bank = sim.bank(b);
+            let (cols, rows) = bank.combined().spectrum.support();
+            let mut bank_spectrum = KernelSpectrum::zeros_in(cols, rows, ws);
             evaluate_bank(
                 conv,
                 &mask_spectrum,
-                sim.bank(b),
+                bank,
                 sim.resist(),
                 &sim.doses()[conditions],
                 cfg.gradient_mode,
-                BankGradient::Shared(&mut grad_mask),
+                &mut bank_spectrum,
                 ws,
                 |i, z, dz, g, ws| {
                     // Condition 0 carries the design target, every other
@@ -340,44 +354,40 @@ impl<'a> Objective<'a> {
                     }
                 },
             );
+            spectrum.accumulate(&bank_spectrum, 1.0);
+            bank_spectrum.recycle(ws);
         }
         if let Some(p) = par {
-            // Drain the bank workers, then replay the two cross-corner
-            // accumulates exactly as the serial loop interleaves them —
-            // pvb sum then gradient accumulate, condition by condition —
-            // on this thread. Each corner's plane holds `0 + 2·dose·r`,
-            // so adding it reproduces the serial `grad += 2·dose·r` bits:
-            // the two differ only when `2·dose·r` is −0, and `grad`, a
-            // sum begun at +0, is never −0.
+            // Drain the bank workers, then add each bank's `F_pvb` values
+            // in condition order and its box spectrum, exactly as the
+            // serial loop does, on this thread.
             p.corners_finish(ws);
             for task in p.corner_tasks() {
-                for (&value, r_plane) in task.pvb_values.iter().zip(&task.r_planes) {
+                for &value in &task.pvb_values {
                     report.pvb += cfg.beta * value * pixel_area;
-                    for (a, &r) in grad_mask.iter_mut().zip(r_plane.iter()) {
-                        *a += r;
-                    }
                 }
+                spectrum.accumulate(&task.gradient, 1.0);
             }
         }
         report.total = report.target + report.pvb;
 
-        // Chain through the parameterization: ∂F/∂P = ∂F/∂M ⊙ dM/dP,
-        // with `dM/dP = θ_M · M · (1 − M)` formed from the mask itself.
+        // One real inverse gives `∂F/∂M` row by row, and each row is
+        // chained through the parameterization at once:
+        // ∂F/∂P = ∂F/∂M ⊙ dM/dP, with `dM/dP = θ_M · M · (1 − M)` formed
+        // from the mask itself.
         if eval.gradient.dims() != (gw, gh) {
             eval.gradient = Grid::zeros(gw, gh);
         }
         let theta = state.theta_m();
-        for ((o, &gm), &m) in eval
-            .gradient
-            .iter_mut()
-            .zip(grad_mask.iter())
-            .zip(mask.iter())
-        {
-            *o = gm * (theta * m * (1.0 - m));
-        }
+        conv.inverse_re_rows(&spectrum, ws, |y, row| {
+            let out = eval.gradient.row_mut(y);
+            for ((o, &r), &m) in out.iter_mut().zip(row).zip(mask.row(y)) {
+                *o = r * (theta * m * (1.0 - m));
+            }
+        });
         eval.report = report;
 
-        ws.give_real_grid(grad_mask);
+        spectrum.recycle(ws);
         ws.give_split(mask_spectrum);
         ws.give_real_grid(mask);
     }
@@ -462,32 +472,23 @@ impl<'a> Objective<'a> {
     }
 }
 
-/// Where [`evaluate_bank`] adds each dose's `2·dose · ∂F/∂M`.
-pub(crate) enum BankGradient<'a> {
-    /// The evaluation's one gradient plane, every dose in turn.
-    Shared(&'a mut Grid<f64>),
-    /// One plane per dose, zeroed first (a [`CornerTask`]'s `r_planes`).
-    PerDose(&'a mut [Grid<f64>]),
-}
-
 /// The one focus-bank body of an evaluation, run by the calling
 /// thread's bank loop and by every [`CornerTask`] (DESIGN.md §14).
 ///
-/// The backprop kernels are the bank's combined kernel `H`
-/// ([`KernelSet::combined`], weight 1) in [`GradientMode::Combined`],
-/// or its every `h_k` for the exact per-kernel adjoint in
-/// [`GradientMode::PerKernel`]. Each field `E = M ⊗ h` is convolved
-/// once, before one image pass images every dose of the bank. Then,
-/// dose by dose, the resist develops `Z` and `dZ/dI` in one fused pass
-/// (one exponential per pixel), `terms(i, z, dz, g, ws)` accumulates
-/// `∂F/∂I` of dose `i` into the zeroed `g`, and every field weighted by
-/// `g` is correlated back, adding `2·dose·w · Re[(G ⊙ E) ★ h]` into
-/// `out`. The convolution and the correlation both run their box forms
-/// (DESIGN.md §16); the correlation inverts through the Hermitian half
-/// spectrum (only the real part is consumed), which is ULP-compatible
-/// with — not bit-identical to — a full complex correlation. Every
-/// scratch grid, the field list included, comes from `ws` and goes back
-/// to it.
+/// One image pass images every dose of the bank. Then, dose by dose, the
+/// resist develops `Z` and `dZ/dI` in one fused pass (one exponential
+/// per pixel), `terms(i, z, dz, g, ws)` accumulates `∂F/∂I` of dose `i`
+/// into the zeroed `g`, and `2·dose·g` is added into the bank's one
+/// plane `G`, begun at +0. The correlation is linear in `G`, so it runs
+/// once for the bank: through the bank's combined kernel `H`
+/// ([`KernelSet::combined`], weight 1, on its 64×64 plan) in
+/// [`GradientMode::Combined`], or through its every `h_k` (on the
+/// image's 32×32 plan) for the exact per-kernel adjoint in
+/// [`GradientMode::PerKernel`]. It overwrites `out` with the bank's
+/// share of `∂F/∂M`'s spectrum, `Σ_k w_k · F(G ⊙ (M ⊗ h_k)) · conj(h_k)`
+/// on `H`'s box ([`Convolver::correlation_spectrum_into`]), which
+/// `out`'s box must hold. Every scratch grid comes from `ws` and goes
+/// back to it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_bank(
     conv: &Convolver,
@@ -496,55 +497,37 @@ pub(crate) fn evaluate_bank(
     resist: &ResistModel,
     doses: &[f64],
     mode: GradientMode,
-    mut out: BankGradient<'_>,
+    out: &mut KernelSpectrum,
     ws: &mut Workspace,
     mut terms: impl FnMut(usize, &Grid<f64>, &Grid<f64>, &mut Grid<f64>, &mut Workspace),
 ) {
     let (gw, gh) = mask_spectrum.dims();
-    let kernels = match mode {
-        GradientMode::Combined => std::slice::from_ref(bank.combined()),
-        GradientMode::PerKernel => bank.kernels(),
-    };
-    let mut fields = ws.take_splits(kernels.len(), gw, gh);
-    for (kernel, field) in kernels.iter().zip(&mut fields) {
-        conv.convolve_spectrum_split_into(mask_spectrum, &kernel.spectrum, field, ws);
-    }
     let mut intensities = ws.take_real_grids(doses.len(), gw, gh);
     let mut z = ws.take_real_grid(gw, gh);
     let mut dz = ws.take_real_grid(gw, gh);
     let mut g = ws.take_real_grid(gw, gh);
+    let mut g_bank = ws.take_real_grid_zeroed(gw, gh);
     bank.aerial_images_split(conv, mask_spectrum, doses, &mut intensities, ws);
     for (i, (intensity, &dose)) in intensities.drain(..).zip(doses).enumerate() {
         resist.develop_with_derivative_into(&intensity, &mut z, &mut dz);
         ws.give_real_grid(intensity);
         g.fill(0.0);
         terms(i, &z, &dz, &mut g, ws);
-        let grad = match &mut out {
-            BankGradient::Shared(grad) => &mut **grad,
-            BankGradient::PerDose(planes) => {
-                let plane = &mut planes[i];
-                plane.fill(0.0);
-                plane
-            }
-        };
-        let mut weighted = ws.take_split(gw, gh);
-        for (kernel, field) in kernels.iter().zip(&fields) {
-            weight_split_by_real(field, &g, &mut weighted);
-            conv.correlate_re_accumulate_split(
-                &mut weighted,
-                &kernel.spectrum,
-                2.0 * dose * kernel.weight,
-                grad,
-                ws,
-            );
+        for (s, &v) in g_bank.iter_mut().zip(g.iter()) {
+            *s += 2.0 * dose * v;
         }
-        ws.give_split(weighted);
     }
+    let (kernels, plan) = match mode {
+        GradientMode::Combined => (std::slice::from_ref(bank.combined()), bank.combined_plan()),
+        GradientMode::PerKernel => (bank.kernels(), bank.intensity_plan()),
+    };
+    let kernels = kernels.iter().map(|k| (&k.spectrum, k.weight));
+    conv.correlation_spectrum_into(plan, &g_bank, mask_spectrum, kernels, out, ws);
+    ws.give_real_grid(g_bank);
     ws.give_real_grid(g);
     ws.give_real_grid(dz);
     ws.give_real_grid(z);
     ws.give_real_grids(intensities);
-    ws.give_splits(fields);
 }
 
 /// `F_pvb` of one corner, `Σ (Z_c − Z_t)²` (returned unweighted), with
@@ -566,18 +549,6 @@ pub(crate) fn pvb_accumulate(
         *gv += beta * pixel_area * 2.0 * diff * dv;
     }
     value
-}
-
-/// `out = field ⊙ g`, both planes pixel-wise.
-fn weight_split_by_real(field: &SplitSpectrum, g: &Grid<f64>, out: &mut SplitSpectrum) {
-    let (fr, fi) = field.planes();
-    let (or, oi) = out.planes_mut();
-    for ((o, &f), &gv) in or.iter_mut().zip(fr).zip(g.iter()) {
-        *o = f * gv;
-    }
-    for ((o, &f), &gv) in oi.iter_mut().zip(fi).zip(g.iter()) {
-        *o = f * gv;
-    }
 }
 
 #[cfg(test)]
@@ -786,22 +757,24 @@ mod tests {
 
     #[test]
     fn per_kernel_evaluations_are_pinned_to_the_bit() {
-        // The exact adjoint's bits, pinned at cb63e46 (the finite-
-        // difference checks above only bound them): a radix-2 grid, and
-        // a 96 px grid whose rows and columns run Bluestein.
+        // The exact adjoint's bits, pinned at cb63e46 and re-pinned once
+        // when each focus bank's gradient moved onto `H`'s box, a numeric
+        // change the dense-oracle pins bound (the finite-difference
+        // checks above only bound the gradient): a radix-2 grid, and a
+        // 96 px grid whose rows and columns run Bluestein.
         use mosaic_geometry::benchmarks::BenchmarkId;
         let cases = [
             (
                 BenchmarkId::B4,
                 128,
                 8.0,
-                [0x36b0_8b72_83e0_c556, 0xd1be_c7c7_c592_b017],
+                [0x613a_e79b_ffaf_6d26, 0x6bb5_b7a0_6072_fe84],
             ),
             (
                 BenchmarkId::B2,
                 96,
                 12.0,
-                [0x3b54_360f_7d9c_ad6c, 0x0082_57a6_f685_3f21],
+                [0xdbf7_05b0_df72_48e1, 0x9d13_cb39_df48_a5e5],
             ),
         ];
         for (bench, grid, pixel_nm, pins) in cases {

@@ -6,13 +6,13 @@
 //! `CornerTask`s, one per focus bank of the `F_pvb` (Eq. (18))
 //! process corners after the nominal condition's bank. The spectral
 //! code underneath is serial. Each worker runs a whole bank — one image
-//! pass for its doses, then per corner resist and gradient plane —
-//! against its own persistent mask-spectrum copy and scratch, and hands
-//! back each corner's gradient contribution accumulated onto a zeroed
-//! plane. The calling thread adds those planes and performs the
-//! `report.pvb` sum itself, in condition order. Since `0 + s·r = s·r`
-//! exactly (up to the sign of a zero, which the never-negative-zero
-//! gradient sum absorbs), every gradient bit equals the serial path's at
+//! pass for its doses, then per corner resist and `∂F_pvb/∂I`, then one
+//! correlation — against its own persistent mask-spectrum copy and
+//! scratch, and hands back the bank's gradient spectrum on `H`'s box
+//! (about 12 KB), begun at +0 exactly as the serial bank loop begins
+//! each bank's. The calling thread adds those boxes in bank order and
+//! performs the `report.pvb` sum itself, in condition order, as the
+//! serial path does, so every gradient bit equals the serial path's at
 //! any thread count.
 //!
 //! [`Objective::parallel_exec`](crate::objective::Objective::parallel_exec)
@@ -23,8 +23,10 @@
 //! the nominal bank and then every corner bank no worker holds, all
 //! through the one bank body of the serial path.
 
-use crate::objective::{evaluate_bank, pvb_accumulate, BankGradient, GradientMode};
-use mosaic_numerics::{Convolver, Grid, PoolTask, SplitSpectrum, WorkerPool, Workspace};
+use crate::objective::{evaluate_bank, pvb_accumulate, GradientMode};
+use mosaic_numerics::{
+    Convolver, Grid, KernelSpectrum, PoolTask, SplitSpectrum, WorkerPool, Workspace,
+};
 use mosaic_optics::{KernelSet, ResistModel};
 use std::sync::Arc;
 
@@ -32,10 +34,10 @@ use std::sync::Arc;
 /// worker thread.
 ///
 /// The task owns clones of the (Arc-backed) simulator pieces it needs
-/// plus persistent per-corner grids, so repeated evaluations perform
-/// zero steady-state allocations. Everything it computes lands in its
-/// own `pvb_values` / `r_planes`; the deterministic merge is the
-/// caller's job.
+/// plus its persistent outputs, so repeated evaluations perform zero
+/// steady-state allocations. Everything it computes lands in its own
+/// `gradient` / `pvb_values`; the deterministic merge is the caller's
+/// job.
 pub(crate) struct CornerTask {
     /// The focus bank, which also holds its combined kernel `H`.
     pub(crate) bank: Arc<KernelSet>,
@@ -45,23 +47,24 @@ pub(crate) struct CornerTask {
     pub(crate) beta: f64,
     pub(crate) pixel_area: f64,
     /// The bank's corner doses, in condition order; each corner's
-    /// backprop scale is `2·dose`, as on the serial path.
+    /// `∂F/∂I` enters the bank's correlation at `2·dose`, as on the
+    /// serial path.
     pub(crate) doses: Vec<f64>,
     /// Caller-refreshed copy of the iteration's mask spectrum, in
     /// split-plane layout (DESIGN.md §16).
     pub(crate) mask_spectrum: SplitSpectrum,
-    /// Output, per corner: its gradient contribution
-    /// `2·dose · Re[(G ⊙ (M ⊗ H)) ★ H]`, accumulated onto zeros.
-    pub(crate) r_planes: Vec<Grid<f64>>,
+    /// Output: the bank's share of `∂F/∂M`'s spectrum on `H`'s box,
+    /// `F((Σ 2·dose·G) ⊙ (M ⊗ H)) · conj(H)`, begun at +0.
+    pub(crate) gradient: KernelSpectrum,
     /// Output, per corner: its unweighted `Σ (Z_c − Z_t)²`.
     pub(crate) pvb_values: Vec<f64>,
 }
 
 impl PoolTask for CornerTask {
     /// The bank body of the serial path ([`evaluate_bank`]) with the
-    /// [`pvb_accumulate`] term at every corner, each corner's backprop
-    /// landing on its zeroed `r_plane`; the two cross-corner
-    /// accumulates are left to the caller, which replays them serially.
+    /// [`pvb_accumulate`] term at every corner, its gradient spectrum
+    /// landing in `gradient`; the two cross-bank sums are left to the
+    /// caller, which runs them as the serial path does.
     fn run(&mut self, ws: &mut Workspace) {
         evaluate_bank(
             &self.conv,
@@ -70,7 +73,7 @@ impl PoolTask for CornerTask {
             &self.resist,
             &self.doses,
             GradientMode::Combined,
-            BankGradient::PerDose(&mut self.r_planes),
+            &mut self.gradient,
             ws,
             |i, z, dz, g, _| {
                 self.pvb_values[i] =
@@ -136,8 +139,8 @@ impl ParallelExec {
 
     /// Runs every bank task no worker holds on the calling thread, then
     /// drains the workers. After this, each task holds its corners'
-    /// `pvb_values` / `r_planes` and the caller can merge them in
-    /// condition order.
+    /// `pvb_values` and its bank's `gradient`, and the caller can merge
+    /// them in condition order.
     ///
     /// A worker panic propagates from the pool's `collect` after every
     /// lane drains and every task, the panicked one included, is back

@@ -125,9 +125,10 @@ fn warm_iterations_allocate_nothing() {
     // The scenarios run sequentially inside the one test function so no
     // concurrent test pollutes the counter: the serial split-plane
     // baseline, the serial process window (two doses per focus bank, so
-    // the pooled image and field lists and the per-dose weighted scratch
-    // are on the warm path), the same window with the exact per-kernel
-    // adjoint (one pooled field per kernel), and the bank fan-out path
+    // the pooled image list, the bank's dose-weighted plane and its box
+    // spectrum are on the warm path), the same window with the exact
+    // per-kernel adjoint (one small-grid product per kernel), and the
+    // bank fan-out path
     // (each worker runs a whole split-layout focus bank) at two widths,
     // so both the caller share and multiple worker lanes draw from their
     // warmed per-thread pools.

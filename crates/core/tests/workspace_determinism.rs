@@ -98,7 +98,8 @@ fn assert_bit_identical(a: &OptimizationResult, b: &OptimizationResult, ctx: &st
 #[test]
 fn poisoned_shared_workspace_run_is_bit_identical_to_fresh() {
     // The nominal condition alone, and the five-condition contest window
-    // whose focus banks share fields, images and `E_H` across two doses.
+    // whose focus banks share one image pass and one gradient
+    // correlation across two doses.
     for (name, problem) in [
         ("nominal", small_problem()),
         (

@@ -18,14 +18,11 @@
 //! Optical kernels are band-limited: each is nonzero only on a small
 //! pupil disk of the frequency grid. A [`KernelSpectrum`] therefore stores
 //! just the smallest cyclic row × column box holding its nonzero bins
-//! (DESIGN.md §16), and both operations skip the 1-D transforms the box
-//! rules out — the convolution row-transforms only the box rows and its
-//! column inverses skip the butterfly blocks those rows leave all-zero,
-//! the correlation column-transforms only the box columns and inverts only
-//! the half-spectrum columns the box or its mirror reaches. Every skipped
-//! transform has an all-zero input or outputs that only zero kernel bins
-//! multiply, so every nonzero output value is bit-identical to the dense
-//! path (DESIGN.md §9).
+//! (DESIGN.md §16), and the convolution skips the 1-D transforms the box
+//! rules out: it row-transforms only the box rows, and its column
+//! inverses skip the butterfly blocks those rows leave all-zero. Every
+//! skipped transform has an all-zero input, so every nonzero output value
+//! is bit-identical to the dense path (DESIGN.md §9).
 //!
 //! The SOCS image ([`Convolver::socs_intensities_into`]) never forms a
 //! full-grid field. Each `|E_k|²` has the box product's autocorrelation
@@ -33,11 +30,16 @@
 //! so a bank's kernels are imaged and summed on a small grid at least
 //! twice the widest box ([`IntensityPlan`]: 32×32 for the pupil kernels
 //! of the presets), and one forward transform there plus one pruned
-//! full-grid real inverse per dose gives the image; the correlation ends
-//! in the same real inverse, over every row. This is the one
-//! operation here that is not bit-identical to the dense path: it is
-//! equal in exact arithmetic and within `1e-12 ×` the image peak in
-//! floats (DESIGN.md §9).
+//! full-grid real inverse per dose gives the image. The gradient works
+//! the same way: the correlation with a kernel keeps only the kernel's
+//! box of the spectrum, so each focus bank forms its share there
+//! ([`Convolver::correlation_spectrum_into`]: one pruned forward
+//! transform of the dose-weighted `∂F/∂I`, then a product on the small
+//! grid), and one pruned real inverse of the summed box
+//! ([`Convolver::inverse_re_rows`]) gives the whole gradient. These two
+//! are the operations here that are not bit-identical to the dense path:
+//! they are equal in exact arithmetic and within `1e-12 ×` the dense
+//! result's peak in floats (DESIGN.md §9).
 //!
 //! Convolution here is *circular*. Callers embed their pattern with a guard
 //! band at least as wide as the kernel support (see
@@ -131,6 +133,22 @@ impl CyclicRange {
         self.offset(i).is_some()
     }
 
+    /// Position `p` of the non-empty range `inner`'s first index within
+    /// this range; `inner`'s `t`-th index then lies at `(p + t) mod n`
+    /// (past `n` only when this range is the whole axis).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every index of `inner` lies in this range.
+    fn position_of(&self, inner: CyclicRange) -> usize {
+        let at = self.offset(inner.start);
+        assert!(
+            at.is_some_and(|o| self.len == self.n || o + inner.len <= self.len),
+            "range {inner:?} does not lie in {self:?}"
+        );
+        at.unwrap_or(0)
+    }
+
     /// The range as at most two ascending runs of axis indices, in range
     /// order; the second run is empty unless the range wraps.
     pub(crate) fn runs(&self) -> [Range<usize>; 2] {
@@ -213,11 +231,14 @@ impl CyclicRange {
 /// ([`SplitSpectrum`], DESIGN.md §16) of `cols.len() × rows.len()`
 /// samples, row-major; every bin outside the box is zero. An optical
 /// kernel is a pupil disk a few bins across, so the box is a tiny
-/// fraction of the grid and the convolution and correlation skip every
-/// transform it rules out.
+/// fraction of the grid and the convolution skips every transform it
+/// rules out.
 /// Produced by [`Convolver::kernel_spectrum`],
 /// [`Convolver::kernel_spectrum_centered`] or the constructors below;
-/// consumed by the convolution and correlation calls.
+/// consumed by the convolution, image and correlation calls. The
+/// gradient's spectrum, which the correlation leaves on the kernel's
+/// box, is held the same way ([`KernelSpectrum::zeros_in`],
+/// [`Convolver::correlation_spectrum_into`]).
 #[derive(Debug, Clone)]
 pub struct KernelSpectrum {
     cols: CyclicRange,
@@ -292,6 +313,37 @@ impl KernelSpectrum {
             cols: CyclicRange::empty(width),
             rows: CyclicRange::empty(height),
             samples: SplitSpectrum::zeros(0, 0),
+        }
+    }
+
+    /// An all-zero spectrum on the box `cols × rows` of the grid both
+    /// ranges span, its samples drawn from `ws`;
+    /// [`recycle`](Self::recycle) gives them back.
+    pub fn zeros_in(cols: CyclicRange, rows: CyclicRange, ws: &mut Workspace) -> Self {
+        let mut samples = ws.take_split(cols.len(), rows.len());
+        let (re, im) = samples.planes_mut();
+        re.fill(0.0);
+        im.fill(0.0);
+        KernelSpectrum {
+            cols,
+            rows,
+            samples,
+        }
+    }
+
+    /// Returns the samples' planes to `ws`.
+    pub fn recycle(self, ws: &mut Workspace) {
+        ws.give_split(self.samples);
+    }
+
+    /// The bin `(i, j)`: its sample inside the box, zero outside.
+    fn sample(&self, i: usize, j: usize) -> (f64, f64) {
+        match (self.cols.offset(i), self.rows.offset(j)) {
+            (Some(a), Some(b)) => {
+                let k = b * self.cols.len() + a;
+                (self.samples.re()[k], self.samples.im()[k])
+            }
+            _ => (0.0, 0.0),
         }
     }
 
@@ -434,6 +486,13 @@ impl KernelSpectrum {
 /// two), where every `|E_k|²` and their weighted sum are sampled
 /// without aliasing. For the pupil kernels of the presets `bw = bh = 15`
 /// and the grid is 32×32, whatever the simulation grid.
+///
+/// The same sizing serves the gradient
+/// ([`Convolver::correlation_spectrum_into`]): the spectrum of
+/// `G ⊙ E_k` on `K_k`'s box is a cyclic convolution reaching offsets
+/// `|d| < b`, which an `l ≥ 2b − 1` grid holds without aliasing. A plan
+/// over the combined kernel `H` alone (27×27 bins at 512 px @ 2 nm) is
+/// 64×64.
 #[derive(Debug, Clone)]
 pub struct IntensityPlan {
     plan: Fft2d,
@@ -690,64 +749,184 @@ impl Convolver {
         ws.give_real_grids(sums);
     }
 
-    /// Accumulates `scale · Re[field ★ h]` into `acc`: the correlation
-    /// of the **spatial** complex field `field` with the
-    /// conjugate-flipped kernel (`H*(−x) ⊗ G`, Eq. (14)/(17)), whose real
-    /// part is all the gradient consumes. `field`'s planes are used as
-    /// scratch and hold no defined values afterwards.
+    /// Overwrites `out` with one focus bank's share of the gradient's
+    /// spectrum on `out`'s box: `Σ_k w_k · F(g ⊙ E_k) · conj(K_k)` over
+    /// the `(K_k, w_k)` pairs of `kernels`, with
+    /// `E_k = F⁻¹(field_spectrum · K_k)` — the spectrum of the correlation
+    /// `Σ_k w_k · (g ⊙ E_k) ★ h_k` of Eq. (14)/(17), whose real part
+    /// [`inverse_re_rows`](Self::inverse_re_rows) gives. Each box bin is
+    /// summed in kernel order from `+0`.
     ///
-    /// The forward transform runs here: every row, then only the box
-    /// columns (the product is zero wherever the kernel is). The product
-    /// is folded into its Hermitian part `(P(f) + conj(P(−f)))/2`, which
-    /// inverse-transforms to exactly `Re(F⁻¹ P)` (exact arithmetic), and
-    /// only the half-spectrum columns the box or its mirror reaches go
-    /// through the column inverse, over every row, before the
-    /// `w/2 + 1`-column real row inverse — the same real inverse as the
-    /// SOCS image's.
+    /// `conj(K_k)` keeps only `K_k`'s box of `F(g ⊙ E_k)`, and there it is
+    /// the cyclic convolution `(1/(w·h)) Σ_q F(g)(p − q)·(field_spectrum ·
+    /// K_k)(q)`, which reads `F(g)` only at the offsets `|dx| < bw`,
+    /// `|dy| < bh` of `plan`'s widest box. So `F(g)` is computed once, on
+    /// the half-spectrum columns those offsets reach
+    /// (`Fft2d::forward_real_pruned`), placed at its offsets on `plan`'s
+    /// `lx × ly` grid (where `l ≥ 2b − 1` keeps the product free of
+    /// aliasing on the box) and inverse-transformed there; that inverse is
+    /// real, as `F(g)` is Hermitian, so its imaginary plane (rounding
+    /// alone) is not read. Per kernel the box product is inverted at the
+    /// small grid's origin, multiplied pixel-wise by it and transformed
+    /// forward, and its box bins are added as
+    /// `w_k · lx·ly/(w·h) · P · conj(K_k)` into `out`. In exact
+    /// arithmetic this equals the full-grid correlation; in floats its
+    /// real inverse stays within `1e-12 ×` the dense oracle's peak
+    /// (DESIGN.md §9).
     ///
     /// # Panics
     ///
-    /// Panics if shapes differ from the plan.
-    pub fn correlate_re_accumulate_split(
+    /// Panics if any shape differs from the plan, a kernel box is wider
+    /// than `plan` holds or does not lie inside `out`'s box.
+    pub fn correlation_spectrum_into<'k>(
         &self,
-        field: &mut SplitSpectrum,
-        kernel: &KernelSpectrum,
-        scale: f64,
-        acc: &mut Grid<f64>,
+        plan: &IntensityPlan,
+        g: &Grid<f64>,
+        field_spectrum: &SplitSpectrum,
+        kernels: impl IntoIterator<Item = (&'k KernelSpectrum, f64)>,
+        out: &mut KernelSpectrum,
         ws: &mut Workspace,
     ) {
+        let (w, h) = (self.width(), self.height());
+        assert_eq!(g.dims(), (w, h), "gradient field shape mismatch");
         assert_eq!(
-            field.dims(),
-            kernel.dims(),
-            "field/kernel spectrum shape mismatch"
+            field_spectrum.dims(),
+            (w, h),
+            "field spectrum shape mismatch"
         );
-        assert_eq!(field.dims(), acc.dims(), "output shape mismatch");
-        let (w, h) = field.dims();
-        if kernel.cols.is_empty() || kernel.rows.is_empty() {
-            return; // every product bin is zero
+        assert_eq!(out.dims(), (w, h), "box spectrum shape mismatch");
+        let (out_re, out_im) = out.samples.planes_mut();
+        out_re.fill(0.0);
+        out_im.fill(0.0);
+        let (lx, ly) = plan.dims();
+        let (bw, bh) = plan.reach;
+        if bw == 0 || bh == 0 {
+            return; // every kernel is zero
         }
-        // Column-major scratch: box column `a` of the forward spectrum
-        // is row `a` of this `h`-wide spectrum.
-        let mut columns = ws.take_split(h, kernel.cols.len());
-        self.plan
-            .forward_to_columns(field, kernel.cols, &mut columns, ws);
-        let reached = FoldedColumns::new(kernel.cols, w, self.plan.half_width());
-        let mut half = ws.take_split(h, reached.count());
-        fold_hermitian(&columns, kernel, &reached, &mut half);
-        ws.give_split(columns);
-        let every_row = CyclicRange::full(h);
-        self.plan
-            .inverse_real_pruned(&half, reached.runs(), every_row, ws, |y, row| {
-                for (a, &r) in acc.row_mut(y).iter_mut().zip(row) {
-                    *a += scale * r;
+        let mut g_columns = ws.take_split(h, bw.min(self.plan.half_width()));
+        self.plan.forward_real_pruned(g, &mut g_columns, ws);
+        // The small grid's rows of the offsets `−(bh − 1)..=bh − 1`.
+        let rows = CyclicRange::new((ly + 1 - bh) % ly, 2 * bh - 1, ly);
+        let mut band = ws.take_split(lx, rows.len());
+        place_offsets(&g_columns, (w, h), (bw, bh), &mut band);
+        ws.give_split(g_columns);
+        let mut g_small = ws.take_split(lx, ly);
+        plan.plan
+            .inverse_from_rows(&mut band, rows, &mut g_small, ws);
+        ws.give_split(band);
+        let scale = (lx * ly) as f64 / (w * h) as f64;
+        let mut field = ws.take_split(lx, ly);
+        for (kernel, weight) in kernels {
+            let (cols, rows) = kernel.support();
+            assert!(
+                cols.len() <= bw && rows.len() <= bh,
+                "kernel box wider than the plan"
+            );
+            if cols.is_empty() || rows.is_empty() {
+                continue; // a zero kernel adds nothing
+            }
+            let (x0, y0) = (out.cols.position_of(cols), out.rows.position_of(rows));
+            let mut band = kernel.multiply_into_band(field_spectrum, lx, |a, _| a, ws);
+            let origin = CyclicRange::new(0, rows.len(), ly);
+            plan.plan
+                .inverse_from_rows(&mut band, origin, &mut field, ws);
+            ws.give_split(band);
+            let (fr, fi) = field.planes_mut();
+            for ((r, i), &gv) in fr.iter_mut().zip(fi.iter_mut()).zip(g_small.re()) {
+                *r *= gv;
+                *i *= gv;
+            }
+            plan.plan
+                .process_split(&mut field, FftDirection::Forward, ws);
+            let s = weight * scale;
+            let (bw_k, ow) = (cols.len(), out.cols.len());
+            let (fr, fi) = field.planes();
+            let (kr, ki) = kernel.samples.planes();
+            let (or_, oi) = out.samples.planes_mut();
+            for b in 0..rows.len() {
+                let ob = (y0 + b) % h;
+                for a in 0..bw_k {
+                    let (p, k, o) = (b * lx + a, b * bw_k + a, ob * ow + (x0 + a) % w);
+                    or_[o] += s * (fr[p] * kr[k] + fi[p] * ki[k]);
+                    oi[o] += s * (fi[p] * kr[k] - fr[p] * ki[k]);
                 }
-            });
+            }
+        }
+        ws.give_split(field);
+        ws.give_split(g_small);
+    }
+
+    /// Hands every real row `y` of `Re[F⁻¹(spectrum)]` to
+    /// `row(y, values)`: the evaluation's one inverse, which turns the
+    /// summed box spectra of
+    /// [`correlation_spectrum_into`](Self::correlation_spectrum_into)
+    /// into the gradient.
+    ///
+    /// The box is folded into its Hermitian part
+    /// `(S(f) + conj(S(−f)))/2`, whose real inverse is exactly
+    /// `Re(F⁻¹ S)` in exact arithmetic, on the half-spectrum columns the
+    /// box or its mirror reaches and the cyclic row range holding the
+    /// box's rows and their mirrors. One pruned real inverse (the image's,
+    /// `Fft2d::inverse_real_pruned`) then rebuilds every row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spectrum's shape differs from the plan.
+    pub fn inverse_re_rows(
+        &self,
+        spectrum: &KernelSpectrum,
+        ws: &mut Workspace,
+        row: impl FnMut(usize, &[f64]),
+    ) {
+        let (w, h) = (self.width(), self.height());
+        assert_eq!(spectrum.dims(), (w, h), "box spectrum shape mismatch");
+        let reached = FoldedColumns::new(spectrum.cols, w, self.plan.half_width());
+        let rows = spectrum.rows.union(spectrum.rows.mirrored());
+        let mut half = ws.take_split(rows.len(), reached.count());
+        fold_hermitian(spectrum, &reached, rows, &mut half);
+        self.plan
+            .inverse_real_pruned(&half, reached.runs(), rows, ws, row);
         ws.give_split(half);
     }
 }
 
-/// The half-spectrum columns `i ∈ 0..w/2+1` a kernel with support columns
-/// `cols` reaches through the Hermitian fold — `i ∈ cols` or
+/// Writes `F(g)` at every offset `(dx, dy)`, `|dx| < bw`, `|dy| < bh`,
+/// into the small grid's row band `band` (rows in offset order from
+/// `dy = 1 − bh`, column `dx mod lx`; every other bin zero), read from
+/// the `w × h` grid's half-spectrum columns `g_columns` (column-major)
+/// at bin `(dx mod w, dy mod h)` — the mirror conjugate for columns past
+/// the half spectrum.
+fn place_offsets(
+    g_columns: &SplitSpectrum,
+    (w, h): (usize, usize),
+    (bw, bh): (usize, usize),
+    band: &mut SplitSpectrum,
+) {
+    let (lx, hw) = (band.width(), w / 2 + 1);
+    let (gr, gi) = g_columns.planes();
+    let (br, bi) = band.planes_mut();
+    br.fill(0.0);
+    bi.fill(0.0);
+    let (bw, bh) = (bw as isize, bh as isize);
+    for (t, dy) in (1 - bh..bh).enumerate() {
+        let q = dy.rem_euclid(h as isize) as usize;
+        for dx in 1 - bw..bw {
+            let p = dx.rem_euclid(w as isize) as usize;
+            let (re, im) = if p < hw {
+                (gr[p * h + q], gi[p * h + q])
+            } else {
+                let k = (w - p) * h + (h - q) % h;
+                (gr[k], -gi[k])
+            };
+            let o = t * lx + dx.rem_euclid(lx as isize) as usize;
+            br[o] = re;
+            bi[o] = im;
+        }
+    }
+}
+
+/// The half-spectrum columns `i ∈ 0..w/2+1` a box with columns `cols`
+/// reaches through the Hermitian fold — `i ∈ cols` or
 /// `(w − i) mod w ∈ cols` — as at most four ascending disjoint runs (each
 /// of the two ranges meets `0..w/2+1` in at most two runs).
 struct FoldedColumns {
@@ -792,46 +971,26 @@ impl FoldedColumns {
     }
 }
 
-/// Writes the Hermitian part of `F · conj(kernel)` for every reached
-/// half-spectrum column into the column-major `half` (reached column `c`
-/// is row `c`), where `columns` holds the forward spectrum `F` on the
-/// kernel's box columns (column-major). Bins outside the box contribute
-/// exact zeros: `((p + q)·0.5, (p_im − q_im)·0.5)` with
-/// `p = F(i, j)·conj(K(i, j))` and `q` its mirror partner
-/// `F(−i, −j)·conj(K(−i, −j))`, the conjugate product expanded as
-/// `(fr·kr + fi·ki, fi·kr − fr·ki)`.
+/// Writes the Hermitian part of `spectrum` at every reached half-spectrum
+/// column and every row of `rows` into the column-major `half` (reached
+/// column `c` is row `c`, one value per row of `rows`, in range order):
+/// `((p + q)·0.5, (p_im − q_im)·0.5)` with `p = S(i, j)` and `q` its
+/// mirror partner `S(−i, −j)`, each zero outside the box.
 fn fold_hermitian(
-    columns: &SplitSpectrum,
-    kernel: &KernelSpectrum,
+    spectrum: &KernelSpectrum,
     reached: &FoldedColumns,
+    rows: CyclicRange,
     half: &mut SplitSpectrum,
 ) {
-    let (w, h) = kernel.dims();
-    let bw = kernel.cols.len();
-    let (fr, fi) = columns.planes();
-    let (kr, ki) = kernel.samples.planes();
+    let (w, h) = spectrum.dims();
+    let r = rows.len();
     let (hr, hi) = half.planes_mut();
-    // The conjugate product at box column `a`, grid row `j`.
-    let product = |a: Option<usize>, j: usize| -> (f64, f64) {
-        match (a, kernel.rows.offset(j)) {
-            (Some(a), Some(b)) => {
-                let (f, k) = (a * h + j, b * bw + a);
-                (fr[f] * kr[k] + fi[f] * ki[k], fi[f] * kr[k] - fr[f] * ki[k])
-            }
-            _ => (0.0, 0.0),
-        }
-    };
     for (c, i) in reached.runs().iter().cloned().flatten().enumerate() {
-        let a = kernel.cols.offset(i);
-        let am = kernel.cols.offset((w - i) % w);
-        let out_re = &mut hr[c * h..(c + 1) * h];
-        let out_im = &mut hi[c * h..(c + 1) * h];
-        for j in 0..h {
-            let jm = if j == 0 { 0 } else { h - j };
-            let (p_re, p_im) = product(a, j);
-            let (q_re, q_im) = product(am, jm);
-            out_re[j] = (p_re + q_re) * 0.5;
-            out_im[j] = (p_im - q_im) * 0.5;
+        for (t, j) in rows.indices().enumerate() {
+            let (p_re, p_im) = spectrum.sample(i, j);
+            let (q_re, q_im) = spectrum.sample((w - i) % w, (h - j) % h);
+            hr[c * r + t] = (p_re + q_re) * 0.5;
+            hi[c * r + t] = (p_im - q_im) * 0.5;
         }
     }
 }
@@ -986,21 +1145,38 @@ mod tests {
 
     #[test]
     fn correlation_flips_the_kernel() {
-        // correlate(field, h) must equal convolve(field, conj(h(-x))); the
-        // correlation path yields the real part the gradient consumes.
+        // The gradient's correlation of `g ⊙ E` (`E = F⁻¹(field · K)`)
+        // with h must equal the convolution of `g ⊙ E` with conj(h(-x));
+        // its real part is what the gradient consumes.
         let w = 8;
         let h = 8;
-        let field = random_ish_grid(w, h, 3);
+        let field_spectrum = SplitSpectrum::from_grid(&random_ish_grid(w, h, 3));
         let kernel = random_ish_grid(w, h, 4);
+        let g = random_ish_grid(w, h, 5).map(|c| c.re);
         let conv = Convolver::new(w, h);
         let spec = conv.kernel_spectrum(&kernel);
         let mut ws = Workspace::new();
-        let mut scratch = SplitSpectrum::from_grid(&field);
-        let mut corr = Grid::zeros(w, h);
-        conv.correlate_re_accumulate_split(&mut scratch, &spec, 1.0, &mut corr, &mut ws);
+        let (cols, rows) = spec.support();
+        let mut spectrum = KernelSpectrum::zeros_in(cols, rows, &mut ws);
+        let plan = IntensityPlan::new([&spec]);
+        conv.correlation_spectrum_into(
+            &plan,
+            &g,
+            &field_spectrum,
+            [(&spec, 1.0)],
+            &mut spectrum,
+            &mut ws,
+        );
+        let mut corr = Grid::filled(w, h, f64::NAN);
+        conv.inverse_re_rows(&spectrum, &mut ws, |y, row| {
+            corr.row_mut(y).copy_from_slice(row);
+        });
+        let mut e = SplitSpectrum::zeros(w, h);
+        conv.convolve_spectrum_split_into(&field_spectrum, &spec, &mut e, &mut ws);
+        let weighted = Grid::from_fn(w, h, |x, y| e.at(y * w + x).scale(g[(x, y)]));
         // Build conj(h(-x)) explicitly: index n -> (N - n) mod N, conjugated.
         let flipped = Grid::from_fn(w, h, |x, y| kernel[((w - x) % w, (h - y) % h)].conj());
-        let conv_f = circular_conv(&conv, &field, &conv.kernel_spectrum(&flipped));
+        let conv_f = circular_conv(&conv, &weighted, &conv.kernel_spectrum(&flipped));
         for (i, (a, b)) in corr.iter().zip(conv_f.iter()).enumerate() {
             assert!((a - b.re).abs() < 1e-9, "pixel {i}: {a} vs {}", b.re);
         }

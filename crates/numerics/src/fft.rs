@@ -23,8 +23,10 @@
 //! row-transform work by packing even/odd samples into one half-length
 //! complex FFT. Its pruned form, which inverts only the listed
 //! half-spectrum columns over a cyclic row range before rebuilding every
-//! real row, ends both the SOCS image and the gradient correlation
-//! (DESIGN.md §16).
+//! real row, ends both the SOCS image and the gradient; the pruned
+//! forward, which column-transforms only the first few half-spectrum
+//! columns, starts each focus bank's share of the gradient (DESIGN.md
+//! §16).
 //!
 //! Every transform here is serial. Intra-job parallelism fans out whole
 //! process corners one level up (DESIGN.md §14), and each corner runs
@@ -716,8 +718,9 @@ impl Fft2d {
         ws.give_real(ti);
     }
 
-    /// Transforms one real row into the re/im planes of its `w/2 + 1`
-    /// half spectrum.
+    /// Transforms one real row into the re/im planes of the first
+    /// `out_re.len()` bins of its `w/2 + 1` half spectrum; the bins past
+    /// them are never untangled.
     fn row_r2c_split(
         &self,
         input: &[f64],
@@ -726,10 +729,10 @@ impl Fft2d {
         ws: &mut Workspace,
     ) {
         let w = self.width();
-        let hw = self.half_width();
+        let bins = out_re.len();
         debug_assert_eq!(input.len(), w);
-        debug_assert_eq!(out_re.len(), hw);
-        debug_assert_eq!(out_im.len(), hw);
+        debug_assert!(bins <= self.half_width());
+        debug_assert_eq!(out_im.len(), bins);
         match &self.half {
             RealRowPlan::Even { half_fft, tw } => {
                 let m = w / 2;
@@ -744,7 +747,7 @@ impl Fft2d {
                 // zmk = conj(Z[m−k]), the even/odd sample sub-spectra are
                 // ze = (Z[k] + zmk)/2 and zo = −i·(Z[k] − zmk)/2, and the
                 // full-row bin is X[k] = ze + tw[k]·zo for k in 0..=w/2.
-                for k in 0..hw {
+                for k in 0..bins {
                     let (zr1, zi1) = (zr[k % m], zi[k % m]);
                     let (zr2, zi2) = (zr[(m - k) % m], zi[(m - k) % m]);
                     let ze_re = (zr1 + zr2) * 0.5;
@@ -766,8 +769,8 @@ impl Fft2d {
                 fr.copy_from_slice(input);
                 self.row
                     .process_split(&mut fr, &mut fi, FftDirection::Forward, ws);
-                out_re.copy_from_slice(&fr[..hw]);
-                out_im.copy_from_slice(&fi[..hw]);
+                out_re.copy_from_slice(&fr[..bins]);
+                out_im.copy_from_slice(&fi[..bins]);
                 ws.give_real(fr);
                 ws.give_real(fi);
             }
@@ -881,7 +884,9 @@ impl Fft2d {
     /// For a half spectrum that is the Hermitian part of some full
     /// product spectrum `P` — `half(i,j) = (P(i,j) + conj(P(-i,-j)))/2`
     /// — this equals `Re(inverse(P))` exactly in exact arithmetic, which
-    /// is what the gradient correlation consumes.
+    /// is what the gradient consumes:
+    /// [`Convolver::inverse_re_rows`](crate::Convolver::inverse_re_rows)
+    /// folds its box this way.
     ///
     /// # Panics
     ///
@@ -967,43 +972,49 @@ impl Fft2d {
         ws.give_real(ti);
     }
 
-    /// Forward-transforms `spec` restricted to the columns `cols`: every
-    /// row is transformed in place, then only the selected columns are
-    /// gathered into `out` — column-major, so box column `a` is row `a`
-    /// of the `h`-wide `out` — and column-transformed there. The other
-    /// columns of the forward spectrum are never computed.
-    pub(crate) fn forward_to_columns(
+    /// Forward-transforms a real grid into the first `cols` columns of
+    /// its Hermitian half spectrum, given column-major in the `h × cols`
+    /// band `out` (column `c` is row `c`) — the mirror of
+    /// [`inverse_real_pruned`](Self::inverse_real_pruned). Every row runs
+    /// its real transform but untangles only those bins, and only those
+    /// columns get a column transform, so each value is
+    /// [`forward_real_split_into`](Self::forward_real_split_into)'s, bit
+    /// for bit, and the other columns are never computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is not `w × h`, `out` is not `h` wide or `cols`
+    /// exceeds the half spectrum's `w/2 + 1` columns.
+    pub(crate) fn forward_real_pruned(
         &self,
-        spec: &mut SplitSpectrum,
-        cols: CyclicRange,
+        input: &Grid<f64>,
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
         let (w, h) = (self.width(), self.height());
-        assert_eq!(
-            spec.dims(),
-            (w, h),
-            "FFT2D plan {w}x{h} does not match split spectrum {}x{}",
-            spec.width(),
-            spec.height()
+        let cols = out.height();
+        assert_eq!(input.dims(), (w, h), "real input shape mismatch");
+        assert_eq!(out.width(), h, "column band shape mismatch");
+        assert!(
+            cols <= self.half_width(),
+            "column outside the half spectrum"
         );
-        assert_eq!(cols.axis_len(), w, "column range does not match plan width");
-        assert_eq!(out.dims(), (h, cols.len()), "column scratch shape mismatch");
-        let (re, im) = spec.planes_mut();
-        rows_split(&self.row, re, im, FftDirection::Forward, ws);
-        let (or_, oi) = out.planes_mut();
-        for (y, (row_re, row_im)) in re.chunks_exact(w).zip(im.chunks_exact(w)).enumerate() {
-            for (a, x) in cols.indices().enumerate() {
-                or_[a * h + y] = row_re[x];
-                oi[a * h + y] = row_im[x];
-            }
+        let mut rows = ws.take_split(cols, h);
+        let (rr, ri) = rows.planes_mut();
+        for y in 0..h {
+            let span = y * cols..(y + 1) * cols;
+            self.row_r2c_split(input.row(y), &mut rr[span.clone()], &mut ri[span], ws);
         }
-        rows_split(&self.col, or_, oi, FftDirection::Forward, ws);
+        let (ore, oim) = out.planes_mut();
+        transpose_into(rr, ore, cols, h);
+        transpose_into(ri, oim, cols, h);
+        ws.give_split(rows);
+        rows_split(&self.col, ore, oim, FftDirection::Forward, ws);
     }
 
     /// Rebuilds every real row `y` of the inverse of a Hermitian half
     /// spectrum and hands it to `row(y, values)`: the SOCS image copies
-    /// each row out, the gradient correlation adds `scale ·` it. The
+    /// each row out, the gradient writes `∂F/∂P` from it. The
     /// spectrum's nonzero bins all lie in the listed columns `cols`
     /// (ascending runs of `0..w/2+1`) and the cyclic row range `rows`,
     /// given column-major in `band`: the `c`-th listed column is row `c`
@@ -1399,6 +1410,48 @@ mod tests {
             plan.inverse_real_split_into(&mut half, &mut back, &mut ws);
             for (a, b) in back.iter().zip(input.iter()) {
                 assert!((a - b).abs() < 1e-12, "{w}x{h}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// The pruned forward's columns are the full half spectrum's, bit for
+    /// bit, for every column count on even, odd, power-of-two and
+    /// Bluestein shapes.
+    #[test]
+    fn pruned_forward_matches_dense_half_spectrum_bit_for_bit() {
+        let mut rng = Rng64::new(0xF17_0002);
+        for (w, h) in [
+            (16, 16),
+            (8, 12),
+            (7, 5),
+            (9, 12),
+            (12, 10),
+            (64, 32),
+            (1, 4),
+        ] {
+            let plan = Fft2d::new(w, h);
+            let hw = plan.half_width();
+            let input = Grid::from_fn(w, h, |_, _| rng.range_f64(-2.0, 2.0));
+            let mut ws = Workspace::new();
+            let mut dense = SplitSpectrum::zeros(hw, h);
+            plan.forward_real_split_into(&input, &mut dense, &mut ws);
+            for cols in 0..=hw {
+                let mut pruned = SplitSpectrum::from_grid(&Grid::filled(
+                    h,
+                    cols,
+                    Complex::new(f64::NAN, f64::NAN),
+                ));
+                plan.forward_real_pruned(&input, &mut pruned, &mut ws);
+                for c in 0..cols {
+                    for y in 0..h {
+                        let (p, d) = (pruned.at(c * h + y), dense.at(y * hw + c));
+                        assert_eq!(
+                            (p.re.to_bits(), p.im.to_bits()),
+                            (d.re.to_bits(), d.im.to_bits()),
+                            "{w}x{h} cols {cols}: bin ({c}, {y})"
+                        );
+                    }
+                }
             }
         }
     }

@@ -42,9 +42,6 @@ pub struct Workspace {
     /// Emptied grid lists from [`give_real_grids`](Self::give_real_grids),
     /// kept for their capacity.
     grid_lists: Vec<Vec<Grid<f64>>>,
-    /// Emptied spectrum lists from [`give_splits`](Self::give_splits),
-    /// kept for their capacity.
-    split_lists: Vec<Vec<SplitSpectrum>>,
 }
 
 /// Removes the best-fit buffer from a pool: the smallest capacity that
@@ -150,32 +147,10 @@ impl Workspace {
         self.give_real(im);
     }
 
-    /// Takes `count` split spectra of `width × height` with unspecified
-    /// contents, in a list that is itself pooled: with a warm pool,
-    /// neither the spectra nor the list allocate.
-    pub fn take_splits(&mut self, count: usize, width: usize, height: usize) -> Vec<SplitSpectrum> {
-        let mut spectra = self.split_lists.pop().unwrap_or_default();
-        for _ in 0..count {
-            let spectrum = self.take_split(width, height);
-            spectra.push(spectrum);
-        }
-        spectra
-    }
-
-    /// Returns the spectra left in a list and the emptied list itself
-    /// to the pool.
-    pub fn give_splits(&mut self, mut spectra: Vec<SplitSpectrum>) {
-        for spectrum in spectra.drain(..) {
-            self.give_split(spectrum);
-        }
-        if spectra.capacity() > 0 {
-            self.split_lists.push(spectra);
-        }
-    }
-
     /// Preallocates a fixed list of buffers for a `width × height`
     /// spectral pipeline (forward real FFT, the small-grid SOCS image
-    /// pass, the box convolution and the adjoint correlation). Nothing
+    /// pass and the gradient's pruned transforms and small-grid
+    /// product). Nothing
     /// in the program calls this: the pipeline draws its scratch on
     /// first use, so each pool holds what its first evaluation drew and
     /// nothing more. Only the benchmark probe (`perfbench/probe`)
@@ -189,22 +164,18 @@ impl Workspace {
         // clip at any pitch. Buffers for up to 64×64 cover it.
         let small = full.min(64 * 64);
         // The spectral pipeline (DESIGN.md §16) draws *pairs* of f64
-        // planes for every spectrum it touches: the mask spectrum, the
-        // backprop field `E_H` and the transpose scratch of its box
-        // inverse, the half-spectrum of the mask transform, the
-        // convolution's row band (its box rows, at most a half spectrum
-        // for a pupil kernel), the column-subset scratch of the box
-        // correlation (the kernel's box columns of the forward spectrum
-        // and the folded half-spectrum columns, at most a half spectrum
-        // each) and of the image's pruned real inverse (its live
+        // planes for every spectrum it touches: the mask spectrum and
+        // the half-spectrum of its transform, the column-subset scratch
+        // of the pruned real forward and inverse (their live
         // half-spectrum columns), the half-row and row buffers of the
         // real inverse, and the Bluestein pad / real-row pack scratch
-        // for non-power-of-two shapes. The image pass also draws, per
-        // bank, one small-grid sum per dose and the small grid's field,
-        // row band, transpose scratch, half spectrum and folded bins; no
-        // full grid beyond the images themselves. Warm enough buffers for
-        // all of them plus the real-grid intermediates: every buffer
-        // warmed here stays resident for the worker's lifetime.
+        // for non-power-of-two shapes. The image pass and the gradient
+        // also draw, per bank, small-grid sums, fields, row bands,
+        // transpose scratch, half spectra and box spectra; no full grid
+        // beyond the images and the gradient's real planes. Warm enough
+        // buffers for all of them plus the real-grid intermediates:
+        // every buffer warmed here stays resident for the worker's
+        // lifetime.
         let mut real_sizes = vec![full; 14];
         real_sizes.extend([half; 8]);
         real_sizes.extend([small; 10]);

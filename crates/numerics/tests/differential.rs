@@ -7,10 +7,11 @@
 //!   and a direct circular-correlation sum;
 //! * the planned 1-D FFT vs the O(N²) [`dft_reference`];
 //! * the Hermitian real-FFT path vs the full complex transform;
-//! * the half-spectrum gradient correlation vs the real part of the
-//!   full complex correlation;
-//! * the band-limited box convolution, correlation and fused SOCS image
-//!   vs the dense full-grid path, pinned at 0 ULP (DESIGN.md §16).
+//! * the gradient's box spectrum and Hermitian half-spectrum inverse vs
+//!   the real part of the full complex correlation;
+//! * the band-limited box convolution vs the dense full-grid path, pinned
+//!   at 0 ULP, and the small-grid SOCS image and gradient vs the dense
+//!   path within `1e-12 ×` its peak (DESIGN.md §9, §16).
 //!
 //! Tolerances are explicit ULP budgets: an error bound of
 //! `scale · ε · ULPS`, where `scale` is the magnitude of the data
@@ -99,6 +100,43 @@ fn correlate_reference(field: &Grid<Complex>, kernel: &Grid<Complex>) -> Grid<Co
     })
 }
 
+/// One focus bank's gradient `Re[Σ_k w_k · (g ⊙ E_k) ★ h_k]`, with
+/// `E_k = F⁻¹(field_spectrum · K_k)`, through the box path: the bank's
+/// box spectrum on the smallest box holding every kernel's
+/// (`correlation_spectrum_into`, on an intensity plan over the kernels),
+/// then the one real inverse (`inverse_re_rows`) into a grid poisoned
+/// with NaN, so every pixel must be written.
+fn box_gradient(
+    conv: &Convolver,
+    g: &Grid<f64>,
+    field_spectrum: &SplitSpectrum,
+    kernels: &[(&KernelSpectrum, f64)],
+    ws: &mut Workspace,
+) -> Grid<f64> {
+    let (w, h) = g.dims();
+    let mut cover = KernelSpectrum::zeros(w, h);
+    for &(kernel, _) in kernels {
+        cover.accumulate(kernel, 1.0);
+    }
+    let (cols, rows) = cover.support();
+    let mut spectrum = KernelSpectrum::zeros_in(cols, rows, ws);
+    let plan = IntensityPlan::new(kernels.iter().map(|&(kernel, _)| kernel));
+    conv.correlation_spectrum_into(
+        &plan,
+        g,
+        field_spectrum,
+        kernels.iter().copied(),
+        &mut spectrum,
+        ws,
+    );
+    let mut out = Grid::filled(w, h, f64::NAN);
+    conv.inverse_re_rows(&spectrum, ws, |y, row| {
+        out.row_mut(y).copy_from_slice(row);
+    });
+    spectrum.recycle(ws);
+    out
+}
+
 #[test]
 fn planned_fft_matches_reference_dft_in_ulps() {
     let mut rng = Rng64::new(0xD1F_0001);
@@ -170,18 +208,15 @@ fn fft_correlation_matches_direct_sum() {
         for case in 0..4 {
             let field = random_complex_grid(&mut rng, w, h);
             let kernel = random_complex_grid(&mut rng, w, h);
+            let g = random_real_grid(&mut rng, w, h);
             let conv = Convolver::new(w, h);
-            let mut scratch = SplitSpectrum::from_grid(&field);
-            let mut fast = Grid::zeros(w, h);
-            conv.correlate_re_accumulate_split(
-                &mut scratch,
-                &conv.kernel_spectrum(&kernel),
-                1.0,
-                &mut fast,
-                &mut ws,
-            );
-            let slow = correlate_reference(&field, &kernel);
-            let scale = sum_scale(max_mag(&field) * max_mag(&kernel), w * h);
+            let kspec = conv.kernel_spectrum(&kernel);
+            let field_spectrum = spectrum_of(&conv, &field, &mut ws);
+            let fast = box_gradient(&conv, &g, &field_spectrum, &[(&kspec, 1.0)], &mut ws);
+            let e = convolve_reference(&field, &kernel);
+            let weighted = Grid::from_fn(w, h, |x, y| e[(x, y)].scale(g[(x, y)]));
+            let slow = correlate_reference(&weighted, &kernel);
+            let scale = sum_scale(max_mag(&weighted) * max_mag(&kernel), w * h);
             for (i, (a, b)) in fast.iter().zip(slow.iter()).enumerate() {
                 assert_ulp_close(
                     *a,
@@ -227,16 +262,21 @@ fn half_spectrum_correlation_matches_full_complex_re() {
     let mut ws = Workspace::new();
     for (w, h) in SHAPES {
         for case in 0..4 {
-            let field = random_complex_grid(&mut rng, w, h);
+            let field_spectrum = SplitSpectrum::from_grid(&random_complex_grid(&mut rng, w, h));
             let kernel = random_complex_grid(&mut rng, w, h);
+            let g = random_real_grid(&mut rng, w, h);
             let conv = Convolver::new(w, h);
-            let field_spectrum = spectrum_of(&conv, &field, &mut ws);
             let kspec = conv.kernel_spectrum(&kernel);
-            // Full complex path: F⁻¹(F · conj(K)) over every bin.
+            let mut e = SplitSpectrum::zeros(w, h);
+            conv.convolve_spectrum_split_into(&field_spectrum, &kspec, &mut e, &mut ws);
+            let weighted = Grid::from_fn(w, h, |x, y| e.at(y * w + x).scale(g[(x, y)]));
+            // Full complex path: F⁻¹(F(g ⊙ E) · conj(K)) over every bin.
+            let weighted_spectrum = spectrum_of(&conv, &weighted, &mut ws);
             let conj_kspec = KernelSpectrum::from_grid(kspec.to_grid().map(|c| c.conj()));
             let mut full = SplitSpectrum::zeros(w, h);
-            conv.convolve_spectrum_split_into(&field_spectrum, &conj_kspec, &mut full, &mut ws);
-            // Hermitian half-spectrum path, with scale folded in.
+            conv.convolve_spectrum_split_into(&weighted_spectrum, &conj_kspec, &mut full, &mut ws);
+            // Box spectrum and Hermitian half-spectrum inverse, with the
+            // scale folded into the kernel weight.
             let scale_factor: f64 = 0.75;
             let mut acc = Grid::from_fn(w, h, |x, y| (x + y) as f64 * 0.01);
             let expected: Vec<f64> = acc
@@ -244,15 +284,18 @@ fn half_spectrum_correlation_matches_full_complex_re() {
                 .zip(full.re())
                 .map(|(&a, &c)| scale_factor.mul_add(c, a))
                 .collect();
-            conv.correlate_re_accumulate_split(
-                &mut SplitSpectrum::from_grid(&field),
-                &kspec,
-                scale_factor,
-                &mut acc,
+            let re = box_gradient(
+                &conv,
+                &g,
+                &field_spectrum,
+                &[(&kspec, scale_factor)],
                 &mut ws,
             );
+            for (a, &r) in acc.iter_mut().zip(re.iter()) {
+                *a += r;
+            }
             let scale = sum_scale(
-                max_mag(&field_spectrum.to_grid()) * max_mag(&kspec.to_grid()),
+                max_mag(&weighted_spectrum.to_grid()) * max_mag(&kspec.to_grid()),
                 w * h,
             );
             for (i, (a, b)) in acc.iter().zip(expected.iter()).enumerate() {
@@ -290,12 +333,13 @@ fn split_layout_round_trip_is_bit_exact() {
 // ---------------------------------------------------------------------
 // Band-limited kernel boxes: the dense path is the oracle (DESIGN.md §9,
 // §16). A `KernelSpectrum` stores only its support box and the
-// convolution/correlation skip the transforms the box rules out; each
-// skipped transform has an all-zero input or outputs that only zero
-// kernel bins multiply, so every nonzero value must equal the dense
-// computation bit for bit. Only an exact zero's sign may differ:
-// complex fields are compared under `==` (+0 == −0), intensities and
-// gradients with `to_bits` after mapping −0 to +0.
+// convolution skips the transforms the box rules out; each skipped
+// transform has an all-zero input, so every nonzero value must equal the
+// dense computation bit for bit. Only an exact zero's sign may differ:
+// complex fields are compared under `==` (+0 == −0), intensities with
+// `to_bits` after mapping −0 to +0. The small-grid image and gradient
+// are equal to the dense path in exact arithmetic and pinned within
+// `1e-12 ×` the dense result's peak.
 // ---------------------------------------------------------------------
 
 /// Box-kernel shapes: power-of-two (radix-2 rows and columns), non-pow2
@@ -398,10 +442,11 @@ fn dense_convolve(
     out
 }
 
-/// Test-only dense oracle of `correlate_re_accumulate_split`: the full
-/// 2-D forward transform of the spatial field, the Hermitian fold of
-/// `F · conj(K)` over every half-spectrum bin, the full real inverse and
-/// the accumulate `acc += scale · r`.
+/// Test-only dense oracle of the gradient correlation
+/// `acc += scale · Re[field ★ h]`: the full 2-D forward transform of the
+/// spatial field, the Hermitian fold of `F · conj(K)` over every
+/// half-spectrum bin, the full real inverse and the accumulate
+/// `acc += scale · r`.
 fn dense_correlate_accumulate(
     conv: &Convolver,
     field: &Grid<Complex>,
@@ -435,6 +480,35 @@ fn dense_correlate_accumulate(
     for (a, &r) in acc.iter_mut().zip(re.iter()) {
         *a += scale * r;
     }
+}
+
+/// The 64×64 grid's 15×15 pupil-like boxes: around zero frequency,
+/// around Nyquist and off axis (a 32×32 intensity plan).
+fn pupil_kernels(rng: &mut Rng64) -> Vec<(String, Grid<Complex>)> {
+    [
+        ("pupil wraps zero", (57, 57)),
+        ("pupil at Nyquist", (25, 25)),
+        ("pupil off axis", (10, 50)),
+    ]
+    .into_iter()
+    .map(|(name, origin)| {
+        (
+            name.to_string(),
+            box_kernel(rng, (64, 64), origin, (15, 15)),
+        )
+    })
+    .collect()
+}
+
+/// Asserts `|a − b| ≤ 1e-12 ×` the oracle `b`'s peak `|value|` at every
+/// pixel (a NaN anywhere fails).
+fn assert_within_peak(a: &Grid<f64>, b: &Grid<f64>, ctx: &str) {
+    let peak = b.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+    let err = max_abs_diff(a.as_slice(), b.as_slice());
+    assert!(
+        err <= 1e-12 * peak,
+        "{ctx}: max error {err:e}, peak {peak:e}"
+    );
 }
 
 /// The box convolution equals the dense Hadamard + full inverse on every
@@ -486,8 +560,8 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 
 /// The small-grid SOCS pass images every dose as the dense oracle's
 /// `Σ_k (w_k·d)·|E_k|²`, added in kernel order from `+0`, within
-/// `1e-12 ×` the oracle image's peak (DESIGN.md §9: the one numeric
-/// change of the band-limited engine); the images start poisoned with
+/// `1e-12 ×` the oracle image's peak (DESIGN.md §9: one of the band-limited
+/// engine's two numeric changes); the images start poisoned with
 /// NaN, so every pixel must be written. Each bank is three consecutive
 /// oracle kernels (cyclically, so every kernel leads one bank) with its
 /// own intensity plan; the 64×64 grid holds 15-row pupil-like boxes —
@@ -504,19 +578,7 @@ fn box_intensity_matches_dense_oracle() {
         let conv = Convolver::new(w, h);
         let field_spectrum = SplitSpectrum::from_grid(&random_complex_grid(&mut rng, w, h));
         let kernels = if (w, h) == (64, 64) {
-            [
-                ("pupil wraps zero", (57, 57)),
-                ("pupil at Nyquist", (25, 25)),
-                ("pupil off axis", (10, 50)),
-            ]
-            .into_iter()
-            .map(|(name, origin)| {
-                (
-                    name.to_string(),
-                    box_kernel(&mut rng, (w, h), origin, (15, 15)),
-                )
-            })
-            .collect()
+            pupil_kernels(&mut rng)
         } else {
             oracle_kernels(&mut rng, w, h)
         };
@@ -562,31 +624,95 @@ fn box_intensity_matches_dense_oracle() {
     }
 }
 
-/// The box correlation accumulates exactly the dense oracle's gradient
-/// bits (up to the sign of a zero).
+/// The gradient of a one-kernel bank at one dose is the dense oracle's
+/// `scale · Re[(g ⊙ E) ★ h]` within `1e-12 ×` the oracle's peak
+/// `|value|` (DESIGN.md §9), for every oracle kernel: boxes that wrap
+/// zero or cover Nyquist, a single bin, an empty and a full-grid kernel.
 #[test]
 fn box_correlation_matches_dense_oracle() {
     let mut rng = Rng64::new(0xD1F_0011);
     let mut ws = Workspace::new();
     for (w, h) in BOX_SHAPES {
         let conv = Convolver::new(w, h);
-        let field = random_complex_grid(&mut rng, w, h);
-        let seed = random_real_grid(&mut rng, w, h);
+        let field_spectrum = SplitSpectrum::from_grid(&random_complex_grid(&mut rng, w, h));
+        let g = random_real_grid(&mut rng, w, h);
         for (name, kernel) in oracle_kernels(&mut rng, w, h) {
-            let ctx = format!("{w}x{h} {name}");
             let kspec = KernelSpectrum::from_grid(kernel.clone());
             let scale: f64 = 0.75;
-            let mut boxed = seed.clone();
-            conv.correlate_re_accumulate_split(
-                &mut SplitSpectrum::from_grid(&field),
-                &kspec,
-                scale,
-                &mut boxed,
-                &mut ws,
-            );
-            let mut dense = seed.clone();
-            dense_correlate_accumulate(&conv, &field, &kernel, scale, &mut dense, &mut ws);
-            assert_bits_eq_up_to_zero_sign(boxed.as_slice(), dense.as_slice(), &ctx);
+            let boxed = box_gradient(&conv, &g, &field_spectrum, &[(&kspec, scale)], &mut ws);
+            let e = dense_convolve(&conv, &field_spectrum, &kernel, &mut ws);
+            let weighted = Grid::from_fn(w, h, |x, y| e.at(y * w + x).scale(g[(x, y)]));
+            let mut dense = Grid::zeros(w, h);
+            dense_correlate_accumulate(&conv, &weighted, &kernel, scale, &mut dense, &mut ws);
+            assert_within_peak(&boxed, &dense, &format!("{w}x{h} {name}"));
+        }
+    }
+}
+
+/// A focus bank's gradient through the box path — `G = Σ_d 2·d·g_d`
+/// formed once, one box spectrum, one real inverse — is the dense
+/// oracle's `Σ_d Σ_k 2·d·w_k · Re[(g_d ⊙ E_k) ★ h_k]`, accumulated dose
+/// by dose and kernel by kernel, within `1e-12 ×` its peak `|value|`
+/// (DESIGN.md §9). Banks of one kernel and of three cyclically
+/// consecutive kernels at three doses, on the `box_*` shapes' oracle
+/// kernels and the 64×64 grid's pupil boxes.
+#[test]
+fn box_gradient_matches_dense_oracle() {
+    let mut rng = Rng64::new(0xD1F_0013);
+    let mut ws = Workspace::new();
+    let doses = [0.98, 1.0, 1.02];
+    for (w, h) in BOX_SHAPES.into_iter().chain([(64, 64)]) {
+        let conv = Convolver::new(w, h);
+        let field_spectrum = SplitSpectrum::from_grid(&random_complex_grid(&mut rng, w, h));
+        let kernels = if (w, h) == (64, 64) {
+            pupil_kernels(&mut rng)
+        } else {
+            oracle_kernels(&mut rng, w, h)
+        };
+        let weights: Vec<f64> = kernels.iter().map(|_| rng.range_f64(0.05, 1.0)).collect();
+        let boxes: Vec<KernelSpectrum> = kernels
+            .iter()
+            .map(|(_, k)| KernelSpectrum::from_grid(k.clone()))
+            .collect();
+        let fields: Vec<SplitSpectrum> = kernels
+            .iter()
+            .map(|(_, k)| dense_convolve(&conv, &field_spectrum, k, &mut ws))
+            .collect();
+        let gs: Vec<Grid<f64>> = doses
+            .iter()
+            .map(|_| random_real_grid(&mut rng, w, h))
+            .collect();
+        let mut g_bank = Grid::zeros(w, h);
+        for (g, &dose) in gs.iter().zip(&doses) {
+            for (s, &v) in g_bank.iter_mut().zip(g.iter()) {
+                *s += 2.0 * dose * v;
+            }
+        }
+        for size in [1, 3] {
+            for first in 0..kernels.len() {
+                let bank: Vec<usize> = (first..first + size).map(|i| i % kernels.len()).collect();
+                let names: Vec<&str> = bank.iter().map(|&i| kernels[i].0.as_str()).collect();
+                let pairs: Vec<(&KernelSpectrum, f64)> =
+                    bank.iter().map(|&i| (&boxes[i], weights[i])).collect();
+                let boxed = box_gradient(&conv, &g_bank, &field_spectrum, &pairs, &mut ws);
+                let mut dense = Grid::zeros(w, h);
+                for (g, &dose) in gs.iter().zip(&doses) {
+                    for &i in &bank {
+                        let weighted =
+                            Grid::from_fn(w, h, |x, y| fields[i].at(y * w + x).scale(g[(x, y)]));
+                        let scale = 2.0 * dose * weights[i];
+                        dense_correlate_accumulate(
+                            &conv,
+                            &weighted,
+                            &kernels[i].1,
+                            scale,
+                            &mut dense,
+                            &mut ws,
+                        );
+                    }
+                }
+                assert_within_peak(&boxed, &dense, &format!("{w}x{h} {names:?}"));
+            }
         }
     }
 }

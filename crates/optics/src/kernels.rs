@@ -21,8 +21,10 @@
 //! the pupil support, not with the grid. The bank's image is summed on a
 //! small grid planned once from those boxes ([`IntensityPlan`]), so its
 //! cost per kernel does not grow with the grid either. That pass is the
-//! bank's one image call ([`KernelSet::aerial_images_split`]); a gradient
-//! that needs the coherent fields convolves them itself.
+//! bank's one image call ([`KernelSet::aerial_images_split`]). The
+//! gradient backpropagates through the bank's combined kernel `H` on a
+//! small grid planned once from `H`'s box ([`KernelSet::combined_plan`]),
+//! or through every kernel on the image's grid.
 
 use crate::config::OpticsConfig;
 use mosaic_numerics::{
@@ -48,9 +50,10 @@ pub struct KernelSet {
     /// The small grid the bank's intensity is summed on, planned once
     /// from the kernel boxes.
     intensity_plan: IntensityPlan,
-    /// `H = Σ_k w_k h_k`, built on the first call to
-    /// [`combined`](Self::combined).
-    combined: OnceLock<CoherentKernel>,
+    /// `H = Σ_k w_k h_k` and the small grid planned from its box, built
+    /// on the first call to [`combined`](Self::combined) or
+    /// [`combined_plan`](Self::combined_plan).
+    combined: OnceLock<(CoherentKernel, IntensityPlan)>,
     defocus_nm: f64,
     width: usize,
     height: usize,
@@ -151,18 +154,41 @@ impl KernelSet {
     /// of each in the gradient computation (§3.5) — the MOSAIC_fast
     /// speedup. It is built on the first call and held by the bank from
     /// then on, so every session and corner task on a shared bank uses
-    /// one `H`, and a bank that only images never builds it.
+    /// one `H`, and a bank that only images never builds it. Its box
+    /// holds every kernel's box (27×27 bins at 512 px @ 2 nm for the
+    /// pupils of the presets).
     pub fn combined(&self) -> &CoherentKernel {
+        &self.combined_with_plan().0
+    }
+
+    /// The small grid the gradient through [`combined`](Self::combined)
+    /// is formed on ([`Convolver::correlation_spectrum_into`]): an
+    /// [`IntensityPlan`] over `H` alone, 64×64 for the presets. Built
+    /// with `H`, on first use.
+    pub fn combined_plan(&self) -> &IntensityPlan {
+        &self.combined_with_plan().1
+    }
+
+    fn combined_with_plan(&self) -> &(CoherentKernel, IntensityPlan) {
         self.combined.get_or_init(|| {
             let mut spectrum = KernelSpectrum::zeros(self.width, self.height);
             for k in &self.kernels {
                 spectrum.accumulate(&k.spectrum, k.weight);
             }
-            CoherentKernel {
+            let plan = IntensityPlan::new([&spectrum]);
+            let kernel = CoherentKernel {
                 weight: 1.0,
                 spectrum,
-            }
+            };
+            (kernel, plan)
         })
+    }
+
+    /// The small grid the bank's image is summed on, planned from its
+    /// kernel boxes (32×32 for the presets); the exact per-kernel
+    /// gradient is formed on it too.
+    pub fn intensity_plan(&self) -> &IntensityPlan {
+        &self.intensity_plan
     }
 
     /// Overwrites each `intensities[i]` with the aerial image
@@ -232,6 +258,7 @@ pub(crate) fn freq(i: usize, n: usize, pixel_nm: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_numerics::FftDirection;
 
     fn small_config() -> OpticsConfig {
         OpticsConfig::builder()
@@ -437,7 +464,7 @@ mod tests {
             &[0.98, 1.02],
         );
         assert_eq!(set.kernels().len(), 24);
-        assert_eq!(set.intensity_plan.dims(), (32, 32));
+        assert_eq!(set.intensity_plan().dims(), (32, 32));
     }
 
     #[test]
@@ -477,6 +504,181 @@ mod tests {
             .unwrap();
         let set = assert_images_within_dense_oracle(&config, &[0.0, -25.0], &[0.98, 1.02]);
         let (lx, ly) = set.intensity_plan.dims();
+        assert!(lx > 16 && ly > 15, "small grid {lx}x{ly} does not alias");
+    }
+
+    /// `acc += scale · Re[F⁻¹(F(field) · conj(K))]` over every bin of the
+    /// grid: the dense correlation the box path replaced.
+    fn dense_correlate_accumulate(
+        conv: &Convolver,
+        field: &SplitSpectrum,
+        kernel: &KernelSpectrum,
+        scale: f64,
+        acc: &mut Grid<f64>,
+        ws: &mut Workspace,
+    ) {
+        let mut spectrum = field.clone();
+        let plan = conv.plan();
+        plan.process_split(&mut spectrum, FftDirection::Forward, ws);
+        for (idx, k) in kernel.to_grid().iter().enumerate() {
+            let f = spectrum.at(idx);
+            spectrum.set(
+                idx,
+                Complex::new(f.re * k.re + f.im * k.im, f.im * k.re - f.re * k.im),
+            );
+        }
+        plan.process_split(&mut spectrum, FftDirection::Inverse, ws);
+        for (a, &r) in acc.iter_mut().zip(spectrum.re()) {
+            *a += scale * r;
+        }
+    }
+
+    /// Backpropagates random `∂F/∂I` fields at every one of `doses`
+    /// through the bank of every focus state in `defoci`, in both
+    /// gradient forms — through `H` on [`KernelSet::combined_plan`], and
+    /// through every `h_k` on the image's plan — as the optimizer does:
+    /// `G = Σ_d 2·dose·g_d` formed once, one box spectrum on `H`'s box,
+    /// one real inverse into a grid poisoned with NaN. Each is checked
+    /// against the dense oracle — the full-grid fields
+    /// `E = convolve_spectrum_split_into(M, h)`, `g_d ⊙ E`, then a dense
+    /// correlation scaled by `2·dose·w`, dose by dose and kernel by
+    /// kernel — to within `1e-12 ×` the oracle gradient's peak `|value|`.
+    /// Returns the last bank built.
+    fn assert_gradients_within_dense_oracle(
+        config: &OpticsConfig,
+        defoci: &[f64],
+        doses: &[f64],
+    ) -> KernelSet {
+        let (w, h) = (config.grid_width, config.grid_height);
+        let conv = Convolver::new(w, h);
+        let mut rng = mosaic_numerics::Rng64::new(0x6AD_0001);
+        let mask = Grid::from_fn(w, h, |_, _| rng.range_f64(0.0, 1.0));
+        let gs: Vec<Grid<f64>> = doses
+            .iter()
+            .map(|_| Grid::from_fn(w, h, |_, _| rng.range_f64(-1.0, 1.0)))
+            .collect();
+        let mut g_bank = Grid::zeros(w, h);
+        for (g, &dose) in gs.iter().zip(doses) {
+            for (s, &v) in g_bank.iter_mut().zip(g.iter()) {
+                *s += 2.0 * dose * v;
+            }
+        }
+        let mut ws = Workspace::new();
+        let mut spectrum = SplitSpectrum::zeros(w, h);
+        conv.forward_real_split_into(&mask, &mut spectrum, &mut ws);
+        let mut field = SplitSpectrum::zeros(w, h);
+        let mut last = None;
+        for &defocus_nm in defoci {
+            let set = KernelSet::build(config, defocus_nm).unwrap();
+            let per_kernel = (set.kernels(), set.intensity_plan(), "per-kernel");
+            let combined = (
+                std::slice::from_ref(set.combined()),
+                set.combined_plan(),
+                "combined",
+            );
+            for (kernels, plan, mode) in [combined, per_kernel] {
+                let (cols, rows) = set.combined().spectrum.support();
+                let mut box_spectrum = KernelSpectrum::zeros_in(cols, rows, &mut ws);
+                conv.correlation_spectrum_into(
+                    plan,
+                    &g_bank,
+                    &spectrum,
+                    kernels.iter().map(|k| (&k.spectrum, k.weight)),
+                    &mut box_spectrum,
+                    &mut ws,
+                );
+                let mut gradient = Grid::filled(w, h, f64::NAN);
+                conv.inverse_re_rows(&box_spectrum, &mut ws, |y, row| {
+                    gradient.row_mut(y).copy_from_slice(row);
+                });
+                box_spectrum.recycle(&mut ws);
+                let mut dense = Grid::zeros(w, h);
+                for (g, &dose) in gs.iter().zip(doses) {
+                    for k in kernels {
+                        conv.convolve_spectrum_split_into(
+                            &spectrum,
+                            &k.spectrum,
+                            &mut field,
+                            &mut ws,
+                        );
+                        let (fr, fi) = field.planes_mut();
+                        for ((r, i), &gv) in fr.iter_mut().zip(fi.iter_mut()).zip(g.iter()) {
+                            *r *= gv;
+                            *i *= gv;
+                        }
+                        let scale = 2.0 * dose * k.weight;
+                        dense_correlate_accumulate(
+                            &conv,
+                            &field,
+                            &k.spectrum,
+                            scale,
+                            &mut dense,
+                            &mut ws,
+                        );
+                    }
+                }
+                let peak = dense.iter().fold(0.0, |m: f64, v| m.max(v.abs()));
+                let err = max_abs_error(&gradient, &dense);
+                assert!(
+                    err <= 1e-12 * peak,
+                    "{w}x{h} @ {} nm, defocus {defocus_nm}, {mode}: \
+                     max error {err:e}, peak {peak:e}",
+                    config.pixel_nm
+                );
+            }
+            last = Some(set);
+        }
+        last.unwrap()
+    }
+
+    #[test]
+    fn gradient_oracle_contest_banks_128px() {
+        // The contest window's three focus states, 24 kernels each, at
+        // the doses of its corners; `H`'s 27×27 box gives a 64×64 plan.
+        let set = assert_gradients_within_dense_oracle(
+            &OpticsConfig::contest_32nm(128, 8.0),
+            &[0.0, 25.0, -25.0],
+            &[0.98, 1.02],
+        );
+        assert_eq!(set.combined_plan().dims(), (64, 64));
+    }
+
+    #[test]
+    fn gradient_oracle_fast_preset_bank() {
+        // The fast preset's optics (8 kernels) at the reference batch's
+        // 256 px @ 4 nm, every focus state and dose of its window.
+        let mut config = OpticsConfig::contest_32nm(256, 4.0);
+        config.kernel_count = 8;
+        let set =
+            assert_gradients_within_dense_oracle(&config, &[0.0, 25.0, -25.0], &[0.98, 1.0, 1.02]);
+        assert_eq!(set.combined_plan().dims(), (64, 64));
+    }
+
+    #[test]
+    fn gradient_oracle_bluestein_45x38() {
+        // Odd and even non-power-of-two axes: Bluestein columns and odd
+        // real rows in the pruned forward and the one inverse.
+        let config = OpticsConfig::builder()
+            .grid(45, 38)
+            .pixel_nm(12.0)
+            .kernel_count(12)
+            .build()
+            .unwrap();
+        assert_gradients_within_dense_oracle(&config, &[0.0, -25.0], &[0.98, 1.02]);
+    }
+
+    #[test]
+    fn gradient_oracle_aliased_16x15() {
+        // At 80 nm `H`'s box spans the whole frequency axis, so the
+        // offsets wrap the simulation grid more than once.
+        let config = OpticsConfig::builder()
+            .grid(16, 15)
+            .pixel_nm(80.0)
+            .kernel_count(6)
+            .build()
+            .unwrap();
+        let set = assert_gradients_within_dense_oracle(&config, &[0.0, -25.0], &[0.98, 1.02]);
+        let (lx, ly) = set.combined_plan().dims();
         assert!(lx > 16 && ly > 15, "small grid {lx}x{ly} does not alias");
     }
 
