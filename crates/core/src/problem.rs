@@ -6,6 +6,7 @@
 //! simulation grid, and the EPE sample sites mapped to pixel coordinates.
 
 use crate::error::CoreError;
+use mosaic_geometry::raster::whole_nm_pitch;
 use mosaic_geometry::{Layout, Orientation};
 use mosaic_numerics::Grid;
 use mosaic_optics::{LithoSimulator, OpticsConfig, ProcessCondition, ResistModel};
@@ -96,12 +97,12 @@ impl OpcProblem {
         let pixel_nm = optics.pixel_nm;
         // The clip is drawn on whole nm, so it rasterizes only at a
         // whole-nm pitch; the kernels and EPE sites use `pixel_nm` as is.
-        if !(pixel_nm >= 1.0 && pixel_nm.fract() == 0.0) {
+        let Some(pitch) = whole_nm_pitch(pixel_nm) else {
             return Err(CoreError::InvalidConfig(format!(
                 "pixel pitch must be a whole number of nm, at least 1, got {pixel_nm}"
             )));
-        }
-        let clip = layout.rasterize(pixel_nm as i64);
+        };
+        let clip = layout.rasterize(pitch);
         let (cw, ch) = clip.dims();
         let (gw, gh) = (optics.grid_width, optics.grid_height);
         if cw > gw || ch > gh {

@@ -9,6 +9,7 @@ use crate::epe::{self, EpeMeasurement};
 use crate::pvband::PvBand;
 use crate::score::Score;
 use crate::shape::ShapeCheck;
+use mosaic_geometry::raster::whole_nm_pitch;
 use mosaic_geometry::{Layout, SampleSet};
 use mosaic_numerics::Grid;
 use mosaic_optics::LithoSimulator;
@@ -52,7 +53,10 @@ impl Evaluator {
     ///
     /// # Panics
     ///
-    /// Panics if the rasterized clip exceeds the grid.
+    /// Panics if `pixel_nm` is not a whole number of nm of at least 1
+    /// (the clip is drawn on whole nm, so it rasterizes only at such a
+    /// pitch: [`whole_nm_pitch`], the rule problem assembly applies too),
+    /// or if the rasterized clip exceeds the grid.
     pub fn new(
         layout: &Layout,
         grid_px: (usize, usize),
@@ -60,7 +64,12 @@ impl Evaluator {
         epe_spacing_nm: i64,
         epe_threshold_nm: f64,
     ) -> Self {
-        let clip = layout.rasterize(pixel_nm.round() as i64);
+        let pitch = whole_nm_pitch(pixel_nm);
+        assert!(
+            pitch.is_some(),
+            "pixel pitch must be a whole number of nm, at least 1, got {pixel_nm}"
+        );
+        let clip = layout.rasterize(pitch.unwrap_or(1));
         let (cw, ch) = clip.dims();
         assert!(
             cw <= grid_px.0 && ch <= grid_px.1,
@@ -168,6 +177,20 @@ mod tests {
 
     fn evaluator() -> Evaluator {
         Evaluator::new(&layout(), (128, 128), 4.0, 40, 15.0)
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of nm")]
+    fn fractional_pitch_is_refused() {
+        // Rasterizing at the rounded 3 nm and measuring at 2.5 nm would
+        // score a target of the wrong size.
+        Evaluator::new(&layout(), (128, 128), 2.5, 40, 15.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of nm")]
+    fn sub_nm_pitch_is_refused() {
+        Evaluator::new(&layout(), (1024, 1024), 0.4, 40, 15.0);
     }
 
     #[test]

@@ -11,6 +11,16 @@ use crate::point::Orientation;
 use crate::polygon::Polygon;
 use mosaic_numerics::Grid;
 
+/// The pitch in whole nm a layout rasterizes at for a grid of
+/// `pixel_nm`-nm pixels: `pixel_nm` itself when it is a whole number of
+/// nm of at least 1, else `None`. Layouts are drawn on whole nm, so this
+/// is the one pixel-pitch rule every path that rasterizes a clip
+/// (problem assembly, the contest evaluator, `mosaic serve` submits)
+/// applies.
+pub fn whole_nm_pitch(pixel_nm: f64) -> Option<i64> {
+    (pixel_nm >= 1.0 && pixel_nm.fract() == 0.0).then_some(pixel_nm as i64)
+}
+
 /// Rasterizes a whole layout. See [`Layout::rasterize`].
 ///
 /// # Panics
@@ -84,6 +94,16 @@ mod tests {
     use super::*;
     use crate::point::Point;
     use crate::rect::Rect;
+
+    #[test]
+    fn only_whole_nm_pitches_of_at_least_one_rasterize() {
+        for (pixel_nm, pitch) in [(1.0, Some(1)), (2.0, Some(2)), (8.0, Some(8))] {
+            assert_eq!(whole_nm_pitch(pixel_nm), pitch, "{pixel_nm} nm");
+        }
+        for pixel_nm in [2.5, 0.4, 0.0, -1.0, -2.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(whole_nm_pitch(pixel_nm), None, "{pixel_nm} nm");
+        }
+    }
 
     #[test]
     fn rect_raster_exact_at_1nm() {

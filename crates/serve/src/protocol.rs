@@ -28,6 +28,7 @@
 
 use mosaic_core::{MosaicConfig, MosaicMode, MosaicPreset};
 use mosaic_geometry::benchmarks::BenchmarkId;
+use mosaic_geometry::raster::whole_nm_pitch;
 use mosaic_runtime::jsonl::push_json_string;
 use mosaic_runtime::JobSpec;
 use std::io::Write;
@@ -115,7 +116,7 @@ impl SubmitParams {
                     pixel = value
                         .parse()
                         .map_err(|_| format!("pixel: '{value}' is not a number"))?;
-                    if !(pixel >= 1.0 && pixel.fract() == 0.0) {
+                    if whole_nm_pitch(pixel).is_none() {
                         return Err(format!(
                             "pixel must be a whole number of nm, at least 1, got {pixel}"
                         ));
