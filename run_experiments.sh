@@ -3,7 +3,7 @@
 # binary in crates/bench/src/bin has one `run` line below (the root
 # test tests/script_coverage.rs checks this).
 # Scales: tables+figures at `table` (512 px @ 2 nm), ablations at `quick`
-# (256 px @ 4 nm); Table 2 alone takes over an hour on one core.
+# (256 px @ 4 nm); Table 2 alone took 53 s on one core of a 2-vCPU VM.
 #
 # `./run_experiments.sh tier1` runs the tier-1 gate instead: release
 # build, full test suite, clippy with warnings denied and rustfmt check.
@@ -56,9 +56,9 @@ tier1() {
   echo "=== tier1: zero-allocation hot path"
   # Counting-allocator smoke test (DESIGN.md §9): warm optimizer
   # iterations must not touch the heap, serial and at 2 and 4 threads,
-  # including the exact per-kernel gradient on a process window (its
-  # pooled field list). Also covered by the workspace test run above;
-  # repeated here so a gate failure names the culprit.
+  # including the exact per-kernel gradient on a process window. Also
+  # covered by the workspace test run above; repeated here so a gate
+  # failure names the culprit.
   cargo test -q -p mosaic-core --test alloc_smoke
   echo "=== tier1: threads determinism (intra-job parallel evaluation)"
   # DESIGN.md §14: focus-bank fan-out is the one intra-job parallel
@@ -90,29 +90,37 @@ tier1() {
     b4_contest_exact_golden_snapshot
   echo "=== tier1: band-limited engine"
   # DESIGN.md §16: kernels are stored as their support boxes and the
-  # convolution/correlation skip the transforms a box rules out. The
-  # dense path is the oracle: every nonzero value of the box
-  # convolution and correlation must match it bit for bit on pow2,
-  # Bluestein and odd grids, through the one serial code path that
-  # corner workers run too. The SOCS image, summed on each bank's small
-  # grid, is the one numeric change (DESIGN.md §9): it must match the
-  # dense per-kernel sum within 1e-12 x the image peak, for three
-  # weighted kernels at three doses and at the shapes that run (the
-  # contest banks at 128 px @ 8 nm, the fast-preset bank, the 45x38
-  # Bluestein grid and the 16x15 @ 80 nm grid whose small grid
-  # aliases), and a bank pass over several doses must equal one
-  # single-dose pass per condition bit for bit. The image and the
-  # gradient correlation end in one pruned real inverse; the
-  # per-kernel gradient's bits are pinned on the contest window at a
-  # power-of-two and a Bluestein grid. The pruned column
-  # inverse must equal the dense one bit for bit, zero signs included,
-  # on every cyclic range of every power of two up to 64; the box build
-  # must reproduce the dense pupil build; a 512 px @ 2 nm contest bank
-  # must store under 1% of the grid per kernel. Also covered by the
-  # workspace test run above; repeated so a gate failure names the
-  # culprit.
+  # convolution skips the transforms a box rules out. The dense path is
+  # the oracle: every nonzero value of the box convolution must match
+  # it bit for bit on pow2, Bluestein and odd grids, through the one
+  # serial code path that corner workers run too. The SOCS image,
+  # summed on each bank's small grid, is the engine's first numeric
+  # change (DESIGN.md §9): it must match the dense per-kernel sum
+  # within 1e-12 x the image peak, for three weighted kernels at three
+  # doses and at the shapes that run (the contest banks at
+  # 128 px @ 8 nm, the fast-preset bank, the 45x38 Bluestein grid and
+  # the 16x15 @ 80 nm grid whose small grid aliases), and a bank pass
+  # over several doses must equal one single-dose pass per condition
+  # bit for bit. The gradient is the engine's second numeric change:
+  # each bank correlates its dose-weighted dF/dI once, as a product on
+  # the small grid of H's box fed by one pruned forward, and one pruned
+  # real inverse (the image's) turns the banks' summed box spectra into
+  # the gradient. It must match the dense oracle (full-grid fields, one
+  # dense correlation per dose and kernel) within 1e-12 x the oracle
+  # gradient's peak, for banks of one and of three kernels at three
+  # doses (the box_ tests) and at the shapes that run, in both gradient
+  # modes; the pruned forward must equal the dense half spectrum's
+  # columns bit for bit; the per-kernel gradient's bits are pinned on
+  # the contest window at a power-of-two and a Bluestein grid. The
+  # pruned column inverse must equal the dense one bit for bit, zero
+  # signs included, on every cyclic range of every power of two up to
+  # 64; the box build must reproduce the dense pupil build; a
+  # 512 px @ 2 nm contest bank must store under 1% of the grid per
+  # kernel. Also covered by the workspace test run above; repeated so a
+  # gate failure names the culprit.
   cargo test -q -p mosaic-numerics --test differential box_
-  cargo test -q -p mosaic-numerics --lib -- fft::tests::pruned_inverse_matches_dense_column_bit_for_bit
+  cargo test -q -p mosaic-numerics --lib -- fft::tests::pruned_inverse_matches_dense_column_bit_for_bit \
+    fft::tests::pruned_forward_matches_dense_half_spectrum_bit_for_bit
   cargo test -q -p mosaic-numerics --test proptests kernel_box_
   cargo test -q -p mosaic-optics --lib -- box_build_matches_dense_build \
     contest_bank_stores_under_one_percent_of_the_grid \
@@ -120,6 +128,10 @@ tier1() {
     kernels::tests::socs_image_oracle_fast_preset_bank \
     kernels::tests::socs_image_oracle_bluestein_45x38 \
     kernels::tests::socs_image_oracle_aliased_16x15 \
+    kernels::tests::gradient_oracle_contest_banks_128px \
+    kernels::tests::gradient_oracle_fast_preset_bank \
+    kernels::tests::gradient_oracle_bluestein_45x38 \
+    kernels::tests::gradient_oracle_aliased_16x15 \
     simulator::tests::bank_pass_matches_the_per_condition_loop_bit_for_bit
   cargo test -q -p mosaic-core --lib -- objective::tests::per_kernel_evaluations_are_pinned_to_the_bit
   echo "=== tier1: clippy"
