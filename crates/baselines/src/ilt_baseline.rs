@@ -25,7 +25,7 @@ impl Default for IltBaseline {
     fn default() -> Self {
         let opt = OptimizationConfig {
             beta: 0.0,
-            gamma: 2.0, // quadratic form of Eq. (16)
+            gamma: 2, // quadratic form of Eq. (16)
             target_term: TargetTerm::ImageDifference,
             gradient_mode: GradientMode::Combined,
             ..OptimizationConfig::default()

@@ -8,11 +8,14 @@
 //! shape) and in the contest preset at 512 px @ 2 nm (`contest_exact512`),
 //! times one evaluation serially and at 2 threads, then times its parts
 //! one at a time through the public calls an evaluation makes: the mask
-//! spectrum, each focus bank's image pass, each bank's gradient
-//! correlation and the evaluation's one real inverse. Each part runs on
-//! its own, so the parts do not add up to the evaluation exactly (the
-//! resist, the target and `F_pvb` terms and the chain rule are not
-//! split out). Rows print the minimum and the median over the runs.
+//! sigmoid, the mask spectrum, each focus bank's image pass, the resist
+//! on one condition, each bank's gradient correlation and the
+//! evaluation's one real inverse. Rows print the minimum and the median
+//! over the runs. A last row gives the rest of the evaluation: the
+//! serial evaluation's minimum less the timed parts' minima (the resist
+//! counted once per condition). The target and `F_pvb` terms fall in
+//! it, with the per-dose `g` fill and bank sum and the chain rule. Each
+//! part runs on its own, so the rest is an estimate, not a measurement.
 
 use mosaic_core::objective::{Evaluation, Objective};
 use mosaic_core::{
@@ -36,9 +39,9 @@ fn report<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     println!("{name:<40} {:>12.3} ms/iter ({iters} iters)", per * 1e3);
 }
 
-/// Runs `f` once to warm up, then `runs` times, and prints the minimum
-/// and the median in ms.
-fn phase<T>(shape: &str, name: &str, runs: usize, mut f: impl FnMut() -> T) {
+/// Runs `f` once to warm up, then `runs` times, prints the minimum and
+/// the median in ms and returns the minimum.
+fn phase<T>(shape: &str, name: &str, runs: usize, mut f: impl FnMut() -> T) -> f64 {
     black_box(f());
     let mut ms: Vec<f64> = (0..runs)
         .map(|_| {
@@ -53,6 +56,7 @@ fn phase<T>(shape: &str, name: &str, runs: usize, mut f: impl FnMut() -> T) {
         ms[0],
         ms[runs / 2]
     );
+    ms[0]
 }
 
 fn problem() -> OpcProblem {
@@ -91,7 +95,7 @@ fn phase_split(shape: &str, config: MosaicConfig, mode: MosaicMode, runs: usize)
     let state = MaskState::from_mask(mosaic.initial_mask(), cfg.mask_steepness);
     let mut ws = Workspace::new();
     let mut eval = Evaluation::empty();
-    phase(shape, "evaluation, serial", runs, || {
+    let serial = phase(shape, "evaluation, serial", runs, || {
         objective.evaluate_into(&state, &mut ws, &mut eval);
         eval.report.total
     });
@@ -104,12 +108,17 @@ fn phase_split(shape: &str, config: MosaicConfig, mode: MosaicMode, runs: usize)
 
     let (w, h) = p.grid_dims();
     let mut mask = Grid::zeros(w, h);
-    state.mask_into(&mut mask);
+    let mut timed = phase(shape, "MaskState::mask_into", runs, || {
+        state.mask_into(&mut mask);
+        mask[(0, 0)]
+    });
     let mut spectrum = SplitSpectrum::zeros(w, h);
-    phase(shape, "mask_spectrum_split", runs, || {
+    timed += phase(shape, "mask_spectrum_split", runs, || {
         sim.mask_spectrum_split(&mask, &mut spectrum, &mut ws);
         spectrum.at(1)
     });
+    let conditions = sim.condition_count();
+    let (mut z, mut dz) = (Grid::zeros(w, h), Grid::zeros(w, h));
     // Each bank's gradient sum `G` stands in as its first dose's image:
     // the correlation's cost does not depend on the values.
     let mut bank_spectrum = None;
@@ -118,16 +127,25 @@ fn phase_split(shape: &str, config: MosaicConfig, mode: MosaicMode, runs: usize)
         let doses = &sim.doses()[sim.bank_conditions(b)];
         let mut images = vec![Grid::zeros(w, h); doses.len()];
         let name = format!("bank {b}: aerial_images_split, {} dose(s)", doses.len());
-        phase(shape, &name, runs, || {
+        timed += phase(shape, &name, runs, || {
             bank.aerial_images_split(conv, &spectrum, doses, &mut images, &mut ws);
             images[0][(0, 0)]
         });
+        if b == 0 {
+            let name = format!("develop_with_derivative_into, 1 of {conditions} conditions");
+            let resist = phase(shape, &name, runs, || {
+                sim.resist()
+                    .develop_with_derivative_into(&images[0], &mut z, &mut dz);
+                z[(0, 0)]
+            });
+            timed += resist * conditions as f64;
+        }
         let h_kernel = bank.combined();
         let (cols, rows) = h_kernel.spectrum.support();
         let mut out = KernelSpectrum::zeros_in(cols, rows, &mut ws);
         let kernels = [(&h_kernel.spectrum, h_kernel.weight)];
         let name = format!("bank {b}: correlation_spectrum_into");
-        phase(shape, &name, runs, || {
+        timed += phase(shape, &name, runs, || {
             conv.correlation_spectrum_into(
                 bank.combined_plan(),
                 &images[0],
@@ -141,12 +159,17 @@ fn phase_split(shape: &str, config: MosaicConfig, mode: MosaicMode, runs: usize)
     }
     let bank_spectrum = bank_spectrum.expect("at least one bank");
     let mut gradient = Grid::zeros(w, h);
-    phase(shape, "inverse_re_rows", runs, || {
+    timed += phase(shape, "inverse_re_rows", runs, || {
         conv.inverse_re_rows(&bank_spectrum, &mut ws, |y, row| {
             gradient.row_mut(y).copy_from_slice(row);
         });
         gradient[(0, 0)]
     });
+    println!(
+        "phase/{shape:<12} {:<44} min {:>8.3} ms  (serial min less the timed mins)",
+        "rest of the evaluation",
+        serial - timed
+    );
 }
 
 fn main() {

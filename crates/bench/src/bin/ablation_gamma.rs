@@ -21,7 +21,7 @@ fn main() {
         "Score".to_string(),
     ];
     let mut rows = Vec::new();
-    for gamma in [2.0, 3.0, 4.0, 6.0] {
+    for gamma in [2, 3, 4, 6] {
         eprintln!("A2: {bench} with gamma = {gamma}...");
         let mut config = contest_config(scale);
         config.opt.gamma = gamma;

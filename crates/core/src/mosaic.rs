@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn invalid_opt_config_is_rejected() {
         let mut config = MosaicConfig::fast_preset(128, 4.0);
-        config.opt.gamma = 0.0;
+        config.opt.gamma = 0;
         assert!(matches!(
             Mosaic::new(&layout(), config),
             Err(CoreError::InvalidConfig(_))

@@ -31,8 +31,12 @@
 //!
 //! The terms:
 //!
-//! * **F_id** (Eq. (16)) — image difference `Σ |Z_nom − Z_t|^γ`, γ = 4 by
-//!   default; `∂F/∂Z = γ·|Z−Z_t|^{γ−1}·sign(Z−Z_t)`.
+//! * **F_id** (Eq. (16)) — image difference `Σ |Z_nom − Z_t|^γ`, γ a whole
+//!   number, 4 by default; `∂F/∂Z = γ·|Z−Z_t|^{γ−1}·sign(Z−Z_t)`. Both
+//!   come from one product `p = |Z−Z_t|^{γ−1}` of γ − 1 multiplies per
+//!   pixel (value `p·|Z−Z_t|`). The tests keep the real-power form as
+//!   the oracle: each gradient pixel lies within `4·γ·ε` relative of it,
+//!   the value within 1e-12 (DESIGN.md §9).
 //! * **F_epe** (Eq. (9)–(14)) — for every EPE site, `Dsum` accumulates
 //!   the squared image error along the edge normal over a `±th_epe`
 //!   window; since `D ∈ {0,1}` on near-binary images, `Dsum` counts
@@ -394,6 +398,11 @@ impl<'a> Objective<'a> {
 
     /// `F_id = Σ |Z − Z_t|^γ · px²`; accumulates `α·∂F_id/∂Z·dZ/dI` into
     /// `g` in the same pass and returns the unweighted value.
+    ///
+    /// γ is a whole number, so each pixel forms `p = |d|^(γ−1)` by γ − 1
+    /// multiplies in a plain loop (`powi` leaves its rounding sequence
+    /// unspecified) and uses it for both the value `p·|d|` and the
+    /// derivative `γ·p·sign(d)`.
     fn image_difference_accumulate(
         &self,
         z: &Grid<f64>,
@@ -403,12 +412,18 @@ impl<'a> Objective<'a> {
         g: &mut Grid<f64>,
     ) -> f64 {
         let gamma = self.config.gamma;
+        let gamma_f = f64::from(gamma);
         let alpha = self.config.alpha;
         let mut value = 0.0;
         for ((gv, (zv, tv)), dzv) in g.iter_mut().zip(z.iter().zip(target.iter())).zip(dz.iter()) {
             let diff = zv - tv;
-            value += diff.abs().powf(gamma);
-            let dv = pixel_area * gamma * diff.abs().powf(gamma - 1.0) * diff.signum();
+            let a = diff.abs();
+            let mut p = 1.0;
+            for _ in 1..gamma {
+                p *= a;
+            }
+            value += p * a;
+            let dv = pixel_area * gamma_f * p * diff.signum();
             *gv += alpha * dv * dzv;
         }
         value * pixel_area
@@ -623,11 +638,12 @@ mod tests {
 
     /// The exact per-kernel gradient of each term on a real clip — B1 in
     /// the fast preset at 128 px @ 8 nm (8 kernels, 3 conditions), from
-    /// its SRAF-seeded initial mask — against central differences at the
-    /// pixels where the gradient is largest. This is the safety net of
-    /// the band-limited kernel engine (DESIGN.md §16): a box that dropped
-    /// a live bin or a fold that lost a mirror would show up here.
-    fn check_clip_gradient(term: TargetTerm, alpha: f64, beta: f64) {
+    /// its SRAF-seeded initial mask, with `F_id`'s exponent `gamma` —
+    /// against central differences at the pixels where the gradient is
+    /// largest. This is the safety net of the band-limited kernel engine
+    /// (DESIGN.md §16): a box that dropped a live bin or a fold that lost
+    /// a mirror would show up here.
+    fn check_clip_gradient(term: TargetTerm, alpha: f64, beta: f64, gamma: u32) {
         let layout = mosaic_geometry::benchmarks::BenchmarkId::B1
             .layout()
             .unwrap();
@@ -641,6 +657,7 @@ mod tests {
         let cfg = OptimizationConfig {
             alpha,
             beta,
+            gamma,
             ..config(term, GradientMode::PerKernel)
         };
         let obj = Objective::new(p, &cfg).unwrap();
@@ -658,23 +675,130 @@ mod tests {
             &obj,
             &state,
             &probes,
-            &format!("B1 clip {term:?} α={alpha} β={beta}"),
+            &format!("B1 clip {term:?} α={alpha} β={beta} γ={gamma}"),
         );
     }
 
     #[test]
     fn clip_image_difference_gradient_matches_finite_difference() {
-        check_clip_gradient(TargetTerm::ImageDifference, 5000.0, 0.0);
+        check_clip_gradient(TargetTerm::ImageDifference, 5000.0, 0.0, 4);
+    }
+
+    #[test]
+    fn clip_image_difference_gradient_matches_finite_difference_at_every_swept_gamma() {
+        // The exponents callers use besides the default 4: the ILT
+        // baseline's 2 and the rest of A2's sweep.
+        for gamma in [2, 3, 6] {
+            check_clip_gradient(TargetTerm::ImageDifference, 5000.0, 0.0, gamma);
+        }
     }
 
     #[test]
     fn clip_epe_gradient_matches_finite_difference() {
-        check_clip_gradient(TargetTerm::EdgePlacement, 5000.0, 0.0);
+        check_clip_gradient(TargetTerm::EdgePlacement, 5000.0, 0.0, 4);
     }
 
     #[test]
     fn clip_pvb_gradient_matches_finite_difference() {
-        check_clip_gradient(TargetTerm::ImageDifference, 0.0, 4.0);
+        check_clip_gradient(TargetTerm::ImageDifference, 0.0, 4.0, 4);
+    }
+
+    /// `image_difference_accumulate` in its former real-power form, the
+    /// oracle of the multiply form: `|d|^γ` and `|d|^(γ−1)` each through
+    /// `powf`, every other operation in the same order.
+    fn image_difference_powf(
+        gamma: f64,
+        alpha: f64,
+        z: &Grid<f64>,
+        target: &Grid<f64>,
+        dz: &Grid<f64>,
+        pixel_area: f64,
+        g: &mut Grid<f64>,
+    ) -> f64 {
+        let mut value = 0.0;
+        for ((gv, (zv, tv)), dzv) in g.iter_mut().zip(z.iter().zip(target.iter())).zip(dz.iter()) {
+            let diff = zv - tv;
+            value += diff.abs().powf(gamma);
+            let dv = pixel_area * gamma * diff.abs().powf(gamma - 1.0) * diff.signum();
+            *gv += alpha * dv * dzv;
+        }
+        value * pixel_area
+    }
+
+    #[test]
+    fn image_difference_matches_the_real_power_oracle() {
+        // The engine's third numeric change (DESIGN.md §9). `p` takes
+        // γ − 1 rounded multiplies where `powf` rounds once (≤ 0.52 ulp);
+        // everything after `p` is the same operations in the same order.
+        // So each `∂F_id/∂I` pixel lies within 4·γ·ε relative of the
+        // oracle, and the value, a sum of non-negative terms, within
+        // 1e-12.
+        use mosaic_numerics::Rng64;
+        let p = problem(ProcessCondition::nominal_only());
+        let (w, h) = p.grid_dims();
+        let pixel_area = p.pixel_nm() * p.pixel_nm();
+        // A binary target; Z uniform in [0, 1] (so d < 0 and d > 0),
+        // except one pixel in 8 that prints the target exactly (d = 0)
+        // and one in 8 that misses it by nearly 1 either way; dZ/dI of
+        // both signs.
+        let mut rng = Rng64::new(0x00f1_d0ac_1e5e_ed28);
+        let target = Grid::from_fn(w, h, |_, _| if rng.chance(0.5) { 1.0 } else { 0.0 });
+        let z = Grid::from_fn(w, h, |x, y| {
+            let t = target[(x, y)];
+            match rng.range_usize(0, 8) {
+                0 => t,
+                1 => (1.0 - t) + (2.0 * t - 1.0) * rng.range_f64(0.0, 1e-3),
+                _ => rng.next_f64(),
+            }
+        });
+        let dz = Grid::from_fn(w, h, |_, _| rng.range_f64(-2.0, 2.0));
+        let diffs = || z.iter().zip(target.iter()).map(|(z, t)| z - t);
+        assert!(diffs().any(|d| d == 0.0), "some d = 0");
+        assert!(diffs().any(|d| d < -0.999), "some d near −1");
+        assert!(diffs().any(|d| d > 0.999), "some d near +1");
+        for gamma in [1u32, 2, 3, 4, 6] {
+            let cfg = OptimizationConfig {
+                gamma,
+                ..config(TargetTerm::ImageDifference, GradientMode::Combined)
+            };
+            let obj = Objective::new(&p, &cfg).unwrap();
+            let mut g = Grid::zeros(w, h);
+            let value = obj.image_difference_accumulate(&z, &target, &dz, pixel_area, &mut g);
+            let mut g_ref = Grid::zeros(w, h);
+            let value_ref = image_difference_powf(
+                f64::from(gamma),
+                cfg.alpha,
+                &z,
+                &target,
+                &dz,
+                pixel_area,
+                &mut g_ref,
+            );
+            let bound = 4.0 * f64::from(gamma) * f64::EPSILON;
+            let mut worst = 0.0f64;
+            let mut moved = 0usize;
+            for (i, (&a, &b)) in g.iter().zip(g_ref.iter()).enumerate() {
+                let err = (a - b).abs();
+                assert!(
+                    err <= bound * b.abs(),
+                    "γ = {gamma}: gradient pixel {i}: {a:e} against {b:e}"
+                );
+                if err > 0.0 {
+                    moved += 1;
+                    worst = worst.max(err / b.abs());
+                }
+            }
+            let value_err = (value - value_ref).abs() / value_ref;
+            assert!(
+                value_err <= 1e-12,
+                "γ = {gamma}: value {value:e} against {value_ref:e}"
+            );
+            println!(
+                "γ = {gamma}: gradient max {:.2} ε relative ({moved} of {} pixels moved), value {value_err:.2e} relative",
+                worst / f64::EPSILON,
+                g.len()
+            );
+        }
     }
 
     #[test]
@@ -760,21 +884,23 @@ mod tests {
         // The exact adjoint's bits, pinned at cb63e46 and re-pinned once
         // when each focus bank's gradient moved onto `H`'s box, a numeric
         // change the dense-oracle pins bound (the finite-difference
-        // checks above only bound the gradient): a radix-2 grid, and a
-        // 96 px grid whose rows and columns run Bluestein.
+        // checks above only bound the gradient), and once more, in the
+        // `ImageDifference` hashes only, when `F_id` went from `powf` to
+        // multiplies (bounded by the real-power oracle above): a radix-2
+        // grid, and a 96 px grid whose rows and columns run Bluestein.
         use mosaic_geometry::benchmarks::BenchmarkId;
         let cases = [
             (
                 BenchmarkId::B4,
                 128,
                 8.0,
-                [0x613a_e79b_ffaf_6d26, 0x6bb5_b7a0_6072_fe84],
+                [0xbe81_8239_b6da_69a3, 0x6bb5_b7a0_6072_fe84],
             ),
             (
                 BenchmarkId::B2,
                 96,
                 12.0,
-                [0xdbf7_05b0_df72_48e1, 0x9d13_cb39_df48_a5e5],
+                [0x49a1_bf2e_786e_7454, 0x9d13_cb39_df48_a5e5],
             ),
         ];
         for (bench, grid, pixel_nm, pins) in cases {

@@ -40,8 +40,9 @@ pub struct OptimizationConfig {
     /// Weight of the process-window term (`β`); the contest score
     /// charges 4 per nm² of PV band.
     pub beta: f64,
-    /// Image-difference exponent `γ` (Eq. (16)); the paper uses 4.
-    pub gamma: f64,
+    /// Image-difference exponent `γ` (Eq. (16)), a whole number; the
+    /// paper uses 4.
+    pub gamma: u32,
     /// Mask sigmoid steepness `θ_M` (Eq. (8)).
     pub mask_steepness: f64,
     /// Gradient-descent step size, applied to the gradient normalized by
@@ -89,7 +90,7 @@ impl Default for OptimizationConfig {
         OptimizationConfig {
             alpha: 5000.0,
             beta: 4.0,
-            gamma: 4.0,
+            gamma: 4,
             mask_steepness: 4.0,
             step_size: 3.0,
             max_iterations: 20,
@@ -118,7 +119,7 @@ impl OptimizationConfig {
         if !(self.alpha >= 0.0 && self.beta >= 0.0) {
             return Err("alpha and beta must be non-negative".into());
         }
-        if !(self.gamma >= 1.0) {
+        if self.gamma < 1 {
             return Err("gamma must be >= 1".into());
         }
         if !(self.mask_steepness > 0.0) {
@@ -455,12 +456,19 @@ mod tests {
     }
 
     #[test]
+    fn validate_refuses_gamma_zero() {
+        let at = |gamma| OptimizationConfig {
+            gamma,
+            ..OptimizationConfig::default()
+        };
+        assert_eq!(at(0).validate(), Err("gamma must be >= 1".to_string()));
+        assert_eq!(at(1).validate(), Ok(()));
+    }
+
+    #[test]
     fn config_validation_catches_bad_values() {
         let base = OptimizationConfig::default;
-        let c = OptimizationConfig {
-            gamma: 0.5,
-            ..base()
-        };
+        let c = OptimizationConfig { gamma: 0, ..base() };
         assert!(c.validate().is_err());
         let c = OptimizationConfig {
             step_size: 0.0,

@@ -19,7 +19,7 @@ use crate::events::{Event, EventSink};
 use crate::fault::FaultPlan;
 use crate::ledger::{CompletionRecord, LeaseHandle};
 use crate::salvage;
-use crate::scheduler::{run_attempts, CancelToken, JobExecution, RetryPolicy};
+use crate::scheduler::{run_attempts, AttemptError, CancelToken, JobExecution, RetryPolicy};
 use crate::supervise::{AttemptGuard, Supervisor};
 use mosaic_core::{
     Instrument, IterationControl, IterationRecord, IterationView, MaskState, Mosaic, MosaicConfig,
@@ -577,15 +577,19 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext<'_>) -> JobRun {
 ///
 /// # Errors
 ///
-/// Returns a human-readable error string when the job cannot be set up
-/// (bad configuration, clip larger than the grid, corrupt checkpoint) or
-/// was cancelled before it started. Cooperative cancellation *mid-run*
-/// is not an error: it yields `Ok` with [`JobStatus::Cancelled`].
+/// Returns a human-readable error when the job cannot be set up or was
+/// cancelled before it started. Clip generation, the simulator build
+/// and problem assembly depend on the spec alone (a ladder rung keeps
+/// the physical window, so it does not change whether a clip fits), so
+/// their errors are [`AttemptError::Final`]; the rest (a checkpoint that
+/// cannot be read, a failed optimization) are
+/// [`AttemptError::Retryable`]. Cooperative cancellation *mid-run* is
+/// not an error: it yields `Ok` with [`JobStatus::Cancelled`].
 pub fn execute_job(
     spec: &JobSpec,
     attempt: u32,
     ctx: &JobContext<'_>,
-) -> Result<JobReport, String> {
+) -> Result<JobReport, AttemptError> {
     WORKER_WS.with(|ws| attempt_on(spec, attempt, ctx, &mut ws.borrow_mut()))
 }
 
@@ -595,13 +599,13 @@ fn attempt_on(
     attempt: u32,
     ctx: &JobContext<'_>,
     ws: &mut Workspace,
-) -> Result<JobReport, String> {
+) -> Result<JobReport, AttemptError> {
     // Only the token gates entry; a deadline that has already passed
     // still lets the job reach its first iteration boundary, where it
     // checkpoints and stops (the batch driver cancels the token once it
     // notices the deadline, so later jobs never start).
     if ctx.cancel.is_cancelled() {
-        return Err("cancelled before start".to_string());
+        return Err("cancelled before start".to_string().into());
     }
     let started = Instant::now();
     let (degrade_step, preemptive) = ctx.supervisor.attempt_rung(&spec.id, &spec_class(spec));
@@ -674,7 +678,7 @@ fn attempt_on(
     let layout = spec
         .clip
         .layout()
-        .map_err(|e| format!("clip generation failed: {e}"))?;
+        .map_err(|e| AttemptError::Final(format!("clip generation failed: {e}")))?;
     let sim = ctx
         .cache
         .get_or_build(
@@ -682,7 +686,7 @@ fn attempt_on(
             job_config.resist,
             &job_config.conditions,
         )
-        .map_err(|e| format!("simulator build failed: {e}"))?;
+        .map_err(|e| AttemptError::Final(format!("simulator build failed: {e}")))?;
     let mut config = job_config.clone();
     if let Some(i) = ctx.faults.nan_gradient_at(&spec.id, attempt) {
         config.opt.fault_nan_gradient_at = Some(i);
@@ -703,7 +707,7 @@ fn attempt_on(
         });
     }
     let mosaic = Mosaic::with_simulator(&layout, config, sim)
-        .map_err(|e| format!("problem assembly failed: {e}"))?;
+        .map_err(|e| AttemptError::Final(format!("problem assembly failed: {e}")))?;
 
     let opt_cfg = mosaic.optimization_config().clone();
     let (status, iterations, best_objective, recoveries, binary_mask) = if let Some(cp) = resume
@@ -770,7 +774,7 @@ fn attempt_on(
                     });
                     ctx.supervisor.note_downshift(&spec.id);
                 }
-                return Err(format!("optimization failed: {e}"));
+                return Err(format!("optimization failed: {e}").into());
             }
         };
         let best_objective = result
@@ -796,7 +800,8 @@ fn attempt_on(
                 return Err(format!(
                     "attempt abandoned after {iterations} iteration(s): lease lost to epoch {}",
                     lease.observed_epoch()
-                ));
+                )
+                .into());
             }
             // Who asked for the stop decides the path. The batch token
             // or deadline is an ordinary cancellation: salvage and
@@ -816,7 +821,8 @@ fn attempt_on(
                 // progress when the grid rung allows a resume).
                 return Err(format!(
                     "attempt stopped by supervision after {iterations} iteration(s)"
-                ));
+                )
+                .into());
             }
             status = if supervised || slot.timed_out() {
                 JobStatus::TimedOut
@@ -1007,7 +1013,7 @@ mod tests {
             &ctx(&cache, &events, &cancel, &sup),
         )
         .unwrap_err();
-        assert!(err.contains("cancelled"));
+        assert!(matches!(err, AttemptError::Retryable(e) if e.contains("cancelled")));
     }
 
     #[test]
@@ -1150,15 +1156,18 @@ mod tests {
 
     #[test]
     fn exhausted_attempts_commit_a_failed_record() {
-        // 64 px at 8 nm is 512 nm: the 1024 nm clip cannot fit, so
-        // every attempt fails at set-up.
-        let spec = JobSpec::preset(BenchmarkId::B1, MosaicMode::Fast, 64, 8.0);
+        // Both attempts panic at their first iteration boundary.
+        let spec = tiny_spec(BenchmarkId::B1);
         let (ledger, lease) = claimed("failed", &spec);
         let (cache, events, cancel) = (SimCache::new(), EventSink::null(), CancelToken::new());
         let sup = Supervisor::new(SupervisorConfig::default());
+        let faults = FaultPlan::new()
+            .inject(&spec.id, 1, crate::fault::FaultKind::PanicAtIteration(0))
+            .inject(&spec.id, 2, crate::fault::FaultKind::PanicAtIteration(0));
         let leased = JobContext {
             lease: Some(&lease),
             retry: RetryPolicy::retries(1),
+            faults: &faults,
             ..ctx(&cache, &events, &cancel, &sup)
         };
         match run_job(&spec, &leased) {
@@ -1174,6 +1183,34 @@ mod tests {
         assert_eq!(done.outcome.status, JobStatus::Failed);
         assert_eq!(done.outcome.attempts, 2);
         assert!(done.outcome.error.is_some());
+        std::fs::remove_dir_all(ledger.root()).unwrap();
+    }
+
+    #[test]
+    fn set_up_error_commits_a_failed_record_after_one_attempt() {
+        // 64 px at 8 nm is 512 nm: the 1024 nm clip cannot fit, and no
+        // retry changes that.
+        let spec = JobSpec::preset(BenchmarkId::B1, MosaicMode::Fast, 64, 8.0);
+        let (ledger, lease) = claimed("set-up", &spec);
+        let (cache, events, cancel) = (SimCache::new(), EventSink::null(), CancelToken::new());
+        let sup = Supervisor::new(SupervisorConfig::default());
+        let leased = JobContext {
+            lease: Some(&lease),
+            retry: RetryPolicy::retries(2),
+            ..ctx(&cache, &events, &cancel, &sup)
+        };
+        let JobRun::Unreported(outcome) = run_job(&spec, &leased) else {
+            panic!("expected a failure");
+        };
+        assert_eq!(outcome.status, JobStatus::Failed);
+        assert_eq!(outcome.attempts, 1);
+        let done = ledger
+            .completion(&spec.id)
+            .unwrap()
+            .expect("the failure is committed");
+        assert_eq!(done.outcome.attempts, 1);
+        let error = done.outcome.error.unwrap_or_default();
+        assert!(error.starts_with("problem assembly failed"), "{error}");
         std::fs::remove_dir_all(ledger.root()).unwrap();
     }
 }

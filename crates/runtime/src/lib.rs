@@ -12,8 +12,9 @@
 //!   per clip.
 //! * [`scheduler`] — a worker pool (`std::thread::scope` over a shared
 //!   work queue) and the one attempt loop ([`run_attempts`]): per-attempt
-//!   panic isolation, retry with backoff, cooperative cancellation and
-//!   the ledger fence.
+//!   panic isolation, retry with backoff, no retry after an
+//!   [`AttemptError::Final`], cooperative cancellation and the ledger
+//!   fence.
 //! * [`job`] — the job unit ([`JobSpec`]: clip × mode × resolution),
 //!   its terminal states ([`JobStatus`]: finished / failed / cancelled
 //!   / timed out), the one terminal value per job ([`JobOutcome`]: the
@@ -136,8 +137,8 @@ pub use job::{
 };
 pub use ledger::{Claim, CompletionRecord, LeaseHandle, Ledger, Won};
 pub use scheduler::{
-    clamp_threads, clamp_workers, default_workers, run_attempts, run_pool, CancelToken,
-    JobExecution, RetryPolicy,
+    clamp_threads, clamp_workers, default_workers, run_attempts, run_pool, AttemptError,
+    CancelToken, JobExecution, RetryPolicy,
 };
 pub use shard::{HeldLeases, ShardConfig};
 pub use supervise::{
@@ -160,8 +161,8 @@ pub mod prelude {
     pub use crate::ledger::{Claim, CompletionRecord, LeaseHandle, Ledger, Won};
     pub use crate::salvage;
     pub use crate::scheduler::{
-        clamp_threads, clamp_workers, default_workers, run_attempts, run_pool, CancelToken,
-        JobExecution, RetryPolicy,
+        clamp_threads, clamp_workers, default_workers, run_attempts, run_pool, AttemptError,
+        CancelToken, JobExecution, RetryPolicy,
     };
     pub use crate::shard::{HeldLeases, ShardConfig};
     pub use crate::supervise::{

@@ -3,12 +3,13 @@
 //!
 //! Both are deliberately generic: [`run_pool`] maps any `Fn(&T) -> R`
 //! over a slice of items until cancelled, and [`run_attempts`] drives
-//! any `FnMut(u32) -> Result<R, String>` through its attempts. That
-//! keeps the scheduling policy (work stealing off a shared counter,
-//! retry, panic capture) testable without running actual lithography
-//! jobs. The OPC-specific runner, [`crate::job::run_job`], is
-//! [`run_attempts`] over [`crate::job::execute_job`] plus the job's
-//! outcome and ledger commit.
+//! any `FnMut(u32) -> Result<R, E>` (`E: Into<AttemptError>`) through
+//! its attempts. That keeps the scheduling policy (work stealing off a
+//! shared counter, retry, panic capture) testable without running
+//! actual lithography jobs. The OPC-specific runner,
+//! [`crate::job::run_job`], is [`run_attempts`] over
+//! [`crate::job::execute_job`] plus the job's outcome and ledger
+//! commit.
 
 use crate::ledger::LeaseHandle;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -147,6 +148,26 @@ impl<R> JobExecution<R> {
     }
 }
 
+/// Why an attempt failed, and whether another attempt could change it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttemptError {
+    /// A failure a later attempt may not repeat (a crash mid-run, a
+    /// stall, a checkpoint read): [`run_attempts`] retries it while the
+    /// policy allows.
+    Retryable(String),
+    /// A failure that depends only on the item itself (a job whose clip,
+    /// simulator or problem cannot be set up from its spec): every
+    /// attempt would fail the same way, so [`run_attempts`] ends after
+    /// this one.
+    Final(String),
+}
+
+impl From<String> for AttemptError {
+    fn from(message: String) -> Self {
+        AttemptError::Retryable(message)
+    }
+}
+
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -218,24 +239,26 @@ where
 /// * A panicking attempt is caught ([`catch_unwind`]) and counts as a
 ///   failed attempt.
 /// * The item gets `1 + policy.retries` attempts before it is reported
-///   failed, with `policy.backoff` slept before each retry.
+///   failed, with `policy.backoff` slept before each retry. An
+///   [`AttemptError::Final`] is reported failed at once.
 /// * After a failed attempt, a fenced `lease` ends the loop as
 ///   [`JobExecution::Remote`] (the adopter owns the job now) and a
 ///   fired `cancel` as [`JobExecution::Cancelled`]; neither is retried.
-pub fn run_attempts<R>(
+pub fn run_attempts<R, E: Into<AttemptError>>(
     policy: RetryPolicy,
     cancel: &CancelToken,
     lease: Option<&LeaseHandle>,
-    mut attempt: impl FnMut(u32) -> Result<R, String>,
+    mut attempt: impl FnMut(u32) -> Result<R, E>,
 ) -> JobExecution<R> {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
         let outcome = catch_unwind(AssertUnwindSafe(|| attempt(attempts)));
-        let error = match outcome {
+        let (error, last) = match outcome.map(|r| r.map_err(Into::into)) {
             Ok(Ok(result)) => return JobExecution::Success { result, attempts },
-            Ok(Err(e)) => e,
-            Err(payload) => format!("job panicked: {}", panic_message(payload)),
+            Ok(Err(AttemptError::Retryable(e))) => (e, false),
+            Ok(Err(AttemptError::Final(e))) => (e, true),
+            Err(payload) => (format!("job panicked: {}", panic_message(payload)), false),
         };
         if let Some(lease) = lease.filter(|lease| lease.lost()) {
             return JobExecution::Remote {
@@ -250,7 +273,7 @@ pub fn run_attempts<R>(
                 error: Some(error),
             };
         }
-        if attempts > policy.retries {
+        if last || attempts > policy.retries {
             return JobExecution::Failure { error, attempts };
         }
         if !policy.backoff.is_zero() {
@@ -433,6 +456,27 @@ mod tests {
             }
             other => panic!("expected a cancellation, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn final_error_runs_once_with_retries_and_backoff_left() {
+        let policy = RetryPolicy {
+            retries: 3,
+            backoff: Duration::from_secs(1),
+        };
+        let mut calls = 0;
+        let execution = run_attempts(policy, &CancelToken::new(), None, |attempt| {
+            calls += 1;
+            Err::<(), _>(AttemptError::Final(format!("attempt {attempt}: no fit")))
+        });
+        match execution {
+            JobExecution::Failure { error, attempts } => {
+                assert_eq!(attempts, 1, "no retry after a final error");
+                assert_eq!(error, "attempt 1: no fit");
+            }
+            other => panic!("expected a failure, got {other:?}"),
+        }
+        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -85,7 +85,8 @@ fn one_and_four_workers_agree_bit_for_bit() {
 }
 
 /// A job with invalid optics is reported failed with a typed error
-/// after its retry; every other job in the batch still finishes.
+/// after one attempt (a set-up error is final, so its retry is not
+/// spent); every other job in the batch still finishes.
 /// (Genuine mid-iteration panics are exercised by the fault-injection
 /// tests; setup errors no longer panic at all.)
 #[test]
@@ -117,7 +118,7 @@ fn poisoned_job_fails_without_sinking_the_batch() {
             let error = failure.error.as_deref().unwrap_or_default();
             assert!(error.contains("simulator build failed"), "error: {error}");
             assert!(error.contains("pixel_nm"), "error: {error}");
-            assert_eq!(failure.attempts, 2, "one retry before giving up");
+            assert_eq!(failure.attempts, 1, "no retry after a set-up error");
         }
         other => panic!("expected failure for the poisoned spec, got {other:?}"),
     }

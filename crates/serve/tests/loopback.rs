@@ -719,10 +719,11 @@ fn ledger_shutdown_now_hands_the_job_to_a_peer() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A submission that fails every attempt (the 1024 nm clip does not fit
-/// a 512 nm grid) replies and reports from one outcome: the fetch reply
-/// and the feed's `job_finish` agree that nothing was salvaged and that
-/// no optimizer wall time was charged.
+/// A submission that fails at set-up (the 1024 nm clip does not fit a
+/// 512 nm grid) replies and reports from one outcome: the fetch reply
+/// and the feed's `job_finish` agree that nothing was salvaged, that no
+/// optimizer wall time was charged and that it ran one attempt, since
+/// no retry can make the clip fit.
 #[test]
 fn failed_submission_reply_and_job_finish_agree() {
     let server = tiny_server(1, 4);
@@ -740,6 +741,7 @@ fn failed_submission_reply_and_job_finish_agree() {
     for line in [&fetched, &finish] {
         assert!(line.contains("\"wall_s\":0,"), "{line}");
         assert!(line.contains("\"degraded\":false,"), "{line}");
+        assert!(line.contains("\"attempts\":1,"), "{line}");
     }
     server.stop(true);
 }

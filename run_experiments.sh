@@ -111,8 +111,15 @@ tier1() {
   # doses (the box_ tests) and at the shapes that run, in both gradient
   # modes; the pruned forward must equal the dense half spectrum's
   # columns bit for bit; the per-kernel gradient's bits are pinned on
-  # the contest window at a power-of-two and a Bluestein grid. The
-  # pruned column inverse must equal the dense one bit for bit, zero
+  # the contest window at a power-of-two and a Bluestein grid. F_id by
+  # multiplication is the engine's third numeric change: p = |d|^(g-1)
+  # by g - 1 multiplies where powf rounds once (<= 0.52 ulp), so each
+  # dF_id/dI pixel must lie within 4*g*eps relative of the former powf
+  # loop (kept in the tests as the oracle) and the value within 1e-12,
+  # at g = 1, 2, 3, 4 and 6; the per-kernel pin's two ImageDifference
+  # hashes were re-pinned for it, and the clip finite-difference check
+  # runs F_id at g = 2, 3, 4 and 6. The pruned column inverse must
+  # equal the dense one bit for bit, zero
   # signs included, on every cyclic range of every power of two up to
   # 64; the box build must reproduce the dense pupil build; a
   # 512 px @ 2 nm contest bank must store under 1% of the grid per
@@ -133,7 +140,9 @@ tier1() {
     kernels::tests::gradient_oracle_bluestein_45x38 \
     kernels::tests::gradient_oracle_aliased_16x15 \
     simulator::tests::bank_pass_matches_the_per_condition_loop_bit_for_bit
-  cargo test -q -p mosaic-core --lib -- objective::tests::per_kernel_evaluations_are_pinned_to_the_bit
+  cargo test -q -p mosaic-core --lib -- objective::tests::per_kernel_evaluations_are_pinned_to_the_bit \
+    objective::tests::image_difference_matches_the_real_power_oracle \
+    objective::tests::clip_image_difference_gradient_matches_finite_difference
   echo "=== tier1: clippy"
   cargo clippy --all-targets --workspace -- -D warnings
   echo "=== tier1: no-panic lint (library code)"
@@ -183,13 +192,18 @@ tier1() {
   # field, f64 by bits); the three defect tests pin that a failed leased
   # job commits its checkpoint salvage, that a batch job cancelled
   # between attempts keeps its attempts and error, and that a failed
-  # submission's reply and job_finish agree on degraded and wall_s; a
-  # failed job whose commit is fenced leaves its job_finish to the
-  # winner. Also covered by the workspace test run above; repeated so a
-  # gate failure names it.
+  # submission's reply and job_finish agree on degraded, wall_s and its
+  # one attempt; a failed job whose commit is fenced leaves its
+  # job_finish to the winner. A set-up error (clip generation, simulator
+  # build, problem assembly) is final: the attempt loop runs it once
+  # with retries and a backoff left, and a leased job commits it after
+  # one attempt. Also covered by the workspace test run above; repeated
+  # so a gate failure names it.
   cargo test -q -p mosaic-runtime --lib -- ledger::tests::job_finish_line_per_terminal_shape_is_pinned \
     ledger::tests::done_record_per_terminal_shape_is_pinned_and_round_trips \
-    job::tests::fenced_failed_job_emits_no_job_finish
+    job::tests::fenced_failed_job_emits_no_job_finish \
+    scheduler::tests::final_error_runs_once_with_retries_and_backoff_left \
+    job::tests::set_up_error_commits_a_failed_record_after_one_attempt
   cargo test -q -p mosaic-serve --lib -- handler::tests::fetch_outcome_fragment_per_terminal_shape_is_pinned
   cargo test -q -p mosaic-runtime --test salvage -- failed_leased_job_commits_its_salvaged_metrics
   cargo test -q -p mosaic-runtime --test faults -- cancel_between_attempts_keeps_attempts_and_error

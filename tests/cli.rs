@@ -215,6 +215,47 @@ fn batch_runs_clips_and_writes_jsonl_report() {
 }
 
 #[test]
+fn batch_fails_a_set_up_error_after_one_attempt() {
+    // 64 px at 8 nm is 512 nm: the 1024 nm clip cannot fit, and no retry
+    // (nor the ladder's coarser grid, which keeps the window) changes it.
+    let dir = temp_dir("setup_error");
+    let report = dir.join("report.jsonl");
+    let out = mosaic_bin()
+        .args([
+            "batch",
+            "--bench",
+            "B1",
+            "--grid",
+            "64",
+            "--pixel",
+            "8",
+            "--iterations",
+            "2",
+            "--retries",
+            "2",
+            "--report",
+            report.to_str().expect("utf8 path"),
+        ])
+        .output()
+        .expect("run mosaic batch");
+    assert!(!out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("0 finished, 1 failed"), "{stdout}");
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let starts = text
+        .lines()
+        .filter(|l| l.starts_with("{\"event\":\"job_start\""))
+        .count();
+    assert_eq!(starts, 1, "{text}");
+    let finish = text
+        .lines()
+        .find(|l| l.starts_with("{\"event\":\"job_finish\""))
+        .expect("a job_finish line");
+    assert!(finish.contains("problem assembly failed"), "{finish}");
+    assert!(finish.contains("\"attempts\":1,"), "{finish}");
+}
+
+#[test]
 fn batch_rejects_unknown_benchmark_list_entry() {
     let out = mosaic_bin()
         .args(["batch", "--bench", "B1,B99"])
