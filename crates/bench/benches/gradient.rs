@@ -16,12 +16,16 @@
 //! counted once per condition). The target and `F_pvb` terms fall in
 //! it, with the per-dose `g` fill and bank sum and the chain rule. Each
 //! part runs on its own, so the rest is an estimate, not a measurement.
+//! Two more rows time the job's serial contest scoring of B4's initial
+//! mask: every condition's print (`printed_all_conditions`) and the
+//! metrics over them (`Evaluator::evaluate`).
 
 use mosaic_core::objective::{Evaluation, Objective};
 use mosaic_core::{
     GradientMode, MaskState, Mosaic, MosaicConfig, MosaicMode, OpcProblem, OptimizationConfig,
-    TargetTerm,
+    TargetTerm, EPE_THRESHOLD_NM,
 };
+use mosaic_eval::Evaluator;
 use mosaic_geometry::benchmarks::BenchmarkId;
 use mosaic_geometry::{Layout, Polygon, Rect};
 use mosaic_numerics::{Grid, KernelSpectrum, SplitSpectrum, Workspace};
@@ -83,9 +87,11 @@ fn problem() -> OpcProblem {
     .expect("problem assembles")
 }
 
-/// The phase split of one evaluation of B4 under `config` in `mode`.
+/// The phase split of one evaluation of B4 under `config` in `mode`,
+/// then the serial contest scoring of its initial mask.
 fn phase_split(shape: &str, config: MosaicConfig, mode: MosaicMode, runs: usize) {
     let layout = BenchmarkId::B4.layout().expect("B4 generates");
+    let epe_spacing_nm = config.epe_spacing_nm;
     let mosaic = Mosaic::new(&layout, config).expect("B4 assembles");
     let p = mosaic.problem();
     let sim = p.simulator();
@@ -170,6 +176,20 @@ fn phase_split(shape: &str, config: MosaicConfig, mode: MosaicMode, runs: usize)
         "rest of the evaluation",
         serial - timed
     );
+
+    // Contest scoring, once per job and serial: every condition's print,
+    // then the metrics over them.
+    let binary = mosaic.initial_mask();
+    let mut prints = Vec::new();
+    phase(shape, "scoring: printed_all_conditions", runs, || {
+        prints = sim.printed_all_conditions(binary);
+        prints.len()
+    });
+    let pixel_nm = p.pixel_nm();
+    let evaluator = Evaluator::new(&layout, (w, h), pixel_nm, epe_spacing_nm, EPE_THRESHOLD_NM);
+    phase(shape, "scoring: Evaluator::evaluate", runs, || {
+        evaluator.evaluate(&prints, 0.0).score.quality()
+    });
 }
 
 fn main() {

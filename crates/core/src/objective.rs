@@ -265,7 +265,8 @@ impl<'a> Objective<'a> {
                 }
             })
             .collect::<Vec<_>>();
-        Some(ParallelExec::new((threads - 1).min(tasks.len()), tasks))
+        let workers = (threads - 1).min(tasks.len());
+        Some(ParallelExec::new(workers, tasks, sim.spectral_box()))
     }
 
     /// The single numeric path behind every evaluation entry point.

@@ -7,8 +7,8 @@
 //! process corners after the nominal condition's bank. The spectral
 //! code underneath is serial. Each worker runs a whole bank — one image
 //! pass for its doses, then per corner resist and `∂F_pvb/∂I`, then one
-//! correlation — against its own persistent mask-spectrum copy and
-//! scratch, and hands back the bank's gradient spectrum on `H`'s box
+//! correlation — against its own persistent copy of the mask spectrum's
+//! box and scratch, and hands back the bank's gradient spectrum on `H`'s box
 //! (about 12 KB), begun at +0 exactly as the serial bank loop begins
 //! each bank's. The calling thread adds those boxes in bank order and
 //! performs the `report.pvb` sum itself, in condition order, as the
@@ -25,7 +25,7 @@
 
 use crate::objective::{evaluate_bank, pvb_accumulate, GradientMode};
 use mosaic_numerics::{
-    Convolver, Grid, KernelSpectrum, PoolTask, SplitSpectrum, WorkerPool, Workspace,
+    Convolver, CyclicRange, Grid, KernelSpectrum, PoolTask, SplitSpectrum, WorkerPool, Workspace,
 };
 use mosaic_optics::{KernelSet, ResistModel};
 use std::sync::Arc;
@@ -50,8 +50,9 @@ pub(crate) struct CornerTask {
     /// `∂F/∂I` enters the bank's correlation at `2·dose`, as on the
     /// serial path.
     pub(crate) doses: Vec<f64>,
-    /// Caller-refreshed copy of the iteration's mask spectrum, in
-    /// split-plane layout (DESIGN.md §16).
+    /// Caller-refreshed copy of the iteration's mask spectrum on the
+    /// simulator's spectral box, in split-plane layout (DESIGN.md §16):
+    /// zero outside the box from creation, and only the box is copied.
     pub(crate) mask_spectrum: SplitSpectrum,
     /// Output: the bank's share of `∂F/∂M`'s spectrum on `H`'s box,
     /// `F((Σ 2·dose·G) ⊙ (M ⊗ H)) · conj(H)`, begun at +0.
@@ -97,6 +98,9 @@ pub struct ParallelExec {
     /// order; the first `workers` go to the pool lanes of the same
     /// index.
     tasks: Vec<Option<CornerTask>>,
+    /// The simulator's spectral box `(columns, rows)`: the mask
+    /// spectrum's only bins any bank reads.
+    spectral_box: (CyclicRange, CyclicRange),
 }
 
 impl std::fmt::Debug for ParallelExec {
@@ -111,11 +115,17 @@ impl std::fmt::Debug for ParallelExec {
 }
 
 impl ParallelExec {
-    /// Spawns `workers` pool threads for the prepared bank tasks.
-    pub(crate) fn new(workers: usize, tasks: Vec<CornerTask>) -> Self {
+    /// Spawns `workers` pool threads for the prepared bank tasks, whose
+    /// mask spectra are zero outside the simulator's `spectral_box`.
+    pub(crate) fn new(
+        workers: usize,
+        tasks: Vec<CornerTask>,
+        spectral_box: (CyclicRange, CyclicRange),
+    ) -> Self {
         ParallelExec {
             pool: WorkerPool::new(workers),
             tasks: tasks.into_iter().map(Some).collect(),
+            spectral_box,
         }
     }
 
@@ -127,10 +137,15 @@ impl ParallelExec {
 
     /// Refreshes every bank task with this evaluation's mask spectrum
     /// and dispatches the first `workers` of them, one per pool lane, so
-    /// they overlap with the caller's nominal bank.
+    /// they overlap with the caller's nominal bank. Only the spectral
+    /// box's bins are copied (27×27 of 512×512 at 512 px @ 2 nm), the
+    /// only ones a bank reads; each task's spectrum is zero elsewhere
+    /// from creation, so it keeps the mask spectrum's "zero elsewhere"
+    /// contract.
     pub(crate) fn corners_start(&mut self, mask_spectrum: &SplitSpectrum) {
+        let (cols, rows) = self.spectral_box;
         for task in self.tasks.iter_mut().flatten() {
-            task.mask_spectrum.copy_from(mask_spectrum);
+            task.mask_spectrum.copy_box_from(mask_spectrum, cols, rows);
             task.pvb_values.fill(0.0);
         }
         let workers = self.pool.workers();

@@ -65,19 +65,26 @@ pub fn label_components(grid: &Grid<f64>, predicate: impl Fn(f64) -> bool) -> (G
             }
         }
     }
+    // Labels are handed out in first-seen raster order. A component's
+    // label is written at its root pixel as soon as it is handed out, so
+    // the labels double as the root-to-label map.
     let mut labels = Grid::filled(w, h, u32::MAX);
-    let mut remap: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+    let by_pixel = labels.as_mut_slice();
+    let mut count = 0;
     for y in 0..h {
         for x in 0..w {
             if matches(x, y) {
-                let root = ds.find((y * w + x) as u32);
-                let next = remap.len() as u32;
-                let label = *remap.entry(root).or_insert(next);
-                labels[(x, y)] = label;
+                let i = y * w + x;
+                let root = ds.find(i as u32) as usize;
+                if by_pixel[root] == u32::MAX {
+                    by_pixel[root] = count;
+                    count += 1;
+                }
+                by_pixel[i] = by_pixel[root];
             }
         }
     }
-    (labels, remap.len())
+    (labels, count as usize)
 }
 
 /// The result of a shape check.
@@ -223,6 +230,63 @@ mod tests {
         assert_eq!(n, 2);
         let (_d, nd) = label_components(&g, |v| v <= 0.5);
         assert_eq!(nd, 1); // all dark pixels connect
+    }
+
+    /// 4-connected labels by flood fill, each component labelled in the
+    /// raster order of its first pixel: the oracle of
+    /// [`label_components`].
+    fn flood_fill_labels(grid: &Grid<f64>, lit: impl Fn(f64) -> bool) -> (Grid<u32>, usize) {
+        let (w, h) = grid.dims();
+        let mut labels = Grid::filled(w, h, u32::MAX);
+        let mut count = 0;
+        for y0 in 0..h {
+            for x0 in 0..w {
+                if !lit(grid[(x0, y0)]) || labels[(x0, y0)] != u32::MAX {
+                    continue;
+                }
+                labels[(x0, y0)] = count;
+                let mut stack = vec![(x0, y0)];
+                while let Some((x, y)) = stack.pop() {
+                    let near = [
+                        (x.wrapping_sub(1), y),
+                        (x + 1, y),
+                        (x, y.wrapping_sub(1)),
+                        (x, y + 1),
+                    ];
+                    for (nx, ny) in near {
+                        if nx < w && ny < h && lit(grid[(nx, ny)]) && labels[(nx, ny)] == u32::MAX {
+                            labels[(nx, ny)] = count;
+                            stack.push((nx, ny));
+                        }
+                    }
+                }
+                count += 1;
+            }
+        }
+        (labels, count as usize)
+    }
+
+    #[test]
+    fn labels_match_a_flood_fill_oracle_on_seeded_grids() {
+        let mut rng = mosaic_numerics::Rng64::new(0x5A4E_0001);
+        for (w, h) in [(1, 1), (7, 1), (1, 9), (16, 16), (33, 20), (64, 48)] {
+            for density in [0.1, 0.45, 0.6, 0.9] {
+                let grid = Grid::from_fn(w, h, |_, _| {
+                    if rng.range_f64(0.0, 1.0) < density {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                });
+                for lit in [|v: f64| v > 0.5, |v: f64| v <= 0.5] {
+                    assert_eq!(
+                        label_components(&grid, lit),
+                        flood_fill_labels(&grid, lit),
+                        "{w}x{h} at density {density}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

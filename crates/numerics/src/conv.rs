@@ -11,6 +11,10 @@
 //! A [`Convolver`] owns the 2-D FFT plan; kernels are transformed **once**
 //! into [`KernelSpectrum`] values and reused every iteration, which is where
 //! virtually all of the optimizer's per-iteration cost savings come from.
+//! The field's spectrum is needed only where some kernel is nonzero, so
+//! [`Convolver::forward_real_box_into`] computes it on a box (the union
+//! of the kernels' boxes) and writes `+0` elsewhere, bit for bit the full
+//! spectrum inside it.
 //! Field spectra and products live in split re/im planes
 //! ([`SplitSpectrum`], DESIGN.md §16), so every product and Hermitian fold
 //! walks unit-stride `f64` slices.
@@ -165,6 +169,17 @@ impl CyclicRange {
         self.runs().into_iter().flatten()
     }
 
+    /// The range's `t`-th index, `(start + t) mod n`, for `t < len`.
+    #[inline]
+    pub(crate) fn nth(&self, t: usize) -> usize {
+        let i = self.start + t;
+        if i >= self.n {
+            i - self.n
+        } else {
+            i
+        }
+    }
+
     /// The mirrored range `{(n − i) mod n : i ∈ self}` — where a
     /// Hermitian fold reads a range's conjugate partners.
     fn mirrored(&self) -> Self {
@@ -180,7 +195,12 @@ impl CyclicRange {
     }
 
     /// The smallest range holding both ranges (same axis).
-    fn union(self, other: CyclicRange) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two ranges lie on axes of different lengths.
+    pub fn union(self, other: CyclicRange) -> Self {
+        assert_eq!(self.n, other.n, "ranges on different axes");
         if other.is_empty() {
             return self;
         }
@@ -202,7 +222,7 @@ impl CyclicRange {
     /// The smallest range holding every index of an `n`-point axis for
     /// which `occupied` holds: the complement of the longest cyclic run
     /// of unoccupied indices (the first such run on a tie).
-    fn covering(n: usize, occupied: impl Fn(usize) -> bool) -> Self {
+    pub(crate) fn covering(n: usize, occupied: impl Fn(usize) -> bool) -> Self {
         let Some(first) = (0..n).find(|&i| occupied(i)) else {
             return CyclicRange::empty(n);
         };
@@ -610,12 +630,9 @@ impl Convolver {
         self.kernel_spectrum(&shifted)
     }
 
-    /// Forward-transforms a real field (e.g. the mask `M`) into a
-    /// caller-owned full spectrum: the Hermitian half spectrum is computed
-    /// first and mirrored out.
-    ///
-    /// Computing this once per iteration and reusing it against every
-    /// kernel spectrum is the standard SOCS evaluation pattern.
+    /// Forward-transforms a real field into a caller-owned full
+    /// spectrum: [`forward_real_box_into`](Self::forward_real_box_into)
+    /// on the whole grid.
     ///
     /// # Panics
     ///
@@ -626,10 +643,53 @@ impl Convolver {
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
-        let mut half = ws.take_split(self.plan.half_width(), self.height());
-        self.plan.forward_real_split_into(field, &mut half, ws);
-        self.plan.expand_half_split_into(&half, out);
-        ws.give_split(half);
+        let (cols, rows) = (
+            CyclicRange::full(self.width()),
+            CyclicRange::full(self.height()),
+        );
+        self.forward_real_box_into(field, cols, rows, out, ws);
+    }
+
+    /// Overwrites `out` with the spectrum of a real field (e.g. the mask
+    /// `M`) on the box `cols × rows` and `+0` at every other bin: the
+    /// spectrum on the box, zero elsewhere.
+    ///
+    /// Only the half-spectrum columns the box or its mirror reaches are
+    /// computed (`Fft2d::forward_real_pruned`: every row's real
+    /// transform, then one column transform per reached column; 14 of
+    /// 257 for the 27-column box of the presets at 512 px), each bit for
+    /// bit the dense half spectrum's. A box bin `(i, j)` past the half
+    /// spectrum is the mirror conjugate `conj(S(w − i, (h − j) mod h))`,
+    /// so every box value equals the full spectrum's, bit for bit.
+    /// Computing this once per iteration on the union of a simulator's
+    /// kernel boxes and reading it against every kernel spectrum is the
+    /// SOCS evaluation pattern: every product reads only inside its
+    /// kernel's box.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ from the plan.
+    pub fn forward_real_box_into(
+        &self,
+        field: &Grid<f64>,
+        cols: CyclicRange,
+        rows: CyclicRange,
+        out: &mut SplitSpectrum,
+        ws: &mut Workspace,
+    ) {
+        let (w, h) = (self.width(), self.height());
+        assert_eq!(out.dims(), (w, h), "field spectrum shape mismatch");
+        assert_eq!(
+            (cols.axis_len(), rows.axis_len()),
+            (w, h),
+            "box does not match the plan"
+        );
+        let reached = FoldedColumns::new(cols, w, self.plan.half_width());
+        let mut columns = ws.take_split(h, reached.count());
+        self.plan
+            .forward_real_pruned(field, reached.runs(), &mut columns, ws);
+        scatter_box(&columns, &reached, cols, rows, out);
+        ws.give_split(columns);
     }
 
     /// Overwrites `out` with `F⁻¹(field_spectrum · kernel)`.
@@ -803,8 +863,10 @@ impl Convolver {
         if bw == 0 || bh == 0 {
             return; // every kernel is zero
         }
-        let mut g_columns = ws.take_split(h, bw.min(self.plan.half_width()));
-        self.plan.forward_real_pruned(g, &mut g_columns, ws);
+        let reached = 0..bw.min(self.plan.half_width());
+        let mut g_columns = ws.take_split(h, reached.len());
+        self.plan
+            .forward_real_pruned(g, std::slice::from_ref(&reached), &mut g_columns, ws);
         // The small grid's rows of the offsets `−(bh − 1)..=bh − 1`.
         let rows = CyclicRange::new((ly + 1 - bh) % ly, 2 * bh - 1, ly);
         let mut band = ws.take_split(lx, rows.len());
@@ -890,6 +952,53 @@ impl Convolver {
     }
 }
 
+/// Overwrites the `w × h` spectrum `out` with a real field's spectrum on
+/// the box `cols × rows` and `+0` at every other bin, read from the
+/// box's reached half-spectrum columns `columns` (column-major: the
+/// `c`-th reached column is row `c`): bin `(i, j)` is column `i`'s for
+/// `i < w/2 + 1`, else the mirror conjugate `conj(S(w − i, (h − j) mod
+/// h))`. Each run of box columns reads one run of reached columns, in
+/// order or, mirrored, in reverse.
+fn scatter_box(
+    columns: &SplitSpectrum,
+    reached: &FoldedColumns,
+    cols: CyclicRange,
+    rows: CyclicRange,
+    out: &mut SplitSpectrum,
+) {
+    let (w, h) = out.dims();
+    let hw = w / 2 + 1;
+    let (cr, ci) = columns.planes();
+    let (or_, oi) = out.planes_mut();
+    or_.fill(0.0);
+    oi.fill(0.0);
+    for j in rows.indices() {
+        let jm = (h - j) % h;
+        let row_re = &mut or_[j * w..(j + 1) * w];
+        let row_im = &mut oi[j * w..(j + 1) * w];
+        for run in cols.runs() {
+            let stored = run.start..run.end.min(hw);
+            if !stored.is_empty() {
+                let p = reached.position(stored.start);
+                for (t, i) in stored.enumerate() {
+                    let k = (p + t) * h + j;
+                    row_re[i] = cr[k];
+                    row_im[i] = ci[k];
+                }
+            }
+            let mirrored = run.start.max(hw)..run.end;
+            if !mirrored.is_empty() {
+                let p = reached.position(w - mirrored.start);
+                for (t, i) in mirrored.enumerate() {
+                    let k = (p - t) * h + jm;
+                    row_re[i] = cr[k];
+                    row_im[i] = -ci[k];
+                }
+            }
+        }
+    }
+}
+
 /// Writes `F(g)` at every offset `(dx, dy)`, `|dx| < bw`, `|dy| < bh`,
 /// into the small grid's row band `band` (rows in offset order from
 /// `dy = 1 − bh`, column `dx mod lx`; every other bin zero), read from
@@ -928,14 +1037,15 @@ fn place_offsets(
 /// The half-spectrum columns `i ∈ 0..w/2+1` a box with columns `cols`
 /// reaches through the Hermitian fold — `i ∈ cols` or
 /// `(w − i) mod w ∈ cols` — as at most four ascending disjoint runs (each
-/// of the two ranges meets `0..w/2+1` in at most two runs).
-struct FoldedColumns {
+/// of the two ranges meets `0..w/2+1` in at most two runs), each as long
+/// as it goes: adjacent reached columns share a run.
+pub(crate) struct FoldedColumns {
     runs: [Range<usize>; 4],
     used: usize,
 }
 
 impl FoldedColumns {
-    fn new(cols: CyclicRange, w: usize, hw: usize) -> Self {
+    pub(crate) fn new(cols: CyclicRange, w: usize, hw: usize) -> Self {
         let mirror = cols.mirrored();
         let reached = |i: usize| cols.contains(i) || mirror.contains(i % w);
         let mut runs = [0..0, 0..0, 0..0, 0..0];
@@ -962,12 +1072,25 @@ impl FoldedColumns {
         FoldedColumns { runs, used }
     }
 
-    fn runs(&self) -> &[Range<usize>] {
+    pub(crate) fn runs(&self) -> &[Range<usize>] {
         &self.runs[..self.used]
     }
 
-    fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.runs().iter().map(ExactSizeIterator::len).sum()
+    }
+
+    /// Position of the reached column `i` among the reached columns, in
+    /// run order; a run of adjacent columns holds adjacent positions.
+    fn position(&self, i: usize) -> usize {
+        let mut base = 0;
+        for run in self.runs() {
+            if run.contains(&i) {
+                return base + i - run.start;
+            }
+            base += run.len();
+        }
+        unreachable!("column {i} is not reached")
     }
 }
 

@@ -22,11 +22,13 @@
 //! [`Fft2d::inverse_real_split_into`]), which roughly halves the
 //! row-transform work by packing even/odd samples into one half-length
 //! complex FFT. Its pruned form, which inverts only the listed
-//! half-spectrum columns over a cyclic row range before rebuilding every
-//! real row, ends both the SOCS image and the gradient; the pruned
-//! forward, which column-transforms only the first few half-spectrum
-//! columns, starts each focus bank's share of the gradient (DESIGN.md
-//! §16).
+//! half-spectrum columns over a cyclic row range and rebuilds every real
+//! row from the live range of its packed half row, ends both the SOCS
+//! image and the gradient; the pruned forward, which column-transforms
+//! only the listed half-spectrum columns, gives the mask spectrum on the
+//! kernels' box and starts each focus bank's share of the gradient
+//! (DESIGN.md §16). Both pruned forms keep every bit of the dense
+//! transforms.
 //!
 //! Every transform here is serial. Intra-job parallelism fans out whole
 //! process corners one level up (DESIGN.md §14), and each corner runs
@@ -718,21 +720,23 @@ impl Fft2d {
         ws.give_real(ti);
     }
 
-    /// Transforms one real row into the re/im planes of the first
-    /// `out_re.len()` bins of its `w/2 + 1` half spectrum; the bins past
-    /// them are never untangled.
+    /// Transforms one real row into the re/im planes of the listed bins
+    /// `cols` (ascending runs of its `w/2 + 1` half spectrum), in order;
+    /// the other bins are never untangled.
     fn row_r2c_split(
         &self,
         input: &[f64],
+        cols: &[Range<usize>],
         out_re: &mut [f64],
         out_im: &mut [f64],
         ws: &mut Workspace,
     ) {
         let w = self.width();
-        let bins = out_re.len();
+        let listed = || cols.iter().cloned().flatten();
         debug_assert_eq!(input.len(), w);
-        debug_assert!(bins <= self.half_width());
-        debug_assert_eq!(out_im.len(), bins);
+        debug_assert!(cols.iter().all(|c| c.end <= self.half_width()));
+        debug_assert_eq!(out_re.len(), listed().count());
+        debug_assert_eq!(out_im.len(), out_re.len());
         match &self.half {
             RealRowPlan::Even { half_fft, tw } => {
                 let m = w / 2;
@@ -747,7 +751,7 @@ impl Fft2d {
                 // zmk = conj(Z[m−k]), the even/odd sample sub-spectra are
                 // ze = (Z[k] + zmk)/2 and zo = −i·(Z[k] − zmk)/2, and the
                 // full-row bin is X[k] = ze + tw[k]·zo for k in 0..=w/2.
-                for k in 0..bins {
+                for ((k, o_re), o_im) in listed().zip(out_re.iter_mut()).zip(out_im.iter_mut()) {
                     let (zr1, zi1) = (zr[k % m], zi[k % m]);
                     let (zr2, zi2) = (zr[(m - k) % m], zi[(m - k) % m]);
                     let ze_re = (zr1 + zr2) * 0.5;
@@ -757,8 +761,8 @@ impl Fft2d {
                     let zo_re = d_im * 0.5;
                     let zo_im = -d_re * 0.5;
                     let (twr, twi) = (tw[k].re, tw[k].im);
-                    out_re[k] = ze_re + (twr * zo_re - twi * zo_im);
-                    out_im[k] = ze_im + (twr * zo_im + twi * zo_re);
+                    *o_re = ze_re + (twr * zo_re - twi * zo_im);
+                    *o_im = ze_im + (twr * zo_im + twi * zo_re);
                 }
                 ws.give_real(zr);
                 ws.give_real(zi);
@@ -769,18 +773,52 @@ impl Fft2d {
                 fr.copy_from_slice(input);
                 self.row
                     .process_split(&mut fr, &mut fi, FftDirection::Forward, ws);
-                out_re.copy_from_slice(&fr[..bins]);
-                out_im.copy_from_slice(&fi[..bins]);
+                for ((k, o_re), o_im) in listed().zip(out_re.iter_mut()).zip(out_im.iter_mut()) {
+                    (*o_re, *o_im) = (fr[k], fi[k]);
+                }
                 ws.give_real(fr);
                 ws.give_real(fi);
             }
         }
     }
 
+    /// The entries of the packed half row that
+    /// [`row_c2r_split`](Self::row_c2r_split) re-tangles from a half row
+    /// whose nonzero bins all lie in the listed columns `cols`: the
+    /// smallest cyclic range of `0..w/2` holding every `k` with `k` or
+    /// `w/2 − k` listed (29 entries for the SOCS image's first 15
+    /// columns). Odd widths rebuild the full complex row, so for them it
+    /// is every index of the row.
+    fn packed_range(&self, cols: &[Range<usize>]) -> CyclicRange {
+        match &self.half {
+            RealRowPlan::Even { half_fft, .. } => {
+                let m = half_fft.len();
+                let listed = |c: usize| cols.iter().any(|r| r.contains(&c));
+                CyclicRange::covering(m, |k| listed(k) || listed(m - k))
+            }
+            RealRowPlan::Odd => CyclicRange::full(self.width()),
+        }
+    }
+
     /// Inverse of [`Fft2d::row_r2c_split`]: reconstructs one real row
     /// from the re/im planes of its half spectrum (the unstored bins are
-    /// Hermitian mirrors).
-    fn row_c2r_split(&self, spec_re: &[f64], spec_im: &[f64], out: &mut [f64], ws: &mut Workspace) {
+    /// Hermitian mirrors), re-tangling only the entries of `packed`
+    /// ([`packed_range`](Self::packed_range) of the columns that may be
+    /// nonzero).
+    ///
+    /// An entry outside `packed` pairs two `+0` bins and re-tangles to
+    /// `+0` in both planes, as `+0 − (±0) = +0` and `+0 + (±0) = +0`;
+    /// [`Fft::inverse_pruned`] takes exactly those entries as `+0`. So
+    /// the row equals the rebuild over every entry (`packed` the whole
+    /// axis), bit for bit, zero signs included.
+    fn row_c2r_split(
+        &self,
+        spec_re: &[f64],
+        spec_im: &[f64],
+        packed: CyclicRange,
+        out: &mut [f64],
+        ws: &mut Workspace,
+    ) {
         let w = self.width();
         let hw = self.half_width();
         debug_assert_eq!(spec_re.len(), hw);
@@ -796,7 +834,8 @@ impl Fft2d {
                 // Z = (ze.re − zo.im, ze.im + zo.re); the half-length
                 // inverse's 1/m scaling reproduces the exact 1/w-scaled
                 // row inverse (even bins sum in pairs).
-                for k in 0..m {
+                let retangle = |t: usize| {
+                    let k = packed.nth(t);
                     let (xr1, xi1) = (spec_re[k], spec_im[k]);
                     let (xr2, xi2) = (spec_re[m - k], spec_im[m - k]);
                     let ze_re = (xr1 + xr2) * 0.5;
@@ -806,10 +845,9 @@ impl Fft2d {
                     let (twr, twi) = (tw[k].re, tw[k].im);
                     let zo_re = twr * tzo_re + twi * tzo_im;
                     let zo_im = twr * tzo_im - twi * tzo_re;
-                    zr[k] = ze_re - zo_im;
-                    zi[k] = ze_im + zo_re;
-                }
-                half_fft.process_split(&mut zr, &mut zi, FftDirection::Inverse, ws);
+                    (ze_re - zo_im, ze_im + zo_re)
+                };
+                half_fft.inverse_pruned(packed, retangle, &mut zr, &mut zi, ws);
                 for (pair, (&r, &i)) in out.chunks_exact_mut(2).zip(zr.iter().zip(zi.iter())) {
                     pair[0] = r;
                     pair[1] = i;
@@ -838,7 +876,7 @@ impl Fft2d {
     /// Forward-transforms a real grid into its Hermitian half spectrum:
     /// `out` holds bins `(i, j)` for `i` in `0..w/2+1`; the missing
     /// columns are recoverable as `conj(out(w-i, (h-j) mod h))` (see
-    /// [`Fft2d::expand_half_split_into`]).
+    /// [`Convolver::forward_real_box_into`](crate::Convolver::forward_real_box_into)).
     ///
     /// # Panics
     ///
@@ -866,9 +904,11 @@ impl Fft2d {
             out.height()
         );
         let (ore, oim) = out.planes_mut();
+        let every_bin = 0..hw;
         for y in 0..h {
             self.row_r2c_split(
                 input.row(y),
+                std::slice::from_ref(&every_bin),
                 &mut ore[y * hw..(y + 1) * hw],
                 &mut oim[y * hw..(y + 1) * hw],
                 ws,
@@ -915,10 +955,12 @@ impl Fft2d {
         );
         let (hre, him) = half.planes_mut();
         self.column_pass_split(hre, him, hw, h, FftDirection::Inverse, ws);
+        let every_entry = self.packed_range(std::slice::from_ref(&(0..hw)));
         for y in 0..h {
             self.row_c2r_split(
                 &hre[y * hw..(y + 1) * hw],
                 &him[y * hw..(y + 1) * hw],
+                every_entry,
                 out.row_mut(y),
                 ws,
             );
@@ -972,9 +1014,10 @@ impl Fft2d {
         ws.give_real(ti);
     }
 
-    /// Forward-transforms a real grid into the first `cols` columns of
-    /// its Hermitian half spectrum, given column-major in the `h × cols`
-    /// band `out` (column `c` is row `c`) — the mirror of
+    /// Forward-transforms a real grid into the listed columns `cols`
+    /// (ascending runs of `0..w/2+1`) of its Hermitian half spectrum,
+    /// given column-major in the `h × count` band `out` (the `c`-th
+    /// listed column is row `c`) — the mirror of
     /// [`inverse_real_pruned`](Self::inverse_real_pruned). Every row runs
     /// its real transform but untangles only those bins, and only those
     /// columns get a column transform, so each value is
@@ -983,31 +1026,33 @@ impl Fft2d {
     ///
     /// # Panics
     ///
-    /// Panics if `input` is not `w × h`, `out` is not `h` wide or `cols`
-    /// exceeds the half spectrum's `w/2 + 1` columns.
+    /// Panics if `input` is not `w × h`, `out` is not `h` wide with one
+    /// row per listed column, or a column lies outside the half
+    /// spectrum's `w/2 + 1` columns.
     pub(crate) fn forward_real_pruned(
         &self,
         input: &Grid<f64>,
+        cols: &[Range<usize>],
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
         let (w, h) = (self.width(), self.height());
-        let cols = out.height();
+        let count: usize = cols.iter().map(ExactSizeIterator::len).sum();
         assert_eq!(input.dims(), (w, h), "real input shape mismatch");
-        assert_eq!(out.width(), h, "column band shape mismatch");
+        assert_eq!(out.dims(), (h, count), "column band shape mismatch");
         assert!(
-            cols <= self.half_width(),
+            cols.iter().all(|c| c.end <= self.half_width()),
             "column outside the half spectrum"
         );
-        let mut rows = ws.take_split(cols, h);
+        let mut rows = ws.take_split(count, h);
         let (rr, ri) = rows.planes_mut();
         for y in 0..h {
-            let span = y * cols..(y + 1) * cols;
-            self.row_r2c_split(input.row(y), &mut rr[span.clone()], &mut ri[span], ws);
+            let span = y * count..(y + 1) * count;
+            self.row_r2c_split(input.row(y), cols, &mut rr[span.clone()], &mut ri[span], ws);
         }
         let (ore, oim) = out.planes_mut();
-        transpose_into(rr, ore, cols, h);
-        transpose_into(ri, oim, cols, h);
+        transpose_into(rr, ore, count, h);
+        transpose_into(ri, oim, count, h);
         ws.give_split(rows);
         rows_split(&self.col, ore, oim, FftDirection::Forward, ws);
     }
@@ -1019,11 +1064,16 @@ impl Fft2d {
     /// (ascending runs of `0..w/2+1`) and the cyclic row range `rows`,
     /// given column-major in `band`: the `c`-th listed column is row `c`
     /// of the `rows.len()`-wide band, in range order. Each listed column
-    /// runs [`Fft::inverse_pruned`] (over the full row range, the dense
-    /// column inverse butterfly for butterfly), then every real row is
-    /// rebuilt from its half row, whose unlisted columns are zero. Equals
-    /// [`inverse_real_split_into`](Self::inverse_real_split_into) of the
-    /// zero-filled half spectrum up to the sign of a zero.
+    /// runs [`Fft::inverse_pruned`] (the dense column inverse of the
+    /// zero-filled column, bit for bit), then every real row is rebuilt
+    /// from its half row, whose unlisted columns are `+0`: only the
+    /// packed entries a listed column reaches are re-tangled, and the
+    /// half-length inverse runs [`Fft::inverse_pruned`] over them (29 of
+    /// 256 entries for the SOCS image's 15 columns at 512 px). Each row
+    /// equals the rebuild over every entry bit for bit, zero signs
+    /// included (see `row_c2r_split`), so the result is
+    /// [`inverse_real_split_into`](Self::inverse_real_split_into)'s of the
+    /// `+0`-filled half spectrum.
     pub(crate) fn inverse_real_pruned(
         &self,
         band: &SplitSpectrum,
@@ -1053,8 +1103,9 @@ impl Fft2d {
             let live = |t: usize| (br[c * r + t], bi[c * r + t]);
             self.col.inverse_pruned(rows, live, cr, ci, ws);
         }
-        // Unlisted columns are zero in every row, so the row buffers are
+        // Unlisted columns are +0 in every row, so the row buffers are
         // zeroed once and only the listed entries rewritten per row.
+        let packed = self.packed_range(cols);
         let mut row_re = ws.take_real_zeroed(hw);
         let mut row_im = ws.take_real_zeroed(hw);
         let mut out = ws.take_real(w);
@@ -1063,54 +1114,13 @@ impl Fft2d {
                 row_re[x] = cre[c * h + y];
                 row_im[x] = cim[c * h + y];
             }
-            self.row_c2r_split(&row_re, &row_im, &mut out, ws);
+            self.row_c2r_split(&row_re, &row_im, packed, &mut out, ws);
             row(y, &out);
         }
         ws.give_real(out);
         ws.give_real(row_im);
         ws.give_real(row_re);
         ws.give_split(columns);
-    }
-
-    /// Expands a Hermitian half spectrum to the full `w × h` spectrum
-    /// using `S(i,j) = conj(S(w−i, (h−j) mod h))` (conjugation is a sign
-    /// flip of the imaginary plane, so this is a pure copy on the real
-    /// plane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `half` is not `(w/2+1) × h` or `out` is not `w × h`.
-    pub fn expand_half_split_into(&self, half: &SplitSpectrum, out: &mut SplitSpectrum) {
-        let (w, h) = (self.width(), self.height());
-        let hw = self.half_width();
-        assert_eq!(
-            half.dims(),
-            (hw, h),
-            "half spectrum {}x{} does not match plan {hw}x{h}",
-            half.width(),
-            half.height()
-        );
-        assert_eq!(
-            out.dims(),
-            (w, h),
-            "full spectrum {}x{} does not match plan {w}x{h}",
-            out.width(),
-            out.height()
-        );
-        let (hre, him) = half.planes();
-        let (ore, oim) = out.planes_mut();
-        for j in 0..h {
-            ore[j * w..j * w + hw].copy_from_slice(&hre[j * hw..(j + 1) * hw]);
-            oim[j * w..j * w + hw].copy_from_slice(&him[j * hw..(j + 1) * hw]);
-        }
-        for j in 0..h {
-            let jm = (h - j) % h;
-            for i in hw..w {
-                let src = jm * hw + (w - i);
-                ore[j * w + i] = hre[src];
-                oim[j * w + i] = -him[src];
-            }
-        }
     }
 }
 
@@ -1143,6 +1153,7 @@ pub fn dft_reference(input: &[Complex], direction: FftDirection) -> Vec<Complex>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::FoldedColumns;
     use crate::rng::Rng64;
 
     fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
@@ -1185,10 +1196,9 @@ mod tests {
 
     /// Full spectrum of a real grid through the half-spectrum path.
     fn real_spectrum(plan: &Fft2d, real: &Grid<f64>, ws: &mut Workspace) -> SplitSpectrum {
-        let mut half = SplitSpectrum::zeros(plan.half_width(), plan.height());
-        plan.forward_real_split_into(real, &mut half, ws);
-        let mut full = SplitSpectrum::zeros(plan.width(), plan.height());
-        plan.expand_half_split_into(&half, &mut full);
+        let (w, h) = (plan.width(), plan.height());
+        let mut full = SplitSpectrum::zeros(w, h);
+        crate::Convolver::new(w, h).forward_real_split_into(real, &mut full, ws);
         full
     }
 
@@ -1414,9 +1424,30 @@ mod tests {
         }
     }
 
+    /// The listed-column set of the prefix `0..c`.
+    fn prefix(c: usize) -> Vec<Range<usize>> {
+        std::iter::once(0..c).collect()
+    }
+
+    /// Every listed-column set of a `w`-point axis the pins below run:
+    /// each prefix `0..c` of the half spectrum, then the half-spectrum
+    /// columns each cyclic column range reaches through the Hermitian
+    /// fold (its runs, as the box paths list them).
+    fn listed_column_sets(w: usize) -> Vec<Vec<Range<usize>>> {
+        let hw = w / 2 + 1;
+        let mut sets: Vec<Vec<Range<usize>>> = (0..=hw).map(prefix).collect();
+        for start in 0..w {
+            for len in 0..=w {
+                let cols = CyclicRange::new(start, len, w);
+                sets.push(FoldedColumns::new(cols, w, hw).runs().to_vec());
+            }
+        }
+        sets
+    }
+
     /// The pruned forward's columns are the full half spectrum's, bit for
-    /// bit, for every column count on even, odd, power-of-two and
-    /// Bluestein shapes.
+    /// bit, for every prefix and every folded cyclic column set on even,
+    /// odd, power-of-two and Bluestein shapes.
     #[test]
     fn pruned_forward_matches_dense_half_spectrum_bit_for_bit() {
         let mut rng = Rng64::new(0xF17_0002);
@@ -1435,23 +1466,84 @@ mod tests {
             let mut ws = Workspace::new();
             let mut dense = SplitSpectrum::zeros(hw, h);
             plan.forward_real_split_into(&input, &mut dense, &mut ws);
-            for cols in 0..=hw {
-                let mut pruned = SplitSpectrum::from_grid(&Grid::filled(
-                    h,
-                    cols,
-                    Complex::new(f64::NAN, f64::NAN),
-                ));
-                plan.forward_real_pruned(&input, &mut pruned, &mut ws);
-                for c in 0..cols {
+            for cols in listed_column_sets(w) {
+                let listed: Vec<usize> = cols.iter().cloned().flatten().collect();
+                let nan = Complex::new(f64::NAN, f64::NAN);
+                let mut pruned = SplitSpectrum::from_grid(&Grid::filled(h, listed.len(), nan));
+                plan.forward_real_pruned(&input, &cols, &mut pruned, &mut ws);
+                for (c, &x) in listed.iter().enumerate() {
                     for y in 0..h {
-                        let (p, d) = (pruned.at(c * h + y), dense.at(y * hw + c));
+                        let (p, d) = (pruned.at(c * h + y), dense.at(y * hw + x));
                         assert_eq!(
                             (p.re.to_bits(), p.im.to_bits()),
                             (d.re.to_bits(), d.im.to_bits()),
-                            "{w}x{h} cols {cols}: bin ({c}, {y})"
+                            "{w}x{h} cols {cols:?}: bin ({x}, {y})"
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Checks the pruned row rebuild for the listed columns `cols`
+    /// against the rebuild over every packed entry: random listed bins
+    /// (a few of them exact `±0`), `+0` elsewhere, NaN-poisoned outputs
+    /// and scratch, `to_bits` on every sample.
+    fn assert_row_rebuild_exact(plan: &Fft2d, cols: &[Range<usize>], rng: &mut Rng64) {
+        let (w, hw) = (plan.width(), plan.half_width());
+        let mut value = || match rng.range_usize(0, 20) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.range_f64(-2.0, 2.0),
+        };
+        let (mut re, mut im) = (vec![0.0; hw], vec![0.0; hw]);
+        for x in cols.iter().cloned().flatten() {
+            (re[x], im[x]) = (value(), value());
+        }
+        let mut ws = Workspace::new();
+        for _ in 0..4 {
+            ws.give_real(vec![f64::NAN; w]);
+        }
+        let mut dense = vec![f64::NAN; w];
+        let every_entry = plan.packed_range(std::slice::from_ref(&(0..hw)));
+        plan.row_c2r_split(&re, &im, every_entry, &mut dense, &mut ws);
+        let packed = plan.packed_range(cols);
+        let mut pruned = vec![f64::NAN; w];
+        plan.row_c2r_split(&re, &im, packed, &mut pruned, &mut ws);
+        for x in 0..w {
+            assert_eq!(
+                pruned[x].to_bits(),
+                dense[x].to_bits(),
+                "w={w} cols {cols:?} (packed {packed:?}) sample {x}: {} vs {}",
+                pruned[x],
+                dense[x]
+            );
+        }
+    }
+
+    /// The pruned row rebuild is the dense one bit for bit, zero signs
+    /// included (an entry outside the packed range re-tangles to `+0`):
+    /// every prefix and every folded cyclic column set on every even
+    /// width up to 64 (power-of-two, Bluestein and length-1 half rows),
+    /// and the SOCS image's 15 columns and the combined kernel's folded
+    /// box at 256 and 512 px.
+    #[test]
+    fn pruned_row_rebuild_matches_dense_row_bit_for_bit() {
+        let mut rng = Rng64::new(0xF17_0003);
+        for w in (2..=64).step_by(2) {
+            let plan = Fft2d::new(w, 1);
+            for cols in listed_column_sets(w) {
+                assert_row_rebuild_exact(&plan, &cols, &mut rng);
+            }
+        }
+        for (w, h_box) in [(256usize, 25usize), (512, 27)] {
+            let plan = Fft2d::new(w, 1);
+            let hw = plan.half_width();
+            let h_cols = CyclicRange::new(w - h_box / 2, h_box, w);
+            let gradient = FoldedColumns::new(h_cols, w, hw).runs().to_vec();
+            assert_eq!(gradient, prefix(h_box / 2 + 1));
+            for cols in [prefix(15), gradient, prefix(hw)] {
+                assert_row_rebuild_exact(&plan, &cols, &mut rng);
             }
         }
     }

@@ -142,6 +142,12 @@ impl<T> Grid<T> {
         &self.data
     }
 
+    /// Mutable view of the underlying row-major buffer.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     /// Consumes the grid, returning the underlying buffer.
     #[inline]
     pub fn into_vec(self) -> Vec<T> {
@@ -375,6 +381,12 @@ impl Grid<f64> {
         self.map(|&v| if v > threshold { 1.0 } else { 0.0 })
     }
 
+    /// [`threshold`](Self::threshold) in place: overwrites every value
+    /// with its binary step.
+    pub fn threshold_in_place(&mut self, threshold: f64) {
+        self.apply(|v| *v = if *v > threshold { 1.0 } else { 0.0 });
+    }
+
     /// Bilinearly resamples the grid to `width × height`, treating each
     /// pixel as a sample at its cell center.
     ///
@@ -504,9 +516,11 @@ mod tests {
 
     #[test]
     fn threshold_is_strict() {
-        let g = Grid::from_vec(3, 1, vec![0.4, 0.5, 0.6]).unwrap();
+        let mut g = Grid::from_vec(3, 1, vec![0.4, 0.5, 0.6]).unwrap();
         let z = g.threshold(0.5);
         assert_eq!(z.as_slice(), &[0.0, 0.0, 1.0]);
+        g.threshold_in_place(0.5);
+        assert_eq!(g, z);
     }
 
     #[test]

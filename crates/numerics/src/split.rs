@@ -20,6 +20,7 @@
 //! linear index `j * width + i` in both planes.
 
 use crate::complex::Complex;
+use crate::conv::CyclicRange;
 use crate::grid::Grid;
 
 /// A `width × height` complex field stored as two separate `f64`
@@ -162,12 +163,30 @@ impl SplitSpectrum {
         self.im[idx] = v.im;
     }
 
-    /// Copies another spectrum of the same shape into this one.
-    /// Panics on a shape mismatch.
-    pub fn copy_from(&mut self, other: &SplitSpectrum) {
+    /// Copies another spectrum's bins on the box `cols × rows` (cyclic
+    /// ranges over this spectrum's columns and rows) into this one, one
+    /// row run at a time, and leaves every other bin as it is: a spectrum
+    /// that is zero outside the box stays so, and its pages outside the
+    /// box are never touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch or a box on other axes.
+    pub fn copy_box_from(&mut self, other: &SplitSpectrum, cols: CyclicRange, rows: CyclicRange) {
         assert_eq!(other.dims(), self.dims(), "shape mismatch");
-        self.re.copy_from_slice(&other.re);
-        self.im.copy_from_slice(&other.im);
+        assert_eq!(
+            (cols.axis_len(), rows.axis_len()),
+            self.dims(),
+            "box does not match the spectrum"
+        );
+        let w = self.width;
+        for j in rows.indices() {
+            for run in cols.runs() {
+                let span = j * w + run.start..j * w + run.end;
+                self.re[span.clone()].copy_from_slice(&other.re[span.clone()]);
+                self.im[span.clone()].copy_from_slice(&other.im[span]);
+            }
+        }
     }
 
     /// `self += other * weight`, plane-wise.

@@ -164,12 +164,16 @@ impl Workspace {
         // clip at any pitch. Buffers for up to 64×64 cover it.
         let small = full.min(64 * 64);
         // The spectral pipeline (DESIGN.md §16) draws *pairs* of f64
-        // planes for every spectrum it touches: the mask spectrum and
-        // the half-spectrum of its transform, the column-subset scratch
-        // of the pruned real forward and inverse (their live
-        // half-spectrum columns), the half-row and row buffers of the
-        // real inverse, and the Bluestein pad / real-row pack scratch
-        // for non-power-of-two shapes. The image pass and the gradient
+        // planes for every spectrum it touches: the mask spectrum (a
+        // full grid written on the kernels' box, zero elsewhere; no
+        // half spectrum or transpose of its own), the column-subset
+        // scratch of the pruned real forward and inverse (their live
+        // half-spectrum columns, the mask spectrum's included), the
+        // half-row and row buffers of the real inverse, and the
+        // Bluestein pad / real-row pack scratch for non-power-of-two
+        // shapes. No evaluation draws the `half` sizes below; they stay
+        // in the probe's pre-warm list, which goes with this function
+        // (ROADMAP's API item). The image pass and the gradient
         // also draw, per bank, small-grid sums, fields, row bands,
         // transpose scratch, half spectra and box spectra; no full grid
         // beyond the images and the gradient's real planes. Warm enough

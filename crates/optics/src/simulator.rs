@@ -6,7 +6,7 @@ use crate::error::OpticsError;
 use crate::kernels::KernelSet;
 use crate::resist::ResistModel;
 use crate::source::SourceShape;
-use mosaic_numerics::{Convolver, Grid, SplitSpectrum, Workspace};
+use mosaic_numerics::{Convolver, CyclicRange, Grid, SplitSpectrum, Workspace};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -85,6 +85,8 @@ pub struct LithoSimulator {
     bank_starts: Vec<usize>,
     /// Every condition's dose, in condition order.
     doses: Vec<f64>,
+    /// The union of every bank's kernel boxes, `(columns, rows)`.
+    spectral_box: (CyclicRange, CyclicRange),
     config: OpticsConfig,
 }
 
@@ -121,12 +123,21 @@ impl LithoSimulator {
             })
             .collect::<Result<Vec<_>, OpticsError>>()?;
         bank_starts.push(conditions.len());
+        let mut spectral_box = (
+            CyclicRange::empty(config.grid_width),
+            CyclicRange::empty(config.grid_height),
+        );
+        for kernel in banks.iter().flat_map(|bank| bank.kernels()) {
+            let (cols, rows) = kernel.spectrum.support();
+            spectral_box = (spectral_box.0.union(cols), spectral_box.1.union(rows));
+        }
         Ok(LithoSimulator {
             convolver,
             resist,
             banks,
             bank_starts,
             doses: conditions.iter().map(|c| c.dose).collect(),
+            spectral_box,
             config: config.clone(),
         })
     }
@@ -154,6 +165,16 @@ impl LithoSimulator {
     /// The shared convolution engine (same grid shape as the simulator).
     pub fn convolver(&self) -> &Convolver {
         &self.convolver
+    }
+
+    /// The simulator's spectral box `(columns, rows)`: the union of
+    /// every bank's kernel boxes, so every bin any kernel is nonzero at
+    /// lies in it (25×26 bins at 256 px @ 4 nm and 27×27 at 512 px @
+    /// 2 nm for the presets, each bank's combined-kernel box). It is the
+    /// only part of the mask spectrum the image pass and the gradient
+    /// read.
+    pub fn spectral_box(&self) -> (CyclicRange, CyclicRange) {
+        self.spectral_box
     }
 
     /// Number of process conditions.
@@ -211,9 +232,15 @@ impl LithoSimulator {
     }
 
     /// Forward-transforms a mask once for reuse across conditions and
-    /// kernels, overwriting `out` with its full spectrum through the
-    /// Hermitian half-spectrum fast path — the entry into the split
-    /// spectral engine (DESIGN.md §16).
+    /// kernels — the entry into the split spectral engine (DESIGN.md
+    /// §16) — overwriting `out` with the spectrum on the box, zero
+    /// elsewhere: the mask spectrum's bins on the
+    /// [`spectral_box`](Self::spectral_box), bit for bit the full
+    /// spectrum's, and `+0` at every other bin
+    /// ([`Convolver::forward_real_box_into`]). Every reader, each
+    /// kernel's box product in the image pass and in the gradient's
+    /// correlation, reads only inside the box, so only the half-spectrum
+    /// columns the box or its mirror reaches are transformed.
     ///
     /// # Panics
     ///
@@ -224,7 +251,9 @@ impl LithoSimulator {
         out: &mut SplitSpectrum,
         ws: &mut Workspace,
     ) {
-        self.convolver.forward_real_split_into(mask, out, ws);
+        let (cols, rows) = self.spectral_box;
+        self.convolver
+            .forward_real_box_into(mask, cols, rows, out, ws);
     }
 
     /// Overwrites `intensity` with the aerial image under condition
@@ -272,7 +301,8 @@ impl LithoSimulator {
 
     /// Binary printed images of `mask` under **all** conditions, in
     /// condition order — the inputs to PV-band measurement (Fig. 4).
-    /// Each focus bank images all its doses in one image pass.
+    /// Each focus bank images all its doses in one image pass, and each
+    /// image is thresholded in place into its print.
     pub fn printed_all_conditions(&self, mask: &Grid<f64>) -> Vec<Grid<f64>> {
         let mut ws = Workspace::new();
         let spectrum = self.fresh_mask_spectrum(mask, &mut ws);
@@ -282,7 +312,10 @@ impl LithoSimulator {
             let doses = &self.doses[self.bank_conditions(b)];
             let mut images = vec![Grid::zeros(w, h); doses.len()];
             bank.aerial_images_split(&self.convolver, &spectrum, doses, &mut images, &mut ws);
-            prints.extend(images.iter().map(|i| self.printed(i)));
+            for image in &mut images {
+                image.threshold_in_place(self.resist.threshold);
+            }
+            prints.append(&mut images);
         }
         prints
     }
@@ -384,6 +417,118 @@ mod tests {
         for i in 0..sim.condition_count() {
             sim.aerial_image_split(&spectrum, i, &mut reused, &mut ws);
             assert_eq!(sim.aerial_image(&mask, i), reused, "condition {i}");
+        }
+    }
+
+    /// The mask spectrum is the full spectrum on the simulator's spectral
+    /// box, bit for bit, and `+0` everywhere else, written over a
+    /// NaN-poisoned spectrum, for the contest banks, the fast preset's
+    /// bank, the 45×38 Bluestein grid and the 16×15 @ 80 nm grid whose
+    /// kernel boxes span whole axes. The oracle is the dense half
+    /// spectrum (every column transformed) mirrored out bin by bin, which
+    /// the full spectrum must equal too. The box holds every kernel's
+    /// box, and at the benchmark shapes it is every bank's
+    /// combined-kernel box: 25×26 bins at 256 px @ 4 nm, 27×27 at
+    /// 512 px @ 2 nm.
+    #[test]
+    fn mask_spectrum_on_the_box_matches_the_full_spectrum_bit_for_bit() {
+        let mut fast = OpticsConfig::contest_32nm(256, 4.0);
+        fast.kernel_count = 8;
+        let fast_window = vec![
+            ProcessCondition::NOMINAL,
+            ProcessCondition::new(25.0, 0.98),
+            ProcessCondition::new(-25.0, 1.02),
+        ];
+        let small = |w, h, pixel_nm, kernels| {
+            OpticsConfig::builder()
+                .grid(w, h)
+                .pixel_nm(pixel_nm)
+                .kernel_count(kernels)
+                .build()
+                .unwrap()
+        };
+        let two_foci = vec![
+            ProcessCondition::NOMINAL,
+            ProcessCondition::new(-25.0, 1.02),
+        ];
+        for (config, window, expect) in [
+            (
+                OpticsConfig::contest_32nm(128, 8.0),
+                ProcessCondition::contest_window(),
+                None,
+            ),
+            (fast, fast_window, Some((25, 26))),
+            (small(45, 38, 12.0, 12), two_foci.clone(), None),
+            (small(16, 15, 80.0, 6), two_foci, None),
+        ] {
+            let sim = LithoSimulator::new(&config, ResistModel::paper(), window).unwrap();
+            let (w, h) = (config.grid_width, config.grid_height);
+            let (cols, rows) = sim.spectral_box();
+            for b in 0..sim.bank_count() {
+                let bank = sim.bank(b);
+                for kernel in bank.kernels().iter().chain([bank.combined()]) {
+                    let (kc, kr) = kernel.spectrum.support();
+                    assert!(
+                        kc.indices().all(|i| cols.contains(i))
+                            && kr.indices().all(|j| rows.contains(j)),
+                        "{w}x{h}: kernel box outside the spectral box"
+                    );
+                }
+                if expect.is_some() {
+                    assert_eq!(bank.combined().spectrum.support(), (cols, rows));
+                }
+            }
+            if let Some(lens) = expect {
+                assert_eq!((cols.len(), rows.len()), lens, "{w}x{h}: box");
+            }
+            let mut rng = mosaic_numerics::Rng64::new(0xB0C5_0001);
+            let mask = Grid::from_fn(w, h, |_, _| rng.range_f64(0.0, 1.0));
+            let mut ws = Workspace::new();
+            let hw = w / 2 + 1;
+            let mut half = SplitSpectrum::zeros(hw, h);
+            sim.convolver()
+                .plan()
+                .forward_real_split_into(&mask, &mut half, &mut ws);
+            let oracle = |i: usize, j: usize| {
+                let bin = if i < hw {
+                    half.at(j * hw + i)
+                } else {
+                    half.at((h - j) % h * hw + w - i).conj()
+                };
+                (bin.re.to_bits(), bin.im.to_bits())
+            };
+            let nan = mosaic_numerics::Complex::new(f64::NAN, f64::NAN);
+            let mut full = SplitSpectrum::from_grid(&Grid::filled(w, h, nan));
+            sim.convolver()
+                .forward_real_split_into(&mask, &mut full, &mut ws);
+            let mut boxed = SplitSpectrum::from_grid(&Grid::filled(w, h, nan));
+            sim.mask_spectrum_split(&mask, &mut boxed, &mut ws);
+            for j in 0..h {
+                for i in 0..w {
+                    let (b, f) = (boxed.at(j * w + i), full.at(j * w + i));
+                    let bits = |c: mosaic_numerics::Complex| (c.re.to_bits(), c.im.to_bits());
+                    assert_eq!(bits(f), oracle(i, j), "{w}x{h}: full bin ({i}, {j})");
+                    let expect = if cols.contains(i) && rows.contains(j) {
+                        oracle(i, j)
+                    } else {
+                        (0, 0)
+                    };
+                    assert_eq!(bits(b), expect, "{w}x{h}: bin ({i}, {j})");
+                }
+            }
+        }
+        // The contest banks at the contest resolution: H's 27×27 box.
+        let config = OpticsConfig::contest_32nm(512, 2.0);
+        let sim = LithoSimulator::new(
+            &config,
+            ResistModel::paper(),
+            ProcessCondition::contest_window(),
+        )
+        .unwrap();
+        let (cols, rows) = sim.spectral_box();
+        assert_eq!((cols.len(), rows.len()), (27, 27));
+        for b in 0..sim.bank_count() {
+            assert_eq!(sim.bank(b).combined().spectrum.support(), (cols, rows));
         }
     }
 

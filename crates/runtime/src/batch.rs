@@ -342,7 +342,8 @@ pub fn render_summary(specs: &[JobSpec], outcome: &BatchOutcome) -> String {
             }
             JobRun::Unreported(job) if job.status == JobStatus::Failed => {
                 let (attempts, error) = (job.attempts, job.error.as_deref().unwrap_or_default());
-                let status = format!("failed{note} ({attempts} attempts): {error}");
+                let plural = if attempts == 1 { "" } else { "s" };
+                let status = format!("failed{note} ({attempts} attempt{plural}): {error}");
                 ("-".into(), "-".into(), status)
             }
             JobRun::Unreported(_) => ("-".into(), "-".into(), "cancelled".into()),
@@ -382,6 +383,7 @@ pub fn render_summary(specs: &[JobSpec], outcome: &BatchOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobOutcome;
     use mosaic_core::MosaicMode;
     use mosaic_geometry::benchmarks::BenchmarkId;
 
@@ -413,6 +415,44 @@ mod tests {
         let summary = render_summary(&specs, &outcome);
         assert!(summary.contains("B1-fast"));
         assert!(summary.contains("2 finished"));
+    }
+
+    #[test]
+    fn failed_summary_counts_its_attempts() {
+        let specs = tiny_specs(&[BenchmarkId::B1, BenchmarkId::B2]);
+        let failed = |attempts| {
+            JobRun::Unreported(JobOutcome::failed(
+                "solver diverged".into(),
+                attempts,
+                0,
+                None,
+            ))
+        };
+        let outcome = BatchOutcome {
+            runs: vec![failed(1), failed(2)],
+            finished: 0,
+            failed: 2,
+            cancelled: 0,
+            timed_out: 0,
+            remote: 0,
+            salvaged: 0,
+            faults: 0,
+            degrades: 0,
+            sim_configs: 0,
+            sim_cache_hits: 0,
+            total_quality_score: 0.0,
+            wall_s: 0.0,
+        };
+        let summary = render_summary(&specs, &outcome);
+        let status = |id: &str| {
+            let line = summary
+                .lines()
+                .find(|l| l.starts_with(id))
+                .expect("a job line");
+            line[line.find("failed").expect("a failed status")..].to_string()
+        };
+        assert_eq!(status("B1-fast"), "failed (1 attempt): solver diverged");
+        assert_eq!(status("B2-fast"), "failed (2 attempts): solver diverged");
     }
 
     #[test]

@@ -123,11 +123,21 @@ tier1() {
   # signs included, on every cyclic range of every power of two up to
   # 64; the box build must reproduce the dense pupil build; a
   # 512 px @ 2 nm contest bank must store under 1% of the grid per
-  # kernel. Also covered by the workspace test run above; repeated so a
-  # gate failure names the culprit.
+  # kernel. The mask spectrum is computed only on the simulator's
+  # spectral box, the union of the banks' kernel boxes (value-preserving
+  # by pruning): on NaN-poisoned outputs it must equal the full
+  # spectrum bit for bit inside the box and be +0 outside it, on the
+  # contest and fast-preset banks, 45x38 and 16x15 @ 80 nm. The real
+  # inverse rebuilds each row from the live range of its packed half
+  # row: the rebuild must equal the dense one bit for bit, zero signs
+  # included, for every prefix and folded cyclic column set on every
+  # even width up to 64 and for the image's and the gradient's column
+  # sets at 256 and 512 px. Also covered by the workspace test run
+  # above; repeated so a gate failure names the culprit.
   cargo test -q -p mosaic-numerics --test differential box_
   cargo test -q -p mosaic-numerics --lib -- fft::tests::pruned_inverse_matches_dense_column_bit_for_bit \
-    fft::tests::pruned_forward_matches_dense_half_spectrum_bit_for_bit
+    fft::tests::pruned_forward_matches_dense_half_spectrum_bit_for_bit \
+    fft::tests::pruned_row_rebuild_matches_dense_row_bit_for_bit
   cargo test -q -p mosaic-numerics --test proptests kernel_box_
   cargo test -q -p mosaic-optics --lib -- box_build_matches_dense_build \
     contest_bank_stores_under_one_percent_of_the_grid \
@@ -139,7 +149,8 @@ tier1() {
     kernels::tests::gradient_oracle_fast_preset_bank \
     kernels::tests::gradient_oracle_bluestein_45x38 \
     kernels::tests::gradient_oracle_aliased_16x15 \
-    simulator::tests::bank_pass_matches_the_per_condition_loop_bit_for_bit
+    simulator::tests::bank_pass_matches_the_per_condition_loop_bit_for_bit \
+    simulator::tests::mask_spectrum_on_the_box_matches_the_full_spectrum_bit_for_bit
   cargo test -q -p mosaic-core --lib -- objective::tests::per_kernel_evaluations_are_pinned_to_the_bit \
     objective::tests::image_difference_matches_the_real_power_oracle \
     objective::tests::clip_image_difference_gradient_matches_finite_difference

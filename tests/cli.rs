@@ -241,6 +241,10 @@ fn batch_fails_a_set_up_error_after_one_attempt() {
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("0 finished, 1 failed"), "{stdout}");
+    assert!(
+        stdout.contains("failed (1 attempt): problem assembly failed"),
+        "{stdout}"
+    );
     let text = std::fs::read_to_string(&report).expect("report written");
     let starts = text
         .lines()
