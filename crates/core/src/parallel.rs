@@ -7,9 +7,10 @@
 //! process corners after the nominal condition's bank. The spectral
 //! code underneath is serial. Each worker runs a whole bank — one image
 //! pass for its doses, then per corner resist and `∂F_pvb/∂I`, then one
-//! correlation — against its own persistent copy of the mask spectrum's
-//! box and scratch, and hands back the bank's gradient spectrum on `H`'s box
-//! (about 12 KB), begun at +0 exactly as the serial bank loop begins
+//! correlation — against its own persistent copy of the mask
+//! spectrum's box and scratch, and hands back the bank's gradient
+//! spectrum on `H`'s box (about 12 KB), begun at +0 exactly as the
+//! serial bank loop begins
 //! each bank's. The calling thread adds those boxes in bank order and
 //! performs the `report.pvb` sum itself, in condition order, as the
 //! serial path does, so every gradient bit equals the serial path's at
